@@ -32,8 +32,8 @@ from .errors import (ConfigError, ConfigNotFoundError, NlshapeError, ParamError)
 from .functionals import boundary_fields, energy, potential
 from .onedim import (TwoIntervalConfig, epsilon_sweep, g_and_d_eps,
                      solve_critical_d, two_interval_set, zeta_endpoints)
-from .sets import (Ball, IntervalSet, Params, StarShape2D, geometry_to_dict,
-                   load_geometry, volume)
+from .sets import (_MIN_RESOLUTION, Params, StarShape2D, canonical,
+                   geometry_to_dict, load_geometry, volume)
 from .shapeopt import find_critical_2d, volume_project
 
 __all__ = ["main", "load_config", "run_command", "RunConfig"]
@@ -248,6 +248,19 @@ def _parse_point(raw: str, n: int):
         raise ConfigError(f"invalid point coordinates: {raw!r}")
 
 
+def _mesh_knobs(cfg: RunConfig, n: int):
+    """(resolution, nq), refused as configuration errors when out of range.
+    The resolution only matters, and is only checked, for planar sets."""
+    res = cfg.get("resolution", 256)
+    nq = cfg.get("nq", 48)
+    if nq < 1:
+        raise ConfigError(f"nq must be a positive integer, got {nq}")
+    if n == 2 and res < _MIN_RESOLUTION:
+        raise ConfigError(
+            f"resolution must be >= {_MIN_RESOLUTION} for planar sets, got {res}")
+    return res, nq
+
+
 def _coord_header(S):
     return ["x"] if S.n == 1 else ["x", "y"]
 
@@ -259,8 +272,7 @@ def _coord_header(S):
 def _run_energy(cfg, emit):
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
-    res = cfg.get("resolution", 256)
-    nq = cfg.get("nq", 48)
+    res, nq = _mesh_knobs(cfg, S.n)
     br = energy(S, p, res, nq)
     emit.csv(".csv", ["perimeter_term", "riesz_term", "eps", "total"],
              [(br.perimeter_term, br.riesz_term, br.eps, br.total)])
@@ -270,8 +282,7 @@ def _run_energy(cfg, emit):
 def _run_curvature(cfg, emit):
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
-    res = cfg.get("resolution", 256)
-    nq = cfg.get("nq", 48)
+    res, nq = _mesh_knobs(cfg, S.n)
     bf = boundary_fields(S, p, res, nq, want_grad_tau=False)
     rows = [(i, *bf.mesh.points[i].tolist(), float(bf.kappa[i]))
             for i in range(bf.mesh.points.shape[0])]
@@ -282,8 +293,7 @@ def _run_curvature(cfg, emit):
 def _run_potential(cfg, emit):
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
-    res = cfg.get("resolution", 256)
-    nq = cfg.get("nq", 48)
+    res, nq = _mesh_knobs(cfg, S.n)
     if "point" in cfg.values:
         x = _parse_point(cfg.values["point"], S.n)
         v = potential(S, x, p.alpha, res, nq)
@@ -314,8 +324,7 @@ def _report_header():
 def _run_diagnose(cfg, emit):
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
-    res = cfg.get("resolution", 256)
-    nq = cfg.get("nq", 48)
+    res, nq = _mesh_knobs(cfg, S.n)
     report = diagnose(S, p, res, nq)
     emit.json(".report.json", report.as_dict())
     emit.csv(".csv", _report_header(), [_report_row(report)])
@@ -361,20 +370,19 @@ def _run_optimize2d(cfg, emit):
     p = cfg.params(default_n=2)
     if p.n != 2:
         raise ConfigError(f"optimize2d needs n = 2, got n = {p.n}")
+    res, nq = _mesh_knobs(cfg, 2)
     if "geometry" in cfg.values:
-        init = _load_geometry_for(cfg)
-        if isinstance(init, IntervalSet):
+        init = canonical(_load_geometry_for(cfg))
+        if not isinstance(init, StarShape2D):
             raise ConfigError("optimize2d needs a planar geometry")
     else:
         init = StarShape2D((0.0, 0.0), 1.0)
-    init = volume_project(init if isinstance(init, StarShape2D)
-                          else StarShape2D(init.center, init.radius))
     shape, report, state = find_critical_2d(
-        init, p,
+        volume_project(init), p,
         tol=cfg.get("tol", 1e-3),
         max_iter=cfg.get("max_iter", 500),
-        resolution=cfg.get("resolution", 256),
-        nq=cfg.get("nq", 48),
+        resolution=res,
+        nq=nq,
         k_max=cfg.get("k_max", 12),
         step=cfg.get("step", 0.2),
         full_output=True)
@@ -391,6 +399,7 @@ def _run_optimize2d(cfg, emit):
 def _run_calibrate(cfg, emit):
     s = cfg.require("s")
     n = cfg.get("n", 2)
+    res, nq = _mesh_knobs(cfg, n)
     kwargs = {}
     if "radii" in cfg.values:
         try:
@@ -398,12 +407,8 @@ def _run_calibrate(cfg, emit):
                                     cfg.values["radii"].split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"invalid radii: {cfg.values['radii']!r}")
-    if "resolution" in cfg.values:
-        kwargs["resolution"] = cfg.values["resolution"]
-    if "nq" in cfg.values:
-        kwargs["nq"] = cfg.values["nq"]
     try:
-        c = calibrate_variation_constant(s, n, **kwargs)
+        c = calibrate_variation_constant(s, n, res, nq, **kwargs)
     except ParamError as exc:
         # out-of-range s reads as a config problem, not a runtime failure
         if "must lie in" in str(exc) or "supports n in" in str(exc):

@@ -42,10 +42,10 @@ from .errors import GeometryError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           frac_perimeter, grad_potential_at_points,
                           potential_at_points, riesz_energy, set_integral_2d,
-                          _as_star, _potential_1d, _grad_potential_1d)
+                          _kappa_2d_batch, _potential_1d, _grad_potential_1d)
 from .quad import QuadTolerance, brute_oracle, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
-                   diameter, isodiametric_ratio, volume)
+                   canonical, diameter, isodiametric_ratio, volume)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -156,16 +156,10 @@ def annulus_deficit_rho(S, samples: int = 512) -> float:
 
 def lambda_hat_and_residual(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                             nq: int = DEFAULT_NQ):
-    """Weighted boundary mean of zeta and the sup-norm residual against it.
-
-    The mean is the orthogonal projection of zeta onto constants, so no
-    other choice of the multiplier gives a smaller weighted-L2 defect.
-    """
+    """Weighted boundary mean of zeta and the sup-norm residual against it
+    (BoundaryFields.lambda_hat_and_residual of the boundary sweep)."""
     bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
-    w = bf.mesh.weights
-    lam = math.fsum(w * bf.zeta) / math.fsum(w)
-    res = float(np.abs(bf.zeta - lam).max())
-    return lam, res
+    return bf.lambda_hat_and_residual()
 
 
 def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -224,9 +218,8 @@ def _int_v_over_set(S, p: Params, resolution, nq) -> float:
     so identity checks that involve it stay two-sided)."""
     if isinstance(S, IntervalSet):
         return _interval_integral(S, lambda x: _potential_1d(S, x, p.alpha))
-    star = _as_star(S)
     return set_integral_2d(
-        star, lambda pts, foci: potential_at_points(star, pts, foci, p.alpha, nq),
+        S, lambda pts, foci: potential_at_points(S, pts, foci, p.alpha, nq),
         resolution)
 
 
@@ -256,17 +249,23 @@ def _identity_au1(S, p: Params, resolution, nq) -> float:
         lhs = math.fsum(lhs_terms)
         int_v = _int_v_over_set(S, p, resolution, nq)
         return _rel_residual(lhs, -0.5 * alpha * int_v)
-    star = _as_star(S)
     if not (0.0 < alpha < 1.0):
         raise ParamError(f"Au1 on planar sets needs alpha in (0, 1), got {alpha!r}")
 
     def gv_dot_x(pts, foci):
-        g = grad_potential_at_points(star, pts, foci, alpha, nq)
+        g = grad_potential_at_points(S, pts, foci, alpha, nq)
         return (g * pts).sum(1)
 
-    lhs = set_integral_2d(star, gv_dot_x, resolution)
-    int_v = _int_v_over_set(star, p, resolution, nq)
+    lhs = set_integral_2d(S, gv_dot_x, resolution)
+    int_v = _int_v_over_set(S, p, resolution, nq)
     return _rel_residual(lhs, -0.5 * alpha * int_v)
+
+
+def _x_dot_nu_pairing(mesh, values) -> float:
+    """int_dE values * x.nu dsigma on the mesh (in 1D the sum over the
+    endpoints, whose weights are 1)."""
+    xdotnu = (mesh.points * mesh.normals).sum(1)
+    return math.fsum(mesh.weights * values * xdotnu)
 
 
 def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -276,17 +275,9 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     The ratio of the two recovers the factor n - alpha/2; exposed separately
     so the factor can be fitted across alpha values.
     """
-    if isinstance(S, IntervalSet):
-        mesh = boundary_mesh(S, resolution)
-        lhs = math.fsum(
-            _potential_1d(S, float(x[0]), p.alpha) * float(x[0]) * float(nrm[0])
-            for x, nrm in zip(mesh.points, mesh.normals))
-    else:
-        star = _as_star(S)
-        bf = boundary_fields(star, p, resolution, nq, want_grad_tau=False)
-        xdotnu = (bf.mesh.points * bf.mesh.normals).sum(1)
-        lhs = math.fsum(bf.mesh.weights * bf.pot * xdotnu)
-    return lhs, _int_v_over_set(S, p, resolution, nq)
+    S = canonical(S)
+    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+    return _x_dot_nu_pairing(bf.mesh, bf.pot), _int_v_over_set(S, p, resolution, nq)
 
 
 def _identity_au2(S, p: Params, resolution, nq) -> float:
@@ -295,19 +286,9 @@ def _identity_au2(S, p: Params, resolution, nq) -> float:
 
 
 def _identity_minkowski(S, p: Params, resolution, nq) -> float:
-    if isinstance(S, IntervalSet):
-        mesh = boundary_mesh(S, resolution)
-        lhs = math.fsum(
-            pv_pair_integral(S, float(x[0]), p.s) * float(x[0]) * float(nrm[0])
-            for x, nrm in zip(mesh.points, mesh.normals))
-        per = frac_perimeter(S, p.s)
-    else:
-        star = _as_star(S)
-        bf = boundary_fields(star, p, resolution, nq, want_grad_tau=False)
-        xdotnu = (bf.mesh.points * bf.mesh.normals).sum(1)
-        lhs = math.fsum(bf.mesh.weights * bf.kappa * xdotnu)
-        per = frac_perimeter(star, p.s, resolution, nq)
-    rhs = (p.n - p.s) * per / p.c_var
+    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+    lhs = _x_dot_nu_pairing(bf.mesh, bf.kappa)
+    rhs = (p.n - p.s) * frac_perimeter(S, p.s, resolution, nq) / p.c_var
     return _rel_residual(lhs, rhs)
 
 
@@ -318,9 +299,8 @@ def _probe_points(S, count, rng):
         hi = S.intervals[-1][1]
         pad = 0.5 * (hi - lo)
         return rng.uniform(lo - pad, hi + pad, size=(count, 1))
-    star = _as_star(S)
-    c = np.asarray(star.center)
-    rmax = float(star.samples(512).max())
+    c = np.asarray(S.center)
+    rmax = float(S.samples(512).max())
     return c + rng.uniform(-1.5 * rmax, 1.5 * rmax, size=(count, 2))
 
 
@@ -331,21 +311,16 @@ def _identity_lal(S, p: Params, resolution, nq, probes: int = 50,
     read exactly 0."""
     alpha = p.alpha
     vol = volume(S)
-    rng = np.random.default_rng(seed)
-    if S.n == 1:
+    pts = _probe_points(S, probes, np.random.default_rng(seed))
+    if isinstance(S, IntervalSet):
         half = 0.5 * vol
         vb0 = 2.0 * half ** (1.0 - alpha) / (1.0 - alpha)
-        iv = S if isinstance(S, IntervalSet) else IntervalSet(
-            [(S.center[0] - S.radius, S.center[0] + S.radius)])
-        pts = _probe_points(iv, probes, rng)
-        vmax = max(_potential_1d(iv, float(x[0]), alpha) for x in pts)
+        vmax = max(_potential_1d(S, float(x[0]), alpha) for x in pts)
     else:
         R = (vol / math.pi) ** 0.5
         vb0 = 2.0 * math.pi * R ** (2.0 - alpha) / (2.0 - alpha)
-        star = _as_star(S)
-        pts = _probe_points(star, probes, rng)
-        foci = np.arctan2(pts[:, 1] - star.center[1], pts[:, 0] - star.center[0])
-        vmax = float(potential_at_points(star, pts, foci, alpha, nq).max())
+        foci = np.arctan2(pts[:, 1] - S.center[1], pts[:, 0] - S.center[0])
+        vmax = float(potential_at_points(S, pts, foci, alpha, nq).max())
     return max(0.0, (vmax - vb0) / vb0)
 
 
@@ -360,18 +335,16 @@ def _identity_tangential_ball(S, p: Params, resolution, nq) -> float:
     """Linearity of sup |grad V . tau| in the ball-map size mu: halve the
     radial deviation from the equal-area ball and compare the ratio of the
     sups with the ratio of the mus. The residual is their mismatch."""
-    star = _as_star(S)
     if not (0.0 < p.alpha < 1.0):
         raise ParamError("tangential-gradient check needs alpha in (0, 1)")
-    mu_full = ball_map_mu(star)
+    mu_full = ball_map_mu(S)
     if mu_full == 0.0:
         return 0.0
-    R = math.sqrt(volume(star) / math.pi)
-    half = StarShape2D(star.center, R + 0.5 * (star.r0 - R),
-                       0.5 * star.a, 0.5 * star.b)
+    R = math.sqrt(volume(S) / math.pi)
+    half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
     mu_half = ball_map_mu(half)
     ratio_mu = mu_full / mu_half
-    g_full = _sup_tangential(star, p, resolution, nq)
+    g_full = _sup_tangential(S, p, resolution, nq)
     g_half = _sup_tangential(half, p, resolution, nq)
     ratio_g = g_full / max(g_half, _RESIDUAL_FLOOR)
     return abs(ratio_g - ratio_mu) / ratio_mu
@@ -383,10 +356,15 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
     if kind not in IDENTITY_KINDS:
         raise ParamError(
             f"unknown identity kind {kind!r}; choose from {IDENTITY_KINDS}")
+    S = canonical(S)
     if kind == "TangentialBall":
-        if isinstance(S, IntervalSet) or S.n != 2:
+        if not isinstance(S, StarShape2D):
             raise GeometryError("TangentialBall is a planar check")
         return _identity_tangential_ball(S, p, resolution, nq)
+    if not isinstance(S, (IntervalSet, StarShape2D)):
+        raise GeometryError(
+            f"identity checks cover interval sets and planar shapes, got a "
+            f"{type(S).__name__} in dimension {S.n}")
     if kind == "Au1":
         return _identity_au1(S, p, resolution, nq)
     if kind == "Au2":
@@ -415,13 +393,10 @@ def calibrate_variation_constant(s: float, n: int = 2,
                                 for x, nrm in ((-R, -1.0), (R, 1.0)))
             vals.append((1.0 - s) * frac_perimeter(iv, s) / pairing)
     elif n == 2:
-        from .functionals import _kappa_2d_batch
         for R in radii:
-            star = _as_star(Ball((0.0, 0.0), R))
+            star = StarShape2D((0.0, 0.0), R)
             mesh = boundary_mesh(star, resolution)
-            kap = _kappa_2d_batch(star, s, mesh.thetas, nq)
-            xdotnu = (mesh.points * mesh.normals).sum(1)
-            pairing = math.fsum(mesh.weights * kap * xdotnu)
+            pairing = _x_dot_nu_pairing(mesh, _kappa_2d_batch(star, s, mesh.thetas, nq))
             vals.append((2.0 - s) * frac_perimeter(star, s, resolution, nq) / pairing)
     else:
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
@@ -442,19 +417,21 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     at most mu_gate: the underlying comparison is a small-perturbation
     statement and is out of regime for large deviations from a ball.
     """
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
-    w = bf.mesh.weights
-    lam = math.fsum(w * bf.zeta) / math.fsum(w)
-    el_res = float(np.abs(bf.zeta - lam).max())
+    # C is the canonical form every quadrature below runs on; the closed-form
+    # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
+    # values
+    C = canonical(S)
+    bf = boundary_fields(C, p, resolution, nq, want_grad_tau=False)
+    lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
     eta_v = eta(S, p, delta)
-    two_d = not isinstance(S, IntervalSet) and S.n == 2
+    two_d = isinstance(C, StarShape2D)
     rho = annulus_deficit_rho(S) if two_d else None
 
-    implied = {"lambda_cross": lambda_cross_estimate(S, p, resolution, nq)}
+    implied = {"lambda_cross": lambda_cross_estimate(C, p, resolution, nq)}
     if p.eps > 0.0:
         implied["eta_bound_constant"] = delta / p.eps
-    if two_d and isinstance(S, StarShape2D):
+    if isinstance(S, StarShape2D):
         implied["mu"] = ball_map_mu(S)
 
     identities = {}
@@ -462,22 +439,22 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
         if 0.0 < p.alpha < 1.0:
             # the gradient route under Au1 needs the weak-singularity range;
             # for alpha >= 1 the boundary layer defeats the interior rule
-            identities["Au1"] = _identity_au1(S, p, resolution, nq)
-        identities["Au2"] = _identity_au2(S, p, resolution, nq)
-        identities["Minkowski"] = _identity_minkowski(S, p, resolution, nq)
-        identities["Lal"] = _identity_lal(S, p, resolution, nq)
+            identities["Au1"] = _identity_au1(C, p, resolution, nq)
+        identities["Au2"] = _identity_au2(C, p, resolution, nq)
+        identities["Minkowski"] = _identity_minkowski(C, p, resolution, nq)
+        identities["Lal"] = _identity_lal(C, p, resolution, nq)
         mu = implied.get("mu")
         if mu is not None and 0.0 < mu <= mu_gate and 0.0 < p.alpha < 1.0:
             identities["TangentialBall"] = _identity_tangential_ball(
-                S, p, resolution, nq)
+                C, p, resolution, nq)
 
     errors = {}
     if two_d:
-        _, per_err = frac_perimeter(S, p.s, resolution, nq, with_error=True)
-        _, rz_err = riesz_energy(S, p.alpha, resolution, nq, with_error=True)
+        _, per_err = frac_perimeter(C, p.s, resolution, nq, with_error=True)
+        _, rz_err = riesz_energy(C, p.alpha, resolution, nq, with_error=True)
         errors["perimeter"] = per_err
         errors["riesz"] = rz_err
-        bf2 = boundary_fields(S, p, resolution, 2 * nq, want_grad_tau=False)
+        bf2 = boundary_fields(C, p, resolution, 2 * nq, want_grad_tau=False)
         errors["kappa"] = float(np.abs(bf2.kappa - bf.kappa).max())
         errors["potential"] = float(np.abs(bf2.pot - bf.pot).max())
 

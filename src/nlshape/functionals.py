@@ -23,8 +23,17 @@ q = alpha,
     P_s(E)    = 1/s^2      int int |x-y|^(-s)      nu(x).nu(y) dsigma dsigma
     R_alpha   = -1/(2-alpha)^2 int int |x-y|^(2-alpha) nu(x).nu(y) ...
 
-Every 2D functional takes a mesh resolution and can report a refinement
-error estimate (the change under doubling the per-node quadrature order).
+Every public function accepts an IntervalSet, a Ball or a StarShape2D and
+first passes it through sets.canonical, so a 1D ball is evaluated as its
+interval and a planar ball as a constant-radius star shape; the planar-only
+functions refuse other geometries with GeometryError. Each 2D value is one
+Gauss-Jacobi (on the curve) or graded-ladder (off the curve) sum per target
+over the curve frame from StarShape2D.frame.
+
+The whole-boundary functionals use the mesh resolution; the point queries
+accept it for a uniform signature and ignore it. frac_perimeter and
+riesz_energy can report a refinement error estimate (the change under
+doubling the per-node quadrature order; 0 for the 1D closed forms).
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import numpy as np
 from .errors import GeometryError, ParamError
 from .quad import jacobi_half_rule, ladder_half_rule, kernel_primitive, pv_pair_integral
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, volume)
+                   boundary_mesh, canonical)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -145,23 +154,11 @@ def _grad_potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
 
 
 def _as_star(S) -> StarShape2D:
+    S = canonical(S)
     if isinstance(S, StarShape2D):
         return S
-    if isinstance(S, Ball) and S.n == 2:
-        return StarShape2D(S.center, S.radius)
     raise GeometryError(
         f"2D boundary quadrature needs a star shape or planar ball, got {type(S).__name__}")
-
-
-def _geo(star: StarShape2D, th):
-    """Positions, outward unit normals and parameter speed at angles th."""
-    r = star.radius(th)
-    dr = star.radius_deriv(th)
-    c, s = np.cos(th), np.sin(th)
-    pos = np.stack([star.center[0] + r * c, star.center[1] + r * s], axis=-1)
-    speed = np.sqrt(r * r + dr * dr)
-    nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)
-    return pos, nu, speed
 
 
 def _on_curve_angle(star: StarShape2D, x) -> Optional[float]:
@@ -176,34 +173,24 @@ def _on_curve_angle(star: StarShape2D, x) -> Optional[float]:
     return None
 
 
-def _around(star, theta0, beta, nq, on_curve):
-    """Angles and weights for a two-sided integral centered at theta0.
+def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func):
+    """Sum W_k h(u_k) for a batch of targets; h_func builds the integrand
+    from (normals, speeds, displacement y - x from the target, |y - x|^2).
 
-    on_curve selects the Gauss-Jacobi rule carrying the u^beta factor; off
-    the curve the integrand is smooth and the graded ladder handles the
+    On the curve the Gauss-Jacobi rule carries the u^beta factor; off the
+    curve the integrand is smooth and the graded ladder handles the
     near-peak behaviour.
     """
     if on_curve:
         u, W = jacobi_half_rule(beta, nq)
     else:
         u, W = ladder_half_rule()
-    th = np.concatenate([theta0 + u, theta0 - u])
-    WW = np.concatenate([W, W])
-    return th, WW
-
-
-def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func):
-    """Sum W_k h(u_k) for a batch of targets; h_func builds the integrand
-    from (positions, normals, speeds, displacement from target)."""
-    if on_curve:
-        u, W = jacobi_half_rule(beta, nq)
-    else:
-        u, W = ladder_half_rule()
     th = np.concatenate([focus_angles[:, None] + u[None, :],
                          focus_angles[:, None] - u[None, :]], axis=1)
-    pos, nu, speed = _geo(star, th)
+    pos, nu, speed = star.frame(th)
     d = pos - targets_xy[:, None, :]
-    vals = h_func(pos, nu, speed, d)
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    vals = h_func(nu, speed, d, r2)
     WW = np.concatenate([W, W])
     # einsum keeps the contraction out of threaded BLAS: per-target sums come
     # out bitwise identical whatever the configured thread count
@@ -211,32 +198,29 @@ def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func):
 
 
 def _kappa_2d_batch(star, s, thetas, nq):
-    x, _, _ = _geo(star, thetas)
+    x, _, _ = star.frame(thetas)
 
-    def h(pos, nu, speed, d):
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    def h(nu, speed, d, r2):
         return (d * nu).sum(-1) * r2 ** (-(2.0 + s) / 2.0) * speed
 
     return (2.0 / s) * _target_batch(star, x, thetas, -s, nq, True, h)
 
 
 def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
-    def h(pos, nu, speed, d):
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    def h(nu, speed, d, r2):
         return (d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed
 
     return _target_batch(star, targets_xy, focus_angles, 2.0 - alpha, nq,
                          on_curve, h) / (2.0 - alpha)
 
 
-def _grad_potential_2d_one(star, alpha, x, focus, on_curve, nq):
-    out = np.zeros(2)
+def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
+    out = np.empty_like(targets_xy)
     for comp in range(2):
-        def h(pos, nu, speed, d, comp=comp):
-            r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+        def h(nu, speed, d, r2, comp=comp):
             return -nu[..., comp] * r2 ** (-alpha / 2.0) * speed
-        out[comp] = _target_batch(star, x[None, :], np.array([focus]), -alpha,
-                                  nq, on_curve, h)[0]
+        out[:, comp] = _target_batch(star, targets_xy, focus_angles, -alpha,
+                                     nq, on_curve, h)
     return out
 
 
@@ -244,30 +228,27 @@ def _focus_angle(star, x) -> float:
     return math.atan2(x[1] - star.center[1], x[0] - star.center[0])
 
 
-def _perimeter_2d(star, s, resolution, nq):
+def _pair_energy_2d(star, q, resolution, nq):
+    """int_dE int_dE |x - y|^q nu(x).nu(y) dsigma dsigma; both energy terms
+    are this double integral (q = -s resp. 2 - alpha), scaled."""
     mesh = boundary_mesh(star, resolution)
-    th = mesh.thetas
     nus = mesh.normals
 
-    def h(pos, nu, speed, d):
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-        return r2 ** (-s / 2.0) * (nu * nus[:, None, :]).sum(-1) * speed
+    def h(nu, speed, d, r2):
+        return r2 ** (q / 2.0) * (nu * nus[:, None, :]).sum(-1) * speed
 
-    inner = _target_batch(star, mesh.points, th, -s, nq, True, h)
-    return math.fsum(mesh.weights * inner) / (s * s)
+    inner = _target_batch(star, mesh.points, mesh.thetas, q, nq, True, h)
+    return math.fsum(mesh.weights * inner)
 
 
-def _riesz_2d(star, alpha, resolution, nq):
-    mesh = boundary_mesh(star, resolution)
-    th = mesh.thetas
-    nus = mesh.normals
-
-    def h(pos, nu, speed, d):
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-        return r2 ** ((2.0 - alpha) / 2.0) * (nu * nus[:, None, :]).sum(-1) * speed
-
-    inner = _target_batch(star, mesh.points, th, 2.0 - alpha, nq, True, h)
-    return -math.fsum(mesh.weights * inner) / (2.0 - alpha) ** 2
+def _with_error(value_at, nq, with_error):
+    """value_at(nq), or with with_error the refined value_at(2 nq) and its
+    change under the doubling."""
+    v = value_at(nq)
+    if not with_error:
+        return v
+    v2 = value_at(2 * nq)
+    return v2, abs(v2 - v)
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +260,28 @@ def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
     """Fractional perimeter P_s(E)."""
     if not (0.0 < s < 1.0):
         raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    S = canonical(S)
     if isinstance(S, IntervalSet):
-        v = _perimeter_1d(S, s)
-        return (v, 0.0) if with_error else v
-    if isinstance(S, Ball) and S.n == 1:
-        v = _single_interval_perimeter(2.0 * S.radius, s)
-        return (v, 0.0) if with_error else v
+        return _with_error(lambda k: _perimeter_1d(S, s), nq, with_error)
     star = _as_star(S)
-    v = _perimeter_2d(star, s, resolution, nq)
-    if not with_error:
-        return v
-    v2 = _perimeter_2d(star, s, resolution, 2 * nq)
-    return v2, abs(v2 - v)
+    return _with_error(
+        lambda k: _pair_energy_2d(star, -s, resolution, k) / (s * s),
+        nq, with_error)
 
 
 def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
                  nq: int = DEFAULT_NQ, with_error: bool = False):
     """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
+    S = canonical(S)
     if isinstance(S, IntervalSet):
-        v = _riesz_1d(S, alpha)
-        return (v, 0.0) if with_error else v
-    if isinstance(S, Ball) and S.n == 1:
-        v = _single_interval_riesz(2.0 * S.radius, alpha)
-        return (v, 0.0) if with_error else v
+        return _with_error(lambda k: _riesz_1d(S, alpha), nq, with_error)
     if not (0.0 < alpha < 2.0):
         raise ParamError(f"2D Riesz energy needs alpha in (0, 2), got {alpha!r}")
     star = _as_star(S)
-    v = _riesz_2d(star, alpha, resolution, nq)
-    if not with_error:
-        return v
-    v2 = _riesz_2d(star, alpha, resolution, 2 * nq)
-    return v2, abs(v2 - v)
+    q = 2.0 - alpha
+    return _with_error(
+        lambda k: -_pair_energy_2d(star, q, resolution, k) / q ** 2,
+        nq, with_error)
 
 
 def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -324,14 +296,11 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 def potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
               nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
+    S = canonical(S)
     if isinstance(S, IntervalSet):
         return _potential_1d(S, float(np.asarray(x).reshape(-1)[0]), alpha)
     if isinstance(S, Ball):
-        if S.n == 1:
-            iv = IntervalSet([(S.center[0] - S.radius, S.center[0] + S.radius)])
-            return _potential_1d(iv, float(np.asarray(x).reshape(-1)[0]), alpha)
-        if S.n >= 3:
-            return _ball_potential_nd(S, np.asarray(x, dtype=float), alpha)
+        return _ball_potential_nd(S, np.asarray(x, dtype=float), alpha)
     star = _as_star(S)
     if not (0.0 < alpha < 2.0):
         raise ParamError(f"2D potential needs alpha in (0, 2), got {alpha!r}")
@@ -348,12 +317,10 @@ def grad_potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
     """Gradient of the potential, as a vector. At boundary points this is the
     one-sided improper integral, which requires alpha < n - 1; outside that
     range the call is refused rather than regularized."""
+    S = canonical(S)
     if isinstance(S, IntervalSet):
         return np.array([_grad_potential_1d(S, float(np.asarray(x).reshape(-1)[0]), alpha)])
-    if isinstance(S, Ball) and S.n == 1:
-        iv = IntervalSet([(S.center[0] - S.radius, S.center[0] + S.radius)])
-        return np.array([_grad_potential_1d(iv, float(np.asarray(x).reshape(-1)[0]), alpha)])
-    if isinstance(S, Ball) and S.n >= 3:
+    if isinstance(S, Ball):
         x = np.asarray(x, dtype=float).reshape(S.n)
         if np.allclose(x, S.center, rtol=0.0, atol=1e-14):
             return np.zeros(S.n)  # exact by symmetry
@@ -366,27 +333,24 @@ def grad_potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
         raise ParamError(
             f"boundary gradient needs alpha in (0, n-1) = (0, 1), got {alpha!r}")
     focus = th if on_curve else _focus_angle(star, x)
-    return _grad_potential_2d_one(star, alpha, x, focus, on_curve, nq)
+    return _grad_potential_2d_batch(star, alpha, x[None, :], np.array([focus]),
+                                    on_curve, nq)[0]
 
 
 def tangential_grad_potential(S, x, alpha: float,
                               resolution: int = DEFAULT_RESOLUTION,
                               nq: int = DEFAULT_NQ) -> float:
     """grad V . tau at a boundary point of a planar shape."""
-    if isinstance(S, (IntervalSet,)) or (isinstance(S, Ball) and S.n != 2):
+    S = canonical(S)
+    if not isinstance(S, StarShape2D):
         raise GeometryError("tangential gradient is defined for planar boundaries only")
-    star = _as_star(S)
     x = np.asarray(x, dtype=float).reshape(2)
-    th = _on_curve_angle(star, x)
+    th = _on_curve_angle(S, x)
     if th is None:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    g = grad_potential(star, x, alpha, resolution, nq)
-    r = float(star.radius(np.array([th]))[0])
-    dr = float(star.radius_deriv(np.array([th]))[0])
-    sp = math.hypot(r, dr)
-    tau = np.array([(dr * math.cos(th) - r * math.sin(th)) / sp,
-                    (dr * math.sin(th) + r * math.cos(th)) / sp])
-    return float(g @ tau)
+    g = grad_potential(S, x, alpha, resolution, nq)
+    _, nu, _ = S.frame(np.array([th]))
+    return float(g @ np.array([-nu[0, 1], nu[0, 0]]))
 
 
 def frac_curvature(S, x, s: float, resolution: int = DEFAULT_RESOLUTION,
@@ -397,11 +361,9 @@ def frac_curvature(S, x, s: float, resolution: int = DEFAULT_RESOLUTION,
     """
     if not (0.0 < s < 1.0):
         raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    S = canonical(S)
     if isinstance(S, IntervalSet):
         return pv_pair_integral(S, float(np.asarray(x).reshape(-1)[0]), s)
-    if isinstance(S, Ball) and S.n == 1:
-        iv = IntervalSet([(S.center[0] - S.radius, S.center[0] + S.radius)])
-        return pv_pair_integral(iv, float(np.asarray(x).reshape(-1)[0]), s)
     star = _as_star(S)
     x = np.asarray(x, dtype=float).reshape(2)
     th = _on_curve_angle(star, x)
@@ -438,17 +400,24 @@ class BoundaryFields:
             if arr is not None:
                 arr.flags.writeable = False
 
+    def lambda_hat_and_residual(self):
+        """Weighted boundary mean of zeta and the sup-norm residual against
+        it. The mean is the orthogonal projection of zeta onto constants, so
+        no other multiplier gives a smaller weighted-L2 defect."""
+        w = self.mesh.weights
+        lam = math.fsum(w * self.zeta) / math.fsum(w)
+        return lam, float(np.abs(self.zeta - lam).max())
+
 
 def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                     nq: int = DEFAULT_NQ, want_grad_tau: bool = True) -> BoundaryFields:
     """kappa, V, zeta (and grad V . tau where defined) at every mesh node."""
-    if isinstance(S, IntervalSet) or (isinstance(S, Ball) and S.n == 1):
-        iv = S if isinstance(S, IntervalSet) else IntervalSet(
-            [(S.center[0] - S.radius, S.center[0] + S.radius)])
-        mesh = boundary_mesh(iv, resolution)
+    S = canonical(S)
+    if isinstance(S, IntervalSet):
+        mesh = boundary_mesh(S, resolution)
         xs = mesh.points[:, 0]
-        kap = np.array([pv_pair_integral(iv, float(v), p.s) for v in xs])
-        pot = np.array([_potential_1d(iv, float(v), p.alpha) for v in xs])
+        kap = np.array([pv_pair_integral(S, float(v), p.s) for v in xs])
+        pot = np.array([_potential_1d(S, float(v), p.alpha) for v in xs])
         zt = kap + p.c_coupling * p.eps * pot
         return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=None)
 
@@ -460,12 +429,7 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     zt = kap + p.c_coupling * p.eps * pot
     gt = None
     if want_grad_tau and 0.0 < p.alpha < 1.0:
-        g = np.empty((th.size, 2))
-        for comp in range(2):
-            def h(pos, nu, speed, d, comp=comp):
-                r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-                return -nu[..., comp] * r2 ** (-p.alpha / 2.0) * speed
-            g[:, comp] = _target_batch(star, mesh.points, th, -p.alpha, nq, True, h)
+        g = _grad_potential_2d_batch(star, p.alpha, mesh.points, th, True, nq)
         gt = (g * mesh.tangents).sum(1)
     return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=gt)
 
@@ -528,14 +492,8 @@ def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ
     """grad V at off-boundary points, batched."""
     star = _as_star(star)
     pts = np.asarray(pts, dtype=float)
-    foci = np.asarray(foci, dtype=float)
-    out = np.empty_like(pts)
-    for comp in range(2):
-        def h(pos, nu, speed, d, comp=comp):
-            r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-            return -nu[..., comp] * r2 ** (-alpha / 2.0) * speed
-        out[:, comp] = _target_batch(star, pts, foci, -alpha, nq, False, h)
-    return out
+    return _grad_potential_2d_batch(star, alpha, pts, np.asarray(foci, dtype=float),
+                                    False, nq)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ a trigonometric radius function
 
     r(theta) = r0 + sum_k a_k cos(k theta) + b_k sin(k theta)
 
-about a center point. All geometry objects are frozen after construction;
-derived quantities (volume, diameter, boundary meshes) are pure functions of
-the stored data, so instances can be shared freely across threads.
+about a center point. All geometry objects are frozen after construction:
+assigning to an attribute raises dataclasses.FrozenInstanceError (an
+AttributeError) and the coefficient arrays are read-only. Derived quantities
+(volume, diameter, boundary meshes) are pure functions of the stored data, so
+instances can be shared freely across threads.
+
+canonical() is the one place a ball changes representation: the quadrature
+code sees a 1D ball as its IntervalSet and a planar ball as a constant-radius
+StarShape2D. The closed-form measures (volume, diameter) keep the exact ball
+values.
 
 Volumes and diameters accumulate with compensated summation (math.fsum) so
 results do not depend on summation order.
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +37,8 @@ from .errors import GeometryError, ParamError
 # positivity everywhere; 8x the highest retained mode is comfortably dense.
 _POSITIVITY_OVERSAMPLE = 8
 _MIN_POSITIVITY_SAMPLES = 512
+# fewest nodes a planar boundary mesh may have
+_MIN_RESOLUTION = 8
 
 
 def _ball_volume_coeff(n: int) -> float:
@@ -73,6 +82,11 @@ class Params:
             raise ParamError(
                 f"alpha must lie in (0, n) = (0, {self.n}), got {self.alpha!r}"
             )
+        # NaN passes every ordered comparison below, so refuse it up front
+        for name in ("eps", "mass", "c_coupling", "c_var"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ParamError(f"{name} must be finite, got {v!r}")
         if self.c_coupling <= 0.0:
             raise ParamError(f"c_coupling must be positive, got {self.c_coupling!r}")
         if self.c_var <= 0.0:
@@ -177,10 +191,21 @@ class StarShape2D:
     The coefficient representation is the source of truth; sampled values are
     derived from it on demand (and agree with the coefficients exactly at the
     sample nodes, up to roundoff). Construction fails if the radius is not
-    strictly positive on a dense check grid.
+    strictly positive on a dense check grid, and instances refuse attribute
+    assignment afterwards, so the check cannot be bypassed.
     """
 
     __slots__ = ("center", "r0", "a", "b", "_min_radius")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: the default slot-state path assigns
+        return (StarShape2D, (self.center, self.r0, self.a, self.b))
 
     def __init__(self, center: Sequence[float], r0: float,
                  a: Sequence[float] = (), b: Sequence[float] = ()):
@@ -198,10 +223,10 @@ class StarShape2D:
         b = np.pad(b, (0, k - b.size))
         a.flags.writeable = False
         b.flags.writeable = False
-        self.center = c
-        self.r0 = float(r0)
-        self.a = a
-        self.b = b
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "r0", float(r0))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
         m = max(_MIN_POSITIVITY_SAMPLES, _POSITIVITY_OVERSAMPLE * max(1, k))
         rchk = self.radius(2.0 * math.pi * np.arange(m) / m)
@@ -210,7 +235,7 @@ class StarShape2D:
             raise GeometryError(
                 f"radius function is not strictly positive (min {rmin:g} on check grid)"
             )
-        self._min_radius = rmin
+        object.__setattr__(self, "_min_radius", rmin)
 
     @property
     def n(self) -> int:
@@ -234,6 +259,18 @@ class StarShape2D:
             kk = k + 1
             dr += kk * (self.b[k] * np.cos(kk * theta) - self.a[k] * np.sin(kk * theta))
         return dr
+
+    def frame(self, theta):
+        """Boundary positions, outward unit normals and parameter speed
+        |y'(theta)| at the angles theta (any shape; vectors on a new last
+        axis)."""
+        r = self.radius(theta)
+        dr = self.radius_deriv(theta)
+        c, s = np.cos(theta), np.sin(theta)
+        pos = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
+        speed = np.sqrt(r * r + dr * dr)
+        nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)
+        return pos, nu, speed
 
     def samples(self, m: int) -> np.ndarray:
         """Radius values at the m uniform angles 2*pi*j/m."""
@@ -383,12 +420,28 @@ def unit_volume_rescale(S, p: Params):
     return S1, p1
 
 
+def canonical(S):
+    """The representation the quadrature code works on.
+
+    A 1D ball becomes its IntervalSet and a planar ball a constant-radius
+    StarShape2D; every other geometry is returned unchanged. This is the only
+    place a ball is converted.
+    """
+    if isinstance(S, Ball) and S.n == 1:
+        c, r = S.center[0], S.radius
+        return IntervalSet([(c - r, c + r)])
+    if isinstance(S, Ball) and S.n == 2:
+        return StarShape2D(S.center, S.radius)
+    return S
+
+
 def boundary_mesh(S, resolution: int) -> BoundaryMesh:
     """Boundary discretization used by every 2D quadrature consumer.
 
     resolution is ignored for 1D sets (the boundary is finite). Balls are
     meshed only in dimensions 1 and 2.
     """
+    S = canonical(S)
     if isinstance(S, IntervalSet):
         pts = []
         nrm = []
@@ -402,25 +455,15 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
         weights = np.ones(points.shape[0])
         return BoundaryMesh(points=points, normals=normals, weights=weights)
 
-    if isinstance(S, Ball) and S.n == 1:
-        c, r = S.center[0], S.radius
-        return boundary_mesh(IntervalSet([(c - r, c + r)]), resolution)
-
-    if isinstance(S, Ball) and S.n == 2:
-        S = StarShape2D(S.center, S.radius)
-
     if isinstance(S, StarShape2D):
         m = int(resolution)
-        if m < 8:
-            raise GeometryError(f"2D mesh resolution must be >= 8, got {resolution}")
+        if m < _MIN_RESOLUTION:
+            raise GeometryError(
+                f"2D mesh resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
         th = 2.0 * math.pi * np.arange(m) / m
-        r = S.radius(th)
-        dr = S.radius_deriv(th)
-        c, sn = np.cos(th), np.sin(th)
-        points = np.stack([S.center[0] + r * c, S.center[1] + r * sn], axis=1)
-        speed = np.sqrt(r * r + dr * dr)
-        tangents = np.stack([(dr * c - r * sn) / speed, (dr * sn + r * c) / speed], axis=1)
-        normals = np.stack([(r * c + dr * sn) / speed, (r * sn - dr * c) / speed], axis=1)
+        points, normals, speed = S.frame(th)
+        # the unit tangent is the outward normal turned a quarter counterclockwise
+        tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
         weights = speed * (2.0 * math.pi / m)
         return BoundaryMesh(points=points, normals=normals, weights=weights,
                             tangents=tangents, thetas=th)

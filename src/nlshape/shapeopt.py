@@ -29,9 +29,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, StalledError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
-                          boundary_fields, energy)
-from .sets import Params, StarShape2D, volume
+from .functionals import DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields, energy
+from .sets import Params, StarShape2D, canonical, volume
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
@@ -110,7 +109,10 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                   step: float = DEFAULT_STEP) -> OptimizerState:
     if step <= 0.0:
         raise ParamError(f"step size must be positive, got {step!r}")
-    shape = _as_star(shape)
+    shape = canonical(shape)
+    if not isinstance(shape, StarShape2D):
+        raise GeometryError(
+            f"the planar search needs a star shape or planar ball, got {type(shape).__name__}")
     return OptimizerState(shape=shape, step_size=step, iteration=0,
                           residual_history=(), volume_drift=abs(volume(shape) - 1.0),
                           mesh_resolution=resolution, k_max=k_max)
@@ -120,10 +122,8 @@ def _zeta_sweep(shape, p, resolution, nq):
     """(mesh angles' radius, speed, zeta, lambda_hat, residual)."""
     bf = boundary_fields(shape, p, resolution, nq, want_grad_tau=False)
     mesh = bf.mesh
-    wsum = math.fsum(mesh.weights)
-    lam = math.fsum(mesh.weights * bf.zeta) / wsum
+    lam, residual = bf.lambda_hat_and_residual()
     v = bf.zeta - lam
-    residual = float(np.abs(v).max())
     m = mesh.points.shape[0]
     speed = mesh.weights * m / (2.0 * math.pi)
     r = shape.radius(mesh.thetas)
@@ -193,13 +193,12 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     """
     if p.n != 2:
         raise ParamError(f"planar search needs n = 2, got n = {p.n}")
-    init = _as_star(init)
-    vol = volume(init)
-    if abs(vol - 1.0) > 1e-8:
-        raise GeometryError(
-            f"initial shape must have unit area (got {vol!r}); "
-            "apply volume_project first")
     state = initial_state(init, resolution=resolution, k_max=k_max, step=step)
+    init = state.shape
+    if state.volume_drift > 1e-8:
+        raise GeometryError(
+            f"initial shape must have unit area (got {volume(init)!r}); "
+            "apply volume_project first")
     if math.isinf(tol):
         report = diagnose(init, p, resolution, nq,
                           with_identities=with_identities)

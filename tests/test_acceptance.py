@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import nlshape
 from nlshape.diagnostics import (au2_sides, ball_map_mu,
                                  calibrate_variation_constant, diagnose,
                                  identity_check)
@@ -242,13 +243,18 @@ def test_criterion_10_csv_output_is_thread_independent(tmp_path):
         "s = 0.5\nalpha = 0.5\n"
         "eps_grid = 1e-3,1e-4,1e-5,1e-6\n")
 
+    # the subprocess runs in another directory, so a relative PYTHONPATH entry
+    # would not resolve there; put this package's absolute root first
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(nlshape.__file__)))
+    pythonpath = os.pathsep.join(
+        [pkg_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
     checked = []
     for cfg, csv_name in ((conf, "curvature.csv"), (sweep_conf, "onedim-sweep.csv")):
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"{csv_name}.{threads}"
             out.mkdir()
-            env = dict(os.environ)
+            env = dict(os.environ, PYTHONPATH=pythonpath)
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 env[var] = threads

@@ -127,6 +127,30 @@ def test_onedim_rejects_planar_dimension(capsys):
     assert "n = 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--c-coupling"])
+def test_nonfinite_param_exits_2(tmp_path, capsys, flag):
+    assert main(["energy", "--geometry", str(_interval_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", flag, "nan",
+                 "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("nq", ["0", "-3"])
+def test_nonpositive_nq_exits_2(tmp_path, capsys, nq):
+    assert main(["energy", "--geometry", str(_star_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", "--nq", nq,
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: nq must be")
+
+
+def test_planar_resolution_below_mesh_minimum_exits_2(tmp_path, capsys):
+    assert main(["energy", "--geometry", str(_star_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", "--resolution", "4",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: resolution must be")
+
+
 def test_calibrate_out_of_range_dimension_exits_2(tmp_path, capsys):
     assert main(["calibrate", "--n", "3", "--s", "0.5",
                  "--out", str(tmp_path)]) == 2

@@ -153,6 +153,18 @@ def test_identities_1d(two_intervals):
     assert identity_check(two_intervals, P1, "Lal") == 0.0
 
 
+def test_ball_1d_diagnoses_as_its_interval():
+    B = Ball((0.0,), 0.5)
+    iv = IntervalSet([(-0.5, 0.5)])
+    got, want = diagnose(B, P1).as_dict(), diagnose(iv, P1).as_dict()
+    # iso_ratio keeps the ball's closed-form volume, which rounds differently
+    # from the interval length
+    assert_allclose(got.pop("iso_ratio"), want.pop("iso_ratio"), rtol=1e-15)
+    assert got == want
+    for kind in ("Au1", "Au2", "Minkowski", "Lal"):
+        assert identity_check(B, P1, kind) == identity_check(iv, P1, kind)
+
+
 def test_au1_single_interval():
     assert identity_check(IntervalSet([(0.0, 1.0)]), P1, "Au1") < 1e-8
 

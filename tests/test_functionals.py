@@ -54,6 +54,9 @@ def test_ball_1d_routes_through_interval_forms():
     assert_allclose(frac_perimeter(B, 0.4), frac_perimeter(iv, 0.4), rtol=1e-14)
     assert_allclose(riesz_energy(B, 0.6), riesz_energy(iv, 0.6), rtol=1e-14)
     assert_allclose(potential(B, 0.1, 0.5), potential(iv, 0.1, 0.5), rtol=1e-14)
+    # the 1D range check applies to the ball as to its interval
+    with pytest.raises(ParamError):
+        riesz_energy(B, 1.5)
 
 
 def _shift_overlap(ivs, ts):

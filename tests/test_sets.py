@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +49,10 @@ def test_params_rejects_inconsistent_pair():
 @pytest.mark.parametrize("kw", [
     dict(s=0.0), dict(s=1.0), dict(s=-0.2), dict(alpha=0.0),
     dict(alpha=1.0), dict(alpha=2.0),
+    dict(eps=math.nan), dict(eps=math.inf),
+    dict(eps=None, mass=math.nan), dict(eps=None, mass=math.inf),
+    dict(c_coupling=math.nan), dict(c_coupling=math.inf),
+    dict(c_var=math.nan), dict(c_var=math.inf),
 ])
 def test_params_range_checks_1d(kw):
     base = dict(n=1, s=0.5, alpha=0.5, eps=1e-3)
@@ -128,6 +134,29 @@ def test_star_radius_and_volume(mode3_star):
 def test_star_rejects_nonpositive_radius():
     with pytest.raises(GeometryError):
         StarShape2D((0.0, 0.0), 1.0, a=(1.5,))
+
+
+def test_star_refuses_assignment(mode3_star):
+    # the positivity check runs once, in __init__, so no field may change
+    for name in ("center", "r0", "a", "b", "_min_radius"):
+        with pytest.raises(AttributeError):
+            setattr(mode3_star, name, -5.0)
+        with pytest.raises(AttributeError):
+            delattr(mode3_star, name)
+    assert mode3_star.r0 == 1.0
+
+
+def test_star_pickle_and_deepcopy_roundtrip(mode3_star):
+    for back in (pickle.loads(pickle.dumps(mode3_star)),
+                 copy.deepcopy(mode3_star)):
+        assert type(back) is StarShape2D
+        assert back.center == mode3_star.center
+        assert back.r0 == mode3_star.r0
+        assert np.array_equal(back.a, mode3_star.a)
+        assert np.array_equal(back.b, mode3_star.b)
+        assert not back.a.flags.writeable
+        with pytest.raises(AttributeError):
+            back.r0 = -5.0
 
 
 def test_star_diameter_of_disk():
