@@ -57,6 +57,8 @@ IDENTITY_KINDS = ("Au1", "Au2", "Minkowski", "Lal", "TangentialBall")
 DEFAULT_MU_GATE = 0.5
 _PROBE_SEED = 173001
 _RESIDUAL_FLOOR = 1e-30
+_RHO_SAMPLES = 512
+_CALIBRATION_SPREAD_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def eta(S, p: Params, delta: float) -> float:
     return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
 
 
-def annulus_deficit_rho(S, samples: int = 512) -> float:
+def annulus_deficit_rho(S) -> float:
     """inf over centers of (circumradius - inradius) / diam.
 
     Balls score 0 exactly. For star shapes the center is found by pattern
@@ -131,7 +133,7 @@ def annulus_deficit_rho(S, samples: int = 512) -> float:
     if not isinstance(S, StarShape2D):
         raise GeometryError(
             f"annulus deficit needs a star shape or ball, got {type(S).__name__}")
-    th = 2.0 * math.pi * np.arange(samples) / samples
+    th = 2.0 * math.pi * np.arange(_RHO_SAMPLES) / _RHO_SAMPLES
     r = S.radius(th)
     bx = S.center[0] + r * np.cos(th)
     by = S.center[1] + r * np.sin(th)
@@ -174,8 +176,11 @@ def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     (int_E V equals the Riesz double integral). Exact on critical sets, a
     consistency cross-check on candidates.
     """
-    per = frac_perimeter(S, p.s, resolution, nq)
-    rz = riesz_energy(S, p.alpha, resolution, nq)
+    return _lambda_cross(S, p, frac_perimeter(S, p.s, resolution, nq),
+                         riesz_energy(S, p.alpha, resolution, nq))
+
+
+def _lambda_cross(S, p: Params, per: float, rz: float) -> float:
     num = (p.n - p.s) / p.c_var * per \
         + p.c_coupling * p.eps * (p.n - 0.5 * p.alpha) * rz
     return num / (p.n * volume(S))
@@ -204,20 +209,14 @@ def _rel_residual(lhs: float, rhs: float) -> float:
 _VOL_TOL = QuadTolerance(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=6000)
 
 
-def _interval_integral(S: IntervalSet, f) -> float:
-    # int_E f for a pointwise f with (integrable) boundary singularities;
-    # the adaptive engine grades into the endpoints on its own
-    def vec(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([f(float(v)) for v in x])
-    return brute_oracle(vec, S, _VOL_TOL)
-
-
 def _int_v_over_set(S, p: Params, resolution, nq) -> float:
     """int_E V dx by direct volume quadrature (not via the energy identity,
     so identity checks that involve it stay two-sided)."""
     if isinstance(S, IntervalSet):
-        return _interval_integral(S, lambda x: _potential_1d(S, x, p.alpha))
+        # the adaptive engine grades into the integrable endpoint singularities
+        return brute_oracle(lambda x: np.array([
+            _potential_1d(S, float(v), p.alpha) for v in np.atleast_1d(x)]),
+            S, _VOL_TOL)
     return set_integral_2d(
         S, lambda pts, foci: potential_at_points(S, pts, foci, p.alpha, nq),
         resolution)
@@ -229,7 +228,7 @@ def _grad_self_moment(a: float, b: float, alpha: float) -> float:
     return (b - a) ** (2.0 - alpha) * (2.0 / (2.0 - alpha) - 1.0 / (1.0 - alpha))
 
 
-def _identity_au1(S, p: Params, resolution, nq) -> float:
+def _identity_au1(S, p: Params, resolution, nq, int_v: float) -> float:
     alpha = p.alpha
     if isinstance(S, IntervalSet):
         # split V' into the own-interval part (closed form above; the
@@ -238,26 +237,20 @@ def _identity_au1(S, p: Params, resolution, nq) -> float:
         lhs_terms = []
         for a, b in S.intervals:
             lhs_terms.append(_grad_self_moment(a, b, alpha))
-            others = IntervalSet([iv for iv in S.intervals if iv != (a, b)]) \
-                if len(S.intervals) > 1 else None
-            if others is not None:
+            if len(S.intervals) > 1:
+                others = IntervalSet([iv for iv in S.intervals if iv != (a, b)])
                 lhs_terms.append(brute_oracle(
                     lambda x: np.array([
                         _grad_potential_1d(others, float(v), alpha) * float(v)
                         for v in np.atleast_1d(x)]),
                     (a, b), _VOL_TOL))
         lhs = math.fsum(lhs_terms)
-        int_v = _int_v_over_set(S, p, resolution, nq)
-        return _rel_residual(lhs, -0.5 * alpha * int_v)
-    if not (0.0 < alpha < 1.0):
-        raise ParamError(f"Au1 on planar sets needs alpha in (0, 1), got {alpha!r}")
+    else:
+        def gv_dot_x(pts, foci):
+            g = grad_potential_at_points(S, pts, foci, alpha, nq)
+            return (g * pts).sum(1)
 
-    def gv_dot_x(pts, foci):
-        g = grad_potential_at_points(S, pts, foci, alpha, nq)
-        return (g * pts).sum(1)
-
-    lhs = set_integral_2d(S, gv_dot_x, resolution)
-    int_v = _int_v_over_set(S, p, resolution, nq)
+        lhs = set_integral_2d(S, gv_dot_x, resolution)
     return _rel_residual(lhs, -0.5 * alpha * int_v)
 
 
@@ -280,16 +273,14 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     return _x_dot_nu_pairing(bf.mesh, bf.pot), _int_v_over_set(S, p, resolution, nq)
 
 
-def _identity_au2(S, p: Params, resolution, nq) -> float:
-    lhs, int_v = au2_sides(S, p, resolution, nq)
+def _identity_au2(p: Params, bf, int_v: float) -> float:
+    lhs = _x_dot_nu_pairing(bf.mesh, bf.pot)
     return _rel_residual(lhs, (p.n - 0.5 * p.alpha) * int_v)
 
 
-def _identity_minkowski(S, p: Params, resolution, nq) -> float:
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+def _identity_minkowski(p: Params, bf, per: float) -> float:
     lhs = _x_dot_nu_pairing(bf.mesh, bf.kappa)
-    rhs = (p.n - p.s) * frac_perimeter(S, p.s, resolution, nq) / p.c_var
-    return _rel_residual(lhs, rhs)
+    return _rel_residual(lhs, (p.n - p.s) * per / p.c_var)
 
 
 def _probe_points(S, count, rng):
@@ -366,20 +357,25 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
             f"identity checks cover interval sets and planar shapes, got a "
             f"{type(S).__name__} in dimension {S.n}")
     if kind == "Au1":
-        return _identity_au1(S, p, resolution, nq)
+        if isinstance(S, StarShape2D) and not (0.0 < p.alpha < 1.0):
+            raise ParamError(
+                f"Au1 on planar sets needs alpha in (0, 1), got {p.alpha!r}")
+        return _identity_au1(S, p, resolution, nq,
+                             _int_v_over_set(S, p, resolution, nq))
+    if kind == "Lal":
+        return _identity_lal(S, p, resolution, nq)
+    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
     if kind == "Au2":
-        return _identity_au2(S, p, resolution, nq)
-    if kind == "Minkowski":
-        return _identity_minkowski(S, p, resolution, nq)
-    return _identity_lal(S, p, resolution, nq)
+        return _identity_au2(p, bf, _int_v_over_set(S, p, resolution, nq))
+    return _identity_minkowski(p, bf, frac_perimeter(S, p.s, resolution, nq))
 
 
 def calibrate_variation_constant(s: float, n: int = 2,
                                  resolution: int = DEFAULT_RESOLUTION,
-                                 nq: int = DEFAULT_NQ, radii=(0.5, 1.0, 2.0),
-                                 spread_tol: float = 1e-4) -> float:
+                                 nq: int = DEFAULT_NQ, radii=(0.5, 1.0, 2.0)) -> float:
     """c_var = (n - s) P_s(B) / int_dB kappa x.nu dsigma over balls of several
-    radii, averaged; raises if the values disagree beyond spread_tol.
+    radii, averaged; raises if the values disagree by a relative spread
+    beyond 1e-4.
 
     Both sides scale like R^(n-s), so radius independence of the ratio is a
     built-in correctness check. In 1D everything is closed-form and the value
@@ -401,7 +397,7 @@ def calibrate_variation_constant(s: float, n: int = 2,
     else:
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
-    if spread > spread_tol:
+    if spread > _CALIBRATION_SPREAD_TOL:
         raise ParamError(
             f"calibration is radius-dependent (spread {spread:g}); "
             "raise the quadrature resolution")
@@ -409,13 +405,18 @@ def calibrate_variation_constant(s: float, n: int = 2,
 
 
 def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-             nq: int = DEFAULT_NQ, with_identities: bool = True,
-             mu_gate: float = DEFAULT_MU_GATE) -> DiagnosticsReport:
+             nq: int = DEFAULT_NQ, with_identities: bool = True) -> DiagnosticsReport:
     """Full diagnostic sweep for one shape.
 
+    Each shared quantity is computed once and handed to its users: the
+    boundary sweep at nq (lambda_hat, delta, Au2, Minkowski), P_s and R_alpha
+    at nq (lambda_cross, Minkowski) and int_E V (Au1, Au2). The planar error
+    estimates are |value(2 nq) - value(nq)| against those nq values.
+
     The TangentialBall check only runs when the measured mu is positive and
-    at most mu_gate: the underlying comparison is a small-perturbation
-    statement and is out of regime for large deviations from a ball.
+    at most DEFAULT_MU_GATE: the underlying comparison is a
+    small-perturbation statement and is out of regime for large deviations
+    from a ball.
     """
     # C is the canonical form every quadrature below runs on; the closed-form
     # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
@@ -428,7 +429,9 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     two_d = isinstance(C, StarShape2D)
     rho = annulus_deficit_rho(S) if two_d else None
 
-    implied = {"lambda_cross": lambda_cross_estimate(C, p, resolution, nq)}
+    per = frac_perimeter(C, p.s, resolution, nq)
+    rz = riesz_energy(C, p.alpha, resolution, nq)
+    implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:
         implied["eta_bound_constant"] = delta / p.eps
     if isinstance(S, StarShape2D):
@@ -436,25 +439,24 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     identities = {}
     if with_identities:
+        int_v = _int_v_over_set(C, p, resolution, nq)
         if 0.0 < p.alpha < 1.0:
             # the gradient route under Au1 needs the weak-singularity range;
             # for alpha >= 1 the boundary layer defeats the interior rule
-            identities["Au1"] = _identity_au1(C, p, resolution, nq)
-        identities["Au2"] = _identity_au2(C, p, resolution, nq)
-        identities["Minkowski"] = _identity_minkowski(C, p, resolution, nq)
+            identities["Au1"] = _identity_au1(C, p, resolution, nq, int_v)
+        identities["Au2"] = _identity_au2(p, bf, int_v)
+        identities["Minkowski"] = _identity_minkowski(p, bf, per)
         identities["Lal"] = _identity_lal(C, p, resolution, nq)
         mu = implied.get("mu")
-        if mu is not None and 0.0 < mu <= mu_gate and 0.0 < p.alpha < 1.0:
+        if mu is not None and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0:
             identities["TangentialBall"] = _identity_tangential_ball(
                 C, p, resolution, nq)
 
     errors = {}
     if two_d:
-        _, per_err = frac_perimeter(C, p.s, resolution, nq, with_error=True)
-        _, rz_err = riesz_energy(C, p.alpha, resolution, nq, with_error=True)
-        errors["perimeter"] = per_err
-        errors["riesz"] = rz_err
         bf2 = boundary_fields(C, p, resolution, 2 * nq, want_grad_tau=False)
+        errors["perimeter"] = abs(frac_perimeter(C, p.s, resolution, 2 * nq) - per)
+        errors["riesz"] = abs(riesz_energy(C, p.alpha, resolution, 2 * nq) - rz)
         errors["kappa"] = float(np.abs(bf2.kappa - bf.kappa).max())
         errors["potential"] = float(np.abs(bf2.pot - bf.pot).max())
 

@@ -45,7 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, ParamError
-from .quad import jacobi_half_rule, ladder_half_rule, kernel_primitive, pv_pair_integral
+from .quad import (_boundary_point, jacobi_half_rule, ladder_half_rule,
+                   kernel_primitive, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical)
 
@@ -132,9 +133,7 @@ def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
 
 
 def _grad_potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
-    eps_pts = S.endpoints()
-    scale = max(1.0, float(np.abs(eps_pts).max()))
-    if np.any(np.abs(eps_pts - x) <= 1e-12 * scale):
+    if _boundary_point(S, x) is not None:
         raise ParamError(
             "potential gradient diverges at a 1D boundary point for every "
             f"alpha > 0 (alpha = {alpha}); evaluate off the boundary")
@@ -445,22 +444,20 @@ def zeta_nodes(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 # interior integrals over 2D sets (identity checks)
 
 
-def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION,
-                    q_radial: Optional[int] = None):
+def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     """int_E f dx on a star shape via a polar tensor rule.
 
     f_batch(points, focus_angles) must accept (m, 2) points and return m
     values; focus_angles carries each point's ray angle so boundary-kernel
     evaluations can grade toward the nearest boundary patch.
 
-    The radial Gauss order grows with the angular resolution by default, so
-    refining the mesh refines the whole rule: integrands with algebraic
-    boundary behaviour then converge at a fixed algebraic order in
+    The radial Gauss order, max(24, resolution // 8), grows with the angular
+    resolution, so refining the mesh refines the whole rule: integrands with
+    algebraic boundary behaviour then converge at a fixed algebraic order in
     resolution instead of stalling on the radial error.
     """
     star = _as_star(star)
-    if q_radial is None:
-        q_radial = max(24, int(resolution) // 8)
+    q_radial = max(24, int(resolution) // 8)
     from numpy.polynomial.legendre import leggauss
     tq, wq = leggauss(q_radial)
     t = 0.5 * (tq + 1.0)

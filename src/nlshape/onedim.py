@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketError, ParamError
+from .errors import BracketError, GeometryError, ParamError
 from .functionals import _potential_1d
 from .quad import pv_pair_integral
 from .sets import IntervalSet, Params
@@ -65,6 +65,9 @@ class TwoIntervalConfig:
 
 def two_interval_set(cfg: TwoIntervalConfig) -> IntervalSet:
     d = cfg.d
+    if math.ulp(d) > 0.5:
+        # d + 1/2 would round, so the second interval would not have length 1/2
+        raise GeometryError(f"gap d = {d!r} is too large to place d + 1/2 exactly")
     return IntervalSet([(0.0, 0.5), (d, d + 0.5)])
 
 

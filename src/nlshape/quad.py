@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .errors import GeometryError, QuadratureError
+from .errors import GeometryError, ParamError, QuadratureError
 from .sets import IntervalSet
 
 __all__ = [
@@ -121,6 +121,17 @@ def _halfline_primitive(g: float, s: float) -> float:
     return g ** (-s) / s
 
 
+def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
+    """The endpoint of S that x stands for, or None: the nearest endpoint,
+    accepted within 1e-12 * max(1, |x|). The tolerance is local to x, so a
+    far-away interval cannot widen it until two endpoints match."""
+    eps_pts = S.endpoints()
+    i = int(np.argmin(np.abs(eps_pts - x)))
+    if abs(eps_pts[i] - x) <= 1e-12 * max(1.0, abs(x)):
+        return float(eps_pts[i])
+    return None
+
+
 def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     """Principal value of int (chi_{complement} - chi_S)(y) |x - y|^(-1-s) dy
     at a boundary point x of the interval union S.
@@ -133,17 +144,15 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s!r}")
-    eps_pts = S.endpoints()
-    scale = max(1.0, float(np.abs(eps_pts).max()))
-    hits = np.flatnonzero(np.abs(eps_pts - x) <= 1e-12 * scale)
-    if hits.size != 1:
+    xb = _boundary_point(S, x)
+    if xb is None:
         raise ValueError(f"x = {x!r} is not a boundary point of the interval set")
-    x = float(eps_pts[hits[0]])
+    x = xb
 
     # walk the partition of the line induced by the endpoints; sign +1 on the
     # complement, -1 inside the set
     segs = []  # (lo, hi, sign) with lo < hi, possibly infinite
-    segs.append((-math.inf, eps_pts[0], +1.0))
+    segs.append((-math.inf, S.intervals[0][0], +1.0))
     for i, (a, b) in enumerate(S.intervals):
         segs.append((a, b, -1.0))
         nxt = S.intervals[i + 1][0] if i + 1 < len(S.intervals) else math.inf
@@ -182,14 +191,17 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
 # 2D boundary rules
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def jacobi_half_rule(beta: float, nq: int):
     """Nodes u in (0, pi) and weights W with
     int_0^pi h(u) du ~= sum W_k h(u_k) for h(u) = u^beta * (analytic).
 
     The Gauss-Jacobi weight absorbs the algebraic factor; W already contains
-    u^(-beta) so the rule applies to the raw integrand h.
+    u^(-beta) so the rule applies to the raw integrand h. The cache is typed,
+    so an nq of 16.0 or True reaches the check instead of a cached rule.
     """
+    if isinstance(nq, bool) or not isinstance(nq, (int, np.integer)) or nq < 1:
+        raise ParamError(f"nq must be a positive integer, got {nq!r}")
     if beta <= -1.0:
         raise ValueError(f"algebraic exponent beta must exceed -1, got {beta}")
     t, w = roots_jacobi(nq, 0.0, beta)

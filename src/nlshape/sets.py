@@ -494,15 +494,29 @@ def geometry_from_dict(d: dict):
     except (KeyError, TypeError):
         raise GeometryError("geometry object needs a 'kind' field")
     if kind == "intervals":
+        _check_keys(d, kind, ("intervals",))
         return IntervalSet(d["intervals"])
     if kind == "ball":
+        _check_keys(d, kind, ("center", "radius"))
         return Ball(d["center"], d["radius"])
     if kind == "star":
         if "samples" in d:
+            _check_keys(d, kind, ("center", "samples"), ("k_max",))
             return StarShape2D.from_samples(d["center"], d["samples"],
                                             d.get("k_max"))
+        _check_keys(d, kind, ("center", "r0"), ("cos", "sin"))
         return StarShape2D(d["center"], d["r0"], d.get("cos", ()), d.get("sin", ()))
     raise GeometryError(f"unknown geometry kind {kind!r}")
+
+
+def _check_keys(d: dict, kind: str, required, optional=()):
+    # a misspelled coefficient key would otherwise be dropped silently
+    for key in d:
+        if key != "kind" and key not in required and key not in optional:
+            raise GeometryError(f"unknown key {key!r} in a {kind!r} geometry")
+    for key in required:
+        if key not in d:
+            raise GeometryError(f"a {kind!r} geometry needs a {key!r} field")
 
 
 def load_geometry(path):

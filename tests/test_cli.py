@@ -121,6 +121,14 @@ def test_corrupt_geometry_is_a_domain_failure(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_incomplete_geometry_is_a_domain_failure(tmp_path, capsys):
+    bad = _write(tmp_path, "ball.json", '{"kind": "ball"}')
+    assert main(["diagnose", "--s", "0.5", "--alpha", "0.5",
+                 "--geometry", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'center'" in err
+
+
 def test_onedim_rejects_planar_dimension(capsys):
     assert main(["onedim-root", "--n", "2", "--s", "0.5",
                  "--alpha", "0.5", "--eps", "1e-3"]) == 2

@@ -263,6 +263,44 @@ def test_diagnose_1d(two_intervals):
     assert rep.implied_constants["eta_bound_constant"] == rep.delta_s / P1.eps
 
 
+def test_diagnose_computes_shared_quantities_once(monkeypatch):
+    # the mode-3 star sits inside the mu gate, so every identity runs
+    from nlshape import diagnostics
+    calls = {}
+
+    def counted(name):
+        fn = getattr(diagnostics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(diagnostics, name, wrapper)
+
+    for name in ("set_integral_2d", "boundary_fields", "frac_perimeter",
+                 "riesz_energy"):
+        counted(name)
+    small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
+    rep = diagnose(small, P2, resolution=64, nq=16)
+    assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
+    # Au1 gradient + one shared int_E V; the sweep at nq, two TangentialBall
+    # sweeps and the sweep at 2 nq; P_s and R_alpha at nq and at 2 nq
+    assert calls == {"set_integral_2d": 2, "boundary_fields": 4,
+                     "frac_perimeter": 2, "riesz_energy": 2}
+
+
+@pytest.mark.parametrize("shape, p, res, nq", [
+    (StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05)), P2, 64, 16),
+    (IntervalSet([(0.0, 1.0), (2.0, 3.5)]), P1, 8, 16),
+])
+def test_diagnose_identities_equal_identity_check(shape, p, res, nq):
+    rep = diagnose(shape, p, res, nq)
+    assert rep.identity_residuals
+    for kind, value in rep.identity_residuals.items():
+        assert identity_check(shape, p, kind, res, nq) == value
+    assert rep.implied_constants["lambda_cross"] == \
+        lambda_cross_estimate(shape, p, res, nq)
+
+
 def test_diagnose_without_identities(unit_disk):
     rep = diagnose(unit_disk, P2, resolution=64, nq=24, with_identities=False)
     assert rep.identity_residuals == {}

@@ -148,6 +148,19 @@ def test_grad_potential_1d_refuses_boundary(two_intervals):
         grad_potential(two_intervals, 1.0, 0.5)
 
 
+def test_grad_potential_1d_interior_point_beside_far_interval():
+    # 0.25 is interior although the far interval's endpoints reach 1e13
+    S = IntervalSet([(0.0, 0.5), (1e13, 1e13 + 0.5)])
+    assert abs(grad_potential(S, [0.25], 0.5)[0]) < 1e-12
+
+
+def test_nonpositive_nq_is_a_param_error(mode3_star, params_2d):
+    with pytest.raises(ParamError, match="nq"):
+        frac_perimeter(mode3_star, 0.5, 64, 0)
+    with pytest.raises(ParamError, match="nq"):
+        boundary_fields(mode3_star, params_2d, 64, nq=0)
+
+
 def test_potential_1d_alpha_range(two_intervals):
     with pytest.raises(ParamError):
         potential(two_intervals, 0.5, 1.2)

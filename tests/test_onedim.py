@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (ParamError, Params, TwoIntervalConfig,
+from nlshape import (GeometryError, ParamError, Params, TwoIntervalConfig,
                      epsilon_sweep, f_closed_form, g_and_d_eps,
                      solve_critical_d, two_interval_set, zeta_endpoints)
 from nlshape.onedim import _sym_second_diff
@@ -29,6 +29,14 @@ def _p(s=0.5, alpha=0.5, eps=1e-3):
 def test_two_interval_set_layout():
     S = two_interval_set(TwoIntervalConfig(d=2.0, params=_p()))
     assert S.intervals == ((0.0, 0.5), (2.0, 2.5))
+
+
+def test_two_interval_set_refuses_unplaceable_gap():
+    # at d >= 2^52, d + 1/2 rounds and the second interval would be mislaid
+    with pytest.raises(GeometryError):
+        two_interval_set(TwoIntervalConfig(d=float(2 ** 52 + 1), params=_p()))
+    S = two_interval_set(TwoIntervalConfig(d=float(2 ** 51), params=_p()))
+    assert S.intervals[1][1] - S.intervals[1][0] == 0.5
 
 
 def test_config_validation():

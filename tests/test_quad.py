@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (IntervalSet, OracleResult, PVSpec, QuadratureError,
+from nlshape import (IntervalSet, OracleResult, ParamError, PVSpec, QuadratureError,
                      QuadTolerance, brute_oracle, kernel_primitive,
                      pv_pair_integral)
 from nlshape.quad import jacobi_half_rule, ladder_half_rule
@@ -152,6 +152,16 @@ def test_pv_pair_integral_interior_point_rejected(unit_interval):
         pv_pair_integral(unit_interval, 0.5, 0.5)
 
 
+def test_pv_pair_integral_far_interval_keeps_local_endpoints():
+    # the endpoint tolerance is local to x: an interval 1e13 away must not
+    # make 0 match both 0 and 1/2
+    d, s = 1e13, 0.5
+    S = IntervalSet([(0.0, 0.5), (d, d + 0.5)])
+    assert_allclose(pv_pair_integral(S, 0.0, s),
+                    2.0 * (2.0 ** s - d ** -s + (d + 0.5) ** -s) / s,
+                    rtol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # boundary-kernel rules
 
@@ -173,6 +183,14 @@ def test_jacobi_rule_with_analytic_factor():
 def test_jacobi_rule_rejects_divergent_exponent():
     with pytest.raises(ValueError):
         jacobi_half_rule(-1.0, 16)
+
+
+@pytest.mark.parametrize("nq", [0, -3, 2.5, 16.0, True])
+def test_jacobi_rule_rejects_bad_node_count(nq):
+    with pytest.raises(ParamError, match="nq"):
+        jacobi_half_rule(-0.5, nq)
+    # the rule stays cached (the cache statistics are part of its interface)
+    assert jacobi_half_rule.cache_info().maxsize == 128
 
 
 def test_ladder_rule_peaked_integrand():

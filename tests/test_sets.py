@@ -243,6 +243,27 @@ def test_geometry_dict_roundtrip(shape):
     assert_allclose(volume(back), volume(shape), rtol=1e-12)
 
 
+@pytest.mark.parametrize("d, key", [
+    ({"kind": "star", "center": [0, 0], "r0": 1.0, "a": [0, 0, 0.05]}, "'a'"),
+    ({"kind": "star", "center": [0, 0], "samples": [1.0] * 8, "r0": 1.0}, "'r0'"),
+    ({"kind": "ball", "center": [0, 0], "radius": 1.0, "r0": 2.0}, "'r0'"),
+    ({"kind": "intervals", "intervals": [[0, 1]], "center": [0]}, "'center'"),
+    ({"kind": "ball"}, "'center'"),
+    ({"kind": "ball", "center": [0, 0]}, "'radius'"),
+    ({"kind": "star", "center": [0, 0]}, "'r0'"),
+    ({"kind": "intervals"}, "'intervals'"),
+])
+def test_geometry_dict_refuses_unknown_and_missing_keys(d, key):
+    with pytest.raises(GeometryError, match=key):
+        geometry_from_dict(d)
+
+
+def test_geometry_dict_readme_star():
+    S = geometry_from_dict({"kind": "star", "center": [0.0, 0.0], "r0": 1.0,
+                            "cos": [0.0, 0.0, 0.05], "sin": []})
+    assert S.a.tolist() == [0.0, 0.0, 0.05] and not S.b.any()
+
+
 def test_geometry_file_roundtrip(tmp_path, mode3_star):
     path = tmp_path / "shape.json"
     save_geometry(mode3_star, path)
