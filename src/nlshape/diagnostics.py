@@ -316,16 +316,24 @@ def _identity_lal(S, p: Params, resolution, nq, probes: int = 50,
 
 
 def _sup_tangential(S, p: Params, resolution, nq) -> float:
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=True)
+    return _sup_grad_tau(boundary_fields(S, p, resolution, nq,
+                                         want_grad_tau=True))
+
+
+def _sup_grad_tau(bf) -> float:
     if bf.grad_tau is None:
         raise ParamError("tangential gradient needs alpha in (0, 1)")
     return float(np.abs(bf.grad_tau).max())
 
 
-def _identity_tangential_ball(S, p: Params, resolution, nq) -> float:
+def _identity_tangential_ball(S, p: Params, resolution, nq,
+                              g_full: Optional[float] = None) -> float:
     """Linearity of sup |grad V . tau| in the ball-map size mu: halve the
     radial deviation from the equal-area ball and compare the ratio of the
-    sups with the ratio of the mus. The residual is their mismatch."""
+    sups with the ratio of the mus. The residual is their mismatch.
+
+    g_full is S's own sup at (resolution, nq) when the caller already holds
+    it from its boundary sweep; otherwise it is swept here."""
     if not (0.0 < p.alpha < 1.0):
         raise ParamError("tangential-gradient check needs alpha in (0, 1)")
     mu_full = ball_map_mu(S)
@@ -335,7 +343,8 @@ def _identity_tangential_ball(S, p: Params, resolution, nq) -> float:
     half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
     mu_half = ball_map_mu(half)
     ratio_mu = mu_full / mu_half
-    g_full = _sup_tangential(S, p, resolution, nq)
+    if g_full is None:
+        g_full = _sup_tangential(S, p, resolution, nq)
     g_half = _sup_tangential(half, p, resolution, nq)
     ratio_g = g_full / max(g_half, _RESIDUAL_FLOOR)
     return abs(ratio_g - ratio_mu) / ratio_mu
@@ -409,8 +418,9 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     """Full diagnostic sweep for one shape.
 
     Each shared quantity is computed once and handed to its users: the
-    boundary sweep at nq (lambda_hat, delta, Au2, Minkowski), P_s and R_alpha
-    at nq (lambda_cross, Minkowski) and int_E V (Au1, Au2). The planar error
+    boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
+    own sup |grad V . tau| for TangentialBall), P_s and R_alpha at nq
+    (lambda_cross, Minkowski) and int_E V (Au1, Au2). The planar error
     estimates are |value(2 nq) - value(nq)| against those nq values.
 
     The TangentialBall check only runs when the measured mu is positive and
@@ -422,7 +432,12 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
     # values
     C = canonical(S)
-    bf = boundary_fields(C, p, resolution, nq, want_grad_tau=False)
+    mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
+    tangential = (with_identities and mu is not None
+                  and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0)
+    # grad V . tau is only needed by TangentialBall, which then reads the
+    # shape's own sup from this sweep
+    bf = boundary_fields(C, p, resolution, nq, want_grad_tau=tangential)
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
     eta_v = eta(S, p, delta)
@@ -434,8 +449,8 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:
         implied["eta_bound_constant"] = delta / p.eps
-    if isinstance(S, StarShape2D):
-        implied["mu"] = ball_map_mu(S)
+    if mu is not None:
+        implied["mu"] = mu
 
     identities = {}
     if with_identities:
@@ -447,10 +462,9 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
         identities["Au2"] = _identity_au2(p, bf, int_v)
         identities["Minkowski"] = _identity_minkowski(p, bf, per)
         identities["Lal"] = _identity_lal(C, p, resolution, nq)
-        mu = implied.get("mu")
-        if mu is not None and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0:
+        if tangential:
             identities["TangentialBall"] = _identity_tangential_ball(
-                C, p, resolution, nq)
+                C, p, resolution, nq, _sup_grad_tau(bf))
 
     errors = {}
     if two_d:

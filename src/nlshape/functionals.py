@@ -28,7 +28,15 @@ first passes it through sets.canonical, so a 1D ball is evaluated as its
 interval and a planar ball as a constant-radius star shape; the planar-only
 functions refuse other geometries with GeometryError. Each 2D value is one
 Gauss-Jacobi (on the curve) or graded-ladder (off the curve) sum per target
-over the curve frame from StarShape2D.frame.
+over the curve frame from StarShape2D.frame. The whole-mesh sweeps
+(boundary_fields and both energy terms) share a two-entry memo of that frame
+at their nodes, keyed by (shape, m, beta, nq): kappa and P_s share a node set,
+and so do V and R_alpha, so a shape's energy and its boundary sweep evaluate
+the geometry once. Point queries and off-curve batches do not use the memo.
+Targets run in fixed blocks of about 2^16 quadrature nodes, so the working
+arrays of a sweep or a batch stay bounded in the mesh size m and in the
+number of targets (the two memo entries hold m * 2 nq nodes each); a
+target's sum is the same whatever block it falls in.
 
 The whole-boundary functionals use the mesh resolution; the point queries
 accept it for a uniform signature and ignore it. frac_perimeter and
@@ -38,6 +46,7 @@ doubling the per-node quadrature order; 0 for the 1D closed forms).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,6 +70,9 @@ __all__ = [
 DEFAULT_NQ = 48          # Gauss-Jacobi nodes per half-side
 DEFAULT_RESOLUTION = 256
 _ON_CURVE_RTOL = 1e-9
+# quadrature nodes per block of targets in _target_batch (2^16 doubles,
+# 512 KB an array)
+_BLOCK_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,54 +184,96 @@ def _on_curve_angle(star: StarShape2D, x) -> Optional[float]:
     return None
 
 
-def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func):
+def _node_angles(focus_angles, u):
+    """Quadrature angles of each target: its focus angle -/+ the half-rule
+    offsets u, one row per target."""
+    return np.concatenate([focus_angles[:, None] + u[None, :],
+                           focus_angles[:, None] - u[None, :]], axis=1)
+
+
+@functools.lru_cache(maxsize=2)
+def _mesh_frame(star, m, beta, nq):
+    """(pos, nu, speed) at the on-curve Gauss-Jacobi nodes of every node of
+    the m-node boundary mesh, read-only.
+
+    The node set depends only on (m, beta, nq), and kappa and P_s share
+    beta = -s while V and R_alpha share beta = 2 - alpha, so the two entries
+    let a boundary sweep and the energy of the same shape evaluate the
+    geometry once (the descent checks a candidate's energy, then sweeps it).
+    The key holds the shape itself, which hashes by identity.
+    """
+    u, _ = jacobi_half_rule(beta, nq)
+    th = 2.0 * math.pi * np.arange(m) / m
+    frame = star.frame(_node_angles(th, u))
+    for arr in frame:
+        arr.flags.writeable = False
+    return frame
+
+
+def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func,
+                  mesh=False):
     """Sum W_k h(u_k) for a batch of targets; h_func builds the integrand
-    from (normals, speeds, displacement y - x from the target, |y - x|^2).
+    from (rows, normals, speeds, displacement y - x from the target,
+    |y - x|^2), where rows is the slice of targets in the block.
 
     On the curve the Gauss-Jacobi rule carries the u^beta factor; off the
     curve the integrand is smooth and the graded ladder handles the
-    near-peak behaviour.
+    near-peak behaviour. mesh=True states that the targets are the nodes of
+    the len(targets)-node boundary mesh, at their own angles, so their
+    frame comes from the _mesh_frame memo. The targets run in blocks of
+    about _BLOCK_NODES quadrature nodes, which bounds memory in the target
+    count.
     """
     if on_curve:
         u, W = jacobi_half_rule(beta, nq)
     else:
         u, W = ladder_half_rule()
-    th = np.concatenate([focus_angles[:, None] + u[None, :],
-                         focus_angles[:, None] - u[None, :]], axis=1)
-    pos, nu, speed = star.frame(th)
-    d = pos - targets_xy[:, None, :]
-    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    vals = h_func(nu, speed, d, r2)
     WW = np.concatenate([W, W])
-    # einsum keeps the contraction out of threaded BLAS: per-target sums come
-    # out bitwise identical whatever the configured thread count
-    return np.einsum("ij,j->i", vals, WW)
+    n = targets_xy.shape[0]
+    frame = _mesh_frame(star, n, beta, nq) if mesh else None
+    out = np.empty(n)
+    step = max(1, _BLOCK_NODES // WW.size)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        if frame is None:
+            pos, nu, speed = star.frame(_node_angles(focus_angles[rows], u))
+        else:
+            pos, nu, speed = (arr[rows] for arr in frame)
+        d = pos - targets_xy[rows, None, :]
+        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+        vals = h_func(rows, nu, speed, d, r2)
+        # einsum keeps the contraction out of threaded BLAS: per-target sums
+        # come out bitwise identical whatever the configured thread count
+        out[rows] = np.einsum("ij,j->i", vals, WW)
+    return out
 
 
-def _kappa_2d_batch(star, s, thetas, nq):
+def _kappa_2d_batch(star, s, thetas, nq, mesh=False):
     x, _, _ = star.frame(thetas)
 
-    def h(nu, speed, d, r2):
+    def h(rows, nu, speed, d, r2):
         return (d * nu).sum(-1) * r2 ** (-(2.0 + s) / 2.0) * speed
 
-    return (2.0 / s) * _target_batch(star, x, thetas, -s, nq, True, h)
+    return (2.0 / s) * _target_batch(star, x, thetas, -s, nq, True, h, mesh)
 
 
-def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
-    def h(nu, speed, d, r2):
+def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq,
+                        mesh=False):
+    def h(rows, nu, speed, d, r2):
         return (d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed
 
     return _target_batch(star, targets_xy, focus_angles, 2.0 - alpha, nq,
-                         on_curve, h) / (2.0 - alpha)
+                         on_curve, h, mesh) / (2.0 - alpha)
 
 
-def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
+def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
+                             nq, mesh=False):
     out = np.empty_like(targets_xy)
     for comp in range(2):
-        def h(nu, speed, d, r2, comp=comp):
+        def h(rows, nu, speed, d, r2, comp=comp):
             return -nu[..., comp] * r2 ** (-alpha / 2.0) * speed
         out[:, comp] = _target_batch(star, targets_xy, focus_angles, -alpha,
-                                     nq, on_curve, h)
+                                     nq, on_curve, h, mesh)
     return out
 
 
@@ -233,10 +287,11 @@ def _pair_energy_2d(star, q, resolution, nq):
     mesh = boundary_mesh(star, resolution)
     nus = mesh.normals
 
-    def h(nu, speed, d, r2):
-        return r2 ** (q / 2.0) * (nu * nus[:, None, :]).sum(-1) * speed
+    def h(rows, nu, speed, d, r2):
+        return r2 ** (q / 2.0) * (nu * nus[rows, None, :]).sum(-1) * speed
 
-    inner = _target_batch(star, mesh.points, mesh.thetas, q, nq, True, h)
+    inner = _target_batch(star, mesh.points, mesh.thetas, q, nq, True, h,
+                          mesh=True)
     return math.fsum(mesh.weights * inner)
 
 
@@ -423,12 +478,14 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     star = _as_star(S)
     mesh = boundary_mesh(star, resolution)
     th = mesh.thetas
-    kap = _kappa_2d_batch(star, p.s, th, nq)
-    pot = _potential_2d_batch(star, p.alpha, mesh.points, th, True, nq)
+    kap = _kappa_2d_batch(star, p.s, th, nq, mesh=True)
+    pot = _potential_2d_batch(star, p.alpha, mesh.points, th, True, nq,
+                              mesh=True)
     zt = kap + p.c_coupling * p.eps * pot
     gt = None
     if want_grad_tau and 0.0 < p.alpha < 1.0:
-        g = _grad_potential_2d_batch(star, p.alpha, mesh.points, th, True, nq)
+        g = _grad_potential_2d_batch(star, p.alpha, mesh.points, th, True, nq,
+                                     mesh=True)
         gt = (g * mesh.tangents).sum(1)
     return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=gt)
 

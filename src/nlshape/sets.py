@@ -39,6 +39,8 @@ _POSITIVITY_OVERSAMPLE = 8
 _MIN_POSITIVITY_SAMPLES = 512
 # fewest nodes a planar boundary mesh may have
 _MIN_RESOLUTION = 8
+# pairwise distances per block in diameter (2^16 doubles, 512 KB an array)
+_DIAMETER_BLOCK = 1 << 16
 
 
 def _ball_volume_coeff(n: int) -> float:
@@ -263,10 +265,29 @@ class StarShape2D:
     def frame(self, theta):
         """Boundary positions, outward unit normals and parameter speed
         |y'(theta)| at the angles theta (any shape; vectors on a new last
-        axis)."""
-        r = self.radius(theta)
-        dr = self.radius_deriv(theta)
+        axis).
+
+        r and r' come from one pass over the modes: cos(k theta) and
+        sin(k theta) are evaluated once per mode and shared by both sums,
+        and mode 1 reuses the cos(theta), sin(theta) of the frame itself, so
+        a node costs 2 max(1, kmax) sin/cos evaluations, not the 4 kmax + 2
+        of calling radius and radius_deriv. The terms are formed and
+        accumulated in the order of those two methods, so the result is
+        bitwise equal to building it from them.
+        """
+        theta = np.asarray(theta, dtype=float)
         c, s = np.cos(theta), np.sin(theta)
+        r = np.full_like(theta, self.r0)
+        dr = np.zeros_like(theta)
+        for k in range(self.a.size):
+            kk = k + 1
+            if kk == 1:
+                ck, sk = c, s
+            else:
+                kt = kk * theta
+                ck, sk = np.cos(kt), np.sin(kt)
+            r += self.a[k] * ck + self.b[k] * sk
+            dr += kk * (self.b[k] * ck - self.a[k] * sk)
         pos = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
         speed = np.sqrt(r * r + dr * dr)
         nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)
@@ -359,9 +380,16 @@ def diameter(S) -> float:
         r = S.radius(th)
         x = S.center[0] + r * np.cos(th)
         y = S.center[1] + r * np.sin(th)
-        dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
-        return float(np.sqrt(dx * dx + dy * dy).max())
+        # pairwise distances in blocks of rows of about _DIAMETER_BLOCK
+        # pairs (at least one row), so memory does not grow as m^2; the max
+        # over the blocks is the max over all pairs
+        rows = max(1, _DIAMETER_BLOCK // m)
+        best = 0.0
+        for lo in range(0, m, rows):
+            dx = x[lo:lo + rows, None] - x[None, :]
+            dy = y[lo:lo + rows, None] - y[None, :]
+            best = max(best, float(np.sqrt(dx * dx + dy * dy).max()))
+        return best
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
 
 

@@ -282,9 +282,10 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
-    # Au1 gradient + one shared int_E V; the sweep at nq, two TangentialBall
-    # sweeps and the sweep at 2 nq; P_s and R_alpha at nq and at 2 nq
-    assert calls == {"set_integral_2d": 2, "boundary_fields": 4,
+    # Au1 gradient + one shared int_E V; the sweep at nq (which also gives
+    # TangentialBall the shape's own grad V . tau), the half-shape sweep and
+    # the sweep at 2 nq; P_s and R_alpha at nq and at 2 nq
+    assert calls == {"set_integral_2d": 2, "boundary_fields": 3,
                      "frac_perimeter": 2, "riesz_energy": 2}
 
 

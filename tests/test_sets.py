@@ -163,6 +163,54 @@ def test_star_diameter_of_disk():
     assert_allclose(diameter(StarShape2D((5.0, -1.0), 2.0)), 4.0, rtol=1e-9)
 
 
+def _wide_star(kmax, amp=1e-3):
+    k = np.arange(1, kmax + 1)
+    return StarShape2D((0.2, -0.1), 1.0, amp * np.cos(k), amp * np.sin(k))
+
+
+def test_star_diameter_blocks_equal_all_pairs():
+    # kmax 64 gives 512 samples, several row blocks
+    star = _wide_star(64, amp=0.01)
+    th = 2.0 * np.pi * np.arange(512) / 512
+    r = star.radius(th)
+    x = star.center[0] + r * np.cos(th)
+    y = star.center[1] + r * np.sin(th)
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    assert diameter(star) == float(np.sqrt(dx * dx + dy * dy).max())
+
+
+def test_star_diameter_memory_is_bounded():
+    import tracemalloc
+    star = _wide_star(200)  # 1600 samples: 20 MB per all-pairs array
+    tracemalloc.start()
+    try:
+        d = diameter(star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert_allclose(d, 2.0, atol=0.5)
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 12])
+def test_frame_bitwise_equals_radius_formulas(kmax):
+    rng = np.random.default_rng(kmax)
+    star = StarShape2D((0.3, -0.1), 1.0, 0.02 * rng.standard_normal(kmax),
+                       0.02 * rng.standard_normal(kmax))
+    th = rng.uniform(-7.0, 7.0, size=(5, 13))
+    pos, nu, speed = star.frame(th)
+    r, dr = star.radius(th), star.radius_deriv(th)
+    c, s = np.cos(th), np.sin(th)
+    ref_speed = np.sqrt(r * r + dr * dr)
+    ref_pos = np.stack([star.center[0] + r * c, star.center[1] + r * s], axis=-1)
+    ref_nu = np.stack([(r * c + dr * s) / ref_speed,
+                       (r * s - dr * c) / ref_speed], axis=-1)
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(nu, ref_nu)
+    assert np.array_equal(speed, ref_speed)
+
+
 @given(st.lists(st.floats(-0.04, 0.04), min_size=2, max_size=5))
 def test_star_from_samples_roundtrip(coeffs):
     star = StarShape2D((0.0, 0.0), 1.0, a=tuple(coeffs))
