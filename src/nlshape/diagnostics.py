@@ -435,6 +435,11 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
     tangential = (with_identities and mu is not None
                   and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0)
+    # P_s and R_alpha run first: the sweep reads their node frames back from
+    # the two-entry memo for kappa and V before its grad V . tau node set
+    # (beta = -alpha) can evict one of them
+    per = frac_perimeter(C, p.s, resolution, nq)
+    rz = riesz_energy(C, p.alpha, resolution, nq)
     # grad V . tau is only needed by TangentialBall, which then reads the
     # shape's own sup from this sweep
     bf = boundary_fields(C, p, resolution, nq, want_grad_tau=tangential)
@@ -444,8 +449,6 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     two_d = isinstance(C, StarShape2D)
     rho = annulus_deficit_rho(S) if two_d else None
 
-    per = frac_perimeter(C, p.s, resolution, nq)
-    rz = riesz_energy(C, p.alpha, resolution, nq)
     implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:
         implied["eta_bound_constant"] = delta / p.eps

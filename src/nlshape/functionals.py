@@ -32,11 +32,14 @@ over the curve frame from StarShape2D.frame. The whole-mesh sweeps
 (boundary_fields and both energy terms) share a two-entry memo of that frame
 at their nodes, keyed by (shape, m, beta, nq): kappa and P_s share a node set,
 and so do V and R_alpha, so a shape's energy and its boundary sweep evaluate
-the geometry once. Point queries and off-curve batches do not use the memo.
-Targets run in fixed blocks of about 2^16 quadrature nodes, so the working
-arrays of a sweep or a batch stay bounded in the mesh size m and in the
-number of targets (the two memo entries hold m * 2 nq nodes each); a
-target's sum is the same whatever block it falls in.
+the geometry once. Point queries and off-curve batches do not use the memo;
+an off-curve batch evaluates the frame once per distinct focus angle in each
+block, so the interior rule, whose points share their ray's angle, builds
+one frame per ray rather than one per point. grad V sums both components in
+one pass over the nodes. Targets run in fixed blocks of about 2^16
+quadrature nodes, so the working arrays of a sweep or a batch stay bounded
+in the mesh size m and in the number of targets (the two memo entries hold
+m * 2 nq nodes each); a target's sum is the same whatever block it falls in.
 
 The whole-boundary functionals use the mesh resolution; the point queries
 accept it for a uniform signature and ignore it. frac_perimeter and
@@ -211,18 +214,23 @@ def _mesh_frame(star, m, beta, nq):
 
 
 def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func,
-                  mesh=False):
+                  mesh=False, ncomp=1):
     """Sum W_k h(u_k) for a batch of targets; h_func builds the integrand
     from (rows, normals, speeds, displacement y - x from the target,
-    |y - x|^2), where rows is the slice of targets in the block.
+    |y - x|^2), where rows is the slice of targets in the block, and returns
+    one value array per component (ncomp of them). The result has one value
+    per target, or one row of ncomp values per target when ncomp > 1.
 
     On the curve the Gauss-Jacobi rule carries the u^beta factor; off the
     curve the integrand is smooth and the graded ladder handles the
     near-peak behaviour. mesh=True states that the targets are the nodes of
     the len(targets)-node boundary mesh, at their own angles, so their
-    frame comes from the _mesh_frame memo. The targets run in blocks of
-    about _BLOCK_NODES quadrature nodes, which bounds memory in the target
-    count.
+    frame comes from the _mesh_frame memo. Otherwise the quadrature angles
+    depend only on the focus, so each block evaluates the frame once per
+    distinct focus angle (the interior rule puts a whole ray of targets on
+    one focus) and hands every target the rows of its focus. The targets
+    run in blocks of about _BLOCK_NODES quadrature nodes, which bounds
+    memory in the target count.
     """
     if on_curve:
         u, W = jacobi_half_rule(beta, nq)
@@ -231,28 +239,30 @@ def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func,
     WW = np.concatenate([W, W])
     n = targets_xy.shape[0]
     frame = _mesh_frame(star, n, beta, nq) if mesh else None
-    out = np.empty(n)
+    out = np.empty((n, ncomp))
     step = max(1, _BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         if frame is None:
-            pos, nu, speed = star.frame(_node_angles(focus_angles[rows], u))
+            foci, inv = np.unique(focus_angles[rows], return_inverse=True)
+            pos, nu, speed = (arr[inv]
+                              for arr in star.frame(_node_angles(foci, u)))
         else:
             pos, nu, speed = (arr[rows] for arr in frame)
         d = pos - targets_xy[rows, None, :]
         r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-        vals = h_func(rows, nu, speed, d, r2)
         # einsum keeps the contraction out of threaded BLAS: per-target sums
         # come out bitwise identical whatever the configured thread count
-        out[rows] = np.einsum("ij,j->i", vals, WW)
-    return out
+        for c, vals in enumerate(h_func(rows, nu, speed, d, r2)):
+            out[rows, c] = np.einsum("ij,j->i", vals, WW)
+    return out[:, 0] if ncomp == 1 else out
 
 
 def _kappa_2d_batch(star, s, thetas, nq, mesh=False):
     x, _, _ = star.frame(thetas)
 
     def h(rows, nu, speed, d, r2):
-        return (d * nu).sum(-1) * r2 ** (-(2.0 + s) / 2.0) * speed
+        return ((d * nu).sum(-1) * r2 ** (-(2.0 + s) / 2.0) * speed,)
 
     return (2.0 / s) * _target_batch(star, x, thetas, -s, nq, True, h, mesh)
 
@@ -260,7 +270,7 @@ def _kappa_2d_batch(star, s, thetas, nq, mesh=False):
 def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq,
                         mesh=False):
     def h(rows, nu, speed, d, r2):
-        return (d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed
+        return ((d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed,)
 
     return _target_batch(star, targets_xy, focus_angles, 2.0 - alpha, nq,
                          on_curve, h, mesh) / (2.0 - alpha)
@@ -268,13 +278,12 @@ def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq,
 
 def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
                              nq, mesh=False):
-    out = np.empty_like(targets_xy)
-    for comp in range(2):
-        def h(rows, nu, speed, d, r2, comp=comp):
-            return -nu[..., comp] * r2 ** (-alpha / 2.0) * speed
-        out[:, comp] = _target_batch(star, targets_xy, focus_angles, -alpha,
-                                     nq, on_curve, h, mesh)
-    return out
+    def h(rows, nu, speed, d, r2):
+        kern = r2 ** (-alpha / 2.0)
+        return (-nu[..., 0] * kern * speed, -nu[..., 1] * kern * speed)
+
+    return _target_batch(star, targets_xy, focus_angles, -alpha, nq, on_curve,
+                         h, mesh, ncomp=2)
 
 
 def _focus_angle(star, x) -> float:
@@ -288,7 +297,7 @@ def _pair_energy_2d(star, q, resolution, nq):
     nus = mesh.normals
 
     def h(rows, nu, speed, d, r2):
-        return r2 ** (q / 2.0) * (nu * nus[rows, None, :]).sum(-1) * speed
+        return (r2 ** (q / 2.0) * (nu * nus[rows, None, :]).sum(-1) * speed,)
 
     inner = _target_batch(star, mesh.points, mesh.thetas, q, nq, True, h,
                           mesh=True)

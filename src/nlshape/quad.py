@@ -124,7 +124,10 @@ def _halfline_primitive(g: float, s: float) -> float:
 def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
     """The endpoint of S that x stands for, or None: the nearest endpoint,
     accepted within 1e-12 * max(1, |x|). The tolerance is local to x, so a
-    far-away interval cannot widen it until two endpoints match."""
+    far-away interval cannot widen it until two endpoints match. A
+    non-finite x stands for no endpoint."""
+    if not math.isfinite(x):
+        return None
     eps_pts = S.endpoints()
     i = int(np.argmin(np.abs(eps_pts - x)))
     if abs(eps_pts[i] - x) <= 1e-12 * max(1.0, abs(x)):
@@ -176,8 +179,14 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
                 total += sig * _halfline_primitive(lo - x, s)
             else:
                 total += sig * kernel_primitive(lo, hi, x, 1.0 + s)
-    assert sig_left is not None and sig_right is not None
-    assert sig_left + sig_right == 0.0
+    # x is an endpoint of a sorted, disjoint, non-touching interval union, so
+    # one set segment and one complement segment meet there; IntervalSet's
+    # constructor guarantees it; a set that bypassed the constructor is
+    # refused here
+    if sig_left is None or sig_right is None or sig_left + sig_right != 0.0:
+        raise GeometryError(
+            f"x = {x!r} does not separate a set segment from a complement "
+            "segment; the interval set is malformed")
     adj = 0.0
     if math.isfinite(len_right):
         adj += sig_right * len_right ** (-s)

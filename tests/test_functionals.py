@@ -155,6 +155,12 @@ def test_grad_potential_1d_interior_point_beside_far_interval():
     assert abs(grad_potential(S, [0.25], 0.5)[0]) < 1e-12
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_grad_potential_1d_at_infinity_is_zero(two_intervals, x):
+    # a point at infinity is no boundary point; the gradient decays to 0
+    assert grad_potential(two_intervals, x, 0.5)[0] == 0.0
+
+
 def test_nonpositive_nq_is_a_param_error(mode3_star, params_2d):
     with pytest.raises(ParamError, match="nq"):
         frac_perimeter(mode3_star, 0.5, 64, 0)
@@ -457,10 +463,20 @@ def test_batched_gradient_matches_scalar(mode3_star):
         assert_allclose(row, grad_potential(mode3_star, p, 0.5), rtol=1e-11)
 
 
+def _ladder_targets_per_block():
+    from nlshape.functionals import _BLOCK_NODES
+    from nlshape.quad import ladder_half_rule
+    # each target sums over the ladder on both sides of its focus
+    return _BLOCK_NODES // (2 * ladder_half_rule()[0].size)
+
+
 def test_batched_points_over_blocks_equal_single_targets(mode3_star):
-    # the 1200-node ladder puts 54 targets in a block: 130 targets run in 3
+    # the 600-node ladder puts 109 targets in a block: 300 targets run in 3,
+    # the last one partial
+    per_block = _ladder_targets_per_block()
+    assert 2 * per_block < 300 < 3 * per_block
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-1.1, 1.1, size=(130, 2))
+    pts = rng.uniform(-1.1, 1.1, size=(300, 2))
     foci = np.arctan2(pts[:, 1], pts[:, 0])
     vals = potential_at_points(mode3_star, pts, foci, 0.5)
     grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
@@ -470,6 +486,55 @@ def test_batched_points_over_blocks_equal_single_targets(mode3_star):
                                               0.5)[0]
         assert np.array_equal(grads[i], grad_potential_at_points(
             mode3_star, pts[one], foci[one], 0.5)[0])
+
+
+def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
+    # whole rays share a focus, as in the interior rule, shuffled so that
+    # repeats fall in different blocks and out of order within one; the
+    # frame is evaluated once per distinct focus of a block
+    per_block = _ladder_targets_per_block()
+    rng = np.random.default_rng(11)
+    rays = rng.uniform(-math.pi, math.pi, size=12)
+    foci = rng.permutation(np.repeat(rays, 25))
+    assert foci.size > 2 * per_block
+    for lo in range(0, foci.size, per_block):
+        assert np.unique(foci[lo:lo + per_block]).size < per_block
+    t = rng.uniform(0.0, 1.3, size=foci.size)
+    pts = t[:, None] * np.stack([np.cos(foci), np.sin(foci)], axis=1)
+    vals = potential_at_points(mode3_star, pts, foci, 0.5)
+    grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
+    for i in range(foci.size):
+        one = slice(i, i + 1)
+        assert vals[i] == potential_at_points(mode3_star, pts[one], foci[one],
+                                              0.5)[0]
+        g = grad_potential_at_points(mode3_star, pts[one], foci[one], 0.5)[0]
+        assert grads[i, 0] == g[0] and grads[i, 1] == g[1]
+
+
+def test_set_integral_evaluates_the_frame_once_per_focus(monkeypatch,
+                                                         mode3_star):
+    # 256 rays of 32 points each: at most one frame per ray and block (a
+    # block boundary can split a ray), not one per point; grad V runs both
+    # components in the same pass
+    from nlshape.quad import ladder_half_rule
+    counted = {"angles": 0}
+    frame = StarShape2D.frame
+
+    def counting(self, theta):
+        counted["angles"] += np.size(theta)
+        return frame(self, theta)
+
+    monkeypatch.setattr(StarShape2D, "frame", counting)
+    nodes = 2 * ladder_half_rule()[0].size
+    blocks = -(-256 * 32 // _ladder_targets_per_block())
+    bound = (256 + blocks) * nodes
+    set_integral_2d(mode3_star, lambda pts, foci: potential_at_points(
+        mode3_star, pts, foci, 0.5), 256)
+    assert 256 * nodes <= counted["angles"] <= bound
+    counted["angles"] = 0
+    set_integral_2d(mode3_star, lambda pts, foci: (grad_potential_at_points(
+        mode3_star, pts, foci, 0.5) * pts).sum(1), 256)
+    assert 256 * nodes <= counted["angles"] <= bound
 
 
 def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):

@@ -162,6 +162,14 @@ def test_pv_pair_integral_far_interval_keeps_local_endpoints():
                     rtol=1e-14)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_pv_pair_integral_non_finite_point_rejected(two_intervals, x):
+    # the endpoint tolerance is relative to |x|, so an infinite x must be
+    # refused before it, or it matches the first endpoint
+    with pytest.raises(ValueError, match="not a boundary point"):
+        pv_pair_integral(two_intervals, x, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # boundary-kernel rules
 
