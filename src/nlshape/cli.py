@@ -27,9 +27,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .diagnostics import calibrate_variation_constant, diagnose
+from .diagnostics import IDENTITY_KINDS, calibrate_variation_constant, diagnose
 from .errors import (ConfigError, ConfigNotFoundError, NlshapeError, ParamError)
-from .functionals import boundary_fields, energy, potential
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
+                          energy, potential)
 from .onedim import (TwoIntervalConfig, epsilon_sweep, g_and_d_eps,
                      solve_critical_d, two_interval_set, zeta_endpoints)
 from .sets import (_MIN_RESOLUTION, Params, StarShape2D, canonical,
@@ -251,8 +252,8 @@ def _parse_point(raw: str, n: int):
 def _mesh_knobs(cfg: RunConfig, n: int):
     """(resolution, nq), refused as configuration errors when out of range.
     The resolution only matters, and is only checked, for planar sets."""
-    res = cfg.get("resolution", 256)
-    nq = cfg.get("nq", 48)
+    res = cfg.get("resolution", DEFAULT_RESOLUTION)
+    nq = cfg.get("nq", DEFAULT_NQ)
     if nq < 1:
         raise ConfigError(f"nq must be a positive integer, got {nq}")
     if n == 2 and res < _MIN_RESOLUTION:
@@ -296,7 +297,7 @@ def _run_potential(cfg, emit):
     res, nq = _mesh_knobs(cfg, S.n)
     if "point" in cfg.values:
         x = _parse_point(cfg.values["point"], S.n)
-        v = potential(S, x, p.alpha, res, nq)
+        v = potential(S, x, p.alpha, nq=nq)
         emit.csv(".csv", [*_coord_header(S), "potential"], [(*x, v)])
     else:
         bf = boundary_fields(S, p, res, nq, want_grad_tau=False)
@@ -308,17 +309,16 @@ def _run_potential(cfg, emit):
 
 _REPORT_COLS = ["delta_s", "eta_s", "rho", "iso_ratio", "lambda_hat",
                 "el_residual", "mesh_resolution"]
-_REPORT_IDS = ["Au1", "Au2", "Minkowski", "Lal", "TangentialBall"]
 
 
 def _report_row(report):
     row = [getattr(report, c) for c in _REPORT_COLS]
-    row += [report.identity_residuals.get(k) for k in _REPORT_IDS]
+    row += [report.identity_residuals.get(k) for k in IDENTITY_KINDS]
     return row
 
 
 def _report_header():
-    return _REPORT_COLS + [f"res_{k.lower()}" for k in _REPORT_IDS]
+    return _REPORT_COLS + [f"res_{k.lower()}" for k in IDENTITY_KINDS]
 
 
 def _run_diagnose(cfg, emit):
@@ -377,15 +377,13 @@ def _run_optimize2d(cfg, emit):
             raise ConfigError("optimize2d needs a planar geometry")
     else:
         init = StarShape2D((0.0, 0.0), 1.0)
+    # only the knobs that are set are passed, so find_critical_2d's own
+    # defaults apply to the rest
+    knobs = {k: cfg.values[k] for k in ("tol", "max_iter", "k_max", "step")
+             if k in cfg.values}
     shape, report, state = find_critical_2d(
-        volume_project(init), p,
-        tol=cfg.get("tol", 1e-3),
-        max_iter=cfg.get("max_iter", 500),
-        resolution=res,
-        nq=nq,
-        k_max=cfg.get("k_max", 12),
-        step=cfg.get("step", 0.2),
-        full_output=True)
+        volume_project(init), p, resolution=res, nq=nq, full_output=True,
+        **knobs)
     emit.json(".shape.json", geometry_to_dict(shape))
     emit.csv(".history.csv", ["iteration", "residual"],
              list(enumerate(state.residual_history)))

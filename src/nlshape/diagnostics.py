@@ -45,7 +45,8 @@ from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           _kappa_2d_batch, _potential_1d, _grad_potential_1d)
 from .quad import QuadTolerance, brute_oracle, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
-                   canonical, diameter, isodiametric_ratio, volume)
+                   canonical, diameter, isodiametric_ratio, uniform_angles,
+                   volume)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -133,16 +134,13 @@ def annulus_deficit_rho(S) -> float:
     if not isinstance(S, StarShape2D):
         raise GeometryError(
             f"annulus deficit needs a star shape or ball, got {type(S).__name__}")
-    th = 2.0 * math.pi * np.arange(_RHO_SAMPLES) / _RHO_SAMPLES
-    r = S.radius(th)
-    bx = S.center[0] + r * np.cos(th)
-    by = S.center[1] + r * np.sin(th)
+    bx, by = S.frame(uniform_angles(_RHO_SAMPLES))[0].T
 
     def width(pt):
         dist = np.hypot(bx - pt[0], by - pt[1])
         return float(dist.max() - dist.min())
 
-    scale = float(r.mean())
+    scale = float(S.samples(_RHO_SAMPLES).mean())
     starts = [np.array(S.center, dtype=float)]
     for dx, dy in ((0.2, 0.0), (-0.1, 0.17), (-0.1, -0.17)):
         starts.append(np.array([S.center[0] + dx * scale,
@@ -197,9 +195,8 @@ def ball_map_mu(S) -> float:
         raise GeometryError(
             f"ball-map size needs a star shape, got {type(S).__name__}")
     R = math.sqrt(volume(S) / math.pi)
-    m = max(1024, 8 * max(1, S.kmax))
-    th = 2.0 * math.pi * np.arange(m) / m
-    return float((np.abs(S.radius(th) - R) + np.abs(S.radius_deriv(th))).max())
+    _, _, r, dr = S.polar(uniform_angles(max(1024, 8 * max(1, S.kmax))))
+    return float((np.abs(r - R) + np.abs(dr)).max())
 
 
 def _rel_residual(lhs: float, rhs: float) -> float:

@@ -41,10 +41,13 @@ quadrature nodes, so the working arrays of a sweep or a batch stay bounded
 in the mesh size m and in the number of targets (the two memo entries hold
 m * 2 nq nodes each); a target's sum is the same whatever block it falls in.
 
-The whole-boundary functionals use the mesh resolution; the point queries
-accept it for a uniform signature and ignore it. frac_perimeter and
-riesz_energy can report a refinement error estimate (the change under
-doubling the per-node quadrature order; 0 for the 1D closed forms).
+The whole-boundary functionals, sweeps and set integrals take the mesh
+resolution; the point queries use no mesh and take only the keyword nq. A
+planar point query resolves x once (_planar_target): on the curve or not,
+and its focus, the polar angle about the center. Non-finite points and
+foci are refused with GeometryError. frac_perimeter and riesz_energy can
+report a refinement error estimate (the change under doubling the per-node
+quadrature order; 0 for the 1D closed forms).
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, jacobi_half_rule, ladder_half_rule,
                    kernel_primitive, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical)
+                   boundary_mesh, canonical, uniform_angles)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -175,16 +178,27 @@ def _as_star(S) -> StarShape2D:
         f"2D boundary quadrature needs a star shape or planar ball, got {type(S).__name__}")
 
 
-def _on_curve_angle(star: StarShape2D, x) -> Optional[float]:
-    """Parameter angle of x if x lies on the curve, else None."""
+def _planar_target(star: StarShape2D, x):
+    """(x as a 2-vector, whether x lies on the curve, its focus angle) for a
+    point query. The focus is the polar angle of x about the center, which
+    on the curve is x's parameter angle. A non-finite x is refused."""
+    x = np.asarray(x, dtype=float).reshape(2)
+    if not np.isfinite(x).all():
+        raise GeometryError(f"point must be finite, got {x.tolist()}")
     dx = x[0] - star.center[0]
     dy = x[1] - star.center[1]
-    rr = math.hypot(dx, dy)
-    th = math.atan2(dy, dx)
-    r_curve = float(star.radius(np.array([th]))[0])
-    if abs(rr - r_curve) <= _ON_CURVE_RTOL * max(1.0, r_curve):
-        return th
-    return None
+    focus = math.atan2(dy, dx)
+    r_curve = float(star.radius(np.array([focus]))[0])
+    on_curve = abs(math.hypot(dx, dy) - r_curve) <= _ON_CURVE_RTOL * max(1.0, r_curve)
+    return x, on_curve, focus
+
+
+def _finite_batch(pts, foci):
+    """pts and foci as float arrays; non-finite entries are refused."""
+    pts, foci = np.asarray(pts, dtype=float), np.asarray(foci, dtype=float)
+    if not (np.isfinite(pts).all() and np.isfinite(foci).all()):
+        raise GeometryError("points and foci must be finite")
+    return pts, foci
 
 
 def _node_angles(focus_angles, u):
@@ -206,8 +220,7 @@ def _mesh_frame(star, m, beta, nq):
     The key holds the shape itself, which hashes by identity.
     """
     u, _ = jacobi_half_rule(beta, nq)
-    th = 2.0 * math.pi * np.arange(m) / m
-    frame = star.frame(_node_angles(th, u))
+    frame = star.frame(_node_angles(uniform_angles(m), u))
     for arr in frame:
         arr.flags.writeable = False
     return frame
@@ -278,16 +291,17 @@ def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq,
 
 def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
                              nq, mesh=False):
+    # on the curve the integral is improper, convergent only for alpha < n - 1
+    if on_curve and not (0.0 < alpha < 1.0):
+        raise ParamError(
+            f"boundary gradient needs alpha in (0, n-1) = (0, 1), got {alpha!r}")
+
     def h(rows, nu, speed, d, r2):
         kern = r2 ** (-alpha / 2.0)
         return (-nu[..., 0] * kern * speed, -nu[..., 1] * kern * speed)
 
     return _target_batch(star, targets_xy, focus_angles, -alpha, nq, on_curve,
                          h, mesh, ncomp=2)
-
-
-def _focus_angle(star, x) -> float:
-    return math.atan2(x[1] - star.center[1], x[0] - star.center[0])
 
 
 def _pair_energy_2d(star, q, resolution, nq):
@@ -356,8 +370,7 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     return EnergyBreakdown(perimeter_term=per, riesz_term=rz, eps=p.eps)
 
 
-def potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
-              nq: int = DEFAULT_NQ) -> float:
+def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
     S = canonical(S)
     if isinstance(S, IntervalSet):
@@ -367,16 +380,12 @@ def potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
     star = _as_star(S)
     if not (0.0 < alpha < 2.0):
         raise ParamError(f"2D potential needs alpha in (0, 2), got {alpha!r}")
-    x = np.asarray(x, dtype=float).reshape(2)
-    th = _on_curve_angle(star, x)
-    on_curve = th is not None
-    focus = th if on_curve else _focus_angle(star, x)
+    x, on_curve, focus = _planar_target(star, x)
     return float(_potential_2d_batch(star, alpha, x[None, :],
                                      np.array([focus]), on_curve, nq)[0])
 
 
-def grad_potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
-                   nq: int = DEFAULT_NQ) -> np.ndarray:
+def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
     """Gradient of the potential, as a vector. At boundary points this is the
     one-sided improper integral, which requires alpha < n - 1; outside that
     range the call is refused rather than regularized."""
@@ -389,35 +398,27 @@ def grad_potential(S, x, alpha: float, resolution: int = DEFAULT_RESOLUTION,
             return np.zeros(S.n)  # exact by symmetry
         raise GeometryError("gradient for balls with n >= 3 is only provided at the center")
     star = _as_star(S)
-    x = np.asarray(x, dtype=float).reshape(2)
-    th = _on_curve_angle(star, x)
-    on_curve = th is not None
-    if on_curve and not (0.0 < alpha < 1.0):
-        raise ParamError(
-            f"boundary gradient needs alpha in (0, n-1) = (0, 1), got {alpha!r}")
-    focus = th if on_curve else _focus_angle(star, x)
+    x, on_curve, focus = _planar_target(star, x)
     return _grad_potential_2d_batch(star, alpha, x[None, :], np.array([focus]),
                                     on_curve, nq)[0]
 
 
-def tangential_grad_potential(S, x, alpha: float,
-                              resolution: int = DEFAULT_RESOLUTION,
+def tangential_grad_potential(S, x, alpha: float, *,
                               nq: int = DEFAULT_NQ) -> float:
     """grad V . tau at a boundary point of a planar shape."""
     S = canonical(S)
     if not isinstance(S, StarShape2D):
         raise GeometryError("tangential gradient is defined for planar boundaries only")
-    x = np.asarray(x, dtype=float).reshape(2)
-    th = _on_curve_angle(S, x)
-    if th is None:
+    x, on_curve, focus = _planar_target(S, x)
+    if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    g = grad_potential(S, x, alpha, resolution, nq)
-    _, nu, _ = S.frame(np.array([th]))
+    th = np.array([focus])
+    g = _grad_potential_2d_batch(S, alpha, x[None, :], th, True, nq)[0]
+    _, nu, _ = S.frame(th)
     return float(g @ np.array([-nu[0, 1], nu[0, 0]]))
 
 
-def frac_curvature(S, x, s: float, resolution: int = DEFAULT_RESOLUTION,
-                   nq: int = DEFAULT_NQ) -> float:
+def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
     """Fractional mean curvature at a boundary point x (PV integral).
 
     Sign convention: positive on boundaries of convex sets.
@@ -428,20 +429,19 @@ def frac_curvature(S, x, s: float, resolution: int = DEFAULT_RESOLUTION,
     if isinstance(S, IntervalSet):
         return pv_pair_integral(S, float(np.asarray(x).reshape(-1)[0]), s)
     star = _as_star(S)
-    x = np.asarray(x, dtype=float).reshape(2)
-    th = _on_curve_angle(star, x)
-    if th is None:
+    x, on_curve, focus = _planar_target(star, x)
+    if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    return float(_kappa_2d_batch(star, s, np.array([th]), nq)[0])
+    # the target is snapped onto the curve: frame(focus), not x itself
+    return float(_kappa_2d_batch(star, s, np.array([focus]), nq)[0])
 
 
-def zeta(S, x, p: Params, resolution: int = DEFAULT_RESOLUTION,
-         nq: int = DEFAULT_NQ) -> float:
+def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
     """Boundary combination kappa + c_coupling * eps * V at a boundary point."""
-    k = frac_curvature(S, x, p.s, resolution, nq)
+    k = frac_curvature(S, x, p.s, nq=nq)
     if p.eps == 0.0:
         return k
-    return k + p.c_coupling * p.eps * potential(S, x, p.alpha, resolution, nq)
+    return k + p.c_coupling * p.eps * potential(S, x, p.alpha, nq=nq)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +529,8 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     t = 0.5 * (tq + 1.0)
     wt = 0.5 * wq
     m = int(resolution)
-    th = 2.0 * math.pi * np.arange(m) / m
-    r = star.radius(th)
-    cs, sn = np.cos(th), np.sin(th)
+    th = uniform_angles(m)
+    cs, sn, r, _ = star.polar(th)
     # nodes: x = center + (t * r) e(theta); weight r^2 t dt dtheta
     pts = np.empty((m * q_radial, 2))
     foci = np.repeat(th, q_radial)
@@ -546,17 +545,15 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
 def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
     """V at interior/exterior points, batched (smooth ladder path)."""
     star = _as_star(star)
-    pts = np.asarray(pts, dtype=float)
-    return _potential_2d_batch(star, alpha, pts, np.asarray(foci, dtype=float),
-                               False, nq)
+    pts, foci = _finite_batch(pts, foci)
+    return _potential_2d_batch(star, alpha, pts, foci, False, nq)
 
 
 def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
     """grad V at off-boundary points, batched."""
     star = _as_star(star)
-    pts = np.asarray(pts, dtype=float)
-    return _grad_potential_2d_batch(star, alpha, pts, np.asarray(foci, dtype=float),
-                                    False, nq)
+    pts, foci = _finite_batch(pts, foci)
+    return _grad_potential_2d_batch(star, alpha, pts, foci, False, nq)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +600,9 @@ def _ball_potential_nd(B: Ball, x, alpha: float) -> float:
 
 def boundary_table(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                    nq: int = DEFAULT_NQ):
-    """Rows (index, coordinates..., kappa, V, gradV.tau, zeta) per node, for
-    the CSV batch entry point. gradV.tau is NaN where undefined."""
+    """Rows (index, coordinates..., kappa, V, gradV.tau, zeta) per node.
+    gradV.tau is NaN where undefined. No CLI command writes this table; each
+    command writes its own columns from boundary_fields."""
     bf = boundary_fields(S, p, resolution, nq)
     m = bf.mesh.points.shape[0]
     gt = bf.grad_tau if bf.grad_tau is not None else np.full(m, math.nan)

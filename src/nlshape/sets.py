@@ -43,6 +43,12 @@ _MIN_RESOLUTION = 8
 _DIAMETER_BLOCK = 1 << 16
 
 
+def uniform_angles(m: int) -> np.ndarray:
+    """The m uniform angles 2*pi*j/m, j = 0..m-1: the grid of every planar
+    mesh, sample and check in the package."""
+    return 2.0 * math.pi * np.arange(m) / m
+
+
 def _ball_volume_coeff(n: int) -> float:
     # Lebesgue measure of the unit ball in R^n.
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -231,7 +237,7 @@ class StarShape2D:
         object.__setattr__(self, "b", b)
 
         m = max(_MIN_POSITIVITY_SAMPLES, _POSITIVITY_OVERSAMPLE * max(1, k))
-        rchk = self.radius(2.0 * math.pi * np.arange(m) / m)
+        rchk = self.radius(uniform_angles(m))
         rmin = float(rchk.min())
         if not rmin > 0.0:
             raise GeometryError(
@@ -247,33 +253,14 @@ class StarShape2D:
     def kmax(self) -> int:
         return int(self.a.size)
 
-    def radius(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = np.full_like(theta, self.r0)
-        for k in range(self.a.size):
-            r += self.a[k] * np.cos((k + 1) * theta) + self.b[k] * np.sin((k + 1) * theta)
-        return r
-
-    def radius_deriv(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        dr = np.zeros_like(theta)
-        for k in range(self.a.size):
-            kk = k + 1
-            dr += kk * (self.b[k] * np.cos(kk * theta) - self.a[k] * np.sin(kk * theta))
-        return dr
-
-    def frame(self, theta):
-        """Boundary positions, outward unit normals and parameter speed
-        |y'(theta)| at the angles theta (any shape; vectors on a new last
-        axis).
+    def polar(self, theta):
+        """(cos theta, sin theta, r(theta), r'(theta)) at the angles theta
+        (any shape). This is the one evaluation of the radius function.
 
         r and r' come from one pass over the modes: cos(k theta) and
         sin(k theta) are evaluated once per mode and shared by both sums,
-        and mode 1 reuses the cos(theta), sin(theta) of the frame itself, so
-        a node costs 2 max(1, kmax) sin/cos evaluations, not the 4 kmax + 2
-        of calling radius and radius_deriv. The terms are formed and
-        accumulated in the order of those two methods, so the result is
-        bitwise equal to building it from them.
+        and mode 1 reuses cos(theta), sin(theta), so a node costs
+        2 max(1, kmax) sin/cos evaluations.
         """
         theta = np.asarray(theta, dtype=float)
         c, s = np.cos(theta), np.sin(theta)
@@ -288,6 +275,20 @@ class StarShape2D:
                 ck, sk = np.cos(kt), np.sin(kt)
             r += self.a[k] * ck + self.b[k] * sk
             dr += kk * (self.b[k] * ck - self.a[k] * sk)
+        return c, s, r, dr
+
+    def radius(self, theta):
+        return self.polar(theta)[2]
+
+    def radius_deriv(self, theta):
+        return self.polar(theta)[3]
+
+    def frame(self, theta):
+        """Boundary positions center + r e(theta), outward unit normals and
+        parameter speed |y'(theta)| at the angles theta (any shape; vectors
+        on a new last axis), built from polar. This is the one place a
+        boundary point is formed."""
+        c, s, r, dr = self.polar(theta)
         pos = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
         speed = np.sqrt(r * r + dr * dr)
         nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)
@@ -295,7 +296,7 @@ class StarShape2D:
 
     def samples(self, m: int) -> np.ndarray:
         """Radius values at the m uniform angles 2*pi*j/m."""
-        return self.radius(2.0 * math.pi * np.arange(m) / m)
+        return self.radius(uniform_angles(m))
 
     @classmethod
     def from_samples(cls, center, values, k_max: Optional[int] = None) -> "StarShape2D":
@@ -376,10 +377,7 @@ def diameter(S) -> float:
         return 2.0 * S.radius
     if isinstance(S, StarShape2D):
         m = max(512, _POSITIVITY_OVERSAMPLE * max(1, S.kmax))
-        th = 2.0 * math.pi * np.arange(m) / m
-        r = S.radius(th)
-        x = S.center[0] + r * np.cos(th)
-        y = S.center[1] + r * np.sin(th)
+        x, y = S.frame(uniform_angles(m))[0].T
         # pairwise distances in blocks of rows of about _DIAMETER_BLOCK
         # pairs (at least one row), so memory does not grow as m^2; the max
         # over the blocks is the max over all pairs
@@ -488,7 +486,7 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
         if m < _MIN_RESOLUTION:
             raise GeometryError(
                 f"2D mesh resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
-        th = 2.0 * math.pi * np.arange(m) / m
+        th = uniform_angles(m)
         points, normals, speed = S.frame(th)
         # the unit tangent is the outward normal turned a quarter counterclockwise
         tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)

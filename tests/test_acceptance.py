@@ -177,8 +177,8 @@ def test_criterion_06_scaling_exponents():
     k_dev = float(np.abs(bfl.kappa - lam ** (-s) * bf.kappa).max()
                   / np.abs(bf.kappa).mean())
     x = np.array([0.2, 0.1])
-    v_ref = potential(S, x, alpha, res, nq)
-    v_dev = abs(potential(Sl, lam * x, alpha, res, nq)
+    v_ref = potential(S, x, alpha, nq=nq)
+    v_dev = abs(potential(Sl, lam * x, alpha, nq=nq)
                 - lam ** (2.0 - alpha) * v_ref) / (lam ** (2.0 - alpha) * v_ref)
     _line("scaling exponents", p_dev=p_dev, r_dev=r_dev, k_dev=k_dev,
           v_dev=v_dev)

@@ -272,6 +272,51 @@ def test_tangential_gradient_needs_planar_boundary(two_intervals):
         tangential_grad_potential(two_intervals, 0.0, 0.5)
 
 
+# each point query with a valid third argument; further positional
+# arguments are passed on
+POINT_QUERIES = {
+    "potential": lambda S, x, *rest: potential(S, x, 0.5, *rest),
+    "grad_potential": lambda S, x, *rest: grad_potential(S, x, 0.5, *rest),
+    "tangential_grad_potential":
+        lambda S, x, *rest: tangential_grad_potential(S, x, 0.5, *rest),
+    "frac_curvature": lambda S, x, *rest: frac_curvature(S, x, 0.5, *rest),
+    "zeta": lambda S, x, *rest: zeta(S, x, Params(n=2, s=0.5, alpha=0.5,
+                                                  eps=1e-3), *rest),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_QUERIES))
+def test_point_query_nq_is_keyword_only(unit_disk, name):
+    # a stale call that passes a mesh resolution positionally must not run
+    # with it as nq
+    with pytest.raises(TypeError):
+        POINT_QUERIES[name](unit_disk, (1.0, 0.0), 256)
+
+
+BATCH_QUERIES = {
+    "potential_at_points": potential_at_points,
+    "grad_potential_at_points": grad_potential_at_points,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(POINT_QUERIES) + sorted(BATCH_QUERIES))
+def test_planar_queries_refuse_non_finite_points(unit_disk, name, bad):
+    if name in POINT_QUERIES:
+        with pytest.raises(GeometryError, match="finite"):
+            POINT_QUERIES[name](unit_disk, (bad, 0.0))
+        return
+    pts = np.array([[0.2, 0.1], [0.3, -0.2]])
+    foci = np.arctan2(pts[:, 1], pts[:, 0])
+    bad_pts = pts.copy()
+    bad_pts[1, 0] = bad
+    bad_foci = foci.copy()
+    bad_foci[0] = bad
+    for args in ((bad_pts, foci), (pts, bad_foci)):
+        with pytest.raises(GeometryError, match="finite"):
+            BATCH_QUERIES[name](unit_disk, *args, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # star shapes against frozen ray-oracle values
 
@@ -329,19 +374,19 @@ def test_scaling_2d_quadrature(mode3_star):
         lam ** (4.0 - alpha) * riesz_energy(mode3_star, alpha, res, nq),
         rtol=1e-4)
     assert_allclose(
-        frac_curvature(big, (lam * 1.2, 0.0), s, res, nq),
-        lam ** (-s) * frac_curvature(mode3_star, (1.2, 0.0), s, res, nq),
+        frac_curvature(big, (lam * 1.2, 0.0), s, nq=nq),
+        lam ** (-s) * frac_curvature(mode3_star, (1.2, 0.0), s, nq=nq),
         rtol=1e-4)
     assert_allclose(
-        potential(big, (lam * 0.3, lam * 0.1), alpha, res, nq),
-        lam ** (2.0 - alpha) * potential(mode3_star, (0.3, 0.1), alpha, res, nq),
+        potential(big, (lam * 0.3, lam * 0.1), alpha, nq=nq),
+        lam ** (2.0 - alpha) * potential(mode3_star, (0.3, 0.1), alpha, nq=nq),
         rtol=1e-4)
 
 
 def test_translation_invariance(mode3_star):
     moved = translated(mode3_star, (2.0, -1.0))
-    got = frac_curvature(moved, (2.0 + 1.2, -1.0), 0.5, 128, 32)
-    ref = frac_curvature(mode3_star, (1.2, 0.0), 0.5, 128, 32)
+    got = frac_curvature(moved, (2.0 + 1.2, -1.0), 0.5, nq=32)
+    ref = frac_curvature(mode3_star, (1.2, 0.0), 0.5, nq=32)
     assert_allclose(got, ref, rtol=1e-10)
 
 
@@ -381,9 +426,9 @@ def test_with_error_2d_bounds_truth(unit_disk):
 
 def test_zeta_combination(unit_disk, params_2d):
     x = (1.0, 0.0)
-    z = zeta(unit_disk, x, params_2d, 128, 32)
-    k = frac_curvature(unit_disk, x, params_2d.s, 128, 32)
-    v = potential(unit_disk, x, params_2d.alpha, 128, 32)
+    z = zeta(unit_disk, x, params_2d, nq=32)
+    k = frac_curvature(unit_disk, x, params_2d.s, nq=32)
+    v = potential(unit_disk, x, params_2d.alpha, nq=32)
     assert_allclose(z, k + params_2d.c_coupling * params_2d.eps * v, rtol=1e-14)
 
 

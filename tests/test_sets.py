@@ -193,22 +193,35 @@ def test_star_diameter_memory_is_bounded():
     assert_allclose(d, 2.0, atol=0.5)
 
 
-@pytest.mark.parametrize("kmax", [0, 1, 12])
+@pytest.mark.parametrize("kmax", [0, 1, 2, 12])
 def test_frame_bitwise_equals_radius_formulas(kmax):
     rng = np.random.default_rng(kmax)
     star = StarShape2D((0.3, -0.1), 1.0, 0.02 * rng.standard_normal(kmax),
                        0.02 * rng.standard_normal(kmax))
-    th = rng.uniform(-7.0, 7.0, size=(5, 13))
-    pos, nu, speed = star.frame(th)
-    r, dr = star.radius(th), star.radius_deriv(th)
-    c, s = np.cos(th), np.sin(th)
-    ref_speed = np.sqrt(r * r + dr * dr)
-    ref_pos = np.stack([star.center[0] + r * c, star.center[1] + r * s], axis=-1)
-    ref_nu = np.stack([(r * c + dr * s) / ref_speed,
-                       (r * s - dr * c) / ref_speed], axis=-1)
-    assert np.array_equal(pos, ref_pos)
-    assert np.array_equal(nu, ref_nu)
-    assert np.array_equal(speed, ref_speed)
+    # a grid, a scalar and a flat vector of angles
+    for shape in ((5, 13), (), (7,)):
+        th = rng.uniform(-7.0, 7.0, size=shape)
+        # the radius formulas, one sum per function, term by term
+        r = np.full_like(th, star.r0)
+        dr = np.zeros_like(th)
+        for k in range(kmax):
+            kk = k + 1
+            r += star.a[k] * np.cos(kk * th) + star.b[k] * np.sin(kk * th)
+            dr += kk * (star.b[k] * np.cos(kk * th) - star.a[k] * np.sin(kk * th))
+        c, s = np.cos(th), np.sin(th)
+        for got, ref in zip(star.polar(th), (c, s, r, dr)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(star.radius(th), r)
+        assert np.array_equal(star.radius_deriv(th), dr)
+        pos, nu, speed = star.frame(th)
+        ref_speed = np.sqrt(r * r + dr * dr)
+        ref_pos = np.stack([star.center[0] + r * c, star.center[1] + r * s],
+                           axis=-1)
+        ref_nu = np.stack([(r * c + dr * s) / ref_speed,
+                           (r * s - dr * c) / ref_speed], axis=-1)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(nu, ref_nu)
+        assert np.array_equal(speed, ref_speed)
 
 
 @given(st.lists(st.floats(-0.04, 0.04), min_size=2, max_size=5))
