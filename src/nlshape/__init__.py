@@ -16,9 +16,9 @@ from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
 from .quad import (OracleResult, PVSpec, QuadTolerance, brute_oracle,
                    kernel_primitive, pv_pair_integral)
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, BoundaryFields,
-                          EnergyBreakdown, boundary_fields, boundary_table,
-                          energy, frac_curvature, frac_perimeter,
-                          grad_potential, grad_potential_at_points, potential,
+                          EnergyBreakdown, boundary_fields, energy,
+                          frac_curvature, frac_perimeter, grad_potential,
+                          grad_potential_at_points, potential,
                           potential_at_points, riesz_energy, set_integral_2d,
                           tangential_grad_potential, zeta, zeta_nodes)
 from .onedim import (SweepRecord, TwoIntervalConfig, epsilon_sweep,
@@ -47,7 +47,7 @@ __all__ = [
     "frac_perimeter", "riesz_energy", "energy", "EnergyBreakdown",
     "potential", "grad_potential", "tangential_grad_potential",
     "frac_curvature", "zeta", "zeta_nodes", "boundary_fields",
-    "BoundaryFields", "boundary_table", "set_integral_2d",
+    "BoundaryFields", "set_integral_2d",
     "potential_at_points", "grad_potential_at_points",
     "DEFAULT_NQ", "DEFAULT_RESOLUTION",
     # one dimension

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import GeometryError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
@@ -119,13 +118,102 @@ def eta(S, p: Params, delta: float) -> float:
     return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
 
 
+class _OutOfEvaluations(Exception):
+    """_nelder_mead spent its evaluation budget."""
+
+
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxfev: int) -> float:
+    """The smallest value of f that the Nelder-Mead simplex method finds
+    from x0.
+
+    The start simplex moves one coordinate of x0 at a time by 5% (to
+    0.00025 where it is 0); reflection, expansion, contraction and shrink
+    use 1, 2, 1/2 and 1/2. The search stops once every vertex lies within
+    xatol of the best in each coordinate and within fatol of it in value,
+    or when maxfev evaluations are spent, counted before each call. f gets
+    a copy of the point. Step for step this is the unbounded, non-adaptive
+    scipy.optimize.minimize(method="Nelder-Mead") of scipy 1.17, so the
+    value is the same to the last bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return f(np.copy(x))
+
+    def ordered():
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _OutOfEvaluations:
+        pass
+    sim, fsim = ordered()
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = call(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = ordered()
+    return float(np.min(fsim))
+
+
 def annulus_deficit_rho(S) -> float:
     """inf over centers of (circumradius - inradius) / diam.
 
-    Balls score 0 exactly. For star shapes the center is found by pattern
-    search with shrinking steps, restarted from a small deterministic grid;
-    the minimizer is local (the sets of interest are near-balls, where the
-    annulus width has a benign interior minimum).
+    Balls score 0 exactly. For star shapes the center is found by the
+    Nelder-Mead simplex method (_nelder_mead), restarted from a small
+    deterministic set of starts; the minimizer is local (the sets of
+    interest are near-balls, where the annulus width has a benign interior
+    minimum).
     """
     if isinstance(S, Ball):
         if S.n < 2:
@@ -147,10 +235,8 @@ def annulus_deficit_rho(S) -> float:
                                 S.center[1] + dy * scale]))
     best = math.inf
     for p0 in starts:
-        res = minimize(width, p0, method="Nelder-Mead",
-                       options={"xatol": 1e-10 * scale, "fatol": 1e-13 * scale,
-                                "maxfev": 4000})
-        best = min(best, float(res.fun))
+        best = min(best, _nelder_mead(width, p0, xatol=1e-10 * scale,
+                                      fatol=1e-13 * scale, maxfev=4000))
     return best / diameter(S)
 
 

@@ -32,26 +32,35 @@ over the curve frame from StarShape2D.frame. The whole-mesh sweeps
 (boundary_fields and both energy terms) share a two-entry memo of that frame
 at their nodes, keyed by (shape, m, beta, nq): kappa and P_s share a node set,
 and so do V and R_alpha, so a shape's energy and its boundary sweep evaluate
-the geometry once. Point queries and off-curve batches do not use the memo;
-an off-curve batch evaluates the frame once per distinct focus angle in each
-block, so the interior rule, whose points share their ray's angle, builds
-one frame per ray rather than one per point. grad V sums both components in
-one pass over the nodes. Targets run in fixed blocks of about 2^16
-quadrature nodes, so the working arrays of a sweep or a batch stay bounded
-in the mesh size m and in the number of targets (the two memo entries hold
-m * 2 nq nodes each); a target's sum is the same whatever block it falls in.
+the geometry once. The node angles themselves depend only on (m, beta, nq):
+while a descent runs (_mesh_trig_scope, which shapeopt.find_critical_2d
+opens around its iterations) a memo miss reads cos(k theta), sin(k theta)
+from a table built once per node set instead of once per candidate shape,
+and the tables are dropped when the descent ends. Point queries and
+off-curve batches do not use the memo; an off-curve batch evaluates the
+frame once per distinct focus angle in each block, so the interior rule,
+whose points share their ray's angle, builds one frame per ray rather than
+one per point. grad V sums both components in one pass over the nodes.
+Targets run in fixed blocks of about 2^16 quadrature nodes, so the working
+arrays of a sweep or a batch stay bounded in the mesh size m and in the
+number of targets (the two memo entries hold m * 2 nq nodes each); a
+target's sum is the same whatever block it falls in.
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
 planar point query resolves x once (_planar_target): on the curve or not,
-and its focus, the polar angle about the center. Non-finite points and
-foci are refused with GeometryError. frac_perimeter and riesz_energy can
-report a refinement error estimate (the change under doubling the per-node
-quadrature order; 0 for the 1D closed forms).
+and its focus, the polar angle about the center. Non-finite planar points
+and foci, and NaN points on the line or in a ball, are refused with
+GeometryError; at +-inf the 1D and ball potential is its limit 0.
+frac_perimeter and riesz_energy can report a refinement error estimate (the
+change under doubling the per-node quadrature order; 0 for the 1D closed
+forms).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -63,14 +72,14 @@ from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, jacobi_half_rule, ladder_half_rule,
                    kernel_primitive, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical, uniform_angles)
+                   boundary_mesh, canonical, mode_trig, uniform_angles)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
     "potential", "grad_potential", "tangential_grad_potential",
     "frac_curvature", "zeta", "zeta_nodes", "boundary_fields",
     "set_integral_2d", "potential_at_points", "grad_potential_at_points",
-    "boundary_table", "DEFAULT_NQ", "DEFAULT_RESOLUTION",
+    "DEFAULT_NQ", "DEFAULT_RESOLUTION",
 ]
 
 DEFAULT_NQ = 48          # Gauss-Jacobi nodes per half-side
@@ -135,6 +144,15 @@ def _riesz_1d(S: IntervalSet, alpha: float) -> float:
     cross = math.fsum(_cross_riesz(ivals[i], ivals[j], alpha)
                       for i in range(len(ivals)) for j in range(i + 1, len(ivals)))
     return total + 2.0 * cross
+
+
+def _point_1d(x) -> float:
+    """A 1D point query's x as a float. NaN is refused; +-inf stands for the
+    point at infinity, where V and its gradient have the limit 0."""
+    x = float(np.asarray(x).reshape(-1)[0])
+    if math.isnan(x):
+        raise GeometryError(f"point must not be NaN, got {x!r}")
+    return x
 
 
 def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
@@ -208,6 +226,27 @@ def _node_angles(focus_angles, u):
                            focus_angles[:, None] - u[None, :]], axis=1)
 
 
+# the node trigonometry tables of the open _mesh_trig_scope, keyed by
+# (m, beta, nq); None outside a scope
+_MESH_TRIG = contextvars.ContextVar("_MESH_TRIG", default=None)
+
+
+@contextlib.contextmanager
+def _mesh_trig_scope():
+    """While open, a _mesh_frame miss reads cos(k theta), sin(k theta) at its
+    node angles from a table kept for the scope, instead of forming them for
+    every shape. One table per node set (m, beta, nq) holds the rows up to the
+    largest kmax seen there; a wider shape replaces it. The tables cost
+    2 kmax doubles per node, against the memo's 5, so only a run that
+    evaluates many shapes on one node set (the descent) opens a scope, and
+    they are dropped when it closes."""
+    token = _MESH_TRIG.set({})
+    try:
+        yield
+    finally:
+        _MESH_TRIG.reset(token)
+
+
 @functools.lru_cache(maxsize=2)
 def _mesh_frame(star, m, beta, nq):
     """(pos, nu, speed) at the on-curve Gauss-Jacobi nodes of every node of
@@ -217,10 +256,23 @@ def _mesh_frame(star, m, beta, nq):
     beta = -s while V and R_alpha share beta = 2 - alpha, so the two entries
     let a boundary sweep and the energy of the same shape evaluate the
     geometry once (the descent checks a candidate's energy, then sweeps it).
-    The key holds the shape itself, which hashes by identity.
+    The key holds the shape itself, which hashes by identity. Inside a
+    _mesh_trig_scope the mode trigonometry comes from the scope's table for
+    the node set, with the same bits as star.frame.
     """
     u, _ = jacobi_half_rule(beta, nq)
-    frame = star.frame(_node_angles(uniform_angles(m), u))
+    theta = _node_angles(uniform_angles(m), u)
+    tables = _MESH_TRIG.get()
+    if tables is None:
+        frame = star.frame(theta)
+    else:
+        key = (m, beta, nq)
+        rows = max(1, star.kmax)
+        if len(tables.get(key, ())) < rows:
+            # drop the narrower table before its replacement is built
+            tables.pop(key, None)
+            tables[key] = list(mode_trig(theta, rows))
+        frame = star._frame_from(star._polar_from(theta, tables[key]))
     for arr in frame:
         arr.flags.writeable = False
     return frame
@@ -374,7 +426,8 @@ def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
     S = canonical(S)
     if isinstance(S, IntervalSet):
-        return _potential_1d(S, float(np.asarray(x).reshape(-1)[0]), alpha)
+        x = _point_1d(x)
+        return 0.0 if math.isinf(x) else _potential_1d(S, x, alpha)
     if isinstance(S, Ball):
         return _ball_potential_nd(S, np.asarray(x, dtype=float), alpha)
     star = _as_star(S)
@@ -391,7 +444,7 @@ def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
     range the call is refused rather than regularized."""
     S = canonical(S)
     if isinstance(S, IntervalSet):
-        return np.array([_grad_potential_1d(S, float(np.asarray(x).reshape(-1)[0]), alpha)])
+        return np.array([_grad_potential_1d(S, _point_1d(x), alpha)])
     if isinstance(S, Ball):
         x = np.asarray(x, dtype=float).reshape(S.n)
         if np.allclose(x, S.center, rtol=0.0, atol=1e-14):
@@ -427,7 +480,10 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
         raise ParamError(f"s must lie in (0, 1), got {s!r}")
     S = canonical(S)
     if isinstance(S, IntervalSet):
-        return pv_pair_integral(S, float(np.asarray(x).reshape(-1)[0]), s)
+        x = _point_1d(x)
+        if _boundary_point(S, x) is None:
+            raise GeometryError(f"x = {x!r} is not a boundary point")
+        return pv_pair_integral(S, x, s)
     star = _as_star(S)
     x, on_curve, focus = _planar_target(star, x)
     if not on_curve:
@@ -566,7 +622,11 @@ def _ball_potential_nd(B: Ball, x, alpha: float) -> float:
     if not (0.0 < alpha < n):
         raise ParamError(f"potential needs alpha in (0, n), got {alpha!r}")
     x = np.asarray(x, dtype=float).reshape(n)
+    if np.isnan(x).any():
+        raise GeometryError(f"point must not be NaN, got {x.tolist()}")
     dist = float(np.linalg.norm(x - np.asarray(B.center)))
+    if math.isinf(dist):
+        return 0.0  # the point at infinity: V decays like dist^(-alpha)
     R = B.radius
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|
     if dist <= 1e-14 * R:
@@ -596,18 +656,3 @@ def _ball_potential_nd(B: Ball, x, alpha: float) -> float:
         rho = mid + half_w * t
         total += half_w * float(w @ (rho ** (n - 1.0 - alpha) * cap_fraction(rho)))
     return inner + omega * total
-
-
-def boundary_table(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-                   nq: int = DEFAULT_NQ):
-    """Rows (index, coordinates..., kappa, V, gradV.tau, zeta) per node.
-    gradV.tau is NaN where undefined. No CLI command writes this table; each
-    command writes its own columns from boundary_fields."""
-    bf = boundary_fields(S, p, resolution, nq)
-    m = bf.mesh.points.shape[0]
-    gt = bf.grad_tau if bf.grad_tau is not None else np.full(m, math.nan)
-    rows = []
-    for i in range(m):
-        rows.append((i, *bf.mesh.points[i].tolist(), float(bf.kappa[i]),
-                     float(bf.pot[i]), float(gt[i]), float(bf.zeta[i])))
-    return rows

@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import nlshape
 
 from nlshape.cli import RunConfig, load_config, main, run_command
 from nlshape.errors import ConfigError, ConfigNotFoundError
@@ -379,3 +384,18 @@ def test_sweep_csv_deterministic(tmp_path):
                      "--out", str(out)]) == 0
         bodies.append((out / "onedim-sweep.csv").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the descent's node trigonometry tables are paid for by the memory
+    # scipy.optimize would take; a fresh interpreter shows what loads
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(nlshape.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [pkg_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nlshape.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+

@@ -82,6 +82,37 @@ def test_rho_off_center_start_recovers():
     assert_allclose(annulus_deficit_rho(star), 0.0965453859678, rtol=1e-6)
 
 
+@pytest.mark.parametrize("xatol, fatol, maxfev", [
+    (1e-10, 1e-13, 4000),   # annulus_deficit_rho's settings
+    (1e-4, 1e-4, 7),        # cut off inside the start simplex's steps
+    (1e-12, 1e-14, 50),     # cut off mid-search
+])
+def test_nelder_mead_equals_scipy_minimize(xatol, fatol, maxfev):
+    from scipy.optimize import minimize
+    from nlshape.diagnostics import _nelder_mead
+    from nlshape.sets import uniform_angles
+    rng = np.random.default_rng(2024)
+    for _ in range(15):
+        k = int(rng.integers(0, 8))
+        star = StarShape2D(tuple(rng.uniform(-0.5, 0.5, 2)), 1.0,
+                           0.05 * rng.standard_normal(k),
+                           0.05 * rng.standard_normal(k))
+        bx, by = star.frame(uniform_angles(256))[0].T
+
+        def width(pt):
+            dist = np.hypot(bx - pt[0], by - pt[1])
+            return float(dist.max() - dist.min())
+
+        # the second start has a zero coordinate, which the start simplex
+        # moves by an absolute step
+        for x0 in (np.array(star.center), np.array([star.center[0], 0.0])):
+            ref = minimize(width, x0, method="Nelder-Mead",
+                           options={"xatol": xatol, "fatol": fatol,
+                                    "maxfev": maxfev})
+            assert _nelder_mead(width, x0, xatol, fatol, maxfev) == \
+                float(ref.fun)
+
+
 def test_ball_map_mu():
     assert ball_map_mu(Ball((0.0, 0.0), 3.0)) == 0.0
     mu1 = ball_map_mu(StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05)))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
-                     StarShape2D, boundary_fields, boundary_table, energy,
+                     StarShape2D, boundary_fields, energy,
                      frac_curvature, frac_perimeter, grad_potential,
                      grad_potential_at_points, potential, potential_at_points,
                      riesz_energy, set_integral_2d, tangential_grad_potential,
@@ -317,6 +317,40 @@ def test_planar_queries_refuse_non_finite_points(unit_disk, name, bad):
             BATCH_QUERIES[name](unit_disk, *args, 0.5)
 
 
+NONPLANAR_QUERIES = {
+    "potential 1D": lambda x: potential(IntervalSet([(0.0, 1.0), (2.0, 3.5)]),
+                                        x, 0.5),
+    "grad_potential 1D": lambda x: grad_potential(
+        IntervalSet([(0.0, 1.0), (2.0, 3.5)]), x, 0.5),
+    "frac_curvature 1D": lambda x: frac_curvature(
+        IntervalSet([(0.0, 1.0), (2.0, 3.5)]), x, 0.5),
+    "zeta 1D": lambda x: zeta(IntervalSet([(0.0, 1.0), (2.0, 3.5)]), x,
+                              Params(n=1, s=0.5, alpha=0.5, eps=1e-3)),
+    "potential ball 1D": lambda x: potential(Ball((0.5,), 1.0), x, 0.5),
+    "potential ball 3D": lambda x: potential(Ball((0.0, 0.0, 0.0), 1.0),
+                                             (0.1, x, 0.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONPLANAR_QUERIES))
+def test_nonplanar_queries_refuse_nan(name):
+    with pytest.raises(GeometryError, match="NaN"):
+        NONPLANAR_QUERIES[name](math.nan)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_nonplanar_potential_at_infinity_is_zero(two_intervals, x):
+    # the same limit as the gradient's: V decays like |x|^(-alpha)
+    assert potential(two_intervals, x, 0.5) == 0.0
+    assert potential(Ball((0.0, 0.0, 0.0), 1.0), (0.1, x, 0.0), 0.5) == 0.0
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, 0.5, 1.5])
+def test_frac_curvature_1d_refuses_points_off_the_boundary(two_intervals, x):
+    with pytest.raises(GeometryError, match="not a boundary point"):
+        frac_curvature(two_intervals, x, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # star shapes against frozen ray-oracle values
 
@@ -463,16 +497,6 @@ def test_zeta_nodes_matches_boundary_fields(mode3_star, params_2d):
                          want_grad_tau=False)
     assert_allclose(zt, bf.zeta, rtol=0.0)
     assert mesh.points.shape == (64, 2)
-
-
-def test_boundary_table_shape(unit_disk):
-    p = Params(n=2, s=0.5, alpha=1.3, eps=1e-3)  # grad tau undefined
-    rows = boundary_table(unit_disk, p, resolution=32, nq=24)
-    assert len(rows) == 32
-    idx, x0, y0, kap, pot, gtau, zt = rows[0]
-    assert idx == 0
-    assert math.isnan(gtau)
-    assert_allclose(zt, kap + p.c_coupling * p.eps * pot, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
