@@ -63,7 +63,7 @@ _KEYS = {
     "tol": (float, "target boundary-condition residual (optimize2d)"),
     "max_iter": (int, "iteration cap (optimize2d)"),
     "k_max": (int, "highest retained Fourier mode (optimize2d)"),
-    "step": (float, "initial descent step (optimize2d)"),
+    "step": (float, "first trial step of each descent iteration (optimize2d)"),
     "radii": (str, "comma-separated ball radii for calibration"),
 }
 
@@ -500,7 +500,8 @@ def _build_parser():
                     help="highest retained Fourier mode")
     sp.add_argument("--tol", type=float, help="target residual")
     sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.add_argument("--step", type=float, help="initial descent step")
+    sp.add_argument("--step", type=float,
+                    help="first trial step of each descent iteration")
 
     sp = sub.add_parser("calibrate")
     _add_common(sp)

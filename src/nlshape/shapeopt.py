@@ -1,26 +1,43 @@
 """Volume-constrained critical-point search over planar star shapes.
 
-Steepest descent on F_eps with the volume constraint handled by two
-complementary devices: the applied normal velocity is the mean-zero field
--(zeta - lambda_hat), which preserves volume to first order, and every
+Descent on F_eps with the volume constraint handled by two complementary
+devices: the applied normal velocity is built from the mean-zero field
+zeta - lambda_hat, which preserves volume to first order, and every
 candidate is radially rescaled back to unit area afterwards (exact).
+
+The step is a Newton step at the disk. There the linearized zeta is
+diagonal in Fourier modes: perturbing the unit-area disk by h cos(k theta)
+changes zeta by h mu_k cos(k theta), with mu_k growing with k (Figalli,
+Fusco, Maggi, Millot and Morini, Comm. Math. Phys. 2015, for the second
+variation at the ball). Plain steepest descent damps mode k at a rate
+proportional to mu_k and so needs tens of iterations; dividing each mode
+by mu_k damps them all at once. The spectrum mu_2..mu_k_max is measured
+with one pair of zeta point queries per mode on the perturbed disks
+(_disk_spectrum, cached per (Params, nq, k_max) and built at the first
+step that needs it); modes 0 and 1 (dilation, translation) use mu_2, and
+every mu_k is clamped below at a fixed fraction of the largest, so the
+scaled velocity is always a descent direction.
 
 One step:
   1. sweep zeta over the boundary mesh, lambda_hat = weighted mean;
-  2. radial update dr = -step * (zeta - lambda_hat) * J / r at the mesh
-     angles (J / r converts normal speed to radial speed);
-  3. resample to Fourier coefficients, truncating above k_max -- the
+  2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
+     mesh angles, modes above k_max dropped);
+  3. radial update dr = -step * v * J / r at the mesh angles (J / r
+     converts normal speed to radial speed);
+  4. resample to Fourier coefficients, truncating above k_max -- the
      spectral smoothing that keeps quadrature noise from feeding
      high-frequency growth;
-  4. rescale to unit area;
-  5. accept only if F_eps did not increase, else halve the step and retry.
+  5. rescale to unit area;
+  6. accept only if F_eps did not increase, else halve the step and retry.
 
-The iteration certifies criticality (small sup |zeta - lambda_hat|), not
-minimality.
+Every iteration's first trial is the state's step_size (1, the full Newton
+step, by default); an accepted step leaves it unchanged. The iteration
+certifies criticality (small sup |zeta - lambda_hat|), not minimality.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -28,9 +45,9 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
-from .errors import GeometryError, ParamError, StalledError
+from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _mesh_trig_scope,
-                          boundary_fields, energy)
+                          boundary_fields, energy, zeta)
 from .sets import Params, StarShape2D, canonical, volume
 
 __all__ = [
@@ -39,10 +56,11 @@ __all__ = [
 ]
 
 DEFAULT_K_MAX = 12
-DEFAULT_STEP = 0.2
-_STEP_GROWTH = 1.3
-_STEP_CAP = 1.0
+DEFAULT_STEP = 1.0
 _MIN_STEP = 1e-14
+# no mode's eigenvalue is taken below this fraction of the largest one, so
+# the scaled velocity stays a descent direction whatever the measurement
+_MU_FLOOR = 1e-3
 # residual at or below this is quadrature noise: the step is a no-op rather
 # than a fight against roundoff (exact critical points must be fixed points)
 _NOOP_FLOOR = 1e-11
@@ -131,6 +149,37 @@ def _zeta_sweep(shape, p, resolution, nq):
     return r, speed, v, lam, residual
 
 
+def _disk_eigenvalue(p: Params, nq: int, k: int) -> float:
+    """mu_k: the change of zeta at theta = 0 per unit of h when the
+    unit-area disk's radius becomes R + h cos(k theta), by a central
+    difference of two point queries (h = 1e-4 R)."""
+    R = 1.0 / math.sqrt(math.pi)
+    h = 1e-4 * R
+    a = np.zeros(k)
+    a[-1] = h
+    plus = zeta(StarShape2D((0.0, 0.0), R, a), (R + h, 0.0), p, nq=nq)
+    minus = zeta(StarShape2D((0.0, 0.0), R, -a), (R - h, 0.0), p, nq=nq)
+    return (plus - minus) / (2.0 * h)
+
+
+@functools.lru_cache(maxsize=8)
+def _disk_spectrum(p: Params, nq: int, k_max: int) -> np.ndarray:
+    """(mu_0, ..., mu_K), K = max(2, k_max), read-only: the disk's
+    linearized zeta per Fourier mode, each clamped below at _MU_FLOOR times
+    the largest |mu_k|, with modes 0 and 1 set to the clamped mu_2. A non-finite or
+    all-zero measurement raises QuadratureError."""
+    mu = np.array([_disk_eigenvalue(p, nq, k)
+                   for k in range(2, max(2, k_max) + 1)])
+    top = np.abs(mu).max()
+    if not (np.isfinite(mu).all() and top > 0.0):
+        raise QuadratureError(
+            f"disk spectrum is not finite and nonzero: {mu.tolist()}")
+    mu = np.maximum(mu, _MU_FLOOR * top)
+    mu = np.concatenate([mu[:1], mu[:1], mu])
+    mu.flags.writeable = False
+    return mu
+
+
 def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
                      _sweep=None) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
@@ -153,8 +202,12 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
     if math.isnan(base):
         base = energy(shape, p, res, nq).total
 
+    # the Newton step at the disk: mode k of v divided by mu_k
+    mu = _disk_spectrum(p, nq, state.k_max)
+    coef = np.fft.rfft(v)[:mu.size]
+    v = np.fft.irfft(coef / mu[:coef.size], v.size)
+
     step = state.step_size
-    first_try = True
     while step >= _MIN_STEP:
         dr = -step * v * speed / r
         cand_samples = r + dr
@@ -164,14 +217,11 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
             cand = volume_project(cand)
             f_cand = energy(cand, p, res, nq).total
             if f_cand <= base:
-                new_step = min(step * _STEP_GROWTH, _STEP_CAP) if first_try else step
-                return replace(state, shape=cand, step_size=new_step,
-                               iteration=state.iteration + 1,
+                return replace(state, shape=cand, iteration=state.iteration + 1,
                                residual_history=history,
                                volume_drift=abs(volume(cand) - 1.0),
                                energy=f_cand)
         step *= 0.5
-        first_try = False
     raise StalledError(
         f"no energy-non-increasing step found above step={_MIN_STEP:g} "
         f"(residual {residual:g})",

@@ -1,14 +1,18 @@
 """Shape construction helpers and the planar critical-point search."""
 
 import gc
+import itertools
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlshape.errors import GeometryError, ParamError, StalledError
+from nlshape import shapeopt
+from nlshape.errors import (GeometryError, ParamError, QuadratureError,
+                            StalledError)
 from nlshape.functionals import boundary_fields, energy
 from nlshape.sets import Ball, Params, StarShape2D, volume
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
@@ -131,6 +135,8 @@ def test_steps_never_increase_energy():
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     assert st.iteration == 6
     assert len(st.residual_history) == 6
+    # accepted steps leave the first trial step of the next iteration alone
+    assert st.step_size == shapeopt.DEFAULT_STEP
     # residuals should have dropped substantially from the start
     assert st.residual_history[-1] < 0.2 * st.residual_history[0]
 
@@ -167,6 +173,69 @@ def test_stall_carries_state():
     assert carried.shape is st.shape
 
 
+# ------------------------------------------------------ the disk's spectrum
+
+@pytest.fixture
+def fresh_spectrum():
+    """An empty spectrum cache before and after the test, so a patched
+    measurement neither reads nor leaves a cached spectrum."""
+    shapeopt._disk_spectrum.cache_clear()
+    yield
+    shapeopt._disk_spectrum.cache_clear()
+
+
+def test_disk_spectrum_matches_the_sweeps(fresh_spectrum):
+    # mode k of the linearized zeta from a whole-boundary sweep: the k-th
+    # cosine coefficient of (zeta on R + h cos k theta minus zeta on the
+    # disk) / h; the second-order response has no mode k, so it agrees with
+    # the point-query central difference to O(h^2)
+    m, nq, k_max = 64, 16, 12
+    mu = shapeopt._disk_spectrum(P2, nq, k_max)
+    assert mu.shape == (k_max + 1,)
+    assert (mu > 0.0).all()
+    assert (np.diff(mu[2:]) > 0.0).all()
+    assert mu[0] == mu[1] == mu[2]
+    R = 1.0 / math.sqrt(math.pi)
+    h = 1e-4 * R
+    disk = boundary_fields(StarShape2D((0.0, 0.0), R), P2, m, nq,
+                           want_grad_tau=False).zeta
+    for k in range(2, k_max + 1):
+        a = np.zeros(k)
+        a[-1] = h
+        plus = boundary_fields(StarShape2D((0.0, 0.0), R, a), P2, m, nq,
+                               want_grad_tau=False).zeta
+        coef = 2.0 / m * np.fft.rfft((plus - disk) / h)[k].real
+        assert mu[k] == pytest.approx(coef, rel=1e-5), k
+
+
+@pytest.mark.parametrize("negative", [2, 3])
+def test_negative_eigenvalue_is_clamped(monkeypatch, fresh_spectrum, negative):
+    # a measured mu_3 < 0 would turn the _star's dominant mode uphill, and
+    # mu_2 also sets modes 0 and 1; the clamp keeps every mode a descent
+    # direction, so the steps still go
+    measure = shapeopt._disk_eigenvalue
+    monkeypatch.setattr(shapeopt, "_disk_eigenvalue",
+                        lambda p, nq, k: (-1.0 if k == negative else 1.0)
+                        * measure(p, nq, k))
+    mu = shapeopt._disk_spectrum(P2, 16, shapeopt.DEFAULT_K_MAX)
+    assert (mu > 0.0).all()
+    st = initial_state(_star(), resolution=64)
+    energies = [energy(st.shape, P2, 64, 16).total]
+    for _ in range(3):
+        st = el_gradient_step(st, P2, nq=16)
+        energies.append(st.energy)
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    assert energies[-1] < energies[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_eigenvalue_is_refused(monkeypatch, fresh_spectrum, bad):
+    monkeypatch.setattr(shapeopt, "_disk_eigenvalue",
+                        lambda p, nq, k: bad if k == 5 else 100.0 * k)
+    with pytest.raises(QuadratureError):
+        el_gradient_step(initial_state(_star(), resolution=32), P2, nq=8)
+
+
 # ------------------------------------------------------------- find_critical_2d
 
 def test_find_critical_rejects_wrong_dimension():
@@ -196,17 +265,27 @@ def test_find_critical_default_output_pair():
     assert math.isfinite(rep.el_residual)
 
 
-def test_find_critical_converges_from_perturbed_disk():
-    sh, rep, st = find_critical_2d(_star(), P2, tol=5e-3, max_iter=80,
+def _assert_converges(p):
+    # the Newton step at the disk brings a near-disk start there in a few
+    # iterations
+    sh, rep, st = find_critical_2d(_star(), p, tol=5e-3, max_iter=80,
                                    resolution=64, nq=16, full_output=True)
     assert rep.el_residual <= 5e-3
     assert st.residual_history[-1] <= 5e-3
-    assert st.iteration < 80
+    assert st.iteration <= 6
     assert abs(volume(sh) - 1.0) <= 1e-10
     # the critical shape of this flow is (numerically) the disk again
     assert rep.rho <= 1e-3
     # identity block is opt-in and was not requested
     assert rep.identity_residuals == {}
+
+
+def test_find_critical_converges_from_perturbed_disk():
+    _assert_converges(P2)
+
+
+def test_find_critical_converges_at_strong_repulsion():
+    _assert_converges(Params(n=2, s=0.8, alpha=0.3, eps=1e-2))
 
 
 def test_find_critical_accepts_ball_input():
@@ -274,9 +353,13 @@ def test_descent_builds_each_node_set_table_once(monkeypatch, init, widths):
 
 def test_stalled_descent_holds_no_table(monkeypatch):
     built, refs = _record_tables(monkeypatch)
+    # each energy call scores above the one before, so every candidate loses
+    # to the base and the first iteration stalls, whatever the step schedule
+    scores = itertools.count()
+    monkeypatch.setattr(shapeopt, "energy",
+                        lambda *args: SimpleNamespace(total=float(next(scores))))
     with pytest.raises(StalledError):
-        find_critical_2d(_star(), P2, tol=1e-14, resolution=32, nq=8,
-                         step=1e-13)
+        find_critical_2d(_star(), P2, tol=1e-14, resolution=32, nq=8)
     assert built
     _assert_no_table_held(refs)
 
