@@ -20,9 +20,11 @@ The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
     g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2 + lower order,
 
 so g changes sign near d_eps = ((1+s)/(c alpha eps))^(1/(1+s-alpha)). The
-root finder probes geometrically upward from d_eps and bisects; the sweep
-fits the log-log slope of the critical diameter against 1/eps, which tends
-to 1/(1+s-alpha) as eps -> 0.
+root finder probes geometrically upward from d_eps for a sign change and
+closes the bracket by safeguarded Illinois regula falsi until its ends are
+adjacent floats (about 16 evaluations of f per root); the sweep fits the
+log-log slope of the critical diameter against 1/eps, which tends to
+1/(1+s-alpha) as eps -> 0.
 """
 
 from __future__ import annotations
@@ -146,9 +148,17 @@ def g_and_d_eps(p: Params):
 
 
 def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
-    """Root of f: probe d_eps * 2^k for a sign change, then bisect down to a
-    machine-adjacent bracket. The returned root satisfies |f| <= f_tol and
-    d > d_eps; failure to bracket raises BracketError."""
+    """Root of f: probe d_eps * 2^k for a sign change, then close the bracket
+    by safeguarded Illinois regula falsi down to machine-adjacent floats.
+
+    Each step takes the secant point of the stored end values, clamped
+    strictly inside the bracket; when one end moves twice in a row the
+    stored f of the other end is halved (the Illinois rule), and a midpoint
+    step is taken whenever four steps failed to halve the bracket. The
+    bracket keeps f(lo) <= 0 < f(hi) and the loop ends only when lo and hi
+    are adjacent floats; the root is the end with the smaller |f|. The
+    returned root satisfies |f| <= f_tol and d > d_eps; failure to bracket
+    raises BracketError."""
     _, d_eps = g_and_d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)
     f_lo = f_closed_form(lo, p)
@@ -160,29 +170,47 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     d = lo
     for _ in range(_PROBE_BUDGET):
         d *= 2.0
-        if f_closed_form(d, p) > 0.0:
-            hi = d
+        f_d = f_closed_form(d, p)
+        if f_d > 0.0:
+            hi, f_hi = d, f_d
             break
-        lo = d
+        lo, f_lo = d, f_d
     if hi is None:
         raise BracketError(
             f"no sign change of f within {_PROBE_BUDGET} doublings from d_eps")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if f_closed_form(mid, p) > 0.0:
-            hi = mid
+    w_lo, w_hi = f_lo, f_hi  # secant weights; the Illinois rule halves them
+    last = 0  # +1 when hi moved last, -1 when lo did
+    width, stale = hi - lo, 0
+    while math.nextafter(lo, hi) != hi:
+        if stale < 4:
+            x = hi - w_hi * (hi - lo) / (w_hi - w_lo)
         else:
-            lo = mid
-    root = hi  # side with f >= 0; adjacent to lo
-    fr = f_closed_form(root, p)
-    fl = f_closed_form(lo, p)
-    if abs(fl) < abs(fr):
-        root, fr = lo, fl
+            x = lo + 0.5 * (hi - lo)
+        if not x > lo:
+            x = math.nextafter(lo, hi)
+        elif not x < hi:
+            x = math.nextafter(hi, lo)
+        f_x = f_closed_form(x, p)
+        if f_x > 0.0:
+            hi, f_hi, w_hi = x, f_x, f_x
+            if last > 0:
+                w_lo *= 0.5
+            last = 1
+        else:
+            lo, f_lo, w_lo = x, f_x, f_x
+            if last < 0:
+                w_hi *= 0.5
+            last = -1
+        if hi - lo <= 0.5 * width:
+            width, stale = hi - lo, 0
+        else:
+            stale += 1
+    root, fr = hi, f_hi  # ties go to the side with f > 0
+    if abs(f_lo) < abs(fr):
+        root, fr = lo, f_lo
     if abs(fr) > f_tol:
         raise BracketError(
-            f"bisection stalled with |f(d)| = {abs(fr):g} > f_tol = {f_tol:g}")
+            f"root solve stalled with |f(d)| = {abs(fr):g} > f_tol = {f_tol:g}")
     return root
 
 

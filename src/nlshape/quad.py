@@ -128,10 +128,10 @@ def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
     non-finite x stands for no endpoint."""
     if not math.isfinite(x):
         return None
-    eps_pts = S.endpoints()
-    i = int(np.argmin(np.abs(eps_pts - x)))
-    if abs(eps_pts[i] - x) <= 1e-12 * max(1.0, abs(x)):
-        return float(eps_pts[i])
+    # the first nearest endpoint, in the order a_1, b_1, a_2, b_2, ...
+    e = min((e for ab in S.intervals for e in ab), key=lambda e: abs(e - x))
+    if abs(e - x) <= 1e-12 * max(1.0, abs(x)):
+        return e
     return None
 
 

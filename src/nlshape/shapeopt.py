@@ -212,8 +212,14 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
         dr = -step * v * speed / r
         cand_samples = r + dr
         if cand_samples.min() > 0.0:
-            cand = StarShape2D.from_samples(shape.center, cand_samples,
-                                            state.k_max)
+            try:
+                cand = StarShape2D.from_samples(shape.center, cand_samples,
+                                                state.k_max)
+            except GeometryError:
+                # the k_max-truncated series dips below zero between the
+                # mesh angles: a rejected trial like an energy increase
+                step *= 0.5
+                continue
             cand = volume_project(cand)
             f_cand = energy(cand, p, res, nq).total
             if f_cand <= base:

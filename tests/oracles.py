@@ -24,12 +24,18 @@ cancellation-free rearrangement (see _RayFrame.g) so crossings remain
 detectable down to t ~ 1e-12 even though x + t e rounds to x there; without
 this the near-tangent rays at a boundary base point lose their first
 crossing and the angular integral acquires a sqrt(cutoff)-sized hole.
+
+The one non-ray reference is `bisection_critical_d`, plain midpoint
+bisection for the 1D critical gap, against which the package's root solve is
+compared.
 """
 
 import math
 
 import numpy as np
 
+from nlshape import onedim
+from nlshape.errors import BracketError
 from nlshape.quad import QuadTolerance, brute_oracle
 from nlshape.sets import Ball, StarShape2D
 
@@ -256,3 +262,47 @@ def disk_perimeter_oracle(R, s, tol=1e-10):
     lead_exact = 2.0 * R * L ** (1.0 - s) / (1.0 - s) \
         - L ** (3.0 - s) / ((3.0 - s) * 12.0 * R)
     return 2.0 * np.pi * (body + lead_exact + area * L ** (-s) / s)
+
+
+def bisection_critical_d(p, f_tol=1e-10):
+    """Reference root of the two-interval balance function by plain
+    midpoint bisection: the same doubling probe from d_eps as
+    `onedim.solve_critical_d`, then halving down to a machine-adjacent
+    bracket (about 57 evaluations of f per root). f is looked up as
+    `onedim.f_closed_form` at every call, so a test can count evaluations by
+    wrapping that name."""
+    _, d_eps = onedim.g_and_d_eps(p)
+    lo = max(d_eps, 0.5 + 1e-9)
+    f_lo = onedim.f_closed_form(lo, p)
+    if f_lo >= 0.0:
+        raise BracketError(
+            f"f(d_eps) = {f_lo:g} is not negative; eps = {p.eps:g} may exceed "
+            "the smallness threshold for a two-interval critical point")
+    hi = None
+    d = lo
+    for _ in range(onedim._PROBE_BUDGET):
+        d *= 2.0
+        if onedim.f_closed_form(d, p) > 0.0:
+            hi = d
+            break
+        lo = d
+    if hi is None:
+        raise BracketError(
+            f"no sign change of f within {onedim._PROBE_BUDGET} doublings from d_eps")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        if onedim.f_closed_form(mid, p) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    root = hi  # side with f >= 0; adjacent to lo
+    fr = onedim.f_closed_form(root, p)
+    fl = onedim.f_closed_form(lo, p)
+    if abs(fl) < abs(fr):
+        root, fr = lo, fl
+    if abs(fr) > f_tol:
+        raise BracketError(
+            f"bisection stalled with |f(d)| = {abs(fr):g} > f_tol = {f_tol:g}")
+    return root

@@ -13,10 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (GeometryError, ParamError, Params, TwoIntervalConfig,
-                     epsilon_sweep, f_closed_form, g_and_d_eps,
-                     solve_critical_d, two_interval_set, zeta_endpoints)
+from nlshape import (BracketError, GeometryError, ParamError, Params,
+                     TwoIntervalConfig, epsilon_sweep, f_closed_form,
+                     g_and_d_eps, onedim, solve_critical_d, two_interval_set,
+                     zeta_endpoints)
 from nlshape.onedim import _sym_second_diff
+from oracles import bisection_critical_d
 
 
 def _p(s=0.5, alpha=0.5, eps=1e-3):
@@ -136,6 +138,96 @@ def test_root_survives_moderate_eps():
     _, d_eps = g_and_d_eps(p)
     assert abs(f_closed_form(d_star, p)) <= 1e-10
     assert d_star > d_eps
+
+
+def test_stall_is_a_root_solve_error():
+    # the best adjacent float has |f| = 5e-29 here, above a zero tolerance
+    p = _p(0.3, 0.7)
+    with pytest.raises(BracketError, match="root solve stalled"):
+        solve_critical_d(p, f_tol=0.0)
+    assert 0.0 < abs(f_closed_form(solve_critical_d(p), p)) <= 1e-10
+
+
+# the default eps grid of `nlshape onedim-sweep` at seeded (s, alpha) on the
+# open unit square plus three corners
+GRID_EPS = (1e-3, 3.1623e-4, 1e-4, 3.1623e-5, 1e-5, 3.1623e-6, 1e-6)
+GRID_SA = [tuple(map(float, sa)) for sa in
+           np.random.default_rng(12).uniform(1e-9, 1.0 - 1e-9, size=(200, 2))]
+GRID_SA += [(1e-9, 1e-9), (1.0 - 1e-9, 1e-9), (1.0 - 1e-9, 1.0 - 1e-9)]
+# two points of small 1 + s - alpha: the solve raises (BracketError at
+# f(d_eps) = 0, OverflowError computing d_eps), and where a root exists (d near
+# 1e100 at (0.02, 0.99)) the computed f changes sign 67 times within 200
+# ulps of it, so no solver's root is defined to 64 ulps there
+EDGE_SA = [(0.02, 0.99), (0.01, 0.997)]
+
+
+def _counted(solver, p, counter):
+    counter[0] = 0
+    try:
+        return solver(p), None, counter[0]
+    except Exception as exc:  # the type is compared, not swallowed
+        return None, type(exc), counter[0]
+
+
+@pytest.fixture(scope="module")
+def solver_grid():
+    """(p, (root, error type, f evaluations) for the package solver and for
+    the reference bisection) over the grid; evaluations are counted by
+    wrapping onedim.f_closed_form, which both solvers look up per call."""
+    f = onedim.f_closed_form
+    counter = [0]
+
+    def counting(d, p):
+        counter[0] += 1
+        return f(d, p)
+
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onedim, "f_closed_form", counting)
+        for s, alpha in GRID_SA + EDGE_SA:
+            for eps in GRID_EPS:
+                p = _p(s, alpha, eps)
+                rows.append((p, _counted(solve_critical_d, p, counter),
+                             _counted(bisection_critical_d, p, counter)))
+    return rows
+
+
+def test_grid_raises_where_the_reference_raises(solver_grid):
+    raised = [(new[1], ref[1]) for _, new, ref in solver_grid
+              if new[1] or ref[1]]
+    assert {ref for _, ref in raised} == {BracketError, OverflowError}
+    assert all(new is ref for new, ref in raised)
+
+
+def test_grid_roots_are_certified_and_machine_adjacent(solver_grid):
+    solved = [(p, new[0]) for p, new, _ in solver_grid if new[1] is None]
+    assert len(solved) > 1400
+    for p, root in solved:
+        fr = f_closed_form(root, p)
+        assert abs(fr) <= 1e-10
+        # the root and its neighbour on the other side of the sign change
+        other = math.nextafter(root, math.inf if fr <= 0.0 else -math.inf)
+        fo = f_closed_form(other, p)
+        assert (fr <= 0.0 < fo) if fr <= 0.0 else (fo <= 0.0 < fr), (p, root)
+
+
+def test_grid_roots_match_the_reference_bisection(solver_grid):
+    seeded = {(s, alpha) for s, alpha in GRID_SA}
+    compared = 0
+    for p, new, ref in solver_grid:
+        if ref[1] is None and (p.s, p.alpha) in seeded:
+            assert abs(new[0] - ref[0]) <= 64 * math.ulp(ref[0]), p
+            compared += 1
+    assert compared == len(GRID_SA) * len(GRID_EPS)
+
+
+def test_grid_root_solve_cost(solver_grid):
+    solved = [(new[2], ref[2]) for _, new, ref in solver_grid
+              if new[1] is None]
+    new_evals = sum(n for n, _ in solved)
+    ref_evals = sum(r for _, r in solved)
+    assert new_evals <= 20 * len(solved)  # the reference takes about 57
+    assert new_evals <= 0.4 * ref_evals
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from nlshape import shapeopt
 from nlshape.errors import (GeometryError, ParamError, QuadratureError,
                             StalledError)
 from nlshape.functionals import boundary_fields, energy
-from nlshape.sets import Ball, Params, StarShape2D, volume
+from nlshape.sets import (Ball, Params, StarShape2D, uniform_angles,
+                          volume)
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
                               find_critical_2d, fourier_shape, initial_state,
                               volume_project)
@@ -171,6 +172,32 @@ def test_stall_carries_state():
     assert carried.iteration == 0
     assert len(carried.residual_history) == 1
     assert carried.shape is st.shape
+
+
+def test_non_positive_series_is_a_rejected_trial(monkeypatch):
+    # the k_max-truncated series can dip below zero between the mesh angles
+    # while every mesh sample is positive; from_samples then refuses the
+    # candidate, and the step halves instead of ending the solve
+    build = StarShape2D.from_samples.__func__
+    trials = []
+
+    def refuse_first(cls, center, values, k_max=None):
+        trials.append(np.array(values, dtype=float))
+        if len(trials) == 1:
+            raise GeometryError("radius function is not strictly positive")
+        return build(cls, center, values, k_max)
+
+    monkeypatch.setattr(StarShape2D, "from_samples", classmethod(refuse_first))
+    st = initial_state(_star(), resolution=64)
+    e0 = energy(st.shape, P2, 64, 16).total
+    st2 = el_gradient_step(st, P2, nq=16)
+    assert len(trials) == 2
+    r = st.shape.radius(uniform_angles(64))
+    np.testing.assert_allclose(trials[1] - r, 0.5 * (trials[0] - r),
+                               rtol=1e-9, atol=1e-15)
+    assert st2.iteration == 1
+    assert st2.shape is not st.shape
+    assert st2.energy <= e0
 
 
 # ------------------------------------------------------ the disk's spectrum
