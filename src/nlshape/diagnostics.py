@@ -518,9 +518,6 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
     tangential = (with_identities and mu is not None
                   and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0)
-    # P_s and R_alpha run first: the sweep reads their node frames back from
-    # the two-entry memo for kappa and V before its grad V . tau node set
-    # (beta = -alpha) can evict one of them
     per = frac_perimeter(C, p.s, resolution, nq)
     rz = riesz_energy(C, p.alpha, resolution, nq)
     # grad V . tau is only needed by TangentialBall, which then reads the

@@ -27,24 +27,31 @@ Every public function accepts an IntervalSet, a Ball or a StarShape2D and
 first passes it through sets.canonical, so a 1D ball is evaluated as its
 interval and a planar ball as a constant-radius star shape; the planar-only
 functions refuse other geometries with GeometryError. Each 2D value is one
-Gauss-Jacobi (on the curve) or graded-ladder (off the curve) sum per target
-over the curve frame from StarShape2D.frame. The whole-mesh sweeps
-(boundary_fields and both energy terms) share a two-entry memo of that frame
-at their nodes, keyed by (shape, m, beta, nq): kappa and P_s share a node set,
-and so do V and R_alpha, so a shape's energy and its boundary sweep evaluate
-the geometry once. The node angles themselves depend only on (m, beta, nq):
-while a descent runs (_mesh_trig_scope, which shapeopt.find_critical_2d
-opens around its iterations) a memo miss reads cos(k theta), sin(k theta)
-from a table built once per node set instead of once per candidate shape,
-and the tables are dropped when the descent ends. Point queries and
-off-curve batches do not use the memo; an off-curve batch evaluates the
-frame once per distinct focus angle in each block, so the interior rule,
-whose points share their ray's angle, builds one frame per ray rather than
-one per point. grad V sums both components in one pass over the nodes.
-Targets run in fixed blocks of about 2^16 quadrature nodes, so the working
-arrays of a sweep or a batch stay bounded in the mesh size m and in the
-number of targets (the two memo entries hold m * 2 nq nodes each); a
-target's sum is the same whatever block it falls in.
+Gauss-Jacobi (on the curve) or graded-ladder (off the curve) sum per target.
+
+On the curve (the sweeps of boundary_fields, both energy terms and the
+on-curve point queries, whose target is the boundary point at its focus
+angle) the geometry is in polar difference form. With
+A_k(t) = a_k cos kt + b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt at the
+targets, a node phi = t + u has
+
+    Delta = r(phi) - r(t) = sum_k A_k (cos ku - 1) + B_k sin ku,
+    D     = Delta - r'(phi) sin u,
+    |y - x|^2                = Delta^2 + 4 r(t) r(phi) sin^2(u/2),
+    (y - x).nu(y) |y'(phi)| = r(t) D + Delta^2 + 2 r(t) r(phi) sin^2(u/2),
+
+so a block of targets is one contraction of (A | B) with u-tables that
+depend only on (beta, nq, K), kept in a small read-only cache. A target
+costs K sin/cos pairs instead of 2 nq K, and no nearby positions are
+subtracted, so the O(u^2) numerators keep their relative accuracy at every
+nq and the nq-vs-2nq differences that diagnose reports measure truncation.
+Off the curve a batch evaluates the frame from StarShape2D.frame once per
+distinct focus angle in each block, so the interior rule, whose points
+share their ray's angle, builds one frame per ray rather than one per
+point; grad V sums both components in one pass over the nodes. Targets run
+in fixed blocks of about 2^16 quadrature nodes, so the working arrays of a
+sweep or a batch stay bounded in the mesh size m and in the number of
+targets, and a target's sum is the same whatever batch or block it falls in.
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
@@ -59,12 +66,10 @@ forms).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,7 +77,7 @@ from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, jacobi_half_rule, ladder_half_rule,
                    kernel_primitive, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical, mode_trig, uniform_angles)
+                   boundary_mesh, canonical, uniform_angles)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -85,8 +90,8 @@ __all__ = [
 DEFAULT_NQ = 48          # Gauss-Jacobi nodes per half-side
 DEFAULT_RESOLUTION = 256
 _ON_CURVE_RTOL = 1e-9
-# quadrature nodes per block of targets in _target_batch (2^16 doubles,
-# 512 KB an array)
+# quadrature nodes per block of targets in _curve_batch and _ladder_batch
+# (2^16 doubles, 512 KB an array)
 _BLOCK_NODES = 1 << 16
 
 
@@ -226,148 +231,262 @@ def _node_angles(focus_angles, u):
                            focus_angles[:, None] - u[None, :]], axis=1)
 
 
-# the node trigonometry tables of the open _mesh_trig_scope, keyed by
-# (m, beta, nq); None outside a scope
-_MESH_TRIG = contextvars.ContextVar("_MESH_TRIG", default=None)
+def _ladder_batch(star, targets_xy, focus_angles, h_func, ncomp=1):
+    """Sum W_k h(u_k) over the graded ladder for a batch of targets off the
+    curve; h_func builds the integrand from (normals, speeds, displacement
+    y - x from the target, |y - x|^2) and returns one value array per
+    component (ncomp of them). The result has one value per target, or one
+    row of ncomp values per target when ncomp > 1.
 
-
-@contextlib.contextmanager
-def _mesh_trig_scope():
-    """While open, a _mesh_frame miss reads cos(k theta), sin(k theta) at its
-    node angles from a table kept for the scope, instead of forming them for
-    every shape. One table per node set (m, beta, nq) holds the rows up to the
-    largest kmax seen there; a wider shape replaces it. The tables cost
-    2 kmax doubles per node, against the memo's 5, so only a run that
-    evaluates many shapes on one node set (the descent) opens a scope, and
-    they are dropped when it closes."""
-    token = _MESH_TRIG.set({})
-    try:
-        yield
-    finally:
-        _MESH_TRIG.reset(token)
-
-
-@functools.lru_cache(maxsize=2)
-def _mesh_frame(star, m, beta, nq):
-    """(pos, nu, speed) at the on-curve Gauss-Jacobi nodes of every node of
-    the m-node boundary mesh, read-only.
-
-    The node set depends only on (m, beta, nq), and kappa and P_s share
-    beta = -s while V and R_alpha share beta = 2 - alpha, so the two entries
-    let a boundary sweep and the energy of the same shape evaluate the
-    geometry once (the descent checks a candidate's energy, then sweeps it).
-    The key holds the shape itself, which hashes by identity. Inside a
-    _mesh_trig_scope the mode trigonometry comes from the scope's table for
-    the node set, with the same bits as star.frame.
+    The quadrature angles depend only on the focus, so each block evaluates
+    the frame once per distinct focus angle (the interior rule puts a whole
+    ray of targets on one focus) and hands every target the rows of its
+    focus. The targets run in blocks of about _BLOCK_NODES quadrature nodes,
+    which bounds memory in the target count.
     """
-    u, _ = jacobi_half_rule(beta, nq)
-    theta = _node_angles(uniform_angles(m), u)
-    tables = _MESH_TRIG.get()
-    if tables is None:
-        frame = star.frame(theta)
-    else:
-        key = (m, beta, nq)
-        rows = max(1, star.kmax)
-        if len(tables.get(key, ())) < rows:
-            # drop the narrower table before its replacement is built
-            tables.pop(key, None)
-            tables[key] = list(mode_trig(theta, rows))
-        frame = star._frame_from(star._polar_from(theta, tables[key]))
-    for arr in frame:
-        arr.flags.writeable = False
-    return frame
-
-
-def _target_batch(star, targets_xy, focus_angles, beta, nq, on_curve, h_func,
-                  mesh=False, ncomp=1):
-    """Sum W_k h(u_k) for a batch of targets; h_func builds the integrand
-    from (rows, normals, speeds, displacement y - x from the target,
-    |y - x|^2), where rows is the slice of targets in the block, and returns
-    one value array per component (ncomp of them). The result has one value
-    per target, or one row of ncomp values per target when ncomp > 1.
-
-    On the curve the Gauss-Jacobi rule carries the u^beta factor; off the
-    curve the integrand is smooth and the graded ladder handles the
-    near-peak behaviour. mesh=True states that the targets are the nodes of
-    the len(targets)-node boundary mesh, at their own angles, so their
-    frame comes from the _mesh_frame memo. Otherwise the quadrature angles
-    depend only on the focus, so each block evaluates the frame once per
-    distinct focus angle (the interior rule puts a whole ray of targets on
-    one focus) and hands every target the rows of its focus. The targets
-    run in blocks of about _BLOCK_NODES quadrature nodes, which bounds
-    memory in the target count.
-    """
-    if on_curve:
-        u, W = jacobi_half_rule(beta, nq)
-    else:
-        u, W = ladder_half_rule()
+    u, W = ladder_half_rule()
     WW = np.concatenate([W, W])
     n = targets_xy.shape[0]
-    frame = _mesh_frame(star, n, beta, nq) if mesh else None
     out = np.empty((n, ncomp))
     step = max(1, _BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        if frame is None:
-            foci, inv = np.unique(focus_angles[rows], return_inverse=True)
-            pos, nu, speed = (arr[inv]
-                              for arr in star.frame(_node_angles(foci, u)))
-        else:
-            pos, nu, speed = (arr[rows] for arr in frame)
+        foci, inv = np.unique(focus_angles[rows], return_inverse=True)
+        pos, nu, speed = (arr[inv] for arr in star.frame(_node_angles(foci, u)))
         d = pos - targets_xy[rows, None, :]
         r2 = d[..., 0] ** 2 + d[..., 1] ** 2
         # einsum keeps the contraction out of threaded BLAS: per-target sums
         # come out bitwise identical whatever the configured thread count
-        for c, vals in enumerate(h_func(rows, nu, speed, d, r2)):
+        for c, vals in enumerate(h_func(nu, speed, d, r2)):
             out[rows, c] = np.einsum("ij,j->i", vals, WW)
     return out[:, 0] if ncomp == 1 else out
 
 
-def _kappa_2d_batch(star, s, thetas, nq, mesh=False):
-    x, _, _ = star.frame(thetas)
-
-    def h(rows, nu, speed, d, r2):
-        return ((d * nu).sum(-1) * r2 ** (-(2.0 + s) / 2.0) * speed,)
-
-    return (2.0 / s) * _target_batch(star, x, thetas, -s, nq, True, h, mesh)
+# Taylor terms of the D tables below their cutoff (k + 1) |u| <= 1: the
+# first omitted term is below 1e-25 of the leading one
+_SERIES_TERMS = 12
 
 
-def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq,
-                        mesh=False):
-    def h(rows, nu, speed, d, r2):
-        return ((d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed,)
+def _d_series(K):
+    """Taylor coefficients of the two D rows of each mode k = 1..K, as
+    (even, odd) with rows sum_n even[k-1, n-1] u^(2n) and
+    sum_n odd[k-1, n-1] u^(2n+1), n = 1..N.
 
-    return _target_batch(star, targets_xy, focus_angles, 2.0 - alpha, nq,
-                         on_curve, h, mesh) / (2.0 - alpha)
+    By the product formulas cos ku - 1 + k sin ku sin u and
+    sin ku - k cos ku sin u are combinations of cos resp. sin of ku, (k - 1)u
+    and (k + 1)u with integer weights, so each coefficient is an exact
+    integer over a factorial; the cancelling low orders never reach floats."""
+    even = np.zeros((K, _SERIES_TERMS))
+    odd = np.zeros((K, _SERIES_TERMS))
+    for k in range(1, K + 1):
+        for n in range(1, _SERIES_TERMS + 1):
+            e, o = 2 * n, 2 * n + 1
+            ce = k ** e + k * ((k - 1) ** e - (k + 1) ** e) // 2
+            co = k ** o - k * ((k + 1) ** o - (k - 1) ** o) // 2
+            even[k - 1, n - 1] = (-1) ** n * ce / math.factorial(e)
+            odd[k - 1, n - 1] = (-1) ** n * co / math.factorial(o)
+    return even, odd
 
 
-def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
-                             nq, mesh=False):
+def _series(coefs, u):
+    """sum_n coefs[:, n - 1] u^(2n), n = 1..N, one row per mode (Horner)."""
+    u2 = u * u
+    acc = np.zeros((coefs.shape[0], u.size))
+    for n in range(coefs.shape[1] - 1, -1, -1):
+        acc = (acc + coefs[:, n, None]) * u2
+    return acc
+
+
+@functools.lru_cache(maxsize=16)
+def _u_tables(beta, nq, K):
+    """The shape-independent tables of the on-curve rule at the 2 nq signed
+    offsets u = (u_j, -u_j) of jacobi_half_rule(beta, nq), read-only:
+
+    T, (2K, 6 nq): the rows of the A block, then of the B block, and the
+      columns [Delta | r'(phi) | D], so that (A | B) T gives the three:
+        A rows  cos ku - 1,  -k sin ku,  cos ku - 1 + k sin ku sin u;
+        B rows  sin ku,       k cos ku,  sin ku - k cos ku sin u;
+    then sin^2(u / 2), sin u, cos u and the weights, each of length 2 nq.
+
+    The D rows vanish like u^2 (A) and u^3 (B), so below (k + 1) |u| = 1
+    they come from their Taylor series; cos ku - 1 is -2 sin^2(ku / 2).
+    Every entry is formed in double precision, so the tables do not depend
+    on the platform's long double."""
+    u, W = jacobi_half_rule(beta, nq)
+    u = np.concatenate([u, -u])
+    k = np.arange(1.0, K + 1.0)[:, None]
+    ku = k * u
+    sku, cku, su = np.sin(ku), np.cos(ku), np.sin(u)
+    cm1 = -2.0 * np.sin(0.5 * ku) ** 2
+    small = (k + 1.0) * np.abs(u) <= 1.0
+    even, odd = _d_series(K)
+    da = np.where(small, _series(even, u), cm1 + k * sku * su)
+    db = np.where(small, _series(odd, u) * u, sku - k * cku * su)
+    tables = (np.concatenate([np.concatenate([cm1, -k * sku, da], axis=1),
+                              np.concatenate([sku, k * cku, db], axis=1)]),
+              np.sin(0.5 * u) ** 2, su, np.cos(u), np.concatenate([W, W]))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+class _CurveNodes(NamedTuple):
+    """The on-curve geometry of a block of targets x = x(t) and their nodes
+    y = y(phi), phi = t + u: r(t) and r'(t) as (rows, 1) columns;
+    Delta = r(phi) - r(t), r(phi), r'(phi), D = Delta - r'(phi) sin u and
+    |y - x|^2 as (rows, 2 nq) arrays; the offset rows sin^2(u / 2), sin u
+    and cos u."""
+
+    r: np.ndarray
+    dr: np.ndarray
+    delta: np.ndarray
+    rp: np.ndarray
+    drp: np.ndarray
+    d: np.ndarray
+    r2: np.ndarray
+    sig: np.ndarray
+    su: np.ndarray
+    cu: np.ndarray
+
+    def flux(self):
+        """(y - x).nu(y) |y'(phi)| = r(t) D + Delta^2 + 2 r(t) r(phi)
+        sin^2(u/2): O(u^2), from terms that are each O(u^2)."""
+        return (self.r * self.d + self.delta * self.delta
+                + 2.0 * self.r * self.rp * self.sig)
+
+    def normal_parts(self):
+        """nu(y) |y'(phi)| in the frame e(t), e(t) turned a quarter
+        counterclockwise."""
+        return (self.rp * self.cu + self.drp * self.su,
+                self.rp * self.su - self.drp * self.cu)
+
+
+def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
+    """Sum W_k h(u_k) for targets on the curve, the boundary points at the
+    angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor.
+    h_func builds the integrand from the block's _CurveNodes and returns one
+    value array per component (ncomp of them); the result is shaped as in
+    _ladder_batch.
+
+    The geometry is in polar difference form. With A_k(t) = a_k cos kt +
+    b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt, the node values
+    r(t + u) - r(t), r'(t + u) and D are sums over the modes of A_k and B_k
+    against the u-tables of _u_tables (one contraction per block), and
+    |y - x|^2 = Delta^2 + 4 r(t) r(phi) sin^2(u/2). A target costs K sin/cos
+    pairs, not 2 nq K, and no position difference y - x is formed, so the
+    O(u^2) numerators keep their relative accuracy as the nodes crowd
+    toward u = 0. Blocks of about _BLOCK_NODES nodes bound memory in the
+    target count.
+    """
+    K = star.kmax
+    T, sig, su, cu, WW = _u_tables(beta, nq, K)
+    kk = np.arange(1.0, K + 1.0)
+    n = thetas.shape[0]
+    out = np.empty((n, ncomp))
+    step = max(1, _BLOCK_NODES // WW.size)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        kt = np.multiply.outer(thetas[rows], kk)
+        ck, sk = np.cos(kt), np.sin(kt)
+        A = star.a * ck + star.b * sk
+        B = star.b * ck - star.a * sk
+        # einsum without optimize keeps the contractions out of BLAS: a
+        # target's sums are the same bits in any batch, block or thread count
+        G = np.einsum("ik,kj->ij", np.concatenate([A, B], axis=1), T)
+        delta, drp, d = np.split(G, 3, axis=1)
+        r = star.r0 + A.sum(axis=1, keepdims=True)
+        rp = r + delta
+        nodes = _CurveNodes(
+            r=r, dr=(kk * B).sum(axis=1, keepdims=True), delta=delta, rp=rp,
+            drp=drp, d=d, r2=delta * delta + 4.0 * r * rp * sig,
+            sig=sig, su=su, cu=cu)
+        for c, vals in enumerate(h_func(nodes)):
+            out[rows, c] = np.einsum("ij,j->i", vals, WW)
+    return out[:, 0] if ncomp == 1 else out
+
+
+def _kappa_2d_batch(star, s, thetas, nq):
+    """kappa at the boundary points at the angles thetas."""
+    def h(g):
+        return (g.flux() * g.r2 ** (-(2.0 + s) / 2.0),)
+
+    return (2.0 / s) * _curve_batch(star, thetas, -s, nq, h)
+
+
+def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
+    """V at the targets; on the curve they are the boundary points at the
+    focus angles."""
+    if on_curve:
+        def h(g):
+            return (g.flux() * g.r2 ** (-alpha / 2.0),)
+
+        vals = _curve_batch(star, focus_angles, 2.0 - alpha, nq, h)
+    else:
+        def h(nu, speed, d, r2):
+            return ((d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed,)
+
+        vals = _ladder_batch(star, targets_xy, focus_angles, h)
+    return vals / (2.0 - alpha)
+
+
+def _check_boundary_gradient(alpha):
     # on the curve the integral is improper, convergent only for alpha < n - 1
-    if on_curve and not (0.0 < alpha < 1.0):
+    if not (0.0 < alpha < 1.0):
         raise ParamError(
             f"boundary gradient needs alpha in (0, n-1) = (0, 1), got {alpha!r}")
 
-    def h(rows, nu, speed, d, r2):
-        kern = r2 ** (-alpha / 2.0)
-        return (-nu[..., 0] * kern * speed, -nu[..., 1] * kern * speed)
 
-    return _target_batch(star, targets_xy, focus_angles, -alpha, nq, on_curve,
-                         h, mesh, ncomp=2)
+def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
+                             nq):
+    """grad V at the targets, one row per target; on the curve they are the
+    boundary points at the focus angles."""
+    if not on_curve:
+        def h(nu, speed, d, r2):
+            kern = r2 ** (-alpha / 2.0)
+            return (-nu[..., 0] * kern * speed, -nu[..., 1] * kern * speed)
+
+        return _ladder_batch(star, targets_xy, focus_angles, h, ncomp=2)
+    _check_boundary_gradient(alpha)
+
+    def h_curve(g):
+        kern = g.r2 ** (-alpha / 2.0)
+        return tuple(part * kern for part in g.normal_parts())
+
+    # the sums are in the frame e(t), e(t)^perp of each target
+    loc = _curve_batch(star, focus_angles, -alpha, nq, h_curve, ncomp=2)
+    c, s = np.cos(focus_angles), np.sin(focus_angles)
+    return -np.stack([loc[:, 0] * c - loc[:, 1] * s,
+                      loc[:, 0] * s + loc[:, 1] * c], axis=1)
+
+
+def _grad_tau_2d_batch(star, alpha, thetas, nq):
+    """grad V . tau at the boundary points at the angles thetas, as one sum:
+    the normal parts of the nodes against x'(t) / |x'(t)|, where
+    x'(t) = r'(t) e(t) + r(t) e(t)^perp."""
+    _check_boundary_gradient(alpha)
+
+    def h(g):
+        ye, yp = g.normal_parts()
+        return ((g.dr * ye + g.r * yp) * g.r2 ** (-alpha / 2.0)
+                / np.sqrt(g.r * g.r + g.dr * g.dr),)
+
+    return -_curve_batch(star, thetas, -alpha, nq, h)
 
 
 def _pair_energy_2d(star, q, resolution, nq):
     """int_dE int_dE |x - y|^q nu(x).nu(y) dsigma dsigma; both energy terms
-    are this double integral (q = -s resp. 2 - alpha), scaled."""
-    mesh = boundary_mesh(star, resolution)
-    nus = mesh.normals
+    are this double integral (q = -s resp. 2 - alpha), scaled. The outer rule
+    is the trapezoid rule on the mesh angles, with
+    nu(x).nu(y) |x'(t)| |y'(phi)| = r(t) Y_e - r'(t) Y_perp from the normal
+    parts of y."""
+    thetas = boundary_mesh(star, resolution).thetas
 
-    def h(rows, nu, speed, d, r2):
-        return (r2 ** (q / 2.0) * (nu * nus[rows, None, :]).sum(-1) * speed,)
+    def h(g):
+        ye, yp = g.normal_parts()
+        return ((g.r * ye - g.dr * yp) * g.r2 ** (q / 2.0),)
 
-    inner = _target_batch(star, mesh.points, mesh.thetas, q, nq, True, h,
-                          mesh=True)
-    return math.fsum(mesh.weights * inner)
+    inner = _curve_batch(star, thetas, q, nq, h)
+    return (2.0 * math.pi / thetas.size) * math.fsum(inner)
 
 
 def _with_error(value_at, nq, with_error):
@@ -465,10 +584,7 @@ def tangential_grad_potential(S, x, alpha: float, *,
     x, on_curve, focus = _planar_target(S, x)
     if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    th = np.array([focus])
-    g = _grad_potential_2d_batch(S, alpha, x[None, :], th, True, nq)[0]
-    _, nu, _ = S.frame(th)
-    return float(g @ np.array([-nu[0, 1], nu[0, 0]]))
+    return float(_grad_tau_2d_batch(S, alpha, np.array([focus]), nq)[0])
 
 
 def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
@@ -543,15 +659,12 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     star = _as_star(S)
     mesh = boundary_mesh(star, resolution)
     th = mesh.thetas
-    kap = _kappa_2d_batch(star, p.s, th, nq, mesh=True)
-    pot = _potential_2d_batch(star, p.alpha, mesh.points, th, True, nq,
-                              mesh=True)
+    kap = _kappa_2d_batch(star, p.s, th, nq)
+    pot = _potential_2d_batch(star, p.alpha, mesh.points, th, True, nq)
     zt = kap + p.c_coupling * p.eps * pot
     gt = None
     if want_grad_tau and 0.0 < p.alpha < 1.0:
-        g = _grad_potential_2d_batch(star, p.alpha, mesh.points, th, True, nq,
-                                     mesh=True)
-        gt = (g * mesh.tangents).sum(1)
+        gt = _grad_tau_2d_batch(star, p.alpha, th, nq)
     return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=gt)
 
 

@@ -131,6 +131,8 @@ def g_and_d_eps(p: Params):
 
     g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2;
     d_eps = ((1+s) / (c alpha eps))^(1 / (1+s-alpha)). Requires eps > 0.
+    A d_eps beyond the float range (1 + s - alpha small) raises
+    GeometryError: no gap of that size can be placed on the line.
     """
     if p.n != 1:
         raise ParamError(f"1D analysis; params have n = {p.n}")
@@ -143,7 +145,12 @@ def g_and_d_eps(p: Params):
         d = np.asarray(d, dtype=float)
         return ce * alpha / 4.0 - (1.0 + s) * d ** (-(1.0 + s - alpha)) / 2.0
 
-    d_eps = ((1.0 + s) / (ce * alpha)) ** (1.0 / (1.0 + s - alpha))
+    try:
+        d_eps = ((1.0 + s) / (ce * alpha)) ** (1.0 / (1.0 + s - alpha))
+    except OverflowError:
+        raise GeometryError(
+            f"the critical-gap scale d_eps overflows at eps = {p.eps:g}: "
+            f"1 + s - alpha = {1.0 + s - alpha:g} is too small") from None
     return g, d_eps
 
 
@@ -226,29 +233,42 @@ class SweepRecord:
     zeta_spread: float  # max - min over the four endpoint zeta values
 
 
+def _sweep_record(pe: Params, f_tol: float) -> SweepRecord:
+    _, d_eps = g_and_d_eps(pe)
+    d_star = solve_critical_d(pe, f_tol=f_tol)
+    zs = zeta_endpoints(TwoIntervalConfig(d=d_star, params=pe))
+    return SweepRecord(
+        eps=pe.eps, d_star=d_star, d_eps=d_eps, diameter=d_star + 0.5,
+        f_at_root=f_closed_form(d_star, pe),
+        zeta_spread=float(zs.max() - zs.min()))
+
+
 def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
     """Solve the critical gap for each eps and fit the log-log growth law.
 
-    Returns (records, fit) where fit maps:
+    Each eps is solved on its own: one whose gap cannot be bracketed
+    (BracketError) or placed on the line (GeometryError) is listed in
+    fit["failed"] as {"eps", "error"} and the fit uses the others. With
+    fewer than 4 solved values the first of those errors is raised; any
+    other error propagates.
+
+    Returns (records, fit), one record per solved eps, where fit maps:
       slope          - fitted d log(diam) / d log(1/eps)
       slope_target   - 1 / (1 + s - alpha)
       slope_rel_err  - relative deviation
-      c_implied      - min over the grid of diam * eps^(1/(1+s-alpha))
+      c_implied      - min over the solved eps of diam * eps^(1/(1+s-alpha))
+      failed         - the eps values left out, with their errors
     """
     if len(eps_grid) < 4:
         raise ParamError("sweep needs at least 4 eps values for a stable fit")
-    records = []
+    records, errors = [], []
     for e in sorted(eps_grid, reverse=True):
-        pe = p.with_eps(float(e))
-        _, d_eps = g_and_d_eps(pe)
-        d_star = solve_critical_d(pe, f_tol=f_tol)
-        cfg = TwoIntervalConfig(d=d_star, params=pe)
-        zs = zeta_endpoints(cfg)
-        records.append(SweepRecord(
-            eps=float(e), d_star=d_star, d_eps=d_eps,
-            diameter=d_star + 0.5,
-            f_at_root=f_closed_form(d_star, pe),
-            zeta_spread=float(zs.max() - zs.min())))
+        try:
+            records.append(_sweep_record(p.with_eps(float(e)), f_tol))
+        except (BracketError, GeometryError) as exc:
+            errors.append((float(e), exc))
+    if len(records) < 4:
+        raise errors[0][1]
     x = np.log([1.0 / r.eps for r in records])
     y = np.log([r.diameter for r in records])
     slope = float(np.polyfit(x, y, 1)[0])
@@ -258,5 +278,7 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
         "slope_target": target,
         "slope_rel_err": abs(slope - target) / target,
         "c_implied": float(min(r.diameter * r.eps ** target for r in records)),
+        "failed": [{"eps": e, "error": f"{type(exc).__name__}: {exc}"}
+                   for e, exc in errors],
     }
     return records, fit

@@ -49,16 +49,6 @@ def uniform_angles(m: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(m) / m
 
 
-def mode_trig(theta, kmax: int):
-    """Yield (cos k theta, sin k theta) for k = 1..max(1, kmax): the one
-    place the mode trigonometry of a radius function is formed. Mode 1 is
-    cos(theta), sin(theta) themselves; above it the angle is k * theta."""
-    yield np.cos(theta), np.sin(theta)
-    for kk in range(2, max(1, kmax) + 1):
-        kt = kk * theta
-        yield np.cos(kt), np.sin(kt)
-
-
 def _ball_volume_coeff(n: int) -> float:
     # Lebesgue measure of the unit ball in R^n.
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -268,27 +258,18 @@ class StarShape2D:
         (any shape). This is the one evaluation of the radius function.
 
         r and r' come from one pass over the modes: cos(k theta) and
-        sin(k theta) come from mode_trig once per mode and are shared by both
-        sums, and mode 1 is cos(theta), sin(theta) themselves, so a node
-        costs 2 max(1, kmax) sin/cos evaluations. A descent reads the pairs
-        from a table instead, built once per mesh node set
-        (functionals._mesh_frame), which gives the same bits.
+        sin(k theta) are formed once per mode and shared by both sums, and
+        mode 1 is cos(theta), sin(theta) themselves, so a node costs
+        2 max(1, kmax) sin/cos evaluations.
         """
         theta = np.asarray(theta, dtype=float)
-        return self._polar_from(theta, mode_trig(theta, self.kmax))
-
-    def _polar_from(self, theta, trig):
-        """polar at theta from trig, which yields (cos k theta, sin k theta)
-        for k = 1, 2, ...: mode_trig, or a table of at least max(1, kmax)
-        such pairs, of which only that prefix is read."""
-        trig = iter(trig)
-        c, s = ck, sk = next(trig)
+        c, s = ck, sk = np.cos(theta), np.sin(theta)
         r = np.full_like(theta, self.r0)
         dr = np.zeros_like(theta)
         for k in range(self.a.size):
             kk = k + 1
             if kk > 1:
-                ck, sk = next(trig)
+                ck, sk = np.cos(kk * theta), np.sin(kk * theta)
             r += self.a[k] * ck + self.b[k] * sk
             dr += kk * (self.b[k] * ck - self.a[k] * sk)
         return c, s, r, dr
@@ -304,11 +285,7 @@ class StarShape2D:
         parameter speed |y'(theta)| at the angles theta (any shape; vectors
         on a new last axis), built from polar. This is the one place a
         boundary point is formed."""
-        return self._frame_from(self.polar(theta))
-
-    def _frame_from(self, polar):
-        """frame from the four arrays of polar (or of _polar_from)."""
-        c, s, r, dr = polar
+        c, s, r, dr = self.polar(theta)
         pos = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
         speed = np.sqrt(r * r + dr * dr)
         nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)

@@ -46,8 +46,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _mesh_trig_scope,
-                          boundary_fields, energy, zeta)
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
+                          energy, zeta)
 from .sets import Params, StarShape2D, canonical, volume
 
 __all__ = [
@@ -260,22 +260,19 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
         report = diagnose(init, p, resolution, nq,
                           with_identities=with_identities)
         return (init, report, state) if full_output else (init, report)
-    # every candidate is meshed on the same node sets: their trigonometry
-    # tables live for the loop only, and are gone before the final diagnose
-    with _mesh_trig_scope():
-        while state.iteration < max_iter:
-            sweep = _zeta_sweep(state.shape, p, resolution, nq)
-            if sweep[4] <= tol:
-                state = replace(
-                    state, residual_history=state.residual_history + (sweep[4],))
+    while state.iteration < max_iter:
+        sweep = _zeta_sweep(state.shape, p, resolution, nq)
+        if sweep[4] <= tol:
+            state = replace(
+                state, residual_history=state.residual_history + (sweep[4],))
+            break
+        try:
+            state = el_gradient_step(state, p, nq, _sweep=sweep)
+        except StalledError as exc:
+            if exc.state.residual_history[-1] <= tol:
+                state = exc.state
                 break
-            try:
-                state = el_gradient_step(state, p, nq, _sweep=sweep)
-            except StalledError as exc:
-                if exc.state.residual_history[-1] <= tol:
-                    state = exc.state
-                    break
-                raise
+            raise
     report = diagnose(state.shape, p, resolution, nq,
                       with_identities=with_identities)
     return (state.shape, report, state) if full_output else (state.shape, report)

@@ -3,7 +3,7 @@
 Everything here works by casting rays and reducing the 2D kernels to exact
 per-ray antiderivatives, so no boundary mesh, no Gauss-Jacobi rule, and no
 divergence identity from the package's production path is involved. The
-package's own brute_oracle only supplies generic adaptive 1D/2D bisection on
+package's own brute_oracle only supplies generic adaptive 1D bisection on
 smooth-by-construction integrands.
 
 Ray picture: fix a base point x and a direction phi. The ray x + t*(cos phi,
@@ -25,18 +25,33 @@ detectable down to t ~ 1e-12 even though x + t e rounds to x there; without
 this the near-tangent rays at a boundary base point lose their first
 crossing and the angular integral acquires a sqrt(cutoff)-sized hole.
 
-The one non-ray reference is `bisection_critical_d`, plain midpoint
-bisection for the 1D critical gap, against which the package's root solve is
-compared.
+The non-ray references are:
+
+* `curvature_mp_oracle`, `potential_mp_oracle` and
+  `tangential_gradient_mp_oracle`: the boundary-reduced integrals at a
+  boundary point, in mpmath. They share the divergence identity with the
+  package (the ray oracles check that) but none of its arithmetic: positions
+  are subtracted directly at a working precision that covers the
+  cancellation, and the quadrature is tanh-sinh after a substitution that
+  removes the u^(-power) endpoint behaviour. They are accurate to about
+  1e-15 and take a few seconds a value;
+* `bisection_critical_d`, plain midpoint bisection for the 1D critical gap,
+  against which the package's root solve is compared;
+* two modes built on the package's adaptive 1D bisection: `pv_oracle`, a
+  principal value by antipodal pairing and shrinking windows, and
+  `box_oracle`, an iterated integral over a 2D box.
 """
 
 import math
+from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from nlshape import onedim
-from nlshape.errors import BracketError
-from nlshape.quad import QuadTolerance, brute_oracle
+from nlshape.errors import BracketError, QuadratureError
+from nlshape.quad import (QuadTolerance, _adaptive_1d, _integrate_segment,
+                          _segments_of, brute_oracle)
 from nlshape.sets import Ball, StarShape2D
 
 _T_FLOOR = 1e-12
@@ -264,6 +279,94 @@ def disk_perimeter_oracle(R, s, tol=1e-10):
     return 2.0 * np.pi * (body + lead_exact + area * L ** (-s) / s)
 
 
+# the substituted integrand of boundary_integral_mp is bounded, so the part
+# v < 10^-_V_FLOOR is dropped (a relative 1e-20)
+_V_FLOOR = 20
+
+
+def boundary_integral_mp(star, theta, kernel, power=0.0, dps=30):
+    """int_{-pi}^{pi} kernel(y - x, nu(y) |y'|, x'(theta)) du as an mpmath
+    number, x = x(theta) and y = y(theta + u) on the star shape's boundary.
+    kernel gets 2-tuples of mpf and must behave like |u|^(-power) at u = 0.
+
+    The two sides u = +-v^p, p = 1 / (1 - power), make the integrand in v
+    bounded, and tanh-sinh integrates it over (0, pi^(1/p)). Near v = 10^-20,
+    y - x is about u and the O(u^2) numerators cancel twice as many digits,
+    so y - x is formed at dps plus twice the digits of u there."""
+    p = 1.0 / (1.0 - power)
+    hi = dps + 2 * math.ceil(_V_FLOOR * p) + 10
+    with mp.workdps(hi):
+        a = [mp.mpf(float(v)) for v in star.a]
+        b = [mp.mpf(float(v)) for v in star.b]
+        r0 = mp.mpf(star.r0)
+        cx, cy = (mp.mpf(c) for c in star.center)
+        p = 1 / (1 - mp.mpf(power))
+
+        def point(th):
+            """(y, nu |y'|, y') at the angle th."""
+            r, dr = r0, mp.mpf(0)
+            for k in range(len(a)):
+                ck, sk = mp.cos((k + 1) * th), mp.sin((k + 1) * th)
+                r += a[k] * ck + b[k] * sk
+                dr += (k + 1) * (b[k] * ck - a[k] * sk)
+            c, s = mp.cos(th), mp.sin(th)
+            return ((cx + r * c, cy + r * s), (r * c + dr * s, r * s - dr * c),
+                    (dr * c - r * s, dr * s + r * c))
+
+        theta = mp.mpf(theta)
+        x, _, dx = point(theta)
+
+    def g(v):
+        if v < mp.mpf(10) ** -_V_FLOOR:
+            return mp.mpf(0)
+        with mp.workdps(hi):
+            u = v ** p
+            total = 0
+            for y, n, _ in (point(theta + u), point(theta - u)):
+                total += kernel((y[0] - x[0], y[1] - x[1]), n, dx)
+            return total * p * v ** (p - 1)
+
+    with mp.workdps(dps):
+        return mp.quad(g, [0, mp.pi ** (1 / p)])
+
+
+def _dot(v, w):
+    return v[0] * w[0] + v[1] * w[1]
+
+
+def curvature_mp_oracle(star, theta, s):
+    """kappa = (2/s) PV int (y - x).nu(y) |y - x|^(-2-s) dsigma(y) at the
+    boundary point of angle theta."""
+    q = -(2 + mp.mpf(s)) / 2
+
+    def kern(d, n, dx):
+        return _dot(d, n) * _dot(d, d) ** q
+
+    return float(2 / mp.mpf(s) * boundary_integral_mp(star, theta, kern, s))
+
+
+def potential_mp_oracle(star, theta, alpha):
+    """V = 1/(2 - alpha) int (y - x).nu(y) |y - x|^(-alpha) dsigma(y) at the
+    boundary point of angle theta."""
+    q = -mp.mpf(alpha) / 2
+
+    def kern(d, n, dx):
+        return _dot(d, n) * _dot(d, d) ** q
+
+    return float(boundary_integral_mp(star, theta, kern) / (2 - mp.mpf(alpha)))
+
+
+def tangential_gradient_mp_oracle(star, theta, alpha):
+    """grad V . tau = -int nu(y).tau(x) |y - x|^(-alpha) dsigma(y) at the
+    boundary point of angle theta, alpha in (0, 1)."""
+    q = -mp.mpf(alpha) / 2
+
+    def kern(d, n, dx):
+        return -_dot(n, dx) / mp.sqrt(_dot(dx, dx)) * _dot(d, d) ** q
+
+    return float(boundary_integral_mp(star, theta, kern, alpha))
+
+
 def bisection_critical_d(p, f_tol=1e-10):
     """Reference root of the two-interval balance function by plain
     midpoint bisection: the same doubling probe from d_eps as
@@ -306,3 +409,126 @@ def bisection_critical_d(p, f_tol=1e-10):
         raise BracketError(
             f"bisection stalled with |f(d)| = {abs(fr):g} > f_tol = {f_tol:g}")
     return root
+
+
+# ---------------------------------------------------------------------------
+# principal values and 2D boxes by adaptive 1D bisection
+
+
+@dataclass(frozen=True)
+class PVSpec:
+    """Principal-value prescription: singular point and pairing radius."""
+
+    singular_point: float
+    pairing_radius: float
+
+    def __post_init__(self):
+        if not (self.pairing_radius > 0):
+            raise ValueError("pairing_radius must be positive")
+
+
+def _certified(value, err, tol):
+    """value, or QuadratureError when err misses the tolerance (the package
+    oracle's acceptance rule)."""
+    if err > max(tol.abs_tol, tol.rel_tol * abs(value)) * 8.0 + 1e-300:
+        raise QuadratureError(
+            f"oracle did not converge: error bound {err:g} for estimate {value:g}",
+            estimate=value, error_bound=err)
+    return value
+
+
+def pv_oracle(f, region, tol: QuadTolerance, pv: PVSpec):
+    """PV integral over a 1D region: antipodal pairing inside the window,
+    then shrinking windows with extrapolation.
+
+    far  = integral over region minus the window (no singularity),
+    near(rho) = int_rho^R [f(x0 + t) + f(x0 - t)] dt, restricted to the
+    window; the PV limit is near(0+). The sequence near(R 2^-k) is
+    extrapolated geometrically from its observed difference ratios.
+    """
+    x0 = pv.singular_point
+    R = pv.pairing_radius
+
+    far_segs = []
+    for lo, hi in _segments_of(region):
+        if hi <= x0 - R or lo >= x0 + R:
+            far_segs.append((lo, hi))
+        else:
+            if lo < x0 - R:
+                far_segs.append((lo, x0 - R))
+            if hi > x0 + R:
+                far_segs.append((x0 + R, hi))
+    far = far_err = 0.0
+    for lo, hi in far_segs:
+        v, e, _ = _integrate_segment(f, lo, hi, tol, tol.max_subdivisions)
+        far += v
+        far_err += e
+
+    # indicator for membership of a point in the region (window may stick out)
+    segs = _segments_of(region)
+
+    def paired(t):
+        t = np.asarray(t, dtype=float)
+        yp = x0 + t
+        ym = x0 - t
+        out = np.zeros_like(t)
+        for lo, hi in segs:
+            mp = (yp > lo) & (yp < hi)
+            if mp.any():
+                out[mp] += np.asarray(f(yp[mp]), dtype=float)
+            mm = (ym > lo) & (ym < hi)
+            if mm.any():
+                out[mm] += np.asarray(f(ym[mm]), dtype=float)
+        return out
+
+    # shrinking windows
+    levels = 26
+    rhos = R * 0.5 ** np.arange(1, levels + 1)
+    vals = []
+    acc = 0.0
+    acc_err = 0.0
+    hi = R
+    for rho in rhos:
+        v, e, _ = _adaptive_1d(paired, rho, hi, tol,
+                               max(64, tol.max_subdivisions // levels))
+        acc += v
+        acc_err += e
+        vals.append(acc)
+        hi = rho
+    # geometric extrapolation of the tail of the sequence
+    d1 = vals[-1] - vals[-2]
+    d2 = vals[-2] - vals[-3]
+    if abs(d2) > 0 and abs(d1) < abs(d2):
+        q = d1 / d2
+        extrap = vals[-1] + d1 * q / (1.0 - q)
+        tail_err = abs(d1 * q / (1.0 - q)) + abs(d1)
+    else:
+        extrap = vals[-1]
+        tail_err = abs(d1)
+    return _certified(far + extrap, far_err + acc_err + tail_err, tol)
+
+
+def box_oracle(f, box, tol: QuadTolerance):
+    """int over the box ((ax, bx), (ay, by)) of f(x, y), iterated: an
+    adaptive outer rule in x over adaptive inner rules in y."""
+    (ax, bx), (ay, by) = box
+    inner_tol = QuadTolerance(rel_tol=tol.rel_tol * 0.1,
+                              abs_tol=tol.abs_tol * 0.1,
+                              max_subdivisions=tol.max_subdivisions)
+    inner_err_worst = 0.0
+
+    def outer_integrand(xs):
+        nonlocal inner_err_worst
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = np.empty_like(xs)
+        for i, xv in enumerate(xs):
+            def inner(ys):
+                ys = np.asarray(ys, dtype=float)
+                return np.asarray(f(np.full_like(ys, xv), ys), dtype=float)
+            v, e, _ = _adaptive_1d(inner, ay, by, inner_tol)
+            inner_err_worst = max(inner_err_worst, e)
+            out[i] = v
+        return out
+
+    v, e, _ = _adaptive_1d(outer_integrand, ax, bx, tol)
+    return _certified(v, e + inner_err_worst * (bx - ax), tol)

@@ -284,7 +284,9 @@ def test_onedim_sweep_output(tmp_path):
     eps_col = [float(r[0]) for r in rows]
     assert eps_col == sorted(eps_col, reverse=True)
     fit = json.loads((tmp_path / "onedim-sweep.summary.json").read_text())
-    assert set(fit) == {"slope", "slope_target", "slope_rel_err", "c_implied"}
+    assert set(fit) == {"slope", "slope_target", "slope_rel_err", "c_implied",
+                        "failed"}
+    assert fit["failed"] == []
     assert fit["slope_target"] == pytest.approx(1.0)
     assert fit["slope_rel_err"] < 0.03
 
@@ -387,8 +389,8 @@ def test_sweep_csv_deterministic(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # the descent's node trigonometry tables are paid for by the memory
-    # scipy.optimize would take; a fresh interpreter shows what loads
+    # scipy.optimize costs about 23 MB RSS at import, which every run would
+    # pay; a fresh interpreter shows what loads
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(nlshape.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -399,3 +401,15 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
+
+
+def test_onedim_sweep_lists_the_failed_eps(tmp_path):
+    # at 1 + s - alpha = 0.35 the gaps of the two smallest eps pass 2^52:
+    # the CSV holds the five solved rows and the summary names the others
+    grid = "1e-3,3.1623e-4,1e-4,3.1623e-5,1e-5,3.1623e-6,1e-6"
+    assert main(["onedim-sweep", "--s", "0.1", "--alpha", "0.75",
+                 "--eps-grid", grid, "--out", str(tmp_path)]) == 0
+    _, rows = _rows(tmp_path / "onedim-sweep.csv")
+    assert len(rows) == 5
+    fit = json.loads((tmp_path / "onedim-sweep.summary.json").read_text())
+    assert [f["eps"] for f in fit["failed"]] == [3.1623e-6, 1e-6]

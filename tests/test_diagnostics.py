@@ -320,29 +320,6 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
                      "frac_perimeter": 2, "riesz_energy": 2}
 
 
-@pytest.mark.parametrize("s, node_sets", [(0.5, 6), (0.3, 8)])
-def test_diagnose_reads_each_mesh_frame_once(monkeypatch, s, node_sets):
-    # the shape's sweep at nq (kappa and P_s at beta = -s, V and R_alpha at
-    # 2 - alpha, grad V . tau at -alpha), the half shape's sweep and the
-    # sweep at 2 nq; each (shape, m, beta, nq) node set misses the two-entry
-    # memo once. At s = alpha grad V . tau shares kappa's node set.
-    import functools
-    from nlshape import functionals
-    built = []
-    build = functionals._mesh_frame.__wrapped__
-
-    def counting(star, m, beta, nq):
-        built.append((star, m, beta, nq))
-        return build(star, m, beta, nq)
-
-    memo = functools.lru_cache(maxsize=2)(counting)
-    monkeypatch.setattr(functionals, "_mesh_frame", memo)
-    star = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.03, 0.02), b=(0.0, 0.01))
-    rep = diagnose(star, Params(n=2, s=s, alpha=0.5, eps=1e-3), 128, 24)
-    assert "TangentialBall" in rep.identity_residuals
-    assert memo.cache_info().misses == len(set(built)) == node_sets
-
-
 @pytest.mark.parametrize("shape, p, res, nq", [
     (StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05)), P2, 64, 16),
     (IntervalSet([(0.0, 1.0), (2.0, 3.5)]), P1, 8, 16),

@@ -155,7 +155,7 @@ GRID_SA = [tuple(map(float, sa)) for sa in
            np.random.default_rng(12).uniform(1e-9, 1.0 - 1e-9, size=(200, 2))]
 GRID_SA += [(1e-9, 1e-9), (1.0 - 1e-9, 1e-9), (1.0 - 1e-9, 1.0 - 1e-9)]
 # two points of small 1 + s - alpha: the solve raises (BracketError at
-# f(d_eps) = 0, OverflowError computing d_eps), and where a root exists (d near
+# f(d_eps) = 0, GeometryError where d_eps overflows), and where a root exists (d near
 # 1e100 at (0.02, 0.99)) the computed f changes sign 67 times within 200
 # ulps of it, so no solver's root is defined to 64 ulps there
 EDGE_SA = [(0.02, 0.99), (0.01, 0.997)]
@@ -195,7 +195,7 @@ def solver_grid():
 def test_grid_raises_where_the_reference_raises(solver_grid):
     raised = [(new[1], ref[1]) for _, new, ref in solver_grid
               if new[1] or ref[1]]
-    assert {ref for _, ref in raised} == {BracketError, OverflowError}
+    assert {ref for _, ref in raised} == {BracketError, GeometryError}
     assert all(new is ref for new, ref in raised)
 
 
@@ -250,3 +250,51 @@ def test_sweep_slope_and_records():
 def test_sweep_needs_enough_points():
     with pytest.raises(ParamError):
         epsilon_sweep(_p(), [1e-3, 1e-4, 1e-5])
+
+
+def test_sweep_without_failures_lists_none():
+    _, fit = epsilon_sweep(_p(), GRID_EPS)
+    assert fit["failed"] == []
+
+
+def test_sweep_keeps_the_eps_it_can_solve():
+    # at 1 + s - alpha = 0.35 the two smallest eps put the gap past 2^52,
+    # where d + 1/2 cannot be placed; the other five are solved and fitted
+    p = _p(0.1, 0.75)
+    records, fit = epsilon_sweep(p, GRID_EPS)
+    assert [r.eps for r in records] == list(GRID_EPS[:5])
+    assert [f["eps"] for f in fit["failed"]] == list(GRID_EPS[5:])
+    for failed in fit["failed"]:
+        assert failed["error"].startswith("GeometryError: gap d = ")
+    for eps in GRID_EPS[5:]:
+        with pytest.raises(GeometryError):
+            two_interval_set(TwoIntervalConfig(
+                d=solve_critical_d(p.with_eps(eps)), params=p.with_eps(eps)))
+    # the fit over the five solved records is the growth law
+    target = 1.0 / (1.0 + p.s - p.alpha)
+    assert fit["slope_target"] == target
+    assert fit["slope_rel_err"] < 1e-6
+    # each record is the one a sweep over its own eps gives
+    alone, _ = epsilon_sweep(p, GRID_EPS[:5])
+    assert records == alone
+
+
+def test_sweep_below_four_solved_raises_the_first_error():
+    # at (0.01, 0.997) no eps of the grid is solved: the three largest fail
+    # to bracket (f(d_eps) rounds to 0), the others overflow d_eps
+    with pytest.raises(BracketError, match="eps = 0.001 "):
+        epsilon_sweep(_p(0.01, 0.997), GRID_EPS)
+
+
+def test_d_eps_overflow_is_a_geometry_error():
+    # on the CLI eps grid at (0.01, 0.997), d_eps = (1.01 / (2 alpha eps))
+    # ^(1 / 0.013) passes the float range from eps = 3.1623e-5 down
+    for eps in GRID_EPS:
+        p = _p(0.01, 0.997, eps)
+        if eps >= 1e-4:
+            assert math.isfinite(g_and_d_eps(p)[1])
+            continue
+        with pytest.raises(GeometryError) as info:
+            g_and_d_eps(p)
+        assert f"eps = {eps:g}" in str(info.value)
+        assert "1 + s - alpha = 0.013" in str(info.value)

@@ -6,10 +6,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (IntervalSet, OracleResult, ParamError, PVSpec, QuadratureError,
+from nlshape import (IntervalSet, OracleResult, ParamError, QuadratureError,
                      QuadTolerance, brute_oracle, kernel_primitive,
                      pv_pair_integral)
 from nlshape.quad import jacobi_half_rule, ladder_half_rule
+
+from oracles import PVSpec, box_oracle, pv_oracle
 
 TIGHT = QuadTolerance(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -82,7 +84,7 @@ def test_oracle_gaussian_whole_line():
 
 
 def test_oracle_2d_box():
-    got = brute_oracle(lambda x, y: x * y, ((0.0, 2.0), (0.0, 2.0)), TIGHT)
+    got = box_oracle(lambda x, y: x * y, ((0.0, 2.0), (0.0, 2.0)), TIGHT)
     assert_allclose(got, 4.0, rtol=1e-11)
 
 
@@ -108,8 +110,8 @@ def test_oracle_budget_exhaustion_raises():
 
 def test_oracle_pv_odd_kernel_vanishes():
     spec = PVSpec(singular_point=0.0, pairing_radius=0.5)
-    got = brute_oracle(lambda y: np.sign(y) * np.abs(y) ** -1.5,
-                       (-1.0, 1.0), QuadTolerance(1e-10, 1e-12), pv=spec)
+    got = pv_oracle(lambda y: np.sign(y) * np.abs(y) ** -1.5,
+                    (-1.0, 1.0), QuadTolerance(1e-10, 1e-12), spec)
     assert_allclose(got, 0.0, atol=1e-9)
 
 
@@ -124,8 +126,8 @@ def test_pv_pair_integral_matches_oracle(two_intervals):
 
     got = pv_pair_integral(two_intervals, x, s)
     spec = PVSpec(singular_point=x, pairing_radius=0.25)
-    ref = brute_oracle(signed, (-np.inf, np.inf),
-                       QuadTolerance(rel_tol=1e-7, abs_tol=1e-9), pv=spec)
+    ref = pv_oracle(signed, (-np.inf, np.inf),
+                    QuadTolerance(rel_tol=1e-7, abs_tol=1e-9), spec)
     assert_allclose(got, ref, rtol=1e-6)
 
 
@@ -140,9 +142,9 @@ def test_pv_pairing_radius_independence(two_intervals):
     vals = []
     for radius in (0.1, 0.25, 0.4):
         spec = PVSpec(singular_point=x, pairing_radius=radius)
-        vals.append(brute_oracle(signed, (-np.inf, np.inf),
-                                 QuadTolerance(rel_tol=1e-7, abs_tol=1e-9),
-                                 pv=spec))
+        vals.append(pv_oracle(signed, (-np.inf, np.inf),
+                              QuadTolerance(rel_tol=1e-7, abs_tol=1e-9),
+                              spec))
     assert_allclose(vals[0], vals[1], rtol=1e-4)
     assert_allclose(vals[1], vals[2], rtol=1e-4)
 

@@ -13,8 +13,8 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      StarShape2D, diameter, geometry_from_dict,
                      geometry_to_dict, isodiametric_ratio, load_geometry,
                      save_geometry, volume)
-from nlshape.sets import (beta_exponent, boundary_mesh, mode_trig, scaled,
-                          translated, unit_volume_rescale)
+from nlshape.sets import (beta_exponent, boundary_mesh, scaled, translated,
+                          unit_volume_rescale)
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +216,12 @@ def test_frame_bitwise_equals_radius_formulas(kmax):
                            (r * s - dr * c) / ref_speed], axis=-1)
         assert np.array_equal(star.radius(th), r)
         assert np.array_equal(star.radius_deriv(th), dr)
-        # polar forming its mode pairs with mode_trig, then reading them
-        # from a table of exactly max(1, kmax) pairs and from a wider one,
-        # of which it uses the prefix
-        for wider in (None, 0, 3):
-            if wider is None:
-                polar, frame = star.polar(th), star.frame(th)
-            else:
-                table = list(mode_trig(th, max(1, kmax) + wider))
-                assert len(table) == max(1, kmax) + wider
-                polar = star._polar_from(th, table)
-                frame = star._frame_from(polar)
-            for got, ref in zip(polar, (c, s, r, dr)):
-                assert np.array_equal(got, ref)
-            pos, nu, speed = frame
-            assert np.array_equal(pos, ref_pos)
-            assert np.array_equal(nu, ref_nu)
-            assert np.array_equal(speed, ref_speed)
+        for got, ref in zip(star.polar(th), (c, s, r, dr)):
+            assert np.array_equal(got, ref)
+        pos, nu, speed = star.frame(th)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(nu, ref_nu)
+        assert np.array_equal(speed, ref_speed)
 
 
 @given(st.lists(st.floats(-0.04, 0.04), min_size=2, max_size=5))

@@ -1,11 +1,7 @@
 """Shape construction helpers and the planar critical-point search."""
 
-import gc
-import itertools
 import math
-import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -329,71 +325,3 @@ def test_find_critical_max_iter_returns_normally():
                                    resolution=64, nq=16, full_output=True)
     assert st.iteration == 2
     assert rep.el_residual > 1e-12
-
-
-# ------------------------------------------------- node trigonometry tables
-
-def _record_tables(monkeypatch):
-    """(built, refs): each table _mesh_frame builds as (node set, rows),
-    and weak references to all of its arrays."""
-    from nlshape import functionals
-    built, refs = [], []
-    make = functionals.mode_trig
-
-    def recording(theta, kmax):
-        # the first node angle, 0 + u_1, tells the node sets apart
-        built.append(((theta.shape, float(theta.flat[0])), kmax))
-        for pair in make(theta, kmax):
-            refs.extend(weakref.ref(arr) for arr in pair)
-            yield pair
-
-    monkeypatch.setattr(functionals, "mode_trig", recording)
-    return built, refs
-
-
-def _assert_no_table_held(refs):
-    from nlshape import functionals
-    assert functionals._MESH_TRIG.get() is None
-    gc.collect()
-    assert refs and all(ref() is None for ref in refs)
-
-
-@pytest.mark.parametrize("init, widths", [
-    # as wide as every candidate (k_max 12): one table per node set
-    (volume_project(StarShape2D((0.0, 0.0), 1.0, 0.002 * np.ones(12),
-                                -0.001 * np.ones(12))), [12]),
-    # a mode-3 start: its table is replaced once by the candidates' width
-    (_star(), [3, 12]),
-])
-def test_descent_builds_each_node_set_table_once(monkeypatch, init, widths):
-    from nlshape import functionals
-    functionals._mesh_frame.cache_clear()
-    built, refs = _record_tables(monkeypatch)
-    find_critical_2d(init, P2, tol=1e-3, max_iter=15, resolution=64, nq=16)
-    # kappa and P_s share one node set, V and R_alpha the other
-    node_sets = {key for key, _ in built}
-    assert len(node_sets) == 2
-    for key in node_sets:
-        assert [rows for k, rows in built if k == key] == widths
-    _assert_no_table_held(refs)
-
-
-def test_stalled_descent_holds_no_table(monkeypatch):
-    built, refs = _record_tables(monkeypatch)
-    # each energy call scores above the one before, so every candidate loses
-    # to the base and the first iteration stalls, whatever the step schedule
-    scores = itertools.count()
-    monkeypatch.setattr(shapeopt, "energy",
-                        lambda *args: SimpleNamespace(total=float(next(scores))))
-    with pytest.raises(StalledError):
-        find_critical_2d(_star(), P2, tol=1e-14, resolution=32, nq=8)
-    assert built
-    _assert_no_table_held(refs)
-
-
-def test_frames_outside_a_descent_build_no_table(monkeypatch):
-    built, _ = _record_tables(monkeypatch)
-    boundary_fields(_star(), P2, 32, 8)
-    energy(_star(), P2, 32, 8)
-    assert built == []
-
