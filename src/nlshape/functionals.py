@@ -45,13 +45,24 @@ depend only on (beta, nq, K), kept in a small read-only cache. A target
 costs K sin/cos pairs instead of 2 nq K, and no nearby positions are
 subtracted, so the O(u^2) numerators keep their relative accuracy at every
 nq and the nq-vs-2nq differences that diagnose reports measure truncation.
-Off the curve a batch evaluates the frame from StarShape2D.frame once per
-distinct focus angle in each block, so the interior rule, whose points
-share their ray's angle, builds one frame per ray rather than one per
-point; grad V sums both components in one pass over the nodes. Targets run
-in fixed blocks of about 2^16 quadrature nodes, so the working arrays of a
-sweep or a batch stay bounded in the mesh size m and in the number of
-targets, and a target's sum is the same whatever batch or block it falls in.
+Off the curve each target x is written in the polar frame of its focus
+theta, rho_e = (x - c).e(theta) and rho_perp = (x - c).e(theta)^perp, and a
+node phi = theta + u of the dyadic ladder has r(phi) and r'(phi) from the
+same A_k(theta), B_k(theta) against u-tables cached per (depth, K), so
+
+    y - x          = (r(phi) cos u - rho_e, r(phi) sin u - rho_perp),
+    nu(y) |y'(phi)| = (r(phi) cos u + r'(phi) sin u,
+                       r(phi) sin u - r'(phi) cos u)
+
+in that frame, with no sin or cos per node. The ladder depth comes from the
+target's distance to its focus point, ceil(log2(pi / gap)) + 4 levels with
+gap = |x - y(theta)| / |y'(theta)|, and the targets run grouped by depth.
+Both paths hand the integrands nodes with the same flux(), normal_parts()
+and r2, so V and grad V have one integrand each, and grad V is rotated back
+from the focus frame. Targets run in fixed blocks of about 2^16 quadrature
+nodes, so the working arrays of a sweep or a batch stay bounded in the mesh
+size m and in the number of targets, and a target's sum is the same
+whatever batch or block it falls in.
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
@@ -77,7 +88,7 @@ from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, jacobi_half_rule, ladder_half_rule,
                    kernel_primitive, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical, uniform_angles)
+                   boundary_mesh, canonical, mesh_angles, uniform_angles)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -90,7 +101,7 @@ __all__ = [
 DEFAULT_NQ = 48          # Gauss-Jacobi nodes per half-side
 DEFAULT_RESOLUTION = 256
 _ON_CURVE_RTOL = 1e-9
-# quadrature nodes per block of targets in _curve_batch and _ladder_batch
+# quadrature nodes per block of targets in _curve_batch and _ladder_sums
 # (2^16 doubles, 512 KB an array)
 _BLOCK_NODES = 1 << 16
 
@@ -222,44 +233,6 @@ def _finite_batch(pts, foci):
     if not (np.isfinite(pts).all() and np.isfinite(foci).all()):
         raise GeometryError("points and foci must be finite")
     return pts, foci
-
-
-def _node_angles(focus_angles, u):
-    """Quadrature angles of each target: its focus angle -/+ the half-rule
-    offsets u, one row per target."""
-    return np.concatenate([focus_angles[:, None] + u[None, :],
-                           focus_angles[:, None] - u[None, :]], axis=1)
-
-
-def _ladder_batch(star, targets_xy, focus_angles, h_func, ncomp=1):
-    """Sum W_k h(u_k) over the graded ladder for a batch of targets off the
-    curve; h_func builds the integrand from (normals, speeds, displacement
-    y - x from the target, |y - x|^2) and returns one value array per
-    component (ncomp of them). The result has one value per target, or one
-    row of ncomp values per target when ncomp > 1.
-
-    The quadrature angles depend only on the focus, so each block evaluates
-    the frame once per distinct focus angle (the interior rule puts a whole
-    ray of targets on one focus) and hands every target the rows of its
-    focus. The targets run in blocks of about _BLOCK_NODES quadrature nodes,
-    which bounds memory in the target count.
-    """
-    u, W = ladder_half_rule()
-    WW = np.concatenate([W, W])
-    n = targets_xy.shape[0]
-    out = np.empty((n, ncomp))
-    step = max(1, _BLOCK_NODES // WW.size)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        foci, inv = np.unique(focus_angles[rows], return_inverse=True)
-        pos, nu, speed = (arr[inv] for arr in star.frame(_node_angles(foci, u)))
-        d = pos - targets_xy[rows, None, :]
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-        # einsum keeps the contraction out of threaded BLAS: per-target sums
-        # come out bitwise identical whatever the configured thread count
-        for c, vals in enumerate(h_func(nu, speed, d, r2)):
-            out[rows, c] = np.einsum("ij,j->i", vals, WW)
-    return out[:, 0] if ncomp == 1 else out
 
 
 # Taylor terms of the D tables below their cutoff (k + 1) |u| <= 1: the
@@ -405,6 +378,144 @@ def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     return out[:, 0] if ncomp == 1 else out
 
 
+# ladder depth: dyadic levels beyond the one that reaches a target's scaled
+# distance to its focus point, and the most levels any target gets
+_LADDER_MARGIN = 4
+_LADDER_CAP = 48
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder_tables(depth, K):
+    """The shape-independent tables of the off-curve rule at the 2n signed
+    offsets u = (u_j, -u_j) of ladder_half_rule(depth), read-only: T, the
+    (2K, 2n) rows cos ku, then sin ku, for k = 1..K, so that with
+    A_k(theta), B_k(theta) at the focus
+
+        r(theta + u) - r0 = (A | B) T,    r'(theta + u) = (k B | -k A) T;
+
+    then cos u, sin u and the weights, each of length 2n."""
+    u, W = ladder_half_rule(depth)
+    u = np.concatenate([u, -u])
+    ku = np.arange(1.0, K + 1.0)[:, None] * u
+    tables = (np.concatenate([np.cos(ku), np.sin(ku)]), np.cos(u), np.sin(u),
+              np.concatenate([W, W]))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+class _LadderNodes(NamedTuple):
+    """The off-curve geometry of a block of targets x and their nodes
+    y = y(phi), phi = theta + u about each target's focus theta, in the frame
+    e(theta), e(theta) turned a quarter counterclockwise: r(phi), r'(phi),
+    the parts of y - x and |y - x|^2 as (rows, 2n) arrays; the offset rows
+    cos u and sin u."""
+
+    rp: np.ndarray
+    drp: np.ndarray
+    de: np.ndarray
+    dp: np.ndarray
+    r2: np.ndarray
+    cu: np.ndarray
+    su: np.ndarray
+
+    def flux(self):
+        """(y - x).nu(y) |y'(phi)|."""
+        ne, np_ = self.normal_parts()
+        return self.de * ne + self.dp * np_
+
+    def normal_parts(self):
+        """nu(y) |y'(phi)| in the frame of the focus."""
+        return (self.rp * self.cu + self.drp * self.su,
+                self.rp * self.su - self.drp * self.cu)
+
+
+class _FocusFrame(NamedTuple):
+    """Each target in the polar frame of its focus theta: (A | B) and
+    (k B | -k A) at theta as (targets, 2K) arrays, x - c along e(theta) and
+    along e(theta) turned a quarter counterclockwise, and the ladder depth."""
+
+    ab: np.ndarray
+    dab: np.ndarray
+    rho_e: np.ndarray
+    rho_p: np.ndarray
+    depth: np.ndarray
+
+
+def _focus_frame(star, targets_xy, focus_angles):
+    """The _FocusFrame of a batch of targets. The depth is
+    ceil(log2(pi / gap)) + _LADDER_MARGIN, clamped to 1.._LADDER_CAP, with
+    gap = |x - y(theta)| / |y'(theta)|: the innermost panel, pi 2^-depth,
+    then lies below a sixteenth of the angle over which the integrand
+    varies."""
+    K = star.kmax
+    kk = np.arange(1.0, K + 1.0)
+    kt = np.multiply.outer(focus_angles, kk)
+    ck, sk = np.cos(kt), np.sin(kt)
+    A = star.a * ck + star.b * sk
+    B = star.b * ck - star.a * sk
+    c, s = np.cos(focus_angles), np.sin(focus_angles)
+    x = targets_xy[:, 0] - star.center[0]
+    y = targets_xy[:, 1] - star.center[1]
+    rho_e = x * c + y * s
+    rho_p = y * c - x * s
+    r = star.r0 + A.sum(axis=1)
+    gap = np.hypot(r - rho_e, rho_p) / np.hypot(r, (kk * B).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        levels = np.ceil(np.log2(math.pi / gap))
+    depth = np.clip(levels + _LADDER_MARGIN, 1, _LADDER_CAP).astype(int)
+    return _FocusFrame(np.concatenate([A, B], axis=1),
+                       np.concatenate([kk * B, -kk * A], axis=1),
+                       rho_e, rho_p, depth)
+
+
+def _ladder_sums(star, frame, depth, h_func, ncomp):
+    """Sum W_k h(u_k) over the ladder of the given depth for the targets of
+    frame (a _FocusFrame), as a (targets, ncomp) array. The node values
+    r(theta + u) and r'(theta + u) are contractions with the table of
+    _ladder_tables, and y - x = (r cos u - rho_e, r sin u - rho_p) in the
+    focus frame, so no node costs a sin or cos."""
+    T, cu, su, WW = _ladder_tables(int(depth), star.kmax)
+    n = frame.ab.shape[0]
+    out = np.empty((n, ncomp))
+    step = max(1, _BLOCK_NODES // WW.size)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        # einsum without optimize keeps the contractions out of BLAS, as in
+        # _curve_batch
+        rp = np.einsum("ik,kj->ij", frame.ab[rows], T)
+        rp += star.r0
+        drp = np.einsum("ik,kj->ij", frame.dab[rows], T)
+        de = rp * cu - frame.rho_e[rows, None]
+        dp = rp * su - frame.rho_p[rows, None]
+        nodes = _LadderNodes(rp=rp, drp=drp, de=de, dp=dp,
+                             r2=de * de + dp * dp, cu=cu, su=su)
+        for c, vals in enumerate(h_func(nodes)):
+            out[rows, c] = np.einsum("ij,j->i", vals, WW)
+    return out
+
+
+def _ladder_batch(star, targets_xy, focus_angles, h_func, ncomp=1):
+    """Sum W_k h(u_k) over the dyadic ladder of ladder_half_rule about each
+    target's focus, for targets off the curve; h_func builds the integrand
+    from the block's _LadderNodes, and the result is shaped as in
+    _curve_batch.
+
+    Each target takes its depth from its distance to the focus point
+    (_focus_frame), and the targets run grouped by depth. A target's sum
+    depends only on the target, so it is the same whatever batch it falls
+    in."""
+    frame = _focus_frame(star, targets_xy, focus_angles)
+    out = np.empty((targets_xy.shape[0], ncomp))
+    # np.bincount rather than np.unique, which on integer input imports
+    # numpy.ma (about 1.6 MB of RSS and 15 ms) on first use
+    for depth in np.flatnonzero(np.bincount(frame.depth)):
+        idx = np.flatnonzero(frame.depth == depth)
+        part = _FocusFrame(*(arr[idx] for arr in frame))
+        out[idx] = _ladder_sums(star, part, depth, h_func, ncomp)
+    return out[:, 0] if ncomp == 1 else out
+
+
 def _kappa_2d_batch(star, s, thetas, nq):
     """kappa at the boundary points at the angles thetas."""
     def h(g):
@@ -416,15 +527,12 @@ def _kappa_2d_batch(star, s, thetas, nq):
 def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
     """V at the targets; on the curve they are the boundary points at the
     focus angles."""
-    if on_curve:
-        def h(g):
-            return (g.flux() * g.r2 ** (-alpha / 2.0),)
+    def h(g):
+        return (g.flux() * g.r2 ** (-alpha / 2.0),)
 
+    if on_curve:
         vals = _curve_batch(star, focus_angles, 2.0 - alpha, nq, h)
     else:
-        def h(nu, speed, d, r2):
-            return ((d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed,)
-
         vals = _ladder_batch(star, targets_xy, focus_angles, h)
     return vals / (2.0 - alpha)
 
@@ -440,20 +548,16 @@ def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
                              nq):
     """grad V at the targets, one row per target; on the curve they are the
     boundary points at the focus angles."""
-    if not on_curve:
-        def h(nu, speed, d, r2):
-            kern = r2 ** (-alpha / 2.0)
-            return (-nu[..., 0] * kern * speed, -nu[..., 1] * kern * speed)
-
-        return _ladder_batch(star, targets_xy, focus_angles, h, ncomp=2)
-    _check_boundary_gradient(alpha)
-
-    def h_curve(g):
+    def h(g):
         kern = g.r2 ** (-alpha / 2.0)
         return tuple(part * kern for part in g.normal_parts())
 
-    # the sums are in the frame e(t), e(t)^perp of each target
-    loc = _curve_batch(star, focus_angles, -alpha, nq, h_curve, ncomp=2)
+    if on_curve:
+        _check_boundary_gradient(alpha)
+        loc = _curve_batch(star, focus_angles, -alpha, nq, h, ncomp=2)
+    else:
+        loc = _ladder_batch(star, targets_xy, focus_angles, h, ncomp=2)
+    # the sums are in the frame e(theta), e(theta)^perp of each focus
     c, s = np.cos(focus_angles), np.sin(focus_angles)
     return -np.stack([loc[:, 0] * c - loc[:, 1] * s,
                       loc[:, 0] * s + loc[:, 1] * c], axis=1)
@@ -479,7 +583,7 @@ def _pair_energy_2d(star, q, resolution, nq):
     is the trapezoid rule on the mesh angles, with
     nu(x).nu(y) |x'(t)| |y'(phi)| = r(t) Y_e - r'(t) Y_perp from the normal
     parts of y."""
-    thetas = boundary_mesh(star, resolution).thetas
+    thetas = mesh_angles(resolution)
 
     def h(g):
         ye, yp = g.normal_parts()
@@ -686,17 +790,22 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     values; focus_angles carries each point's ray angle so boundary-kernel
     evaluations can grade toward the nearest boundary patch.
 
-    The radial Gauss order, max(24, resolution // 8), grows with the angular
-    resolution, so refining the mesh refines the whole rule: integrands with
-    algebraic boundary behaviour then converge at a fixed algebraic order in
-    resolution instead of stalling on the radial error.
+    The radial rule is graded toward the boundary: t = 1 - (1 - tau)^3 with
+    tau Gauss-Legendre on (0, 1) and the weight 3 (1 - tau)^2. The nodes
+    crowd toward t = 1 like (1 - tau)^3, and the d^(1 - alpha) boundary
+    layer of grad V (d the distance to the boundary) enters as a
+    (1 - tau)^(5 - 3 alpha) term, which the Gauss rule resolves at every
+    alpha in (0, 1); the exponent 3 does not depend on alpha. The order,
+    max(12, resolution // 16), grows with the angular resolution, so
+    refining the mesh refines the whole rule.
     """
     star = _as_star(star)
-    q_radial = max(24, int(resolution) // 8)
+    q_radial = max(12, int(resolution) // 16)
     from numpy.polynomial.legendre import leggauss
     tq, wq = leggauss(q_radial)
-    t = 0.5 * (tq + 1.0)
-    wt = 0.5 * wq
+    tau = 0.5 * (tq + 1.0)
+    t = 1.0 - (1.0 - tau) ** 3
+    wt = 1.5 * wq * (1.0 - tau) ** 2
     m = int(resolution)
     th = uniform_angles(m)
     cs, sn, r, _ = star.polar(th)

@@ -169,7 +169,12 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     _, d_eps = g_and_d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)
     f_lo = f_closed_form(lo, p)
-    if f_lo >= 0.0:
+    if f_lo == 0.0:
+        raise BracketError(
+            f"f underflows to 0 at d_eps = {lo:g} for eps = {p.eps:g} and "
+            f"1 + s - alpha = {1.0 + p.s - p.alpha:g}, so its sign cannot be "
+            "resolved there")
+    if f_lo > 0.0:
         raise BracketError(
             f"f(d_eps) = {f_lo:g} is not negative; eps = {p.eps:g} may exceed "
             "the smallness threshold for a two-interval critical point")

@@ -220,13 +220,15 @@ def jacobi_half_rule(beta: float, nq: int):
     return u, W
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def ladder_half_rule(depth: int = 24, q: int = 12):
     """Composite Gauss-Legendre on (0, pi) with dyadic panels toward 0.
 
     For integrands smooth on (0, pi] but sharply peaked near 0 (boundary
     kernels seen from a point off the curve). The innermost panel reaches
-    pi * 2^(-depth), below any peak width that occurs in practice.
+    pi * 2^(-depth); the off-curve rule of functionals takes the depth from
+    each target's distance to its focus point (up to 48 levels), so the
+    cache holds a rule for every depth in use.
     """
     t, w = leggauss(q)
     us, ws = [], []

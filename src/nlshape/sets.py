@@ -49,6 +49,16 @@ def uniform_angles(m: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(m) / m
 
 
+def mesh_angles(resolution) -> np.ndarray:
+    """The angles of a planar mesh of the given resolution, refused with
+    GeometryError below _MIN_RESOLUTION nodes."""
+    m = int(resolution)
+    if m < _MIN_RESOLUTION:
+        raise GeometryError(
+            f"2D mesh resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
+    return uniform_angles(m)
+
+
 def _ball_volume_coeff(n: int) -> float:
     # Lebesgue measure of the unit ball in R^n.
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -479,11 +489,8 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
         return BoundaryMesh(points=points, normals=normals, weights=weights)
 
     if isinstance(S, StarShape2D):
-        m = int(resolution)
-        if m < _MIN_RESOLUTION:
-            raise GeometryError(
-                f"2D mesh resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
-        th = uniform_angles(m)
+        th = mesh_angles(resolution)
+        m = th.size
         points, normals, speed = S.frame(th)
         # the unit tangent is the outward normal turned a quarter counterclockwise
         tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)

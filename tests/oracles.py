@@ -35,6 +35,11 @@ The non-ray references are:
   cancellation, and the quadrature is tanh-sinh after a substitution that
   removes the u^(-power) endpoint behaviour. They are accurate to about
   1e-15 and take a few seconds a value;
+* `off_curve_potential_mp_oracle` and `off_curve_gradient_mp_oracle`: the
+  same boundary integrals at a point off the curve, split at its focus;
+* `frame_ladder_potential` and `frame_ladder_gradient`: the off-curve rule
+  as it stood before the focus-frame ladder (24 dyadic levels, nodes from
+  `StarShape2D.frame`), against which the package's ladder is compared;
 * `bisection_critical_d`, plain midpoint bisection for the 1D critical gap,
   against which the package's root solve is compared;
 * two modes built on the package's adaptive 1D bisection: `pv_oracle`, a
@@ -51,7 +56,7 @@ import numpy as np
 from nlshape import onedim
 from nlshape.errors import BracketError, QuadratureError
 from nlshape.quad import (QuadTolerance, _adaptive_1d, _integrate_segment,
-                          _segments_of, brute_oracle)
+                          _segments_of, brute_oracle, ladder_half_rule)
 from nlshape.sets import Ball, StarShape2D
 
 _T_FLOOR = 1e-12
@@ -284,15 +289,20 @@ def disk_perimeter_oracle(R, s, tol=1e-10):
 _V_FLOOR = 20
 
 
-def boundary_integral_mp(star, theta, kernel, power=0.0, dps=30):
+def boundary_integral_mp(star, theta, kernel, power=0.0, dps=30, x=None):
     """int_{-pi}^{pi} kernel(y - x, nu(y) |y'|, x'(theta)) du as an mpmath
-    number, x = x(theta) and y = y(theta + u) on the star shape's boundary.
-    kernel gets 2-tuples of mpf and must behave like |u|^(-power) at u = 0.
+    number, y = y(theta + u) on the star shape's boundary and x = x(theta),
+    or the given point x off the curve (then theta is its focus and power
+    is 0). kernel gets 2-tuples of mpf and must behave like |u|^(-power) at
+    u = 0.
 
     The two sides u = +-v^p, p = 1 / (1 - power), make the integrand in v
-    bounded, and tanh-sinh integrates it over (0, pi^(1/p)). Near v = 10^-20,
-    y - x is about u and the O(u^2) numerators cancel twice as many digits,
-    so y - x is formed at dps plus twice the digits of u there."""
+    bounded, and tanh-sinh integrates it over (0, pi^(1/p)); the focus is
+    the breakpoint between the sides, where tanh-sinh crowds its nodes, so
+    an off-curve peak of width |x - y(theta)| at the focus is resolved. Near
+    v = 10^-20, y - x is about u and the O(u^2) numerators cancel twice as
+    many digits, so y - x is formed at dps plus twice the digits of u
+    there."""
     p = 1.0 / (1.0 - power)
     hi = dps + 2 * math.ceil(_V_FLOOR * p) + 10
     with mp.workdps(hi):
@@ -314,7 +324,8 @@ def boundary_integral_mp(star, theta, kernel, power=0.0, dps=30):
                     (dr * c - r * s, dr * s + r * c))
 
         theta = mp.mpf(theta)
-        x, _, dx = point(theta)
+        on_curve, _, dx = point(theta)
+        x = on_curve if x is None else tuple(mp.mpf(float(v)) for v in x)
 
     def g(v):
         if v < mp.mpf(10) ** -_V_FLOOR:
@@ -365,6 +376,94 @@ def tangential_gradient_mp_oracle(star, theta, alpha):
         return -_dot(n, dx) / mp.sqrt(_dot(dx, dx)) * _dot(d, d) ** q
 
     return float(boundary_integral_mp(star, theta, kern, alpha))
+
+
+def off_curve_potential_mp_oracle(star, x, focus, alpha):
+    """V = 1/(2 - alpha) int (y - x).nu(y) |y - x|^(-alpha) dsigma(y) at a
+    point x off the curve, the boundary integral split at the focus."""
+    q = -mp.mpf(alpha) / 2
+
+    def kern(d, n, dx):
+        return _dot(d, n) * _dot(d, d) ** q
+
+    return float(boundary_integral_mp(star, focus, kern, x=x)
+                 / (2 - mp.mpf(alpha)))
+
+
+def off_curve_gradient_mp_oracle(star, x, focus, alpha):
+    """grad V = -int nu(y) |y - x|^(-alpha) dsigma(y) at a point x off the
+    curve, as a 2-vector, the boundary integral split at the focus."""
+    q = -mp.mpf(alpha) / 2
+    return np.array([
+        float(-boundary_integral_mp(
+            star, focus, lambda d, n, dx, i=i: n[i] * _dot(d, d) ** q, x=x))
+        for i in (0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the off-curve rule as it stood before the focus-frame ladder: a fixed
+# 24-level ladder with node positions, normals and speeds from
+# StarShape2D.frame, evaluated once per distinct focus of a block
+
+
+_LADDER_BLOCK_NODES = 1 << 16
+
+
+def _node_angles(focus_angles, u):
+    """Quadrature angles of each target: its focus angle -/+ the half-rule
+    offsets u, one row per target."""
+    return np.concatenate([focus_angles[:, None] + u[None, :],
+                           focus_angles[:, None] - u[None, :]], axis=1)
+
+
+def _frame_ladder_batch(star, targets_xy, focus_angles, h_func, ncomp=1):
+    """Sum W_k h(u_k) over the graded ladder for a batch of targets off the
+    curve; h_func builds the integrand from (normals, speeds, displacement
+    y - x from the target, |y - x|^2) and returns one value array per
+    component (ncomp of them). The result has one value per target, or one
+    row of ncomp values per target when ncomp > 1.
+
+    The quadrature angles depend only on the focus, so each block evaluates
+    the frame once per distinct focus angle (the interior rule puts a whole
+    ray of targets on one focus) and hands every target the rows of its
+    focus. The targets run in blocks of about _LADDER_BLOCK_NODES quadrature
+    nodes, which bounds memory in the target count.
+    """
+    u, W = ladder_half_rule()
+    WW = np.concatenate([W, W])
+    n = targets_xy.shape[0]
+    out = np.empty((n, ncomp))
+    step = max(1, _LADDER_BLOCK_NODES // WW.size)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        foci, inv = np.unique(focus_angles[rows], return_inverse=True)
+        pos, nu, speed = (arr[inv] for arr in star.frame(_node_angles(foci, u)))
+        d = pos - targets_xy[rows, None, :]
+        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+        # einsum keeps the contraction out of threaded BLAS: per-target sums
+        # come out bitwise identical whatever the configured thread count
+        for c, vals in enumerate(h_func(nu, speed, d, r2)):
+            out[rows, c] = np.einsum("ij,j->i", vals, WW)
+    return out[:, 0] if ncomp == 1 else out
+
+
+def frame_ladder_potential(star, pts, foci, alpha):
+    """V at off-curve points by the frame-based 24-level ladder."""
+    def h(nu, speed, d, r2):
+        return ((d * nu).sum(-1) * r2 ** (-alpha / 2.0) * speed,)
+
+    return _frame_ladder_batch(star, np.asarray(pts, dtype=float),
+                               np.asarray(foci, dtype=float), h) / (2.0 - alpha)
+
+
+def frame_ladder_gradient(star, pts, foci, alpha):
+    """grad V at off-curve points by the frame-based 24-level ladder."""
+    def h(nu, speed, d, r2):
+        kern = r2 ** (-alpha / 2.0)
+        return (-nu[..., 0] * kern * speed, -nu[..., 1] * kern * speed)
+
+    return _frame_ladder_batch(star, np.asarray(pts, dtype=float),
+                               np.asarray(foci, dtype=float), h, ncomp=2)
 
 
 def bisection_critical_d(p, f_tol=1e-10):

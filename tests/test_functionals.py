@@ -437,6 +437,15 @@ def test_energy_breakdown_fields(unit_disk, params_2d):
                     br.perimeter_term + br.eps * br.riesz_term, rtol=0.0)
 
 
+def test_energy_terms_refuse_a_mesh_below_the_minimum(mode3_star):
+    # the energy terms read the mesh angles without building a mesh, and
+    # keep the mesh's lower bound
+    for term in (frac_perimeter, riesz_energy):
+        with pytest.raises(GeometryError, match="resolution must be >= 8"):
+            term(mode3_star, 0.5, 7)
+        assert math.isfinite(term(mode3_star, 0.5, 8))
+
+
 def test_energy_riesz_term_reported_at_eps_zero(unit_disk):
     p = Params(n=2, s=0.5, alpha=0.5, eps=0.0)
     br = energy(unit_disk, p, resolution=64, nq=24)
@@ -531,21 +540,35 @@ def test_batched_gradient_matches_scalar(mode3_star):
         assert_allclose(row, grad_potential(mode3_star, p, 0.5), rtol=1e-11)
 
 
-def _ladder_targets_per_block():
+def _ladder_targets_per_block(depth):
     from nlshape.functionals import _BLOCK_NODES
     from nlshape.quad import ladder_half_rule
-    # each target sums over the ladder on both sides of its focus
-    return _BLOCK_NODES // (2 * ladder_half_rule()[0].size)
+    # each target sums over the ladder of its depth on both sides of its focus
+    return _BLOCK_NODES // (2 * ladder_half_rule(int(depth))[0].size)
+
+
+def _largest_depth_group(star, pts, foci):
+    """(depth, target count) of the most populated depth of a batch."""
+    from nlshape.functionals import _focus_frame
+    depths, counts = np.unique(_focus_frame(star, pts, foci).depth,
+                               return_counts=True)
+    return depths[counts.argmax()], counts.max()
 
 
 def test_batched_points_over_blocks_equal_single_targets(mode3_star):
-    # the 600-node ladder puts 109 targets in a block: 300 targets run in 3,
-    # the last one partial
-    per_block = _ladder_targets_per_block()
-    assert 2 * per_block < 300 < 3 * per_block
+    # 300 points in a box around the shape spread over a dozen depths; 500
+    # more in a band of the interior share one depth, whose group then runs
+    # in two blocks, the last one partial
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-1.1, 1.1, size=(300, 2))
+    box = rng.uniform(-1.1, 1.1, size=(300, 2))
+    rays = rng.uniform(-math.pi, math.pi, size=500)
+    band = (rng.uniform(0.4, 0.6, size=500) * mode3_star.radius(rays))[:, None] \
+        * np.stack([np.cos(rays), np.sin(rays)], axis=1)
+    pts = np.concatenate([box, band])
     foci = np.arctan2(pts[:, 1], pts[:, 0])
+    depth, count = _largest_depth_group(mode3_star, pts, foci)
+    per_block = _ladder_targets_per_block(depth)
+    assert per_block < count < 2 * per_block
     vals = potential_at_points(mode3_star, pts, foci, 0.5)
     grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
     for i in range(pts.shape[0]):
@@ -558,17 +581,15 @@ def test_batched_points_over_blocks_equal_single_targets(mode3_star):
 
 def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
     # whole rays share a focus, as in the interior rule, shuffled so that
-    # repeats fall in different blocks and out of order within one; the
-    # frame is evaluated once per distinct focus of a block
-    per_block = _ladder_targets_per_block()
+    # repeats fall out of order within a depth group, and that group runs
+    # in two blocks
     rng = np.random.default_rng(11)
     rays = rng.uniform(-math.pi, math.pi, size=12)
-    foci = rng.permutation(np.repeat(rays, 25))
-    assert foci.size > 2 * per_block
-    for lo in range(0, foci.size, per_block):
-        assert np.unique(foci[lo:lo + per_block]).size < per_block
-    t = rng.uniform(0.0, 1.3, size=foci.size)
+    foci = rng.permutation(np.repeat(rays, 60))
+    t = rng.uniform(0.3, 0.6, size=foci.size)
     pts = t[:, None] * np.stack([np.cos(foci), np.sin(foci)], axis=1)
+    depth, count = _largest_depth_group(mode3_star, pts, foci)
+    assert _ladder_targets_per_block(depth) < count
     vals = potential_at_points(mode3_star, pts, foci, 0.5)
     grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
     for i in range(foci.size):
@@ -579,30 +600,27 @@ def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
         assert grads[i, 0] == g[0] and grads[i, 1] == g[1]
 
 
-def test_set_integral_evaluates_the_frame_once_per_focus(monkeypatch,
-                                                         mode3_star):
-    # 256 rays of 32 points each: at most one frame per ray and block (a
-    # block boundary can split a ray), not one per point; grad V runs both
-    # components in the same pass
-    from nlshape.quad import ladder_half_rule
-    counted = {"angles": 0}
-    frame = StarShape2D.frame
+def test_set_integral_never_calls_the_frame(monkeypatch, mode3_star):
+    # the interior rule reads the boundary once (polar on the m ray angles);
+    # the ladder nodes come from mode tables in each focus's polar frame
+    counted = {"polar": 0}
+    polar = StarShape2D.polar
 
     def counting(self, theta):
-        counted["angles"] += np.size(theta)
-        return frame(self, theta)
+        counted["polar"] += 1
+        return polar(self, theta)
 
-    monkeypatch.setattr(StarShape2D, "frame", counting)
-    nodes = 2 * ladder_half_rule()[0].size
-    blocks = -(-256 * 32 // _ladder_targets_per_block())
-    bound = (256 + blocks) * nodes
+    def no_frame(self, theta):
+        raise AssertionError("StarShape2D.frame called")
+
+    monkeypatch.setattr(StarShape2D, "polar", counting)
+    monkeypatch.setattr(StarShape2D, "frame", no_frame)
     set_integral_2d(mode3_star, lambda pts, foci: potential_at_points(
         mode3_star, pts, foci, 0.5), 256)
-    assert 256 * nodes <= counted["angles"] <= bound
-    counted["angles"] = 0
+    assert counted["polar"] == 1
     set_integral_2d(mode3_star, lambda pts, foci: (grad_potential_at_points(
         mode3_star, pts, foci, 0.5) * pts).sum(1), 256)
-    assert 256 * nodes <= counted["angles"] <= bound
+    assert counted["polar"] == 2
 
 
 def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):

@@ -286,6 +286,19 @@ def test_sweep_below_four_solved_raises_the_first_error():
         epsilon_sweep(_p(0.01, 0.997), GRID_EPS)
 
 
+def test_f_underflow_at_d_eps_is_named():
+    # at (0.01, 0.997) d_eps is about 1e208 at eps = 1e-3 and 1e285 at 1e-4,
+    # where f evaluates to exactly 0: the error says so instead of blaming
+    # the size of eps
+    for eps in (1e-3, 3.1623e-4, 1e-4):
+        p = _p(0.01, 0.997, eps)
+        assert f_closed_form(g_and_d_eps(p)[1], p) == 0.0
+        with pytest.raises(BracketError, match="underflows to 0") as info:
+            solve_critical_d(p)
+        assert f"eps = {eps:g} " in str(info.value)
+        assert "smallness" not in str(info.value)
+
+
 def test_d_eps_overflow_is_a_geometry_error():
     # on the CLI eps grid at (0.01, 0.997), d_eps = (1.01 / (2 alpha eps))
     # ^(1 / 0.013) passes the float range from eps = 3.1623e-5 down
