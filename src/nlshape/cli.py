@@ -31,8 +31,7 @@ from .diagnostics import IDENTITY_KINDS, calibrate_variation_constant, diagnose
 from .errors import (ConfigError, ConfigNotFoundError, NlshapeError, ParamError)
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           energy, potential)
-from .onedim import (TwoIntervalConfig, epsilon_sweep, g_and_d_eps,
-                     solve_critical_d, two_interval_set, zeta_endpoints)
+from .onedim import _sweep_record, epsilon_sweep
 from .sets import (_MIN_RESOLUTION, Params, StarShape2D, canonical,
                    geometry_to_dict, load_geometry, volume)
 from .shapeopt import find_critical_2d, volume_project
@@ -331,20 +330,19 @@ def _run_diagnose(cfg, emit):
     emit.meta["params"] = _params_dict(p)
 
 
+_ONEDIM_COLUMNS = ["eps", "d_star", "d_eps", "diameter", "f_at_root", "residual"]
+
+
+def _onedim_row(r):
+    return (r.eps, r.d_star, r.d_eps, r.diameter, r.f_at_root, r.zeta_spread)
+
+
 def _run_onedim_root(cfg, emit):
     p = cfg.params(default_n=1)
     if p.n != 1:
         raise ConfigError(f"onedim commands need n = 1, got n = {p.n}")
-    f_tol = cfg.get("f_tol", 1e-10)
-    d_star = solve_critical_d(p, f_tol=f_tol)
-    _, d_eps = g_and_d_eps(p)
-    cfgd = TwoIntervalConfig(d=d_star, params=p)
-    zs = zeta_endpoints(cfgd)
-    from .onedim import f_closed_form
-    emit.csv(".csv",
-             ["eps", "d_star", "d_eps", "diameter", "f_at_root", "residual"],
-             [(p.eps, d_star, d_eps, d_star + 0.5, f_closed_form(d_star, p),
-               float(zs.max() - zs.min()))])
+    record = _sweep_record(p, cfg.get("f_tol", 1e-10))
+    emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(record)])
     emit.meta["params"] = _params_dict(p)
 
 
@@ -358,10 +356,7 @@ def _run_onedim_sweep(cfg, emit):
     except ValueError:
         raise ConfigError(f"invalid eps_grid: {raw!r}")
     records, fit = epsilon_sweep(p, grid, f_tol=cfg.get("f_tol", 1e-10))
-    emit.csv(".csv",
-             ["eps", "d_star", "d_eps", "diameter", "f_at_root", "residual"],
-             [(r.eps, r.d_star, r.d_eps, r.diameter, r.f_at_root,
-               r.zeta_spread) for r in records])
+    emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(r) for r in records])
     emit.json(".summary.json", fit)
     emit.meta["params"] = _params_dict(p)
 

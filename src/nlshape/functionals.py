@@ -85,8 +85,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import GeometryError, ParamError
-from .quad import (_boundary_point, jacobi_half_rule, ladder_half_rule,
-                   kernel_primitive, pv_pair_integral)
+from .quad import (_boundary_point, interval_partition, jacobi_half_rule,
+                   kernel_primitive, ladder_half_rule, pv_at_endpoint,
+                   pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles)
 
@@ -182,6 +183,17 @@ def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
         else:
             acc.append(kernel_primitive(a, b, x, alpha))
     return math.fsum(acc)
+
+
+def _endpoint_fields_1d(S: IntervalSet, s: float, alpha: float):
+    """(kappa, V) as lists over the endpoints of S, in the order a_1, b_1,
+    a_2, ... One partition of the line serves every endpoint, and each
+    endpoint is evaluated on its own, so symmetric endpoints agree only if
+    their values do."""
+    segs = interval_partition(S)
+    xs = [e for ab in S.intervals for e in ab]
+    kap = [pv_at_endpoint(segs, x, s) for x in xs]
+    return kap, [_potential_1d(S, x, alpha) for x in xs]
 
 
 def _grad_potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
@@ -753,10 +765,8 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     """kappa, V, zeta (and grad V . tau where defined) at every mesh node."""
     S = canonical(S)
     if isinstance(S, IntervalSet):
-        mesh = boundary_mesh(S, resolution)
-        xs = mesh.points[:, 0]
-        kap = np.array([pv_pair_integral(S, float(v), p.s) for v in xs])
-        pot = np.array([_potential_1d(S, float(v), p.alpha) for v in xs])
+        mesh = boundary_mesh(S, resolution)  # the endpoints, in order
+        kap, pot = map(np.array, _endpoint_fields_1d(S, p.s, p.alpha))
         zt = kap + p.c_coupling * p.eps * pot
         return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=None)
 

@@ -13,7 +13,9 @@ E satisfies the critical-point condition exactly when the balance function
 vanishes. Each bracket is a symmetric second difference
 2 g(d) - g(d - 1/2) - g(d + 1/2); for large d these cancel to O(d^(b-2)) and
 are evaluated through the series for (1+x)^b + (1-x)^b - 2 with x = 1/(2d),
-never by subtracting nearly equal powers.
+never by subtracting nearly equal powers. The series coefficients of each
+exponent b in {-s, 1 - alpha} come from a table built once per b, so an
+evaluation of f costs only its arithmetic.
 
 The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
 
@@ -22,13 +24,15 @@ The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
 so g changes sign near d_eps = ((1+s)/(c alpha eps))^(1/(1+s-alpha)). The
 root finder probes geometrically upward from d_eps for a sign change and
 closes the bracket by safeguarded Illinois regula falsi until its ends are
-adjacent floats (about 16 evaluations of f per root); the sweep fits the
-log-log slope of the critical diameter against 1/eps, which tends to
-1/(1+s-alpha) as eps -> 0.
+adjacent floats (about 16 evaluations of f per root). It looks up the
+module-level f_closed_form at every evaluation, so wrapping that name counts
+them. The sweep fits the log-log slope of the critical diameter against
+1/eps, which tends to 1/(1+s-alpha) as eps -> 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,8 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketError, GeometryError, ParamError
-from .functionals import _potential_1d
-from .quad import pv_pair_integral
+from .functionals import _endpoint_fields_1d
 from .sets import IntervalSet, Params
 
 __all__ = [
@@ -56,13 +59,17 @@ class TwoIntervalConfig:
     params: Params
 
     def __post_init__(self):
-        if self.params.n != 1:
-            raise ParamError(f"two-interval analysis is 1D; params have n = {self.params.n}")
-        if not (self.d > 0.5):
-            raise ParamError(f"gap parameter d must exceed 1/2, got {self.d!r}")
-        if not (0.0 < self.params.alpha < 1.0):
-            raise ParamError(
-                f"two-interval analysis needs alpha in (0, 1), got {self.params.alpha!r}")
+        _check_gap(self.d, self.params)
+
+
+def _check_gap(d: float, p: Params) -> None:
+    if p.n != 1:
+        raise ParamError(f"two-interval analysis is 1D; params have n = {p.n}")
+    if not (d > 0.5):
+        raise ParamError(f"gap parameter d must exceed 1/2, got {d!r}")
+    if not (0.0 < p.alpha < 1.0):
+        raise ParamError(
+            f"two-interval analysis needs alpha in (0, 1), got {p.alpha!r}")
 
 
 def two_interval_set(cfg: TwoIntervalConfig) -> IntervalSet:
@@ -77,51 +84,56 @@ def zeta_endpoints(cfg: TwoIntervalConfig) -> np.ndarray:
     """zeta at the four endpoints (0, 1/2, d, d+1/2), each evaluated through
     the generic PV closed form plus potential; nothing is mirrored by hand,
     so the symmetry equalities are genuine output properties."""
-    S = two_interval_set(cfg)
     p = cfg.params
-    out = np.empty(4)
-    for i, x in enumerate((0.0, 0.5, cfg.d, cfg.d + 0.5)):
-        k = pv_pair_integral(S, x, p.s)
-        v = _potential_1d(S, x, p.alpha) if p.eps != 0.0 else 0.0
-        out[i] = k + p.c_coupling * p.eps * v
-    return out
+    kap, pot = _endpoint_fields_1d(two_interval_set(cfg), p.s, p.alpha)
+    ce = p.c_coupling * p.eps
+    return np.array([k + ce * v for k, v in zip(kap, pot)])
+
+
+@functools.lru_cache(maxsize=64)
+def _series_table(b: float):
+    """C(b, 2) and the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
+    ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff. A sweep
+    uses two exponents, b = -s and 1 - alpha."""
+    ratios = tuple((b - 2 * k) * (b - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
+                   for k in range(1, 60))
+    return b * (b - 1.0) * 0.5, ratios
 
 
 def _sym_second_diff(b: float, x: float) -> float:
     """(1+x)^b + (1-x)^b - 2 without cancellation, 0 <= x < 1.
 
     For x below 1/2 the even binomial series
-    2 sum_{k>=1} C(b, 2k) x^(2k) is summed with a term recurrence; the ratio
-    of consecutive terms is bounded by x^2 * |(b-2k+1)(b-2k+2)| / ((2k-1)2k)
-    which stays below ~x^2 for b in (-1, 1), so the truncation error is
-    controlled by the first omitted term.
+    2 sum_{k>=1} C(b, 2k) x^(2k) is summed with a term recurrence, up to 60
+    terms; the ratio of consecutive terms is bounded by
+    x^2 * |(b-2k+1)(b-2k+2)| / ((2k-1)2k), which stays below ~x^2 for b in
+    (-1, 1), so the truncation error is controlled by the first omitted term.
     """
     if x >= 0.5:
         return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
-    term = b * (b - 1.0) * 0.5 * x * x  # C(b, 2) x^2
+    c2, ratios = _series_table(b)
+    term = c2 * x * x  # C(b, 2) x^2
     acc = term
-    k = 1
-    while abs(term) > 1e-18 * abs(acc) and k < 60:
-        # C(b, 2k+2) = C(b, 2k) * (b-2k)(b-2k-1) / ((2k+1)(2k+2))
-        term *= (b - 2 * k) * (b - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0)) * x * x
+    for r in ratios:
+        if not abs(term) > 1e-18 * abs(acc):
+            break
+        term *= r * x * x
         acc += term
-        k += 1
     return 2.0 * acc
 
 
-def _bracket(b: float, d: float) -> float:
-    """2 d^b - (d - 1/2)^b - (d + 1/2)^b, cancellation-safe."""
-    x = 0.5 / d
-    return -(d ** b) * _sym_second_diff(b, x)
-
-
 def f_closed_form(d: float, p: Params) -> float:
-    """Balance function f(d) = zeta(inner) - zeta(outer)."""
-    TwoIntervalConfig(d=d, params=p)  # validate
+    """Balance function f(d) = zeta(inner) - zeta(outer).
+
+    Each bracket 2 d^b - (d - 1/2)^b - (d + 1/2)^b is formed without
+    cancellation as -d^b * _sym_second_diff(b, 1/(2d))."""
+    _check_gap(d, p)
     s, alpha = p.s, p.alpha
-    val = (2.0 / s) * _bracket(-s, d)
+    x = 0.5 / d
+    val = (2.0 / s) * (-(d ** -s) * _sym_second_diff(-s, x))
     if p.eps != 0.0:
-        val += (p.c_coupling * p.eps / (1.0 - alpha)) * _bracket(1.0 - alpha, d)
+        b = 1.0 - alpha
+        val += (p.c_coupling * p.eps / b) * (-(d ** b) * _sym_second_diff(b, x))
     return val
 
 
@@ -241,11 +253,10 @@ class SweepRecord:
 def _sweep_record(pe: Params, f_tol: float) -> SweepRecord:
     _, d_eps = g_and_d_eps(pe)
     d_star = solve_critical_d(pe, f_tol=f_tol)
-    zs = zeta_endpoints(TwoIntervalConfig(d=d_star, params=pe))
+    zs = zeta_endpoints(TwoIntervalConfig(d=d_star, params=pe)).tolist()
     return SweepRecord(
         eps=pe.eps, d_star=d_star, d_eps=d_eps, diameter=d_star + 0.5,
-        f_at_root=f_closed_form(d_star, pe),
-        zeta_spread=float(zs.max() - zs.min()))
+        f_at_root=f_closed_form(d_star, pe), zeta_spread=max(zs) - min(zs))
 
 
 def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):

@@ -39,7 +39,8 @@ from .sets import IntervalSet
 
 __all__ = [
     "QuadTolerance", "OracleResult",
-    "kernel_primitive", "pv_pair_integral", "brute_oracle",
+    "kernel_primitive", "interval_partition", "pv_at_endpoint",
+    "pv_pair_integral", "brute_oracle",
     "jacobi_half_rule", "ladder_half_rule",
 ]
 
@@ -121,9 +122,37 @@ def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
     return None
 
 
+def interval_partition(S: IntervalSet) -> list:
+    """The partition of the line by the endpoints of S, from -inf to +inf:
+    (lo, hi, sign) segments with lo < hi (the ends may be infinite), sign +1
+    on the complement and -1 inside the set. Built once per set, it serves
+    every endpoint of S (pv_at_endpoint)."""
+    segs = [(-math.inf, S.intervals[0][0], +1.0)]
+    for i, (a, b) in enumerate(S.intervals):
+        segs.append((a, b, -1.0))
+        nxt = S.intervals[i + 1][0] if i + 1 < len(S.intervals) else math.inf
+        segs.append((b, nxt, +1.0))
+    return segs
+
+
 def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     """Principal value of int (chi_{complement} - chi_S)(y) |x - y|^(-1-s) dy
     at a boundary point x of the interval union S.
+
+    x is resolved to the endpoint of S it stands for (_boundary_point) and
+    the value is pv_at_endpoint over the partition of S.
+    """
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"s must lie in (0, 1), got {s!r}")
+    xb = _boundary_point(S, x)
+    if xb is None:
+        raise ValueError(f"x = {x!r} is not a boundary point of the interval set")
+    return pv_at_endpoint(interval_partition(S), xb, s)
+
+
+def pv_at_endpoint(segs: list, x: float, s: float) -> float:
+    """pv_pair_integral at x, an endpoint of the partition segs
+    (interval_partition), for s in (0, 1); neither is checked here.
 
     The two segments adjacent to x carry opposite indicator signs, so the
     rho^(-s)/s divergences of their one-sided integrals cancel; what is left
@@ -131,22 +160,6 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     lengths L, M (a half-line contributes 0). All other segments integrate
     the kernel without singularity.
     """
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s!r}")
-    xb = _boundary_point(S, x)
-    if xb is None:
-        raise ValueError(f"x = {x!r} is not a boundary point of the interval set")
-    x = xb
-
-    # walk the partition of the line induced by the endpoints; sign +1 on the
-    # complement, -1 inside the set
-    segs = []  # (lo, hi, sign) with lo < hi, possibly infinite
-    segs.append((-math.inf, S.intervals[0][0], +1.0))
-    for i, (a, b) in enumerate(S.intervals):
-        segs.append((a, b, -1.0))
-        nxt = S.intervals[i + 1][0] if i + 1 < len(S.intervals) else math.inf
-        segs.append((b, nxt, +1.0))
-
     total = 0.0
     sig_left = sig_right = None
     len_left = len_right = None

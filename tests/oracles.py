@@ -42,6 +42,10 @@ The non-ray references are:
   `StarShape2D.frame`), against which the package's ladder is compared;
 * `bisection_critical_d`, plain midpoint bisection for the 1D critical gap,
   against which the package's root solve is compared;
+* `sym_second_diff_recurrence` and `pv_pair_integral_reference`: the 1D
+  series and principal-value routines as they stood before the ratio table
+  and the one-pass endpoint evaluation, against which the package's values
+  are compared bit for bit;
 * two modes built on the package's adaptive 1D bisection: `pv_oracle`, a
   principal value by antipodal pairing and shrinking windows, and
   `box_oracle`, an iterated integral over a 2D box.
@@ -54,9 +58,11 @@ import mpmath as mp
 import numpy as np
 
 from nlshape import onedim
-from nlshape.errors import BracketError, QuadratureError
-from nlshape.quad import (QuadTolerance, _adaptive_1d, _integrate_segment,
-                          _segments_of, brute_oracle, ladder_half_rule)
+from nlshape.errors import BracketError, GeometryError, QuadratureError
+from nlshape.quad import (QuadTolerance, _adaptive_1d, _boundary_point,
+                          _halfline_primitive, _integrate_segment,
+                          _segments_of, brute_oracle, kernel_primitive,
+                          ladder_half_rule)
 from nlshape.sets import Ball, StarShape2D
 
 _T_FLOOR = 1e-12
@@ -508,6 +514,72 @@ def bisection_critical_d(p, f_tol=1e-10):
         raise BracketError(
             f"bisection stalled with |f(d)| = {abs(fr):g} > f_tol = {f_tol:g}")
     return root
+
+
+def sym_second_diff_recurrence(b: float, x: float) -> float:
+    """(1+x)^b + (1-x)^b - 2 by the term recurrence that forms each ratio
+    as it goes (the package reads the ratios from a table per b)."""
+    if x >= 0.5:
+        return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
+    term = b * (b - 1.0) * 0.5 * x * x  # C(b, 2) x^2
+    acc = term
+    k = 1
+    while abs(term) > 1e-18 * abs(acc) and k < 60:
+        # C(b, 2k+2) = C(b, 2k) * (b-2k)(b-2k-1) / ((2k+1)(2k+2))
+        term *= (b - 2 * k) * (b - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0)) * x * x
+        acc += term
+        k += 1
+    return 2.0 * acc
+
+
+def pv_pair_integral_reference(S, x: float, s: float) -> float:
+    """`quad.pv_pair_integral` with the partition of the line rebuilt at
+    every call (the package builds it once per set)."""
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"s must lie in (0, 1), got {s!r}")
+    xb = _boundary_point(S, x)
+    if xb is None:
+        raise ValueError(f"x = {x!r} is not a boundary point of the interval set")
+    x = xb
+
+    # walk the partition of the line induced by the endpoints; sign +1 on the
+    # complement, -1 inside the set
+    segs = []  # (lo, hi, sign) with lo < hi, possibly infinite
+    segs.append((-math.inf, S.intervals[0][0], +1.0))
+    for i, (a, b) in enumerate(S.intervals):
+        segs.append((a, b, -1.0))
+        nxt = S.intervals[i + 1][0] if i + 1 < len(S.intervals) else math.inf
+        segs.append((b, nxt, +1.0))
+
+    total = 0.0
+    sig_left = sig_right = None
+    len_left = len_right = None
+    for lo, hi, sig in segs:
+        if hi == x:
+            sig_left = sig
+            len_left = x - lo  # may be inf
+        elif lo == x:
+            sig_right = sig
+            len_right = hi - x
+        else:
+            # non-adjacent segment: plain kernel integral
+            if lo == -math.inf:
+                total += sig * _halfline_primitive(x - hi, s)
+            elif hi == math.inf:
+                total += sig * _halfline_primitive(lo - x, s)
+            else:
+                total += sig * kernel_primitive(lo, hi, x, 1.0 + s)
+    if sig_left is None or sig_right is None or sig_left + sig_right != 0.0:
+        raise GeometryError(
+            f"x = {x!r} does not separate a set segment from a complement "
+            "segment; the interval set is malformed")
+    adj = 0.0
+    if math.isfinite(len_right):
+        adj += sig_right * len_right ** (-s)
+    if math.isfinite(len_left):
+        adj += sig_left * len_left ** (-s)
+    total += -adj / s
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ correctly rounded values.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,8 +18,8 @@ from nlshape import (BracketError, GeometryError, ParamError, Params,
                      TwoIntervalConfig, epsilon_sweep, f_closed_form,
                      g_and_d_eps, onedim, solve_critical_d, two_interval_set,
                      zeta_endpoints)
-from nlshape.onedim import _sym_second_diff
-from oracles import bisection_critical_d
+from nlshape.onedim import _series_table, _sym_second_diff
+from oracles import bisection_critical_d, sym_second_diff_recurrence
 
 
 def _p(s=0.5, alpha=0.5, eps=1e-3):
@@ -85,6 +86,38 @@ def test_sym_second_diff_small_x_scale():
     # leading order b(b-1) x^2; the direct difference would be pure noise
     b, x = -0.5, 1e-7
     assert_allclose(_sym_second_diff(b, x), b * (b - 1.0) * x * x, rtol=1e-9)
+
+
+# x from deep underflow up to the last float below 1/2, where the series
+# takes the most terms, and the direct form from 1/2 on
+SERIES_X = ([float(x) for x in np.geomspace(1e-300, 0.5, 64)[:-1]]
+            + [math.nextafter(0.5, 0.0), 0.5, 0.75, 0.99])
+
+
+def test_sym_second_diff_is_the_recurrence_bitwise():
+    # the two exponents of every sweep over the seeded grid
+    for s, alpha in GRID_SA:
+        for b in (-s, 1.0 - alpha):
+            for x in SERIES_X:
+                got = _sym_second_diff(b, x)
+                assert got.hex() == sym_second_diff_recurrence(b, x).hex(), (b, x)
+
+
+def test_sym_second_diff_at_the_term_cap():
+    # at b = 1000.5 the terms still grow at k = 59, so both stop at the cap
+    b, x = 1000.5, 0.49
+    got = _sym_second_diff(b, x)
+    assert got.hex() == sym_second_diff_recurrence(b, x).hex()
+    next_term = mp.binomial(b, 120) * mp.mpf(x) ** 120
+    assert next_term > 1e-18 * got / 2.0
+
+
+def test_series_table_cache_is_bounded():
+    maxsize = _series_table.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+    for k in range(2 * maxsize):
+        _sym_second_diff(-k / (2.0 * maxsize), 0.1)
+    assert _series_table.cache_info().currsize <= maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +260,9 @@ def test_grid_root_solve_cost(solver_grid):
     new_evals = sum(n for n, _ in solved)
     ref_evals = sum(r for _, r in solved)
     assert new_evals <= 20 * len(solved)  # the reference takes about 57
+    # about 16 on average (6 to 39 a root); far fewer means the solve no
+    # longer looks up onedim.f_closed_form and the counts above count nothing
+    assert new_evals >= 8 * len(solved)
     assert new_evals <= 0.4 * ref_evals
 
 

@@ -6,12 +6,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (IntervalSet, OracleResult, ParamError, QuadratureError,
-                     QuadTolerance, brute_oracle, kernel_primitive,
-                     pv_pair_integral)
-from nlshape.quad import jacobi_half_rule, ladder_half_rule
+from nlshape import (IntervalSet, OracleResult, ParamError, Params,
+                     QuadratureError, QuadTolerance, TwoIntervalConfig,
+                     boundary_fields, brute_oracle, kernel_primitive,
+                     pv_pair_integral, zeta_endpoints)
+from nlshape.functionals import _potential_1d
+from nlshape.quad import (interval_partition, jacobi_half_rule,
+                          ladder_half_rule, pv_at_endpoint)
 
-from oracles import PVSpec, box_oracle, pv_oracle
+from oracles import PVSpec, box_oracle, pv_oracle, pv_pair_integral_reference
 
 TIGHT = QuadTolerance(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -170,6 +173,64 @@ def test_pv_pair_integral_non_finite_point_rejected(two_intervals, x):
     # refused before it, or it matches the first endpoint
     with pytest.raises(ValueError, match="not a boundary point"):
         pv_pair_integral(two_intervals, x, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one partition for every endpoint, bitwise against the per-endpoint routine
+
+# two-interval sets from d = 0.6 to 2^51, three intervals, a far interval
+GAPS = [0.6, 0.75, 1.3, 7.0, 1e3, 1e9, 1e15, 2.0 ** 51]
+ENDPOINT_SETS = ([IntervalSet([(0.0, 0.5), (d, d + 0.5)]) for d in GAPS]
+                 + [IntervalSet([(-1.0, 0.25), (0.5, 2.0), (3.7, 9.1)]),
+                    IntervalSet([(0.0, 1.0), (1e13, 1e13 + 3.0)])])
+ENDPOINT_PARAMS = [Params(n=1, s=0.5, alpha=0.5, eps=1e-3),
+                   Params(n=1, s=1e-9, alpha=1.0 - 1e-9, eps=1e-6),
+                   Params(n=1, s=0.1, alpha=0.9, eps=0.0),
+                   Params(n=1, s=0.97, alpha=0.03, eps=2.0),
+                   Params(n=1, s=0.3, alpha=0.6, eps=0.37, c_coupling=1.3)]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("S", ENDPOINT_SETS)
+def test_pv_at_endpoint_is_the_reference_bitwise(S):
+    segs = interval_partition(S)
+    ends = S.endpoints().tolist()
+    for p in ENDPOINT_PARAMS:
+        for x in ends:
+            ref = pv_pair_integral_reference(S, x, p.s).hex()
+            assert pv_at_endpoint(segs, x, p.s).hex() == ref, (x, p.s)
+            # a point one ulp off resolves to the same endpoint (at 2^51 the
+            # next float is the next endpoint)
+            near = math.nextafter(x, math.inf)
+            if near not in ends:
+                assert pv_pair_integral(S, near, p.s).hex() == ref, (x, p.s)
+
+
+@pytest.mark.parametrize("S", ENDPOINT_SETS)
+def test_boundary_fields_1d_is_the_per_endpoint_reference_bitwise(S):
+    for p in ENDPOINT_PARAMS:
+        bf = boundary_fields(S, p)
+        xs = bf.mesh.points[:, 0].tolist()
+        assert xs == S.endpoints().tolist()
+        kap = np.array([pv_pair_integral_reference(S, x, p.s) for x in xs])
+        pot = np.array([_potential_1d(S, x, p.alpha) for x in xs])
+        assert _hex(bf.kappa) == _hex(kap)
+        assert _hex(bf.pot) == _hex(pot)
+        assert _hex(bf.zeta) == _hex(kap + p.c_coupling * p.eps * pot)
+
+
+@pytest.mark.parametrize("d", GAPS)
+def test_zeta_endpoints_are_the_per_endpoint_reference_bitwise(d):
+    for p in ENDPOINT_PARAMS:
+        S = IntervalSet([(0.0, 0.5), (d, d + 0.5)])
+        ref = [pv_pair_integral_reference(S, x, p.s) + p.c_coupling * p.eps
+               * (_potential_1d(S, x, p.alpha) if p.eps != 0.0 else 0.0)
+               for x in (0.0, 0.5, d, d + 0.5)]
+        got = zeta_endpoints(TwoIntervalConfig(d=d, params=p))
+        assert _hex(got) == _hex(ref), (d, p)
 
 
 # ---------------------------------------------------------------------------
