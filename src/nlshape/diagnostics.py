@@ -10,7 +10,10 @@ Quantities measured on a candidate critical set:
   constant delta / eps is reported alongside, since the interesting bound
   is eta <= C * diam^(2n+s+1) * eps with C not known explicitly;
 * rho: the annulus deficit inf_p (R - r) / diam over centers p with
-  B_r(p) inside E inside B_R(p);
+  B_r(p) inside E inside B_R(p), over 512 boundary samples. The center comes
+  from a Remez-type exchange on the linearized distances (_min_zone); its
+  certificate is two samples at the largest and two at the smallest
+  distance, interlaced in angle, and rho is the exact width there;
 * lambda_hat: weighted boundary mean of zeta, with the sup-norm residual of
   the constant-zeta condition; a cross-estimate of the same multiplier comes
   from integral identities alone (no boundary sweep), see
@@ -58,6 +61,8 @@ DEFAULT_MU_GATE = 0.5
 _PROBE_SEED = 173001
 _RESIDUAL_FLOOR = 1e-30
 _RHO_SAMPLES = 512
+_RHO_ROUNDS = 16      # re-linearizations of the annulus width
+_RHO_EXCHANGES = 64   # exchange steps per linearization
 _CALIBRATION_SPREAD_TOL = 1e-4
 
 
@@ -85,11 +90,17 @@ class DiagnosticsReport:
 
 
 def _pairwise_defect(points, values):
-    d = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((d * d).sum(-1))
+    # the ratio is symmetric in the pair, so the max over the full matrix,
+    # whose diagonal reads 0 / inf = 0, is the max over pairs i < j
+    d = points[:, None, 0] - points[None, :, 0]
+    sq = d * d
+    for k in range(1, points.shape[1]):
+        d = points[:, None, k] - points[None, :, k]
+        sq += d * d
+    dist = np.sqrt(sq)
+    np.fill_diagonal(dist, np.inf)
     dv = np.abs(values[:, None] - values[None, :])
-    iu = np.triu_indices(points.shape[0], k=1)
-    return float((dv[iu] / dist[iu]).max())
+    return float((dv / dist).max())
 
 
 def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -111,109 +122,83 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     return p.c_coupling * p.eps * _pairwise_defect(bf.mesh.points, bf.pot)
 
 
-def eta(S, p: Params, delta: float) -> float:
-    """Scale-weighted defect diam^(2n+s+1) * delta."""
+def eta(S, p: Params, delta: float, _diam: Optional[float] = None) -> float:
+    """Scale-weighted defect diam^(2n+s+1) * delta (_diam is diameter(S)
+    when the caller holds it already)."""
     if delta < 0.0:
         raise ParamError(f"delta must be nonnegative, got {delta!r}")
-    return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
+    diam = diameter(S) if _diam is None else _diam
+    return diam ** (2.0 * p.n + p.s + 1.0) * delta
 
 
-class _OutOfEvaluations(Exception):
-    """_nelder_mead spent its evaluation budget."""
+def _min_zone(bx, by, center, scale: float):
+    """(c, width): a center c of the thinnest annulus about the points
+    (bx, by) and the width max_i |b_i - c| - min_i |b_i - c| there.
 
+    From the current center c, |b_i - (c + delta)| is linearized as
+    d_i - u_i . delta (u_i the unit vector from c to b_i), and d_i is fitted
+    by c_0 + u_i . delta in the Chebyshev sense over all points. The basis
+    {1, cos phi, sin phi} is a Haar system on the circle, so the minimax fit
+    is the one that levels four points with alternating signs in angle, found
+    by single-point exchange: solve for c_0, delta and the levelled error h
+    on the reference, then swap in the point of largest residual for the
+    neighbour of its sign. Then c moves by delta and the fit is repeated
+    until |delta| <= 1e-15 * scale. At the fixed point two points are
+    farthest and two nearest, interlaced in angle, which is the certificate
+    of a minimum-zone center.
 
-def _nelder_mead(f, x0, xatol: float, fatol: float, maxfev: int) -> float:
-    """The smallest value of f that the Nelder-Mead simplex method finds
-    from x0.
-
-    The start simplex moves one coordinate of x0 at a time by 5% (to
-    0.00025 where it is 0); reflection, expansion, contraction and shrink
-    use 1, 2, 1/2 and 1/2. The search stops once every vertex lies within
-    xatol of the best in each coordinate and within fatol of it in value,
-    or when maxfev evaluations are spent, counted before each call. f gets
-    a copy of the point. Step for step this is the unbounded, non-adaptive
-    scipy.optimize.minimize(method="Nelder-Mead") of scipy 1.17, so the
-    value is the same to the last bit.
+    The width is always the exact one at a real center, the least over the
+    centers visited, the start among them; a capped or singular exchange
+    only ends the search early.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
-
-    def call(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _OutOfEvaluations
-        nfev += 1
-        return f(np.copy(x))
-
-    def ordered():
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _OutOfEvaluations:
-        pass
-    sim, fsim = ordered()
-    while nfev < maxfev:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    tol = 1e-15 * scale
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    ref = [k * (bx.size // 4) for k in range(4)]
+    c = np.array(center, dtype=float)
+    best_c, best_w = c, math.inf
+    step = math.inf
+    for _ in range(_RHO_ROUNDS):
+        dx, dy = bx - c[0], by - c[1]
+        d = np.hypot(dx, dy)
+        w = float(d.max() - d.min())
+        if w < best_w:
+            best_c, best_w = c, w
+        if not step > tol:  # converged, or a NaN step
+            break
+        ux, uy = dx / d, dy / d
+        phi = np.arctan2(dy, dx)
+        for _ in range(_RHO_EXCHANGES):
+            ref.sort(key=phi.__getitem__)
+            system = np.column_stack((np.ones(4), ux[ref], uy[ref], signs))
+            try:
+                c0, sx, sy, h = np.linalg.solve(system, d[ref])
+            except np.linalg.LinAlgError:
+                return best_c, best_w
+            r = d - (c0 + ux * sx + uy * sy)
+            j = int(np.argmax(np.abs(r)))
+            if abs(r[j]) <= abs(h) + tol or j in ref:
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = call(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = call(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:
-                    # inside contraction
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = call(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-        except _OutOfEvaluations:
-            pass
-        sim, fsim = ordered()
-    return float(np.min(fsim))
+            # j lies between two neighbours of the reference, whose
+            # residuals have opposite signs; it replaces the one of its own
+            # sign, so the signs still alternate around the circle
+            k = sum(phi[i] < phi[j] for i in ref)
+            left, right = (k - 1) % 4, k % 4
+            ref[left if (signs[left] * h > 0.0) == (r[j] > 0.0) else right] = j
+        step = math.hypot(sx, sy)
+        c = c + (sx, sy)
+    return best_c, best_w
 
 
-def annulus_deficit_rho(S) -> float:
+def annulus_deficit_rho(S, _diam: Optional[float] = None) -> float:
     """inf over centers of (circumradius - inradius) / diam.
 
-    Balls score 0 exactly. For star shapes the center is found by the
-    Nelder-Mead simplex method (_nelder_mead), restarted from a small
-    deterministic set of starts; the minimizer is local (the sets of
-    interest are near-balls, where the annulus width has a benign interior
-    minimum).
+    Balls score 0 exactly. For star shapes the width is taken over 512
+    boundary samples, and the center is the minimum-zone center of those
+    samples found by exchange from S.center (_min_zone): two samples at the
+    largest and two at the smallest distance, interlaced in angle. The
+    value is the exact width at that center, never more than at S.center,
+    so it bounds the infimum from above. _diam is diameter(S) when the
+    caller holds it already.
     """
     if isinstance(S, Ball):
         if S.n < 2:
@@ -223,21 +208,9 @@ def annulus_deficit_rho(S) -> float:
         raise GeometryError(
             f"annulus deficit needs a star shape or ball, got {type(S).__name__}")
     bx, by = S.frame(uniform_angles(_RHO_SAMPLES))[0].T
-
-    def width(pt):
-        dist = np.hypot(bx - pt[0], by - pt[1])
-        return float(dist.max() - dist.min())
-
     scale = float(S.samples(_RHO_SAMPLES).mean())
-    starts = [np.array(S.center, dtype=float)]
-    for dx, dy in ((0.2, 0.0), (-0.1, 0.17), (-0.1, -0.17)):
-        starts.append(np.array([S.center[0] + dx * scale,
-                                S.center[1] + dy * scale]))
-    best = math.inf
-    for p0 in starts:
-        best = min(best, _nelder_mead(width, p0, xatol=1e-10 * scale,
-                                      fatol=1e-13 * scale, maxfev=4000))
-    return best / diameter(S)
+    width = _min_zone(bx, by, S.center, scale)[1]
+    return width / (diameter(S) if _diam is None else _diam)
 
 
 def lambda_hat_and_residual(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -503,8 +476,9 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     Each shared quantity is computed once and handed to its users: the
     boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
     own sup |grad V . tau| for TangentialBall), P_s and R_alpha at nq
-    (lambda_cross, Minkowski) and int_E V (Au1, Au2). The planar error
-    estimates are |value(2 nq) - value(nq)| against those nq values.
+    (lambda_cross, Minkowski), int_E V (Au1, Au2) and the diameter (eta,
+    rho, iso_ratio). The planar error estimates are
+    |value(2 nq) - value(nq)| against those nq values.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
@@ -525,9 +499,10 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     bf = boundary_fields(C, p, resolution, nq, want_grad_tau=tangential)
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
-    eta_v = eta(S, p, delta)
+    diam = diameter(S)
+    eta_v = eta(S, p, delta, _diam=diam)
     two_d = isinstance(C, StarShape2D)
-    rho = annulus_deficit_rho(S) if two_d else None
+    rho = annulus_deficit_rho(S, _diam=diam) if two_d else None
 
     implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:
@@ -559,7 +534,7 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     return DiagnosticsReport(
         delta_s=delta, eta_s=eta_v, rho=rho,
-        iso_ratio=isodiametric_ratio(S),
+        iso_ratio=isodiametric_ratio(S, _diam=diam),
         lambda_hat=lam, el_residual=el_res,
         identity_residuals=identities,
         mesh_resolution=int(resolution) if two_d else bf.mesh.points.shape[0],

@@ -109,7 +109,11 @@ class Params:
             raise ParamError(f"c_coupling must be positive, got {self.c_coupling!r}")
         if self.c_var <= 0.0:
             raise ParamError(f"c_var must be positive, got {self.c_var!r}")
+        self._fill_eps_mass()
 
+    def _fill_eps_mass(self):
+        # derive the omitted one of eps and mass from the other; eps and mass
+        # are finite or None here
         e = self.mass_to_eps_exponent()
         if self.eps is None and self.mass is None:
             object.__setattr__(self, "eps", 0.0)
@@ -138,8 +142,16 @@ class Params:
         return 1.0 - self.alpha / self.n + self.s / self.n
 
     def with_eps(self, eps: float) -> "Params":
-        """Copy with a new eps; mass is rederived."""
-        return replace(self, eps=eps, mass=None)
+        """Copy with a new eps; mass is rederived.
+
+        Only eps is checked, with the errors of __post_init__: the other
+        fields are those of self, which passed it already."""
+        if eps is not None and not math.isfinite(eps):
+            raise ParamError(f"eps must be finite, got {eps!r}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, eps=eps, mass=None)
+        new._fill_eps_mass()
+        return new
 
 
 @dataclass(frozen=True)
@@ -398,9 +410,10 @@ def diameter(S) -> float:
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
 
 
-def isodiametric_ratio(S) -> float:
-    """|S|^(1/n) / diam(S); scale invariant, maximal for balls."""
-    return volume(S) ** (1.0 / S.n) / diameter(S)
+def isodiametric_ratio(S, _diam: Optional[float] = None) -> float:
+    """|S|^(1/n) / diam(S); scale invariant, maximal for balls. _diam is
+    diameter(S) when the caller holds it already."""
+    return volume(S) ** (1.0 / S.n) / (diameter(S) if _diam is None else _diam)
 
 
 def beta_exponent(p: Params) -> float:

@@ -45,6 +45,35 @@ def test_delta_scaling(mode3_star):
     assert_allclose(d2, lam ** (-1.5) * d1, rtol=1e-9)
 
 
+def _pairwise_defect_over_pairs(points, values):
+    d = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((d * d).sum(-1))
+    dv = np.abs(values[:, None] - values[None, :])
+    iu = np.triu_indices(points.shape[0], k=1)
+    return float((dv[iu] / dist[iu]).max())
+
+
+@pytest.mark.parametrize("m, dim", [(2, 2), (8, 1), (64, 2), (256, 2)])
+def test_pairwise_defect_equals_max_over_pairs(m, dim):
+    from nlshape.diagnostics import _pairwise_defect
+    rng = np.random.default_rng(m)
+    pts, vals = rng.standard_normal((m, dim)), rng.standard_normal(m)
+    assert _pairwise_defect(pts, vals) == _pairwise_defect_over_pairs(pts, vals)
+
+
+def test_pairwise_defect_coincident_nodes():
+    # two nodes at one point: inf for differing values, nan for equal ones
+    from nlshape.diagnostics import _pairwise_defect
+    rng = np.random.default_rng(5)
+    pts, vals = rng.standard_normal((16, 2)), rng.standard_normal(16)
+    pts[5] = pts[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert _pairwise_defect(pts, vals) == math.inf
+        vals[5] = vals[3]
+        assert math.isnan(_pairwise_defect(pts, vals))
+        assert math.isnan(_pairwise_defect_over_pairs(pts, vals))
+
+
 def test_eta_formula(unit_disk):
     # diam = 2, exponent 2n + s + 1 = 5.5
     assert_allclose(eta(unit_disk, P2, 0.5), 2.0 ** 5.5 * 0.5, rtol=1e-14)
@@ -82,35 +111,73 @@ def test_rho_off_center_start_recovers():
     assert_allclose(annulus_deficit_rho(star), 0.0965453859678, rtol=1e-6)
 
 
-@pytest.mark.parametrize("xatol, fatol, maxfev", [
-    (1e-10, 1e-13, 4000),   # annulus_deficit_rho's settings
-    (1e-4, 1e-4, 7),        # cut off inside the start simplex's steps
-    (1e-12, 1e-14, 50),     # cut off mid-search
-])
-def test_nelder_mead_equals_scipy_minimize(xatol, fatol, maxfev):
-    from scipy.optimize import minimize
-    from nlshape.diagnostics import _nelder_mead
-    from nlshape.sets import uniform_angles
+def _old_generator_stars(count=15):
+    # seeded stars of up to 7 modes at 5% about an off-origin center
     rng = np.random.default_rng(2024)
-    for _ in range(15):
+    for _ in range(count):
         k = int(rng.integers(0, 8))
-        star = StarShape2D(tuple(rng.uniform(-0.5, 0.5, 2)), 1.0,
-                           0.05 * rng.standard_normal(k),
-                           0.05 * rng.standard_normal(k))
-        bx, by = star.frame(uniform_angles(256))[0].T
+        yield StarShape2D(tuple(rng.uniform(-0.5, 0.5, 2)), 1.0,
+                          0.05 * rng.standard_normal(k),
+                          0.05 * rng.standard_normal(k))
+
+
+CERTIFICATE_STARS = [
+    StarShape2D((5.0, -3.0), 1.0, a=(0.0, 0.0, 0.1)),
+    StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.4)),
+    StarShape2D((0.0, 0.0), 1.0, a=(0.0,) * 11 + (0.01,)),
+    StarShape2D((0.1, -0.2), 1.0, a=(0.03, 0.05, 0.0, 0.02),
+                b=(0.0, -0.04, 0.03, 0.0, 0.01)),
+] + [star for star in _old_generator_stars(6) if star.kmax > 0]
+
+
+@pytest.mark.parametrize("star", CERTIFICATE_STARS)
+def test_rho_exchange_certificate(star):
+    # at the returned center two samples lie farthest and two nearest,
+    # alternating in angle: the center is a minimum-zone center of the
+    # samples, and the width is the exact one there
+    from nlshape.diagnostics import _RHO_SAMPLES, _min_zone
+    from nlshape.sets import uniform_angles
+    bx, by = star.frame(uniform_angles(_RHO_SAMPLES))[0].T
+    scale = float(star.samples(_RHO_SAMPLES).mean())
+    c, width = _min_zone(bx, by, star.center, scale)
+    dist = np.hypot(bx - c[0], by - c[1])
+    assert width == dist.max() - dist.min()
+    assert annulus_deficit_rho(star) == width / diameter(star)
+    tol = 64 * np.spacing(scale)
+    outer = dist >= dist.max() - tol
+    inner = dist <= dist.min() + tol
+    assert not (outer & inner).any()
+    hits = np.flatnonzero(outer | inner)
+    order = hits[np.argsort(np.arctan2(by[hits] - c[1], bx[hits] - c[0]))]
+    labels = outer[order]
+    assert np.count_nonzero(labels != np.roll(labels, 1)) >= 4
+
+
+def test_rho_not_above_scipy_nelder_mead():
+    # the minimum-zone center of the samples is never worse than the best
+    # of scipy's Nelder-Mead searches over the same samples, started at the
+    # center and at three points a fifth of the radius away
+    from scipy.optimize import minimize
+    from nlshape.diagnostics import _RHO_SAMPLES
+    from nlshape.sets import uniform_angles
+    for star in _old_generator_stars():
+        bx, by = star.frame(uniform_angles(_RHO_SAMPLES))[0].T
 
         def width(pt):
             dist = np.hypot(bx - pt[0], by - pt[1])
             return float(dist.max() - dist.min())
 
-        # the second start has a zero coordinate, which the start simplex
-        # moves by an absolute step
-        for x0 in (np.array(star.center), np.array([star.center[0], 0.0])):
-            ref = minimize(width, x0, method="Nelder-Mead",
-                           options={"xatol": xatol, "fatol": fatol,
-                                    "maxfev": maxfev})
-            assert _nelder_mead(width, x0, xatol, fatol, maxfev) == \
-                float(ref.fun)
+        scale = float(star.samples(_RHO_SAMPLES).mean())
+        cx, cy = star.center
+        best = min(
+            minimize(width, np.array([cx + dx * scale, cy + dy * scale]),
+                     method="Nelder-Mead",
+                     options={"xatol": 1e-10 * scale, "fatol": 1e-13 * scale,
+                              "maxfev": 4000}).fun
+            for dx, dy in ((0.0, 0.0), (0.2, 0.0), (-0.1, 0.17),
+                           (-0.1, -0.17)))
+        assert annulus_deficit_rho(star) <= \
+            best / diameter(star) * (1.0 + 1e-12)
 
 
 def test_ball_map_mu():
@@ -318,6 +385,24 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     # the sweep at 2 nq; P_s and R_alpha at nq and at 2 nq
     assert calls == {"set_integral_2d": 2, "boundary_fields": 3,
                      "frac_perimeter": 2, "riesz_energy": 2}
+
+
+def test_diagnose_computes_diameter_once(monkeypatch):
+    # eta, rho and iso_ratio share one diameter
+    from nlshape import diagnostics, sets
+    calls = []
+    diameter_fn = sets.diameter
+
+    def counted(S):
+        calls.append(S)
+        return diameter_fn(S)
+    monkeypatch.setattr(sets, "diameter", counted)
+    monkeypatch.setattr(diagnostics, "diameter", counted)
+    small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
+    rep = diagnose(small, P2, resolution=64, nq=16)
+    assert len(calls) == 1
+    assert rep.rho == annulus_deficit_rho(small)
+    assert rep.eta_s == eta(small, P2, rep.delta_s)
 
 
 @pytest.mark.parametrize("shape, p, res, nq", [
