@@ -13,8 +13,7 @@ from .errors import (BracketError, ConfigError, ConfigNotFoundError,
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    diameter, geometry_from_dict, geometry_to_dict,
                    isodiametric_ratio, load_geometry, save_geometry, volume)
-from .quad import (OracleResult, QuadTolerance, brute_oracle,
-                   kernel_primitive, pv_pair_integral)
+from .quad import kernel_primitive, pv_pair_integral
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, BoundaryFields,
                           EnergyBreakdown, boundary_fields, energy,
                           frac_curvature, frac_perimeter, grad_potential,
@@ -41,7 +40,6 @@ __all__ = [
     "volume", "diameter", "isodiametric_ratio",
     "geometry_to_dict", "geometry_from_dict", "load_geometry", "save_geometry",
     # quadrature
-    "QuadTolerance", "OracleResult", "brute_oracle",
     "kernel_primitive", "pv_pair_integral",
     # functionals
     "frac_perimeter", "riesz_energy", "energy", "EnergyBreakdown",

@@ -44,8 +44,8 @@ from .errors import GeometryError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           frac_perimeter, grad_potential_at_points,
                           potential_at_points, riesz_energy, set_integral_2d,
-                          _kappa_2d_batch, _potential_1d, _grad_potential_1d)
-from .quad import QuadTolerance, brute_oracle, pv_pair_integral
+                          _kappa_2d_batch, _potential_1d, _riesz_1d)
+from .quad import _pair_second_diff, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
                    canonical, diameter, isodiametric_ratio, uniform_angles,
                    volume)
@@ -262,17 +262,14 @@ def _rel_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
 
 
-_VOL_TOL = QuadTolerance(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=6000)
-
-
 def _int_v_over_set(S, p: Params, resolution, nq) -> float:
-    """int_E V dx by direct volume quadrature (not via the energy identity,
-    so identity checks that involve it stay two-sided)."""
+    """int_E V dx. On an interval set it is R_alpha by definition, in closed
+    form (_riesz_1d): 2 F(L) per interval plus twice the second difference
+    of F over each pair, F(t) = t^(2-alpha) / ((1-alpha)(2-alpha)). On a
+    planar set it is a volume quadrature of V, not the energy identity, so
+    the identity checks stay two-sided."""
     if isinstance(S, IntervalSet):
-        # the adaptive engine grades into the integrable endpoint singularities
-        return brute_oracle(lambda x: np.array([
-            _potential_1d(S, float(v), p.alpha) for v in np.atleast_1d(x)]),
-            S, _VOL_TOL)
+        return _riesz_1d(S, p.alpha)
     return set_integral_2d(
         S, lambda pts, foci: potential_at_points(S, pts, foci, p.alpha, nq),
         resolution)
@@ -284,23 +281,37 @@ def _grad_self_moment(a: float, b: float, alpha: float) -> float:
     return (b - a) ** (2.0 - alpha) * (2.0 / (2.0 - alpha) - 1.0 / (1.0 - alpha))
 
 
+def _grad_pair_moment(g: float, L1: float, L2: float, alpha: float) -> float:
+    """int_I x V_J' dx + int_J x V_I' dx, I of length L1 left of J of
+    length L2 at gap g. As int_I V_J' + int_J V_I' = 0 the sum does not
+    depend on the origin, so x is measured from the left end of J. With D_k
+    the second difference of F_k(t) = t^(k-alpha) / (k-alpha) over the pair
+    and Delta(t; h) = F_1(t + h) - F_1(t), formed by expm1 and log1p, it is
+    2 D_2 - L2 Delta(g + L2; L1) - L1 Delta(g + L1; L2) - g D_1."""
+    q = 1.0 - alpha
+
+    def delta(t, h):
+        return t ** q * math.expm1(q * math.log1p(h / t)) / q
+
+    d1 = _pair_second_diff(q, g, L1, L2) / q
+    d2 = _pair_second_diff(1.0 + q, g, L1, L2) / (1.0 + q)
+    return math.fsum((2.0 * d2, -L2 * delta(g + L2, L1),
+                      -L1 * delta(g + L1, L2), -g * d1))
+
+
 def _identity_au1(S, p: Params, resolution, nq, int_v: float) -> float:
+    """Residual of int_E x . grad V dx = -(alpha/2) int_E V dx. On an
+    interval set the left side is the closed-form _grad_self_moment of each
+    interval plus _grad_pair_moment of each pair, not -alpha times the cross
+    Riesz terms, so the check stays two-sided; on a planar set it is a
+    volume quadrature of grad V . x."""
     alpha = p.alpha
     if isinstance(S, IntervalSet):
-        # split V' into the own-interval part (closed form above; the
-        # quadrature must not sample the divergent endpoints) and the
-        # cross-interval part, smooth on each interval of integration
-        lhs_terms = []
-        for a, b in S.intervals:
-            lhs_terms.append(_grad_self_moment(a, b, alpha))
-            if len(S.intervals) > 1:
-                others = IntervalSet([iv for iv in S.intervals if iv != (a, b)])
-                lhs_terms.append(brute_oracle(
-                    lambda x: np.array([
-                        _grad_potential_1d(others, float(v), alpha) * float(v)
-                        for v in np.atleast_1d(x)]),
-                    (a, b), _VOL_TOL))
-        lhs = math.fsum(lhs_terms)
+        ivals = S.intervals
+        lhs = math.fsum(
+            [_grad_self_moment(a, b, alpha) for a, b in ivals]
+            + [_grad_pair_moment(c - b, b - a, d - c, alpha)
+               for i, (a, b) in enumerate(ivals) for c, d in ivals[i + 1:]])
     else:
         def gv_dot_x(pts, foci):
             g = grad_potential_at_points(S, pts, foci, alpha, nq)
@@ -476,9 +487,9 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     Each shared quantity is computed once and handed to its users: the
     boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
     own sup |grad V . tau| for TangentialBall), P_s and R_alpha at nq
-    (lambda_cross, Minkowski), int_E V (Au1, Au2) and the diameter (eta,
-    rho, iso_ratio). The planar error estimates are
-    |value(2 nq) - value(nq)| against those nq values.
+    (lambda_cross, Minkowski), int_E V (Au1, Au2; on an interval set it is
+    R_alpha itself) and the diameter (eta, rho, iso_ratio). The planar error
+    estimates are |value(2 nq) - value(nq)| against those nq values.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
@@ -512,7 +523,8 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     identities = {}
     if with_identities:
-        int_v = _int_v_over_set(C, p, resolution, nq)
+        int_v = (rz if isinstance(C, IntervalSet)
+                 else _int_v_over_set(C, p, resolution, nq))
         if 0.0 < p.alpha < 1.0:
             # the gradient route under Au1 needs the weak-singularity range;
             # for alpha >= 1 the boundary layer defeats the interior rule

@@ -85,9 +85,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import GeometryError, ParamError
-from .quad import (_boundary_point, interval_partition, jacobi_half_rule,
-                   kernel_primitive, ladder_half_rule, pv_at_endpoint,
-                   pv_pair_integral)
+from .quad import (_boundary_point, _pair_second_diff, interval_partition,
+                   jacobi_half_rule, kernel_primitive, ladder_half_rule,
+                   pv_at_endpoint, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles)
 
@@ -132,7 +132,7 @@ def _cross_perimeter(i1, i2, s: float) -> float:
     # int_{i1} int_{i2} |x-y|^(-1-s), i1 entirely left of i2
     (a, b), (c, d) = i1, i2
     q = 1.0 - s
-    return ((c - a) ** q - (c - b) ** q - (d - a) ** q + (d - b) ** q) / (s * q)
+    return -_pair_second_diff(q, c - b, b - a, d - c) / (s * q)
 
 
 def _single_interval_riesz(L: float, alpha: float) -> float:
@@ -140,9 +140,10 @@ def _single_interval_riesz(L: float, alpha: float) -> float:
 
 
 def _cross_riesz(i1, i2, alpha: float) -> float:
+    # int_{i1} int_{i2} |x-y|^(-alpha), i1 entirely left of i2
     (a, b), (c, d) = i1, i2
     q = 2.0 - alpha
-    return ((d - a) ** q - (d - b) ** q - (c - a) ** q + (c - b) ** q) / ((1.0 - alpha) * q)
+    return _pair_second_diff(q, c - b, b - a, d - c) / ((1.0 - alpha) * q)
 
 
 def _perimeter_1d(S: IntervalSet, s: float) -> float:

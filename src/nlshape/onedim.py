@@ -32,7 +32,6 @@ them. The sweep fits the log-log slope of the critical diameter against
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,6 +40,7 @@ import numpy as np
 
 from .errors import BracketError, GeometryError, ParamError
 from .functionals import _endpoint_fields_1d
+from .quad import _sym_second_diff
 from .sets import IntervalSet, Params
 
 __all__ = [
@@ -88,38 +88,6 @@ def zeta_endpoints(cfg: TwoIntervalConfig) -> np.ndarray:
     kap, pot = _endpoint_fields_1d(two_interval_set(cfg), p.s, p.alpha)
     ce = p.c_coupling * p.eps
     return np.array([k + ce * v for k, v in zip(kap, pot)])
-
-
-@functools.lru_cache(maxsize=64)
-def _series_table(b: float):
-    """C(b, 2) and the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
-    ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff. A sweep
-    uses two exponents, b = -s and 1 - alpha."""
-    ratios = tuple((b - 2 * k) * (b - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
-                   for k in range(1, 60))
-    return b * (b - 1.0) * 0.5, ratios
-
-
-def _sym_second_diff(b: float, x: float) -> float:
-    """(1+x)^b + (1-x)^b - 2 without cancellation, 0 <= x < 1.
-
-    For x below 1/2 the even binomial series
-    2 sum_{k>=1} C(b, 2k) x^(2k) is summed with a term recurrence, up to 60
-    terms; the ratio of consecutive terms is bounded by
-    x^2 * |(b-2k+1)(b-2k+2)| / ((2k-1)2k), which stays below ~x^2 for b in
-    (-1, 1), so the truncation error is controlled by the first omitted term.
-    """
-    if x >= 0.5:
-        return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
-    c2, ratios = _series_table(b)
-    term = c2 * x * x  # C(b, 2) x^2
-    acc = term
-    for r in ratios:
-        if not abs(term) > 1e-18 * abs(acc):
-            break
-        term *= r * x * x
-        acc += term
-    return 2.0 * acc
 
 
 def f_closed_form(d: float, p: Params) -> float:

@@ -1,10 +1,12 @@
 """Singular-integral engine.
 
-Three layers live here:
+Two layers live here:
 
-* closed-form primitives of the kernel |x - y|^(-p) over intervals, and the
-  principal-value combination of them at a boundary point of an interval
-  union, where the one-sided divergences rho^(-s)/s cancel analytically;
+* closed forms on the line: primitives of the kernel |x - y|^(-p) over
+  intervals; the principal-value combination of them at a boundary point of
+  an interval union, where the one-sided divergences rho^(-s)/s cancel
+  analytically; and the second differences of powers that every interval
+  pair integral reduces to, formed without subtracting nearly equal powers;
 
 * quadrature rules for the 2D boundary-reduced integrals. Area integrals of
   |y - x|^(-q) are converted to boundary integrals through
@@ -13,64 +15,25 @@ Three layers live here:
   target angle. Each half-side is integrated with a Gauss-Jacobi rule whose
   weight carries exactly that algebraic factor, so convergence is spectral.
   For target points off the curve the integrand is smooth and a dyadically
-  graded Gauss-Legendre ladder toward the nearest angle is used instead;
-
-* an independent brute-force oracle: globally adaptive interval bisection
-  with a deterministic subdivision rule (split the worst interval at its
-  midpoint, ties broken by insertion order). It shares no code with the
-  closed-form or boundary-reduced paths; the package uses it for the 1D
-  volume integrals of the identity checks, and the tests build their
-  principal-value and 2D box oracles on it.
+  graded Gauss-Legendre ladder toward the nearest angle is used instead.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GeometryError, ParamError, QuadratureError
+from .errors import GeometryError, ParamError
 from .sets import IntervalSet
 
 __all__ = [
-    "QuadTolerance", "OracleResult",
     "kernel_primitive", "interval_partition", "pv_at_endpoint",
-    "pv_pair_integral", "brute_oracle",
-    "jacobi_half_rule", "ladder_half_rule",
+    "pv_pair_integral", "jacobi_half_rule", "ladder_half_rule",
 ]
-
-
-@dataclass(frozen=True)
-class QuadTolerance:
-    """Tolerance bundle for the oracle."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if self.rel_tol < 0 or self.abs_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.rel_tol == 0 and self.abs_tol == 0:
-            raise ValueError("at least one of rel_tol, abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    error: float
-    subdivisions: int
-
-    def as_dict(self):
-        return {"value": self.value, "error": self.error,
-                "subdivisions": self.subdivisions}
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +158,59 @@ def pv_at_endpoint(segs: list, x: float, s: float) -> float:
     return total
 
 
+@lru_cache(maxsize=64)
+def _series_table(b: float):
+    """C(b, 2) and the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
+    ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff. A line
+    sweep uses two exponents, b = -s and 1 - alpha; the interval pair
+    integrals use 1 - s, 1 - alpha and 2 - alpha."""
+    ratios = tuple((b - 2 * k) * (b - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
+                   for k in range(1, 60))
+    return b * (b - 1.0) * 0.5, ratios
+
+
+def _sym_second_diff(b: float, x: float) -> float:
+    """(1+x)^b + (1-x)^b - 2 without cancellation, 0 <= x < 1.
+
+    For x below 1/2 the even binomial series
+    2 sum_{k>=1} C(b, 2k) x^(2k) is summed with a term recurrence, up to 60
+    terms; the ratio of consecutive terms is bounded by
+    x^2 * |(b-2k+1)(b-2k+2)| / ((2k-1)2k), which stays below ~x^2 for b in
+    (-1, 2), so the truncation error is controlled by the first omitted term.
+    """
+    if x >= 0.5:
+        return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
+    c2, ratios = _series_table(b)
+    term = c2 * x * x  # C(b, 2) x^2
+    acc = term
+    for r in ratios:
+        if not abs(term) > 1e-18 * abs(acc):
+            break
+        term *= r * x * x
+        acc += term
+    return 2.0 * acc
+
+
+def _pair_second_diff(q: float, g: float, L1: float, L2: float) -> float:
+    """(g+L1+L2)^q - (g+L1)^q - (g+L2)^q + g^q for q in (-1, 2), g > 0: the
+    second difference that a power kernel integrated over two intervals of
+    lengths L1, L2 at gap g reduces to.
+
+    About the midpoint m = g + (L1+L2)/2 the bases are m(1 +- x) and
+    m(1 +- y), x = (L1+L2)/(2m), y = (L2-L1)/(2m), so the value is
+    m^q [sigma(x) - sigma(|y|)] with sigma = _sym_second_diff(q, .). From
+    x >= 1/2 on the bases differ in size and the four powers are summed as
+    they stand, which keeps near-touching pairs to roundoff. Either way the
+    error is a few ulps of the largest term; only when one length is far
+    shorter than the other is that large against the value itself.
+    """
+    m = g + 0.5 * (L1 + L2)
+    if L1 + L2 >= m:
+        return (g + L1 + L2) ** q - (g + L1) ** q - (g + L2) ** q + g ** q
+    return m ** q * (_sym_second_diff(q, 0.5 * (L1 + L2) / m)
+                     - _sym_second_diff(q, 0.5 * abs(L2 - L1) / m))
+
+
 # ---------------------------------------------------------------------------
 # 2D boundary rules
 
@@ -258,118 +274,3 @@ def ladder_half_rule(depth: int = 24, q: int = 12):
     u.flags.writeable = False
     W.flags.writeable = False
     return u, W
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-_GL_COARSE = leggauss(8)
-_GL_FINE = leggauss(16)
-
-
-def _panel_estimates(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xc = mid + half * _GL_COARSE[0]
-    xf = mid + half * _GL_FINE[0]
-    ic = half * float(_GL_COARSE[1] @ np.asarray(f(xc), dtype=float))
-    ifine = half * float(_GL_FINE[1] @ np.asarray(f(xf), dtype=float))
-    return ifine, abs(ifine - ic)
-
-
-def _adaptive_1d(f, a, b, tol: QuadTolerance, budget=None):
-    """Globally adaptive bisection on [a, b]; deterministic refinement order.
-
-    Returns (value, error_bound, n_subdivisions). The integrand is evaluated
-    on arrays of interior Gauss nodes, so endpoint singularities are never
-    sampled at the endpoint itself.
-    """
-    if budget is None:
-        budget = tol.max_subdivisions
-    val, err = _panel_estimates(f, a, b)
-    heap = [(-err, 0, a, b, val, err)]
-    total = val
-    total_err = err
-    count = 0
-    seq = 1
-    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total)) and count < budget:
-        neg, _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel_estimates(f, lo, mid)
-        v2, e2 = _panel_estimates(f, mid, hi)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1)); seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2)); seq += 1
-        count += 1
-    total = math.fsum(item[4] for item in heap)
-    total_err = math.fsum(item[5] for item in heap)
-    return total, total_err, count
-
-
-def _segments_of(region):
-    """Normalize a 1D region to finite segments plus mapped infinite tails.
-
-    Returns a list of (transformed_f_wrapper, lo, hi) factories applied to an
-    integrand; infinite tails are mapped through y = 1/u onto finite panels.
-    """
-    if isinstance(region, IntervalSet):
-        return [(float(a), float(b)) for a, b in region.intervals]
-    seq = list(region)
-    if len(seq) == 2 and np.isscalar(seq[0]):
-        return [(float(seq[0]), float(seq[1]))]
-    return [(float(a), float(b)) for a, b in seq]
-
-
-def _integrate_segment(f, lo, hi, tol, budget):
-    """One segment, with substitution y = 1/u for an infinite end."""
-    if math.isinf(lo) and math.isinf(hi):
-        v1, e1, c1 = _integrate_segment(f, lo, 0.0, tol, budget)
-        v2, e2, c2 = _integrate_segment(f, 0.0, hi, tol, budget)
-        return v1 + v2, e1 + e2, c1 + c2
-    if math.isinf(hi):
-        if lo <= 0.0:
-            v1, e1, c1 = _integrate_segment(f, lo, max(lo, 1.0), tol, budget)
-            v2, e2, c2 = _integrate_segment(f, max(lo, 1.0), hi, tol, budget)
-            return v1 + v2, e1 + e2, c1 + c2
-        def g(u):
-            u = np.asarray(u, dtype=float)
-            return np.asarray(f(1.0 / u), dtype=float) / (u * u)
-        return _adaptive_1d(g, 0.0, 1.0 / lo, tol, budget)
-    if math.isinf(lo):
-        def fneg(y):
-            return np.asarray(f(-np.asarray(y, dtype=float)), dtype=float)
-        return _integrate_segment(fneg, -hi, math.inf, tol, budget)
-    return _adaptive_1d(f, lo, hi, tol, budget)
-
-
-def _oracle_1d(f, region, tol: QuadTolerance):
-    segs = _segments_of(region)
-    budget = max(1, tol.max_subdivisions // max(1, len(segs)))
-    vals, errs, cnt = [], [], 0
-    for lo, hi in segs:
-        v, e, c = _integrate_segment(f, lo, hi, tol, budget)
-        vals.append(v)
-        errs.append(e)
-        cnt += c
-    return math.fsum(vals), math.fsum(errs), cnt
-
-
-def brute_oracle(integrand: Callable, region, tol: QuadTolerance = QuadTolerance(),
-                 full_output: bool = False):
-    """Adaptive bisection estimate of a 1D integral, for checking other paths.
-
-    region: an IntervalSet, a (lo, hi) pair (ends may be +-inf), or a list of
-    such pairs.
-
-    Raises QuadratureError (carrying the best estimate) when the subdivision
-    budget is exhausted before the tolerance is met.
-    """
-    value, err, cnt = _oracle_1d(integrand, region, tol)
-    if err > max(tol.abs_tol, tol.rel_tol * abs(value)) * 8.0 + 1e-300:
-        raise QuadratureError(
-            f"oracle did not converge: error bound {err:g} for estimate {value:g}",
-            estimate=value, error_bound=err)
-    result = OracleResult(value=value, error=err, subdivisions=cnt)
-    return result if full_output else result.value

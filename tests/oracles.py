@@ -3,8 +3,8 @@
 Everything here works by casting rays and reducing the 2D kernels to exact
 per-ray antiderivatives, so no boundary mesh, no Gauss-Jacobi rule, and no
 divergence identity from the package's production path is involved. The
-package's own brute_oracle only supplies generic adaptive 1D bisection on
-smooth-by-construction integrands.
+generic adaptive 1D bisection they use (`brute_oracle`) lives here as well;
+the package has no quadrature of its own on the line.
 
 Ray picture: fix a base point x and a direction phi. The ray x + t*(cos phi,
 sin phi), t > 0, crosses the boundary at 0 < t_1 < ... < t_k; between
@@ -46,24 +46,31 @@ The non-ray references are:
   series and principal-value routines as they stood before the ratio table
   and the one-pass endpoint evaluation, against which the package's values
   are compared bit for bit;
-* two modes built on the package's adaptive 1D bisection: `pv_oracle`, a
-  principal value by antipodal pairing and shrinking windows, and
-  `box_oracle`, an iterated integral over a 2D box.
+* `brute_oracle`, globally adaptive interval bisection with a deterministic
+  subdivision rule (split the worst interval at its midpoint, ties broken by
+  insertion order), and two modes built on it: `pv_oracle`, a principal
+  value by antipodal pairing and shrinking windows, and `box_oracle`, an
+  iterated integral over a 2D box;
+* `pair_second_diff_mp`, `riesz_1d_mp` and `perimeter_1d_mp`: the 1D
+  closed forms of R_alpha and P_s on interval unions at 60 digits, where the
+  second differences of powers are subtracted as they stand; the float
+  inputs are taken exactly, so only the final rounding is float.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from nlshape import onedim
 from nlshape.errors import BracketError, GeometryError, QuadratureError
-from nlshape.quad import (QuadTolerance, _adaptive_1d, _boundary_point,
-                          _halfline_primitive, _integrate_segment,
-                          _segments_of, brute_oracle, kernel_primitive,
-                          ladder_half_rule)
-from nlshape.sets import Ball, StarShape2D
+from nlshape.quad import (_boundary_point, _halfline_primitive,
+                          kernel_primitive, ladder_half_rule)
+from nlshape.sets import Ball, IntervalSet, StarShape2D
 
 _T_FLOOR = 1e-12
 
@@ -583,6 +590,210 @@ def pv_pair_integral_reference(S, x: float, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# 1D closed forms at 60 digits
+
+
+# interval sets for the 1D closed forms: the paper's two-interval example at
+# growing gap d, then four intervals of unequal lengths, a near-touching
+# pair, and a short interval between a long one and a far one
+CLOSED_FORM_SETS = [[(0.0, 0.5), (d, d + 0.5)]
+                    for d in (0.6, 7.0, 100.0, 1e4, 1e6, 1e12)] + [
+    [(-3.0, -1.0), (0.0, 0.2), (0.25, 1.0), (5.0, 9.0)],
+    [(0.0, 1.0), (1.0 + 1e-9, 2.0)],
+    [(0.0, 2.0), (2.5, 2.5 + 1e-6), (1e3, 1e3 + 3.0)],
+]
+
+
+def _mp_pair_second_diff(q, g, L1, L2):
+    return (g + L1 + L2) ** q - (g + L1) ** q - (g + L2) ** q + g ** q
+
+
+def pair_second_diff_mp(q, g, L1, L2, dps=60):
+    """(g+L1+L2)^q - (g+L1)^q - (g+L2)^q + g^q at dps digits, rounded once."""
+    with mp.workdps(dps):
+        return float(_mp_pair_second_diff(
+            mp.mpf(q), mp.mpf(g), mp.mpf(L1), mp.mpf(L2)))
+
+
+def _mp_intervals(intervals):
+    return [(mp.mpf(a), mp.mpf(b)) for a, b in intervals]
+
+
+def riesz_1d_mp(intervals, alpha, dps=60):
+    """int_E int_E |x-y|^(-alpha) on the interval union E, at dps digits:
+    2 F(L) per interval plus twice the second difference of F over each
+    pair, F(t) = t^(2-alpha) / ((1-alpha)(2-alpha))."""
+    with mp.workdps(dps):
+        ivs = _mp_intervals(intervals)
+        al = mp.mpf(alpha)
+        q = 2 - al
+        total = mp.fsum(2 * (b - a) ** q for a, b in ivs)
+        total += 2 * mp.fsum(_mp_pair_second_diff(q, c - b, b - a, d - c)
+                             for i, (a, b) in enumerate(ivs)
+                             for c, d in ivs[i + 1:])
+        return float(total / ((1 - al) * q))
+
+
+def perimeter_1d_mp(intervals, s, dps=60):
+    """int_E int_{E^c} |x-y|^(-1-s) on the interval union E, at dps digits:
+    2 L^(1-s) / (s(1-s)) per interval, and twice the pair integral of each
+    pair of intervals taken off, which is minus the second difference of
+    t^(1-s) / (s(1-s))."""
+    with mp.workdps(dps):
+        ivs = _mp_intervals(intervals)
+        s = mp.mpf(s)
+        q = 1 - s
+        total = mp.fsum(2 * (b - a) ** q for a, b in ivs)
+        total += 2 * mp.fsum(_mp_pair_second_diff(q, c - b, b - a, d - c)
+                             for i, (a, b) in enumerate(ivs)
+                             for c, d in ivs[i + 1:])
+        return float(total / (s * q))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: globally adaptive 1D bisection
+
+
+@dataclass(frozen=True)
+class QuadTolerance:
+    """Tolerance bundle for the oracle."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_subdivisions: int = 4000
+
+    def __post_init__(self):
+        if self.rel_tol < 0 or self.abs_tol < 0:
+            raise ValueError("tolerances must be nonnegative")
+        if self.rel_tol == 0 and self.abs_tol == 0:
+            raise ValueError("at least one of rel_tol, abs_tol must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be positive")
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    value: float
+    error: float
+    subdivisions: int
+
+    def as_dict(self):
+        return {"value": self.value, "error": self.error,
+                "subdivisions": self.subdivisions}
+
+
+_GL_COARSE = leggauss(8)
+_GL_FINE = leggauss(16)
+
+
+def _panel_estimates(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xc = mid + half * _GL_COARSE[0]
+    xf = mid + half * _GL_FINE[0]
+    ic = half * float(_GL_COARSE[1] @ np.asarray(f(xc), dtype=float))
+    ifine = half * float(_GL_FINE[1] @ np.asarray(f(xf), dtype=float))
+    return ifine, abs(ifine - ic)
+
+
+def _adaptive_1d(f, a, b, tol: QuadTolerance, budget=None):
+    """Globally adaptive bisection on [a, b]; deterministic refinement order.
+
+    Returns (value, error_bound, n_subdivisions). The integrand is evaluated
+    on arrays of interior Gauss nodes, so endpoint singularities are never
+    sampled at the endpoint itself.
+    """
+    if budget is None:
+        budget = tol.max_subdivisions
+    val, err = _panel_estimates(f, a, b)
+    heap = [(-err, 0, a, b, val, err)]
+    total = val
+    total_err = err
+    count = 0
+    seq = 1
+    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total)) and count < budget:
+        neg, _, lo, hi, v, e = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _panel_estimates(f, lo, mid)
+        v2, e2 = _panel_estimates(f, mid, hi)
+        total += (v1 + v2) - v
+        total_err += (e1 + e2) - e
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1)); seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2)); seq += 1
+        count += 1
+    total = math.fsum(item[4] for item in heap)
+    total_err = math.fsum(item[5] for item in heap)
+    return total, total_err, count
+
+
+def _segments_of(region):
+    """Normalize a 1D region to finite segments plus mapped infinite tails.
+
+    Returns a list of (transformed_f_wrapper, lo, hi) factories applied to an
+    integrand; infinite tails are mapped through y = 1/u onto finite panels.
+    """
+    if isinstance(region, IntervalSet):
+        return [(float(a), float(b)) for a, b in region.intervals]
+    seq = list(region)
+    if len(seq) == 2 and np.isscalar(seq[0]):
+        return [(float(seq[0]), float(seq[1]))]
+    return [(float(a), float(b)) for a, b in seq]
+
+
+def _integrate_segment(f, lo, hi, tol, budget):
+    """One segment, with substitution y = 1/u for an infinite end."""
+    if math.isinf(lo) and math.isinf(hi):
+        v1, e1, c1 = _integrate_segment(f, lo, 0.0, tol, budget)
+        v2, e2, c2 = _integrate_segment(f, 0.0, hi, tol, budget)
+        return v1 + v2, e1 + e2, c1 + c2
+    if math.isinf(hi):
+        if lo <= 0.0:
+            v1, e1, c1 = _integrate_segment(f, lo, max(lo, 1.0), tol, budget)
+            v2, e2, c2 = _integrate_segment(f, max(lo, 1.0), hi, tol, budget)
+            return v1 + v2, e1 + e2, c1 + c2
+        def g(u):
+            u = np.asarray(u, dtype=float)
+            return np.asarray(f(1.0 / u), dtype=float) / (u * u)
+        return _adaptive_1d(g, 0.0, 1.0 / lo, tol, budget)
+    if math.isinf(lo):
+        def fneg(y):
+            return np.asarray(f(-np.asarray(y, dtype=float)), dtype=float)
+        return _integrate_segment(fneg, -hi, math.inf, tol, budget)
+    return _adaptive_1d(f, lo, hi, tol, budget)
+
+
+def _oracle_1d(f, region, tol: QuadTolerance):
+    segs = _segments_of(region)
+    budget = max(1, tol.max_subdivisions // max(1, len(segs)))
+    vals, errs, cnt = [], [], 0
+    for lo, hi in segs:
+        v, e, c = _integrate_segment(f, lo, hi, tol, budget)
+        vals.append(v)
+        errs.append(e)
+        cnt += c
+    return math.fsum(vals), math.fsum(errs), cnt
+
+
+def brute_oracle(integrand: Callable, region, tol: QuadTolerance = QuadTolerance(),
+                 full_output: bool = False):
+    """Adaptive bisection estimate of a 1D integral, for checking other paths.
+
+    region: an IntervalSet, a (lo, hi) pair (ends may be +-inf), or a list of
+    such pairs.
+
+    Raises QuadratureError (carrying the best estimate) when the subdivision
+    budget is exhausted before the tolerance is met.
+    """
+    value, err, cnt = _oracle_1d(integrand, region, tol)
+    if err > max(tol.abs_tol, tol.rel_tol * abs(value)) * 8.0 + 1e-300:
+        raise QuadratureError(
+            f"oracle did not converge: error bound {err:g} for estimate {value:g}",
+            estimate=value, error_bound=err)
+    result = OracleResult(value=value, error=err, subdivisions=cnt)
+    return result if full_output else result.value
+
+
+# ---------------------------------------------------------------------------
 # principal values and 2D boxes by adaptive 1D bisection
 
 
@@ -599,8 +810,8 @@ class PVSpec:
 
 
 def _certified(value, err, tol):
-    """value, or QuadratureError when err misses the tolerance (the package
-    oracle's acceptance rule)."""
+    """value, or QuadratureError when err misses the tolerance (brute_oracle's
+    acceptance rule)."""
     if err > max(tol.abs_tol, tol.rel_tol * abs(value)) * 8.0 + 1e-300:
         raise QuadratureError(
             f"oracle did not converge: error bound {err:g} for estimate {value:g}",

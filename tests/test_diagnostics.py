@@ -14,7 +14,8 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
 from nlshape.diagnostics import IDENTITY_KINDS, au2_sides, eta
 from nlshape.sets import diameter, scaled
 
-from oracles import disk_curvature_exact, disk_potential_oracle
+from oracles import (CLOSED_FORM_SETS, disk_curvature_exact,
+                     disk_potential_oracle)
 
 P2 = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
 P1 = Params(n=1, s=0.5, alpha=0.5, eps=1e-3)
@@ -244,11 +245,37 @@ def test_identity_tangential_needs_planar(two_intervals):
 
 
 def test_identities_1d(two_intervals):
-    # closed-form boundary data; only the volume integral is quadrature
     assert identity_check(two_intervals, P1, "Au1") < 1e-8
     assert identity_check(two_intervals, P1, "Au2") < 1e-8
     assert identity_check(two_intervals, P1, "Minkowski") < 1e-12
     assert identity_check(two_intervals, P1, "Lal") == 0.0
+
+
+ALPHAS_1D = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_1D)
+@pytest.mark.parametrize("intervals", CLOSED_FORM_SETS)
+def test_au1_1d_closed_form_at_roundoff(intervals, alpha):
+    # both sides are closed forms over interval pairs, at every gap
+    p = Params(n=1, s=0.5, alpha=alpha, eps=1e-3)
+    assert identity_check(IntervalSet(intervals), p, "Au1") <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_1D)
+@pytest.mark.parametrize("intervals",
+                         CLOSED_FORM_SETS[:3] + CLOSED_FORM_SETS[6:])
+def test_au2_1d_at_roundoff(intervals, alpha, request):
+    # the two-interval sets up to gap d = 100 and the multi-interval sets.
+    # Beyond d = 100 the far-interval term of kernel_primitive in the
+    # endpoint V cancels (Au2 1.2e-7 at d = 1e6, alpha = 0.5); the same term
+    # leaves Au2 at 5.1e-12 for alpha = 0.1 on the set with a 1e-6 interval
+    # between a long one and one 1e3 away
+    if intervals is CLOSED_FORM_SETS[-1] and alpha == 0.1:
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="endpoint V cancels in kernel_primitive"))
+    p = Params(n=1, s=0.5, alpha=alpha, eps=1e-3)
+    assert identity_check(IntervalSet(intervals), p, "Au2") <= 1e-12
 
 
 def test_ball_1d_diagnoses_as_its_interval():
@@ -385,6 +412,31 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     # the sweep at 2 nq; P_s and R_alpha at nq and at 2 nq
     assert calls == {"set_integral_2d": 2, "boundary_fields": 3,
                      "frac_perimeter": 2, "riesz_energy": 2}
+
+
+def test_diagnose_1d_computes_int_v_once(monkeypatch):
+    # on an interval set int_E V is R_alpha: the one riesz_energy call
+    # serves Au1, Au2 and lambda_cross
+    from nlshape import diagnostics, functionals
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("riesz_energy", "_int_v_over_set", "set_integral_2d"):
+        counted(diagnostics, name)
+    # riesz_energy reads functionals' _riesz_1d, _int_v_over_set its own
+    # import of it; both see the one counter
+    counted(functionals, "_riesz_1d")
+    monkeypatch.setattr(diagnostics, "_riesz_1d", functionals._riesz_1d)
+    rep = diagnose(IntervalSet([(0.0, 0.5), (7.0, 7.5)]), P1)
+    assert {"Au1", "Au2"} <= set(rep.identity_residuals)
+    assert calls == {"riesz_energy": 1, "_riesz_1d": 1}
 
 
 def test_diagnose_computes_diameter_once(monkeypatch):

@@ -20,11 +20,12 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      grad_potential_at_points, potential, potential_at_points,
                      riesz_energy, set_integral_2d, tangential_grad_potential,
                      zeta, zeta_nodes)
-from nlshape.quad import QuadTolerance, brute_oracle
 from nlshape.sets import scaled, translated
 
-from oracles import (disk_curvature_exact, disk_perimeter_oracle,
-                     disk_potential_oracle, disk_riesz_oracle)
+from oracles import (CLOSED_FORM_SETS, QuadTolerance, brute_oracle,
+                     disk_curvature_exact, disk_perimeter_oracle,
+                     disk_potential_oracle, disk_riesz_oracle,
+                     perimeter_1d_mp, riesz_1d_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,18 @@ def test_riesz_two_intervals_vs_covariogram(two_intervals):
         lambda t: t ** (-alpha) * _shift_overlap(ivs, t),
         _COV_SEGS, QuadTolerance(rel_tol=1e-11, abs_tol=1e-13))
     assert_allclose(riesz_energy(two_intervals, alpha), ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("e", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("intervals", CLOSED_FORM_SETS)
+def test_1d_energies_match_60_digit_closed_forms(intervals, e):
+    # each pair's second difference is formed without subtracting nearly
+    # equal powers, so both energies keep roundoff at any gap
+    S = IntervalSet(intervals)
+    assert_allclose(riesz_energy(S, e), riesz_1d_mp(intervals, e),
+                    rtol=1e-15, atol=0.0)
+    assert_allclose(frac_perimeter(S, e), perimeter_1d_mp(intervals, e),
+                    rtol=1e-15, atol=0.0)
 
 
 @given(x=st.floats(-2.0, 6.0), alpha=st.floats(0.05, 0.95))

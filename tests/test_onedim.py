@@ -18,7 +18,7 @@ from nlshape import (BracketError, GeometryError, ParamError, Params,
                      TwoIntervalConfig, epsilon_sweep, f_closed_form,
                      g_and_d_eps, onedim, solve_critical_d, two_interval_set,
                      zeta_endpoints)
-from nlshape.onedim import _series_table, _sym_second_diff
+from nlshape.quad import _series_table, _sym_second_diff
 from oracles import bisection_critical_d, sym_second_diff_recurrence
 
 

@@ -6,15 +6,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (IntervalSet, OracleResult, ParamError, Params,
-                     QuadratureError, QuadTolerance, TwoIntervalConfig,
-                     boundary_fields, brute_oracle, kernel_primitive,
+from nlshape import (IntervalSet, ParamError, Params, QuadratureError,
+                     TwoIntervalConfig, boundary_fields, kernel_primitive,
                      pv_pair_integral, zeta_endpoints)
 from nlshape.functionals import _potential_1d
-from nlshape.quad import (interval_partition, jacobi_half_rule,
-                          ladder_half_rule, pv_at_endpoint)
+from nlshape.quad import (_pair_second_diff, interval_partition,
+                          jacobi_half_rule, ladder_half_rule, pv_at_endpoint)
 
-from oracles import PVSpec, box_oracle, pv_oracle, pv_pair_integral_reference
+from oracles import (OracleResult, PVSpec, QuadTolerance, box_oracle,
+                     brute_oracle, pair_second_diff_mp, pv_oracle,
+                     pv_pair_integral_reference)
 
 TIGHT = QuadTolerance(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -61,6 +62,36 @@ def test_primitive_rejections():
         kernel_primitive(0.0, 1.0, 2.0, 1.0)  # logarithmic exponent
     with pytest.raises(ValueError):
         kernel_primitive(0.0, 1.0, 1.0, 1.5)  # divergent endpoint
+
+
+# ---------------------------------------------------------------------------
+# second differences of powers over interval pairs
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.1, 0.9, 1.1, 1.9])
+@pytest.mark.parametrize("L1, L2", [(0.5, 0.5), (0.2, 0.75), (1.0, 2.0),
+                                    (1e-6, 7.0), (3.0, 1e-9)])
+@pytest.mark.parametrize("x", [1e-12, 1e-3, 0.3, 0.5 - 1e-12, 0.5,
+                               0.5 + 1e-12, 0.9, 1.0 - 1e-9])
+def test_pair_second_diff_against_mp(q, L1, L2, x):
+    # x = (L1+L2)/(2m), m the midpoint of the pair, switches from the
+    # midpoint series to the four powers at 1/2; on either side the error is
+    # a few units of roundoff in the largest term (below 4 eps on this grid)
+    Ls = L1 + L2
+    g = Ls / (2.0 * x) - 0.5 * Ls
+    m = g + 0.5 * Ls
+    got = _pair_second_diff(q, g, L1, L2)
+    ref = pair_second_diff_mp(q, g, L1, L2)
+    if Ls >= m:
+        scale = max((g + Ls) ** q, (g + L1) ** q, (g + L2) ** q, g ** q)
+    else:
+        # m^q sigma(x) to leading order, sigma(x) ~ q (q - 1) x^2
+        scale = m ** q * abs(q * (q - 1.0)) * (0.5 * Ls / m) ** 2
+    assert abs(got - ref) <= 8.0 * 2.0 ** -52 * scale
+    if L1 == L2 and Ls < m:
+        # equal lengths: the second sigma vanishes, so the series branch is
+        # accurate relative to the value itself
+        assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
