@@ -45,7 +45,7 @@ from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           frac_perimeter, grad_potential_at_points,
                           potential_at_points, riesz_energy, set_integral_2d,
                           _kappa_2d_batch, _potential_1d, _riesz_1d)
-from .quad import _pair_second_diff, pv_pair_integral
+from .quad import _first_diff, _pair_second_diff, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
                    canonical, diameter, isodiametric_ratio, uniform_angles,
                    volume)
@@ -286,17 +286,13 @@ def _grad_pair_moment(g: float, L1: float, L2: float, alpha: float) -> float:
     length L2 at gap g. As int_I V_J' + int_J V_I' = 0 the sum does not
     depend on the origin, so x is measured from the left end of J. With D_k
     the second difference of F_k(t) = t^(k-alpha) / (k-alpha) over the pair
-    and Delta(t; h) = F_1(t + h) - F_1(t), formed by expm1 and log1p, it is
-    2 D_2 - L2 Delta(g + L2; L1) - L1 Delta(g + L1; L2) - g D_1."""
+    and Delta(t; h) = F_1(t + h) - F_1(t) the first difference _first_diff,
+    it is 2 D_2 - L2 Delta(g + L2; L1) - L1 Delta(g + L1; L2) - g D_1."""
     q = 1.0 - alpha
-
-    def delta(t, h):
-        return t ** q * math.expm1(q * math.log1p(h / t)) / q
-
     d1 = _pair_second_diff(q, g, L1, L2) / q
     d2 = _pair_second_diff(1.0 + q, g, L1, L2) / (1.0 + q)
-    return math.fsum((2.0 * d2, -L2 * delta(g + L2, L1),
-                      -L1 * delta(g + L1, L2), -g * d1))
+    return math.fsum((2.0 * d2, -L2 * _first_diff(q, g + L2, L1),
+                      -L1 * _first_diff(q, g + L1, L2), -g * d1))
 
 
 def _identity_au1(S, p: Params, resolution, nq, int_v: float) -> float:

@@ -13,7 +13,8 @@ gradient, the fractional curvature
 
 and the boundary condition combination zeta = kappa + c * eps * V.
 
-1D values are closed forms built from kernel primitives. 2D values use the
+1D values are closed forms in the first and second differences of powers
+of quad; P_s and R_alpha are one pair sum (_pair_sum_1d). 2D values use the
 divergence-reduced boundary quadrature from quad: with q = n + s resp.
 q = alpha,
 
@@ -85,8 +86,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import GeometryError, ParamError
-from .quad import (_boundary_point, _pair_second_diff, interval_partition,
-                   jacobi_half_rule, kernel_primitive, ladder_half_rule,
+from .quad import (_boundary_point, _first_diff, _pair_second_diff,
+                   interval_partition, jacobi_half_rule, ladder_half_rule,
                    pv_at_endpoint, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles)
@@ -124,44 +125,26 @@ class EnergyBreakdown:
 # 1D closed forms
 
 
-def _single_interval_perimeter(L: float, s: float) -> float:
-    return 2.0 * L ** (1.0 - s) / (s * (1.0 - s))
-
-
-def _cross_perimeter(i1, i2, s: float) -> float:
-    # int_{i1} int_{i2} |x-y|^(-1-s), i1 entirely left of i2
-    (a, b), (c, d) = i1, i2
-    q = 1.0 - s
-    return -_pair_second_diff(q, c - b, b - a, d - c) / (s * q)
-
-
-def _single_interval_riesz(L: float, alpha: float) -> float:
-    return 2.0 * L ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
-
-
-def _cross_riesz(i1, i2, alpha: float) -> float:
-    # int_{i1} int_{i2} |x-y|^(-alpha), i1 entirely left of i2
-    (a, b), (c, d) = i1, i2
-    q = 2.0 - alpha
-    return _pair_second_diff(q, c - b, b - a, d - c) / ((1.0 - alpha) * q)
+def _pair_sum_1d(S: IntervalSet, q: float) -> float:
+    """sum_i 2 L_i^q + 2 sum_{i<j} _pair_second_diff(q, g_ij, L_i, L_j) over
+    the interval lengths L_i and gaps g_ij of S. Over a constant it is P_s
+    (q = 1 - s) and R_alpha (q = 2 - alpha)."""
+    ivals = S.intervals
+    own = math.fsum(2.0 * (b - a) ** q for a, b in ivals)
+    cross = math.fsum(_pair_second_diff(q, c - b, b - a, d - c)
+                      for i, (a, b) in enumerate(ivals)
+                      for c, d in ivals[i + 1:])
+    return own + 2.0 * cross
 
 
 def _perimeter_1d(S: IntervalSet, s: float) -> float:
-    ivals = S.intervals
-    total = math.fsum(_single_interval_perimeter(b - a, s) for a, b in ivals)
-    cross = math.fsum(_cross_perimeter(ivals[i], ivals[j], s)
-                      for i in range(len(ivals)) for j in range(i + 1, len(ivals)))
-    return total - 2.0 * cross
+    return _pair_sum_1d(S, 1.0 - s) / (s * (1.0 - s))
 
 
 def _riesz_1d(S: IntervalSet, alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ParamError(f"1D Riesz energy needs alpha in (0, 1), got {alpha!r}")
-    ivals = S.intervals
-    total = math.fsum(_single_interval_riesz(b - a, alpha) for a, b in ivals)
-    cross = math.fsum(_cross_riesz(ivals[i], ivals[j], alpha)
-                      for i in range(len(ivals)) for j in range(i + 1, len(ivals)))
-    return total + 2.0 * cross
+    return _pair_sum_1d(S, 2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
 
 
 def _point_1d(x) -> float:
@@ -182,7 +165,7 @@ def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
         if a < x < b:
             acc.append(((x - a) ** q + (b - x) ** q) / q)
         else:
-            acc.append(kernel_primitive(a, b, x, alpha))
+            acc.append(_first_diff(q, a - x if x <= a else x - b, b - a))
     return math.fsum(acc)
 
 
@@ -202,15 +185,8 @@ def _grad_potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
         raise ParamError(
             "potential gradient diverges at a 1D boundary point for every "
             f"alpha > 0 (alpha = {alpha}); evaluate off the boundary")
-    acc = []
-    for a, b in S.intervals:
-        if a < x < b:
-            acc.append((x - a) ** (-alpha) - (b - x) ** (-alpha))
-        elif x < a:
-            acc.append((a - x) ** (-alpha) - (b - x) ** (-alpha))
-        else:
-            acc.append((x - a) ** (-alpha) - (x - b) ** (-alpha))
-    return math.fsum(acc)
+    return math.fsum(abs(x - a) ** (-alpha) - abs(x - b) ** (-alpha)
+                     for a, b in S.intervals)
 
 
 # ---------------------------------------------------------------------------

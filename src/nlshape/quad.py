@@ -2,11 +2,12 @@
 
 Two layers live here:
 
-* closed forms on the line: primitives of the kernel |x - y|^(-p) over
-  intervals; the principal-value combination of them at a boundary point of
-  an interval union, where the one-sided divergences rho^(-s)/s cancel
-  analytically; and the second differences of powers that every interval
-  pair integral reduces to, formed without subtracting nearly equal powers;
+* closed forms on the line: the first difference ((g + h)^q - g^q) / q,
+  the kernel |x - y|^(q-1) over a segment of length h at distance g, and
+  the second difference that every interval pair integral reduces to, both
+  formed without subtracting nearly equal powers; from them, the principal
+  value at a boundary point of an interval union, where the one-sided
+  divergences rho^(-s)/s cancel analytically;
 
 * quadrature rules for the 2D boundary-reduced integrals. Area integrals of
   |y - x|^(-q) are converted to boundary integrals through
@@ -41,7 +42,8 @@ __all__ = [
 
 
 def kernel_primitive(a: float, b: float, x: float, p: float) -> float:
-    """int_a^b |x - y|^(-p) dy for x outside the open interval (a, b).
+    """int_a^b |x - y|^(-p) dy for x outside the open interval (a, b), the
+    first difference (_first_diff) over [a, b] at its distance from x.
 
     p = 1 (the logarithmic case) is rejected, as are interior singular
     points; those must go through the PV path. Endpoint singularities
@@ -58,17 +60,19 @@ def kernel_primitive(a: float, b: float, x: float, p: float) -> float:
         raise ValueError(
             f"endpoint singularity diverges for p = {p} >= 1: use PV path"
         )
-    if a == b:
-        return 0.0
-    q = 1.0 - p
-    if x <= a:
-        return ((b - x) ** q - (a - x) ** q) / q
-    return ((x - a) ** q - (x - b) ** q) / q
+    return _first_diff(1.0 - p, a - x if x <= a else x - b, b - a)
 
 
-def _halfline_primitive(g: float, s: float) -> float:
-    # int_{g}^{inf} t^(-1-s) dt for g > 0
-    return g ** (-s) / s
+def _first_diff(q: float, g: float, h: float) -> float:
+    """((g + h)^q - g^q) / q = int_g^(g+h) t^(q-1) dt for g, h >= 0, q != 0,
+    as g^q (exp(q log1p(h / g)) - 1) / q with the exponential less one in
+    one call, which does not cancel for h << g. Where h / g is not finite
+    (g = 0, a half-line h = inf with q < 0, a subnormal g) the powers do not
+    cancel either, and are subtracted as they stand."""
+    r = h / g if g > 0.0 else math.inf
+    if r < math.inf:
+        return g ** q * math.expm1(q * math.log1p(r)) / q
+    return ((g + h) ** q - g ** q) / q
 
 
 def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
@@ -134,13 +138,9 @@ def pv_at_endpoint(segs: list, x: float, s: float) -> float:
             sig_right = sig
             len_right = hi - x
         else:
-            # non-adjacent segment: plain kernel integral
-            if lo == -math.inf:
-                total += sig * _halfline_primitive(x - hi, s)
-            elif hi == math.inf:
-                total += sig * _halfline_primitive(lo - x, s)
-            else:
-                total += sig * kernel_primitive(lo, hi, x, 1.0 + s)
+            # non-adjacent segment, a half-line with hi - lo = inf
+            dist = lo - x if x < lo else x - hi
+            total += sig * _first_diff(-s, dist, hi - lo)
     # x is an endpoint of a sorted, disjoint, non-touching interval union, so
     # one set segment and one complement segment meet there; IntervalSet's
     # constructor guarantees it; a set that bypassed the constructor is

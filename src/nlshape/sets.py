@@ -277,7 +277,8 @@ class StarShape2D:
 
     def polar(self, theta):
         """(cos theta, sin theta, r(theta), r'(theta)) at the angles theta
-        (any shape). This is the one evaluation of the radius function.
+        (any shape), for radius, radius_deriv and frame; the quadrature of
+        functionals forms r from the mode sums A_k, B_k at its targets.
 
         r and r' come from one pass over the modes: cos(k theta) and
         sin(k theta) are formed once per mode and shared by both sums, and

@@ -51,10 +51,11 @@ The non-ray references are:
   insertion order), and two modes built on it: `pv_oracle`, a principal
   value by antipodal pairing and shrinking windows, and `box_oracle`, an
   iterated integral over a 2D box;
-* `pair_second_diff_mp`, `riesz_1d_mp` and `perimeter_1d_mp`: the 1D
-  closed forms of R_alpha and P_s on interval unions at 60 digits, where the
-  second differences of powers are subtracted as they stand; the float
-  inputs are taken exactly, so only the final rounding is float.
+* `pair_second_diff_mp`, `riesz_1d_mp`, `perimeter_1d_mp` and
+  `endpoint_fields_1d_mp`: the 1D closed forms of R_alpha, P_s and the
+  endpoint kappa and V on interval unions at 60 digits, where the
+  differences of powers are subtracted as they stand; the float inputs are
+  taken exactly, so only the final rounding is float.
 """
 
 import heapq
@@ -68,8 +69,7 @@ from numpy.polynomial.legendre import leggauss
 
 from nlshape import onedim
 from nlshape.errors import BracketError, GeometryError, QuadratureError
-from nlshape.quad import (_boundary_point, _halfline_primitive,
-                          kernel_primitive, ladder_half_rule)
+from nlshape.quad import _boundary_point, _first_diff, ladder_half_rule
 from nlshape.sets import Ball, IntervalSet, StarShape2D
 
 _T_FLOOR = 1e-12
@@ -569,13 +569,16 @@ def pv_pair_integral_reference(S, x: float, s: float) -> float:
             sig_right = sig
             len_right = hi - x
         else:
-            # non-adjacent segment: plain kernel integral
+            # non-adjacent segment: plain kernel integral, the first
+            # difference over its length (infinite on a half-line)
             if lo == -math.inf:
-                total += sig * _halfline_primitive(x - hi, s)
+                total += sig * _first_diff(-s, x - hi, math.inf)
             elif hi == math.inf:
-                total += sig * _halfline_primitive(lo - x, s)
+                total += sig * _first_diff(-s, lo - x, math.inf)
+            elif hi < x:
+                total += sig * _first_diff(-s, x - hi, hi - lo)
             else:
-                total += sig * kernel_primitive(lo, hi, x, 1.0 + s)
+                total += sig * _first_diff(-s, lo - x, hi - lo)
     if sig_left is None or sig_right is None or sig_left + sig_right != 0.0:
         raise GeometryError(
             f"x = {x!r} does not separate a set segment from a complement "
@@ -648,6 +651,39 @@ def perimeter_1d_mp(intervals, s, dps=60):
                              for i, (a, b) in enumerate(ivs)
                              for c, d in ivs[i + 1:])
         return float(total / (s * q))
+
+
+def endpoint_fields_1d_mp(intervals, s, alpha, dps=60):
+    """(kappa, V) at the endpoints a_1, b_1, a_2, ... of the interval union,
+    at dps digits, each rounded once.
+
+    V sums | |b - x|^q - |a - x|^q | / q over the intervals, q = 1 - alpha.
+    kappa sums, over the segments of the line between consecutive endpoints
+    (sign +1 on the complement, -1 in the set), the tail difference
+    T(near) - T(far) of T(t) = t^(-s)/s = int_t^inf r^(-1-s) dr, near and
+    far the distances from x to the segment's ends (T(inf) = 0). The two
+    segments at x carry opposite signs, so their divergent T(0) terms cancel
+    and are left out; every other power is subtracted as it stands."""
+    with mp.workdps(dps):
+        ivs = _mp_intervals(intervals)
+        s, q = mp.mpf(s), 1 - mp.mpf(alpha)
+        ends = [e for ab in ivs for e in ab]
+        bounds = [-mp.inf] + ends + [mp.inf]
+
+        def tail(t):
+            return 0 if t == 0 or mp.isinf(t) else t ** (-s) / s
+
+        kap, pot = [], []
+        for x in ends:
+            pot.append(mp.fsum(abs(abs(b - x) ** q - abs(a - x) ** q) / q
+                               for a, b in ivs))
+            total = []
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                sign = 1 if k % 2 == 0 else -1
+                near, far = (x - hi, x - lo) if hi <= x else (lo - x, hi - x)
+                total.append(sign * (tail(near) - tail(far)))
+            kap.append(mp.fsum(total))
+        return [float(v) for v in kap], [float(v) for v in pot]
 
 
 # ---------------------------------------------------------------------------

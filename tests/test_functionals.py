@@ -25,7 +25,7 @@ from nlshape.sets import scaled, translated
 from oracles import (CLOSED_FORM_SETS, QuadTolerance, brute_oracle,
                      disk_curvature_exact, disk_perimeter_oracle,
                      disk_potential_oracle, disk_riesz_oracle,
-                     perimeter_1d_mp, riesz_1d_mp)
+                     endpoint_fields_1d_mp, perimeter_1d_mp, riesz_1d_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,28 @@ def test_1d_energies_match_60_digit_closed_forms(intervals, e):
                     rtol=1e-15, atol=0.0)
     assert_allclose(frac_perimeter(S, e), perimeter_1d_mp(intervals, e),
                     rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("e", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("intervals", CLOSED_FORM_SETS)
+def test_1d_endpoint_fields_match_60_digit_closed_forms(intervals, e):
+    # each far segment's kernel integral is a first difference formed
+    # without subtracting nearly equal powers, so kappa and V keep roundoff
+    # at any gap (the difference of the two powers left V 6e-6 off at
+    # d = 1e12)
+    bf = boundary_fields(IntervalSet(intervals),
+                         Params(n=1, s=e, alpha=e, eps=1e-3))
+    kappa, pot = endpoint_fields_1d_mp(intervals, e, e)
+    assert_allclose(bf.kappa, kappa, rtol=2e-15, atol=0.0)
+    assert_allclose(bf.pot, pot, rtol=2e-15, atol=0.0)
+
+
+def test_1d_fields_at_a_subnormal_gap():
+    # 1 / 4e-323 overflows, so the far interval's first difference
+    # subtracts its two powers as they stand instead of returning inf
+    S = IntervalSet([(0.0, 2e-323), (4e-323, 1.0)])
+    assert potential(S, 0.0, 0.5) == 2.0
+    assert math.isfinite(frac_curvature(S, 0.0, 0.5))
 
 
 @given(x=st.floats(-2.0, 6.0), alpha=st.floats(0.05, 0.95))

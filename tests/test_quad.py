@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -10,7 +11,7 @@ from nlshape import (IntervalSet, ParamError, Params, QuadratureError,
                      TwoIntervalConfig, boundary_fields, kernel_primitive,
                      pv_pair_integral, zeta_endpoints)
 from nlshape.functionals import _potential_1d
-from nlshape.quad import (_pair_second_diff, interval_partition,
+from nlshape.quad import (_first_diff, _pair_second_diff, interval_partition,
                           jacobi_half_rule, ladder_half_rule, pv_at_endpoint)
 
 from oracles import (OracleResult, PVSpec, QuadTolerance, box_oracle,
@@ -62,6 +63,30 @@ def test_primitive_rejections():
         kernel_primitive(0.0, 1.0, 2.0, 1.0)  # logarithmic exponent
     with pytest.raises(ValueError):
         kernel_primitive(0.0, 1.0, 1.0, 1.5)  # divergent endpoint
+
+
+# ---------------------------------------------------------------------------
+# the first difference ((g + h)^q - g^q) / q
+
+
+@pytest.mark.parametrize("q, g, h", [
+    # g = 0: the two powers as they stand
+    (0.5, 0.0, 3.0), (1.5, 0.0, 3.0),
+    # a half-line, q < 0: g^q / |q|
+    (-0.5, 2.0, math.inf), (-0.9, 1e-3, math.inf),
+    # h / g = 1e-12, where the two powers agree to 12 digits
+    (-0.5, 1e12, 1.0), (0.5, 1.0, 1e-12), (1.5, 3.0, 3e-12),
+    # h / g = 1e6
+    (-0.5, 1e-6, 1.0), (0.5, 1.0, 1e6), (1.5, 2.0, 2e6),
+    # a subnormal g, where h / g overflows
+    (0.5, 4e-323, 1.0), (-0.5, 2e-323, 1.0),
+])
+def test_first_diff_against_mp(q, g, h):
+    with mp.workdps(60):
+        qm, gm = mp.mpf(q), mp.mpf(g)
+        far = 0 if math.isinf(h) else (gm + mp.mpf(h)) ** qm
+        ref = float((far - gm ** qm) / qm)
+    assert_allclose(_first_diff(q, g, h), ref, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
