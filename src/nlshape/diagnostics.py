@@ -18,14 +18,20 @@ Quantities measured on a candidate critical set:
   the constant-zeta condition; a cross-estimate of the same multiplier comes
   from integral identities alone (no boundary sweep), see
   lambda_cross_estimate;
-* named identity checks, each returning a relative residual with both sides
-  computed by quadrature:
+* named identity checks, each returning a relative residual:
     Au1          int_E grad V . x dx = -(alpha/2) int_E V dx
     Au2          int_dE V x.nu dsigma = (n - alpha/2) int_E V dx
     Minkowski    int_dE kappa x.nu dsigma = (n - s)/c_var * P_s(E)
     Lal          max_x V_E(x) <= V_B(0), B the centered ball with |B| = |E|
     TangentialBall   sup |grad V . tau| scales linearly with the ball-map
                      size mu (ratio test against the half-amplitude shape)
+
+  int_E V dx is the Riesz energy R_alpha(E) = int_E int_E |x - y|^(-alpha)
+  by the definition of V, so Au1 and Au2 take it from riesz_energy (the
+  boundary-reduced pair energy in the plane, the closed form on the line).
+  Each stays two-sided: Au1 audits the volume integral of grad V . x (in the
+  plane, the off-curve interior rule), Au2 the on-curve V of the boundary
+  sweep.
 
 calibrate_variation_constant pins down c_var on balls, where kappa is
 constant and the curvature pairing has a closed value; the ratio is
@@ -44,7 +50,7 @@ from .errors import GeometryError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           frac_perimeter, grad_potential_at_points,
                           potential_at_points, riesz_energy, set_integral_2d,
-                          _kappa_2d_batch, _potential_1d, _riesz_1d)
+                          _kappa_2d_batch, _potential_1d)
 from .quad import _first_diff, _pair_second_diff, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
                    canonical, diameter, isodiametric_ratio, uniform_angles,
@@ -262,19 +268,6 @@ def _rel_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
 
 
-def _int_v_over_set(S, p: Params, resolution, nq) -> float:
-    """int_E V dx. On an interval set it is R_alpha by definition, in closed
-    form (_riesz_1d): 2 F(L) per interval plus twice the second difference
-    of F over each pair, F(t) = t^(2-alpha) / ((1-alpha)(2-alpha)). On a
-    planar set it is a volume quadrature of V, not the energy identity, so
-    the identity checks stay two-sided."""
-    if isinstance(S, IntervalSet):
-        return _riesz_1d(S, p.alpha)
-    return set_integral_2d(
-        S, lambda pts, foci: potential_at_points(S, pts, foci, p.alpha, nq),
-        resolution)
-
-
 def _grad_self_moment(a: float, b: float, alpha: float) -> float:
     # int_a^b x [(x-a)^(-alpha) - (b-x)^(-alpha)] dx: the own-interval part
     # of int x V' is endpoint singular, so it goes in closed form
@@ -296,11 +289,11 @@ def _grad_pair_moment(g: float, L1: float, L2: float, alpha: float) -> float:
 
 
 def _identity_au1(S, p: Params, resolution, nq, int_v: float) -> float:
-    """Residual of int_E x . grad V dx = -(alpha/2) int_E V dx. On an
-    interval set the left side is the closed-form _grad_self_moment of each
-    interval plus _grad_pair_moment of each pair, not -alpha times the cross
-    Riesz terms, so the check stays two-sided; on a planar set it is a
-    volume quadrature of grad V . x."""
+    """Residual of int_E x . grad V dx = -(alpha/2) int_E V dx, int_v being
+    int_E V = R_alpha. On an interval set the left side is the closed-form
+    _grad_self_moment of each interval plus _grad_pair_moment of each pair,
+    not -alpha times the cross Riesz terms, so the check stays two-sided; on
+    a planar set it is a volume quadrature of grad V . x."""
     alpha = p.alpha
     if isinstance(S, IntervalSet):
         ivals = S.intervals
@@ -328,12 +321,14 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
               nq: int = DEFAULT_NQ):
     """(boundary pairing int_dE V x.nu, volume integral int_E V).
 
-    The ratio of the two recovers the factor n - alpha/2; exposed separately
-    so the factor can be fitted across alpha values.
+    The volume integral is R_alpha, read from riesz_energy. The ratio of the
+    two recovers the factor n - alpha/2; exposed separately so the factor
+    can be fitted across alpha values.
     """
     S = canonical(S)
     bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
-    return _x_dot_nu_pairing(bf.mesh, bf.pot), _int_v_over_set(S, p, resolution, nq)
+    return (_x_dot_nu_pairing(bf.mesh, bf.pot),
+            riesz_energy(S, p.alpha, resolution, nq))
 
 
 def _identity_au2(p: Params, bf, int_v: float) -> float:
@@ -433,12 +428,12 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
             raise ParamError(
                 f"Au1 on planar sets needs alpha in (0, 1), got {p.alpha!r}")
         return _identity_au1(S, p, resolution, nq,
-                             _int_v_over_set(S, p, resolution, nq))
+                             riesz_energy(S, p.alpha, resolution, nq))
     if kind == "Lal":
         return _identity_lal(S, p, resolution, nq)
     bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
     if kind == "Au2":
-        return _identity_au2(p, bf, _int_v_over_set(S, p, resolution, nq))
+        return _identity_au2(p, bf, riesz_energy(S, p.alpha, resolution, nq))
     return _identity_minkowski(p, bf, frac_perimeter(S, p.s, resolution, nq))
 
 
@@ -477,20 +472,25 @@ def calibrate_variation_constant(s: float, n: int = 2,
 
 
 def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-             nq: int = DEFAULT_NQ, with_identities: bool = True) -> DiagnosticsReport:
+             nq: int = DEFAULT_NQ, with_identities: bool = True,
+             _bf=None) -> DiagnosticsReport:
     """Full diagnostic sweep for one shape.
 
     Each shared quantity is computed once and handed to its users: the
     boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
-    own sup |grad V . tau| for TangentialBall), P_s and R_alpha at nq
-    (lambda_cross, Minkowski), int_E V (Au1, Au2; on an interval set it is
-    R_alpha itself) and the diameter (eta, rho, iso_ratio). The planar error
-    estimates are |value(2 nq) - value(nq)| against those nq values.
+    own sup |grad V . tau| for TangentialBall), P_s at nq (lambda_cross,
+    Minkowski), R_alpha at nq (lambda_cross, and int_E V for Au1 and Au2)
+    and the diameter (eta, rho, iso_ratio). The planar error estimates are
+    |value(2 nq) - value(nq)| against those nq values.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
     small-perturbation statement and is out of regime for large deviations
     from a ball.
+
+    _bf is boundary_fields(S, p, resolution, nq, want_grad_tau=False) when
+    the caller holds it already; it stands in for the sweep at nq unless
+    TangentialBall needs that sweep's grad V . tau.
     """
     # C is the canonical form every quadrature below runs on; the closed-form
     # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
@@ -503,7 +503,8 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     rz = riesz_energy(C, p.alpha, resolution, nq)
     # grad V . tau is only needed by TangentialBall, which then reads the
     # shape's own sup from this sweep
-    bf = boundary_fields(C, p, resolution, nq, want_grad_tau=tangential)
+    bf = (_bf if _bf is not None and not tangential
+          else boundary_fields(C, p, resolution, nq, want_grad_tau=tangential))
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
     diam = diameter(S)
@@ -519,13 +520,11 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     identities = {}
     if with_identities:
-        int_v = (rz if isinstance(C, IntervalSet)
-                 else _int_v_over_set(C, p, resolution, nq))
         if 0.0 < p.alpha < 1.0:
             # the gradient route under Au1 needs the weak-singularity range;
             # for alpha >= 1 the boundary layer defeats the interior rule
-            identities["Au1"] = _identity_au1(C, p, resolution, nq, int_v)
-        identities["Au2"] = _identity_au2(p, bf, int_v)
+            identities["Au1"] = _identity_au1(C, p, resolution, nq, rz)
+        identities["Au2"] = _identity_au2(p, bf, rz)
         identities["Minkowski"] = _identity_minkowski(p, bf, per)
         identities["Lal"] = _identity_lal(C, p, resolution, nq)
         if tangential:

@@ -138,7 +138,8 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
 
 
 def _zeta_sweep(shape, p, resolution, nq):
-    """(mesh angles' radius, speed, zeta, lambda_hat, residual)."""
+    """(mesh angles' radius, speed, zeta - lambda_hat, lambda_hat,
+    residual, the BoundaryFields swept)."""
     bf = boundary_fields(shape, p, resolution, nq, want_grad_tau=False)
     mesh = bf.mesh
     lam, residual = bf.lambda_hat_and_residual()
@@ -146,7 +147,7 @@ def _zeta_sweep(shape, p, resolution, nq):
     m = mesh.points.shape[0]
     speed = mesh.weights * m / (2.0 * math.pi)
     r = shape.radius(mesh.thetas)
-    return r, speed, v, lam, residual
+    return r, speed, v, lam, residual, bf
 
 
 def _disk_eigenvalue(p: Params, nq: int, k: int) -> float:
@@ -189,8 +190,8 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
     """
     shape = state.shape
     res = state.mesh_resolution
-    r, speed, v, lam, residual = (_sweep if _sweep is not None
-                                  else _zeta_sweep(shape, p, res, nq))
+    r, speed, v, lam, residual, _ = (_sweep if _sweep is not None
+                                     else _zeta_sweep(shape, p, res, nq))
     history = state.residual_history + (residual,)
 
     scale = max(1.0, abs(lam))
@@ -260,19 +261,17 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
         report = diagnose(init, p, resolution, nq,
                           with_identities=with_identities)
         return (init, report, state) if full_output else (init, report)
+    # the last sweep's fields, when it was of the final shape
+    bf = None
     while state.iteration < max_iter:
         sweep = _zeta_sweep(state.shape, p, resolution, nq)
         if sweep[4] <= tol:
             state = replace(
                 state, residual_history=state.residual_history + (sweep[4],))
+            bf = sweep[5]
             break
-        try:
-            state = el_gradient_step(state, p, nq, _sweep=sweep)
-        except StalledError as exc:
-            if exc.state.residual_history[-1] <= tol:
-                state = exc.state
-                break
-            raise
+        # a stall here has the swept residual above tol, so it propagates
+        state = el_gradient_step(state, p, nq, _sweep=sweep)
     report = diagnose(state.shape, p, resolution, nq,
-                      with_identities=with_identities)
+                      with_identities=with_identities, _bf=bf)
     return (state.shape, report, state) if full_output else (state.shape, report)

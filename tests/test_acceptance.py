@@ -104,8 +104,15 @@ def test_criterion_04_volume_pairing_identities():
             _line("pairing identities", shape=name, kind=kind,
                   coarse=coarse, fine=fine)
             assert fine <= 1e-2
-            # doubling the mesh at least halves the residual (factor 1.5 slack)
-            assert fine <= 0.75 * coarse
+            if kind == "Au1":
+                # doubling the mesh at least halves the residual (factor 1.5
+                # slack)
+                assert fine <= 0.75 * coarse
+            else:
+                # Au2 pairs the on-curve V with R_alpha, both spectrally
+                # accurate: at 128/32 it is at roundoff already, where a
+                # halving would be noise
+                assert max(coarse, fine) <= 1e-15
 
     star = shapes[1][1]
     alphas = np.array([0.2, 0.5, 0.8])

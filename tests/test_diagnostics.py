@@ -12,6 +12,7 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      lambda_cross_estimate, lambda_hat_and_residual,
                      lipschitz_defect_delta)
 from nlshape.diagnostics import IDENTITY_KINDS, au2_sides, eta
+from nlshape.functionals import riesz_energy
 from nlshape.sets import diameter, scaled
 
 from oracles import (CLOSED_FORM_SETS, disk_curvature_exact,
@@ -312,6 +313,25 @@ def test_au2_factor_across_alpha(unit_disk):
         assert_allclose(lhs / rhs, 2.0 - 0.5 * alpha, rtol=1e-6)
 
 
+# the first seed-101 audit shape of the benchmark, at unit area
+AUDIT_SHAPE = StarShape2D(
+    (0.0, 0.0), 0.5631922926129524,
+    a=(0.0, -0.007523541113254718, 0.016928298847604176,
+       0.017125383682638166, -0.014725424191155518),
+    b=(0.0, 0.026309991404411964, -0.008932361523602396,
+       -0.01839086389580623, 0.016886118226169162))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+def test_au2_at_roundoff_on_the_audit_shape(alpha):
+    # int_E V is R_alpha, and the boundary-reduced pair energy carries it to
+    # roundoff at every alpha (a volume quadrature of V read 1.4e-13 at 0.9)
+    p = Params(n=2, s=0.5, alpha=alpha, eps=1e-3)
+    assert identity_check(AUDIT_SHAPE, p, "Au2", 256, 48) <= 1e-15
+    assert au2_sides(AUDIT_SHAPE, p, 256, 48)[1] == \
+        riesz_energy(AUDIT_SHAPE, alpha, 256, 48)
+
+
 def test_lal_deterministic(mode3_star):
     a = identity_check(mode3_star, P2, "Lal", 64, 24)
     b = identity_check(mode3_star, P2, "Lal", 64, 24)
@@ -412,10 +432,11 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
-    # Au1 gradient + one shared int_E V; the sweep at nq (which also gives
-    # TangentialBall the shape's own grad V . tau), the half-shape sweep and
-    # the sweep at 2 nq; P_s and R_alpha at nq and at 2 nq
-    assert calls == {"set_integral_2d": 2, "boundary_fields": 3,
+    # the Au1 gradient alone (int_E V is R_alpha at nq); the sweep at nq
+    # (which also gives TangentialBall the shape's own grad V . tau), the
+    # half-shape sweep and the sweep at 2 nq; P_s and R_alpha at nq and at
+    # 2 nq
+    assert calls == {"set_integral_2d": 1, "boundary_fields": 3,
                      "frac_perimeter": 2, "riesz_energy": 2}
 
 
@@ -433,12 +454,9 @@ def test_diagnose_1d_computes_int_v_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("riesz_energy", "_int_v_over_set", "set_integral_2d"):
+    for name in ("riesz_energy", "set_integral_2d"):
         counted(diagnostics, name)
-    # riesz_energy reads functionals' _riesz_1d, _int_v_over_set its own
-    # import of it; both see the one counter
     counted(functionals, "_riesz_1d")
-    monkeypatch.setattr(diagnostics, "_riesz_1d", functionals._riesz_1d)
     rep = diagnose(IntervalSet([(0.0, 0.5), (7.0, 7.5)]), P1)
     assert {"Au1", "Au2"} <= set(rep.identity_residuals)
     assert calls == {"riesz_energy": 1, "_riesz_1d": 1}

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlshape import shapeopt
+from nlshape import diagnostics, shapeopt
 from nlshape.errors import (GeometryError, ParamError, QuadratureError,
                             StalledError)
 from nlshape.functionals import boundary_fields, energy
@@ -325,3 +325,46 @@ def test_find_critical_max_iter_returns_normally():
                                    resolution=64, nq=16, full_output=True)
     assert st.iteration == 2
     assert rep.el_residual > 1e-12
+
+
+def test_find_critical_diagnoses_with_its_last_sweep(monkeypatch):
+    # a start like the benchmark's (modes 2-5 at 2-4%): the sweep that meets
+    # tol is of the final shape at (resolution, nq), and the final diagnose
+    # reads it instead of sweeping again; the report is the fresh one, bit
+    # for bit
+    init = volume_project(fourier_shape(
+        {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[0])
+        return boundary_fields(*args, **kwargs)
+    monkeypatch.setattr(shapeopt, "boundary_fields", counted)
+    monkeypatch.setattr(diagnostics, "boundary_fields", counted)
+    sh, rep, st = find_critical_2d(init, P2, resolution=128, nq=32,
+                                   full_output=True)
+    solve = len(sweeps)
+    fresh = diagnostics.diagnose(sh, P2, 128, 32, with_identities=False)
+    assert rep.as_dict() == fresh.as_dict()
+    # one sweep per iteration and the one that met tol, then only the 2 nq
+    # sweep of diagnose, which sweeps twice on its own
+    assert st.iteration >= 1
+    assert solve == st.iteration + 2
+    assert len(sweeps) - solve == 2
+
+
+def test_find_critical_sweeps_again_for_the_tangential_check(monkeypatch):
+    # TangentialBall needs grad V . tau, which the descent's sweep leaves
+    # out, so the final diagnose makes its own sweep at nq
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs.get("want_grad_tau"))
+        return boundary_fields(*args, **kwargs)
+    monkeypatch.setattr(diagnostics, "boundary_fields", counted)
+    sh, rep = find_critical_2d(_star(), P2, resolution=64, nq=16,
+                               with_identities=True)
+    assert "TangentialBall" in rep.identity_residuals
+    # the shape's own sweep, the half-amplitude shape's, the sweep at 2 nq
+    assert sweeps == [True, True, False]
+    assert rep.as_dict() == diagnostics.diagnose(sh, P2, 64, 16).as_dict()
