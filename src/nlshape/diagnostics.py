@@ -28,7 +28,8 @@ Quantities measured on a candidate critical set:
 
   int_E V dx is the Riesz energy R_alpha(E) = int_E int_E |x - y|^(-alpha)
   by the definition of V, so Au1 and Au2 take it from riesz_energy (the
-  boundary-reduced pair energy in the plane, the closed form on the line).
+  boundary-reduced pair energy in the plane, the closed form on the line),
+  or from the boundary sweep that carries the same value.
   Each stays two-sided: Au1 audits the volume integral of grad V . x (in the
   plane, the off-curve interior rule), Au2 the on-curve V of the boundary
   sweep.
@@ -321,14 +322,13 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
               nq: int = DEFAULT_NQ):
     """(boundary pairing int_dE V x.nu, volume integral int_E V).
 
-    The volume integral is R_alpha, read from riesz_energy. The ratio of the
-    two recovers the factor n - alpha/2; exposed separately so the factor
-    can be fitted across alpha values.
+    The volume integral is R_alpha, which the boundary sweep carries (the
+    value of riesz_energy). The ratio of the two recovers the factor
+    n - alpha/2; exposed separately so the factor can be fitted across alpha
+    values.
     """
-    S = canonical(S)
     bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
-    return (_x_dot_nu_pairing(bf.mesh, bf.pot),
-            riesz_energy(S, p.alpha, resolution, nq))
+    return _x_dot_nu_pairing(bf.mesh, bf.pot), bf.riesz
 
 
 def _identity_au2(p: Params, bf, int_v: float) -> float:
@@ -433,8 +433,8 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
         return _identity_lal(S, p, resolution, nq)
     bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
     if kind == "Au2":
-        return _identity_au2(p, bf, riesz_energy(S, p.alpha, resolution, nq))
-    return _identity_minkowski(p, bf, frac_perimeter(S, p.s, resolution, nq))
+        return _identity_au2(p, bf, bf.riesz)
+    return _identity_minkowski(p, bf, bf.perimeter)
 
 
 def calibrate_variation_constant(s: float, n: int = 2,
@@ -478,10 +478,11 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     Each shared quantity is computed once and handed to its users: the
     boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
-    own sup |grad V . tau| for TangentialBall), P_s at nq (lambda_cross,
-    Minkowski), R_alpha at nq (lambda_cross, and int_E V for Au1 and Au2)
-    and the diameter (eta, rho, iso_ratio). The planar error estimates are
-    |value(2 nq) - value(nq)| against those nq values.
+    own sup |grad V . tau| for TangentialBall), which also carries P_s
+    (lambda_cross, Minkowski) and R_alpha (lambda_cross, and int_E V for Au1
+    and Au2), and the diameter (eta, rho, iso_ratio). The planar error
+    estimates are |value(2 nq) - value(nq)| against those nq values, all
+    four from one sweep at 2 nq.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
@@ -499,12 +500,11 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
     tangential = (with_identities and mu is not None
                   and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0)
-    per = frac_perimeter(C, p.s, resolution, nq)
-    rz = riesz_energy(C, p.alpha, resolution, nq)
     # grad V . tau is only needed by TangentialBall, which then reads the
     # shape's own sup from this sweep
     bf = (_bf if _bf is not None and not tangential
           else boundary_fields(C, p, resolution, nq, want_grad_tau=tangential))
+    per, rz = bf.perimeter, bf.riesz
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
     diam = diameter(S)
@@ -534,8 +534,8 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     errors = {}
     if two_d:
         bf2 = boundary_fields(C, p, resolution, 2 * nq, want_grad_tau=False)
-        errors["perimeter"] = abs(frac_perimeter(C, p.s, resolution, 2 * nq) - per)
-        errors["riesz"] = abs(riesz_energy(C, p.alpha, resolution, 2 * nq) - rz)
+        errors["perimeter"] = abs(bf2.perimeter - per)
+        errors["riesz"] = abs(bf2.riesz - rz)
         errors["kappa"] = float(np.abs(bf2.kappa - bf.kappa).max())
         errors["potential"] = float(np.abs(bf2.pot - bf.pot).max())
 

@@ -32,7 +32,11 @@ Gauss-Jacobi (on the curve) or graded-ladder (off the curve) sum per target.
 
 On the curve (the sweeps of boundary_fields, both energy terms and the
 on-curve point queries, whose target is the boundary point at its focus
-angle) the geometry is in polar difference form. With
+angle) the geometry is in polar difference form. A sweep and both energy
+terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
+integrand of P_s are summed on the same nodes at beta = -s, V and that of
+R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
+with the bits of frac_perimeter and riesz_energy. With
 A_k(t) = a_k cos kt + b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt at the
 targets, a node phi = t + u has
 
@@ -81,7 +85,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -229,25 +233,33 @@ def _finite_batch(pts, foci):
 _SERIES_TERMS = 12
 
 
-def _d_series(K):
-    """Taylor coefficients of the two D rows of each mode k = 1..K, as
-    (even, odd) with rows sum_n even[k-1, n-1] u^(2n) and
-    sum_n odd[k-1, n-1] u^(2n+1), n = 1..N.
+@functools.lru_cache(maxsize=None)
+def _d_series_mode(k):
+    """Taylor coefficients of the two D rows of mode k, as (even, odd) with
+    rows sum_n even[n-1] u^(2n) and sum_n odd[n-1] u^(2n+1), n = 1..N.
 
     By the product formulas cos ku - 1 + k sin ku sin u and
     sin ku - k cos ku sin u are combinations of cos resp. sin of ku, (k - 1)u
     and (k + 1)u with integer weights, so each coefficient is an exact
-    integer over a factorial; the cancelling low orders never reach floats."""
-    even = np.zeros((K, _SERIES_TERMS))
-    odd = np.zeros((K, _SERIES_TERMS))
-    for k in range(1, K + 1):
-        for n in range(1, _SERIES_TERMS + 1):
-            e, o = 2 * n, 2 * n + 1
-            ce = k ** e + k * ((k - 1) ** e - (k + 1) ** e) // 2
-            co = k ** o - k * ((k + 1) ** o - (k - 1) ** o) // 2
-            even[k - 1, n - 1] = (-1) ** n * ce / math.factorial(e)
-            odd[k - 1, n - 1] = (-1) ** n * co / math.factorial(o)
-    return even, odd
+    integer over a factorial; the cancelling low orders never reach floats.
+    A mode's rows do not depend on K, so each is built once per process."""
+    even, odd = [], []
+    for n in range(1, _SERIES_TERMS + 1):
+        e, o = 2 * n, 2 * n + 1
+        ce = k ** e + k * ((k - 1) ** e - (k + 1) ** e) // 2
+        co = k ** o - k * ((k + 1) ** o - (k - 1) ** o) // 2
+        even.append((-1) ** n * ce / math.factorial(e))
+        odd.append((-1) ** n * co / math.factorial(o))
+    return tuple(even), tuple(odd)
+
+
+def _d_series(K):
+    """The rows of _d_series_mode for the modes k = 1..K, as (even, odd)
+    (K, N) arrays."""
+    rows = [_d_series_mode(k) for k in range(1, K + 1)]
+    shape = (K, _SERIES_TERMS)
+    return (np.array([e for e, _ in rows], dtype=float).reshape(shape),
+            np.array([o for _, o in rows], dtype=float).reshape(shape))
 
 
 def _series(coefs, u):
@@ -326,9 +338,9 @@ class _CurveNodes(NamedTuple):
 def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     """Sum W_k h(u_k) for targets on the curve, the boundary points at the
     angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor.
-    h_func builds the integrand from the block's _CurveNodes and returns one
-    value array per component (ncomp of them); the result is shaped as in
-    _ladder_batch.
+    h_func builds the integrand from the block's _CurveNodes and returns or
+    yields one value array per component (ncomp of them); the result is
+    shaped as in _ladder_batch.
 
     The geometry is in polar difference form. With A_k(t) = a_k cos kt +
     b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt, the node values
@@ -362,8 +374,11 @@ def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
             r=r, dr=(kk * B).sum(axis=1, keepdims=True), delta=delta, rp=rp,
             drp=drp, d=d, r2=delta * delta + 4.0 * r * rp * sig,
             sig=sig, su=su, cu=cu)
-        for c, vals in enumerate(h_func(nodes)):
-            out[rows, c] = np.einsum("ij,j->i", vals, WW)
+        # an h_func that yields builds each component after the previous
+        # one is summed and freed
+        comps = iter(h_func(nodes))
+        for c in range(ncomp):
+            out[rows, c] = np.einsum("ij,j->i", next(comps), WW)
     return out[:, 0] if ncomp == 1 else out
 
 
@@ -505,25 +520,80 @@ def _ladder_batch(star, targets_xy, focus_angles, h_func, ncomp=1):
     return out[:, 0] if ncomp == 1 else out
 
 
+class _Exponent(NamedTuple):
+    """A boundary field and the energy term that share one on-curve rule.
+    beta is the rule's exponent and also the power q of the pair integral
+    int_dE int_dE |x - y|^q nu(x).nu(y) dsigma dsigma behind the energy
+    term; field_h is the field's integrand on a block's nodes (on or off the
+    curve), field_of turns its sums into the field and energy_of the pair
+    integral into the energy term."""
+
+    beta: float
+    field_h: Callable
+    field_of: Callable
+    energy_of: Callable
+
+
+def _curvature_exponent(s) -> _Exponent:
+    """kappa and P_s, at beta = -s."""
+    return _Exponent(-s, lambda g: g.flux() * g.r2 ** (-(2.0 + s) / 2.0),
+                     lambda sums: (2.0 / s) * sums,
+                     lambda pair: pair / (s * s))
+
+
+def _potential_exponent(alpha) -> _Exponent:
+    """V and R_alpha, at beta = 2 - alpha."""
+    q = 2.0 - alpha
+    return _Exponent(q, lambda g: g.flux() * g.r2 ** (-alpha / 2.0),
+                     lambda sums: sums / q,
+                     lambda pair: -pair / q ** 2)
+
+
+def _pair_h(g, q):
+    """The pair integral's integrand at the curve targets x(t),
+    |y - x|^q nu(x).nu(y) |x'(t)| |y'(phi)|, with
+    nu(x).nu(y) |x'(t)| |y'(phi)| = r(t) Y_e - r'(t) Y_perp from the normal
+    parts of y."""
+    ye, yp = g.normal_parts()
+    return (g.r * ye - g.dr * yp) * g.r2 ** (q / 2.0)
+
+
+def _curve_pass(star, ex, thetas, nq, field=True, energy=False):
+    """(field, energy term) of the _Exponent ex from one _curve_batch at
+    ex.beta, each None unless asked for: the field at the boundary points at
+    the angles thetas, and the energy term, whose outer rule is the
+    trapezoid rule on thetas (the mesh angles). Both integrands are built
+    from the same nodes, so a sweep and its energy term cost one geometry."""
+    hs = [h for h, want in ((ex.field_h, field),
+                            (lambda g: _pair_h(g, ex.beta), energy)) if want]
+    sums = _curve_batch(star, thetas, ex.beta, nq,
+                        lambda g: (h(g) for h in hs), ncomp=len(hs))
+    sums = iter(sums.reshape(-1, len(hs)).T)
+    f = ex.field_of(next(sums)) if field else None
+    e = (ex.energy_of((2.0 * math.pi / thetas.size) * math.fsum(next(sums)))
+         if energy else None)
+    return f, e
+
+
+def _energy_2d(star, ex, resolution, nq):
+    """The energy term of ex alone, on the mesh of the given resolution."""
+    return _curve_pass(star, ex, mesh_angles(resolution), nq,
+                       field=False, energy=True)[1]
+
+
 def _kappa_2d_batch(star, s, thetas, nq):
     """kappa at the boundary points at the angles thetas."""
-    def h(g):
-        return (g.flux() * g.r2 ** (-(2.0 + s) / 2.0),)
-
-    return (2.0 / s) * _curve_batch(star, thetas, -s, nq, h)
+    return _curve_pass(star, _curvature_exponent(s), thetas, nq)[0]
 
 
 def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
     """V at the targets; on the curve they are the boundary points at the
     focus angles."""
-    def h(g):
-        return (g.flux() * g.r2 ** (-alpha / 2.0),)
-
+    ex = _potential_exponent(alpha)
     if on_curve:
-        vals = _curve_batch(star, focus_angles, 2.0 - alpha, nq, h)
-    else:
-        vals = _ladder_batch(star, targets_xy, focus_angles, h)
-    return vals / (2.0 - alpha)
+        return _curve_pass(star, ex, focus_angles, nq)[0]
+    return ex.field_of(_ladder_batch(star, targets_xy, focus_angles,
+                                     lambda g: (ex.field_h(g),)))
 
 
 def _check_boundary_gradient(alpha):
@@ -566,22 +636,6 @@ def _grad_tau_2d_batch(star, alpha, thetas, nq):
     return -_curve_batch(star, thetas, -alpha, nq, h)
 
 
-def _pair_energy_2d(star, q, resolution, nq):
-    """int_dE int_dE |x - y|^q nu(x).nu(y) dsigma dsigma; both energy terms
-    are this double integral (q = -s resp. 2 - alpha), scaled. The outer rule
-    is the trapezoid rule on the mesh angles, with
-    nu(x).nu(y) |x'(t)| |y'(phi)| = r(t) Y_e - r'(t) Y_perp from the normal
-    parts of y."""
-    thetas = mesh_angles(resolution)
-
-    def h(g):
-        ye, yp = g.normal_parts()
-        return ((g.r * ye - g.dr * yp) * g.r2 ** (q / 2.0),)
-
-    inner = _curve_batch(star, thetas, q, nq, h)
-    return (2.0 * math.pi / thetas.size) * math.fsum(inner)
-
-
 def _with_error(value_at, nq, with_error):
     """value_at(nq), or with with_error the refined value_at(2 nq) and its
     change under the doubling."""
@@ -604,10 +658,9 @@ def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
     S = canonical(S)
     if isinstance(S, IntervalSet):
         return _with_error(lambda k: _perimeter_1d(S, s), nq, with_error)
-    star = _as_star(S)
-    return _with_error(
-        lambda k: _pair_energy_2d(star, -s, resolution, k) / (s * s),
-        nq, with_error)
+    star, ex = _as_star(S), _curvature_exponent(s)
+    return _with_error(lambda k: _energy_2d(star, ex, resolution, k),
+                       nq, with_error)
 
 
 def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
@@ -618,11 +671,9 @@ def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
         return _with_error(lambda k: _riesz_1d(S, alpha), nq, with_error)
     if not (0.0 < alpha < 2.0):
         raise ParamError(f"2D Riesz energy needs alpha in (0, 2), got {alpha!r}")
-    star = _as_star(S)
-    q = 2.0 - alpha
-    return _with_error(
-        lambda k: -_pair_energy_2d(star, q, resolution, k) / q ** 2,
-        nq, with_error)
+    star, ex = _as_star(S), _potential_exponent(alpha)
+    return _with_error(lambda k: _energy_2d(star, ex, resolution, k),
+                       nq, with_error)
 
 
 def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -715,13 +766,18 @@ def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
 
 @dataclass(frozen=True)
 class BoundaryFields:
-    """Per-node boundary data for one shape."""
+    """Per-node boundary data for one shape, with its two energy terms: P_s
+    (perimeter) and R_alpha (riesz), the values of frac_perimeter and
+    riesz_energy at the same resolution and nq. riesz is nan where R_alpha
+    diverges, alpha >= 2 on a planar shape."""
 
     mesh: BoundaryMesh
     kappa: np.ndarray
     pot: np.ndarray
     zeta: np.ndarray
     grad_tau: Optional[np.ndarray]  # None when alpha >= n-1 or in 1D
+    perimeter: float
+    riesz: float
 
     def __post_init__(self):
         for arr in (self.kappa, self.pot, self.zeta, self.grad_tau):
@@ -739,24 +795,32 @@ class BoundaryFields:
 
 def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                     nq: int = DEFAULT_NQ, want_grad_tau: bool = True) -> BoundaryFields:
-    """kappa, V, zeta (and grad V . tau where defined) at every mesh node."""
+    """kappa, V, zeta (and grad V . tau where defined) at every mesh node,
+    and P_s and R_alpha. On a planar shape kappa and P_s come from one
+    on-curve pass (beta = -s), V and R_alpha from another (beta = 2 - alpha);
+    on an interval set the energy terms are the closed forms."""
     S = canonical(S)
     if isinstance(S, IntervalSet):
         mesh = boundary_mesh(S, resolution)  # the endpoints, in order
         kap, pot = map(np.array, _endpoint_fields_1d(S, p.s, p.alpha))
         zt = kap + p.c_coupling * p.eps * pot
-        return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=None)
+        return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt,
+                              grad_tau=None, perimeter=_perimeter_1d(S, p.s),
+                              riesz=_riesz_1d(S, p.alpha))
 
     star = _as_star(S)
     mesh = boundary_mesh(star, resolution)
     th = mesh.thetas
-    kap = _kappa_2d_batch(star, p.s, th, nq)
-    pot = _potential_2d_batch(star, p.alpha, mesh.points, th, True, nq)
+    kap, per = _curve_pass(star, _curvature_exponent(p.s), th, nq, energy=True)
+    # R_alpha converges for alpha < 2, which Params with n <= 2 guarantee
+    pot, rz = _curve_pass(star, _potential_exponent(p.alpha), th, nq,
+                          energy=p.alpha < 2.0)
     zt = kap + p.c_coupling * p.eps * pot
     gt = None
     if want_grad_tau and 0.0 < p.alpha < 1.0:
         gt = _grad_tau_2d_batch(star, p.alpha, th, nq)
-    return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=gt)
+    return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=gt,
+                          perimeter=per, riesz=math.nan if rz is None else rz)
 
 
 def zeta_nodes(S, p: Params, resolution: int = DEFAULT_RESOLUTION,

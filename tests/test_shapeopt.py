@@ -1,6 +1,7 @@
 """Shape construction helpers and the planar critical-point search."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from nlshape import diagnostics, shapeopt
 from nlshape.errors import (GeometryError, ParamError, QuadratureError,
                             StalledError)
-from nlshape.functionals import boundary_fields, energy
+from nlshape.functionals import (boundary_fields, energy, frac_perimeter,
+                                 riesz_energy)
 from nlshape.sets import (Ball, Params, StarShape2D, uniform_angles,
                           volume)
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
@@ -77,6 +79,34 @@ def test_volume_project_uniform_scaling():
     assert np.allclose(T.a, c * S.a, rtol=1e-14)
     assert np.allclose(T.b, c * S.b, rtol=1e-14)
     assert T.center == S.center
+
+
+def test_volume_project_skips_the_positivity_check(monkeypatch):
+    # a positive rescale keeps the radius positive, so the projection does
+    # not run __init__'s check again; the result is the shape __init__ would
+    # build from the scaled coefficients, bit for bit, and as immutable
+    S = fourier_shape({"r0": 1.0, "a3": 0.05, "b2": 0.02}, center=(0.3, -0.1))
+    c = 1.0 / math.sqrt(volume(S))
+    built = StarShape2D(S.center, c * S.r0, c * S.a, c * S.b)
+    init = StarShape2D.__init__
+    inits = []
+
+    def counted(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(StarShape2D, "__init__", counted)
+    T = volume_project(S)
+    monkeypatch.undo()
+    assert inits == []
+    assert type(T) is StarShape2D and T.center == built.center
+    assert type(T.r0) is float and T.r0 == built.r0
+    for got, want in ((T.a, built.a), (T.b, built.b)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    with pytest.raises(AttributeError):
+        T.r0 = 2.0
+    back = pickle.loads(pickle.dumps(T))
+    assert back.r0 == T.r0 and np.array_equal(back.a, T.a)
 
 
 def test_volume_project_idempotent():
@@ -346,11 +376,76 @@ def test_find_critical_diagnoses_with_its_last_sweep(monkeypatch):
     solve = len(sweeps)
     fresh = diagnostics.diagnose(sh, P2, 128, 32, with_identities=False)
     assert rep.as_dict() == fresh.as_dict()
-    # one sweep per iteration and the one that met tol, then only the 2 nq
-    # sweep of diagnose, which sweeps twice on its own
+    # the start's sweep and one per candidate (each accepted here at its
+    # first trial), then only the 2 nq sweep of diagnose, which sweeps twice
+    # on its own
     assert st.iteration >= 1
     assert solve == st.iteration + 2
     assert len(sweeps) - solve == 2
+
+
+def test_find_critical_sweeps_each_shape_once(monkeypatch):
+    # every evaluated shape, the start and each candidate, is swept once, and
+    # that sweep gives its energy: no energy functional runs in the solve.
+    # The final diagnose reads the held sweep at nq and sweeps once at 2 nq
+    from nlshape import functionals
+    init = volume_project(fourier_shape(
+        {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[3] if len(args) > 3 else kwargs.get("nq")))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((shapeopt, "boundary_fields"),
+                         (diagnostics, "boundary_fields"),
+                         (shapeopt, "volume_project"),
+                         (functionals, "energy"),
+                         (functionals, "frac_perimeter"),
+                         (functionals, "riesz_energy"),
+                         (diagnostics, "frac_perimeter"),
+                         (diagnostics, "riesz_energy")):
+        counted(module, name)
+    # at tol 1e-8 the line search rejects some candidates (15 for 8 steps)
+    sh, rep, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
+                                   full_output=True)
+    monkeypatch.undo()
+    names = [name for name, _ in calls]
+    candidates = names.count("volume_project")
+    assert candidates > st.iteration >= 1
+    assert set(names) == {"boundary_fields", "volume_project"}
+    sweeps = [nq for name, nq in calls if name == "boundary_fields"]
+    assert sweeps == [32] * (1 + candidates) + [64]
+    # the held sweep's energy terms are the functionals' values, bit for bit
+    per = frac_perimeter(sh, P2.s, 128, 32)
+    rz = riesz_energy(sh, P2.alpha, 128, 32)
+    assert st.energy == energy(sh, P2, 128, 32).total == per + P2.eps * rz
+    assert rep.implied_constants["lambda_cross"] == \
+        diagnostics._lambda_cross(sh, P2, per, rz)
+    assert rep.error_estimates["perimeter"] == \
+        abs(frac_perimeter(sh, P2.s, 128, 64) - per)
+    assert rep.error_estimates["riesz"] == \
+        abs(riesz_energy(sh, P2.alpha, 128, 64) - rz)
+    assert rep.as_dict() == diagnostics.diagnose(
+        sh, P2, 128, 32, with_identities=False).as_dict()
+
+
+def test_held_sweep_is_not_part_of_the_state():
+    # the accepted candidate's sweep rides along for the next iteration, but
+    # equality and repr are those of the trajectory alone
+    st = el_gradient_step(initial_state(_star(), resolution=64), P2, nq=16)
+    held = st._fields
+    assert held is not None
+    fresh = boundary_fields(st.shape, P2, 64, 16, want_grad_tau=False)
+    assert np.array_equal(held.zeta, fresh.zeta)
+    assert (held.perimeter, held.riesz) == (fresh.perimeter, fresh.riesz)
+    assert st == replace(st, _fields=None)
+    assert repr(st) == repr(replace(st, _fields=None))
+    assert "_fields" not in repr(st)
 
 
 def test_find_critical_sweeps_again_for_the_tangential_check(monkeypatch):
