@@ -15,6 +15,7 @@ quadrature breakdown); 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -456,7 +457,11 @@ def _add_common(sp):
     sp.add_argument("--nq", type=int, help="quadrature nodes per half-side")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The parser of main, built once per process (about 2 ms a build).
+    argparse keeps no state between parse_args calls: each call fills a new
+    namespace, and an error exits before anything is kept."""
     ap = argparse.ArgumentParser(
         prog="nlshape",
         description="Nonlocal perimeter/repulsion energies, boundary fields, "

@@ -51,11 +51,11 @@ from .errors import GeometryError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           frac_perimeter, grad_potential_at_points,
                           potential_at_points, riesz_energy, set_integral_2d,
-                          _kappa_2d_batch, _potential_1d)
+                          _grad_tau_2d_batch, _kappa_2d_batch, _potential_1d)
 from .quad import _first_diff, _pair_second_diff, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
-                   canonical, diameter, isodiametric_ratio, uniform_angles,
-                   volume)
+                   canonical, diameter, isodiametric_ratio, mesh_angles,
+                   uniform_angles, volume)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -196,7 +196,8 @@ def _min_zone(bx, by, center, scale: float):
     return best_c, best_w
 
 
-def annulus_deficit_rho(S, _diam: Optional[float] = None) -> float:
+def annulus_deficit_rho(S, _diam: Optional[float] = None,
+                        _rim=None) -> float:
     """inf over centers of (circumradius - inradius) / diam.
 
     Balls score 0 exactly. For star shapes the width is taken over 512
@@ -204,8 +205,8 @@ def annulus_deficit_rho(S, _diam: Optional[float] = None) -> float:
     samples found by exchange from S.center (_min_zone): two samples at the
     largest and two at the smallest distance, interlaced in angle. The
     value is the exact width at that center, never more than at S.center,
-    so it bounds the infimum from above. _diam is diameter(S) when the
-    caller holds it already.
+    so it bounds the infimum from above. _diam is diameter(S) and _rim is
+    S._rim(512) when the caller holds them already.
     """
     if isinstance(S, Ball):
         if S.n < 2:
@@ -214,10 +215,9 @@ def annulus_deficit_rho(S, _diam: Optional[float] = None) -> float:
     if not isinstance(S, StarShape2D):
         raise GeometryError(
             f"annulus deficit needs a star shape or ball, got {type(S).__name__}")
-    bx, by = S.frame(uniform_angles(_RHO_SAMPLES))[0].T
-    scale = float(S.samples(_RHO_SAMPLES).mean())
-    width = _min_zone(bx, by, S.center, scale)[1]
-    return width / (diameter(S) if _diam is None else _diam)
+    pos, r = S._rim(_RHO_SAMPLES) if _rim is None else _rim
+    width = _min_zone(*pos.T, S.center, float(r.mean()))[1]
+    return width / (diameter(S, _rim=(pos, r)) if _diam is None else _diam)
 
 
 def lambda_hat_and_residual(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -374,8 +374,11 @@ def _identity_lal(S, p: Params, resolution, nq, probes: int = 50,
 
 
 def _sup_tangential(S, p: Params, resolution, nq) -> float:
-    return _sup_grad_tau(boundary_fields(S, p, resolution, nq,
-                                         want_grad_tau=True))
+    """sup |grad V . tau| over the mesh nodes: the grad_tau of
+    boundary_fields, by the same sum at the same angles, without the
+    sweep's other fields."""
+    return float(np.abs(_grad_tau_2d_batch(S, p.alpha, mesh_angles(resolution),
+                                           nq)).max())
 
 
 def _sup_grad_tau(bf) -> float:
@@ -480,9 +483,10 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
     own sup |grad V . tau| for TangentialBall), which also carries P_s
     (lambda_cross, Minkowski) and R_alpha (lambda_cross, and int_E V for Au1
-    and Au2), and the diameter (eta, rho, iso_ratio). The planar error
-    estimates are |value(2 nq) - value(nq)| against those nq values, all
-    four from one sweep at 2 nq.
+    and Au2), the boundary samples at the 512 angles of rho (rho, and the
+    diameter when it samples as many) and the diameter (eta, rho,
+    iso_ratio). The planar error estimates are |value(2 nq) - value(nq)|
+    against those nq values, all four from one sweep at 2 nq.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
@@ -507,10 +511,13 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     per, rz = bf.perimeter, bf.riesz
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
-    diam = diameter(S)
+    # one sampling of the boundary at the 512 angles of rho, which the
+    # diameter shares when it samples as many
+    rim = S._rim(_RHO_SAMPLES) if isinstance(S, StarShape2D) else None
+    diam = diameter(S, _rim=rim)
     eta_v = eta(S, p, delta, _diam=diam)
     two_d = isinstance(C, StarShape2D)
-    rho = annulus_deficit_rho(S, _diam=diam) if two_d else None
+    rho = annulus_deficit_rho(S, _diam=diam, _rim=rim) if two_d else None
 
     implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:

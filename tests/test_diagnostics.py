@@ -427,18 +427,19 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
         monkeypatch.setattr(diagnostics, name, wrapper)
 
     for name in ("set_integral_2d", "boundary_fields", "frac_perimeter",
-                 "riesz_energy"):
+                 "riesz_energy", "_grad_tau_2d_batch"):
         counted(name)
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
     # the Au1 gradient alone (int_E V is R_alpha at nq); the sweep at nq
-    # (which also gives TangentialBall the shape's own grad V . tau), the
-    # half-shape sweep and the sweep at 2 nq. P_s and R_alpha at nq and at
-    # 2 nq come from the sweeps at nq and 2 nq
+    # (which also gives TangentialBall the shape's own grad V . tau) and the
+    # sweep at 2 nq; the half shape's grad V . tau alone, without a sweep.
+    # P_s and R_alpha at nq and at 2 nq come from the sweeps at nq and 2 nq
     assert calls.get("frac_perimeter", 0) == 0
     assert calls.get("riesz_energy", 0) == 0
-    assert calls == {"set_integral_2d": 1, "boundary_fields": 3}
+    assert calls == {"set_integral_2d": 1, "boundary_fields": 2,
+                     "_grad_tau_2d_batch": 1}
 
 
 def test_diagnose_1d_computes_int_v_once(monkeypatch):
@@ -469,9 +470,9 @@ def test_diagnose_computes_diameter_once(monkeypatch):
     calls = []
     diameter_fn = sets.diameter
 
-    def counted(S):
+    def counted(S, **kwargs):
         calls.append(S)
-        return diameter_fn(S)
+        return diameter_fn(S, **kwargs)
     monkeypatch.setattr(sets, "diameter", counted)
     monkeypatch.setattr(diagnostics, "diameter", counted)
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))

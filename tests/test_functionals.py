@@ -586,10 +586,10 @@ def test_batched_gradient_matches_scalar(mode3_star):
 
 
 def _ladder_targets_per_block(depth):
-    from nlshape.functionals import _BLOCK_NODES
+    from nlshape.functionals import _LADDER_BLOCK_NODES
     from nlshape.quad import ladder_half_rule
     # each target sums over the ladder of its depth on both sides of its focus
-    return _BLOCK_NODES // (2 * ladder_half_rule(int(depth))[0].size)
+    return _LADDER_BLOCK_NODES // (2 * ladder_half_rule(int(depth))[0].size)
 
 
 def _largest_depth_group(star, pts, foci):
@@ -601,13 +601,13 @@ def _largest_depth_group(star, pts, foci):
 
 
 def test_batched_points_over_blocks_equal_single_targets(mode3_star):
-    # 300 points in a box around the shape spread over a dozen depths; 500
-    # more in a band of the interior share one depth, whose group then runs
-    # in two blocks, the last one partial
+    # 100 points in a box around the shape spread over nine depths; 40 more
+    # in a band of the interior share one depth, whose group then runs in
+    # two blocks, the last one partial
     rng = np.random.default_rng(7)
-    box = rng.uniform(-1.1, 1.1, size=(300, 2))
-    rays = rng.uniform(-math.pi, math.pi, size=500)
-    band = (rng.uniform(0.4, 0.6, size=500) * mode3_star.radius(rays))[:, None] \
+    box = rng.uniform(-1.1, 1.1, size=(100, 2))
+    rays = rng.uniform(-math.pi, math.pi, size=40)
+    band = (rng.uniform(0.4, 0.6, size=40) * mode3_star.radius(rays))[:, None] \
         * np.stack([np.cos(rays), np.sin(rays)], axis=1)
     pts = np.concatenate([box, band])
     foci = np.arctan2(pts[:, 1], pts[:, 0])
@@ -627,14 +627,15 @@ def test_batched_points_over_blocks_equal_single_targets(mode3_star):
 def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
     # whole rays share a focus, as in the interior rule, shuffled so that
     # repeats fall out of order within a depth group, and that group runs
-    # in two blocks
+    # in two blocks, the last one partial
     rng = np.random.default_rng(11)
     rays = rng.uniform(-math.pi, math.pi, size=12)
-    foci = rng.permutation(np.repeat(rays, 60))
+    foci = rng.permutation(np.repeat(rays, 6))
     t = rng.uniform(0.3, 0.6, size=foci.size)
     pts = t[:, None] * np.stack([np.cos(foci), np.sin(foci)], axis=1)
     depth, count = _largest_depth_group(mode3_star, pts, foci)
-    assert _ladder_targets_per_block(depth) < count
+    per_block = _ladder_targets_per_block(depth)
+    assert per_block < count < 2 * per_block
     vals = potential_at_points(mode3_star, pts, foci, 0.5)
     grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
     for i in range(foci.size):
@@ -699,3 +700,18 @@ def test_set_integral_memory_is_bounded(mode3_star):
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2 ** 20
+
+
+def test_grad_set_integral_memory_is_cache_sized(mode3_star):
+    # the Au1 integral of diagnose: the ladder blocks of 2^13 nodes keep its
+    # traced peak near 2 MB; 2^16-node blocks took about 7 MB
+    import tracemalloc
+    f = lambda pts, foci: (grad_potential_at_points(
+        mode3_star, pts, foci, 0.5) * pts).sum(1)
+    tracemalloc.start()
+    try:
+        set_integral_2d(mode3_star, f, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20

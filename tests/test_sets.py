@@ -168,16 +168,43 @@ def _wide_star(kmax, amp=1e-3):
     return StarShape2D((0.2, -0.1), 1.0, amp * np.cos(k), amp * np.sin(k))
 
 
-def test_star_diameter_blocks_equal_all_pairs():
-    # kmax 64 gives 512 samples, several row blocks
-    star = _wide_star(64, amp=0.01)
-    th = 2.0 * np.pi * np.arange(512) / 512
+def _all_pairs_distances(star, m):
+    th = 2.0 * np.pi * np.arange(m) / m
     r = star.radius(th)
     x = star.center[0] + r * np.cos(th)
     y = star.center[1] + r * np.sin(th)
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
-    assert diameter(star) == float(np.sqrt(dx * dx + dy * dy).max())
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def test_star_diameter_blocks_equal_all_pairs():
+    # kmax 64 gives 512 samples, several row blocks
+    star = _wide_star(64, amp=0.01)
+    assert diameter(star) == float(_all_pairs_distances(star, 512).max())
+
+
+def test_star_diameter_finds_a_pair_ending_in_the_last_block():
+    # kmax 70 gives 560 samples and a last row block that is partial. The
+    # shape is stretched along the angle of sample 555, in that block, and
+    # shifted off its pole by a mode 1, so its farthest pair joins sample
+    # 555 to one in an earlier block; the upper-triangle scan finds it in
+    # the earlier block's row, at a column of the last block
+    from nlshape.sets import _DIAMETER_BLOCK
+    m, t0 = 560, 2.0 * np.pi * 555 / 560
+    k = np.arange(1, 71)
+    a = 1e-4 * np.cos(3.0 * k)
+    b = 1e-4 * np.sin(3.0 * k)
+    a[0], b[0] = 0.1, -0.05
+    a[1], b[1] = 0.3 * np.cos(2.0 * t0), 0.3 * np.sin(2.0 * t0)
+    star = StarShape2D((0.4, -0.7), 1.0, a, b)
+    rows = _DIAMETER_BLOCK // m
+    last = (m - 1) // rows * rows
+    assert 0 < m - last < rows
+    dist = _all_pairs_distances(star, m)
+    i, j = np.unravel_index(dist.argmax(), dist.shape)
+    assert min(i, j) < last <= max(i, j)
+    assert diameter(star) == float(dist.max())
 
 
 def test_star_diameter_memory_is_bounded():
