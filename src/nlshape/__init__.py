@@ -19,7 +19,7 @@ from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, BoundaryFields,
                           frac_curvature, frac_perimeter, grad_potential,
                           grad_potential_at_points, potential,
                           potential_at_points, riesz_energy, set_integral_2d,
-                          tangential_grad_potential, zeta, zeta_nodes)
+                          tangential_grad_potential, zeta)
 from .onedim import (SweepRecord, TwoIntervalConfig, epsilon_sweep,
                      f_closed_form, g_and_d_eps, solve_critical_d,
                      two_interval_set, zeta_endpoints)
@@ -44,7 +44,7 @@ __all__ = [
     # functionals
     "frac_perimeter", "riesz_energy", "energy", "EnergyBreakdown",
     "potential", "grad_potential", "tangential_grad_potential",
-    "frac_curvature", "zeta", "zeta_nodes", "boundary_fields",
+    "frac_curvature", "zeta", "boundary_fields",
     "BoundaryFields", "set_integral_2d",
     "potential_at_points", "grad_potential_at_points",
     "DEFAULT_NQ", "DEFAULT_RESOLUTION",

@@ -284,7 +284,7 @@ def _run_curvature(cfg, emit):
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
     res, nq = _mesh_knobs(cfg, S.n)
-    bf = boundary_fields(S, p, res, nq, want_grad_tau=False)
+    bf = boundary_fields(S, p, res, nq)
     rows = [(i, *bf.mesh.points[i].tolist(), float(bf.kappa[i]))
             for i in range(bf.mesh.points.shape[0])]
     emit.csv(".csv", ["index", *_coord_header(S), "kappa"], rows)
@@ -300,7 +300,7 @@ def _run_potential(cfg, emit):
         v = potential(S, x, p.alpha, nq=nq)
         emit.csv(".csv", [*_coord_header(S), "potential"], [(*x, v)])
     else:
-        bf = boundary_fields(S, p, res, nq, want_grad_tau=False)
+        bf = boundary_fields(S, p, res, nq)
         rows = [(i, *bf.mesh.points[i].tolist(), float(bf.pot[i]))
                 for i in range(bf.mesh.points.shape[0])]
         emit.csv(".csv", ["index", *_coord_header(S), "potential"], rows)

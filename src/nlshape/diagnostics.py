@@ -51,7 +51,8 @@ from .errors import GeometryError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
                           frac_perimeter, grad_potential_at_points,
                           potential_at_points, riesz_energy, set_integral_2d,
-                          _grad_tau_2d_batch, _kappa_2d_batch, _potential_1d)
+                          _curvature_exponent, _curve_pass, _grad_tau_2d_batch,
+                          _potential_1d)
 from .quad import _first_diff, _pair_second_diff, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
                    canonical, diameter, isodiametric_ratio, mesh_angles,
@@ -121,7 +122,7 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     """
     if route not in ("kappa", "potential"):
         raise ParamError(f"route must be 'kappa' or 'potential', got {route!r}")
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+    bf = boundary_fields(S, p, resolution, nq)
     if bf.mesh.points.shape[0] < 2:
         raise GeometryError("Lipschitz defect needs at least 2 boundary nodes")
     if route == "kappa":
@@ -224,7 +225,7 @@ def lambda_hat_and_residual(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                             nq: int = DEFAULT_NQ):
     """Weighted boundary mean of zeta and the sup-norm residual against it
     (BoundaryFields.lambda_hat_and_residual of the boundary sweep)."""
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+    bf = boundary_fields(S, p, resolution, nq)
     return bf.lambda_hat_and_residual()
 
 
@@ -327,7 +328,7 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     n - alpha/2; exposed separately so the factor can be fitted across alpha
     values.
     """
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+    bf = boundary_fields(S, p, resolution, nq)
     return _x_dot_nu_pairing(bf.mesh, bf.pot), bf.riesz
 
 
@@ -374,27 +375,18 @@ def _identity_lal(S, p: Params, resolution, nq, probes: int = 50,
 
 
 def _sup_tangential(S, p: Params, resolution, nq) -> float:
-    """sup |grad V . tau| over the mesh nodes: the grad_tau of
-    boundary_fields, by the same sum at the same angles, without the
-    sweep's other fields."""
+    """sup |grad V . tau| over the mesh nodes, from the one sum that owns
+    grad V . tau (_grad_tau_2d_batch at the mesh angles); no boundary sweep
+    carries it."""
     return float(np.abs(_grad_tau_2d_batch(S, p.alpha, mesh_angles(resolution),
                                            nq)).max())
 
 
-def _sup_grad_tau(bf) -> float:
-    if bf.grad_tau is None:
-        raise ParamError("tangential gradient needs alpha in (0, 1)")
-    return float(np.abs(bf.grad_tau).max())
-
-
-def _identity_tangential_ball(S, p: Params, resolution, nq,
-                              g_full: Optional[float] = None) -> float:
+def _identity_tangential_ball(S, p: Params, resolution, nq) -> float:
     """Linearity of sup |grad V . tau| in the ball-map size mu: halve the
     radial deviation from the equal-area ball and compare the ratio of the
-    sups with the ratio of the mus. The residual is their mismatch.
-
-    g_full is S's own sup at (resolution, nq) when the caller already holds
-    it from its boundary sweep; otherwise it is swept here."""
+    sups with the ratio of the mus. The residual is their mismatch; both
+    sups come from _sup_tangential."""
     if not (0.0 < p.alpha < 1.0):
         raise ParamError("tangential-gradient check needs alpha in (0, 1)")
     mu_full = ball_map_mu(S)
@@ -404,8 +396,7 @@ def _identity_tangential_ball(S, p: Params, resolution, nq,
     half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
     mu_half = ball_map_mu(half)
     ratio_mu = mu_full / mu_half
-    if g_full is None:
-        g_full = _sup_tangential(S, p, resolution, nq)
+    g_full = _sup_tangential(S, p, resolution, nq)
     g_half = _sup_tangential(half, p, resolution, nq)
     ratio_g = g_full / max(g_half, _RESIDUAL_FLOOR)
     return abs(ratio_g - ratio_mu) / ratio_mu
@@ -434,7 +425,7 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
                              riesz_energy(S, p.alpha, resolution, nq))
     if kind == "Lal":
         return _identity_lal(S, p, resolution, nq)
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
+    bf = boundary_fields(S, p, resolution, nq)
     if kind == "Au2":
         return _identity_au2(p, bf, bf.riesz)
     return _identity_minkowski(p, bf, bf.perimeter)
@@ -449,8 +440,11 @@ def calibrate_variation_constant(s: float, n: int = 2,
 
     Both sides scale like R^(n-s), so radius independence of the ratio is a
     built-in correctness check. In 1D everything is closed-form and the value
-    is exactly 1 under the conventions used here.
+    is exactly 1 under the conventions used here. In the plane each disk's
+    kappa and P_s come from one on-curve pass at beta = -s.
     """
+    if not (0.0 < s < 1.0):
+        raise ParamError(f"s must lie in (0, 1), got {s!r}")
     vals = []
     if n == 1:
         for R in radii:
@@ -459,11 +453,12 @@ def calibrate_variation_constant(s: float, n: int = 2,
                                 for x, nrm in ((-R, -1.0), (R, 1.0)))
             vals.append((1.0 - s) * frac_perimeter(iv, s) / pairing)
     elif n == 2:
+        ex = _curvature_exponent(s)
         for R in radii:
             star = StarShape2D((0.0, 0.0), R)
             mesh = boundary_mesh(star, resolution)
-            pairing = _x_dot_nu_pairing(mesh, _kappa_2d_batch(star, s, mesh.thetas, nq))
-            vals.append((2.0 - s) * frac_perimeter(star, s, resolution, nq) / pairing)
+            kap, per = _curve_pass(star, ex, mesh.thetas, nq, energy=True)
+            vals.append((2.0 - s) * per / _x_dot_nu_pairing(mesh, kap))
     else:
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
@@ -480,34 +475,30 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     """Full diagnostic sweep for one shape.
 
     Each shared quantity is computed once and handed to its users: the
-    boundary sweep at nq (lambda_hat, delta, Au2, Minkowski and the shape's
-    own sup |grad V . tau| for TangentialBall), which also carries P_s
-    (lambda_cross, Minkowski) and R_alpha (lambda_cross, and int_E V for Au1
-    and Au2), the boundary samples at the 512 angles of rho (rho, and the
-    diameter when it samples as many) and the diameter (eta, rho,
-    iso_ratio). The planar error estimates are |value(2 nq) - value(nq)|
-    against those nq values, all four from one sweep at 2 nq.
+    boundary sweep at nq (lambda_hat, delta, Au2, Minkowski), which also
+    carries P_s (lambda_cross, Minkowski) and R_alpha (lambda_cross, and
+    int_E V for Au1 and Au2), the boundary samples at the 512 angles of rho
+    (rho, and the diameter when it samples as many) and the diameter (eta,
+    rho, iso_ratio). The planar error estimates are |value(2 nq) - value(nq)|
+    against those nq values, all four from one sweep at 2 nq. TangentialBall
+    reads grad V . tau from its one owner (_sup_tangential, for the shape
+    and its half-amplitude shape), which no sweep carries.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
     small-perturbation statement and is out of regime for large deviations
     from a ball.
 
-    _bf is boundary_fields(S, p, resolution, nq, want_grad_tau=False) when
-    the caller holds it already; it stands in for the sweep at nq unless
-    TangentialBall needs that sweep's grad V . tau.
+    _bf is boundary_fields(S, p, resolution, nq) when the caller holds it
+    already; it then always stands in for the sweep at nq, so diagnose
+    sweeps only at 2 nq.
     """
     # C is the canonical form every quadrature below runs on; the closed-form
     # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
     # values
     C = canonical(S)
     mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
-    tangential = (with_identities and mu is not None
-                  and 0.0 < mu <= DEFAULT_MU_GATE and 0.0 < p.alpha < 1.0)
-    # grad V . tau is only needed by TangentialBall, which then reads the
-    # shape's own sup from this sweep
-    bf = (_bf if _bf is not None and not tangential
-          else boundary_fields(C, p, resolution, nq, want_grad_tau=tangential))
+    bf = _bf if _bf is not None else boundary_fields(C, p, resolution, nq)
     per, rz = bf.perimeter, bf.riesz
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
@@ -534,13 +525,14 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
         identities["Au2"] = _identity_au2(p, bf, rz)
         identities["Minkowski"] = _identity_minkowski(p, bf, per)
         identities["Lal"] = _identity_lal(C, p, resolution, nq)
-        if tangential:
+        if (mu is not None and 0.0 < mu <= DEFAULT_MU_GATE
+                and 0.0 < p.alpha < 1.0):
             identities["TangentialBall"] = _identity_tangential_ball(
-                C, p, resolution, nq, _sup_grad_tau(bf))
+                C, p, resolution, nq)
 
     errors = {}
     if two_d:
-        bf2 = boundary_fields(C, p, resolution, 2 * nq, want_grad_tau=False)
+        bf2 = boundary_fields(C, p, resolution, 2 * nq)
         errors["perimeter"] = abs(bf2.perimeter - per)
         errors["riesz"] = abs(bf2.riesz - rz)
         errors["kappa"] = float(np.abs(bf2.kappa - bf.kappa).max())

@@ -36,7 +36,10 @@ angle) the geometry is in polar difference form. A sweep and both energy
 terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
 integrand of P_s are summed on the same nodes at beta = -s, V and that of
 R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
-with the bits of frac_perimeter and riesz_energy. With
+with the bits of frac_perimeter and riesz_energy. A sweep takes no switches
+and always holds the same fields. grad V . tau is not one of them: its one
+owner is _grad_tau_2d_batch (tangential_grad_potential at a single point),
+one pass at beta = -alpha. With
 A_k(t) = a_k cos kt + b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt at the
 targets, a node phi = t + u has
 
@@ -87,21 +90,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, _first_diff, _pair_second_diff,
-                   interval_partition, jacobi_half_rule, ladder_half_rule,
-                   pv_at_endpoint, pv_pair_integral)
+                   graded_radial_rule, interval_partition, jacobi_half_rule,
+                   ladder_half_rule, pv_at_endpoint, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
     "potential", "grad_potential", "tangential_grad_potential",
-    "frac_curvature", "zeta", "zeta_nodes", "boundary_fields",
+    "frac_curvature", "zeta", "boundary_fields",
     "set_integral_2d", "potential_at_points", "grad_potential_at_points",
     "DEFAULT_NQ", "DEFAULT_RESOLUTION",
 ]
@@ -794,23 +798,23 @@ def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
 
 @dataclass(frozen=True)
 class BoundaryFields:
-    """Per-node boundary data for one shape, with its two energy terms: P_s
-    (perimeter) and R_alpha (riesz), the values of frac_perimeter and
-    riesz_energy at the same resolution and nq. riesz is nan where R_alpha
-    diverges, alpha >= 2 on a planar shape."""
+    """Per-node boundary data for one shape (kappa, V and zeta at the mesh
+    nodes), with its two energy terms: P_s (perimeter) and R_alpha (riesz),
+    the values of frac_perimeter and riesz_energy at the same resolution and
+    nq. riesz is nan where R_alpha diverges, alpha >= 2 on a planar shape.
+    grad V . tau is not a sweep field: its one owner is
+    tangential_grad_potential (in a batch, _grad_tau_2d_batch)."""
 
     mesh: BoundaryMesh
     kappa: np.ndarray
     pot: np.ndarray
     zeta: np.ndarray
-    grad_tau: Optional[np.ndarray]  # None when alpha >= n-1 or in 1D
     perimeter: float
     riesz: float
 
     def __post_init__(self):
-        for arr in (self.kappa, self.pot, self.zeta, self.grad_tau):
-            if arr is not None:
-                arr.flags.writeable = False
+        for arr in (self.kappa, self.pot, self.zeta):
+            arr.flags.writeable = False
 
     def lambda_hat_and_residual(self):
         """Weighted boundary mean of zeta and the sup-norm residual against
@@ -822,18 +826,20 @@ class BoundaryFields:
 
 
 def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-                    nq: int = DEFAULT_NQ, want_grad_tau: bool = True) -> BoundaryFields:
-    """kappa, V, zeta (and grad V . tau where defined) at every mesh node,
-    and P_s and R_alpha. On a planar shape kappa and P_s come from one
-    on-curve pass (beta = -s), V and R_alpha from another (beta = 2 - alpha);
-    on an interval set the energy terms are the closed forms."""
+                    nq: int = DEFAULT_NQ) -> BoundaryFields:
+    """kappa, V and zeta at every mesh node, and P_s and R_alpha. On a
+    planar shape kappa and P_s come from one on-curve pass (beta = -s), V
+    and R_alpha from another (beta = 2 - alpha); on an interval set the
+    energy terms are the closed forms. The sweep takes no switches, so one
+    sweep of a shape serves every caller at the same (Params, resolution,
+    nq)."""
     S = canonical(S)
     if isinstance(S, IntervalSet):
         mesh = boundary_mesh(S, resolution)  # the endpoints, in order
         kap, pot = map(np.array, _endpoint_fields_1d(S, p.s, p.alpha))
         zt = kap + p.c_coupling * p.eps * pot
         return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt,
-                              grad_tau=None, perimeter=_perimeter_1d(S, p.s),
+                              perimeter=_perimeter_1d(S, p.s),
                               riesz=_riesz_1d(S, p.alpha))
 
     star = _as_star(S)
@@ -844,18 +850,8 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     pot, rz = _curve_pass(star, _potential_exponent(p.alpha), th, nq,
                           energy=p.alpha < 2.0)
     zt = kap + p.c_coupling * p.eps * pot
-    gt = None
-    if want_grad_tau and 0.0 < p.alpha < 1.0:
-        gt = _grad_tau_2d_batch(star, p.alpha, th, nq)
-    return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt, grad_tau=gt,
+    return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt,
                           perimeter=per, riesz=math.nan if rz is None else rz)
-
-
-def zeta_nodes(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-               nq: int = DEFAULT_NQ):
-    """(mesh, zeta values) without the tangential gradient (optimizer path)."""
-    bf = boundary_fields(S, p, resolution, nq, want_grad_tau=False)
-    return bf.mesh, bf.zeta
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +866,8 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     evaluations can grade toward the nearest boundary patch.
 
     The radial rule is graded toward the boundary: t = 1 - (1 - tau)^3 with
-    tau Gauss-Legendre on (0, 1) and the weight 3 (1 - tau)^2. The nodes
+    tau Gauss-Legendre on (0, 1) and the weight 3 (1 - tau)^2
+    (quad.graded_radial_rule, built once per order). The nodes
     crowd toward t = 1 like (1 - tau)^3, and the d^(1 - alpha) boundary
     layer of grad V (d the distance to the boundary) enters as a
     (1 - tau)^(5 - 3 alpha) term, which the Gauss rule resolves at every
@@ -880,11 +877,7 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     """
     star = _as_star(star)
     q_radial = max(12, int(resolution) // 16)
-    from numpy.polynomial.legendre import leggauss
-    tq, wq = leggauss(q_radial)
-    tau = 0.5 * (tq + 1.0)
-    t = 1.0 - (1.0 - tau) ** 3
-    wt = 1.5 * wq * (1.0 - tau) ** 2
+    t, wt = graded_radial_rule(q_radial)
     m = int(resolution)
     th = uniform_angles(m)
     cs, sn, r, _ = star.polar(th)
@@ -948,7 +941,6 @@ def _ball_potential_nd(B: Ball, x, alpha: float) -> float:
     if dist < R:
         inner = omega * lo ** (n - alpha) / (n - alpha)
     # integrand is continuous on [lo, hi]; composite Gauss-Legendre
-    from numpy.polynomial.legendre import leggauss
     t, w = leggauss(64)
     total = 0.0
     panels = np.linspace(lo, hi, 9)

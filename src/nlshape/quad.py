@@ -34,6 +34,7 @@ from .sets import IntervalSet
 __all__ = [
     "kernel_primitive", "interval_partition", "pv_at_endpoint",
     "pv_pair_integral", "jacobi_half_rule", "ladder_half_rule",
+    "graded_radial_rule",
 ]
 
 
@@ -274,3 +275,20 @@ def ladder_half_rule(depth: int = 24, q: int = 12):
     u.flags.writeable = False
     W.flags.writeable = False
     return u, W
+
+
+@lru_cache(maxsize=16)
+def graded_radial_rule(q: int):
+    """Nodes t in (0, 1) and weights w of the q-point radial rule of the
+    interior set integrals, graded toward the boundary t = 1, read-only:
+    t = 1 - (1 - tau)^3 and w = 1.5 w_GL (1 - tau)^2, with tau and w_GL the
+    Gauss-Legendre rule mapped to (0, 1) (tau = (t_GL + 1) / 2; the 1.5 is
+    the Jacobian 3 (1 - tau)^2 times the 1/2 of the map). The rule depends
+    only on q, so it is built once per order."""
+    tq, wq = leggauss(q)
+    tau = 0.5 * (tq + 1.0)
+    t = 1.0 - (1.0 - tau) ** 3
+    w = 1.5 * wq * (1.0 - tau) ** 2
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -495,20 +495,6 @@ def translated(S, shift):
             raise GeometryError("shift dimension does not match the star shape")
         return StarShape2D((S.center[0] + h[0], S.center[1] + h[1]), S.r0, S.a, S.b)
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
-
-
-def unit_volume_rescale(S, p: Params):
-    """Rescale S to unit volume and rewrite the parameters accordingly.
-
-    Returns (S1, p1) where S1 = m^(-1/n) S has volume 1 and p1 carries
-    mass = m and eps = m^(1 - alpha/n + s/n).
-    """
-    m = volume(S)
-    if not m > 0.0:
-        raise GeometryError("cannot rescale a set of nonpositive volume")
-    S1 = scaled(S, m ** (-1.0 / p.n))
-    p1 = replace(p, mass=m, eps=None)
-    return S1, p1
 
 
 def canonical(S):

@@ -20,7 +20,9 @@ scaled velocity is always a descent direction.
 
 One step:
   1. sweep zeta over the boundary mesh, lambda_hat = weighted mean (the
-     shape's sweep is already held unless it is the initial shape);
+     shape's BoundaryFields is already held unless it is the initial shape,
+     and find_critical_2d hands it to el_gradient_step, which reads
+     lambda_hat, the residual and the velocity from it);
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
@@ -82,8 +84,8 @@ class OptimizerState:
     mesh_resolution: int = DEFAULT_RESOLUTION
     k_max: int = DEFAULT_K_MAX
     energy: float = math.nan  # F_eps of shape; nan = not yet evaluated
-    # the BoundaryFields of shape, without grad V . tau, at the Params and nq
-    # of the el_gradient_step that made this state; None = not yet swept.
+    # the BoundaryFields of shape at the Params and nq of the
+    # el_gradient_step that made this state; None = not yet swept.
     # Only find_critical_2d, whose arguments stay fixed, reads it
     _fields: Optional[BoundaryFields] = field(default=None, compare=False,
                                               repr=False)
@@ -146,21 +148,6 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                           mesh_resolution=resolution, k_max=k_max)
 
 
-def _zeta_sweep(shape, p, resolution, nq, bf=None):
-    """(mesh angles' radius, speed, zeta - lambda_hat, lambda_hat,
-    residual, the BoundaryFields swept); bf is the shape's BoundaryFields
-    when the caller holds it already."""
-    if bf is None:
-        bf = boundary_fields(shape, p, resolution, nq, want_grad_tau=False)
-    mesh = bf.mesh
-    lam, residual = bf.lambda_hat_and_residual()
-    v = bf.zeta - lam
-    m = mesh.points.shape[0]
-    speed = mesh.weights * m / (2.0 * math.pi)
-    r = shape.radius(mesh.thetas)
-    return r, speed, v, lam, residual, bf
-
-
 def _total_energy(bf, p):
     """F_eps of the swept shape, from its sweep's energy terms."""
     return EnergyBreakdown(bf.perimeter, bf.riesz, p.eps).total
@@ -201,18 +188,20 @@ def _disk_spectrum(p: Params, nq: int, k_max: int) -> np.ndarray:
 
 
 def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
-                     _sweep=None) -> OptimizerState:
+                     _bf: Optional[BoundaryFields] = None) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
 
     Each candidate is evaluated by one boundary sweep, which gives its F_eps,
-    and the returned state holds the sweep of its shape. Raises StalledError
-    (carrying the state) when no energy-non-increasing candidate exists down
-    to the minimal step size.
+    and the returned state holds the sweep of its shape. _bf is
+    boundary_fields(state.shape, p, state.mesh_resolution, nq) when the
+    caller holds it already; lambda_hat, the residual and the velocity are
+    read from it. Raises StalledError (carrying the state) when no
+    energy-non-increasing candidate exists down to the minimal step size.
     """
     shape = state.shape
     res = state.mesh_resolution
-    r, speed, v, lam, residual, bf = (_sweep if _sweep is not None
-                                      else _zeta_sweep(shape, p, res, nq))
+    bf = _bf if _bf is not None else boundary_fields(shape, p, res, nq)
+    lam, residual = bf.lambda_hat_and_residual()
     history = state.residual_history + (residual,)
 
     scale = max(1.0, abs(lam))
@@ -224,10 +213,15 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
     if math.isnan(base):
         base = _total_energy(bf, p)
 
-    # the Newton step at the disk: mode k of v divided by mu_k
+    # the Newton step at the disk: mode k of zeta - lambda_hat divided by
+    # mu_k, applied as the normal speed v * J / r at the mesh angles
+    mesh = bf.mesh
+    v = bf.zeta - lam
     mu = _disk_spectrum(p, nq, state.k_max)
     coef = np.fft.rfft(v)[:mu.size]
     v = np.fft.irfft(coef / mu[:coef.size], v.size)
+    speed = mesh.weights * mesh.points.shape[0] / (2.0 * math.pi)
+    r = shape.radius(mesh.thetas)
 
     step = state.step_size
     while step >= _MIN_STEP:
@@ -243,7 +237,7 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
                 step *= 0.5
                 continue
             cand = volume_project(cand)
-            cand_bf = boundary_fields(cand, p, res, nq, want_grad_tau=False)
+            cand_bf = boundary_fields(cand, p, res, nq)
             f_cand = _total_energy(cand_bf, p)
             if f_cand <= base:
                 return replace(state, shape=cand, iteration=state.iteration + 1,
@@ -285,14 +279,17 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
         return (init, report, state) if full_output else (init, report)
     # each shape is swept once: a state's held sweep is its shape's
     while state.iteration < max_iter:
-        sweep = _zeta_sweep(state.shape, p, resolution, nq, state._fields)
-        if sweep[4] <= tol:
+        bf = state._fields
+        if bf is None:
+            bf = boundary_fields(state.shape, p, resolution, nq)
+        residual = bf.lambda_hat_and_residual()[1]
+        if residual <= tol:
             state = replace(
-                state, residual_history=state.residual_history + (sweep[4],),
-                _fields=sweep[5])
+                state, residual_history=state.residual_history + (residual,),
+                _fields=bf)
             break
         # a stall here has the swept residual above tol, so it propagates
-        state = el_gradient_step(state, p, nq, _sweep=sweep)
+        state = el_gradient_step(state, p, nq, _bf=bf)
     report = diagnose(state.shape, p, resolution, nq,
                       with_identities=with_identities, _bf=state._fields)
     return (state.shape, report, state) if full_output else (state.shape, report)

@@ -21,7 +21,8 @@ from nlshape.diagnostics import (au2_sides, ball_map_mu,
                                  calibrate_variation_constant, diagnose,
                                  identity_check)
 from nlshape.functionals import (boundary_fields, frac_curvature,
-                                 frac_perimeter, potential, riesz_energy)
+                                 frac_perimeter, potential, riesz_energy,
+                                 tangential_grad_potential)
 from nlshape.onedim import (TwoIntervalConfig, epsilon_sweep, f_closed_form,
                             zeta_endpoints)
 from nlshape.sets import (Ball, IntervalSet, Params, StarShape2D, save_geometry,
@@ -80,9 +81,10 @@ def test_criterion_03_disk_is_rigid():
     p = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
     disk = Ball((0.0, 0.0), 1.0)
     for m, nq in ((128, 32), (256, 48)):
-        bf = boundary_fields(disk, p, m, nq, want_grad_tau=True)
+        bf = boundary_fields(disk, p, m, nq)
         kspread = float((bf.kappa.max() - bf.kappa.min()) / abs(bf.kappa.mean()))
-        gt = float(np.abs(bf.grad_tau).max())
+        gt = max(abs(tangential_grad_potential(disk, x, p.alpha, nq=nq))
+                 for x in bf.mesh.points)
         rep = diagnose(disk, p, m, nq, with_identities=False)
         _line("disk rigidity", m=m, kappa_spread=kspread, grad_tau=gt,
               delta=rep.delta_s, el=rep.el_residual)
@@ -179,8 +181,8 @@ def test_criterion_06_scaling_exponents():
     p_dev = abs(frac_perimeter(Sl, s, res, nq) - lam ** 1.5 * p_ref) / (lam ** 1.5 * p_ref)
     r_dev = abs(riesz_energy(Sl, alpha, res, nq) - lam ** 3.5 * r_ref) / (lam ** 3.5 * r_ref)
     pp = Params(n=2, s=s, alpha=alpha, eps=1e-3)
-    bf = boundary_fields(S, pp, res, nq, want_grad_tau=False)
-    bfl = boundary_fields(Sl, pp, res, nq, want_grad_tau=False)
+    bf = boundary_fields(S, pp, res, nq)
+    bfl = boundary_fields(Sl, pp, res, nq)
     k_dev = float(np.abs(bfl.kappa - lam ** (-s) * bf.kappa).max()
                   / np.abs(bf.kappa).mean())
     x = np.array([0.2, 0.1])
@@ -225,8 +227,9 @@ def test_criterion_09_tangential_gradient_tracks_asymmetry():
     sups, mus = [], []
     for a in (0.04, 0.02, 0.01):
         S = StarShape2D((0.0, 0.0), 1.0, [0.0, 0.0, a])
-        bf = boundary_fields(S, p, 128, 32, want_grad_tau=True)
-        sups.append(float(np.abs(bf.grad_tau).max()))
+        points = boundary_fields(S, p, 128, 32).mesh.points
+        sups.append(max(abs(tangential_grad_potential(S, x, p.alpha, nq=32))
+                        for x in points))
         mus.append(ball_map_mu(S))
     ratios = [sups[i + 1] / sups[i] for i in range(2)]
     _line("tangential linearity", ratios=tuple(round(r, 4) for r in ratios),

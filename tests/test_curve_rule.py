@@ -208,12 +208,13 @@ def test_one_target_equals_its_row_of_the_sweep():
     th = bf.mesh.thetas
     g_all = _grad_potential_2d_batch(star, p.alpha, bf.mesh.points, th, True,
                                      48)
+    gt_all = _grad_tau_2d_batch(star, p.alpha, th, 48)
     for i in (0, 1, 77, 128, 255):
         one = th[i:i + 1]
         assert bf.kappa[i] == _kappa_2d_batch(star, p.s, one, 48)[0]
         assert bf.pot[i] == _potential_2d_batch(star, p.alpha, None, one,
                                                 True, 48)[0]
-        assert bf.grad_tau[i] == _grad_tau_2d_batch(star, p.alpha, one, 48)[0]
+        assert gt_all[i] == _grad_tau_2d_batch(star, p.alpha, one, 48)[0]
         g = _grad_potential_2d_batch(star, p.alpha, None, one, True, 48)[0]
         assert np.array_equal(g_all[i], g)
 

@@ -356,6 +356,29 @@ def test_calibrate_rejects_other_dimensions():
         calibrate_variation_constant(0.5, n=3)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [0.0, 1.0, -0.5, math.nan])
+def test_calibrate_rejects_s_outside_the_unit_interval(n, s):
+    with pytest.raises(ParamError):
+        calibrate_variation_constant(s, n=n, resolution=64, nq=16)
+
+
+def test_calibrate_2d_makes_one_pass_per_radius(monkeypatch):
+    # each disk's kappa and P_s are summed on the same nodes at beta = -s
+    from nlshape import functionals
+    calls = []
+    batch = functionals._curve_batch
+
+    def counted(star, thetas, beta, nq, h_func, ncomp=1):
+        calls.append((star.r0, beta, ncomp))
+        return batch(star, thetas, beta, nq, h_func, ncomp)
+    monkeypatch.setattr(functionals, "_curve_batch", counted)
+    c = calibrate_variation_constant(0.5, n=2, resolution=128, nq=32)
+    monkeypatch.undo()
+    assert calls == [(0.5, -0.5, 2), (1.0, -0.5, 2), (2.0, -0.5, 2)]
+    assert_allclose(c, 1.0, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # full report
 
@@ -432,14 +455,28 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
-    # the Au1 gradient alone (int_E V is R_alpha at nq); the sweep at nq
-    # (which also gives TangentialBall the shape's own grad V . tau) and the
-    # sweep at 2 nq; the half shape's grad V . tau alone, without a sweep.
-    # P_s and R_alpha at nq and at 2 nq come from the sweeps at nq and 2 nq
+    # the Au1 gradient alone (int_E V is R_alpha at nq); the sweeps at nq
+    # and at 2 nq; grad V . tau of the shape and of its half shape, each one
+    # sum without a sweep. P_s and R_alpha at nq and at 2 nq come from the
+    # sweeps at nq and 2 nq
     assert calls.get("frac_perimeter", 0) == 0
     assert calls.get("riesz_energy", 0) == 0
     assert calls == {"set_integral_2d": 1, "boundary_fields": 2,
-                     "_grad_tau_2d_batch": 1}
+                     "_grad_tau_2d_batch": 2}
+
+
+@pytest.mark.parametrize("nq", [16, 48])
+def test_diagnose_tangential_ball_is_identity_check_bit_for_bit(nq):
+    # sup |grad V . tau| has one owner, so the report's residual is the
+    # standalone check's, whether or not diagnose holds a sweep
+    from nlshape import boundary_fields
+    small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
+    alone = identity_check(small, P2, "TangentialBall", 64, nq)
+    rep = diagnose(small, P2, resolution=64, nq=nq)
+    assert rep.identity_residuals["TangentialBall"] == alone
+    held = diagnose(small, P2, resolution=64, nq=nq,
+                    _bf=boundary_fields(small, P2, 64, nq))
+    assert held.as_dict() == rep.as_dict()
 
 
 def test_diagnose_1d_computes_int_v_once(monkeypatch):

@@ -19,7 +19,7 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      frac_curvature, frac_perimeter, grad_potential,
                      grad_potential_at_points, potential, potential_at_points,
                      riesz_energy, set_integral_2d, tangential_grad_potential,
-                     zeta, zeta_nodes)
+                     zeta)
 from nlshape.sets import scaled, translated
 
 from oracles import (CLOSED_FORM_SETS, QuadTolerance, brute_oracle,
@@ -520,9 +520,24 @@ def test_boundary_fields_disk(unit_disk, params_2d):
     assert_allclose(bf.zeta,
                     bf.kappa + params_2d.c_coupling * params_2d.eps * bf.pot,
                     rtol=1e-14)
-    assert bf.grad_tau is not None
-    assert np.abs(bf.grad_tau).max() < 1e-10
+    from nlshape.functionals import _grad_tau_2d_batch
+    from nlshape.sets import canonical
+    gt = _grad_tau_2d_batch(canonical(unit_disk), params_2d.alpha,
+                            bf.mesh.thetas, 32)
+    assert np.abs(gt).max() < 1e-10
     assert not bf.kappa.flags.writeable
+
+
+def test_boundary_fields_takes_no_switches():
+    # a sweep always holds the same fields, so one sweep of a shape serves
+    # every caller at the same (Params, resolution, nq)
+    import dataclasses
+    import inspect
+    from nlshape import BoundaryFields
+    assert list(inspect.signature(boundary_fields).parameters) == [
+        "S", "p", "resolution", "nq"]
+    assert [f.name for f in dataclasses.fields(BoundaryFields)] == [
+        "mesh", "kappa", "pot", "zeta", "perimeter", "riesz"]
 
 
 @pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(0.0, 0.5), (7.0, 7.5)],
@@ -533,23 +548,6 @@ def test_boundary_fields_1d_carries_the_closed_form_energies(intervals):
     bf = boundary_fields(S, p)
     assert bf.perimeter == frac_perimeter(S, p.s)
     assert bf.riesz == riesz_energy(S, p.alpha)
-
-
-def test_boundary_fields_grad_tau_gating(unit_disk):
-    p = Params(n=2, s=0.5, alpha=1.3, eps=1e-3)
-    bf = boundary_fields(unit_disk, p, resolution=64, nq=24)
-    assert bf.grad_tau is None
-    bf2 = boundary_fields(unit_disk, Params(n=2, s=0.5, alpha=0.5, eps=1e-3),
-                          resolution=64, nq=24, want_grad_tau=False)
-    assert bf2.grad_tau is None
-
-
-def test_zeta_nodes_matches_boundary_fields(mode3_star, params_2d):
-    mesh, zt = zeta_nodes(mode3_star, params_2d, resolution=64, nq=24)
-    bf = boundary_fields(mode3_star, params_2d, resolution=64, nq=24,
-                         want_grad_tau=False)
-    assert_allclose(zt, bf.zeta, rtol=0.0)
-    assert mesh.points.shape == (64, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +565,30 @@ def test_set_integral_moment(unit_disk):
     f = lambda pts, foci: pts[:, 0] ** 2 + pts[:, 1] ** 2
     assert_allclose(set_integral_2d(unit_disk, f, 256), math.pi / 2.0,
                     rtol=1e-12)
+
+
+def test_set_integral_builds_its_radial_rule_once(monkeypatch, mode3_star):
+    # the graded radial rule depends only on its order: two integrals at one
+    # resolution build it once, and the cached arrays are read-only
+    from nlshape import quad
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return np.polynomial.legendre.leggauss(q)
+    quad.graded_radial_rule.cache_clear()
+    monkeypatch.setattr(quad, "leggauss", counted)
+    one = lambda pts, foci: np.ones(pts.shape[0])
+    first = set_integral_2d(mode3_star, one, 512)
+    assert set_integral_2d(mode3_star, one, 512) == first
+    monkeypatch.undo()
+    assert built == [32]
+    t, w = quad.graded_radial_rule(32)
+    assert not t.flags.writeable and not w.flags.writeable
+    # t = 1 - (1 - tau)^3 crowds toward the boundary; the weights integrate
+    # dt over (0, 1)
+    assert 0.0 < t.min() and t.max() < 1.0
+    assert math.isclose(math.fsum(w), 1.0, rel_tol=1e-14)
 
 
 def test_batched_potential_matches_scalar(mode3_star):
@@ -677,16 +699,17 @@ def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
                                      _potential_2d_batch)
     bf = boundary_fields(mode3_star, params_2d, 1500, 48)
     mesh = bf.mesh
+    gt = _grad_tau_2d_batch(mode3_star, 0.5, mesh.thetas, 48)
     for i in (0, 681, 682, 1364, 1499):
         one = slice(i, i + 1)
         th, x = mesh.thetas[one], mesh.points[one]
         assert bf.kappa[i] == _kappa_2d_batch(mode3_star, 0.5, th, 48)[0]
         assert bf.pot[i] == _potential_2d_batch(mode3_star, 0.5, x, th, True,
                                                 48)[0]
-        assert bf.grad_tau[i] == _grad_tau_2d_batch(mode3_star, 0.5, th, 48)[0]
-        # the sweep's one tangential sum is the vector's tangential part
+        assert gt[i] == _grad_tau_2d_batch(mode3_star, 0.5, th, 48)[0]
+        # the one tangential sum is the vector's tangential part
         g = _grad_potential_2d_batch(mode3_star, 0.5, x, th, True, 48)[0]
-        assert abs(bf.grad_tau[i] - (g * mesh.tangents[i]).sum()) \
+        assert abs(gt[i] - (g * mesh.tangents[i]).sum()) \
             <= 1e-14 * np.abs(g).max()
 
 

@@ -13,8 +13,7 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      StarShape2D, diameter, geometry_from_dict,
                      geometry_to_dict, isodiametric_ratio, load_geometry,
                      save_geometry, volume)
-from nlshape.sets import (beta_exponent, boundary_mesh, scaled, translated,
-                          unit_volume_rescale)
+from nlshape.sets import beta_exponent, boundary_mesh, scaled, translated
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +299,6 @@ def test_scaled_and_translated_volumes(mode3_star):
     moved = translated(mode3_star, (3.0, -1.0))
     assert_allclose(volume(moved), v, rtol=1e-12)
     assert_allclose(moved.center, (3.0, -1.0))
-
-
-def test_unit_volume_rescale(mode3_star):
-    p = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
-    S1, p1 = unit_volume_rescale(mode3_star, p)
-    assert_allclose(volume(S1), 1.0, rtol=1e-12)
-    assert_allclose(p1.mass, volume(mode3_star), rtol=1e-12)
-    assert_allclose(p1.eps, p1.mass ** p1.mass_to_eps_exponent(), rtol=1e-12)
 
 
 def test_iso_ratio_scale_invariant(mode3_star):

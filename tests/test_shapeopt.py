@@ -147,7 +147,7 @@ def test_step_velocity_is_mean_zero():
     # the applied normal speed is zeta minus its weighted mean, so its
     # weighted integral over the boundary vanishes identically
     S = _star()
-    bf = boundary_fields(S, P2, 64, 16, want_grad_tau=False)
+    bf = boundary_fields(S, P2, 64, 16)
     w = bf.mesh.weights
     lam = math.fsum(w * bf.zeta) / math.fsum(w)
     assert abs(math.fsum(w * (bf.zeta - lam))) < 1e-12 * abs(lam)
@@ -250,13 +250,11 @@ def test_disk_spectrum_matches_the_sweeps(fresh_spectrum):
     assert mu[0] == mu[1] == mu[2]
     R = 1.0 / math.sqrt(math.pi)
     h = 1e-4 * R
-    disk = boundary_fields(StarShape2D((0.0, 0.0), R), P2, m, nq,
-                           want_grad_tau=False).zeta
+    disk = boundary_fields(StarShape2D((0.0, 0.0), R), P2, m, nq).zeta
     for k in range(2, k_max + 1):
         a = np.zeros(k)
         a[-1] = h
-        plus = boundary_fields(StarShape2D((0.0, 0.0), R, a), P2, m, nq,
-                               want_grad_tau=False).zeta
+        plus = boundary_fields(StarShape2D((0.0, 0.0), R, a), P2, m, nq).zeta
         coef = 2.0 / m * np.fft.rfft((plus - disk) / h)[k].real
         assert mu[k] == pytest.approx(coef, rel=1e-5), k
 
@@ -440,7 +438,7 @@ def test_held_sweep_is_not_part_of_the_state():
     st = el_gradient_step(initial_state(_star(), resolution=64), P2, nq=16)
     held = st._fields
     assert held is not None
-    fresh = boundary_fields(st.shape, P2, 64, 16, want_grad_tau=False)
+    fresh = boundary_fields(st.shape, P2, 64, 16)
     assert np.array_equal(held.zeta, fresh.zeta)
     assert (held.perimeter, held.riesz) == (fresh.perimeter, fresh.riesz)
     assert st == replace(st, _fields=None)
@@ -448,19 +446,19 @@ def test_held_sweep_is_not_part_of_the_state():
     assert "_fields" not in repr(st)
 
 
-def test_find_critical_sweeps_again_for_the_tangential_check(monkeypatch):
-    # TangentialBall needs grad V . tau, which the descent's sweep leaves
-    # out, so the final diagnose makes its own sweep at nq
+def test_find_critical_tangential_check_reads_the_held_sweep(monkeypatch):
+    # TangentialBall reads grad V . tau from its one owner, not from a
+    # sweep, so the final diagnose reads the descent's sweep at nq even with
+    # the identities on, and sweeps only at 2 nq
     sweeps = []
 
     def counted(*args, **kwargs):
-        sweeps.append(kwargs.get("want_grad_tau"))
+        sweeps.append(args[3] if len(args) > 3 else kwargs.get("nq"))
         return boundary_fields(*args, **kwargs)
     monkeypatch.setattr(diagnostics, "boundary_fields", counted)
     sh, rep = find_critical_2d(_star(), P2, resolution=64, nq=16,
                                with_identities=True)
+    monkeypatch.undo()
     assert "TangentialBall" in rep.identity_residuals
-    # the shape's own sweep and the sweep at 2 nq; the half-amplitude shape
-    # needs only its grad V . tau, which is no sweep
-    assert sweeps == [True, False]
+    assert sweeps == [32]
     assert rep.as_dict() == diagnostics.diagnose(sh, P2, 64, 16).as_dict()
