@@ -48,15 +48,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, ParamError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
-                          frac_perimeter, grad_potential_at_points,
-                          potential_at_points, riesz_energy, set_integral_2d,
-                          _curvature_exponent, _curve_pass, _grad_tau_2d_batch,
-                          _potential_1d)
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, frac_perimeter,
+                          grad_potential_at_points, potential_at_points,
+                          riesz_energy, set_integral_2d, _curvature_exponent,
+                          _curve_pass, _grad_tau_2d_batch, _potential_1d,
+                          _sweep)
 from .quad import _first_diff, _pair_second_diff, pv_pair_integral
 from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
                    canonical, diameter, isodiametric_ratio, mesh_angles,
-                   uniform_angles, volume)
+                   volume, _pair_blocks)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -98,17 +98,17 @@ class DiagnosticsReport:
 
 
 def _pairwise_defect(points, values):
-    # the ratio is symmetric in the pair, so the max over the full matrix,
-    # whose diagonal reads 0 / inf = 0, is the max over pairs i < j
-    d = points[:, None, 0] - points[None, :, 0]
-    sq = d * d
-    for k in range(1, points.shape[1]):
-        d = points[:, None, k] - points[None, :, k]
-        sq += d * d
-    dist = np.sqrt(sq)
-    np.fill_diagonal(dist, np.inf)
-    dv = np.abs(values[:, None] - values[None, :])
-    return float((dv / dist).max())
+    # the ratio is symmetric in the pair, so its max over the blocks of the
+    # upper triangle (_pair_blocks), whose diagonal reads 0 / inf = 0, is
+    # the max over pairs i < j; coincident nodes read inf or nan, and
+    # np.max keeps a nan
+    best = []
+    for rows, sq in _pair_blocks(points):
+        dist = np.sqrt(sq)
+        np.fill_diagonal(dist, np.inf)
+        dv = np.abs(values[rows, None] - values[None, rows.start:])
+        best.append((dv / dist).max())
+    return float(np.max(best))
 
 
 def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -122,7 +122,7 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     """
     if route not in ("kappa", "potential"):
         raise ParamError(f"route must be 'kappa' or 'potential', got {route!r}")
-    bf = boundary_fields(S, p, resolution, nq)
+    bf = _sweep(S, p, resolution, nq)
     if bf.mesh.points.shape[0] < 2:
         raise GeometryError("Lipschitz defect needs at least 2 boundary nodes")
     if route == "kappa":
@@ -130,13 +130,11 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     return p.c_coupling * p.eps * _pairwise_defect(bf.mesh.points, bf.pot)
 
 
-def eta(S, p: Params, delta: float, _diam: Optional[float] = None) -> float:
-    """Scale-weighted defect diam^(2n+s+1) * delta (_diam is diameter(S)
-    when the caller holds it already)."""
+def eta(S, p: Params, delta: float) -> float:
+    """Scale-weighted defect diam^(2n+s+1) * delta."""
     if delta < 0.0:
         raise ParamError(f"delta must be nonnegative, got {delta!r}")
-    diam = diameter(S) if _diam is None else _diam
-    return diam ** (2.0 * p.n + p.s + 1.0) * delta
+    return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
 
 
 def _min_zone(bx, by, center, scale: float):
@@ -197,8 +195,7 @@ def _min_zone(bx, by, center, scale: float):
     return best_c, best_w
 
 
-def annulus_deficit_rho(S, _diam: Optional[float] = None,
-                        _rim=None) -> float:
+def annulus_deficit_rho(S) -> float:
     """inf over centers of (circumradius - inradius) / diam.
 
     Balls score 0 exactly. For star shapes the width is taken over 512
@@ -206,8 +203,7 @@ def annulus_deficit_rho(S, _diam: Optional[float] = None,
     samples found by exchange from S.center (_min_zone): two samples at the
     largest and two at the smallest distance, interlaced in angle. The
     value is the exact width at that center, never more than at S.center,
-    so it bounds the infimum from above. _diam is diameter(S) and _rim is
-    S._rim(512) when the caller holds them already.
+    so it bounds the infimum from above.
     """
     if isinstance(S, Ball):
         if S.n < 2:
@@ -216,17 +212,16 @@ def annulus_deficit_rho(S, _diam: Optional[float] = None,
     if not isinstance(S, StarShape2D):
         raise GeometryError(
             f"annulus deficit needs a star shape or ball, got {type(S).__name__}")
-    pos, r = S._rim(_RHO_SAMPLES) if _rim is None else _rim
-    width = _min_zone(*pos.T, S.center, float(r.mean()))[1]
-    return width / (diameter(S, _rim=(pos, r)) if _diam is None else _diam)
+    c, s, r, _ = S._grid(_RHO_SAMPLES)
+    width = _min_zone(*S._position(c, s, r).T, S.center, float(r.mean()))[1]
+    return width / diameter(S)
 
 
 def lambda_hat_and_residual(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                             nq: int = DEFAULT_NQ):
     """Weighted boundary mean of zeta and the sup-norm residual against it
     (BoundaryFields.lambda_hat_and_residual of the boundary sweep)."""
-    bf = boundary_fields(S, p, resolution, nq)
-    return bf.lambda_hat_and_residual()
+    return _sweep(S, p, resolution, nq).lambda_hat_and_residual()
 
 
 def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -262,7 +257,7 @@ def ball_map_mu(S) -> float:
         raise GeometryError(
             f"ball-map size needs a star shape, got {type(S).__name__}")
     R = math.sqrt(volume(S) / math.pi)
-    _, _, r, dr = S.polar(uniform_angles(max(1024, 8 * max(1, S.kmax))))
+    _, _, r, dr = S._grid(max(1024, 8 * max(1, S.kmax)))
     return float((np.abs(r - R) + np.abs(dr)).max())
 
 
@@ -328,18 +323,18 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     n - alpha/2; exposed separately so the factor can be fitted across alpha
     values.
     """
-    bf = boundary_fields(S, p, resolution, nq)
+    bf = _sweep(S, p, resolution, nq)
     return _x_dot_nu_pairing(bf.mesh, bf.pot), bf.riesz
 
 
-def _identity_au2(p: Params, bf, int_v: float) -> float:
+def _identity_au2(p: Params, bf) -> float:
     lhs = _x_dot_nu_pairing(bf.mesh, bf.pot)
-    return _rel_residual(lhs, (p.n - 0.5 * p.alpha) * int_v)
+    return _rel_residual(lhs, (p.n - 0.5 * p.alpha) * bf.riesz)
 
 
-def _identity_minkowski(p: Params, bf, per: float) -> float:
+def _identity_minkowski(p: Params, bf) -> float:
     lhs = _x_dot_nu_pairing(bf.mesh, bf.kappa)
-    return _rel_residual(lhs, (p.n - p.s) * per / p.c_var)
+    return _rel_residual(lhs, (p.n - p.s) * bf.perimeter / p.c_var)
 
 
 def _probe_points(S, count, rng):
@@ -350,7 +345,7 @@ def _probe_points(S, count, rng):
         pad = 0.5 * (hi - lo)
         return rng.uniform(lo - pad, hi + pad, size=(count, 1))
     c = np.asarray(S.center)
-    rmax = float(S.samples(512).max())
+    rmax = float(S._grid(_RHO_SAMPLES)[2].max())
     return c + rng.uniform(-1.5 * rmax, 1.5 * rmax, size=(count, 2))
 
 
@@ -425,10 +420,8 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
                              riesz_energy(S, p.alpha, resolution, nq))
     if kind == "Lal":
         return _identity_lal(S, p, resolution, nq)
-    bf = boundary_fields(S, p, resolution, nq)
-    if kind == "Au2":
-        return _identity_au2(p, bf, bf.riesz)
-    return _identity_minkowski(p, bf, bf.perimeter)
+    check = _identity_au2 if kind == "Au2" else _identity_minkowski
+    return check(p, _sweep(S, p, resolution, nq))
 
 
 def calibrate_variation_constant(s: float, n: int = 2,
@@ -470,45 +463,38 @@ def calibrate_variation_constant(s: float, n: int = 2,
 
 
 def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-             nq: int = DEFAULT_NQ, with_identities: bool = True,
-             _bf=None) -> DiagnosticsReport:
+             nq: int = DEFAULT_NQ, with_identities: bool = True
+             ) -> DiagnosticsReport:
     """Full diagnostic sweep for one shape.
 
-    Each shared quantity is computed once and handed to its users: the
-    boundary sweep at nq (lambda_hat, delta, Au2, Minkowski), which also
-    carries P_s (lambda_cross, Minkowski) and R_alpha (lambda_cross, and
-    int_E V for Au1 and Au2), the boundary samples at the 512 angles of rho
-    (rho, and the diameter when it samples as many) and the diameter (eta,
-    rho, iso_ratio). The planar error estimates are |value(2 nq) - value(nq)|
-    against those nq values, all four from one sweep at 2 nq. TangentialBall
-    reads grad V . tau from its one owner (_sup_tangential, for the shape
-    and its half-amplitude shape), which no sweep carries.
+    Each shared quantity is computed once: the boundary sweep at nq
+    (lambda_hat, delta, Au2, Minkowski), which also carries P_s
+    (lambda_cross, Minkowski) and R_alpha (lambda_cross, and int_E V for Au1
+    and Au2), and the diameter (eta, rho, iso_ratio). A star shape keeps
+    both, and its boundary samples at each grid, so a shape that a descent
+    or an earlier call swept at (p, resolution, nq) is not swept again. The
+    planar error estimates are |value(2 nq) - value(nq)| against those nq
+    values, all four from one sweep at 2 nq.
+    TangentialBall reads grad V . tau from its one owner (_sup_tangential,
+    for the shape and its half-amplitude shape), which no sweep carries.
 
     The TangentialBall check only runs when the measured mu is positive and
     at most DEFAULT_MU_GATE: the underlying comparison is a
     small-perturbation statement and is out of regime for large deviations
     from a ball.
-
-    _bf is boundary_fields(S, p, resolution, nq) when the caller holds it
-    already; it then always stands in for the sweep at nq, so diagnose
-    sweeps only at 2 nq.
     """
     # C is the canonical form every quadrature below runs on; the closed-form
     # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
     # values
     C = canonical(S)
     mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
-    bf = _bf if _bf is not None else boundary_fields(C, p, resolution, nq)
+    bf = _sweep(C, p, resolution, nq)
     per, rz = bf.perimeter, bf.riesz
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
-    # one sampling of the boundary at the 512 angles of rho, which the
-    # diameter shares when it samples as many
-    rim = S._rim(_RHO_SAMPLES) if isinstance(S, StarShape2D) else None
-    diam = diameter(S, _rim=rim)
-    eta_v = eta(S, p, delta, _diam=diam)
+    eta_v = eta(S, p, delta)
     two_d = isinstance(C, StarShape2D)
-    rho = annulus_deficit_rho(S, _diam=diam, _rim=rim) if two_d else None
+    rho = annulus_deficit_rho(S) if two_d else None
 
     implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:
@@ -522,8 +508,8 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
             # the gradient route under Au1 needs the weak-singularity range;
             # for alpha >= 1 the boundary layer defeats the interior rule
             identities["Au1"] = _identity_au1(C, p, resolution, nq, rz)
-        identities["Au2"] = _identity_au2(p, bf, rz)
-        identities["Minkowski"] = _identity_minkowski(p, bf, per)
+        identities["Au2"] = _identity_au2(p, bf)
+        identities["Minkowski"] = _identity_minkowski(p, bf)
         identities["Lal"] = _identity_lal(C, p, resolution, nq)
         if (mu is not None and 0.0 < mu <= DEFAULT_MU_GATE
                 and 0.0 < p.alpha < 1.0):
@@ -532,7 +518,7 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     errors = {}
     if two_d:
-        bf2 = boundary_fields(C, p, resolution, 2 * nq)
+        bf2 = _sweep(C, p, resolution, 2 * nq)
         errors["perimeter"] = abs(bf2.perimeter - per)
         errors["riesz"] = abs(bf2.riesz - rz)
         errors["kappa"] = float(np.abs(bf2.kappa - bf.kappa).max())
@@ -540,7 +526,7 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     return DiagnosticsReport(
         delta_s=delta, eta_s=eta_v, rho=rho,
-        iso_ratio=isodiametric_ratio(S, _diam=diam),
+        iso_ratio=isodiametric_ratio(S),
         lambda_hat=lam, el_residual=el_res,
         identity_residuals=identities,
         mesh_resolution=int(resolution) if two_d else bf.mesh.points.shape[0],

@@ -37,11 +37,12 @@ terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
 integrand of P_s are summed on the same nodes at beta = -s, V and that of
 R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
 with the bits of frac_perimeter and riesz_energy. A sweep takes no switches
-and always holds the same fields. grad V . tau is not one of them: its one
-owner is _grad_tau_2d_batch (tangential_grad_potential at a single point),
-one pass at beta = -alpha. With
-A_k(t) = a_k cos kt + b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt at the
-targets, a node phi = t + u has
+and always holds the same fields, so a star shape keeps its sweep per
+(Params, resolution, nq) (_sweep; boundary_fields itself keeps nothing).
+grad V . tau is not a sweep field: its one owner is _grad_tau_2d_batch
+(tangential_grad_potential at a single point), one pass at
+beta = -alpha. With A_k(t) = a_k cos kt + b_k sin kt and
+B_k(t) = b_k cos kt - a_k sin kt at the targets, a node phi = t + u has
 
     Delta = r(phi) - r(t) = sum_k A_k (cos ku - 1) + B_k sin ku,
     D     = Delta - r'(phi) sin u,
@@ -100,7 +101,8 @@ from .quad import (_boundary_point, _first_diff, _pair_second_diff,
                    graded_radial_rule, interval_partition, jacobi_half_rule,
                    ladder_half_rule, pv_at_endpoint, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical, mesh_angles, uniform_angles)
+                   boundary_mesh, canonical, mesh_angles, uniform_angles,
+                   _per_shape)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -278,7 +280,7 @@ def _series(coefs, u):
     return acc
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def _u_tables(beta, nq, K):
     """The shape-independent tables of the on-curve rule at the 2 nq signed
     offsets u = (u_j, -u_j) of jacobi_half_rule(beta, nq), read-only:
@@ -292,7 +294,7 @@ def _u_tables(beta, nq, K):
     The D rows vanish like u^2 (A) and u^3 (B), so below (k + 1) |u| = 1
     they come from their Taylor series; cos ku - 1 is -2 sin^2(ku / 2).
     Every entry is formed in double precision, so the tables do not depend
-    on the platform's long double."""
+    on the platform's long double. The cache is typed: nq = 16.0 is refused."""
     u, W = jacobi_half_rule(beta, nq)
     u = np.concatenate([u, -u])
     k = np.arange(1.0, K + 1.0)[:, None]
@@ -854,6 +856,13 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                           perimeter=per, riesz=math.nan if rz is None else rz)
 
 
+@_per_shape
+def _sweep(S, p: Params, resolution, nq) -> BoundaryFields:
+    """boundary_fields(S, p, resolution, nq), kept on a star shape: the
+    sweep that diagnose, the descent and the diagnostics read."""
+    return boundary_fields(S, p, resolution, nq)
+
+
 # ---------------------------------------------------------------------------
 # interior integrals over 2D sets (identity checks)
 
@@ -880,7 +889,7 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     t, wt = graded_radial_rule(q_radial)
     m = int(resolution)
     th = uniform_angles(m)
-    cs, sn, r, _ = star.polar(th)
+    cs, sn, r, _ = star._grid(m)
     # nodes: x = center + (t * r) e(theta); weight r^2 t dt dtheta
     pts = np.empty((m * q_radial, 2))
     foci = np.repeat(th, q_radial)

@@ -8,9 +8,15 @@ a trigonometric radius function
 
 about a center point. All geometry objects are frozen after construction:
 assigning to an attribute raises dataclasses.FrozenInstanceError (an
-AttributeError) and the coefficient arrays are read-only. Derived quantities
-(volume, diameter, boundary meshes) are pure functions of the stored data, so
-instances can be shared freely across threads.
+AttributeError) and the coefficient arrays are read-only.
+
+So a star shape computes what it determines once, when first asked, and
+keeps it in one private memo (_per_shape): polar at each uniform grid
+(_grid, read-only), its volume, its diameter and its boundary sweeps
+(functionals._sweep). The memo is empty after construction (the positivity
+check keeps nothing), after _positive and after pickle or deepcopy. Threads
+that race on an entry compute the same bits and dict.setdefault keeps one,
+so instances can still be shared across threads.
 
 canonical() is the one place a ball changes representation: the quadrature
 code sees a 1D ball as its IntervalSet and a planar ball as a constant-radius
@@ -23,6 +29,7 @@ results do not depend on summation order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass
@@ -39,9 +46,9 @@ _POSITIVITY_OVERSAMPLE = 8
 _MIN_POSITIVITY_SAMPLES = 512
 # fewest nodes a planar boundary mesh may have
 _MIN_RESOLUTION = 8
-# pairwise distances per block in diameter (2^14 doubles, 128 KB an array;
+# point pairs per block of _pair_blocks (2^14 doubles, 128 KB an array;
 # see diameter)
-_DIAMETER_BLOCK = 1 << 14
+_PAIR_BLOCK = 1 << 14
 
 
 def uniform_angles(m: int) -> np.ndarray:
@@ -188,8 +195,7 @@ class IntervalSet:
 
     def endpoints(self) -> np.ndarray:
         """All boundary points in increasing order: a_1, b_1, a_2, b_2, ..."""
-        out = np.array([e for ab in self.intervals for e in ab], dtype=float)
-        return out
+        return np.array([e for ab in self.intervals for e in ab], dtype=float)
 
     def contains(self, x: float) -> bool:
         return any(a < x < b for a, b in self.intervals)
@@ -216,6 +222,19 @@ class Ball:
         return len(self.center)
 
 
+def _per_shape(fn):
+    """fn(S, *args), kept in a star shape's memo per argument values and
+    types (an nq of 16.0 or True still reaches the check that refuses it);
+    other geometries compute it at every call."""
+    @functools.wraps(fn)
+    def memoized(S, *args):
+        if not isinstance(S, StarShape2D):
+            return fn(S, *args)
+        memo, key = S._memo, (fn, args, tuple(map(type, args)))
+        return memo[key] if key in memo else memo.setdefault(key, fn(S, *args))
+    return memoized
+
+
 class StarShape2D:
     """Star-shaped planar domain with trigonometric radius about a center.
 
@@ -227,7 +246,7 @@ class StarShape2D:
     _positive skips it, for radii that are positive by construction.
     """
 
-    __slots__ = ("center", "r0", "a", "b")
+    __slots__ = ("center", "r0", "a", "b", "_memo")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -264,7 +283,7 @@ class StarShape2D:
     def _assign(self, center, r0, a, b):
         # the fields from the constructor's arguments: the center as two
         # floats, r0 as a float, a and b as read-only float arrays of one
-        # length
+        # length; and an empty memo
         c = tuple(float(v) for v in center)
         if len(c) != 2:
             raise GeometryError("star shape center must have two coordinates")
@@ -283,6 +302,7 @@ class StarShape2D:
         object.__setattr__(self, "r0", float(r0))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -323,9 +343,12 @@ class StarShape2D:
     def frame(self, theta):
         """Boundary positions center + r e(theta), outward unit normals and
         parameter speed |y'(theta)| at the angles theta (any shape; vectors
-        on a new last axis), built from polar. This is the one place a
-        boundary point is formed."""
-        c, s, r, dr = self.polar(theta)
+        on a new last axis), built from polar by _frame."""
+        return self._frame(*self.polar(theta))
+
+    def _frame(self, c, s, r, dr):
+        """frame from the four arrays of polar: the one place a boundary
+        point, normal and speed are formed."""
         pos = self._position(c, s, r)
         speed = np.sqrt(r * r + dr * dr)
         nu = np.stack([(r * c + dr * s) / speed, (r * s - dr * c) / speed], axis=-1)
@@ -335,15 +358,17 @@ class StarShape2D:
         return np.stack([self.center[0] + r * c, self.center[1] + r * s],
                         axis=-1)
 
+    @_per_shape
+    def _grid(self, m: int):
+        """polar at uniform_angles(m), read-only: one polar call per m."""
+        arrays = self.polar(uniform_angles(m))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
     def samples(self, m: int) -> np.ndarray:
         """Radius values at the m uniform angles 2*pi*j/m."""
         return self.radius(uniform_angles(m))
-
-    def _rim(self, m: int):
-        """(positions, radii) at the m uniform angles from one polar: the
-        positions of frame and the values of samples(m)."""
-        c, s, r, _ = self.polar(uniform_angles(m))
-        return self._position(c, s, r), r
 
     @classmethod
     def from_samples(cls, center, values, k_max: Optional[int] = None) -> "StarShape2D":
@@ -371,9 +396,6 @@ class StarShape2D:
                 f"modes={self.kmax})")
 
 
-SetGeometry = (IntervalSet, Ball, StarShape2D)
-
-
 @dataclass(frozen=True)
 class BoundaryMesh:
     """Discretized boundary: points, unit normals, tangents, weights.
@@ -397,10 +419,11 @@ class BoundaryMesh:
                 arr.flags.writeable = False
 
 
+@_per_shape
 def volume(S) -> float:
     """Lebesgue measure: exact for intervals and balls, trigonometric
     quadrature of int r(theta)^2 / 2 dtheta for star shapes (exact for a
-    band-limited radius)."""
+    band-limited radius), kept on the shape."""
     if isinstance(S, IntervalSet):
         return math.fsum(b - a for a, b in S.intervals)
     if isinstance(S, Ball):
@@ -409,18 +432,34 @@ def volume(S) -> float:
         # trapezoid on the uniform grid integrates trig polynomials of degree
         # < m exactly; r^2 has degree 2*kmax
         m = max(256, 4 * max(1, S.kmax))
-        r = S.samples(m)
+        r = S._grid(m)[2]
         return math.fsum(r * r) * math.pi / m
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
 
 
-def diameter(S, _rim=None) -> float:
+def _pair_blocks(points):
+    """(rows, |p_i - p_j|^2 for i in rows, j >= rows.start): the upper
+    triangle of the pairs of points (rows) in blocks of about _PAIR_BLOCK
+    pairs. As (a - b)^2 is (b - a)^2, it holds every pair's distance."""
+    m = points.shape[0]
+    step = max(1, _PAIR_BLOCK // m)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        sq = np.zeros((min(step, m - lo), m - lo))
+        for k in range(points.shape[1]):
+            d = points[rows, None, k] - points[None, lo:, k]
+            d *= d
+            sq += d
+        yield rows, sq
+
+
+@_per_shape
+def diameter(S) -> float:
     """sup |x - y| over the closure. Exact for intervals and balls; for star
     shapes the max over all pairs of the boundary points at
-    m = max(512, 8 kmax) uniform angles. _rim is S._rim(k) when the caller
-    holds it already; it stands in for the sampling when k = m.
+    m = max(512, 8 kmax) uniform angles, kept on the shape.
 
-    The pairs run in row blocks of about 2^14 (_DIAMETER_BLOCK), over the
+    The pairs run in row blocks of about 2^14 (_pair_blocks), over the
     upper triangle only, and the block's two 128 KB arrays stay in a core's
     L2 cache. At 512 samples timeit read 0.75 ms a call, against 1.0 /
     0.8 / 0.8-1.4 / 1.0-1.7 ms in blocks of 2^12 / 2^13 / 2^15 / 2^16 pairs
@@ -433,32 +472,17 @@ def diameter(S, _rim=None) -> float:
         return 2.0 * S.radius
     if isinstance(S, StarShape2D):
         m = max(512, _POSITIVITY_OVERSAMPLE * max(1, S.kmax))
-        if _rim is None or _rim[1].size != m:
-            _rim = S._rim(m)
-        x, y = _rim[0].T
-        # pairwise distances in blocks of rows of about _DIAMETER_BLOCK
-        # pairs (at least one row), so memory does not grow as m^2. A block
-        # scans only the columns from its first row on: dx * dx + dy * dy is
-        # the same float for (i, j) and (j, i), so the max over the upper
-        # triangle is the max over all pairs; sqrt is monotone and correctly
-        # rounded, so the root of the largest square is the largest root
-        rows = max(1, _DIAMETER_BLOCK // m)
-        best = 0.0
-        for lo in range(0, m, rows):
-            dx = x[lo:lo + rows, None] - x[None, lo:]
-            dy = y[lo:lo + rows, None] - y[None, lo:]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            best = max(best, float(dx.max()))
-        return math.sqrt(best)
+        c, s, r, _ = S._grid(m)
+        # sqrt is monotone and correctly rounded, so the root of the
+        # largest square is the largest root
+        return math.sqrt(max(float(sq.max())
+                             for _, sq in _pair_blocks(S._position(c, s, r))))
     raise GeometryError(f"unsupported geometry {type(S).__name__}")
 
 
-def isodiametric_ratio(S, _diam: Optional[float] = None) -> float:
-    """|S|^(1/n) / diam(S); scale invariant, maximal for balls. _diam is
-    diameter(S) when the caller holds it already."""
-    return volume(S) ** (1.0 / S.n) / (diameter(S) if _diam is None else _diam)
+def isodiametric_ratio(S) -> float:
+    """|S|^(1/n) / diam(S); scale invariant, maximal for balls."""
+    return volume(S) ** (1.0 / S.n) / diameter(S)
 
 
 def beta_exponent(p: Params) -> float:
@@ -520,22 +544,16 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
     """
     S = canonical(S)
     if isinstance(S, IntervalSet):
-        pts = []
-        nrm = []
-        for a, b in S.intervals:
-            pts.append([a])
-            nrm.append([-1.0])
-            pts.append([b])
-            nrm.append([1.0])
-        points = np.array(pts, dtype=float)
-        normals = np.array(nrm, dtype=float)
-        weights = np.ones(points.shape[0])
-        return BoundaryMesh(points=points, normals=normals, weights=weights)
+        # the endpoints a_1, b_1, a_2, ... with normals -1, +1, -1, ...
+        points = S.endpoints().reshape(-1, 1)
+        normals = np.tile([-1.0, 1.0], len(S.intervals)).reshape(-1, 1)
+        return BoundaryMesh(points=points, normals=normals,
+                            weights=np.ones(points.shape[0]))
 
     if isinstance(S, StarShape2D):
         th = mesh_angles(resolution)
         m = th.size
-        points, normals, speed = S.frame(th)
+        points, normals, speed = S._frame(*S._grid(m))
         # the unit tangent is the outward normal turned a quarter counterclockwise
         tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
         weights = speed * (2.0 * math.pi / m)

@@ -20,13 +20,13 @@ scaled velocity is always a descent direction.
 
 One step:
   1. sweep zeta over the boundary mesh, lambda_hat = weighted mean (the
-     shape's BoundaryFields is already held unless it is the initial shape,
-     and find_critical_2d hands it to el_gradient_step, which reads
-     lambda_hat, the residual and the velocity from it);
+     sweep is kept on the shape, so the accepted candidate's sweep of the
+     previous step serves find_critical_2d's stopping test, this step and
+     the final diagnose);
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
-     converts normal speed to radial speed);
+     converts normal speed to radial speed; r is the shape's kept grid);
   4. resample to Fourier coefficients, truncating above k_max -- the
      spectral smoothing that keeps quadrature noise from feeding
      high-frequency growth;
@@ -34,7 +34,7 @@ One step:
   6. sweep the candidate, which gives F_eps = P_s + eps R_alpha from the
      same on-curve passes as its zeta; accept only if F_eps did not
      increase, else halve the step and retry. The accepted candidate's
-     sweep is step 1 of the next iteration.
+     sweep, kept on it, is step 1 of the next iteration.
 
 Every iteration's first trial is the state's step_size (1, the full Newton
 step, by default); an accepted step leaves it unchanged. The iteration
@@ -45,15 +45,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, BoundaryFields,
-                          EnergyBreakdown, boundary_fields, zeta)
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, EnergyBreakdown,
+                          zeta, _sweep)
 from .sets import Params, StarShape2D, canonical, volume
 
 __all__ = [
@@ -84,11 +84,6 @@ class OptimizerState:
     mesh_resolution: int = DEFAULT_RESOLUTION
     k_max: int = DEFAULT_K_MAX
     energy: float = math.nan  # F_eps of shape; nan = not yet evaluated
-    # the BoundaryFields of shape at the Params and nq of the
-    # el_gradient_step that made this state; None = not yet swept.
-    # Only find_critical_2d, whose arguments stay fixed, reads it
-    _fields: Optional[BoundaryFields] = field(default=None, compare=False,
-                                              repr=False)
 
 
 def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> StarShape2D:
@@ -148,11 +143,6 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                           mesh_resolution=resolution, k_max=k_max)
 
 
-def _total_energy(bf, p):
-    """F_eps of the swept shape, from its sweep's energy terms."""
-    return EnergyBreakdown(bf.perimeter, bf.riesz, p.eps).total
-
-
 def _disk_eigenvalue(p: Params, nq: int, k: int) -> float:
     """mu_k: the change of zeta at theta = 0 per unit of h when the
     unit-area disk's radius becomes R + h cos(k theta), by a central
@@ -187,31 +177,30 @@ def _disk_spectrum(p: Params, nq: int, k_max: int) -> np.ndarray:
     return mu
 
 
-def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
-                     _bf: Optional[BoundaryFields] = None) -> OptimizerState:
+def el_gradient_step(state: OptimizerState, p: Params,
+                     nq: int = DEFAULT_NQ) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
 
-    Each candidate is evaluated by one boundary sweep, which gives its F_eps,
-    and the returned state holds the sweep of its shape. _bf is
-    boundary_fields(state.shape, p, state.mesh_resolution, nq) when the
-    caller holds it already; lambda_hat, the residual and the velocity are
-    read from it. Raises StalledError (carrying the state) when no
+    lambda_hat, the residual and the velocity are read from the sweep kept
+    on the shape (the accepted candidate's of the previous step). Each
+    candidate is evaluated by one boundary sweep, which gives its F_eps and
+    is kept on it. Raises StalledError (carrying the state) when no
     energy-non-increasing candidate exists down to the minimal step size.
     """
     shape = state.shape
     res = state.mesh_resolution
-    bf = _bf if _bf is not None else boundary_fields(shape, p, res, nq)
+    bf = _sweep(shape, p, res, nq)
     lam, residual = bf.lambda_hat_and_residual()
     history = state.residual_history + (residual,)
 
     scale = max(1.0, abs(lam))
     if residual <= _NOOP_FLOOR * scale:
         return replace(state, iteration=state.iteration + 1,
-                       residual_history=history, _fields=bf)
+                       residual_history=history)
 
     base = state.energy
     if math.isnan(base):
-        base = _total_energy(bf, p)
+        base = EnergyBreakdown(bf.perimeter, bf.riesz, p.eps).total
 
     # the Newton step at the disk: mode k of zeta - lambda_hat divided by
     # mu_k, applied as the normal speed v * J / r at the mesh angles
@@ -221,7 +210,7 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
     coef = np.fft.rfft(v)[:mu.size]
     v = np.fft.irfft(coef / mu[:coef.size], v.size)
     speed = mesh.weights * mesh.points.shape[0] / (2.0 * math.pi)
-    r = shape.radius(mesh.thetas)
+    r = shape._grid(mesh.thetas.size)[2]
 
     step = state.step_size
     while step >= _MIN_STEP:
@@ -237,18 +226,19 @@ def el_gradient_step(state: OptimizerState, p: Params, nq: int = DEFAULT_NQ,
                 step *= 0.5
                 continue
             cand = volume_project(cand)
-            cand_bf = boundary_fields(cand, p, res, nq)
-            f_cand = _total_energy(cand_bf, p)
+            cand_bf = _sweep(cand, p, res, nq)
+            f_cand = EnergyBreakdown(cand_bf.perimeter, cand_bf.riesz,
+                                     p.eps).total
             if f_cand <= base:
                 return replace(state, shape=cand, iteration=state.iteration + 1,
                                residual_history=history,
                                volume_drift=abs(volume(cand) - 1.0),
-                               energy=f_cand, _fields=cand_bf)
+                               energy=f_cand)
         step *= 0.5
     raise StalledError(
         f"no energy-non-increasing step found above step={_MIN_STEP:g} "
         f"(residual {residual:g})",
-        state=replace(state, residual_history=history, _fields=bf))
+        state=replace(state, residual_history=history))
 
 
 def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
@@ -277,19 +267,16 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
         report = diagnose(init, p, resolution, nq,
                           with_identities=with_identities)
         return (init, report, state) if full_output else (init, report)
-    # each shape is swept once: a state's held sweep is its shape's
+    # each shape is swept once: its sweep is kept on it
     while state.iteration < max_iter:
-        bf = state._fields
-        if bf is None:
-            bf = boundary_fields(state.shape, p, resolution, nq)
-        residual = bf.lambda_hat_and_residual()[1]
+        residual = _sweep(state.shape, p, resolution,
+                          nq).lambda_hat_and_residual()[1]
         if residual <= tol:
             state = replace(
-                state, residual_history=state.residual_history + (residual,),
-                _fields=bf)
+                state, residual_history=state.residual_history + (residual,))
             break
         # a stall here has the swept residual above tol, so it propagates
-        state = el_gradient_step(state, p, nq, _bf=bf)
+        state = el_gradient_step(state, p, nq)
     report = diagnose(state.shape, p, resolution, nq,
-                      with_identities=with_identities, _bf=state._fields)
+                      with_identities=with_identities)
     return (state.shape, report, state) if full_output else (state.shape, report)

@@ -76,6 +76,23 @@ def test_pairwise_defect_coincident_nodes():
         assert math.isnan(_pairwise_defect_over_pairs(pts, vals))
 
 
+def test_pairwise_defect_memory_is_bounded():
+    # 1600 nodes: 20 MB per all-pairs array; the scan runs in the row blocks
+    # of the diameter's pair scan, so its arrays stay near 128 KB
+    import tracemalloc
+    from nlshape.diagnostics import _pairwise_defect
+    rng = np.random.default_rng(1600)
+    pts, vals = rng.standard_normal((1600, 2)), rng.standard_normal(1600)
+    tracemalloc.start()
+    try:
+        got = _pairwise_defect(pts, vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert got == _pairwise_defect_over_pairs(pts, vals)
+
+
 def test_eta_formula(unit_disk):
     # diam = 2, exponent 2n + s + 1 = 5.5
     assert_allclose(eta(unit_disk, P2, 0.5), 2.0 ** 5.5 * 0.5, rtol=1e-14)
@@ -438,20 +455,22 @@ def test_diagnose_1d(two_intervals):
 
 def test_diagnose_computes_shared_quantities_once(monkeypatch):
     # the mode-3 star sits inside the mu gate, so every identity runs
-    from nlshape import diagnostics
+    from nlshape import diagnostics, functionals
     calls = {}
 
-    def counted(name):
-        fn = getattr(diagnostics, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(diagnostics, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("set_integral_2d", "boundary_fields", "frac_perimeter",
-                 "riesz_energy", "_grad_tau_2d_batch"):
-        counted(name)
+    # a sweep is functionals.boundary_fields, which the kept sweeps call
+    counted(functionals, "boundary_fields")
+    for name in ("set_integral_2d", "frac_perimeter", "riesz_energy",
+                 "_grad_tau_2d_batch"):
+        counted(diagnostics, name)
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
@@ -468,14 +487,14 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
 @pytest.mark.parametrize("nq", [16, 48])
 def test_diagnose_tangential_ball_is_identity_check_bit_for_bit(nq):
     # sup |grad V . tau| has one owner, so the report's residual is the
-    # standalone check's, whether or not diagnose holds a sweep
-    from nlshape import boundary_fields
+    # standalone check's, whether or not the shape keeps a sweep already
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     alone = identity_check(small, P2, "TangentialBall", 64, nq)
     rep = diagnose(small, P2, resolution=64, nq=nq)
     assert rep.identity_residuals["TangentialBall"] == alone
-    held = diagnose(small, P2, resolution=64, nq=nq,
-                    _bf=boundary_fields(small, P2, 64, nq))
+    swept = StarShape2D(small.center, small.r0, small.a, small.b)
+    lambda_hat_and_residual(swept, P2, 64, nq)
+    held = diagnose(swept, P2, resolution=64, nq=nq)
     assert held.as_dict() == rep.as_dict()
 
 
@@ -493,8 +512,9 @@ def test_diagnose_1d_computes_int_v_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("riesz_energy", "set_integral_2d", "boundary_fields"):
+    for name in ("riesz_energy", "set_integral_2d"):
         counted(diagnostics, name)
+    counted(functionals, "boundary_fields")
     counted(functionals, "_riesz_1d")
     rep = diagnose(IntervalSet([(0.0, 0.5), (7.0, 7.5)]), P1)
     assert {"Au1", "Au2"} <= set(rep.identity_residuals)
@@ -502,21 +522,74 @@ def test_diagnose_1d_computes_int_v_once(monkeypatch):
 
 
 def test_diagnose_computes_diameter_once(monkeypatch):
-    # eta, rho and iso_ratio share one diameter
-    from nlshape import diagnostics, sets
+    # eta, rho and iso_ratio share one diameter: the pair scan of
+    # sets.diameter runs once, on the 512 boundary samples
+    from nlshape import sets
     calls = []
-    diameter_fn = sets.diameter
+    scan = sets._pair_blocks
 
-    def counted(S, **kwargs):
-        calls.append(S)
-        return diameter_fn(S, **kwargs)
-    monkeypatch.setattr(sets, "diameter", counted)
-    monkeypatch.setattr(diagnostics, "diameter", counted)
+    def counted(points):
+        calls.append(points.shape)
+        return scan(points)
+    monkeypatch.setattr(sets, "_pair_blocks", counted)
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
-    assert len(calls) == 1
-    assert rep.rho == annulus_deficit_rho(small)
-    assert rep.eta_s == eta(small, P2, rep.delta_s)
+    assert calls == [(512, 2)]
+    monkeypatch.undo()
+    fresh = StarShape2D(small.center, small.r0, small.a, small.b)
+    assert rep.rho == annulus_deficit_rho(fresh)
+    assert rep.eta_s == eta(fresh, P2, rep.delta_s)
+
+
+def test_diagnose_evaluates_each_grid_once(monkeypatch):
+    # a fresh star's diagnose reads its boundary at four uniform grids: the
+    # mesh (the sweeps at nq and 2 nq, the Au1 interior rule), the volume's
+    # 256 angles, the 512 of rho, the diameter and the Lal probes, and the
+    # 1024 of mu; each is one polar call, kept on the shape
+    from collections import Counter
+    polar = StarShape2D.polar
+    grids = Counter()
+    small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
+
+    def counting(self, theta):
+        if self is small:
+            grids[np.size(theta)] += 1
+        return polar(self, theta)
+    monkeypatch.setattr(StarShape2D, "polar", counting)
+    rep = diagnose(small, P2, resolution=64, nq=16)
+    assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
+    assert grids == {64: 1, 256: 1, 512: 1, 1024: 1}
+    # a second diagnose evaluates nothing again
+    diagnose(small, P2, resolution=64, nq=16)
+    assert grids == {64: 1, 256: 1, 512: 1, 1024: 1}
+
+
+def _memo_bytes(star):
+    """The bytes of the arrays kept in a star shape's memo."""
+    import dataclasses
+
+    def size(v):
+        if isinstance(v, np.ndarray):
+            return v.nbytes
+        if isinstance(v, tuple):
+            return sum(map(size, v))
+        if dataclasses.is_dataclass(v):
+            return sum(size(getattr(v, f.name)) for f in dataclasses.fields(v))
+        return 0
+    return sum(map(size, star._memo.values()))
+
+
+def test_diagnose_memo_is_small_and_does_not_grow():
+    # after a 256/48 diagnose a shape keeps two sweeps and four grids, about
+    # 100 KB; a second diagnose reads them and adds nothing
+    star = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.02, 0.03), b=(0.0, 0.01))
+    assert star._memo == {}
+    diagnose(star, P2, 256, 48)
+    kept = _memo_bytes(star)
+    assert 0 < kept <= 128 * 2 ** 10
+    keys = list(star._memo)
+    diagnose(star, P2, 256, 48)
+    assert list(star._memo) == keys and _memo_bytes(star) == kept
 
 
 @pytest.mark.parametrize("shape, p, res, nq", [

@@ -540,6 +540,41 @@ def test_boundary_fields_takes_no_switches():
         "mesh", "kappa", "pot", "zeta", "perimeter", "riesz"]
 
 
+@pytest.mark.parametrize("nq", [16.0, True])
+def test_kept_sweep_still_refuses_a_bad_nq(mode3_star, params_2d, nq):
+    # the memo is keyed on the argument types too, so a value equal to a
+    # kept nq still reaches the check that refuses it
+    from nlshape.functionals import _sweep
+    _sweep(mode3_star, params_2d, 64, 16)
+    with pytest.raises(ParamError, match="nq"):
+        _sweep(mode3_star, params_2d, 64, nq)
+
+
+def test_kept_sweep_is_per_params(monkeypatch, mode3_star, params_2d):
+    # a Params that differs only in c_coupling is its own sweep; an equal
+    # Params reads the kept one
+    from dataclasses import replace
+    from nlshape import functionals
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args[1])
+        return boundary_fields(*args)
+    monkeypatch.setattr(functionals, "boundary_fields", counted)
+    other = replace(params_2d, c_coupling=3.0)
+    a = functionals._sweep(mode3_star, params_2d, 64, 16)
+    b = functionals._sweep(mode3_star, other, 64, 16)
+    assert functionals._sweep(mode3_star, replace(params_2d), 64, 16) is a
+    assert functionals._sweep(mode3_star, other, 64, 16) is b
+    assert sweeps == [params_2d, other]
+    assert np.array_equal(a.kappa, b.kappa)
+    assert not np.array_equal(a.zeta, b.zeta)
+    monkeypatch.undo()
+    for p, kept in ((params_2d, a), (other, b)):
+        fresh = boundary_fields(mode3_star, p, 64, 16)
+        assert np.array_equal(fresh.zeta, kept.zeta)
+
+
 @pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(0.0, 0.5), (7.0, 7.5)],
                                        [(-2.0, -1.0), (0.0, 0.3), (5.0, 9.0)]])
 def test_boundary_fields_1d_carries_the_closed_form_energies(intervals):
@@ -669,8 +704,9 @@ def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
 
 
 def test_set_integral_never_calls_the_frame(monkeypatch, mode3_star):
-    # the interior rule reads the boundary once (polar on the m ray angles);
-    # the ladder nodes come from mode tables in each focus's polar frame
+    # the interior rule reads the boundary once (polar on the m ray angles,
+    # kept on the shape, so a second integral reads the same grid); the
+    # ladder nodes come from mode tables in each focus's polar frame
     counted = {"polar": 0}
     polar = StarShape2D.polar
 
@@ -688,7 +724,7 @@ def test_set_integral_never_calls_the_frame(monkeypatch, mode3_star):
     assert counted["polar"] == 1
     set_integral_2d(mode3_star, lambda pts, foci: (grad_potential_at_points(
         mode3_star, pts, foci, 0.5) * pts).sum(1), 256)
-    assert counted["polar"] == 2
+    assert counted["polar"] == 1
 
 
 def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):

@@ -158,6 +158,35 @@ def test_star_pickle_and_deepcopy_roundtrip(mode3_star):
             back.r0 = -5.0
 
 
+def test_star_memo_starts_empty_and_gives_equal_outputs(mode3_star):
+    # only a consumer fills the memo; a copy, a pickle round trip and a
+    # shape built by _positive start empty and compute the same bits
+    assert mode3_star._memo == {}
+    vol, diam = volume(mode3_star), diameter(mode3_star)
+    mesh = boundary_mesh(mode3_star, 64)
+    assert mode3_star._memo
+    for other in (pickle.loads(pickle.dumps(mode3_star)),
+                  copy.deepcopy(mode3_star), copy.copy(mode3_star),
+                  StarShape2D._positive(mode3_star.center, mode3_star.r0,
+                                        mode3_star.a, mode3_star.b)):
+        assert other._memo == {}
+        assert (volume(other), diameter(other)) == (vol, diam)
+        again = boundary_mesh(other, 64)
+        assert np.array_equal(again.points, mesh.points)
+        assert np.array_equal(again.weights, mesh.weights)
+
+
+def test_star_grid_is_one_read_only_polar(mode3_star):
+    th = 2.0 * np.pi * np.arange(96) / 96
+    grid = mode3_star._grid(96)
+    assert mode3_star._grid(96) is grid
+    for got, ref in zip(grid, mode3_star.polar(th)):
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
+
 def test_star_diameter_of_disk():
     assert_allclose(diameter(StarShape2D((5.0, -1.0), 2.0)), 4.0, rtol=1e-9)
 
@@ -189,7 +218,7 @@ def test_star_diameter_finds_a_pair_ending_in_the_last_block():
     # shifted off its pole by a mode 1, so its farthest pair joins sample
     # 555 to one in an earlier block; the upper-triangle scan finds it in
     # the earlier block's row, at a column of the last block
-    from nlshape.sets import _DIAMETER_BLOCK
+    from nlshape.sets import _PAIR_BLOCK
     m, t0 = 560, 2.0 * np.pi * 555 / 560
     k = np.arange(1, 71)
     a = 1e-4 * np.cos(3.0 * k)
@@ -197,7 +226,7 @@ def test_star_diameter_finds_a_pair_ending_in_the_last_block():
     a[0], b[0] = 0.1, -0.05
     a[1], b[1] = 0.3 * np.cos(2.0 * t0), 0.3 * np.sin(2.0 * t0)
     star = StarShape2D((0.4, -0.7), 1.0, a, b)
-    rows = _DIAMETER_BLOCK // m
+    rows = _PAIR_BLOCK // m
     last = (m - 1) // rows * rows
     assert 0 < m - last < rows
     dist = _all_pairs_distances(star, m)

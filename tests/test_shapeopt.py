@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlshape import diagnostics, shapeopt
+from nlshape import diagnostics, functionals, shapeopt
 from nlshape.errors import (GeometryError, ParamError, QuadratureError,
                             StalledError)
 from nlshape.functionals import (boundary_fields, energy, frac_perimeter,
@@ -355,11 +355,17 @@ def test_find_critical_max_iter_returns_normally():
     assert rep.el_residual > 1e-12
 
 
+def _fresh(shape):
+    """An equal shape with an empty memo, so that what is computed on it is
+    computed again."""
+    return StarShape2D(shape.center, shape.r0, shape.a, shape.b)
+
+
 def test_find_critical_diagnoses_with_its_last_sweep(monkeypatch):
     # a start like the benchmark's (modes 2-5 at 2-4%): the sweep that meets
-    # tol is of the final shape at (resolution, nq), and the final diagnose
-    # reads it instead of sweeping again; the report is the fresh one, bit
-    # for bit
+    # tol is of the final shape at (resolution, nq), kept on it, and the
+    # final diagnose reads it instead of sweeping again; the report is the
+    # fresh one, bit for bit
     init = volume_project(fourier_shape(
         {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
     sweeps = []
@@ -367,12 +373,12 @@ def test_find_critical_diagnoses_with_its_last_sweep(monkeypatch):
     def counted(*args, **kwargs):
         sweeps.append(args[0])
         return boundary_fields(*args, **kwargs)
-    monkeypatch.setattr(shapeopt, "boundary_fields", counted)
-    monkeypatch.setattr(diagnostics, "boundary_fields", counted)
+    monkeypatch.setattr(functionals, "boundary_fields", counted)
     sh, rep, st = find_critical_2d(init, P2, resolution=128, nq=32,
                                    full_output=True)
     solve = len(sweeps)
-    fresh = diagnostics.diagnose(sh, P2, 128, 32, with_identities=False)
+    fresh = diagnostics.diagnose(_fresh(sh), P2, 128, 32,
+                                 with_identities=False)
     assert rep.as_dict() == fresh.as_dict()
     # the start's sweep and one per candidate (each accepted here at its
     # first trial), then only the 2 nq sweep of diagnose, which sweeps twice
@@ -399,8 +405,7 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((shapeopt, "boundary_fields"),
-                         (diagnostics, "boundary_fields"),
+    for module, name in ((functionals, "boundary_fields"),
                          (shapeopt, "volume_project"),
                          (functionals, "energy"),
                          (functionals, "frac_perimeter"),
@@ -429,21 +434,53 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
     assert rep.error_estimates["riesz"] == \
         abs(riesz_energy(sh, P2.alpha, 128, 64) - rz)
     assert rep.as_dict() == diagnostics.diagnose(
-        sh, P2, 128, 32, with_identities=False).as_dict()
+        _fresh(sh), P2, 128, 32, with_identities=False).as_dict()
 
 
-def test_held_sweep_is_not_part_of_the_state():
-    # the accepted candidate's sweep rides along for the next iteration, but
-    # equality and repr are those of the trajectory alone
+def test_held_sweep_is_not_part_of_the_state(monkeypatch):
+    # the accepted candidate's sweep rides along for the next iteration on
+    # the candidate itself; the state is the trajectory alone
+    from dataclasses import fields
     st = el_gradient_step(initial_state(_star(), resolution=64), P2, nq=16)
-    held = st._fields
-    assert held is not None
+    assert [f.name for f in fields(st)] == [
+        "shape", "step_size", "iteration", "residual_history", "volume_drift",
+        "mesh_resolution", "k_max", "energy"]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the accepted candidate was swept again")
+    monkeypatch.setattr(functionals, "boundary_fields", no_sweep)
+    held = functionals._sweep(st.shape, P2, 64, 16)
+    monkeypatch.undo()
     fresh = boundary_fields(st.shape, P2, 64, 16)
     assert np.array_equal(held.zeta, fresh.zeta)
     assert (held.perimeter, held.riesz) == (fresh.perimeter, fresh.riesz)
-    assert st == replace(st, _fields=None)
-    assert repr(st) == repr(replace(st, _fields=None))
-    assert "_fields" not in repr(st)
+    assert st.energy == held.perimeter + P2.eps * held.riesz
+
+
+def test_accepted_candidate_grid_is_evaluated_once(monkeypatch):
+    # an accepted candidate's radius at the mesh angles comes from one polar
+    # call: its sweep's mesh, its volume (volume_drift) and the next step's
+    # r read the grid kept on it, and so does the final diagnose
+    accepted = []
+    step = shapeopt.el_gradient_step
+
+    def recording(*args, **kwargs):
+        st = step(*args, **kwargs)
+        accepted.append(st.shape)
+        return st
+    polar = StarShape2D.polar
+    grids = []
+
+    def counting(self, theta):
+        grids.append((self, np.size(theta)))
+        return polar(self, theta)
+    monkeypatch.setattr(shapeopt, "el_gradient_step", recording)
+    monkeypatch.setattr(StarShape2D, "polar", counting)
+    sh, rep = find_critical_2d(_star(), P2, tol=1e-8, resolution=256, nq=16)
+    monkeypatch.undo()
+    assert len(accepted) >= 3 and accepted[-1] is sh
+    for shape in accepted:
+        assert sum(1 for s, m in grids if s is shape and m == 256) == 1
 
 
 def test_find_critical_tangential_check_reads_the_held_sweep(monkeypatch):
@@ -455,10 +492,12 @@ def test_find_critical_tangential_check_reads_the_held_sweep(monkeypatch):
     def counted(*args, **kwargs):
         sweeps.append(args[3] if len(args) > 3 else kwargs.get("nq"))
         return boundary_fields(*args, **kwargs)
-    monkeypatch.setattr(diagnostics, "boundary_fields", counted)
+    monkeypatch.setattr(functionals, "boundary_fields", counted)
     sh, rep = find_critical_2d(_star(), P2, resolution=64, nq=16,
                                with_identities=True)
     monkeypatch.undo()
     assert "TangentialBall" in rep.identity_residuals
-    assert sweeps == [32]
-    assert rep.as_dict() == diagnostics.diagnose(sh, P2, 64, 16).as_dict()
+    # the solve's sweeps at nq, then the final diagnose's one at 2 nq
+    assert len(sweeps) >= 2 and sweeps == [16] * (len(sweeps) - 1) + [32]
+    assert rep.as_dict() == diagnostics.diagnose(_fresh(sh), P2, 64,
+                                                 16).as_dict()
