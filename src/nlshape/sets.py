@@ -11,12 +11,13 @@ assigning to an attribute raises dataclasses.FrozenInstanceError (an
 AttributeError) and the coefficient arrays are read-only.
 
 So a star shape computes what it determines once, when first asked, and
-keeps it in one private memo (_per_shape): polar at each uniform grid
-(_grid, read-only), its volume, its diameter and its boundary sweeps
-(functionals._sweep). The memo is empty after construction (the positivity
-check keeps nothing), after _positive and after pickle or deepcopy. Threads
-that race on an entry compute the same bits and dict.setdefault keeps one,
-so instances can still be shared across threads.
+keeps the newest _MEMO_ENTRIES such values in one private memo
+(_per_shape): polar at each uniform grid (_grid, read-only), its volume,
+its diameter and its boundary sweeps per Params (functionals._sweep). The
+memo is empty after construction (the positivity check keeps nothing),
+after _positive and after pickle or deepcopy. Threads that race on an
+entry compute the same bits and dict.setdefault keeps one, so instances
+can still be shared across threads.
 
 canonical() is the one place a ball changes representation: the quadrature
 code sees a 1D ball as its IntervalSet and a planar ball as a constant-radius
@@ -46,9 +47,10 @@ _POSITIVITY_OVERSAMPLE = 8
 _MIN_POSITIVITY_SAMPLES = 512
 # fewest nodes a planar boundary mesh may have
 _MIN_RESOLUTION = 8
-# point pairs per block of _pair_blocks (2^14 doubles, 128 KB an array;
-# see diameter)
+# point pairs per block of _pair_blocks (2^14 doubles, 128 KB an array)
 _PAIR_BLOCK = 1 << 14
+# most entries a star shape's memo keeps (a 2D diagnose makes 8)
+_MEMO_ENTRIES = 16
 
 
 def uniform_angles(m: int) -> np.ndarray:
@@ -195,7 +197,8 @@ class IntervalSet:
 
     def endpoints(self) -> np.ndarray:
         """All boundary points in increasing order: a_1, b_1, a_2, b_2, ..."""
-        return np.array([e for ab in self.intervals for e in ab], dtype=float)
+        out = np.array([e for ab in self.intervals for e in ab], dtype=float)
+        return out
 
     def contains(self, x: float) -> bool:
         return any(a < x < b for a, b in self.intervals)
@@ -225,13 +228,20 @@ class Ball:
 def _per_shape(fn):
     """fn(S, *args), kept in a star shape's memo per argument values and
     types (an nq of 16.0 or True still reaches the check that refuses it);
-    other geometries compute it at every call."""
+    other geometries compute it at every call. The memo keeps the newest
+    _MEMO_ENTRIES values: a new entry drops the oldest beyond that."""
     @functools.wraps(fn)
     def memoized(S, *args):
         if not isinstance(S, StarShape2D):
             return fn(S, *args)
         memo, key = S._memo, (fn, args, tuple(map(type, args)))
-        return memo[key] if key in memo else memo.setdefault(key, fn(S, *args))
+        try:
+            return memo[key]
+        except KeyError:
+            value = fn(S, *args)
+        for old in list(memo)[:max(0, len(memo) + 1 - _MEMO_ENTRIES)]:
+            memo.pop(old, None)
+        return memo.setdefault(key, value)
     return memoized
 
 
@@ -440,7 +450,12 @@ def volume(S) -> float:
 def _pair_blocks(points):
     """(rows, |p_i - p_j|^2 for i in rows, j >= rows.start): the upper
     triangle of the pairs of points (rows) in blocks of about _PAIR_BLOCK
-    pairs. As (a - b)^2 is (b - a)^2, it holds every pair's distance."""
+    pairs. As (a - b)^2 is (b - a)^2, it holds every pair's distance.
+
+    A block's two 128 KB arrays stay in a core's L2 cache. For diameter at
+    512 samples timeit read 0.75 ms a call, against 1.0 / 0.8 / 0.8-1.4 /
+    1.0-1.7 ms in blocks of 2^12 / 2^13 / 2^15 / 2^16 pairs and 2.8-3.2 ms
+    over all pairs in blocks of 2^16."""
     m = points.shape[0]
     step = max(1, _PAIR_BLOCK // m)
     for lo in range(0, m, step):
@@ -456,15 +471,8 @@ def _pair_blocks(points):
 @_per_shape
 def diameter(S) -> float:
     """sup |x - y| over the closure. Exact for intervals and balls; for star
-    shapes the max over all pairs of the boundary points at
-    m = max(512, 8 kmax) uniform angles, kept on the shape.
-
-    The pairs run in row blocks of about 2^14 (_pair_blocks), over the
-    upper triangle only, and the block's two 128 KB arrays stay in a core's
-    L2 cache. At 512 samples timeit read 0.75 ms a call, against 1.0 /
-    0.8 / 0.8-1.4 / 1.0-1.7 ms in blocks of 2^12 / 2^13 / 2^15 / 2^16 pairs
-    and 2.8-3.2 ms over all pairs in blocks of 2^16.
-    """
+    shapes the max over all pairs (_pair_blocks) of the boundary points at
+    m = max(512, 8 kmax) uniform angles, kept on the shape."""
     if isinstance(S, IntervalSet):
         eps_pts = S.endpoints()
         return float(eps_pts[-1] - eps_pts[0])
@@ -544,11 +552,17 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
     """
     S = canonical(S)
     if isinstance(S, IntervalSet):
-        # the endpoints a_1, b_1, a_2, ... with normals -1, +1, -1, ...
-        points = S.endpoints().reshape(-1, 1)
-        normals = np.tile([-1.0, 1.0], len(S.intervals)).reshape(-1, 1)
-        return BoundaryMesh(points=points, normals=normals,
-                            weights=np.ones(points.shape[0]))
+        pts = []
+        nrm = []
+        for a, b in S.intervals:
+            pts.append([a])
+            nrm.append([-1.0])
+            pts.append([b])
+            nrm.append([1.0])
+        points = np.array(pts, dtype=float)
+        normals = np.array(nrm, dtype=float)
+        weights = np.ones(points.shape[0])
+        return BoundaryMesh(points=points, normals=normals, weights=weights)
 
     if isinstance(S, StarShape2D):
         th = mesh_angles(resolution)

@@ -575,6 +575,22 @@ def test_kept_sweep_is_per_params(monkeypatch, mode3_star, params_2d):
         assert np.array_equal(fresh.zeta, kept.zeta)
 
 
+def test_kept_sweeps_are_bounded_across_params(mode3_star):
+    # a shape swept at many alphas keeps only the newest _MEMO_ENTRIES
+    # values, and a dropped sweep is swept again to the same bits
+    from nlshape.functionals import _sweep
+    from nlshape.sets import _MEMO_ENTRIES
+    ps = [Params(n=2, s=0.5, alpha=0.1 + 0.04 * i, eps=1e-3)
+          for i in range(_MEMO_ENTRIES + 4)]
+    kept = [_sweep(mode3_star, p, 32, 8) for p in ps]
+    assert len(mode3_star._memo) == _MEMO_ENTRIES
+    assert _sweep(mode3_star, ps[-1], 32, 8) is kept[-1]
+    again = _sweep(mode3_star, ps[0], 32, 8)
+    assert again is not kept[0]
+    assert np.array_equal(again.zeta, kept[0].zeta)
+    assert len(mode3_star._memo) == _MEMO_ENTRIES
+
+
 @pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(0.0, 0.5), (7.0, 7.5)],
                                        [(-2.0, -1.0), (0.0, 0.3), (5.0, 9.0)]])
 def test_boundary_fields_1d_carries_the_closed_form_energies(intervals):

@@ -187,6 +187,24 @@ def test_star_grid_is_one_read_only_polar(mode3_star):
             got[0] = 0.0
 
 
+def test_star_memo_keeps_the_newest_grids(mode3_star):
+    from nlshape.sets import _MEMO_ENTRIES
+    grids = {m: mode3_star._grid(m) for m in range(8, 8 + 2 * _MEMO_ENTRIES)}
+    assert len(mode3_star._memo) == _MEMO_ENTRIES
+    assert mode3_star._grid(7 + 2 * _MEMO_ENTRIES) is grids[7 + 2 * _MEMO_ENTRIES]
+    again = mode3_star._grid(8)
+    assert again is not grids[8]
+    for got, ref in zip(again, grids[8]):
+        assert np.array_equal(got, ref)
+
+
+def test_star_volume_and_diameter_take_s_by_keyword(mode3_star):
+    vol, diam = volume(mode3_star), diameter(mode3_star)
+    assert (volume(S=mode3_star), diameter(S=mode3_star)) == (vol, diam)
+    assert (volume(S=Ball((0.0, 0.0), 2.0)),
+            diameter(S=Ball((0.0, 0.0), 2.0))) == (4.0 * math.pi, 4.0)
+
+
 def test_star_diameter_of_disk():
     assert_allclose(diameter(StarShape2D((5.0, -1.0), 2.0)), 4.0, rtol=1e-9)
 

@@ -490,14 +490,19 @@ def test_find_critical_tangential_check_reads_the_held_sweep(monkeypatch):
     sweeps = []
 
     def counted(*args, **kwargs):
-        sweeps.append(args[3] if len(args) > 3 else kwargs.get("nq"))
+        sweeps.append((args[0], args[3] if len(args) > 3 else kwargs.get("nq")))
         return boundary_fields(*args, **kwargs)
     monkeypatch.setattr(functionals, "boundary_fields", counted)
     sh, rep = find_critical_2d(_star(), P2, resolution=64, nq=16,
                                with_identities=True)
     monkeypatch.undo()
     assert "TangentialBall" in rep.identity_residuals
-    # the solve's sweeps at nq, then the final diagnose's one at 2 nq
-    assert len(sweeps) >= 2 and sweeps == [16] * (len(sweeps) - 1) + [32]
+    # the solve sweeps each shape it evaluates once, at nq; the final
+    # diagnose adds one sweep, of the returned shape at 2 nq
+    assert sweeps[-1] == (sh, 32)
+    solve = sweeps[:-1]
+    assert [nq for _, nq in solve] == [16] * len(solve)
+    assert len({id(S) for S, _ in solve}) == len(solve)
+    assert [nq for S, nq in sweeps if S is sh] == [16, 32]
     assert rep.as_dict() == diagnostics.diagnose(_fresh(sh), P2, 64,
                                                  16).as_dict()
