@@ -21,13 +21,14 @@ The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
 
     g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2 + lower order,
 
-so g changes sign near d_eps = ((1+s)/(c alpha eps))^(1/(1+s-alpha)). The
-root finder probes geometrically upward from d_eps for a sign change and
-closes the bracket by safeguarded Illinois regula falsi until its ends are
-adjacent floats (about 16 evaluations of f per root). It looks up the
-module-level f_closed_form at every evaluation, so wrapping that name counts
-them. The sweep fits the log-log slope of the critical diameter against
-1/eps, which tends to 1/(1+s-alpha) as eps -> 0.
+on the scale d_eps = ((1+s)/(c alpha eps))^(1/(1+s-alpha)); g itself
+vanishes at d_g = 2^(1/(1+s-alpha)) d_eps. The root finder brackets the
+sign change of f by steps outward from d_g (doubling up from d_eps where
+that fails) and closes the bracket by safeguarded Illinois regula falsi
+until its ends are adjacent floats (about 7 evaluations of f per root). It
+looks up the module-level f_closed_form at every evaluation, so wrapping
+that name counts them. The sweep fits the log-log slope of the critical
+diameter against 1/eps, which tends to 1/(1+s-alpha) as eps -> 0.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _PROBE_BUDGET = 64
+_LOCAL_STEP = 2.0 ** -10  # first relative step of the bracket search about d_g
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,8 @@ def g_and_d_eps(p: Params):
     and the crossover scale d_eps.
 
     g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2;
-    d_eps = ((1+s) / (c alpha eps))^(1 / (1+s-alpha)). Requires eps > 0.
+    d_eps = ((1+s) / (c alpha eps))^(1 / (1+s-alpha)), where g < 0; g
+    vanishes at d_g = 2^(1 / (1+s-alpha)) d_eps. Requires eps > 0.
     A d_eps beyond the float range (1 + s - alpha small) raises
     GeometryError: no gap of that size can be placed on the line.
     """
@@ -135,8 +138,15 @@ def g_and_d_eps(p: Params):
 
 
 def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
-    """Root of f: probe d_eps * 2^k for a sign change, then close the bracket
-    by safeguarded Illinois regula falsi down to machine-adjacent floats.
+    """Root of f: bracket a sign change near d_g, the root of the
+    leading-order balance g, then close the bracket by safeguarded Illinois
+    regula falsi down to machine-adjacent floats.
+
+    The bracket search steps outward from d_g by relative steps of 2^-10,
+    each 4x the last, toward the side the sign of f(d_g) points to, and
+    never below d_eps. Where f(d_g) is 0 (it may have underflowed) or no
+    sign change lies within a factor 2 above d_g, it doubles up from the
+    last point with f <= 0, as from d_eps * 2^k.
 
     Each step takes the secant point of the stored end values, clamped
     strictly inside the bracket; when one end moves twice in a row the
@@ -159,17 +169,42 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
             f"f(d_eps) = {f_lo:g} is not negative; eps = {p.eps:g} may exceed "
             "the smallness threshold for a two-interval critical point")
     hi = None
-    d = lo
-    for _ in range(_PROBE_BUDGET):
-        d *= 2.0
-        f_d = f_closed_form(d, p)
-        if f_d > 0.0:
-            hi, f_hi = d, f_d
-            break
-        lo, f_lo = d, f_d
-    if hi is None:
-        raise BracketError(
-            f"no sign change of f within {_PROBE_BUDGET} doublings from d_eps")
+    try:
+        d_g = d_eps * 2.0 ** (1.0 / (1.0 + p.s - p.alpha))
+    except OverflowError:
+        d_g = math.inf
+    f_g = f_closed_form(d_g, p) if lo < d_g < math.inf else 0.0
+    if f_g != 0.0:  # f(d_g) = 0 may be underflow: leave it to the probe
+        up = f_g < 0.0
+        if up:
+            lo, f_lo = d_g, f_g
+        else:
+            hi, f_hi = d_g, f_g
+        step = _LOCAL_STEP
+        while step <= 1.0:
+            x = d_g * (1.0 + step if up else 1.0 - step)
+            if not x > lo:
+                break
+            f_x = f_closed_form(x, p)
+            if f_x > 0.0:
+                hi, f_hi = x, f_x
+            else:
+                lo, f_lo = x, f_x
+            if (f_x > 0.0) == up:
+                break
+            step *= 4.0
+    if hi is None:  # double up from the last point with f <= 0
+        d = lo
+        for _ in range(_PROBE_BUDGET):
+            d *= 2.0
+            f_d = f_closed_form(d, p)
+            if f_d > 0.0:
+                hi, f_hi = d, f_d
+                break
+            lo, f_lo = d, f_d
+        if hi is None:
+            raise BracketError(
+                f"no sign change of f within {_PROBE_BUDGET} doublings from d_eps")
     w_lo, w_hi = f_lo, f_hi  # secant weights; the Illinois rule halves them
     last = 0  # +1 when hi moved last, -1 when lo did
     width, stale = hi - lo, 0

@@ -481,11 +481,11 @@ def frame_ladder_gradient(star, pts, foci, alpha):
 
 def bisection_critical_d(p, f_tol=1e-10):
     """Reference root of the two-interval balance function by plain
-    midpoint bisection: the same doubling probe from d_eps as
-    `onedim.solve_critical_d`, then halving down to a machine-adjacent
-    bracket (about 57 evaluations of f per root). f is looked up as
-    `onedim.f_closed_form` at every call, so a test can count evaluations by
-    wrapping that name."""
+    midpoint bisection: the doubling probe from d_eps that
+    `onedim.solve_critical_d` falls back to, then halving down to a
+    machine-adjacent bracket (about 57 evaluations of f per root). f is
+    looked up as `onedim.f_closed_form` at every call, so a test can count
+    evaluations by wrapping that name."""
     _, d_eps = onedim.g_and_d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)
     f_lo = onedim.f_closed_form(lo, p)
