@@ -97,9 +97,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
-from .quad import (_boundary_point, _first_diff, _pair_second_diff,
-                   graded_radial_rule, interval_partition, jacobi_half_rule,
-                   ladder_half_rule, pv_at_endpoint, pv_pair_integral)
+from .quad import (_boundary_point, _endpoint_pass, _first_diff,
+                   _pair_second_diff, graded_radial_rule, interval_partition,
+                   jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles,
                    _per_shape)
@@ -185,12 +185,20 @@ def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
 def _endpoint_fields_1d(S: IntervalSet, s: float, alpha: float):
     """(kappa, V) as lists over the endpoints of S, in the order a_1, b_1,
     a_2, ... One partition of the line serves every endpoint, and each
-    endpoint is evaluated on its own, so symmetric endpoints agree only if
-    their values do."""
+    endpoint is evaluated on its own, by one pass (quad._endpoint_pass) that
+    yields kappa and V together, so symmetric endpoints agree only if their
+    values do. Bit for bit, V is _potential_1d at the endpoint."""
+    if not (0.0 < alpha < 1.0):
+        raise ParamError(f"1D potential needs alpha in (0, 1), got {alpha!r}")
     segs = interval_partition(S)
-    xs = [e for ab in S.intervals for e in ab]
-    kap = [pv_at_endpoint(segs, x, s) for x in xs]
-    return kap, [_potential_1d(S, x, alpha) for x in xs]
+    q = 1.0 - alpha
+    kap, pot = [], []
+    for ab in S.intervals:
+        for x in ab:
+            k, v = _endpoint_pass(segs, x, s, q)
+            kap.append(k)
+            pot.append(v)
+    return kap, pot
 
 
 def _grad_potential_1d(S: IntervalSet, x: float, alpha: float) -> float:

@@ -22,13 +22,16 @@ The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
     g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2 + lower order,
 
 on the scale d_eps = ((1+s)/(c alpha eps))^(1/(1+s-alpha)); g itself
-vanishes at d_g = 2^(1/(1+s-alpha)) d_eps. The root finder brackets the
-sign change of f by steps outward from d_g (doubling up from d_eps where
-that fails) and closes the bracket by safeguarded Illinois regula falsi
-until its ends are adjacent floats (about 7 evaluations of f per root). It
-looks up the module-level f_closed_form at every evaluation, so wrapping
-that name counts them. The sweep fits the log-log slope of the critical
-diameter against 1/eps, which tends to 1/(1+s-alpha) as eps -> 0.
+vanishes at d_g = 2^(1/(1+s-alpha)) d_eps. With the next (x^4) terms of
+both brackets the root moves to d_1 = d_g (1 + O(d_g^-2)), which the seeded
+roots match to a few ulps. The root finder evaluates f at d_1, takes one
+Newton step on the leading slope of f, walks by 1, 2, 4, ... ulps to the
+sign change (doubling up from d_eps where f underflows) and closes the
+bracket by safeguarded Illinois regula falsi until its ends are adjacent
+floats (about 5 evaluations of f per root). It looks up the module-level
+f_closed_form at every evaluation, so wrapping that name counts them. The
+sweep fits the log-log slope of the critical diameter against 1/eps in
+closed form; it tends to 1/(1+s-alpha) as eps -> 0.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 _PROBE_BUDGET = 64
-_LOCAL_STEP = 2.0 ** -10  # first relative step of the bracket search about d_g
+_ZERO_RUN = 8  # steps up from a start with f = 0 that all find f = 0: underflow
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,22 @@ def f_closed_form(d: float, p: Params) -> float:
     return val
 
 
+def _d_eps(p: Params) -> float:
+    """The crossover scale d_eps of g_and_d_eps, with its checks and errors."""
+    if p.n != 1:
+        raise ParamError(f"1D analysis; params have n = {p.n}")
+    if not (p.eps and p.eps > 0.0):
+        raise ParamError("g and d_eps need eps > 0")
+    s, alpha = p.s, p.alpha
+    try:
+        return ((1.0 + s) / (p.c_coupling * p.eps * alpha)) ** (
+            1.0 / (1.0 + s - alpha))
+    except OverflowError:
+        raise GeometryError(
+            f"the critical-gap scale d_eps overflows at eps = {p.eps:g}: "
+            f"1 + s - alpha = {1.0 + s - alpha:g} is too small") from None
+
+
 def g_and_d_eps(p: Params):
     """The reduced function g with f(d) = d^(-1-alpha) g(d) + higher order,
     and the crossover scale d_eps.
@@ -117,10 +136,7 @@ def g_and_d_eps(p: Params):
     A d_eps beyond the float range (1 + s - alpha small) raises
     GeometryError: no gap of that size can be placed on the line.
     """
-    if p.n != 1:
-        raise ParamError(f"1D analysis; params have n = {p.n}")
-    if not (p.eps and p.eps > 0.0):
-        raise ParamError("g and d_eps need eps > 0")
+    d_eps = _d_eps(p)
     s, alpha = p.s, p.alpha
     ce = p.c_coupling * p.eps
 
@@ -128,25 +144,111 @@ def g_and_d_eps(p: Params):
         d = np.asarray(d, dtype=float)
         return ce * alpha / 4.0 - (1.0 + s) * d ** (-(1.0 + s - alpha)) / 2.0
 
-    try:
-        d_eps = ((1.0 + s) / (ce * alpha)) ** (1.0 / (1.0 + s - alpha))
-    except OverflowError:
-        raise GeometryError(
-            f"the critical-gap scale d_eps overflows at eps = {p.eps:g}: "
-            f"1 + s - alpha = {1.0 + s - alpha:g} is too small") from None
     return g, d_eps
 
 
-def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
-    """Root of f: bracket a sign change near d_g, the root of the
-    leading-order balance g, then close the bracket by safeguarded Illinois
-    regula falsi down to machine-adjacent floats.
+def _second_order_root(p: Params, d_eps: float) -> float:
+    """d_1, the root of f to second order, or inf where d_g overflows.
 
-    The bracket search steps outward from d_g by relative steps of 2^-10,
-    each 4x the last, toward the side the sign of f(d_g) points to, and
-    never below d_eps. Where f(d_g) is 0 (it may have underflowed) or no
-    sign change lies within a factor 2 above d_g, it doubles up from the
-    last point with f <= 0, as from d_eps * 2^k.
+    With the x^4 terms of both brackets (x = 1/(2d)),
+    f(d) = d^(-1-alpha) [c alpha eps (1 + A / (48 d^2)) / 4
+                         - (1+s) d^(-gamma) (1 + B / (48 d^2)) / 2]
+    with gamma = 1 + s - alpha, A = (1+alpha)(2+alpha), B = (s+2)(s+3);
+    it vanishes at d_1 = d_g (1 + (B - A) / (48 gamma d_g^2)) up to
+    O(d_g^-4), where d_g = 2^(1/gamma) d_eps is the root of g."""
+    s, alpha = p.s, p.alpha
+    gam = 1.0 + s - alpha
+    try:
+        d_g = d_eps * 2.0 ** (1.0 / gam)
+    except OverflowError:
+        return math.inf
+    b_minus_a = (s + 2.0) * (s + 3.0) - (1.0 + alpha) * (2.0 + alpha)
+    return d_g + d_g * (b_minus_a / (48.0 * gam * d_g * d_g))
+
+
+def _newton_step(p: Params, d: float, f_d: float) -> float:
+    """d after one Newton step on the leading slope of f at its root,
+    f'(d) ~ c eps alpha gamma d^(-2-alpha) / 4: the relative move is
+    f(d) d^(1+alpha) / (c eps alpha gamma / 4). d itself where that
+    overflows or the move is at most 2 ulps."""
+    try:
+        rel = f_d * d ** (1.0 + p.alpha) / (
+            0.25 * p.c_coupling * p.eps * p.alpha * (1.0 + p.s - p.alpha))
+    except OverflowError:
+        return d
+    move = d * rel
+    return d - move if abs(move) > 2.0 * math.ulp(d) else d
+
+
+def _bracket(p: Params, lo: float, f_lo: float, d_eps: float):
+    """(lo, f_lo, hi, f_hi) with lo < hi and f(lo) <= 0 < f(hi), searched
+    from lo with f(lo) < 0 as solve_critical_d describes."""
+    x = _second_order_root(p, d_eps)
+    if lo < x < math.inf:
+        f_x = f_closed_form(x, p)
+        if f_x != 0.0:
+            y = _newton_step(p, x, f_x)
+            if not y > lo:  # a step down past lo: (lo, x) is the bracket
+                return lo, f_lo, x, f_x
+            if x != y < math.inf:
+                f_y = f_closed_form(y, p)
+                if (f_y > 0.0) != (f_x > 0.0):  # the step crossed the root
+                    return (x, f_x, y, f_y) if f_y > 0.0 else (y, f_y, x, f_x)
+                x, f_x = y, f_y
+        step = math.ulp(x)
+        if f_x > 0.0:  # walk down to f <= 0, never below lo
+            hi, f_hi = x, f_x
+            while hi - step > lo:
+                x = hi - step
+                f_x = f_closed_form(x, p)
+                if not f_x > 0.0:
+                    return x, f_x, hi, f_hi
+                hi, f_hi = x, f_x
+                step *= 2.0
+            return lo, f_lo, hi, f_hi
+        lo_0, f_lo_0 = lo, f_lo
+        lo, f_lo = x, f_x
+        zeros = 0 if f_x == 0.0 else -1  # the run of f = 0 from the start
+        while step <= lo:  # walk up to f > 0, as far as 2 x
+            x = lo + step
+            f_x = f_closed_form(x, p)
+            if f_x > 0.0:
+                return lo, f_lo, x, f_x
+            lo, f_lo = x, f_x
+            if zeros >= 0:
+                zeros = zeros + 1 if f_x == 0.0 else -1
+                if zeros == _ZERO_RUN:  # f underflows here
+                    lo, f_lo = lo_0, f_lo_0
+                    break
+            step *= 2.0
+    d = lo  # double up from the last point with f <= 0
+    for _ in range(_PROBE_BUDGET):
+        d *= 2.0
+        f_d = f_closed_form(d, p)
+        if f_d > 0.0:
+            return lo, f_lo, d, f_d
+        lo, f_lo = d, f_d
+    raise BracketError(
+        f"no sign change of f within {_PROBE_BUDGET} doublings from d_eps")
+
+
+def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
+    """Root of f: bracket a sign change at the root of f's second-order
+    asymptote, then close the bracket by safeguarded Illinois regula falsi
+    down to machine-adjacent floats (about 5 evaluations of f per root).
+
+    After the checks at lo = max(d_eps, 1/2 + 1e-9), f is evaluated at d_1
+    (_second_order_root) and, where the move is more than 2 ulps, after
+    one Newton step on the leading slope of f (_newton_step); a step that
+    crosses the sign change is the bracket. Otherwise the search walks from
+    the last point by 1, 2, 4, ... ulps toward the side the sign of f
+    points to: down never below lo (f(lo) < 0 closes the bracket there), up
+    as far as twice the start. Where f is 0 at the start the walk goes up
+    (an exact zero is bracketed by the next float with f > 0), and f = 0 at
+    its first 8 steps as well means f underflows there. Where d_1 is not
+    above lo or is infinite, f underflows, or the walk up finds no sign
+    change, the search doubles up from the last point with f <= 0 (from lo
+    where f underflowed), at most 64 times.
 
     Each step takes the secant point of the stored end values, clamped
     strictly inside the bracket; when one end moves twice in a row the
@@ -156,7 +258,7 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     are adjacent floats; the root is the end with the smaller |f|. The
     returned root satisfies |f| <= f_tol and d > d_eps; failure to bracket
     raises BracketError."""
-    _, d_eps = g_and_d_eps(p)
+    d_eps = _d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)
     f_lo = f_closed_form(lo, p)
     if f_lo == 0.0:
@@ -168,43 +270,7 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
         raise BracketError(
             f"f(d_eps) = {f_lo:g} is not negative; eps = {p.eps:g} may exceed "
             "the smallness threshold for a two-interval critical point")
-    hi = None
-    try:
-        d_g = d_eps * 2.0 ** (1.0 / (1.0 + p.s - p.alpha))
-    except OverflowError:
-        d_g = math.inf
-    f_g = f_closed_form(d_g, p) if lo < d_g < math.inf else 0.0
-    if f_g != 0.0:  # f(d_g) = 0 may be underflow: leave it to the probe
-        up = f_g < 0.0
-        if up:
-            lo, f_lo = d_g, f_g
-        else:
-            hi, f_hi = d_g, f_g
-        step = _LOCAL_STEP
-        while step <= 1.0:
-            x = d_g * (1.0 + step if up else 1.0 - step)
-            if not x > lo:
-                break
-            f_x = f_closed_form(x, p)
-            if f_x > 0.0:
-                hi, f_hi = x, f_x
-            else:
-                lo, f_lo = x, f_x
-            if (f_x > 0.0) == up:
-                break
-            step *= 4.0
-    if hi is None:  # double up from the last point with f <= 0
-        d = lo
-        for _ in range(_PROBE_BUDGET):
-            d *= 2.0
-            f_d = f_closed_form(d, p)
-            if f_d > 0.0:
-                hi, f_hi = d, f_d
-                break
-            lo, f_lo = d, f_d
-        if hi is None:
-            raise BracketError(
-                f"no sign change of f within {_PROBE_BUDGET} doublings from d_eps")
+    lo, f_lo, hi, f_hi = _bracket(p, lo, f_lo, d_eps)
     w_lo, w_hi = f_lo, f_hi  # secant weights; the Illinois rule halves them
     last = 0  # +1 when hi moved last, -1 when lo did
     width, stale = hi - lo, 0
@@ -254,12 +320,21 @@ class SweepRecord:
 
 
 def _sweep_record(pe: Params, f_tol: float) -> SweepRecord:
-    _, d_eps = g_and_d_eps(pe)
+    d_eps = _d_eps(pe)
     d_star = solve_critical_d(pe, f_tol=f_tol)
     zs = zeta_endpoints(TwoIntervalConfig(d=d_star, params=pe)).tolist()
     return SweepRecord(
         eps=pe.eps, d_star=d_star, d_eps=d_eps, diameter=d_star + 0.5,
         f_at_root=f_closed_form(d_star, pe), zeta_spread=max(zs) - min(zs))
+
+
+def _ls_slope(x: list, y: list) -> float:
+    """The least-squares slope of y against x in closed form,
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, each sum a fsum."""
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - mx for xi in x]
+    return (math.fsum(u * (yi - my) for u, yi in zip(dx, y))
+            / math.fsum(u * u for u in dx))
 
 
 def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
@@ -288,9 +363,8 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
             errors.append((float(e), exc))
     if len(records) < 4:
         raise errors[0][1]
-    x = np.log([1.0 / r.eps for r in records])
-    y = np.log([r.diameter for r in records])
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope = _ls_slope([-math.log(r.eps) for r in records],
+                      [math.log(r.diameter) for r in records])
     target = 1.0 / (1.0 + p.s - p.alpha)
     fit = {
         "slope": slope,

@@ -76,6 +76,17 @@ def _first_diff(q: float, g: float, h: float) -> float:
     return ((g + h) ** q - g ** q) / q
 
 
+def _first_diff_pair(q1: float, q2: float, g: float, h: float):
+    """(_first_diff(q1, g, h), _first_diff(q2, g, h)), bit for bit, with one
+    log1p(h / g) for both."""
+    r = h / g if g > 0.0 else math.inf
+    if r < math.inf:
+        lg = math.log1p(r)
+        return (g ** q1 * math.expm1(q1 * lg) / q1,
+                g ** q2 * math.expm1(q2 * lg) / q2)
+    return _first_diff(q1, g, h), _first_diff(q2, g, h)
+
+
 def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
     """The endpoint of S that x stands for, or None: the nearest endpoint,
     accepted within 1e-12 * max(1, |x|). The tolerance is local to x, so a
@@ -120,28 +131,49 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
 
 def pv_at_endpoint(segs: list, x: float, s: float) -> float:
     """pv_pair_integral at x, an endpoint of the partition segs
-    (interval_partition), for s in (0, 1); neither is checked here.
+    (interval_partition), for s in (0, 1); neither is checked here. It is
+    the kappa of _endpoint_pass."""
+    return _endpoint_pass(segs, x, s, None)[0]
+
+
+def _endpoint_pass(segs: list, x: float, s: float, q: Optional[float]):
+    """(kappa, V) at x, an endpoint of the partition segs, in one pass over
+    its segments: kappa the principal value of pv_pair_integral, V for
+    q = 1 - alpha the sum of _first_diff(q, .) over the set segments at
+    their distance from x (None for q = None, which skips it).
 
     The two segments adjacent to x carry opposite indicator signs, so the
     rho^(-s)/s divergences of their one-sided integrals cancel; what is left
     is the closed form -(sigma_R L^(-s) + sigma_L M^(-s))/s in the adjacent
     lengths L, M (a half-line contributes 0). All other segments integrate
-    the kernel without singularity.
+    the kernel without singularity; a set segment among them serves kappa
+    and V from one log1p(h / g).
     """
     total = 0.0
+    pot = []
     sig_left = sig_right = None
     len_left = len_right = None
     for lo, hi, sig in segs:
+        # an adjacent set segment adds _first_diff(q, 0, h) = h^q / q (q > 0)
         if hi == x:
             sig_left = sig
             len_left = x - lo  # may be inf
+            if q is not None and sig < 0.0:
+                pot.append(len_left ** q / q)
         elif lo == x:
             sig_right = sig
             len_right = hi - x
-        else:
+            if q is not None and sig < 0.0:
+                pot.append(len_right ** q / q)
+        elif q is None or sig > 0.0:
             # non-adjacent segment, a half-line with hi - lo = inf
             dist = lo - x if x < lo else x - hi
             total += sig * _first_diff(-s, dist, hi - lo)
+        else:
+            dist = lo - x if x < lo else x - hi
+            k, v = _first_diff_pair(-s, q, dist, hi - lo)
+            total += sig * k
+            pot.append(v)
     # x is an endpoint of a sorted, disjoint, non-touching interval union, so
     # one set segment and one complement segment meet there; IntervalSet's
     # constructor guarantees it; a set that bypassed the constructor is
@@ -156,18 +188,24 @@ def pv_at_endpoint(segs: list, x: float, s: float) -> float:
     if math.isfinite(len_left):
         adj += sig_left * len_left ** (-s)
     total += -adj / s
-    return total
+    return total, (None if q is None else math.fsum(pot))
 
 
 @lru_cache(maxsize=64)
 def _series_table(b: float):
-    """C(b, 2) and the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
-    ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff. A line
+    """C(b, 2), the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
+    ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff, and the
+    sign that every term shares, +-1.0, where each ratio is >= 0 (b in
+    (-1, 2]), else 0.0. The ratios are one numpy expression of the same
+    IEEE operations as the scalar formula, so they are the same bits. A line
     sweep uses two exponents, b = -s and 1 - alpha; the interval pair
-    integrals use 1 - s, 1 - alpha and 2 - alpha."""
-    ratios = tuple((b - 2 * k) * (b - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
-                   for k in range(1, 60))
-    return b * (b - 1.0) * 0.5, ratios
+    integrals use 1 - s, 1 - alpha and 2 - alpha (one sign each), and the 1D
+    Au1 identity 3 - alpha (terms of both signs)."""
+    k2 = np.arange(2.0, 120.0, 2.0)  # 2k
+    ratios = (b - k2) * (b - k2 - 1.0) / ((k2 + 1.0) * (k2 + 2.0))
+    c2 = b * (b - 1.0) * 0.5
+    sign = (-1.0 if c2 < 0.0 else 1.0) if -1.0 < b <= 2.0 else 0.0
+    return c2, tuple(ratios.tolist()), sign
 
 
 def _sym_second_diff(b: float, x: float) -> float:
@@ -178,10 +216,23 @@ def _sym_second_diff(b: float, x: float) -> float:
     terms; the ratio of consecutive terms is bounded by
     x^2 * |(b-2k+1)(b-2k+2)| / ((2k-1)2k), which stays below ~x^2 for b in
     (-1, 2), so the truncation error is controlled by the first omitted term.
+    The sum stops at the first term below 1e-18 of the partial sum in
+    magnitude. For b in (-1, 2] every term has the sign of C(b, 2), so the
+    magnitudes are summed (negating a float is exact) and compared without
+    abs(); outside it the signs may differ and the test takes abs().
     """
     if x >= 0.5:
         return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
-    c2, ratios = _series_table(b)
+    c2, ratios, sign = _series_table(b)
+    if sign:
+        term = sign * c2 * x * x  # |C(b, 2)| x^2
+        acc = term
+        for r in ratios:
+            if not term > 1e-18 * acc:
+                break
+            term *= r * x * x
+            acc += term
+        return sign * (2.0 * acc)
     term = c2 * x * x  # C(b, 2) x^2
     acc = term
     for r in ratios:

@@ -18,6 +18,7 @@ import json
 import math
 import pathlib
 
+import mpmath as mp
 import numpy as np
 
 from nlshape import BracketError, GeometryError, onedim
@@ -81,6 +82,24 @@ def test_line_outputs_are_bitwise_frozen():
     assert sum("raises" in op for op in frozen) >= len(RAISING_SA)
     for got, want in zip(line_outputs(), frozen):
         assert got == want, (got["s"], got["alpha"])
+
+
+def test_fit_slope_is_the_least_squares_slope():
+    # against the least-squares slope of the same records at 50 digits, with
+    # x = log(1/eps) and y = log(diameter) of the frozen floats taken exactly
+    worst = 0.0
+    with mp.workdps(50):
+        for op in json.loads(GOLDEN.read_text()):
+            if "records" not in op:
+                continue
+            x = [-mp.log(mp.mpf(float.fromhex(r[0]))) for r in op["records"]]
+            y = [mp.log(mp.mpf(float.fromhex(r[3]))) for r in op["records"]]
+            mx, my = sum(x) / len(x), sum(y) / len(y)
+            ref = (sum((u - mx) * (v - my) for u, v in zip(x, y))
+                   / sum((u - mx) ** 2 for u in x))
+            slope = float.fromhex(op["fit"]["slope"])
+            worst = max(worst, float(abs(slope - ref) / abs(ref)))
+    assert worst <= 1e-15
 
 
 if __name__ == "__main__":

@@ -95,9 +95,11 @@ SERIES_X = ([float(x) for x in np.geomspace(1e-300, 0.5, 64)[:-1]]
 
 
 def test_sym_second_diff_is_the_recurrence_bitwise():
-    # the two exponents of every sweep over the seeded grid
+    # the two exponents of every sweep over the seeded grid, those of the 1D
+    # P_s and R_alpha pair integrals, and 3 - alpha of the 1D Au1 identity,
+    # where the terms differ in sign
     for s, alpha in GRID_SA:
-        for b in (-s, 1.0 - alpha):
+        for b in (-s, 1.0 - alpha, 1.0 - s, 2.0 - alpha, 3.0 - alpha):
             for x in SERIES_X:
                 got = _sym_second_diff(b, x)
                 assert got.hex() == sym_second_diff_recurrence(b, x).hex(), (b, x)
@@ -259,17 +261,18 @@ def test_grid_root_solve_cost(solver_grid):
               if new[1] is None]
     new_evals = sum(n for n, _ in solved)
     ref_evals = sum(r for _, r in solved)
-    assert new_evals <= 10 * len(solved)  # the reference takes about 57
-    # about 7 on average (4 to 35 a root); far fewer means the solve no
+    assert new_evals <= 6 * len(solved)  # the reference takes about 57
+    # about 4.9 on average (3 to 73 a root); far fewer means the solve no
     # longer looks up onedim.f_closed_form and the counts above count nothing
     assert new_evals >= 4 * len(solved)
-    assert new_evals <= 0.2 * ref_evals
+    assert new_evals <= 0.1 * ref_evals  # 0.087
 
 
 # (s, alpha, eps) where the search about d_g cannot start, with the root of
 # the doubling probe from d_eps: f(d_g) rounds to 0 at d_g = 9.0e158 (the
 # root lies 22 doublings above d_eps = 1.0e151), and d_g = 2^(1 / 2e-4) d_eps
-# overflows (d_eps itself rounds to 0)
+# overflows (d_eps itself rounds to 0); the second-order root d_1 is d_g
+# there, to rounding
 NO_D_G_START = {(0.037535357425532864, 0.9996871402742665, 1e-6):
                 3.994297736898002e+157,
                 (1e-4, 0.9999, 1.0): 2.7564745103900354}
@@ -286,6 +289,31 @@ def test_root_without_a_d_g_start(s, alpha, eps):
     assert d_g == math.inf or f_closed_form(d_g, p) == 0.0
     root = solve_critical_d(p)
     assert abs(root - NO_D_G_START[(s, alpha, eps)]) <= 64 * math.ulp(root)
+    fr = f_closed_form(root, p)
+    other = math.nextafter(root, math.inf if fr <= 0.0 else -math.inf)
+    fo = f_closed_form(other, p)
+    assert (fr <= 0.0 < fo) if fr <= 0.0 else (fo <= 0.0 < fr)
+
+
+def test_root_from_an_exact_zero_at_the_start():
+    # f is exactly 0 at the second-order root d_1 and positive one ulp above:
+    # the two are the bracket, found with the check at d_eps
+    p = _p(0.39030825787256085, 0.35467903750554497, 3.1623e-05)
+    d_1 = 82803.05411447234
+    assert f_closed_form(d_1, p) == 0.0
+    assert f_closed_form(math.nextafter(d_1, math.inf), p) > 0.0
+    f = onedim.f_closed_form
+    calls = [0]
+
+    def counting(d, p):
+        calls[0] += 1
+        return f(d, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onedim, "f_closed_form", counting)
+        root = solve_critical_d(p)
+    assert calls[0] <= 5
+    assert abs(root - d_1) <= 64 * math.ulp(d_1)
     fr = f_closed_form(root, p)
     other = math.nextafter(root, math.inf if fr <= 0.0 else -math.inf)
     fo = f_closed_form(other, p)
