@@ -27,12 +27,12 @@ Quantities measured on a candidate critical set:
                      size mu (ratio test against the half-amplitude shape)
 
   int_E V dx is the Riesz energy R_alpha(E) = int_E int_E |x - y|^(-alpha)
-  by the definition of V, so Au1 and Au2 take it from riesz_energy (the
-  boundary-reduced pair energy in the plane, the closed form on the line),
-  or from the boundary sweep that carries the same value.
-  Each stays two-sided: Au1 audits the volume integral of grad V . x (in the
-  plane, the off-curve interior rule), Au2 the on-curve V of the boundary
-  sweep.
+  by the definition of V, so Au1 and Au2 take it from the kept boundary
+  sweep, which carries the value of riesz_energy (the boundary-reduced pair
+  energy in the plane, the closed form on the line).
+  Each stays two-sided: Au1 audits the left side of its geometry's kernel
+  (functionals._kernel; in the plane the off-curve interior rule, on the
+  line the closed-form moments), Au2 the on-curve V of the boundary sweep.
 
 calibrate_variation_constant pins down c_var on balls, where kappa is
 constant and the curvature pairing has a closed value; the ratio is
@@ -48,15 +48,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, ParamError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, frac_perimeter,
-                          grad_potential_at_points, potential_at_points,
-                          riesz_energy, set_integral_2d, _curvature_exponent,
-                          _curve_pass, _grad_tau_2d_batch, _potential_1d,
-                          _sweep)
-from .quad import _first_diff, _pair_second_diff, pv_pair_integral
-from .sets import (Ball, IntervalSet, Params, StarShape2D, boundary_mesh,
-                   canonical, diameter, isodiametric_ratio, mesh_angles,
-                   volume, _pair_blocks)
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
+                          _grad_tau_2d_batch, _kernel, _sweep)
+from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
+                   mesh_angles, volume, _pair_blocks)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -205,16 +200,12 @@ def annulus_deficit_rho(S) -> float:
     value is the exact width at that center, never more than at S.center,
     so it bounds the infimum from above.
     """
-    if isinstance(S, Ball):
-        if S.n < 2:
-            raise GeometryError("annulus deficit excludes 1D sets")
+    if isinstance(S, Ball) and S.n > 1:
         return 0.0
-    if not isinstance(S, StarShape2D):
-        raise GeometryError(
-            f"annulus deficit needs a star shape or ball, got {type(S).__name__}")
-    c, s, r, _ = S._grid(_RHO_SAMPLES)
-    width = _min_zone(*S._position(c, s, r).T, S.center, float(r.mean()))[1]
-    return width / diameter(S)
+    star = _as_star(S)
+    c, s, r, _ = star._grid(_RHO_SAMPLES)
+    width = _min_zone(*star._position(c, s, r).T, star.center, float(r.mean()))[1]
+    return width / diameter(star)
 
 
 def lambda_hat_and_residual(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -234,10 +225,12 @@ def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
         lambda * n * |E| = (n-s)/c_var * P_s + c*eps*(n - alpha/2) * R_alpha
 
     (int_E V equals the Riesz double integral). Exact on critical sets, a
-    consistency cross-check on candidates.
+    consistency cross-check on candidates. P_s and R_alpha are those of the
+    kept boundary sweep, which diagnose reads too (R_alpha is nan where it
+    diverges, and so is the estimate).
     """
-    return _lambda_cross(S, p, frac_perimeter(S, p.s, resolution, nq),
-                         riesz_energy(S, p.alpha, resolution, nq))
+    bf = _sweep(S, p, resolution, nq)
+    return _lambda_cross(S, p, bf.perimeter, bf.riesz)
 
 
 def _lambda_cross(S, p: Params, per: float, rz: float) -> float:
@@ -249,62 +242,16 @@ def _lambda_cross(S, p: Params, per: float, rz: float) -> float:
 def ball_map_mu(S) -> float:
     """Size of S as a radial perturbation of its equal-volume centered ball:
     max over angles of |r(theta) - R| + |r'(theta)|, R = sqrt(area/pi)."""
-    if isinstance(S, Ball):
-        if S.n != 2:
-            raise GeometryError("ball-map size is a planar diagnostic")
+    if isinstance(S, Ball) and S.n == 2:
         return 0.0
-    if not isinstance(S, StarShape2D):
-        raise GeometryError(
-            f"ball-map size needs a star shape, got {type(S).__name__}")
-    R = math.sqrt(volume(S) / math.pi)
-    _, _, r, dr = S._grid(max(1024, 8 * max(1, S.kmax)))
+    star = _as_star(S)
+    R = math.sqrt(volume(star) / math.pi)
+    _, _, r, dr = star._grid(max(1024, 8 * max(1, star.kmax)))
     return float((np.abs(r - R) + np.abs(dr)).max())
 
 
 def _rel_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
-
-
-def _grad_self_moment(a: float, b: float, alpha: float) -> float:
-    # int_a^b x [(x-a)^(-alpha) - (b-x)^(-alpha)] dx: the own-interval part
-    # of int x V' is endpoint singular, so it goes in closed form
-    return (b - a) ** (2.0 - alpha) * (2.0 / (2.0 - alpha) - 1.0 / (1.0 - alpha))
-
-
-def _grad_pair_moment(g: float, L1: float, L2: float, alpha: float) -> float:
-    """int_I x V_J' dx + int_J x V_I' dx, I of length L1 left of J of
-    length L2 at gap g. As int_I V_J' + int_J V_I' = 0 the sum does not
-    depend on the origin, so x is measured from the left end of J. With D_k
-    the second difference of F_k(t) = t^(k-alpha) / (k-alpha) over the pair
-    and Delta(t; h) = F_1(t + h) - F_1(t) the first difference _first_diff,
-    it is 2 D_2 - L2 Delta(g + L2; L1) - L1 Delta(g + L1; L2) - g D_1."""
-    q = 1.0 - alpha
-    d1 = _pair_second_diff(q, g, L1, L2) / q
-    d2 = _pair_second_diff(1.0 + q, g, L1, L2) / (1.0 + q)
-    return math.fsum((2.0 * d2, -L2 * _first_diff(q, g + L2, L1),
-                      -L1 * _first_diff(q, g + L1, L2), -g * d1))
-
-
-def _identity_au1(S, p: Params, resolution, nq, int_v: float) -> float:
-    """Residual of int_E x . grad V dx = -(alpha/2) int_E V dx, int_v being
-    int_E V = R_alpha. On an interval set the left side is the closed-form
-    _grad_self_moment of each interval plus _grad_pair_moment of each pair,
-    not -alpha times the cross Riesz terms, so the check stays two-sided; on
-    a planar set it is a volume quadrature of grad V . x."""
-    alpha = p.alpha
-    if isinstance(S, IntervalSet):
-        ivals = S.intervals
-        lhs = math.fsum(
-            [_grad_self_moment(a, b, alpha) for a, b in ivals]
-            + [_grad_pair_moment(c - b, b - a, d - c, alpha)
-               for i, (a, b) in enumerate(ivals) for c, d in ivals[i + 1:]])
-    else:
-        def gv_dot_x(pts, foci):
-            g = grad_potential_at_points(S, pts, foci, alpha, nq)
-            return (g * pts).sum(1)
-
-        lhs = set_integral_2d(S, gv_dot_x, resolution)
-    return _rel_residual(lhs, -0.5 * alpha * int_v)
 
 
 def _x_dot_nu_pairing(mesh, values) -> float:
@@ -337,35 +284,12 @@ def _identity_minkowski(p: Params, bf) -> float:
     return _rel_residual(lhs, (p.n - p.s) * bf.perimeter / p.c_var)
 
 
-def _probe_points(S, count, rng):
-    """Probe cloud covering the set and a shell around it."""
-    if isinstance(S, IntervalSet):
-        lo = S.intervals[0][0]
-        hi = S.intervals[-1][1]
-        pad = 0.5 * (hi - lo)
-        return rng.uniform(lo - pad, hi + pad, size=(count, 1))
-    c = np.asarray(S.center)
-    rmax = float(S._grid(_RHO_SAMPLES)[2].max())
-    return c + rng.uniform(-1.5 * rmax, 1.5 * rmax, size=(count, 2))
-
-
-def _identity_lal(S, p: Params, resolution, nq, probes: int = 50,
+def _identity_lal(k, p: Params, nq, probes: int = 50,
                   seed: int = _PROBE_SEED) -> float:
-    """Positive part of max_x (V_E(x) - V_B(0)) / V_B(0) over probe points,
-    B the centered ball of the same volume. The clamp makes 'no violation'
-    read exactly 0."""
-    alpha = p.alpha
-    vol = volume(S)
-    pts = _probe_points(S, probes, np.random.default_rng(seed))
-    if isinstance(S, IntervalSet):
-        half = 0.5 * vol
-        vb0 = 2.0 * half ** (1.0 - alpha) / (1.0 - alpha)
-        vmax = max(_potential_1d(S, float(x[0]), alpha) for x in pts)
-    else:
-        R = (vol / math.pi) ** 0.5
-        vb0 = 2.0 * math.pi * R ** (2.0 - alpha) / (2.0 - alpha)
-        foci = np.arctan2(pts[:, 1] - S.center[1], pts[:, 0] - S.center[0])
-        vmax = float(potential_at_points(S, pts, foci, alpha, nq).max())
+    """Positive part of max_x (V_E(x) - V_B(0)) / V_B(0) over the probe
+    points of the kernel k, B the centered ball of the same volume. The
+    clamp makes 'no violation' read exactly 0."""
+    vmax, vb0 = k.lal_max(p.alpha, nq, probes, np.random.default_rng(seed))
     return max(0.0, (vmax - vb0) / vb0)
 
 
@@ -403,25 +327,19 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
     if kind not in IDENTITY_KINDS:
         raise ParamError(
             f"unknown identity kind {kind!r}; choose from {IDENTITY_KINDS}")
-    S = canonical(S)
     if kind == "TangentialBall":
-        if not isinstance(S, StarShape2D):
-            raise GeometryError("TangentialBall is a planar check")
-        return _identity_tangential_ball(S, p, resolution, nq)
-    if not isinstance(S, (IntervalSet, StarShape2D)):
-        raise GeometryError(
-            f"identity checks cover interval sets and planar shapes, got a "
-            f"{type(S).__name__} in dimension {S.n}")
-    if kind == "Au1":
-        if isinstance(S, StarShape2D) and not (0.0 < p.alpha < 1.0):
-            raise ParamError(
-                f"Au1 on planar sets needs alpha in (0, 1), got {p.alpha!r}")
-        return _identity_au1(S, p, resolution, nq,
-                             riesz_energy(S, p.alpha, resolution, nq))
+        return _identity_tangential_ball(_as_star(S), p, resolution, nq)
+    k = _kernel(S)
     if kind == "Lal":
-        return _identity_lal(S, p, resolution, nq)
+        return _identity_lal(k, p, nq)
+    if kind == "Au1":
+        # the left side first: it refuses an alpha out of its range before
+        # anything is swept
+        lhs = k.au1_lhs(p.alpha, resolution, nq)
+        rz = _sweep(k.S, p, resolution, nq).riesz
+        return _rel_residual(lhs, -0.5 * p.alpha * rz)
     check = _identity_au2 if kind == "Au2" else _identity_minkowski
-    return check(p, _sweep(S, p, resolution, nq))
+    return check(p, _sweep(k.S, p, resolution, nq))
 
 
 def calibrate_variation_constant(s: float, n: int = 2,
@@ -433,27 +351,19 @@ def calibrate_variation_constant(s: float, n: int = 2,
 
     Both sides scale like R^(n-s), so radius independence of the ratio is a
     built-in correctness check. In 1D everything is closed-form and the value
-    is exactly 1 under the conventions used here. In the plane each disk's
-    kappa and P_s come from one on-curve pass at beta = -s.
+    is exactly 1 under the conventions used here. Each ball's kappa and P_s
+    come from the curvature sweep of its kernel, in the plane one on-curve
+    pass at beta = -s.
     """
     if not (0.0 < s < 1.0):
         raise ParamError(f"s must lie in (0, 1), got {s!r}")
-    vals = []
-    if n == 1:
-        for R in radii:
-            iv = IntervalSet([(-R, R)])
-            pairing = math.fsum(pv_pair_integral(iv, x, s) * x * nrm
-                                for x, nrm in ((-R, -1.0), (R, 1.0)))
-            vals.append((1.0 - s) * frac_perimeter(iv, s) / pairing)
-    elif n == 2:
-        ex = _curvature_exponent(s)
-        for R in radii:
-            star = StarShape2D((0.0, 0.0), R)
-            mesh = boundary_mesh(star, resolution)
-            kap, per = _curve_pass(star, ex, mesh.thetas, nq, energy=True)
-            vals.append((2.0 - s) * per / _x_dot_nu_pairing(mesh, kap))
-    else:
+    if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
+    vals = []
+    for R in radii:
+        k = _kernel(Ball((0.0,) * int(n), R))
+        mesh, kap, per = k.curvature_sweep(s, resolution, nq)
+        vals.append((n - s) * per / _x_dot_nu_pairing(mesh, kap))
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
     if spread > _CALIBRATION_SPREAD_TOL:
         raise ParamError(
@@ -470,9 +380,10 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     Each shared quantity is computed once: the boundary sweep at nq
     (lambda_hat, delta, Au2, Minkowski), which also carries P_s
     (lambda_cross, Minkowski) and R_alpha (lambda_cross, and int_E V for Au1
-    and Au2), and the diameter (eta, rho, iso_ratio). A star shape keeps
-    both, and its boundary samples at each grid, so a shape that a descent
-    or an earlier call swept at (p, resolution, nq) is not swept again. The
+    and Au2), and the diameter (eta, rho, iso_ratio). A star shape or an
+    interval set keeps both (a star shape also its boundary samples at each
+    grid), so a shape that a descent or an earlier call swept at
+    (p, resolution, nq) is not swept again. The
     planar error estimates are |value(2 nq) - value(nq)| against those nq
     values, all four from one sweep at 2 nq.
     TangentialBall reads grad V . tau from its one owner (_sup_tangential,
@@ -483,18 +394,18 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     small-perturbation statement and is out of regime for large deviations
     from a ball.
     """
-    # C is the canonical form every quadrature below runs on; the closed-form
-    # measures (eta, rho, iso_ratio, mu) keep S, so a ball gets its exact
-    # values
-    C = canonical(S)
-    mu = ball_map_mu(S) if isinstance(S, StarShape2D) else None
+    # k.S, the canonical form, is what every quadrature below runs on; the
+    # closed-form measures (eta, rho, iso_ratio, mu) keep S, so a ball gets
+    # its exact values
+    k = _kernel(S)
+    C = k.S
+    mu = ball_map_mu(S) if k.planar else None
     bf = _sweep(C, p, resolution, nq)
     per, rz = bf.perimeter, bf.riesz
     lam, el_res = bf.lambda_hat_and_residual()
     delta = _pairwise_defect(bf.mesh.points, bf.kappa)
     eta_v = eta(S, p, delta)
-    two_d = isinstance(C, StarShape2D)
-    rho = annulus_deficit_rho(S) if two_d else None
+    rho = annulus_deficit_rho(S) if k.planar else None
 
     implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
     if p.eps > 0.0:
@@ -507,17 +418,18 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
         if 0.0 < p.alpha < 1.0:
             # the gradient route under Au1 needs the weak-singularity range;
             # for alpha >= 1 the boundary layer defeats the interior rule
-            identities["Au1"] = _identity_au1(C, p, resolution, nq, rz)
+            identities["Au1"] = _rel_residual(
+                k.au1_lhs(p.alpha, resolution, nq), -0.5 * p.alpha * rz)
         identities["Au2"] = _identity_au2(p, bf)
         identities["Minkowski"] = _identity_minkowski(p, bf)
-        identities["Lal"] = _identity_lal(C, p, resolution, nq)
+        identities["Lal"] = _identity_lal(k, p, nq)
         if (mu is not None and 0.0 < mu <= DEFAULT_MU_GATE
                 and 0.0 < p.alpha < 1.0):
             identities["TangentialBall"] = _identity_tangential_ball(
                 C, p, resolution, nq)
 
     errors = {}
-    if two_d:
+    if k.planar:
         bf2 = _sweep(C, p, resolution, 2 * nq)
         errors["perimeter"] = abs(bf2.perimeter - per)
         errors["riesz"] = abs(bf2.riesz - rz)
@@ -529,6 +441,6 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
         iso_ratio=isodiametric_ratio(S),
         lambda_hat=lam, el_residual=el_res,
         identity_residuals=identities,
-        mesh_resolution=int(resolution) if two_d else bf.mesh.points.shape[0],
+        mesh_resolution=bf.mesh.points.shape[0],
         error_estimates=errors,
         implied_constants=implied)

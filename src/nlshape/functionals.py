@@ -24,11 +24,15 @@ q = alpha,
     P_s(E)    = 1/s^2      int int |x-y|^(-s)      nu(x).nu(y) dsigma dsigma
     R_alpha   = -1/(2-alpha)^2 int int |x-y|^(2-alpha) nu(x).nu(y) ...
 
-Every public function accepts an IntervalSet, a Ball or a StarShape2D and
-first passes it through sets.canonical, so a 1D ball is evaluated as its
-interval and a planar ball as a constant-radius star shape; the planar-only
-functions refuse other geometries with GeometryError. Each 2D value is one
-Gauss-Jacobi (on the curve) or graded-ladder (off the curve) sum per target.
+Every public function accepts an IntervalSet, a Ball or a StarShape2D,
+validates its parameters and calls the kernel of the shape (_kernel): its
+canonical form (sets.canonical: a 1D ball as its interval set, a planar
+ball as a constant-radius star shape) in the one kernel class of that
+geometry (_IntervalKernel, _StarKernel, _BallKernel for n >= 3), whose
+methods are those of _Kernel. What a kernel has no algorithm for, and the
+planar-only functions on a non-planar shape, are refused with
+GeometryError. Each 2D value is one Gauss-Jacobi (on the curve) or
+graded-ladder (off the curve) sum per target.
 
 On the curve (the sweeps of boundary_fields, both energy terms and the
 on-curve point queries, whose target is the boundary point at its focus
@@ -37,8 +41,9 @@ terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
 integrand of P_s are summed on the same nodes at beta = -s, V and that of
 R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
 with the bits of frac_perimeter and riesz_energy. A sweep takes no switches
-and always holds the same fields, so a star shape keeps its sweep per
-(Params, resolution, nq) (_sweep; boundary_fields itself keeps nothing).
+and always holds the same fields, so a star shape or an interval set keeps
+its sweep per (Params, resolution, nq) (_sweep; boundary_fields itself
+keeps nothing).
 grad V . tau is not a sweep field: its one owner is _grad_tau_2d_batch
 (tangential_grad_potential at a single point), one pass at
 beta = -alpha. With A_k(t) = a_k cos kt + b_k sin kt and
@@ -102,7 +107,7 @@ from .quad import (_boundary_point, _endpoint_pass, _first_diff,
                    jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles,
-                   _per_shape)
+                   volume, _per_shape)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -119,6 +124,9 @@ _ON_CURVE_RTOL = 1e-9
 # 512 KB an array) and in _ladder_sums (2^13, 64 KB; see _ladder_sums)
 _CURVE_BLOCK_NODES = 1 << 16
 _LADDER_BLOCK_NODES = 1 << 13
+# the uniform grid whose largest radius sizes the Lal probe cloud of a star
+# shape (the 512 samples of diagnostics.annulus_deficit_rho, one kept grid)
+_PROBE_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -148,10 +156,6 @@ def _pair_sum_1d(S: IntervalSet, q: float) -> float:
                       for i, (a, b) in enumerate(ivals)
                       for c, d in ivals[i + 1:])
     return own + 2.0 * cross
-
-
-def _perimeter_1d(S: IntervalSet, s: float) -> float:
-    return _pair_sum_1d(S, 1.0 - s) / (s * (1.0 - s))
 
 
 def _riesz_1d(S: IntervalSet, alpha: float) -> float:
@@ -201,38 +205,42 @@ def _endpoint_fields_1d(S: IntervalSet, s: float, alpha: float):
     return kap, pot
 
 
-def _grad_potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
-    if _boundary_point(S, x) is not None:
-        raise ParamError(
-            "potential gradient diverges at a 1D boundary point for every "
-            f"alpha > 0 (alpha = {alpha}); evaluate off the boundary")
-    return math.fsum(abs(x - a) ** (-alpha) - abs(x - b) ** (-alpha)
-                     for a, b in S.intervals)
+def _grad_self_moment(a: float, b: float, alpha: float) -> float:
+    # int_a^b x [(x-a)^(-alpha) - (b-x)^(-alpha)] dx: the own-interval part
+    # of int x V' is endpoint singular, so it goes in closed form
+    return (b - a) ** (2.0 - alpha) * (2.0 / (2.0 - alpha) - 1.0 / (1.0 - alpha))
+
+
+def _grad_pair_moment(g: float, L1: float, L2: float, alpha: float) -> float:
+    """int_I x V_J' dx + int_J x V_I' dx, I of length L1 left of J of
+    length L2 at gap g. As int_I V_J' + int_J V_I' = 0 the sum does not
+    depend on the origin, so x is measured from the left end of J. With D_k
+    the second difference of F_k(t) = t^(k-alpha) / (k-alpha) over the pair
+    and Delta(t; h) = F_1(t + h) - F_1(t) the first difference _first_diff,
+    it is 2 D_2 - L2 Delta(g + L2; L1) - L1 Delta(g + L1; L2) - g D_1."""
+    q = 1.0 - alpha
+    d1 = _pair_second_diff(q, g, L1, L2) / q
+    d2 = _pair_second_diff(1.0 + q, g, L1, L2) / (1.0 + q)
+    return math.fsum((2.0 * d2, -L2 * _first_diff(q, g + L2, L1),
+                      -L1 * _first_diff(q, g + L1, L2), -g * d1))
 
 
 # ---------------------------------------------------------------------------
 # 2D boundary-reduced quadrature
 
 
-def _as_star(S) -> StarShape2D:
-    S = canonical(S)
-    if isinstance(S, StarShape2D):
-        return S
-    raise GeometryError(
-        f"2D boundary quadrature needs a star shape or planar ball, got {type(S).__name__}")
-
-
 def _planar_target(star: StarShape2D, x):
-    """(x as a 2-vector, whether x lies on the curve, its focus angle) for a
-    point query. The focus is the polar angle of x about the center, which
-    on the curve is x's parameter angle. A non-finite x is refused."""
+    """(x as a 2-vector, whether x lies on the curve, its focus angle as a
+    1-array) for a point query. The focus is the polar angle of x about the
+    center, which on the curve is x's parameter angle. A non-finite x is
+    refused."""
     x = np.asarray(x, dtype=float).reshape(2)
     if not np.isfinite(x).all():
         raise GeometryError(f"point must be finite, got {x.tolist()}")
     dx = x[0] - star.center[0]
     dy = x[1] - star.center[1]
-    focus = math.atan2(dy, dx)
-    r_curve = float(star.radius(np.array([focus]))[0])
+    focus = np.array([math.atan2(dy, dx)])
+    r_curve = float(star.radius(focus)[0])
     on_curve = abs(math.hypot(dx, dy) - r_curve) <= _ON_CURVE_RTOL * max(1.0, r_curve)
     return x, on_curve, focus
 
@@ -614,12 +622,6 @@ def _curve_pass(star, ex, thetas, nq, field=True, energy=False):
     return f, e
 
 
-def _energy_2d(star, ex, resolution, nq):
-    """The energy term of ex alone, on the mesh of the given resolution."""
-    return _curve_pass(star, ex, mesh_angles(resolution), nq,
-                       field=False, energy=True)[1]
-
-
 def _kappa_2d_batch(star, s, thetas, nq):
     """kappa at the boundary points at the angles thetas."""
     return _curve_pass(star, _curvature_exponent(s), thetas, nq)[0]
@@ -689,121 +691,7 @@ def _with_error(value_at, nq, with_error):
 
 
 # ---------------------------------------------------------------------------
-# public functionals
-
-
-def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
-                   nq: int = DEFAULT_NQ, with_error: bool = False):
-    """Fractional perimeter P_s(E)."""
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        return _with_error(lambda k: _perimeter_1d(S, s), nq, with_error)
-    star, ex = _as_star(S), _curvature_exponent(s)
-    return _with_error(lambda k: _energy_2d(star, ex, resolution, k),
-                       nq, with_error)
-
-
-def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
-                 nq: int = DEFAULT_NQ, with_error: bool = False):
-    """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        return _with_error(lambda k: _riesz_1d(S, alpha), nq, with_error)
-    if not (0.0 < alpha < 2.0):
-        raise ParamError(f"2D Riesz energy needs alpha in (0, 2), got {alpha!r}")
-    star, ex = _as_star(S), _potential_exponent(alpha)
-    return _with_error(lambda k: _energy_2d(star, ex, resolution, k),
-                       nq, with_error)
-
-
-def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
-           nq: int = DEFAULT_NQ) -> EnergyBreakdown:
-    """Both energy terms. The riesz term is computed even at eps = 0 so the
-    breakdown is informative; the total weights it by eps."""
-    per = frac_perimeter(S, p.s, resolution, nq)
-    rz = riesz_energy(S, p.alpha, resolution, nq)
-    return EnergyBreakdown(perimeter_term=per, riesz_term=rz, eps=p.eps)
-
-
-def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
-    """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        x = _point_1d(x)
-        return 0.0 if math.isinf(x) else _potential_1d(S, x, alpha)
-    if isinstance(S, Ball):
-        return _ball_potential_nd(S, np.asarray(x, dtype=float), alpha)
-    star = _as_star(S)
-    if not (0.0 < alpha < 2.0):
-        raise ParamError(f"2D potential needs alpha in (0, 2), got {alpha!r}")
-    x, on_curve, focus = _planar_target(star, x)
-    return float(_potential_2d_batch(star, alpha, x[None, :],
-                                     np.array([focus]), on_curve, nq)[0])
-
-
-def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
-    """Gradient of the potential, as a vector. At boundary points this is the
-    one-sided improper integral, which requires alpha < n - 1; outside that
-    range the call is refused rather than regularized."""
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        return np.array([_grad_potential_1d(S, _point_1d(x), alpha)])
-    if isinstance(S, Ball):
-        x = np.asarray(x, dtype=float).reshape(S.n)
-        if np.allclose(x, S.center, rtol=0.0, atol=1e-14):
-            return np.zeros(S.n)  # exact by symmetry
-        raise GeometryError("gradient for balls with n >= 3 is only provided at the center")
-    star = _as_star(S)
-    x, on_curve, focus = _planar_target(star, x)
-    return _grad_potential_2d_batch(star, alpha, x[None, :], np.array([focus]),
-                                    on_curve, nq)[0]
-
-
-def tangential_grad_potential(S, x, alpha: float, *,
-                              nq: int = DEFAULT_NQ) -> float:
-    """grad V . tau at a boundary point of a planar shape."""
-    S = canonical(S)
-    if not isinstance(S, StarShape2D):
-        raise GeometryError("tangential gradient is defined for planar boundaries only")
-    x, on_curve, focus = _planar_target(S, x)
-    if not on_curve:
-        raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    return float(_grad_tau_2d_batch(S, alpha, np.array([focus]), nq)[0])
-
-
-def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
-    """Fractional mean curvature at a boundary point x (PV integral).
-
-    Sign convention: positive on boundaries of convex sets.
-    """
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        x = _point_1d(x)
-        if _boundary_point(S, x) is None:
-            raise GeometryError(f"x = {x!r} is not a boundary point")
-        return pv_pair_integral(S, x, s)
-    star = _as_star(S)
-    x, on_curve, focus = _planar_target(star, x)
-    if not on_curve:
-        raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    # the target is snapped onto the curve: frame(focus), not x itself
-    return float(_kappa_2d_batch(star, s, np.array([focus]), nq)[0])
-
-
-def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
-    """Boundary combination kappa + c_coupling * eps * V at a boundary point."""
-    k = frac_curvature(S, x, p.s, nq=nq)
-    if p.eps == 0.0:
-        return k
-    return k + p.c_coupling * p.eps * potential(S, x, p.alpha, nq=nq)
-
-
-# ---------------------------------------------------------------------------
-# whole-boundary sweeps
+# one kernel per geometry
 
 
 @dataclass(frozen=True)
@@ -835,6 +723,313 @@ class BoundaryFields:
         return lam, float(np.abs(self.zeta - lam).max())
 
 
+class _Kernel:
+    """The algorithms that serve one canonical geometry S: sweep (mesh,
+    kappa, V, P_s, R_alpha), curvature_sweep (mesh, kappa, P_s), perimeter
+    and riesz (the energy per exponent), curvature, potential and
+    grad_potential (the point queries), au1_lhs (int_E x . grad V dx) and
+    lal_max (max V over the Lal probe cloud, and V_B(0) of the centered
+    ball B with |B| = |S|). planar marks the kernel of the planar shapes."""
+
+    planar = False
+
+    def __init__(self, S):
+        self.S = S
+
+    def _refuse(self, *args):
+        raise GeometryError(
+            "the boundary quadrature covers interval sets and planar shapes, "
+            f"got a {type(self.S).__name__} in dimension {self.S.n}")
+
+    sweep = curvature_sweep = perimeter = riesz = curvature = potential = \
+        grad_potential = au1_lhs = lal_max = _refuse
+
+
+class _IntervalKernel(_Kernel):
+    """An interval set: the closed forms, and the endpoint principal value
+    of quad."""
+
+    def sweep(self, p: Params, resolution, nq):
+        S = self.S
+        mesh = boundary_mesh(S, resolution)  # the endpoints, in order
+        kap, pot = map(np.array, _endpoint_fields_1d(S, p.s, p.alpha))
+        return (mesh, kap, pot, self.perimeter(p.s, resolution, nq),
+                _riesz_1d(S, p.alpha))
+
+    def curvature_sweep(self, s, resolution, nq):
+        kap = [self.curvature(x, s, nq) for x in self.S.endpoints()]
+        return (boundary_mesh(self.S, resolution), np.array(kap),
+                self.perimeter(s, resolution, nq))
+
+    def perimeter(self, s, resolution, nq) -> float:
+        return _pair_sum_1d(self.S, 1.0 - s) / (s * (1.0 - s))
+
+    def riesz(self, alpha, resolution, nq) -> float:
+        return _riesz_1d(self.S, alpha)
+
+    def curvature(self, x, s, nq) -> float:
+        x = _point_1d(x)
+        if _boundary_point(self.S, x) is None:
+            raise GeometryError(f"x = {x!r} is not a boundary point")
+        return pv_pair_integral(self.S, x, s)
+
+    def potential(self, x, alpha, nq) -> float:
+        x = _point_1d(x)
+        return 0.0 if math.isinf(x) else _potential_1d(self.S, x, alpha)
+
+    def grad_potential(self, x, alpha, nq) -> np.ndarray:
+        x = _point_1d(x)
+        if _boundary_point(self.S, x) is not None:
+            raise ParamError(
+                "potential gradient diverges at a 1D boundary point for every "
+                f"alpha > 0 (alpha = {alpha}); evaluate off the boundary")
+        return np.array([math.fsum(abs(x - a) ** (-alpha) - abs(x - b) ** (-alpha)
+                                   for a, b in self.S.intervals)])
+
+    def au1_lhs(self, alpha, resolution, nq) -> float:
+        """The closed-form _grad_self_moment of each interval plus
+        _grad_pair_moment of each pair, not -alpha times the cross Riesz
+        terms, so the Au1 check stays two-sided."""
+        ivals = self.S.intervals
+        return math.fsum(
+            [_grad_self_moment(a, b, alpha) for a, b in ivals]
+            + [_grad_pair_moment(c - b, b - a, d - c, alpha)
+               for i, (a, b) in enumerate(ivals) for c, d in ivals[i + 1:]])
+
+    def lal_max(self, alpha, nq, count, rng):
+        # probes uniform on the hull of S padded by half its length
+        S = self.S
+        vb0 = 2.0 * (0.5 * volume(S)) ** (1.0 - alpha) / (1.0 - alpha)
+        lo, hi = S.intervals[0][0], S.intervals[-1][1]
+        pad = 0.5 * (hi - lo)
+        pts = rng.uniform(lo - pad, hi + pad, size=(count, 1))
+        return max(_potential_1d(S, float(x[0]), alpha) for x in pts), vb0
+
+
+class _StarKernel(_Kernel):
+    """A star shape: the boundary-reduced quadrature, on the curve by the
+    Gauss-Jacobi rule and off it by the graded ladder."""
+
+    planar = True
+
+    def sweep(self, p: Params, resolution, nq):
+        mesh, kap, per = self.curvature_sweep(p.s, resolution, nq)
+        # R_alpha converges for alpha < 2, which Params with n <= 2 guarantee
+        pot, rz = _curve_pass(self.S, _potential_exponent(p.alpha), mesh.thetas,
+                              nq, energy=p.alpha < 2.0)
+        return mesh, kap, pot, per, math.nan if rz is None else rz
+
+    def curvature_sweep(self, s, resolution, nq):
+        mesh = boundary_mesh(self.S, resolution)
+        kap, per = _curve_pass(self.S, _curvature_exponent(s), mesh.thetas, nq,
+                               energy=True)
+        return mesh, kap, per
+
+    def perimeter(self, s, resolution, nq) -> float:
+        return _curve_pass(self.S, _curvature_exponent(s), mesh_angles(resolution),
+                           nq, field=False, energy=True)[1]
+
+    def riesz(self, alpha, resolution, nq) -> float:
+        if not (0.0 < alpha < 2.0):
+            raise ParamError(f"2D Riesz energy needs alpha in (0, 2), got {alpha!r}")
+        return _curve_pass(self.S, _potential_exponent(alpha), mesh_angles(resolution),
+                           nq, field=False, energy=True)[1]
+
+    def curvature(self, x, s, nq) -> float:
+        x, on_curve, focus = _planar_target(self.S, x)
+        if not on_curve:
+            raise GeometryError(f"x = {x.tolist()} is not on the boundary")
+        # the target is snapped onto the curve: frame(focus), not x itself
+        return float(_kappa_2d_batch(self.S, s, focus, nq)[0])
+
+    def potential(self, x, alpha, nq) -> float:
+        if not (0.0 < alpha < 2.0):
+            raise ParamError(f"2D potential needs alpha in (0, 2), got {alpha!r}")
+        x, on_curve, focus = _planar_target(self.S, x)
+        return float(_potential_2d_batch(self.S, alpha, x[None, :], focus,
+                                         on_curve, nq)[0])
+
+    def grad_potential(self, x, alpha, nq) -> np.ndarray:
+        x, on_curve, focus = _planar_target(self.S, x)
+        return _grad_potential_2d_batch(self.S, alpha, x[None, :], focus,
+                                        on_curve, nq)[0]
+
+    def au1_lhs(self, alpha, resolution, nq) -> float:
+        """The interior rule of set_integral_2d on grad V . x."""
+        if not (0.0 < alpha < 1.0):
+            raise ParamError(
+                f"Au1 on planar sets needs alpha in (0, 1), got {alpha!r}")
+
+        def gv_dot_x(pts, foci):
+            g = grad_potential_at_points(self.S, pts, foci, alpha, nq)
+            return (g * pts).sum(1)
+        return set_integral_2d(self.S, gv_dot_x, resolution)
+
+    def lal_max(self, alpha, nq, count, rng):
+        # probes uniform on the square about the center of half-side 1.5 max r
+        star = self.S
+        R = (volume(star) / math.pi) ** 0.5
+        vb0 = 2.0 * math.pi * R ** (2.0 - alpha) / (2.0 - alpha)
+        rmax = float(star._grid(_PROBE_GRID)[2].max())
+        pts = np.asarray(star.center) + rng.uniform(-1.5 * rmax, 1.5 * rmax,
+                                                    size=(count, 2))
+        foci = np.arctan2(pts[:, 1] - star.center[1], pts[:, 0] - star.center[0])
+        return float(potential_at_points(star, pts, foci, alpha, nq).max()), vb0
+
+
+class _BallKernel(_Kernel):
+    """A ball in n >= 3 (canonical keeps no other ball): the potential by
+    radial slicing with closed-form cap fractions, and grad V at the center,
+    0 by symmetry."""
+
+    def potential(self, x, alpha, nq) -> float:
+        from scipy.special import betainc
+        B = self.S
+        n = B.n
+        if not (0.0 < alpha < n):
+            raise ParamError(f"potential needs alpha in (0, n), got {alpha!r}")
+        x = np.asarray(x, dtype=float).reshape(n)
+        if np.isnan(x).any():
+            raise GeometryError(f"point must not be NaN, got {x.tolist()}")
+        dist = float(np.linalg.norm(x - np.asarray(B.center)))
+        if math.isinf(dist):
+            return 0.0  # the point at infinity: V decays like dist^(-alpha)
+        R = B.radius
+        omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|
+        if dist <= 1e-14 * R:
+            return omega * R ** (n - alpha) / (n - alpha)
+
+        def cap_fraction(rho):
+            # fraction of the sphere of radius rho about x lying inside B
+            c = (dist * dist + rho * rho - R * R) / (2.0 * rho * dist)
+            c = np.clip(c, -1.0, 1.0)
+            phi = np.arccos(c)
+            z = np.sin(phi) ** 2
+            half = 0.5 * betainc((n - 1) / 2.0, 0.5, z)
+            return np.where(phi <= 0.5 * math.pi, half, 1.0 - half)
+
+        lo = abs(R - dist)
+        hi = R + dist
+        inner = 0.0
+        if dist < R:
+            inner = omega * lo ** (n - alpha) / (n - alpha)
+        # integrand is continuous on [lo, hi]; composite Gauss-Legendre
+        t, w = leggauss(64)
+        total = 0.0
+        panels = np.linspace(lo, hi, 9)
+        for p0, p1 in zip(panels, panels[1:]):
+            mid, half_w = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
+            rho = mid + half_w * t
+            total += half_w * float(w @ (rho ** (n - 1.0 - alpha) * cap_fraction(rho)))
+        return inner + omega * total
+
+    def grad_potential(self, x, alpha, nq) -> np.ndarray:
+        B = self.S
+        x = np.asarray(x, dtype=float).reshape(B.n)
+        if np.allclose(x, B.center, rtol=0.0, atol=1e-14):
+            return np.zeros(B.n)  # exact by symmetry
+        raise GeometryError("gradient for balls with n >= 3 is only provided at the center")
+
+
+# the kernel class of each canonical geometry: the one place that decides
+# which algorithms serve which geometry
+_KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel,
+            Ball: _BallKernel}
+
+
+def _kernel(S) -> _Kernel:
+    """The kernel of S: its canonical form (sets.canonical) in the kernel
+    class of that geometry."""
+    C = canonical(S)
+    # the most derived geometry class of C that has a kernel
+    kernel = next((_KERNELS[c] for c in type(C).__mro__ if c in _KERNELS), None)
+    if kernel is None:
+        raise GeometryError(f"unsupported geometry {type(C).__name__}")
+    return kernel(C)
+
+
+def _as_star(S) -> StarShape2D:
+    """The canonical star shape of S, for the planar-only functions."""
+    k = _kernel(S)
+    if not k.planar:
+        raise GeometryError(
+            f"2D boundary quadrature needs a star shape or planar ball, got {type(k.S).__name__}")
+    return k.S
+
+
+# ---------------------------------------------------------------------------
+# public functionals
+
+
+def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
+                   nq: int = DEFAULT_NQ, with_error: bool = False):
+    """Fractional perimeter P_s(E)."""
+    if not (0.0 < s < 1.0):
+        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    k = _kernel(S)
+    return _with_error(lambda q: k.perimeter(s, resolution, q), nq, with_error)
+
+
+def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
+                 nq: int = DEFAULT_NQ, with_error: bool = False):
+    """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
+    k = _kernel(S)
+    return _with_error(lambda q: k.riesz(alpha, resolution, q), nq, with_error)
+
+
+def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
+           nq: int = DEFAULT_NQ) -> EnergyBreakdown:
+    """Both energy terms. The riesz term is computed even at eps = 0 so the
+    breakdown is informative; the total weights it by eps."""
+    per = frac_perimeter(S, p.s, resolution, nq)
+    rz = riesz_energy(S, p.alpha, resolution, nq)
+    return EnergyBreakdown(perimeter_term=per, riesz_term=rz, eps=p.eps)
+
+
+def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
+    """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
+    return _kernel(S).potential(x, alpha, nq)
+
+
+def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
+    """Gradient of the potential, as a vector. At boundary points this is the
+    one-sided improper integral, which requires alpha < n - 1; outside that
+    range the call is refused rather than regularized."""
+    return _kernel(S).grad_potential(x, alpha, nq)
+
+
+def tangential_grad_potential(S, x, alpha: float, *,
+                              nq: int = DEFAULT_NQ) -> float:
+    """grad V . tau at a boundary point of a planar shape."""
+    star = _as_star(S)
+    x, on_curve, focus = _planar_target(star, x)
+    if not on_curve:
+        raise GeometryError(f"x = {x.tolist()} is not on the boundary")
+    return float(_grad_tau_2d_batch(star, alpha, focus, nq)[0])
+
+
+def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
+    """Fractional mean curvature at a boundary point x (PV integral).
+
+    Sign convention: positive on boundaries of convex sets.
+    """
+    if not (0.0 < s < 1.0):
+        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    return _kernel(S).curvature(x, s, nq)
+
+
+def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
+    """Boundary combination kappa + c_coupling * eps * V at a boundary point."""
+    k = frac_curvature(S, x, p.s, nq=nq)
+    if p.eps == 0.0:
+        return k
+    return k + p.c_coupling * p.eps * potential(S, x, p.alpha, nq=nq)
+
+
+# ---------------------------------------------------------------------------
+# whole-boundary sweeps
+
+
 def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                     nq: int = DEFAULT_NQ) -> BoundaryFields:
     """kappa, V and zeta at every mesh node, and P_s and R_alpha. On a
@@ -843,31 +1038,17 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     energy terms are the closed forms. The sweep takes no switches, so one
     sweep of a shape serves every caller at the same (Params, resolution,
     nq)."""
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        mesh = boundary_mesh(S, resolution)  # the endpoints, in order
-        kap, pot = map(np.array, _endpoint_fields_1d(S, p.s, p.alpha))
-        zt = kap + p.c_coupling * p.eps * pot
-        return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt,
-                              perimeter=_perimeter_1d(S, p.s),
-                              riesz=_riesz_1d(S, p.alpha))
-
-    star = _as_star(S)
-    mesh = boundary_mesh(star, resolution)
-    th = mesh.thetas
-    kap, per = _curve_pass(star, _curvature_exponent(p.s), th, nq, energy=True)
-    # R_alpha converges for alpha < 2, which Params with n <= 2 guarantee
-    pot, rz = _curve_pass(star, _potential_exponent(p.alpha), th, nq,
-                          energy=p.alpha < 2.0)
-    zt = kap + p.c_coupling * p.eps * pot
-    return BoundaryFields(mesh=mesh, kappa=kap, pot=pot, zeta=zt,
-                          perimeter=per, riesz=math.nan if rz is None else rz)
+    mesh, kap, pot, per, rz = _kernel(S).sweep(p, resolution, nq)
+    return BoundaryFields(mesh=mesh, kappa=kap, pot=pot,
+                          zeta=kap + p.c_coupling * p.eps * pot,
+                          perimeter=per, riesz=rz)
 
 
 @_per_shape
 def _sweep(S, p: Params, resolution, nq) -> BoundaryFields:
-    """boundary_fields(S, p, resolution, nq), kept on a star shape: the
-    sweep that diagnose, the descent and the diagnostics read."""
+    """boundary_fields(S, p, resolution, nq), kept on a star shape or an
+    interval set: the sweep that diagnose, the descent and the diagnostics
+    read."""
     return boundary_fields(S, p, resolution, nq)
 
 
@@ -921,48 +1102,3 @@ def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ
     star = _as_star(star)
     pts, foci = _finite_batch(pts, foci)
     return _grad_potential_2d_batch(star, alpha, pts, foci, False, nq)
-
-
-# ---------------------------------------------------------------------------
-# balls in n >= 3: radial slicing with closed-form cap fractions
-
-
-def _ball_potential_nd(B: Ball, x, alpha: float) -> float:
-    from scipy.special import betainc
-    n = B.n
-    if not (0.0 < alpha < n):
-        raise ParamError(f"potential needs alpha in (0, n), got {alpha!r}")
-    x = np.asarray(x, dtype=float).reshape(n)
-    if np.isnan(x).any():
-        raise GeometryError(f"point must not be NaN, got {x.tolist()}")
-    dist = float(np.linalg.norm(x - np.asarray(B.center)))
-    if math.isinf(dist):
-        return 0.0  # the point at infinity: V decays like dist^(-alpha)
-    R = B.radius
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|
-    if dist <= 1e-14 * R:
-        return omega * R ** (n - alpha) / (n - alpha)
-
-    def cap_fraction(rho):
-        # fraction of the sphere of radius rho about x lying inside B
-        c = (dist * dist + rho * rho - R * R) / (2.0 * rho * dist)
-        c = np.clip(c, -1.0, 1.0)
-        phi = np.arccos(c)
-        z = np.sin(phi) ** 2
-        half = 0.5 * betainc((n - 1) / 2.0, 0.5, z)
-        return np.where(phi <= 0.5 * math.pi, half, 1.0 - half)
-
-    lo = abs(R - dist)
-    hi = R + dist
-    inner = 0.0
-    if dist < R:
-        inner = omega * lo ** (n - alpha) / (n - alpha)
-    # integrand is continuous on [lo, hi]; composite Gauss-Legendre
-    t, w = leggauss(64)
-    total = 0.0
-    panels = np.linspace(lo, hi, 9)
-    for p0, p1 in zip(panels, panels[1:]):
-        mid, half_w = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-        rho = mid + half_w * t
-        total += half_w * float(w @ (rho ** (n - 1.0 - alpha) * cap_fraction(rho)))
-    return inner + omega * total

@@ -10,14 +10,16 @@ about a center point. All geometry objects are frozen after construction:
 assigning to an attribute raises dataclasses.FrozenInstanceError (an
 AttributeError) and the coefficient arrays are read-only.
 
-So a star shape computes what it determines once, when first asked, and
-keeps the newest _MEMO_ENTRIES such values in one private memo
-(_per_shape): polar at each uniform grid (_grid, read-only), its volume,
-its diameter and its boundary sweeps per Params (functionals._sweep). The
-memo is empty after construction (the positivity check keeps nothing),
-after _positive and after pickle or deepcopy. Threads that race on an
-entry compute the same bits and dict.setdefault keeps one, so instances
-can still be shared across threads.
+So a star shape or an interval set computes what it determines once, when
+first asked, and keeps the newest _MEMO_ENTRIES such values in one private
+memo (_per_shape): its volume, its diameter, its boundary sweeps per
+Params (functionals._sweep) and, on a star shape, polar at each uniform
+grid (_grid, read-only). The memo is empty after construction (the
+positivity check keeps nothing), after _positive and after pickle, copy or
+deepcopy, which rebuild the shape through __init__. Threads that race on
+an entry compute the same bits and dict.setdefault keeps one, so instances
+can still be shared across threads. A ball keeps no memo: its measures are
+closed forms.
 
 canonical() is the one place a ball changes representation: the quadrature
 code sees a 1D ball as its IntervalSet and a planar ball as a constant-radius
@@ -49,7 +51,7 @@ _MIN_POSITIVITY_SAMPLES = 512
 _MIN_RESOLUTION = 8
 # point pairs per block of _pair_blocks (2^14 doubles, 128 KB an array)
 _PAIR_BLOCK = 1 << 14
-# most entries a star shape's memo keeps (a 2D diagnose makes 8)
+# most entries a shape's memo keeps (a 2D diagnose makes 8)
 _MEMO_ENTRIES = 16
 
 
@@ -170,10 +172,16 @@ class IntervalSet:
 
     Intervals are sorted on construction. Overlapping or touching intervals
     are rejected rather than merged: a touching pair has a genuinely
-    different boundary than its union.
+    different boundary than its union. Like a star shape, an interval set
+    keeps a private memo (_per_shape) that ==, hash and repr ignore.
     """
 
     intervals: tuple
+
+    def __reduce__(self):
+        # rebuild through __init__, with an empty memo: the memo's keys hold
+        # the unwrapped functions, which pickle cannot find by name
+        return (IntervalSet, (self.intervals,))
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
         ivals = sorted((float(a), float(b)) for a, b in intervals)
@@ -190,6 +198,7 @@ class IntervalSet:
                     f"intervals ({a1}, {b1}) and ({a2}, {b2}) overlap or touch"
                 )
         object.__setattr__(self, "intervals", tuple(ivals))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -215,6 +224,8 @@ class Ball:
         c = tuple(float(v) for v in center)
         if len(c) < 1:
             raise GeometryError("ball center needs at least one coordinate")
+        if not all(map(math.isfinite, c)):
+            raise GeometryError(f"ball center must be finite, got {c}")
         if not (radius > 0.0 and math.isfinite(radius)):
             raise GeometryError(f"ball radius must be positive and finite, got {radius!r}")
         object.__setattr__(self, "center", c)
@@ -226,15 +237,17 @@ class Ball:
 
 
 def _per_shape(fn):
-    """fn(S, *args), kept in a star shape's memo per argument values and
-    types (an nq of 16.0 or True still reaches the check that refuses it);
-    other geometries compute it at every call. The memo keeps the newest
-    _MEMO_ENTRIES values: a new entry drops the oldest beyond that."""
+    """fn(S, *args), kept in the memo of S per argument values and types (an
+    nq of 16.0 or True still reaches the check that refuses it); an object
+    without a memo, such as a ball, computes it at every call. The memo
+    keeps the newest _MEMO_ENTRIES values: a new entry drops the oldest
+    beyond that."""
     @functools.wraps(fn)
     def memoized(S, *args):
-        if not isinstance(S, StarShape2D):
+        memo = getattr(S, "_memo", None)
+        if memo is None:
             return fn(S, *args)
-        memo, key = S._memo, (fn, args, tuple(map(type, args)))
+        key = (fn, args, tuple(map(type, args)))
         try:
             return memo[key]
         except KeyError:
@@ -297,8 +310,14 @@ class StarShape2D:
         c = tuple(float(v) for v in center)
         if len(c) != 2:
             raise GeometryError("star shape center must have two coordinates")
+        r0 = float(r0)
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
+        if not (np.isfinite(c).all() and math.isfinite(r0)
+                and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise GeometryError(
+                f"star shape center, r0 and coefficients must be finite, got "
+                f"center {c} and r0 {r0!r}")
         if a.size == 0:
             a = np.zeros(0)
         if b.size == 0:
@@ -309,7 +328,7 @@ class StarShape2D:
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "r0", float(r0))
+        object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_memo", {})
@@ -500,8 +519,8 @@ def beta_exponent(p: Params) -> float:
 
 def scaled(S, lam: float):
     """Dilation x -> lam * x about the origin."""
-    if lam <= 0.0:
-        raise GeometryError(f"scale factor must be positive, got {lam!r}")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise GeometryError(f"scale factor must be positive and finite, got {lam!r}")
     if isinstance(S, IntervalSet):
         return IntervalSet([(lam * a, lam * b) for a, b in S.intervals])
     if isinstance(S, Ball):
@@ -513,20 +532,19 @@ def scaled(S, lam: float):
 
 
 def translated(S, shift):
-    """Translation x -> x + shift."""
-    if isinstance(S, IntervalSet):
-        h = float(shift if np.isscalar(shift) else np.asarray(shift).reshape(-1)[0])
-        return IntervalSet([(a + h, b + h) for a, b in S.intervals])
+    """Translation x -> x + shift, shift of the dimension of S (on the line
+    a scalar or a 1-vector)."""
+    if not isinstance(S, (IntervalSet, Ball, StarShape2D)):
+        raise GeometryError(f"unsupported geometry {type(S).__name__}")
     h = np.asarray(shift, dtype=float).reshape(-1)
+    if h.size != S.n:
+        raise GeometryError(
+            f"a shift of dimension {h.size} does not match a set in dimension {S.n}")
+    if isinstance(S, IntervalSet):
+        return IntervalSet([(a + h[0], b + h[0]) for a, b in S.intervals])
     if isinstance(S, Ball):
-        if h.size != S.n:
-            raise GeometryError("shift dimension does not match the ball")
         return Ball([c + v for c, v in zip(S.center, h)], S.radius)
-    if isinstance(S, StarShape2D):
-        if h.size != 2:
-            raise GeometryError("shift dimension does not match the star shape")
-        return StarShape2D((S.center[0] + h[0], S.center[1] + h[1]), S.r0, S.a, S.b)
-    raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    return StarShape2D((S.center[0] + h[0], S.center[1] + h[1]), S.r0, S.a, S.b)
 
 
 def canonical(S):

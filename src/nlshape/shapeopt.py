@@ -53,8 +53,8 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, EnergyBreakdown,
-                          zeta, _sweep)
-from .sets import Params, StarShape2D, canonical, volume
+                          zeta, _as_star, _sweep)
+from .sets import Params, StarShape2D, volume
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
@@ -134,10 +134,7 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                   step: float = DEFAULT_STEP) -> OptimizerState:
     if step <= 0.0:
         raise ParamError(f"step size must be positive, got {step!r}")
-    shape = canonical(shape)
-    if not isinstance(shape, StarShape2D):
-        raise GeometryError(
-            f"the planar search needs a star shape or planar ball, got {type(shape).__name__}")
+    shape = _as_star(shape)
     return OptimizerState(shape=shape, step_size=step, iteration=0,
                           residual_history=(), volume_drift=abs(volume(shape) - 1.0),
                           mesh_resolution=resolution, k_max=k_max)

@@ -134,6 +134,17 @@ def test_incomplete_geometry_is_a_domain_failure(tmp_path, capsys):
     assert err.startswith("error: ") and "'center'" in err
 
 
+def test_overflowing_geometry_is_refused_as_such(tmp_path, capsys):
+    # r0 = 1e400 reads as inf: the loader refuses it, so diagnose neither
+    # computes with NaN nor blames the points
+    bad = _write(tmp_path, "star.json",
+                 '{"kind": "star", "center": [0, 0], "r0": 1e400}')
+    assert main(["diagnose", "--s", "0.5", "--alpha", "0.5",
+                 "--geometry", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "r0" in err and "finite" in err and "points" not in err
+
+
 def test_onedim_rejects_planar_dimension(capsys):
     assert main(["onedim-root", "--n", "2", "--s", "0.5",
                  "--alpha", "0.5", "--eps", "1e-3"]) == 2

@@ -408,7 +408,8 @@ def test_diagnose_disk(unit_disk):
     assert_allclose(rep.iso_ratio, math.sqrt(math.pi) / 2.0, rtol=1e-12)
     assert_allclose(rep.eta_s,
                     diameter(unit_disk) ** 5.5 * rep.delta_s, rtol=1e-12)
-    # no mu for a ball, so the tangential comparison is not gated in
+    # mu = 0 for a ball, so the tangential comparison is not gated in
+    assert rep.implied_constants["mu"] == 0.0
     assert set(rep.identity_residuals) == {"Au1", "Au2", "Minkowski", "Lal"}
     assert rep.identity_residuals["Lal"] == 0.0
     assert "lambda_cross" in rep.implied_constants
@@ -466,11 +467,12 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    # a sweep is functionals.boundary_fields, which the kept sweeps call
-    counted(functionals, "boundary_fields")
-    for name in ("set_integral_2d", "frac_perimeter", "riesz_energy",
-                 "_grad_tau_2d_batch"):
-        counted(diagnostics, name)
+    # a sweep is functionals.boundary_fields, which the kept sweeps call;
+    # the kernels look up set_integral_2d and the energies in functionals
+    for name in ("boundary_fields", "set_integral_2d", "frac_perimeter",
+                 "riesz_energy"):
+        counted(functionals, name)
+    counted(diagnostics, "_grad_tau_2d_batch")
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
@@ -512,10 +514,9 @@ def test_diagnose_1d_computes_int_v_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("riesz_energy", "set_integral_2d"):
-        counted(diagnostics, name)
-    counted(functionals, "boundary_fields")
-    counted(functionals, "_riesz_1d")
+    for name in ("riesz_energy", "set_integral_2d", "boundary_fields",
+                 "_riesz_1d"):
+        counted(functionals, name)
     rep = diagnose(IntervalSet([(0.0, 0.5), (7.0, 7.5)]), P1)
     assert {"Au1", "Au2"} <= set(rep.identity_residuals)
     assert calls == {"boundary_fields": 1, "_riesz_1d": 1}
@@ -603,6 +604,57 @@ def test_diagnose_identities_equal_identity_check(shape, p, res, nq):
         assert identity_check(shape, p, kind, res, nq) == value
     assert rep.implied_constants["lambda_cross"] == \
         lambda_cross_estimate(shape, p, res, nq)
+
+
+@pytest.mark.parametrize("shape, p, res, nq", [
+    (StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05)), P2, 64, 16),
+    (IntervalSet([(0.0, 0.5), (3.0, 3.5)]), P1, 8, 16),
+])
+def test_lambda_cross_after_diagnose_reads_the_kept_sweep(monkeypatch, shape,
+                                                          p, res, nq):
+    # P_s and R_alpha come from the sweep diagnose keeps on the shape: no
+    # energy pass and no sweep, and the report's value bit for bit; so does
+    # the Au1 check, whose int_E V is R_alpha
+    from nlshape import diagnostics, functionals
+    rep = diagnose(shape, p, res, nq)
+    calls = []
+
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        # wherever a caller looks the name up
+        for module in (functionals, diagnostics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("frac_perimeter", "riesz_energy", "boundary_fields"):
+        refuse(name)
+    assert lambda_cross_estimate(shape, p, res, nq) == \
+        rep.implied_constants["lambda_cross"]
+    assert identity_check(shape, p, "Au1", res, nq) == \
+        rep.identity_residuals["Au1"]
+    assert calls == []
+
+
+_NOT_A_SHAPE = object()
+UNSUPPORTED_CALLS = {
+    **{f"identity_check {kind}": (lambda kind=kind: identity_check(
+        _NOT_A_SHAPE, P2, kind, 32, 8)) for kind in IDENTITY_KINDS},
+    "diagnose": lambda: diagnose(_NOT_A_SHAPE, P2, 32, 8),
+    "lambda_cross_estimate": lambda: lambda_cross_estimate(_NOT_A_SHAPE, P2),
+    "lambda_hat_and_residual":
+        lambda: lambda_hat_and_residual(_NOT_A_SHAPE, P2),
+    "annulus_deficit_rho": lambda: annulus_deficit_rho(_NOT_A_SHAPE),
+    "ball_map_mu": lambda: ball_map_mu(_NOT_A_SHAPE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSUPPORTED_CALLS))
+def test_unsupported_geometry_is_a_geometry_error(name):
+    # the kernel lookup refuses it, never a KeyError or AttributeError
+    with pytest.raises(GeometryError):
+        UNSUPPORTED_CALLS[name]()
 
 
 def test_diagnose_without_identities(unit_disk):

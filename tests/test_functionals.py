@@ -366,6 +366,13 @@ NONPLANAR_QUERIES = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(POINT_QUERIES))
+def test_point_queries_refuse_an_unsupported_geometry(name):
+    # the kernel lookup refuses it with GeometryError
+    with pytest.raises(GeometryError, match="unsupported geometry"):
+        POINT_QUERIES[name](object(), (1.0, 0.0))
+
+
 @pytest.mark.parametrize("name", sorted(NONPLANAR_QUERIES))
 def test_nonplanar_queries_refuse_nan(name):
     with pytest.raises(GeometryError, match="NaN"):
@@ -577,18 +584,20 @@ def test_kept_sweep_is_per_params(monkeypatch, mode3_star, params_2d):
 
 def test_kept_sweeps_are_bounded_across_params(mode3_star):
     # a shape swept at many alphas keeps only the newest _MEMO_ENTRIES
-    # values, and a dropped sweep is swept again to the same bits
+    # values, and a dropped sweep is swept again to the same bits; an
+    # interval set keeps its sweeps in the same bounded memo
     from nlshape.functionals import _sweep
     from nlshape.sets import _MEMO_ENTRIES
-    ps = [Params(n=2, s=0.5, alpha=0.1 + 0.04 * i, eps=1e-3)
-          for i in range(_MEMO_ENTRIES + 4)]
-    kept = [_sweep(mode3_star, p, 32, 8) for p in ps]
-    assert len(mode3_star._memo) == _MEMO_ENTRIES
-    assert _sweep(mode3_star, ps[-1], 32, 8) is kept[-1]
-    again = _sweep(mode3_star, ps[0], 32, 8)
-    assert again is not kept[0]
-    assert np.array_equal(again.zeta, kept[0].zeta)
-    assert len(mode3_star._memo) == _MEMO_ENTRIES
+    for shape in (mode3_star, IntervalSet([(0.0, 0.5), (3.0, 3.5)])):
+        ps = [Params(n=shape.n, s=0.5, alpha=0.1 + 0.04 * i, eps=1e-3)
+              for i in range(_MEMO_ENTRIES + 4)]
+        kept = [_sweep(shape, p, 32, 8) for p in ps]
+        assert len(shape._memo) == _MEMO_ENTRIES
+        assert _sweep(shape, ps[-1], 32, 8) is kept[-1]
+        again = _sweep(shape, ps[0], 32, 8)
+        assert again is not kept[0]
+        assert np.array_equal(again.zeta, kept[0].zeta)
+        assert len(shape._memo) == _MEMO_ENTRIES
 
 
 @pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(0.0, 0.5), (7.0, 7.5)],

@@ -135,6 +135,43 @@ def test_star_rejects_nonpositive_radius():
         StarShape2D((0.0, 0.0), 1.0, a=(1.5,))
 
 
+# non-finite geometry is refused where it is built: StarShape2D._assign
+# serves __init__, _positive, from_samples, scaled, translated and the JSON
+# loader
+def test_star_refuses_infinite_r0():
+    with pytest.raises(GeometryError, match="finite"):
+        StarShape2D((0.0, 0.0), math.inf)
+
+
+def test_star_refuses_infinite_center():
+    with pytest.raises(GeometryError, match="finite"):
+        StarShape2D((math.inf, 0.0), 1.0)
+
+
+def test_star_refuses_nan_center():
+    with pytest.raises(GeometryError, match="finite"):
+        StarShape2D((math.nan, 0.0), 1.0)
+
+
+def test_ball_refuses_nan_center():
+    with pytest.raises(GeometryError, match="finite"):
+        Ball([math.nan, 0.0], 1.0)
+
+
+def test_scaled_refuses_an_infinite_factor():
+    # a disk times inf had center (nan, nan) and r0 inf
+    with pytest.raises(GeometryError, match="finite"):
+        scaled(StarShape2D((0.0, 0.0), 1.0), math.inf)
+
+
+def test_geometry_file_refuses_an_overflowing_r0(tmp_path):
+    # json reads 1e400 as inf
+    path = tmp_path / "shape.json"
+    path.write_text('{"kind": "star", "center": [0, 0], "r0": 1e400}')
+    with pytest.raises(GeometryError, match="finite"):
+        load_geometry(path)
+
+
 def test_star_refuses_assignment(mode3_star):
     # the positivity check runs once, in __init__, so no field may change
     for name in ("center", "r0", "a", "b"):
@@ -145,35 +182,67 @@ def test_star_refuses_assignment(mode3_star):
     assert mode3_star.r0 == 1.0
 
 
-def test_star_pickle_and_deepcopy_roundtrip(mode3_star):
-    for back in (pickle.loads(pickle.dumps(mode3_star)),
-                 copy.deepcopy(mode3_star)):
-        assert type(back) is StarShape2D
-        assert back.center == mode3_star.center
-        assert back.r0 == mode3_star.r0
-        assert np.array_equal(back.a, mode3_star.a)
-        assert np.array_equal(back.b, mode3_star.b)
-        assert not back.a.flags.writeable
+# a star shape and an interval set, each with a memo that diagnose fills
+MEMO_SHAPES = {
+    "star": lambda: StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.2)),
+    "intervals": lambda: IntervalSet([(0.0, 0.5), (3.0, 3.5)]),
+}
+
+
+def _diagnosed(name):
+    from nlshape import diagnose
+    shape = MEMO_SHAPES[name]()
+    assert shape._memo == {}
+    p = Params(n=shape.n, s=0.5, alpha=0.5, eps=1e-3)
+    return shape, diagnose(shape, p, 32, 8)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SHAPES))
+def test_star_pickle_and_deepcopy_roundtrip(name):
+    # a filled memo is not carried along: its keys hold the unwrapped
+    # memoized functions, which pickle cannot find by name
+    shape, _ = _diagnosed(name)
+    assert shape._memo
+    for back in (pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape)):
+        assert type(back) is type(shape)
+        assert back._memo == {}
+        if name == "intervals":
+            assert back.intervals == shape.intervals
+        else:
+            assert back.center == shape.center
+            assert back.r0 == shape.r0
+            assert np.array_equal(back.a, shape.a)
+            assert np.array_equal(back.b, shape.b)
+            assert not back.a.flags.writeable
         with pytest.raises(AttributeError):
-            back.r0 = -5.0
+            setattr(back, "intervals" if name == "intervals" else "r0", -5.0)
 
 
-def test_star_memo_starts_empty_and_gives_equal_outputs(mode3_star):
+@pytest.mark.parametrize("name", sorted(MEMO_SHAPES))
+def test_star_memo_starts_empty_and_gives_equal_outputs(name):
     # only a consumer fills the memo; a copy, a pickle round trip and a
-    # shape built by _positive start empty and compute the same bits
-    assert mode3_star._memo == {}
-    vol, diam = volume(mode3_star), diameter(mode3_star)
-    mesh = boundary_mesh(mode3_star, 64)
-    assert mode3_star._memo
-    for other in (pickle.loads(pickle.dumps(mode3_star)),
-                  copy.deepcopy(mode3_star), copy.copy(mode3_star),
-                  StarShape2D._positive(mode3_star.center, mode3_star.r0,
-                                        mode3_star.a, mode3_star.b)):
+    # star built by _positive start empty and compute the same bits
+    from nlshape import diagnose
+    shape, rep = _diagnosed(name)
+    assert shape._memo
+    mesh = boundary_mesh(shape, 64)
+    others = [pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape),
+              copy.copy(shape)]
+    if name == "star":
+        others.append(StarShape2D._positive(shape.center, shape.r0,
+                                            shape.a, shape.b))
+    for other in others:
         assert other._memo == {}
-        assert (volume(other), diameter(other)) == (vol, diam)
+        if name == "intervals":
+            # == and hash read the intervals alone, not the memo
+            assert other == shape and hash(other) == hash(shape)
+        assert (volume(other), diameter(other)) == (volume(shape),
+                                                    diameter(shape))
         again = boundary_mesh(other, 64)
         assert np.array_equal(again.points, mesh.points)
         assert np.array_equal(again.weights, mesh.weights)
+        p = Params(n=shape.n, s=0.5, alpha=0.5, eps=1e-3)
+        assert diagnose(other, p, 32, 8).as_dict() == rep.as_dict()
 
 
 def test_star_grid_is_one_read_only_polar(mode3_star):
@@ -346,6 +415,15 @@ def test_scaled_and_translated_volumes(mode3_star):
     moved = translated(mode3_star, (3.0, -1.0))
     assert_allclose(volume(moved), v, rtol=1e-12)
     assert_allclose(moved.center, (3.0, -1.0))
+
+
+def test_translated_refuses_a_shift_of_another_dimension(unit_interval):
+    # on the line a scalar and a 1-vector shift; a 2-vector is refused, as
+    # for a ball and a star shape, not cut to its first component
+    assert translated(unit_interval, 1.5).intervals == ((1.5, 2.5),)
+    assert translated(unit_interval, [1.5]).intervals == ((1.5, 2.5),)
+    with pytest.raises(GeometryError, match="dimension"):
+        translated(unit_interval, (1.0, 2.0))
 
 
 def test_iso_ratio_scale_invariant(mode3_star):

@@ -409,9 +409,7 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
                          (shapeopt, "volume_project"),
                          (functionals, "energy"),
                          (functionals, "frac_perimeter"),
-                         (functionals, "riesz_energy"),
-                         (diagnostics, "frac_perimeter"),
-                         (diagnostics, "riesz_energy")):
+                         (functionals, "riesz_energy")):
         counted(module, name)
     # at tol 1e-8 the line search rejects some candidates (15 for 8 steps)
     sh, rep, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
