@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import IDENTITY_KINDS, calibrate_variation_constant, diagnose
 from .errors import (ConfigError, ConfigNotFoundError, NlshapeError, ParamError)
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, boundary_fields,
-                          energy, potential)
+from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _kernel,
+                          boundary_fields, energy, potential)
 from .onedim import _sweep_record, epsilon_sweep
 from .sets import (_MIN_RESOLUTION, Params, StarShape2D, canonical,
                    geometry_to_dict, load_geometry, volume)
@@ -239,6 +239,19 @@ def _load_geometry_for(cfg: RunConfig):
     return load_geometry(path)
 
 
+def _geometry_run(cfg: RunConfig):
+    """(S, p, resolution, nq) of a command on a geometry file. Params whose
+    n is not the dimension of S are a configuration error, by the library's
+    one check of Params against a geometry (functionals._kernel)."""
+    S = _load_geometry_for(cfg)
+    p = cfg.params(default_n=S.n)
+    try:
+        _kernel(S, p)
+    except ParamError as exc:
+        raise ConfigError(str(exc)) from exc
+    return (S, p, *_mesh_knobs(cfg, S.n))
+
+
 def _parse_point(raw: str, n: int):
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != n:
@@ -271,9 +284,7 @@ def _coord_header(S):
 
 
 def _run_energy(cfg, emit):
-    S = _load_geometry_for(cfg)
-    p = cfg.params(default_n=S.n)
-    res, nq = _mesh_knobs(cfg, S.n)
+    S, p, res, nq = _geometry_run(cfg)
     br = energy(S, p, res, nq)
     emit.csv(".csv", ["perimeter_term", "riesz_term", "eps", "total"],
              [(br.perimeter_term, br.riesz_term, br.eps, br.total)])
@@ -281,9 +292,7 @@ def _run_energy(cfg, emit):
 
 
 def _run_curvature(cfg, emit):
-    S = _load_geometry_for(cfg)
-    p = cfg.params(default_n=S.n)
-    res, nq = _mesh_knobs(cfg, S.n)
+    S, p, res, nq = _geometry_run(cfg)
     bf = boundary_fields(S, p, res, nq)
     rows = [(i, *bf.mesh.points[i].tolist(), float(bf.kappa[i]))
             for i in range(bf.mesh.points.shape[0])]
@@ -292,9 +301,7 @@ def _run_curvature(cfg, emit):
 
 
 def _run_potential(cfg, emit):
-    S = _load_geometry_for(cfg)
-    p = cfg.params(default_n=S.n)
-    res, nq = _mesh_knobs(cfg, S.n)
+    S, p, res, nq = _geometry_run(cfg)
     if "point" in cfg.values:
         x = _parse_point(cfg.values["point"], S.n)
         v = potential(S, x, p.alpha, nq=nq)
@@ -322,9 +329,7 @@ def _report_header():
 
 
 def _run_diagnose(cfg, emit):
-    S = _load_geometry_for(cfg)
-    p = cfg.params(default_n=S.n)
-    res, nq = _mesh_knobs(cfg, S.n)
+    S, p, res, nq = _geometry_run(cfg)
     report = diagnose(S, p, res, nq)
     emit.json(".report.json", report.as_dict())
     emit.csv(".csv", _report_header(), [_report_row(report)])

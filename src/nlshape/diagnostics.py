@@ -129,6 +129,7 @@ def eta(S, p: Params, delta: float) -> float:
     """Scale-weighted defect diam^(2n+s+1) * delta."""
     if delta < 0.0:
         raise ParamError(f"delta must be nonnegative, got {delta!r}")
+    _kernel(S, p)  # refuses Params of another dimension
     return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
 
 
@@ -226,8 +227,7 @@ def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
     (int_E V equals the Riesz double integral). Exact on critical sets, a
     consistency cross-check on candidates. P_s and R_alpha are those of the
-    kept boundary sweep, which diagnose reads too (R_alpha is nan where it
-    diverges, and so is the estimate).
+    kept boundary sweep, which diagnose reads too.
     """
     bf = _sweep(S, p, resolution, nq)
     return _lambda_cross(S, p, bf.perimeter, bf.riesz)
@@ -327,9 +327,9 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
     if kind not in IDENTITY_KINDS:
         raise ParamError(
             f"unknown identity kind {kind!r}; choose from {IDENTITY_KINDS}")
+    k = _kernel(S, p)
     if kind == "TangentialBall":
         return _identity_tangential_ball(_as_star(S), p, resolution, nq)
-    k = _kernel(S)
     if kind == "Lal":
         return _identity_lal(k, p, nq)
     if kind == "Au1":
@@ -397,7 +397,7 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     # k.S, the canonical form, is what every quadrature below runs on; the
     # closed-form measures (eta, rho, iso_ratio, mu) keep S, so a ball gets
     # its exact values
-    k = _kernel(S)
+    k = _kernel(S, p)
     C = k.S
     mu = ball_map_mu(S) if k.planar else None
     bf = _sweep(C, p, resolution, nq)

@@ -96,14 +96,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, _endpoint_pass, _first_diff,
-                   _pair_second_diff, graded_radial_rule, interval_partition,
+                   _pair_second_diff, _partition, graded_radial_rule,
                    jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles,
@@ -186,22 +186,22 @@ def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
     return math.fsum(acc)
 
 
-def _endpoint_fields_1d(S: IntervalSet, s: float, alpha: float):
-    """(kappa, V) as lists over the endpoints of S, in the order a_1, b_1,
-    a_2, ... One partition of the line serves every endpoint, and each
+def _endpoint_fields_1d(intervals: tuple, s: float, alpha: float):
+    """(kappa, V) as lists over the endpoints of the sorted, disjoint,
+    non-touching intervals (an IntervalSet's intervals), in the order a_1,
+    b_1, a_2, ... One partition of the line serves every endpoint, and each
     endpoint is evaluated on its own, by one pass (quad._endpoint_pass) that
     yields kappa and V together, so symmetric endpoints agree only if their
     values do. Bit for bit, V is _potential_1d at the endpoint."""
     if not (0.0 < alpha < 1.0):
         raise ParamError(f"1D potential needs alpha in (0, 1), got {alpha!r}")
-    segs = interval_partition(S)
+    segs = _partition(intervals)
     q = 1.0 - alpha
     kap, pot = [], []
-    for ab in S.intervals:
-        for x in ab:
-            k, v = _endpoint_pass(segs, x, s, q)
-            kap.append(k)
-            pot.append(v)
+    for j in range(len(segs) - 1):  # segment j ends at the j-th endpoint
+        k, v = _endpoint_pass(segs, j, s, q)
+        kap.append(k)
+        pot.append(v)
     return kap, pot
 
 
@@ -699,8 +699,7 @@ class BoundaryFields:
     """Per-node boundary data for one shape (kappa, V and zeta at the mesh
     nodes), with its two energy terms: P_s (perimeter) and R_alpha (riesz),
     the values of frac_perimeter and riesz_energy at the same resolution and
-    nq. riesz is nan where R_alpha diverges, alpha >= 2 on a planar shape.
-    grad V . tau is not a sweep field: its one owner is
+    nq. grad V . tau is not a sweep field: its one owner is
     tangential_grad_potential (in a batch, _grad_tau_2d_batch)."""
 
     mesh: BoundaryMesh
@@ -752,7 +751,7 @@ class _IntervalKernel(_Kernel):
     def sweep(self, p: Params, resolution, nq):
         S = self.S
         mesh = boundary_mesh(S, resolution)  # the endpoints, in order
-        kap, pot = map(np.array, _endpoint_fields_1d(S, p.s, p.alpha))
+        kap, pot = map(np.array, _endpoint_fields_1d(S.intervals, p.s, p.alpha))
         return (mesh, kap, pot, self.perimeter(p.s, resolution, nq),
                 _riesz_1d(S, p.alpha))
 
@@ -814,10 +813,10 @@ class _StarKernel(_Kernel):
 
     def sweep(self, p: Params, resolution, nq):
         mesh, kap, per = self.curvature_sweep(p.s, resolution, nq)
-        # R_alpha converges for alpha < 2, which Params with n <= 2 guarantee
+        # R_alpha converges for alpha < 2, which planar Params (_kernel) have
         pot, rz = _curve_pass(self.S, _potential_exponent(p.alpha), mesh.thetas,
-                              nq, energy=p.alpha < 2.0)
-        return mesh, kap, pot, per, math.nan if rz is None else rz
+                              nq, energy=True)
+        return mesh, kap, pot, per, rz
 
     def curvature_sweep(self, s, resolution, nq):
         mesh = boundary_mesh(self.S, resolution)
@@ -937,14 +936,18 @@ _KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel,
             Ball: _BallKernel}
 
 
-def _kernel(S) -> _Kernel:
+def _kernel(S, p: Optional[Params] = None) -> _Kernel:
     """The kernel of S: its canonical form (sets.canonical) in the kernel
-    class of that geometry."""
+    class of that geometry. Params p, where given, must have the dimension
+    of S as n: the one check of Params against a geometry (ParamError)."""
     C = canonical(S)
     # the most derived geometry class of C that has a kernel
     kernel = next((_KERNELS[c] for c in type(C).__mro__ if c in _KERNELS), None)
     if kernel is None:
         raise GeometryError(f"unsupported geometry {type(C).__name__}")
+    if p is not None and p.n != C.n:
+        raise ParamError(f"params have n = {p.n}, but the {type(S).__name__} "
+                         f"lies in dimension {C.n}")
     return kernel(C)
 
 
@@ -981,6 +984,7 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
            nq: int = DEFAULT_NQ) -> EnergyBreakdown:
     """Both energy terms. The riesz term is computed even at eps = 0 so the
     breakdown is informative; the total weights it by eps."""
+    _kernel(S, p)  # refuses Params of another dimension
     per = frac_perimeter(S, p.s, resolution, nq)
     rz = riesz_energy(S, p.alpha, resolution, nq)
     return EnergyBreakdown(perimeter_term=per, riesz_term=rz, eps=p.eps)
@@ -1020,6 +1024,7 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
 
 def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
     """Boundary combination kappa + c_coupling * eps * V at a boundary point."""
+    _kernel(S, p)  # refuses Params of another dimension
     k = frac_curvature(S, x, p.s, nq=nq)
     if p.eps == 0.0:
         return k
@@ -1038,7 +1043,7 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     energy terms are the closed forms. The sweep takes no switches, so one
     sweep of a shape serves every caller at the same (Params, resolution,
     nq)."""
-    mesh, kap, pot, per, rz = _kernel(S).sweep(p, resolution, nq)
+    mesh, kap, pot, per, rz = _kernel(S, p).sweep(p, resolution, nq)
     return BoundaryFields(mesh=mesh, kappa=kap, pot=pot,
                           zeta=kap + p.c_coupling * p.eps * pot,
                           perimeter=per, riesz=rz)

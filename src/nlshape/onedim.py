@@ -29,16 +29,18 @@ Newton step on the leading slope of f, walks by 1, 2, 4, ... ulps to the
 sign change (doubling up from d_eps where f underflows) and closes the
 bracket by safeguarded Illinois regula falsi until its ends are adjacent
 floats (about 5 evaluations of f per root). It looks up the module-level
-f_closed_form at every evaluation, so wrapping that name counts them. The
-sweep fits the log-log slope of the critical diameter against 1/eps in
-closed form; it tends to 1/(1+s-alpha) as eps -> 0.
+f_closed_form at every evaluation, so wrapping that name counts them. Each
+root is certified by its four endpoint zetas (zeta_endpoints), computed from
+the interval layout itself, with no IntervalSet built, into a record that
+is a named tuple. The sweep fits the log-log slope of the critical diameter
+against 1/eps in closed form; it tends to 1/(1+s-alpha) as eps -> 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,20 +79,26 @@ def _check_gap(d: float, p: Params) -> None:
             f"two-interval analysis needs alpha in (0, 1), got {p.alpha!r}")
 
 
-def two_interval_set(cfg: TwoIntervalConfig) -> IntervalSet:
-    d = cfg.d
+def _two_intervals(d: float) -> tuple:
+    """The intervals ((0, 1/2), (d, d + 1/2)) at gap d, sorted, in floats."""
     if math.ulp(d) > 0.5:
         # d + 1/2 would round, so the second interval would not have length 1/2
         raise GeometryError(f"gap d = {d!r} is too large to place d + 1/2 exactly")
-    return IntervalSet([(0.0, 0.5), (d, d + 0.5)])
+    d = float(d)
+    return (0.0, 0.5), (d, d + 0.5)
+
+
+def two_interval_set(cfg: TwoIntervalConfig) -> IntervalSet:
+    return IntervalSet(_two_intervals(cfg.d))
 
 
 def zeta_endpoints(cfg: TwoIntervalConfig) -> np.ndarray:
     """zeta at the four endpoints (0, 1/2, d, d+1/2), each evaluated through
     the generic PV closed form plus potential; nothing is mirrored by hand,
-    so the symmetry equalities are genuine output properties."""
+    so the symmetry equalities are genuine output properties. The layout of
+    two_interval_set, with its refusal, goes to them with no IntervalSet."""
     p = cfg.params
-    kap, pot = _endpoint_fields_1d(two_interval_set(cfg), p.s, p.alpha)
+    kap, pot = _endpoint_fields_1d(_two_intervals(cfg.d), p.s, p.alpha)
     ce = p.c_coupling * p.eps
     return np.array([k + ce * v for k, v in zip(kap, pot)])
 
@@ -307,9 +315,8 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     return root
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One eps sample of the sweep."""
+class SweepRecord(NamedTuple):
+    """One eps sample of the sweep, an immutable named tuple."""
 
     eps: float
     d_star: float
@@ -319,13 +326,16 @@ class SweepRecord:
     zeta_spread: float  # max - min over the four endpoint zeta values
 
 
+# the constructor keeps the signature it had as a frozen dataclass
+SweepRecord.__new__.__annotations__ = {
+    **dict.fromkeys(SweepRecord._fields, "float"), "return": None}
+
+
 def _sweep_record(pe: Params, f_tol: float) -> SweepRecord:
-    d_eps = _d_eps(pe)
     d_star = solve_critical_d(pe, f_tol=f_tol)
     zs = zeta_endpoints(TwoIntervalConfig(d=d_star, params=pe)).tolist()
-    return SweepRecord(
-        eps=pe.eps, d_star=d_star, d_eps=d_eps, diameter=d_star + 0.5,
-        f_at_root=f_closed_form(d_star, pe), zeta_spread=max(zs) - min(zs))
+    return SweepRecord(pe.eps, d_star, _d_eps(pe), d_star + 0.5,
+                       f_closed_form(d_star, pe), max(zs) - min(zs))
 
 
 def _ls_slope(x: list, y: list) -> float:

@@ -102,14 +102,20 @@ def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
 
 
 def interval_partition(S: IntervalSet) -> list:
-    """The partition of the line by the endpoints of S, from -inf to +inf:
-    (lo, hi, sign) segments with lo < hi (the ends may be infinite), sign +1
-    on the complement and -1 inside the set. Built once per set, it serves
+    """_partition of the intervals of S. Built once per set, it serves
     every endpoint of S (pv_at_endpoint)."""
-    segs = [(-math.inf, S.intervals[0][0], +1.0)]
-    for i, (a, b) in enumerate(S.intervals):
+    return _partition(S.intervals)
+
+
+def _partition(intervals: tuple) -> list:
+    """The partition of the line by the endpoints of sorted, disjoint,
+    non-touching intervals, from -inf to +inf: (lo, hi, sign) segments with
+    lo < hi (the ends may be infinite), sign +1 on the complement and -1
+    inside the set. Segment j ends at endpoint j (a_1, b_1, a_2, ...)."""
+    segs = [(-math.inf, intervals[0][0], +1.0)]
+    for i, (a, b) in enumerate(intervals):
         segs.append((a, b, -1.0))
-        nxt = S.intervals[i + 1][0] if i + 1 < len(S.intervals) else math.inf
+        nxt = intervals[i + 1][0] if i + 1 < len(intervals) else math.inf
         segs.append((b, nxt, +1.0))
     return segs
 
@@ -131,16 +137,27 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
 
 def pv_at_endpoint(segs: list, x: float, s: float) -> float:
     """pv_pair_integral at x, an endpoint of the partition segs
-    (interval_partition), for s in (0, 1); neither is checked here. It is
-    the kappa of _endpoint_pass."""
-    return _endpoint_pass(segs, x, s, None)[0]
+    (interval_partition), for s in (0, 1), which is not checked here: the
+    kappa of _endpoint_pass at the segment that ends at x where the next
+    one begins."""
+    for j in range(len(segs) - 1):
+        if segs[j][1] == x == segs[j + 1][0]:
+            return _endpoint_pass(segs, j, s, None)[0]
+    raise _malformed(x)
 
 
-def _endpoint_pass(segs: list, x: float, s: float, q: Optional[float]):
-    """(kappa, V) at x, an endpoint of the partition segs, in one pass over
-    its segments: kappa the principal value of pv_pair_integral, V for
-    q = 1 - alpha the sum of _first_diff(q, .) over the set segments at
-    their distance from x (None for q = None, which skips it).
+def _malformed(x: float) -> GeometryError:
+    return GeometryError(f"x = {x!r} does not separate a set segment from a "
+                         "complement segment; the interval set is malformed")
+
+
+def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
+    """(kappa, V) at x, the endpoint where segment j of the partition segs
+    ends and segment j + 1 begins, in one pass over the other segments:
+    kappa the principal value of pv_pair_integral, V for q = 1 - alpha the
+    sum of _first_diff(q, .) over the set segments at their distance from x
+    (None for q = None, which skips it). The index names the two adjacent
+    segments, so no segment end is tested for equality with x.
 
     The two segments adjacent to x carry opposite indicator signs, so the
     rho^(-s)/s divergences of their one-sided integrals cancel; what is left
@@ -149,39 +166,30 @@ def _endpoint_pass(segs: list, x: float, s: float, q: Optional[float]):
     the kernel without singularity; a set segment among them serves kappa
     and V from one log1p(h / g).
     """
+    left, right = segs[j], segs[j + 1]
+    lo, x, sig_left = left
+    _, hi, sig_right = right
+    # one set segment and one complement segment meet at each endpoint of
+    # an IntervalSet; a partition that bypassed its constructor is refused
+    if sig_left + sig_right != 0.0:
+        raise _malformed(x)
+    len_left, len_right = x - lo, hi - x  # either may be inf
+    # the adjacent set segment adds _first_diff(q, 0, h) = h^q / q (q > 0)
+    pot = [] if q is None else [
+        (len_left if sig_left < 0.0 else len_right) ** q / q]
     total = 0.0
-    pot = []
-    sig_left = sig_right = None
-    len_left = len_right = None
-    for lo, hi, sig in segs:
-        # an adjacent set segment adds _first_diff(q, 0, h) = h^q / q (q > 0)
-        if hi == x:
-            sig_left = sig
-            len_left = x - lo  # may be inf
-            if q is not None and sig < 0.0:
-                pot.append(len_left ** q / q)
-        elif lo == x:
-            sig_right = sig
-            len_right = hi - x
-            if q is not None and sig < 0.0:
-                pot.append(len_right ** q / q)
-        elif q is None or sig > 0.0:
-            # non-adjacent segment, a half-line with hi - lo = inf
-            dist = lo - x if x < lo else x - hi
-            total += sig * _first_diff(-s, dist, hi - lo)
+    for seg in segs:
+        if seg is left or seg is right:
+            continue
+        # a non-adjacent segment, a half-line with b - a = inf
+        a, b, sig = seg
+        dist = a - x if x < a else x - b
+        if q is None or sig > 0.0:
+            total += sig * _first_diff(-s, dist, b - a)
         else:
-            dist = lo - x if x < lo else x - hi
-            k, v = _first_diff_pair(-s, q, dist, hi - lo)
+            k, v = _first_diff_pair(-s, q, dist, b - a)
             total += sig * k
             pot.append(v)
-    # x is an endpoint of a sorted, disjoint, non-touching interval union, so
-    # one set segment and one complement segment meet there; IntervalSet's
-    # constructor guarantees it; a set that bypassed the constructor is
-    # refused here
-    if sig_left is None or sig_right is None or sig_left + sig_right != 0.0:
-        raise GeometryError(
-            f"x = {x!r} does not separate a set segment from a complement "
-            "segment; the interval set is malformed")
     adj = 0.0
     if math.isfinite(len_right):
         adj += sig_right * len_right ** (-s)

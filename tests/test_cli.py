@@ -194,6 +194,17 @@ def _star_geom(tmp_path, a3=0.05):
     return path
 
 
+@pytest.mark.parametrize("command", ["energy", "curvature", "potential",
+                                     "diagnose"])
+def test_params_of_another_dimension_exit_2(tmp_path, capsys, command):
+    # `diagnose --n 1` on a disk exited 0 with Au2 0.57 read off n - s = 0.5
+    assert main([command, "--geometry", str(_star_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", "--eps", "1e-3", "--n", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "n = 1" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def test_energy_unit_interval(tmp_path):
     geom = _interval_geom(tmp_path)
     assert main(["energy", "--geometry", str(geom), "--s", "0.5",

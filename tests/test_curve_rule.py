@@ -245,15 +245,6 @@ def test_sweep_carries_the_functionals_bit_for_bit(key, nq, s, alpha):
     assert (br.perimeter_term, br.riesz_term) == (bf.perimeter, bf.riesz)
 
 
-def test_sweep_leaves_a_divergent_riesz_energy_unset():
-    # R_alpha diverges for alpha >= 2, which Params allow from n = 3 on; the
-    # fields are still swept
-    star = SHARED_PASS_SHAPES["mode3"]
-    bf = boundary_fields(star, Params(n=3, s=0.5, alpha=2.5, eps=1e-3), 64, 16)
-    assert math.isnan(bf.riesz)
-    assert np.isfinite(bf.pot).all() and math.isfinite(bf.perimeter)
-
-
 def test_d_series_rows_do_not_depend_on_k():
     # each mode's Taylor rows are built once and shared by every K
     even12, odd12 = _d_series(12)

@@ -12,8 +12,9 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      lambda_cross_estimate, lambda_hat_and_residual,
                      lipschitz_defect_delta)
 from nlshape.diagnostics import IDENTITY_KINDS, au2_sides, eta
-from nlshape.functionals import riesz_energy
+from nlshape.functionals import boundary_fields, energy, riesz_energy, zeta
 from nlshape.sets import diameter, scaled
+from nlshape.shapeopt import el_gradient_step, find_critical_2d, initial_state
 
 from oracles import (CLOSED_FORM_SETS, disk_curvature_exact,
                      disk_potential_oracle)
@@ -660,3 +661,60 @@ def test_unsupported_geometry_is_a_geometry_error(name):
 def test_diagnose_without_identities(unit_disk):
     rep = diagnose(unit_disk, P2, resolution=64, nq=24, with_identities=False)
     assert rep.identity_residuals == {}
+
+
+# Params whose n is not the dimension of the geometry, refused where a
+# kernel meets them: every public function that takes a geometry and Params
+MISMATCHED = {
+    "energy": lambda S, p: energy(S, p, 64, 16),
+    "zeta": lambda S, p: zeta(S, _boundary_point_of(S), p, nq=16),
+    "boundary_fields": lambda S, p: boundary_fields(S, p, 64, 16),
+    "diagnose": lambda S, p: diagnose(S, p, 64, 16),
+    "lipschitz_defect_delta": lambda S, p: lipschitz_defect_delta(S, p, 64, 16),
+    "eta": lambda S, p: eta(S, p, 0.1),
+    "lambda_hat_and_residual": lambda S, p: lambda_hat_and_residual(S, p, 64, 16),
+    "lambda_cross_estimate": lambda S, p: lambda_cross_estimate(S, p, 64, 16),
+    **{f"identity_check {kind}": (lambda S, p, kind=kind: identity_check(
+        S, p, kind, 64, 16)) for kind in IDENTITY_KINDS},
+    "au2_sides": lambda S, p: au2_sides(S, p, 64, 16),
+}
+# the descent's entry points take planar shapes only
+MISMATCHED_PLANAR = {
+    "el_gradient_step": lambda S, p: el_gradient_step(
+        initial_state(S, resolution=64), p, nq=16),
+    "find_critical_2d": lambda S, p: find_critical_2d(S, p, resolution=64,
+                                                      nq=16),
+}
+
+
+def _boundary_point_of(S):
+    return 0.0 if S.n == 1 else (S.r0, 0.0)
+
+
+def _mismatched_cases():
+    disk = StarShape2D((0.0, 0.0), 1.0 / math.sqrt(math.pi))  # unit area
+    pair = IntervalSet([(0.0, 0.5), (3.0, 3.5)])
+    wrong = {disk: [P1, Params(n=3, s=0.5, alpha=2.5, eps=1e-3)],
+             pair: [P2, Params(n=3, s=0.5, alpha=0.5, eps=1e-3)]}
+    for S, params in wrong.items():
+        calls = {**MISMATCHED, **(MISMATCHED_PLANAR if S.n == 2 else {})}
+        for p in params:
+            for name in calls:
+                yield pytest.param(S, p, calls[name],
+                                   id=f"{name}-{type(S).__name__}-n{p.n}")
+
+
+@pytest.mark.parametrize("S, p, call", _mismatched_cases())
+def test_params_of_another_dimension_are_refused(S, p, call):
+    with pytest.raises(ParamError, match=f"n = {p.n}"):
+        call(S, p)
+
+
+def test_mismatched_params_no_longer_read_a_report():
+    # both read a report at the parent: lambda_cross nan on the disk, Au2
+    # 0.57 and Minkowski 0.67 on the interval pair
+    with pytest.raises(ParamError, match="dimension 2"):
+        diagnose(StarShape2D((0, 0), 1.0),
+                 Params(n=3, s=0.5, alpha=2.5, eps=1e-3), 64, 16)
+    with pytest.raises(ParamError, match="dimension 1"):
+        diagnose(IntervalSet([(0, 0.5), (3, 3.5)]), P2, 64, 16)

@@ -5,6 +5,7 @@ The frozen roots below were computed independently with mpmath at 40 digits
 correctly rounded values.
 """
 
+import inspect
 import math
 
 import mpmath as mp
@@ -14,10 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (BracketError, GeometryError, ParamError, Params,
-                     TwoIntervalConfig, epsilon_sweep, f_closed_form,
-                     g_and_d_eps, onedim, solve_critical_d, two_interval_set,
-                     zeta_endpoints)
+from nlshape import (BracketError, GeometryError, IntervalSet, ParamError,
+                     Params, SweepRecord, TwoIntervalConfig, epsilon_sweep,
+                     f_closed_form, g_and_d_eps, onedim, solve_critical_d,
+                     two_interval_set, zeta_endpoints)
 from nlshape.quad import _series_table, _sym_second_diff
 from oracles import bisection_critical_d, sym_second_diff_recurrence
 
@@ -31,13 +32,20 @@ def _p(s=0.5, alpha=0.5, eps=1e-3):
 
 def test_two_interval_set_layout():
     S = two_interval_set(TwoIntervalConfig(d=2.0, params=_p()))
+    assert type(S) is IntervalSet
     assert S.intervals == ((0.0, 0.5), (2.0, 2.5))
 
 
 def test_two_interval_set_refuses_unplaceable_gap():
-    # at d >= 2^52, d + 1/2 rounds and the second interval would be mislaid
-    with pytest.raises(GeometryError):
-        two_interval_set(TwoIntervalConfig(d=float(2 ** 52 + 1), params=_p()))
+    # at d >= 2^52, d + 1/2 rounds and the second interval would be mislaid;
+    # zeta_endpoints, which builds no IntervalSet, refuses it alike, and the
+    # message is the one line_golden.json stores for a failed eps
+    cfg = TwoIntervalConfig(d=float(2 ** 52 + 1), params=_p())
+    for make in (two_interval_set, zeta_endpoints):
+        with pytest.raises(GeometryError) as info:
+            make(cfg)
+        assert str(info.value) == ("gap d = 4503599627370497.0 is too large "
+                                   "to place d + 1/2 exactly")
     S = two_interval_set(TwoIntervalConfig(d=float(2 ** 51), params=_p()))
     assert S.intervals[1][1] - S.intervals[1][0] == 0.5
 
@@ -367,6 +375,69 @@ def test_sweep_keeps_the_eps_it_can_solve():
     # each record is the one a sweep over its own eps gives
     alone, _ = epsilon_sweep(p, GRID_EPS[:5])
     assert records == alone
+
+
+@pytest.mark.parametrize("s, alpha", [(0.5, 0.5), (0.1, 0.75)])
+def test_sweep_builds_no_interval_set(s, alpha):
+    # each eps makes one root solve and one certification, both looked up on
+    # the module as the benchmark's tracer sees them, and the certification
+    # hands the interval layout to the endpoint fields without an
+    # IntervalSet, also where the gap is refused (at (0.1, 0.75) the two
+    # smallest eps)
+    calls = {"solve_critical_d": 0, "zeta_endpoints": 0, "IntervalSet": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("solve_critical_d", "zeta_endpoints"):
+            mp.setattr(onedim, name, counting(name, getattr(onedim, name)))
+        mp.setattr(IntervalSet, "__init__",
+                   counting("IntervalSet", IntervalSet.__init__))
+        records, fit = epsilon_sweep(_p(s, alpha), GRID_EPS)
+    assert calls == {"solve_critical_d": 7, "zeta_endpoints": 7,
+                     "IntervalSet": 0}
+    assert len(records) == 7 - len(fit["failed"])
+
+
+def test_sweep_record_is_an_immutable_named_tuple():
+    r = epsilon_sweep(_p(), GRID_EPS)[0][0]
+    with pytest.raises(AttributeError):
+        r.d_star = 1.0
+    with pytest.raises(AttributeError):
+        r.extra = 1.0
+    assert SweepRecord._fields == ("eps", "d_star", "d_eps", "diameter",
+                                   "f_at_root", "zeta_spread")
+    # the signature it had as a frozen dataclass
+    assert str(inspect.signature(SweepRecord)) == (
+        "(eps: 'float', d_star: 'float', d_eps: 'float', diameter: 'float', "
+        "f_at_root: 'float', zeta_spread: 'float') -> None")
+
+
+# `nlshape onedim-sweep` at the first seed-101 (s, alpha) of the line
+# workload, as written before the sweep records became named tuples
+SWEEP_CSV = """\
+eps,d_star,d_eps,diameter,f_at_root,residual
+0.001,227.25823977574953,146.71951861370087,227.75823977574953,0,0
+0.00031623000000000003,470.05788630473558,303.47317621041827,470.55788630473558,1.6543612251060553e-24,0
+0.0001,972.27130222614676,627.70646311577195,972.77130222614676,-2.0679515313825692e-25,0
+3.1622999999999999e-05,2011.0359997738051,1298.3417331888841,2011.5359997738051,2.5849394142282115e-26,8.8817841970012523e-16
+1.0000000000000001e-05,4159.643642829531,2685.5009310296246,4160.143642829531,3.2311742677852644e-27,8.8817841970012523e-16
+3.1623000000000002e-06,8603.7650201160468,5554.6631079219742,8604.2650201160468,0,8.8817841970012523e-16
+9.9999999999999995e-07,17796.099713061303,11489.311763276908,17796.599713061303,-5.0487097934144756e-29,8.8817841970012523e-16
+"""
+
+
+def test_onedim_sweep_csv_body_is_frozen(tmp_path):
+    from nlshape.cli import main
+    s, alpha = np.random.default_rng(101).uniform(1e-9, 1.0 - 1e-9, size=2)
+    assert main(["onedim-sweep", "--s", repr(float(s)),
+                 "--alpha", repr(float(alpha)), "--eps", "1e-3",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "onedim-sweep.csv").read_bytes() == SWEEP_CSV.encode()
 
 
 def test_sweep_below_four_solved_raises_the_first_error():

@@ -7,10 +7,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nlshape import (IntervalSet, ParamError, Params, QuadratureError,
-                     TwoIntervalConfig, boundary_fields, kernel_primitive,
-                     pv_pair_integral, zeta_endpoints)
-from nlshape.functionals import _potential_1d
+from nlshape import (GeometryError, IntervalSet, ParamError, Params,
+                     QuadratureError, TwoIntervalConfig, boundary_fields,
+                     kernel_primitive, pv_pair_integral, zeta_endpoints)
+from nlshape.functionals import _endpoint_fields_1d, _potential_1d
 from nlshape.quad import (_first_diff, _pair_second_diff, interval_partition,
                           jacobi_half_rule, ladder_half_rule, pv_at_endpoint)
 
@@ -263,6 +263,36 @@ def test_pv_at_endpoint_is_the_reference_bitwise(S):
             near = math.nextafter(x, math.inf)
             if near not in ends:
                 assert pv_pair_integral(S, near, p.s).hex() == ref, (x, p.s)
+
+
+def test_pv_at_endpoint_is_the_endpoint_fields_kappa_bitwise():
+    # pv_at_endpoint finds the endpoint's index itself; the endpoint fields
+    # pass it by position
+    S = IntervalSet([(-1.0, 0.25), (0.5, 2.0), (3.7, 9.1)])
+    for p in ENDPOINT_PARAMS:
+        kap = _endpoint_fields_1d(S.intervals, p.s, p.alpha)[0]
+        assert _hex(kap) == _hex(pv_pair_integral(S, x, p.s)
+                                 for x in S.endpoints().tolist())
+
+
+INF = math.inf
+MALFORMED = {
+    # both segments at x = 0 lie in the complement
+    "no set segment": ([(-INF, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, INF, 1.0)],
+                       0.0),
+    # no segment begins at x = 1, where the set segment ends
+    "a hole": ([(-INF, 0.0, 1.0), (0.0, 1.0, -1.0), (2.0, INF, 1.0)], 1.0),
+    # no segment ends at x = 0.5
+    "not an endpoint": ([(-INF, 0.0, 1.0), (0.0, 1.0, -1.0), (1.0, INF, 1.0)],
+                        0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_pv_at_endpoint_refuses_a_malformed_partition(name):
+    segs, x = MALFORMED[name]
+    with pytest.raises(GeometryError, match="malformed"):
+        pv_at_endpoint(segs, x, 0.5)
 
 
 @pytest.mark.parametrize("S", ENDPOINT_SETS)
