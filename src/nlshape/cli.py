@@ -374,7 +374,7 @@ def _run_optimize2d(cfg, emit):
     res, nq = _mesh_knobs(cfg, 2)
     if "geometry" in cfg.values:
         init = canonical(_load_geometry_for(cfg))
-        if not isinstance(init, StarShape2D):
+        if init.n != 2:
             raise ConfigError("optimize2d needs a planar geometry")
     else:
         init = StarShape2D((0.0, 0.0), 1.0)

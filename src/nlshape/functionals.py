@@ -26,11 +26,12 @@ q = alpha,
 
 Every public function accepts an IntervalSet, a Ball or a StarShape2D,
 validates its parameters and calls the kernel of the shape (_kernel): its
-canonical form (sets.canonical: a 1D ball as its interval set, a planar
-ball as a constant-radius star shape) in the one kernel class of that
-geometry (_IntervalKernel, _StarKernel, _BallKernel for n >= 3), whose
-methods are those of _Kernel. What a kernel has no algorithm for, and the
-planar-only functions on a non-planar shape, are refused with
+canonical form (sets.canonical, which refuses anything else with
+GeometryError: a 1D ball as its interval set, a planar ball as a
+constant-radius star shape kept on the ball) in the one kernel class of
+that geometry (_IntervalKernel, _StarKernel, _BallKernel for n >= 3),
+whose methods are those of _Kernel. What a kernel has no algorithm for, and
+the planar-only functions on a non-planar shape, are refused with
 GeometryError. Each 2D value is one Gauss-Jacobi (on the curve) or
 graded-ladder (off the curve) sum per target.
 
@@ -41,9 +42,9 @@ terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
 integrand of P_s are summed on the same nodes at beta = -s, V and that of
 R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
 with the bits of frac_perimeter and riesz_energy. A sweep takes no switches
-and always holds the same fields, so a star shape or an interval set keeps
-its sweep per (Params, resolution, nq) (_sweep; boundary_fields itself
-keeps nothing).
+and always holds the same fields, so the canonical form of a shape keeps its
+sweep per (Params, resolution, nq) (_sweep: one per ball, whichever form is
+passed; boundary_fields itself keeps nothing).
 grad V . tau is not a sweep field: its one owner is _grad_tau_2d_batch
 (tangential_grad_potential at a single point), one pass at
 beta = -alpha. With A_k(t) = a_k cos kt + b_k sin kt and
@@ -96,6 +97,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -937,14 +939,12 @@ _KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel,
 
 
 def _kernel(S, p: Optional[Params] = None) -> _Kernel:
-    """The kernel of S: its canonical form (sets.canonical) in the kernel
-    class of that geometry. Params p, where given, must have the dimension
-    of S as n: the one check of Params against a geometry (ParamError)."""
+    """The kernel of canonical(S), which refuses non-geometries. Params p,
+    where given, must have the dimension of S as n: the one check of Params
+    against a geometry (ParamError)."""
     C = canonical(S)
     # the most derived geometry class of C that has a kernel
-    kernel = next((_KERNELS[c] for c in type(C).__mro__ if c in _KERNELS), None)
-    if kernel is None:
-        raise GeometryError(f"unsupported geometry {type(C).__name__}")
+    kernel = next(_KERNELS[c] for c in type(C).__mro__ if c in _KERNELS)
     if p is not None and p.n != C.n:
         raise ParamError(f"params have n = {p.n}, but the {type(S).__name__} "
                          f"lies in dimension {C.n}")
@@ -1049,12 +1049,15 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                           perimeter=per, riesz=rz)
 
 
-@_per_shape
 def _sweep(S, p: Params, resolution, nq) -> BoundaryFields:
-    """boundary_fields(S, p, resolution, nq), kept on a star shape or an
-    interval set: the sweep that diagnose, the descent and the diagnostics
-    read."""
-    return boundary_fields(S, p, resolution, nq)
+    """boundary_fields(S, p, resolution, nq), kept on canonical(S): the one
+    sweep that diagnose, the descent and the diagnostics read."""
+    return _kept_sweep(_kernel(S, p).S, p, resolution, nq)
+
+
+@_per_shape
+def _kept_sweep(C, p: Params, resolution, nq) -> BoundaryFields:
+    return boundary_fields(C, p, resolution, nq)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1080,11 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     alpha in (0, 1); the exponent 3 does not depend on alpha. The order,
     max(12, resolution // 16), grows with the angular resolution, so
     refining the mesh refines the whole rule.
+
+    f_batch runs on blocks of whole rays, about _LADDER_BLOCK_NODES nodes
+    each, so memory stays bounded in the resolution; every block's terms
+    feed one math.fsum, whose correctly rounded sum does not depend on the
+    blocks.
     """
     star = _as_star(star)
     q_radial = max(12, int(resolution) // 16)
@@ -1084,15 +1092,21 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     m = int(resolution)
     th = uniform_angles(m)
     cs, sn, r, _ = star._grid(m)
-    # nodes: x = center + (t * r) e(theta); weight r^2 t dt dtheta
-    pts = np.empty((m * q_radial, 2))
-    foci = np.repeat(th, q_radial)
-    rad = np.repeat(r, q_radial) * np.tile(t, m)
-    pts[:, 0] = star.center[0] + rad * np.repeat(cs, q_radial)
-    pts[:, 1] = star.center[1] + rad * np.repeat(sn, q_radial)
-    vals = np.asarray(f_batch(pts, foci), dtype=float)
-    w = (2.0 * math.pi / m) * np.repeat(r * r, q_radial) * np.tile(t * wt, m)
-    return float(math.fsum(vals * w))
+    step = max(1, _LADDER_BLOCK_NODES // q_radial)
+
+    def terms(lo):
+        # nodes x = center + (t * r) e(theta), weights r^2 t dt dtheta, on
+        # the rays lo .. lo + step - 1
+        rays = slice(lo, lo + step)
+        rad = np.multiply.outer(r[rays], t)
+        pts = np.stack([star.center[0] + rad * cs[rays, None],
+                        star.center[1] + rad * sn[rays, None]], axis=-1)
+        vals = f_batch(pts.reshape(-1, 2), np.repeat(th[rays], q_radial))
+        w = np.multiply.outer((2.0 * math.pi / m) * (r[rays] * r[rays]), t * wt)
+        return np.asarray(vals, dtype=float) * w.reshape(-1)
+
+    return math.fsum(chain.from_iterable(
+        terms(lo).tolist() for lo in range(0, m, step)))
 
 
 def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):

@@ -10,21 +10,23 @@ about a center point. All geometry objects are frozen after construction:
 assigning to an attribute raises dataclasses.FrozenInstanceError (an
 AttributeError) and the coefficient arrays are read-only.
 
-So a star shape or an interval set computes what it determines once, when
-first asked, and keeps the newest _MEMO_ENTRIES such values in one private
-memo (_per_shape): its volume, its diameter, its boundary sweeps per
-Params (functionals._sweep) and, on a star shape, polar at each uniform
-grid (_grid, read-only). The memo is empty after construction (the
-positivity check keeps nothing), after _positive and after pickle, copy or
-deepcopy, which rebuild the shape through __init__. Threads that race on
-an entry compute the same bits and dict.setdefault keeps one, so instances
-can still be shared across threads. A ball keeps no memo: its measures are
-closed forms.
+So a geometry computes what it determines once, when first asked, and
+keeps the newest _MEMO_ENTRIES such values in one private memo
+(_per_shape): its volume, its diameter, the canonical form of a ball in
+n <= 2 (which keeps that ball's sweeps), the sweeps of the other shapes per
+Params (functionals._sweep) and polar of a star shape at each uniform grid
+(_grid, read-only). The memo is empty after construction (the positivity
+check keeps nothing), after _positive and after pickle, copy or deepcopy,
+which rebuild the shape through __init__. Threads that race on an entry
+compute the same bits and dict.setdefault keeps one, so instances can still
+be shared across threads.
 
-canonical() is the one place a ball changes representation: the quadrature
-code sees a 1D ball as its IntervalSet and a planar ball as a constant-radius
-StarShape2D. The closed-form measures (volume, diameter) keep the exact ball
-values.
+Each geometry class owns its closed forms (_volume, _diameter, _scaled,
+_translated, _canonical, _mesh, _to_dict); the module function of that name
+is one type check (_geometry refuses all else with GeometryError) and one
+call. canonical() is the one place a ball changes representation: the
+quadrature code sees a 1D ball as its IntervalSet and a planar ball as a
+constant-radius StarShape2D, while volume and diameter stay exact.
 
 Volumes and diameters accumulate with compensated summation (math.fsum) so
 results do not depend on summation order.
@@ -71,9 +73,26 @@ def mesh_angles(resolution) -> np.ndarray:
     return uniform_angles(m)
 
 
-def _ball_volume_coeff(n: int) -> float:
-    # Lebesgue measure of the unit ball in R^n.
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+def _per_shape(fn):
+    """fn(S, *args), kept in the memo of S per argument values and types (an
+    nq of 16.0 or True still reaches the check that refuses it); an object
+    without a memo, which is no geometry, goes straight to fn. The memo
+    keeps the newest _MEMO_ENTRIES values: a new entry drops the oldest
+    beyond that."""
+    @functools.wraps(fn)
+    def memoized(S, *args):
+        memo = getattr(S, "_memo", None)
+        if memo is None:
+            return fn(S, *args)
+        key = (fn, args, tuple(map(type, args)))
+        try:
+            return memo[key]
+        except KeyError:
+            value = fn(S, *args)
+        for old in list(memo)[:max(0, len(memo) + 1 - _MEMO_ENTRIES)]:
+            memo.pop(old, None)
+        return memo.setdefault(key, value)
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -206,19 +225,47 @@ class IntervalSet:
 
     def endpoints(self) -> np.ndarray:
         """All boundary points in increasing order: a_1, b_1, a_2, b_2, ..."""
-        out = np.array([e for ab in self.intervals for e in ab], dtype=float)
-        return out
+        return np.array([e for ab in self.intervals for e in ab], dtype=float)
 
     def contains(self, x: float) -> bool:
         return any(a < x < b for a, b in self.intervals)
 
+    def _volume(self):
+        return math.fsum(b - a for a, b in self.intervals)
+
+    def _diameter(self):
+        return self.intervals[-1][1] - self.intervals[0][0]
+
+    def _scaled(self, lam):
+        return IntervalSet([(lam * a, lam * b) for a, b in self.intervals])
+
+    def _translated(self, h):
+        return IntervalSet([(a + h[0], b + h[0]) for a, b in self.intervals])
+
+    def _canonical(self):
+        return self
+
+    def _mesh(self, resolution):
+        # the endpoints, with normals -1, +1 in turn and unit weights
+        k = len(self.intervals)
+        return BoundaryMesh(points=self.endpoints().reshape(-1, 1),
+                            normals=np.tile([[-1.0], [1.0]], (k, 1)),
+                            weights=np.ones(2 * k))
+
+    def _to_dict(self):
+        return {"kind": "intervals", "intervals": [list(ab) for ab in self.intervals]}
+
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball in R^n."""
+    """Euclidean ball in R^n, with a private memo as an interval set has."""
 
     center: tuple
     radius: float
+
+    def __reduce__(self):
+        # rebuild through __init__, with an empty memo, as an IntervalSet
+        return (Ball, (self.center, self.radius))
 
     def __init__(self, center: Sequence[float], radius: float):
         c = tuple(float(v) for v in center)
@@ -230,32 +277,42 @@ class Ball:
             raise GeometryError(f"ball radius must be positive and finite, got {radius!r}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
         return len(self.center)
 
+    def _volume(self):
+        # the measure of the unit ball in R^n, times r^n
+        n = self.n
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * self.radius ** n
 
-def _per_shape(fn):
-    """fn(S, *args), kept in the memo of S per argument values and types (an
-    nq of 16.0 or True still reaches the check that refuses it); an object
-    without a memo, such as a ball, computes it at every call. The memo
-    keeps the newest _MEMO_ENTRIES values: a new entry drops the oldest
-    beyond that."""
-    @functools.wraps(fn)
-    def memoized(S, *args):
-        memo = getattr(S, "_memo", None)
-        if memo is None:
-            return fn(S, *args)
-        key = (fn, args, tuple(map(type, args)))
-        try:
-            return memo[key]
-        except KeyError:
-            value = fn(S, *args)
-        for old in list(memo)[:max(0, len(memo) + 1 - _MEMO_ENTRIES)]:
-            memo.pop(old, None)
-        return memo.setdefault(key, value)
-    return memoized
+    def _diameter(self):
+        return 2.0 * self.radius
+
+    def _scaled(self, lam):
+        return Ball([lam * c for c in self.center], lam * self.radius)
+
+    def _translated(self, h):
+        return Ball([c + v for c, v in zip(self.center, h)], self.radius)
+
+    def _canonical(self):
+        # a ball in n >= 3 is its own canonical form; a lower one is kept
+        return self._converted() if self.n <= 2 else self
+
+    @_per_shape
+    def _converted(self):
+        c, r = self.center[0], self.radius
+        if self.n == 1:
+            return IntervalSet([(c - r, c + r)])
+        return StarShape2D(self.center, r)
+
+    def _mesh(self, resolution):  # reached in n >= 3 only
+        raise GeometryError(f"no boundary mesh for Ball in dimension {self.n}")
+
+    def _to_dict(self):
+        return {"kind": "ball", "center": list(self.center), "radius": self.radius}
 
 
 class StarShape2D:
@@ -424,6 +481,45 @@ class StarShape2D:
         return (f"StarShape2D(center={self.center}, r0={self.r0:.6g}, "
                 f"modes={self.kmax})")
 
+    def _volume(self):
+        # the trapezoid rule on the uniform grid integrates trig polynomials
+        # of degree < m exactly; r^2 has degree 2*kmax
+        m = max(256, 4 * max(1, self.kmax))
+        r = self._grid(m)[2]
+        return math.fsum(r * r) * math.pi / m
+
+    def _diameter(self):
+        m = max(512, _POSITIVITY_OVERSAMPLE * max(1, self.kmax))
+        c, s, r, _ = self._grid(m)
+        # sqrt is monotone and correctly rounded, so the root of the
+        # largest square is the largest root
+        return math.sqrt(max(float(sq.max())
+                             for _, sq in _pair_blocks(self._position(c, s, r))))
+
+    def _scaled(self, lam):
+        return StarShape2D([lam * c for c in self.center], lam * self.r0,
+                           lam * self.a, lam * self.b)
+
+    def _translated(self, h):
+        return StarShape2D((self.center[0] + h[0], self.center[1] + h[1]),
+                           self.r0, self.a, self.b)
+
+    def _canonical(self):
+        return self
+
+    def _mesh(self, resolution):
+        th = mesh_angles(resolution)
+        points, normals, speed = self._frame(*self._grid(th.size))
+        # the unit tangent is the outward normal turned a quarter counterclockwise
+        tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+        return BoundaryMesh(points=points, normals=normals,
+                            weights=speed * (2.0 * math.pi / th.size),
+                            tangents=tangents, thetas=th)
+
+    def _to_dict(self):
+        return {"kind": "star", "center": list(self.center), "r0": self.r0,
+                "cos": list(self.a), "sin": list(self.b)}
+
 
 @dataclass(frozen=True)
 class BoundaryMesh:
@@ -448,22 +544,20 @@ class BoundaryMesh:
                 arr.flags.writeable = False
 
 
+def _geometry(S):
+    """S, refused with GeometryError unless it is a geometry: the one type
+    check of the module functions, which then call S's own closed form."""
+    if not isinstance(S, (IntervalSet, Ball, StarShape2D)):
+        raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    return S
+
+
 @_per_shape
 def volume(S) -> float:
     """Lebesgue measure: exact for intervals and balls, trigonometric
     quadrature of int r(theta)^2 / 2 dtheta for star shapes (exact for a
     band-limited radius), kept on the shape."""
-    if isinstance(S, IntervalSet):
-        return math.fsum(b - a for a, b in S.intervals)
-    if isinstance(S, Ball):
-        return _ball_volume_coeff(S.n) * S.radius ** S.n
-    if isinstance(S, StarShape2D):
-        # trapezoid on the uniform grid integrates trig polynomials of degree
-        # < m exactly; r^2 has degree 2*kmax
-        m = max(256, 4 * max(1, S.kmax))
-        r = S._grid(m)[2]
-        return math.fsum(r * r) * math.pi / m
-    raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    return _geometry(S)._volume()
 
 
 def _pair_blocks(points):
@@ -492,19 +586,7 @@ def diameter(S) -> float:
     """sup |x - y| over the closure. Exact for intervals and balls; for star
     shapes the max over all pairs (_pair_blocks) of the boundary points at
     m = max(512, 8 kmax) uniform angles, kept on the shape."""
-    if isinstance(S, IntervalSet):
-        eps_pts = S.endpoints()
-        return float(eps_pts[-1] - eps_pts[0])
-    if isinstance(S, Ball):
-        return 2.0 * S.radius
-    if isinstance(S, StarShape2D):
-        m = max(512, _POSITIVITY_OVERSAMPLE * max(1, S.kmax))
-        c, s, r, _ = S._grid(m)
-        # sqrt is monotone and correctly rounded, so the root of the
-        # largest square is the largest root
-        return math.sqrt(max(float(sq.max())
-                             for _, sq in _pair_blocks(S._position(c, s, r))))
-    raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    return _geometry(S)._diameter()
 
 
 def isodiametric_ratio(S) -> float:
@@ -521,45 +603,29 @@ def scaled(S, lam: float):
     """Dilation x -> lam * x about the origin."""
     if not (lam > 0.0 and math.isfinite(lam)):
         raise GeometryError(f"scale factor must be positive and finite, got {lam!r}")
-    if isinstance(S, IntervalSet):
-        return IntervalSet([(lam * a, lam * b) for a, b in S.intervals])
-    if isinstance(S, Ball):
-        return Ball([lam * c for c in S.center], lam * S.radius)
-    if isinstance(S, StarShape2D):
-        return StarShape2D([lam * c for c in S.center], lam * S.r0,
-                           lam * S.a, lam * S.b)
-    raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    return _geometry(S)._scaled(lam)
 
 
 def translated(S, shift):
     """Translation x -> x + shift, shift of the dimension of S (on the line
     a scalar or a 1-vector)."""
-    if not isinstance(S, (IntervalSet, Ball, StarShape2D)):
-        raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    _geometry(S)
     h = np.asarray(shift, dtype=float).reshape(-1)
     if h.size != S.n:
         raise GeometryError(
             f"a shift of dimension {h.size} does not match a set in dimension {S.n}")
-    if isinstance(S, IntervalSet):
-        return IntervalSet([(a + h[0], b + h[0]) for a, b in S.intervals])
-    if isinstance(S, Ball):
-        return Ball([c + v for c, v in zip(S.center, h)], S.radius)
-    return StarShape2D((S.center[0] + h[0], S.center[1] + h[1]), S.r0, S.a, S.b)
+    return S._translated(h)
 
 
 def canonical(S):
     """The representation the quadrature code works on.
 
     A 1D ball becomes its IntervalSet and a planar ball a constant-radius
-    StarShape2D; every other geometry is returned unchanged. This is the only
-    place a ball is converted.
+    StarShape2D, kept on the ball; every other geometry is returned
+    unchanged, and anything else is refused with GeometryError. This is the
+    only place a ball is converted.
     """
-    if isinstance(S, Ball) and S.n == 1:
-        c, r = S.center[0], S.radius
-        return IntervalSet([(c - r, c + r)])
-    if isinstance(S, Ball) and S.n == 2:
-        return StarShape2D(S.center, S.radius)
-    return S
+    return _geometry(S)._canonical()
 
 
 def boundary_mesh(S, resolution: int) -> BoundaryMesh:
@@ -568,33 +634,7 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
     resolution is ignored for 1D sets (the boundary is finite). Balls are
     meshed only in dimensions 1 and 2.
     """
-    S = canonical(S)
-    if isinstance(S, IntervalSet):
-        pts = []
-        nrm = []
-        for a, b in S.intervals:
-            pts.append([a])
-            nrm.append([-1.0])
-            pts.append([b])
-            nrm.append([1.0])
-        points = np.array(pts, dtype=float)
-        normals = np.array(nrm, dtype=float)
-        weights = np.ones(points.shape[0])
-        return BoundaryMesh(points=points, normals=normals, weights=weights)
-
-    if isinstance(S, StarShape2D):
-        th = mesh_angles(resolution)
-        m = th.size
-        points, normals, speed = S._frame(*S._grid(m))
-        # the unit tangent is the outward normal turned a quarter counterclockwise
-        tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
-        weights = speed * (2.0 * math.pi / m)
-        return BoundaryMesh(points=points, normals=normals, weights=weights,
-                            tangents=tangents, thetas=th)
-
-    raise GeometryError(
-        f"no boundary mesh for {type(S).__name__} in dimension {getattr(S, 'n', '?')}"
-    )
+    return canonical(S)._mesh(resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +642,7 @@ def boundary_mesh(S, resolution: int) -> BoundaryMesh:
 
 
 def geometry_to_dict(S) -> dict:
-    if isinstance(S, IntervalSet):
-        return {"kind": "intervals", "intervals": [list(ab) for ab in S.intervals]}
-    if isinstance(S, Ball):
-        return {"kind": "ball", "center": list(S.center), "radius": S.radius}
-    if isinstance(S, StarShape2D):
-        return {"kind": "star", "center": list(S.center), "r0": S.r0,
-                "cos": list(S.a), "sin": list(S.b)}
-    raise GeometryError(f"unsupported geometry {type(S).__name__}")
+    return _geometry(S)._to_dict()
 
 
 def geometry_from_dict(d: dict):
@@ -653,6 +686,6 @@ def load_geometry(path):
 
 
 def save_geometry(S, path):
+    text = json.dumps(geometry_to_dict(S), indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(geometry_to_dict(S), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

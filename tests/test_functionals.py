@@ -786,6 +786,33 @@ def test_set_integral_memory_is_bounded(mode3_star):
     assert peak < 100 * 2 ** 20
 
 
+def test_set_integral_runs_in_bounded_blocks(mode3_star):
+    # f_batch sees blocks of whole rays, about 2^13 nodes each, so the
+    # traced peak stays flat in the resolution (3.5 MB at m = 1024 and
+    # 14 MB at m = 2048 when every node went in one batch); the blocks' sums
+    # feed one fsum, so the value is that of a single batch
+    import tracemalloc
+    x2 = lambda pts, foci: pts[:, 0] ** 2
+    set_integral_2d(mode3_star, x2, 1024)
+    tracemalloc.start()
+    try:
+        value = set_integral_2d(mode3_star, x2, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # int_E x^2 from the polar tensor rule in one batch
+    from nlshape import quad
+    m, q = 1024, 64
+    t, wt = quad.graded_radial_rule(q)
+    _, _, r, _ = mode3_star._grid(m)
+    th = 2.0 * np.pi * np.arange(m) / m
+    rad = np.multiply.outer(r, t)
+    x = mode3_star.center[0] + rad * np.cos(th)[:, None]
+    w = np.multiply.outer((2.0 * np.pi / m) * (r * r), t * wt)
+    assert value == math.fsum((x ** 2 * w).ravel())
+
+
 def test_grad_set_integral_memory_is_cache_sized(mode3_star):
     # the Au1 integral of diagnose: the ladder blocks of 2^13 nodes keep its
     # traced peak near 2 MB; 2^16-node blocks took about 7 MB

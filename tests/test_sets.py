@@ -13,7 +13,8 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      StarShape2D, diameter, geometry_from_dict,
                      geometry_to_dict, isodiametric_ratio, load_geometry,
                      save_geometry, volume)
-from nlshape.sets import beta_exponent, boundary_mesh, scaled, translated
+from nlshape.sets import (beta_exponent, boundary_mesh, canonical, scaled,
+                          translated)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +183,16 @@ def test_star_refuses_assignment(mode3_star):
     assert mode3_star.r0 == 1.0
 
 
-# a star shape and an interval set, each with a memo that diagnose fills
+# a star shape, an interval set and a planar ball, each with a memo that
+# diagnose fills (a ball's holds its canonical star shape)
 MEMO_SHAPES = {
     "star": lambda: StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.2)),
     "intervals": lambda: IntervalSet([(0.0, 0.5), (3.0, 3.5)]),
+    "ball": lambda: Ball((0.25, -0.5), 0.75),
 }
+# the fields each class is rebuilt from, and one that refuses assignment
+MEMO_FIELDS = {"star": ("center", "r0"), "intervals": ("intervals",),
+               "ball": ("center", "radius")}
 
 
 def _diagnosed(name):
@@ -206,16 +212,14 @@ def test_star_pickle_and_deepcopy_roundtrip(name):
     for back in (pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape)):
         assert type(back) is type(shape)
         assert back._memo == {}
-        if name == "intervals":
-            assert back.intervals == shape.intervals
-        else:
-            assert back.center == shape.center
-            assert back.r0 == shape.r0
+        for field in MEMO_FIELDS[name]:
+            assert getattr(back, field) == getattr(shape, field)
+        if name == "star":
             assert np.array_equal(back.a, shape.a)
             assert np.array_equal(back.b, shape.b)
             assert not back.a.flags.writeable
         with pytest.raises(AttributeError):
-            setattr(back, "intervals" if name == "intervals" else "r0", -5.0)
+            setattr(back, MEMO_FIELDS[name][-1], -5.0)
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SHAPES))
@@ -233,8 +237,8 @@ def test_star_memo_starts_empty_and_gives_equal_outputs(name):
                                             shape.a, shape.b))
     for other in others:
         assert other._memo == {}
-        if name == "intervals":
-            # == and hash read the intervals alone, not the memo
+        if name != "star":
+            # == and hash read the fields alone, not the memo
             assert other == shape and hash(other) == hash(shape)
         assert (volume(other), diameter(other)) == (volume(shape),
                                                     diameter(shape))
@@ -424,6 +428,52 @@ def test_translated_refuses_a_shift_of_another_dimension(unit_interval):
     assert translated(unit_interval, [1.5]).intervals == ((1.5, 2.5),)
     with pytest.raises(GeometryError, match="dimension"):
         translated(unit_interval, (1.0, 2.0))
+
+
+# every module function that takes a geometry, on one argument
+GEOMETRY_FUNCTIONS = {
+    "volume": volume,
+    "diameter": diameter,
+    "isodiametric_ratio": isodiametric_ratio,
+    "scaled": lambda S: scaled(S, 2.0),
+    "translated": lambda S: translated(S, (1.0, 0.0)),
+    "canonical": canonical,
+    "boundary_mesh": lambda S: boundary_mesh(S, 64),
+    "geometry_to_dict": geometry_to_dict,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_FUNCTIONS))
+def test_non_geometries_are_refused(name):
+    # one type check refuses them: no AttributeError, and canonical does
+    # not hand them back
+    with pytest.raises(GeometryError, match="unsupported geometry object"):
+        GEOMETRY_FUNCTIONS[name](object())
+
+
+def test_save_geometry_refuses_a_non_geometry_and_writes_nothing(tmp_path):
+    path = tmp_path / "shape.json"
+    with pytest.raises(GeometryError, match="unsupported geometry object"):
+        save_geometry(object(), path)
+    assert not path.exists()
+
+
+def test_boundary_mesh_refuses_a_ball_in_three_dimensions():
+    with pytest.raises(GeometryError,
+                       match="no boundary mesh for Ball in dimension 3"):
+        boundary_mesh(Ball((0.0, 0.0, 0.0), 1.0), 64)
+
+
+def test_a_ball_keeps_its_canonical_form():
+    # in n <= 2 it is built once and kept in the ball's memo, so its own
+    # memo serves every later call; in n >= 3 the ball is its own form
+    for n, kind in ((1, IntervalSet), (2, StarShape2D)):
+        ball = Ball((0.5,) * n, 2.0)
+        form = canonical(ball)
+        assert type(form) is kind and canonical(ball) is form
+        assert volume(form) == pytest.approx(volume(ball), rel=1e-14)
+    big = Ball((0.0, 0.0, 0.0), 1.0)
+    assert canonical(big) is big and big._memo == {}
 
 
 def test_iso_ratio_scale_invariant(mode3_star):
