@@ -28,12 +28,12 @@ Every public function accepts an IntervalSet, a Ball or a StarShape2D,
 validates its parameters and calls the kernel of the shape (_kernel): its
 canonical form (sets.canonical, which refuses anything else with
 GeometryError: a 1D ball as its interval set, a planar ball as a
-constant-radius star shape kept on the ball) in the one kernel class of
-that geometry (_IntervalKernel, _StarKernel, _BallKernel for n >= 3),
-whose methods are those of _Kernel. What a kernel has no algorithm for, and
-the planar-only functions on a non-planar shape, are refused with
-GeometryError. Each 2D value is one Gauss-Jacobi (on the curve) or
-graded-ladder (off the curve) sum per target.
+constant-radius star shape) in the one kernel class of that geometry
+(_IntervalKernel, _StarKernel, _BallKernel for n >= 3), whose methods are
+those of _Kernel. What a kernel has no algorithm for, and the planar-only
+functions on a non-planar shape, are refused with GeometryError. Each 2D
+value is one Gauss-Jacobi (on the curve) or graded-ladder (off the curve)
+sum per target.
 
 On the curve (the sweeps of boundary_fields, both energy terms and the
 on-curve point queries, whose target is the boundary point at its focus
@@ -42,9 +42,9 @@ terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
 integrand of P_s are summed on the same nodes at beta = -s, V and that of
 R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
 with the bits of frac_perimeter and riesz_energy. A sweep takes no switches
-and always holds the same fields, so the canonical form of a shape keeps its
-sweep per (Params, resolution, nq) (_sweep: one per ball, whichever form is
-passed; boundary_fields itself keeps nothing).
+and always holds the same fields, so a star shape or an interval set keeps
+its sweep per (Params, resolution, nq) (_sweep; boundary_fields itself
+keeps nothing).
 grad V . tau is not a sweep field: its one owner is _grad_tau_2d_batch
 (tangential_grad_potential at a single point), one pass at
 beta = -alpha. With A_k(t) = a_k cos kt + b_k sin kt and
@@ -1049,15 +1049,12 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                           perimeter=per, riesz=rz)
 
 
-def _sweep(S, p: Params, resolution, nq) -> BoundaryFields:
-    """boundary_fields(S, p, resolution, nq), kept on canonical(S): the one
-    sweep that diagnose, the descent and the diagnostics read."""
-    return _kept_sweep(_kernel(S, p).S, p, resolution, nq)
-
-
 @_per_shape
-def _kept_sweep(C, p: Params, resolution, nq) -> BoundaryFields:
-    return boundary_fields(C, p, resolution, nq)
+def _sweep(S, p: Params, resolution, nq) -> BoundaryFields:
+    """boundary_fields(S, p, resolution, nq), kept on a star shape or an
+    interval set: the sweep that diagnose, the descent and the diagnostics
+    read."""
+    return boundary_fields(S, p, resolution, nq)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ about a center point. All geometry objects are frozen after construction:
 assigning to an attribute raises dataclasses.FrozenInstanceError (an
 AttributeError) and the coefficient arrays are read-only.
 
-So a geometry computes what it determines once, when first asked, and
-keeps the newest _MEMO_ENTRIES such values in one private memo
-(_per_shape): its volume, its diameter, the canonical form of a ball in
-n <= 2 (which keeps that ball's sweeps), the sweeps of the other shapes per
-Params (functionals._sweep) and polar of a star shape at each uniform grid
-(_grid, read-only). The memo is empty after construction (the positivity
-check keeps nothing), after _positive and after pickle, copy or deepcopy,
-which rebuild the shape through __init__. Threads that race on an entry
-compute the same bits and dict.setdefault keeps one, so instances can still
-be shared across threads.
+So a star shape or an interval set computes what it determines once, when
+first asked, and keeps the newest _MEMO_ENTRIES such values in one private
+memo (_per_shape): its volume, its diameter, its boundary sweeps per
+Params (functionals._sweep) and, on a star shape, polar at each uniform
+grid (_grid, read-only). The memo is empty after construction (the
+positivity check keeps nothing), after _positive and after pickle, copy or
+deepcopy, which rebuild the shape through __init__. Threads that race on
+an entry compute the same bits and dict.setdefault keeps one, so instances
+can still be shared across threads. A ball keeps no memo: its measures are
+closed forms.
 
 Each geometry class owns its closed forms (_volume, _diameter, _scaled,
 _translated, _canonical, _mesh, _to_dict); the module function of that name
@@ -71,28 +71,6 @@ def mesh_angles(resolution) -> np.ndarray:
         raise GeometryError(
             f"2D mesh resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
     return uniform_angles(m)
-
-
-def _per_shape(fn):
-    """fn(S, *args), kept in the memo of S per argument values and types (an
-    nq of 16.0 or True still reaches the check that refuses it); an object
-    without a memo, which is no geometry, goes straight to fn. The memo
-    keeps the newest _MEMO_ENTRIES values: a new entry drops the oldest
-    beyond that."""
-    @functools.wraps(fn)
-    def memoized(S, *args):
-        memo = getattr(S, "_memo", None)
-        if memo is None:
-            return fn(S, *args)
-        key = (fn, args, tuple(map(type, args)))
-        try:
-            return memo[key]
-        except KeyError:
-            value = fn(S, *args)
-        for old in list(memo)[:max(0, len(memo) + 1 - _MEMO_ENTRIES)]:
-            memo.pop(old, None)
-        return memo.setdefault(key, value)
-    return memoized
 
 
 @dataclass(frozen=True)
@@ -225,7 +203,8 @@ class IntervalSet:
 
     def endpoints(self) -> np.ndarray:
         """All boundary points in increasing order: a_1, b_1, a_2, b_2, ..."""
-        return np.array([e for ab in self.intervals for e in ab], dtype=float)
+        out = np.array([e for ab in self.intervals for e in ab], dtype=float)
+        return out
 
     def contains(self, x: float) -> bool:
         return any(a < x < b for a, b in self.intervals)
@@ -258,14 +237,10 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball in R^n, with a private memo as an interval set has."""
+    """Euclidean ball in R^n."""
 
     center: tuple
     radius: float
-
-    def __reduce__(self):
-        # rebuild through __init__, with an empty memo, as an IntervalSet
-        return (Ball, (self.center, self.radius))
 
     def __init__(self, center: Sequence[float], radius: float):
         c = tuple(float(v) for v in center)
@@ -277,7 +252,6 @@ class Ball:
             raise GeometryError(f"ball radius must be positive and finite, got {radius!r}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -298,21 +272,38 @@ class Ball:
         return Ball([c + v for c, v in zip(self.center, h)], self.radius)
 
     def _canonical(self):
-        # a ball in n >= 3 is its own canonical form; a lower one is kept
-        return self._converted() if self.n <= 2 else self
-
-    @_per_shape
-    def _converted(self):
         c, r = self.center[0], self.radius
         if self.n == 1:
             return IntervalSet([(c - r, c + r)])
-        return StarShape2D(self.center, r)
+        return StarShape2D(self.center, r) if self.n == 2 else self
 
     def _mesh(self, resolution):  # reached in n >= 3 only
         raise GeometryError(f"no boundary mesh for Ball in dimension {self.n}")
 
     def _to_dict(self):
         return {"kind": "ball", "center": list(self.center), "radius": self.radius}
+
+
+def _per_shape(fn):
+    """fn(S, *args), kept in the memo of S per argument values and types (an
+    nq of 16.0 or True still reaches the check that refuses it); an object
+    without a memo, such as a ball, computes it at every call. The memo
+    keeps the newest _MEMO_ENTRIES values: a new entry drops the oldest
+    beyond that."""
+    @functools.wraps(fn)
+    def memoized(S, *args):
+        memo = getattr(S, "_memo", None)
+        if memo is None:
+            return fn(S, *args)
+        key = (fn, args, tuple(map(type, args)))
+        try:
+            return memo[key]
+        except KeyError:
+            value = fn(S, *args)
+        for old in list(memo)[:max(0, len(memo) + 1 - _MEMO_ENTRIES)]:
+            memo.pop(old, None)
+        return memo.setdefault(key, value)
+    return memoized
 
 
 class StarShape2D:
@@ -621,9 +612,9 @@ def canonical(S):
     """The representation the quadrature code works on.
 
     A 1D ball becomes its IntervalSet and a planar ball a constant-radius
-    StarShape2D, kept on the ball; every other geometry is returned
-    unchanged, and anything else is refused with GeometryError. This is the
-    only place a ball is converted.
+    StarShape2D; every other geometry is returned unchanged, and anything
+    else is refused with GeometryError. This is the only place a ball is
+    converted.
     """
     return _geometry(S)._canonical()
 

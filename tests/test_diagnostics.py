@@ -638,33 +638,6 @@ def test_lambda_cross_after_diagnose_reads_the_kept_sweep(monkeypatch, shape,
     assert calls == []
 
 
-def test_ball_diagnostics_read_the_sweep_diagnose_keeps(monkeypatch):
-    # a planar ball keeps its canonical star shape, which keeps the sweep
-    # diagnose makes: the diagnostics after it on the same ball make no
-    # boundary_fields call (lambda_cross_estimate made one before the ball
-    # kept its form), and the ball itself holds no second sweep
-    from nlshape import functionals
-    ball = Ball((0.25, -0.5), 0.75)
-    rep = diagnose(ball, P2, 64, 16)
-    calls = []
-    sweep = functionals.boundary_fields
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(functionals, "boundary_fields", counted)
-    assert lambda_cross_estimate(ball, P2, 64, 16) == \
-        rep.implied_constants["lambda_cross"]
-    assert lambda_hat_and_residual(ball, P2, 64, 16) == \
-        (rep.lambda_hat, rep.el_residual)
-    assert identity_check(ball, P2, "Minkowski", 64, 16) == \
-        rep.identity_residuals["Minkowski"]
-    assert calls == []
-    assert not any(isinstance(v, functionals.BoundaryFields)
-                   for v in ball._memo.values())
-
-
 _NOT_A_SHAPE = object()
 UNSUPPORTED_CALLS = {
     **{f"identity_check {kind}": (lambda kind=kind: identity_check(
