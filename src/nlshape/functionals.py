@@ -362,6 +362,15 @@ class _CurveNodes(NamedTuple):
                 self.rp * self.su - self.drp * self.cu)
 
 
+def _rows_times(a, T):
+    """a @ T with one BLAS call per row of a. A row's result then depends
+    only on that row and T, so a target's sums are the same bits in any
+    batch or block; each output is one dot product, which no thread count
+    splits. The weight sums stay einsum: a BLAS dot splits long rows across
+    threads."""
+    return np.matmul(a[:, None, :], T)[:, 0, :]
+
+
 def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     """Sum W_k h(u_k) for targets on the curve, the boundary points at the
     angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor.
@@ -391,9 +400,7 @@ def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
         ck, sk = np.cos(kt), np.sin(kt)
         A = star.a * ck + star.b * sk
         B = star.b * ck - star.a * sk
-        # einsum without optimize keeps the contractions out of BLAS: a
-        # target's sums are the same bits in any batch, block or thread count
-        G = np.einsum("ik,kj->ij", np.concatenate([A, B], axis=1), T)
+        G = _rows_times(np.concatenate([A, B], axis=1), T)
         delta, drp, d = np.split(G, 3, axis=1)
         r = star.r0 + A.sum(axis=1, keepdims=True)
         rp = r + delta
@@ -530,11 +537,9 @@ def _ladder_sums(star, frame, depth, h_func, ncomp):
     step = max(1, _LADDER_BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        # einsum without optimize keeps the contractions out of BLAS, as in
-        # _curve_batch
-        rp = np.einsum("ik,kj->ij", frame.ab[rows], T)
+        rp = _rows_times(frame.ab[rows], T)
         rp += star.r0
-        drp = np.einsum("ik,kj->ij", frame.dab[rows], T)
+        drp = _rows_times(frame.dab[rows], T)
         rc = rp * cu
         rs = np.multiply(rp, su, out=rp)
         de = rc - frame.rho_e[rows, None]

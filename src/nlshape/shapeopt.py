@@ -11,12 +11,11 @@ changes zeta by h mu_k cos(k theta), with mu_k growing with k (Figalli,
 Fusco, Maggi, Millot and Morini, Comm. Math. Phys. 2015, for the second
 variation at the ball). Plain steepest descent damps mode k at a rate
 proportional to mu_k and so needs tens of iterations; dividing each mode
-by mu_k damps them all at once. The spectrum mu_2..mu_k_max is measured
-with one pair of zeta point queries per mode on the perturbed disks
-(_disk_spectrum, cached per (Params, nq, k_max) and built at the first
-step that needs it); modes 0 and 1 (dilation, translation) use mu_2, and
-every mu_k is clamped below at a fixed fraction of the largest, so the
-scaled velocity is always a descent direction.
+by mu_k damps them all at once. The spectrum mu_2..mu_k_max is that second
+variation in closed form (_disk_spectrum, built at each step); modes 0
+and 1 (dilation, translation) use mu_2, and every mu_k is clamped below at
+a fixed fraction of the largest, so the scaled velocity is always a
+descent direction.
 
 One step:
   1. sweep zeta over the boundary mesh, lambda_hat = weighted mean (the
@@ -43,7 +42,6 @@ certifies criticality (small sup |zeta - lambda_hat|), not minimality.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -53,7 +51,7 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, EnergyBreakdown,
-                          zeta, _as_star, _sweep)
+                          _as_star, _sweep)
 from .sets import Params, StarShape2D, volume
 
 __all__ = [
@@ -65,7 +63,7 @@ DEFAULT_K_MAX = 12
 DEFAULT_STEP = 1.0
 _MIN_STEP = 1e-14
 # no mode's eigenvalue is taken below this fraction of the largest one, so
-# the scaled velocity stays a descent direction whatever the measurement
+# the scaled velocity stays a descent direction where some mu_k <= 0
 _MU_FLOOR = 1e-3
 # residual at or below this is quadrature noise: the step is a no-op rather
 # than a fight against roundoff (exact critical points must be fixed points)
@@ -140,38 +138,46 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                           mesh_resolution=resolution, k_max=k_max)
 
 
-def _disk_eigenvalue(p: Params, nq: int, k: int) -> float:
-    """mu_k: the change of zeta at theta = 0 per unit of h when the
-    unit-area disk's radius becomes R + h cos(k theta), by a central
-    difference of two point queries (h = 1e-4 R). Both radii stay above
-    R - h > 0, so the shapes skip the positivity check."""
+def _mode_gaps(q: float, k_max: int) -> np.ndarray:
+    """I(q, k) - I(q, 1) for k = 2..k_max, where I(q, k) is the integral of
+    (2 sin(psi/2))^(-q) cos(k psi) over one period, continued analytically
+    in q: 2 pi Gamma(1 - q) (-1)^k / (Gamma(1 - q/2 + k) Gamma(1 - q/2 - k)).
+    I(q, k) / I(q, k - 1) = 1 + (q - 1) / (k - q/2) is summed in logs, so no
+    Gamma overflows, and the pole of Gamma(1 - q) at q = 1, where the gap
+    vanishes, is divided out (its limit there is exact)."""
+    j = np.arange(2.0, k_max + 1.0)
+    c = (2.0 * math.pi * math.gamma(2.0 - q)
+         / (math.gamma(2.0 - 0.5 * q) * math.gamma(-0.5 * q)))
+    if q == 1.0:
+        return c * np.cumsum(1.0 / (j - 0.5))
+    log_ratios = np.log1p((q - 1.0) / (j - 0.5 * q))
+    return c * np.expm1(np.cumsum(log_ratios)) / (q - 1.0)
+
+
+def _linearized_zeta(p: Params, k_max: int) -> np.ndarray:
+    """mu_2..mu_k_max: the change of zeta per unit of h, in mode k, when the
+    unit-area disk's radius R becomes R + h cos(k theta), from the second
+    variation at the ball: the linearized kappa, 2 R^(-1-s) (I(2+s, 1) -
+    I(2+s, k)), plus c_coupling eps times the linearized V,
+    R^(1-alpha) (I(alpha, k) - I(alpha, 1)). mu_1 = 0 (a translation)."""
     R = 1.0 / math.sqrt(math.pi)
-    h = 1e-4 * R
-    a = np.zeros(k)
-    a[-1] = h
-    plus = zeta(StarShape2D._positive((0.0, 0.0), R, a), (R + h, 0.0), p,
-                nq=nq)
-    minus = zeta(StarShape2D._positive((0.0, 0.0), R, -a), (R - h, 0.0), p,
-                 nq=nq)
-    return (plus - minus) / (2.0 * h)
+    return (-2.0 * R ** (-1.0 - p.s) * _mode_gaps(2.0 + p.s, k_max)
+            + p.c_coupling * p.eps * R ** (1.0 - p.alpha)
+            * _mode_gaps(p.alpha, k_max))
 
 
-@functools.lru_cache(maxsize=8)
-def _disk_spectrum(p: Params, nq: int, k_max: int) -> np.ndarray:
-    """(mu_0, ..., mu_K), K = max(2, k_max), read-only: the disk's
-    linearized zeta per Fourier mode, each clamped below at _MU_FLOOR times
-    the largest |mu_k|, with modes 0 and 1 set to the clamped mu_2. A non-finite or
-    all-zero measurement raises QuadratureError."""
-    mu = np.array([_disk_eigenvalue(p, nq, k)
-                   for k in range(2, max(2, k_max) + 1)])
+def _disk_spectrum(p: Params, k_max: int) -> np.ndarray:
+    """(mu_0, ..., mu_K), K = max(2, k_max): the disk's linearized zeta per
+    Fourier mode, each clamped below at _MU_FLOOR times the largest |mu_k|,
+    with modes 0 and 1 set to the clamped mu_2. A non-finite or all-zero
+    spectrum raises QuadratureError."""
+    mu = _linearized_zeta(p, max(2, k_max))
     top = np.abs(mu).max()
     if not (np.isfinite(mu).all() and top > 0.0):
         raise QuadratureError(
             f"disk spectrum is not finite and nonzero: {mu.tolist()}")
     mu = np.maximum(mu, _MU_FLOOR * top)
-    mu = np.concatenate([mu[:1], mu[:1], mu])
-    mu.flags.writeable = False
-    return mu
+    return np.concatenate([mu[:1], mu[:1], mu])
 
 
 def el_gradient_step(state: OptimizerState, p: Params,
@@ -203,7 +209,7 @@ def el_gradient_step(state: OptimizerState, p: Params,
     # mu_k, applied as the normal speed v * J / r at the mesh angles
     mesh = bf.mesh
     v = bf.zeta - lam
-    mu = _disk_spectrum(p, nq, state.k_max)
+    mu = _disk_spectrum(p, state.k_max)
     coef = np.fft.rfft(v)[:mu.size]
     v = np.fft.irfft(coef / mu[:coef.size], v.size)
     speed = mesh.weights * mesh.points.shape[0] / (2.0 * math.pi)

@@ -728,6 +728,58 @@ def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
         assert grads[i, 0] == g[0] and grads[i, 1] == g[1]
 
 
+def test_row_contraction_is_the_same_bits_in_any_block():
+    # one BLAS call per row: a row's result is the same alone, in a block
+    # of 3 and in the full block, here at the shapes of the on-curve
+    # (2K, 6 nq) and the off-curve (2K, 2n) tables at K = 12
+    from nlshape.functionals import _rows_times
+    rng = np.random.default_rng(5)
+    for nodes in (288, 346):
+        a = rng.standard_normal((40, 24))
+        T = rng.standard_normal((24, nodes))
+        full = _rows_times(a, T)
+        assert_allclose(full, a @ T, rtol=1e-12, atol=1e-12)
+        for i in range(a.shape[0]):
+            assert np.array_equal(full[i], _rows_times(a[i:i + 1], T)[0])
+            assert np.array_equal(full[i], _rows_times(a[i:i + 3], T)[0])
+
+
+_ROWS_TIMES_DIGEST = """
+import hashlib
+import numpy as np
+from nlshape.functionals import _rows_times
+rng = np.random.default_rng(9)
+digest = hashlib.sha256()
+for rows, nodes in ((512, 288), (64, 4096), (3, 20000)):
+    a, T = rng.standard_normal((rows, 24)), rng.standard_normal((24, nodes))
+    digest.update(_rows_times(a, T).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_row_contraction_is_thread_independent():
+    # the contraction runs in BLAS, so its bits must not depend on the
+    # thread count, up to a row of 20000 nodes
+    import os
+    import subprocess
+    import sys
+    import nlshape
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        nlshape.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [pkg_root] + ([os.environ["PYTHONPATH"]]
+                                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", _ROWS_TIMES_DIGEST],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_set_integral_never_calls_the_frame(monkeypatch, mode3_star):
     # the interior rule reads the boundary once (polar on the m ray angles,
     # kept on the shape, so a second integral reads the same grid); the

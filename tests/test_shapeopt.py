@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from nlshape import diagnostics, functionals, shapeopt
 from nlshape.errors import (GeometryError, ParamError, QuadratureError,
                             StalledError)
 from nlshape.functionals import (boundary_fields, energy, frac_perimeter,
-                                 riesz_energy)
+                                 riesz_energy, zeta)
 from nlshape.sets import (Ball, Params, StarShape2D, uniform_angles,
                           volume)
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
@@ -228,22 +229,39 @@ def test_non_positive_series_is_a_rejected_trial(monkeypatch):
 
 # ------------------------------------------------------ the disk's spectrum
 
-@pytest.fixture
-def fresh_spectrum():
-    """An empty spectrum cache before and after the test, so a patched
-    measurement neither reads nor leaves a cached spectrum."""
-    shapeopt._disk_spectrum.cache_clear()
-    yield
-    shapeopt._disk_spectrum.cache_clear()
+def _point_query_mu(p, k, nq=48):
+    """mu_k by a central difference of two on-curve zeta point queries at
+    theta = 0 on the unit-area disk of radius R perturbed by +-h cos(k theta),
+    h = 1e-4 R; the error is O(h^2)."""
+    R = 1.0 / math.sqrt(math.pi)
+    h = 1e-4 * R
+    a = np.zeros(k)
+    a[-1] = h
+    plus = zeta(StarShape2D((0.0, 0.0), R, a), (R + h, 0.0), p, nq=nq)
+    minus = zeta(StarShape2D((0.0, 0.0), R, -a), (R - h, 0.0), p, nq=nq)
+    return (plus - minus) / (2.0 * h)
 
 
-def test_disk_spectrum_matches_the_sweeps(fresh_spectrum):
+@pytest.mark.parametrize("p", [
+    P2, Params(n=2, s=0.3, alpha=0.9, eps=1e-2),
+    Params(n=2, s=0.8, alpha=1.5, eps=0.1),
+    Params(n=2, s=0.5, alpha=0.999, eps=0.05, c_coupling=3.0),
+    Params(n=2, s=0.1, alpha=0.2, eps=1.0)])
+def test_disk_spectrum_matches_point_queries(p):
+    # the closed form against the on-curve rule on perturbed disks: they
+    # agree to the central difference's O(h^2) error, about 1e-7
+    mu = shapeopt._disk_spectrum(p, 12)
+    for k in range(2, 13):
+        assert mu[k] == pytest.approx(_point_query_mu(p, k), rel=1e-6), k
+
+
+def test_disk_spectrum_matches_the_sweeps():
     # mode k of the linearized zeta from a whole-boundary sweep: the k-th
     # cosine coefficient of (zeta on R + h cos k theta minus zeta on the
     # disk) / h; the second-order response has no mode k, so it agrees with
-    # the point-query central difference to O(h^2)
+    # the closed form to O(h^2)
     m, nq, k_max = 64, 16, 12
-    mu = shapeopt._disk_spectrum(P2, nq, k_max)
+    mu = shapeopt._disk_spectrum(P2, k_max)
     assert mu.shape == (k_max + 1,)
     assert (mu > 0.0).all()
     assert (np.diff(mu[2:]) > 0.0).all()
@@ -259,16 +277,72 @@ def test_disk_spectrum_matches_the_sweeps(fresh_spectrum):
         assert mu[k] == pytest.approx(coef, rel=1e-5), k
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 1.0, 1.5, 2.5])
+def test_mode_gaps_match_quadrature(q):
+    # I(q, k) - I(q, 1) is the integral of (cos k psi - cos psi) over
+    # (2 sin(psi / 2))^q, which converges for q < 3: the numerator is
+    # -2 sin((k + 1) psi / 2) sin((k - 1) psi / 2), which vanishes like
+    # psi^2. The integrand is even about pi; its psi^(2 - q) factor at 0
+    # goes to the algebraic weight of QUADPACK's QAWS, and the rest is
+    # smooth, in sinc(x) = sin(x) / x
+    def sinc(x):
+        return float(np.sinc(x / math.pi))
+
+    gaps = shapeopt._mode_gaps(q, 8)
+    for k in range(2, 9):
+        ref = 2.0 * integrate.quad(
+            lambda t: -0.5 * (k * k - 1) * sinc(0.5 * (k + 1) * t)
+            * sinc(0.5 * (k - 1) * t) / sinc(0.5 * t) ** q,
+            0.0, math.pi, weight="alg", wvar=(2.0 - q, 0.0),
+            epsabs=0.0, epsrel=1e-13)[0]
+        assert gaps[k - 2] == pytest.approx(ref, rel=1e-11), k
+
+
+def test_disk_spectrum_is_continuous_at_alpha_one():
+    # Gamma(1 - alpha) has a pole at alpha = 1 where the V gap vanishes;
+    # the closed form divides it out, and takes the limit at alpha = 1
+    def spectrum(alpha):
+        return shapeopt._disk_spectrum(
+            Params(n=2, s=0.5, alpha=alpha, eps=0.5), 12)
+    limit = spectrum(1.0)
+    for alpha in (1.0 - 1e-9, 1.0 + 1e-9):
+        mu = spectrum(alpha)
+        assert np.isfinite(mu).all()
+        np.testing.assert_allclose(mu, limit, rtol=1e-8)
+
+
+def test_disk_spectrum_does_not_overflow_at_a_large_k_max():
+    mu = shapeopt._disk_spectrum(P2, 200)
+    assert mu.shape == (201,)
+    assert np.isfinite(mu).all()
+    assert (np.diff(mu[2:]) > 0.0).all()
+
+
+def test_descent_step_makes_no_point_query(monkeypatch):
+    # the spectrum is closed form: a step's fields all come from sweeps
+    def refuse(*args, **kwargs):
+        raise AssertionError("point query")
+    for name in ("frac_curvature", "potential"):
+        monkeypatch.setattr(functionals, name, refuse)
+    p = Params(n=2, s=0.45, alpha=0.55, eps=2e-3)
+    st = el_gradient_step(initial_state(_star(), resolution=32), p, nq=8)
+    assert st.iteration == 1
+
+
 @pytest.mark.parametrize("negative", [2, 3])
-def test_negative_eigenvalue_is_clamped(monkeypatch, fresh_spectrum, negative):
-    # a measured mu_3 < 0 would turn the _star's dominant mode uphill, and
-    # mu_2 also sets modes 0 and 1; the clamp keeps every mode a descent
-    # direction, so the steps still go
-    measure = shapeopt._disk_eigenvalue
-    monkeypatch.setattr(shapeopt, "_disk_eigenvalue",
-                        lambda p, nq, k: (-1.0 if k == negative else 1.0)
-                        * measure(p, nq, k))
-    mu = shapeopt._disk_spectrum(P2, 16, shapeopt.DEFAULT_K_MAX)
+def test_negative_eigenvalue_is_clamped(monkeypatch, negative):
+    # a mu_3 < 0 would turn the _star's dominant mode uphill, and mu_2 also
+    # sets modes 0 and 1; the clamp keeps every mode a descent direction, so
+    # the steps still go
+    closed_form = shapeopt._linearized_zeta
+
+    def flipped(p, k_max):
+        mu = closed_form(p, k_max)
+        mu[negative - 2] *= -1.0
+        return mu
+    monkeypatch.setattr(shapeopt, "_linearized_zeta", flipped)
+    mu = shapeopt._disk_spectrum(P2, shapeopt.DEFAULT_K_MAX)
+    assert flipped(P2, shapeopt.DEFAULT_K_MAX)[negative - 2] < 0.0
     assert (mu > 0.0).all()
     st = initial_state(_star(), resolution=64)
     energies = [energy(st.shape, P2, 64, 16).total]
@@ -280,9 +354,11 @@ def test_negative_eigenvalue_is_clamped(monkeypatch, fresh_spectrum, negative):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_eigenvalue_is_refused(monkeypatch, fresh_spectrum, bad):
-    monkeypatch.setattr(shapeopt, "_disk_eigenvalue",
-                        lambda p, nq, k: bad if k == 5 else 100.0 * k)
+def test_non_finite_eigenvalue_is_refused(monkeypatch, bad):
+    monkeypatch.setattr(
+        shapeopt, "_linearized_zeta",
+        lambda p, k_max: np.array([bad if k == 5 else 100.0 * k
+                                   for k in range(2, k_max + 1)]))
     with pytest.raises(QuadratureError):
         el_gradient_step(initial_state(_star(), resolution=32), P2, nq=8)
 
@@ -394,7 +470,7 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
     # The final diagnose reads the held sweep at nq and sweeps once at 2 nq
     from nlshape import functionals
     init = volume_project(fourier_shape(
-        {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
+        {"r0": 1.0, "a2": 0.09, "b3": -0.075, "a4": 0.06, "b5": 0.105}))
     calls = []
 
     def counted(module, name):
@@ -411,7 +487,9 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
                          (functionals, "frac_perimeter"),
                          (functionals, "riesz_energy")):
         counted(module, name)
-    # at tol 1e-8 the line search rejects some candidates (15 for 8 steps)
+    # at tol 1e-8 the line search rejects some candidates (22 for 12 steps),
+    # all of them below residual 2e-6, where a full step's F_eps differs
+    # from the held one by a few ulps
     sh, rep, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
                                    full_output=True)
     monkeypatch.undo()
