@@ -401,11 +401,14 @@ def _run_calibrate(cfg, emit):
     res, nq = _mesh_knobs(cfg, n)
     kwargs = {}
     if "radii" in cfg.values:
+        text = cfg.values["radii"]
         try:
-            kwargs["radii"] = tuple(float(v) for v in
-                                    cfg.values["radii"].split(",") if v.strip())
+            radii = tuple(float(v) for v in text.split(",") if v.strip())
         except ValueError:
-            raise ConfigError(f"invalid radii: {cfg.values['radii']!r}")
+            radii = ()
+        if not radii or not all(0.0 < r < math.inf for r in radii):
+            raise ConfigError(f"invalid radii: {text!r}")
+        kwargs["radii"] = radii
     try:
         c = calibrate_variation_constant(s, n, res, nq, **kwargs)
     except ParamError as exc:

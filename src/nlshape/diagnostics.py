@@ -359,6 +359,8 @@ def calibrate_variation_constant(s: float, n: int = 2,
         raise ParamError(f"s must lie in (0, 1), got {s!r}")
     if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
+    if not radii:
+        raise ParamError("radii must name at least one ball radius, got none")
     vals = []
     for R in radii:
         k = _kernel(Ball((0.0,) * int(n), R))

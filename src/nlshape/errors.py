@@ -30,10 +30,10 @@ class ConfigNotFoundError(ConfigError):
 
 
 class QuadratureError(NlshapeError, RuntimeError):
-    """Quadrature failed to meet its tolerance within the subdivision budget.
+    """A quadrature result is unusable: not finite, or short of its tolerance.
 
-    Carries the best estimate and the achieved error bound so callers can
-    decide whether the partial answer is still useful.
+    estimate and error_bound are None unless the raiser has them; the
+    package's one raise site, shapeopt's disk spectrum, passes neither.
     """
 
     def __init__(self, message, estimate=None, error_bound=None):

@@ -14,7 +14,8 @@ gradient, the fractional curvature
 and the boundary condition combination zeta = kappa + c * eps * V.
 
 1D values are closed forms in the first and second differences of powers
-of quad; P_s and R_alpha are one pair sum (_pair_sum_1d). 2D values use the
+of quad: kappa and V at the endpoints are quad's endpoint fields, and P_s
+and R_alpha are one pair sum (_pair_sum_1d). 2D values use the
 divergence-reduced boundary quadrature from quad: with q = n + s resp.
 q = alpha,
 
@@ -104,9 +105,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
-from .quad import (_boundary_point, _endpoint_pass, _first_diff,
-                   _pair_second_diff, _partition, graded_radial_rule,
-                   jacobi_half_rule, ladder_half_rule, pv_pair_integral)
+from .quad import (_boundary_point, _endpoint_fields, _first_diff,
+                   _pair_second_diff, graded_radial_rule, jacobi_half_rule,
+                   ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles,
                    volume, _per_shape)
@@ -186,25 +187,6 @@ def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
         else:
             acc.append(_first_diff(q, a - x if x <= a else x - b, b - a))
     return math.fsum(acc)
-
-
-def _endpoint_fields_1d(intervals: tuple, s: float, alpha: float):
-    """(kappa, V) as lists over the endpoints of the sorted, disjoint,
-    non-touching intervals (an IntervalSet's intervals), in the order a_1,
-    b_1, a_2, ... One partition of the line serves every endpoint, and each
-    endpoint is evaluated on its own, by one pass (quad._endpoint_pass) that
-    yields kappa and V together, so symmetric endpoints agree only if their
-    values do. Bit for bit, V is _potential_1d at the endpoint."""
-    if not (0.0 < alpha < 1.0):
-        raise ParamError(f"1D potential needs alpha in (0, 1), got {alpha!r}")
-    segs = _partition(intervals)
-    q = 1.0 - alpha
-    kap, pot = [], []
-    for j in range(len(segs) - 1):  # segment j ends at the j-th endpoint
-        k, v = _endpoint_pass(segs, j, s, q)
-        kap.append(k)
-        pot.append(v)
-    return kap, pot
 
 
 def _grad_self_moment(a: float, b: float, alpha: float) -> float:
@@ -371,6 +353,15 @@ def _rows_times(a, T):
     return np.matmul(a[:, None, :], T)[:, 0, :]
 
 
+def _mode_sums(star, angles, kk):
+    """A_k(t) = a_k cos kt + b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt
+    of the star shape at the given angles, for the modes kk = 1..K, as two
+    (angles, K) arrays."""
+    kt = np.multiply.outer(angles, kk)
+    ck, sk = np.cos(kt), np.sin(kt)
+    return star.a * ck + star.b * sk, star.b * ck - star.a * sk
+
+
 def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     """Sum W_k h(u_k) for targets on the curve, the boundary points at the
     angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor.
@@ -396,10 +387,7 @@ def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
     step = max(1, _CURVE_BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        kt = np.multiply.outer(thetas[rows], kk)
-        ck, sk = np.cos(kt), np.sin(kt)
-        A = star.a * ck + star.b * sk
-        B = star.b * ck - star.a * sk
+        A, B = _mode_sums(star, thetas[rows], kk)
         G = _rows_times(np.concatenate([A, B], axis=1), T)
         delta, drp, d = np.split(G, 3, axis=1)
         r = star.r0 + A.sum(axis=1, keepdims=True)
@@ -493,12 +481,8 @@ def _focus_frame(star, targets_xy, focus_angles):
     gap = |x - y(theta)| / |y'(theta)|: the innermost panel, pi 2^-depth,
     then lies below a sixteenth of the angle over which the integrand
     varies."""
-    K = star.kmax
-    kk = np.arange(1.0, K + 1.0)
-    kt = np.multiply.outer(focus_angles, kk)
-    ck, sk = np.cos(kt), np.sin(kt)
-    A = star.a * ck + star.b * sk
-    B = star.b * ck - star.a * sk
+    kk = np.arange(1.0, star.kmax + 1.0)
+    A, B = _mode_sums(star, focus_angles, kk)
     c, s = np.cos(focus_angles), np.sin(focus_angles)
     x = targets_xy[:, 0] - star.center[0]
     y = targets_xy[:, 1] - star.center[1]
@@ -752,19 +736,18 @@ class _Kernel:
 
 
 class _IntervalKernel(_Kernel):
-    """An interval set: the closed forms, and the endpoint principal value
-    of quad."""
+    """An interval set: the closed forms and endpoint fields of quad."""
 
     def sweep(self, p: Params, resolution, nq):
         S = self.S
         mesh = boundary_mesh(S, resolution)  # the endpoints, in order
-        kap, pot = map(np.array, _endpoint_fields_1d(S.intervals, p.s, p.alpha))
+        kap, pot = map(np.array, _endpoint_fields(S.intervals, p.s, 1.0 - p.alpha))
         return (mesh, kap, pot, self.perimeter(p.s, resolution, nq),
                 _riesz_1d(S, p.alpha))
 
     def curvature_sweep(self, s, resolution, nq):
-        kap = [self.curvature(x, s, nq) for x in self.S.endpoints()]
-        return (boundary_mesh(self.S, resolution), np.array(kap),
+        return (boundary_mesh(self.S, resolution),
+                np.array(_endpoint_fields(self.S.intervals, s, None)[0]),
                 self.perimeter(s, resolution, nq))
 
     def perimeter(self, s, resolution, nq) -> float:
@@ -774,10 +757,7 @@ class _IntervalKernel(_Kernel):
         return _riesz_1d(self.S, alpha)
 
     def curvature(self, x, s, nq) -> float:
-        x = _point_1d(x)
-        if _boundary_point(self.S, x) is None:
-            raise GeometryError(f"x = {x!r} is not a boundary point")
-        return pv_pair_integral(self.S, x, s)
+        return pv_pair_integral(self.S, _point_1d(x), s)
 
     def potential(self, x, alpha, nq) -> float:
         x = _point_1d(x)

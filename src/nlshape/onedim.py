@@ -45,8 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BracketError, GeometryError, ParamError
-from .functionals import _endpoint_fields_1d
-from .quad import _sym_second_diff
+from .quad import _endpoint_fields, _sym_second_diff
 from .sets import IntervalSet, Params
 
 __all__ = [
@@ -98,7 +97,7 @@ def zeta_endpoints(cfg: TwoIntervalConfig) -> np.ndarray:
     so the symmetry equalities are genuine output properties. The layout of
     two_interval_set, with its refusal, goes to them with no IntervalSet."""
     p = cfg.params
-    kap, pot = _endpoint_fields_1d(_two_intervals(cfg.d), p.s, p.alpha)
+    kap, pot = _endpoint_fields(_two_intervals(cfg.d), p.s, 1.0 - p.alpha)
     ce = p.c_coupling * p.eps
     return np.array([k + ce * v for k, v in zip(kap, pot)])
 

@@ -5,9 +5,9 @@ Two layers live here:
 * closed forms on the line: the first difference ((g + h)^q - g^q) / q,
   the kernel |x - y|^(q-1) over a segment of length h at distance g, and
   the second difference that every interval pair integral reduces to, both
-  formed without subtracting nearly equal powers; from them, the principal
-  value at a boundary point of an interval union, where the one-sided
-  divergences rho^(-s)/s cancel analytically;
+  formed without subtracting nearly equal powers; from them, the endpoint
+  fields of an interval union, which quad owns: V and the principal value
+  kappa, whose one-sided divergences rho^(-s)/s cancel analytically;
 
 * quadrature rules for the 2D boundary-reduced integrals. Area integrals of
   |y - x|^(-q) are converted to boundary integrals through
@@ -32,9 +32,8 @@ from .errors import GeometryError, ParamError
 from .sets import IntervalSet
 
 __all__ = [
-    "kernel_primitive", "interval_partition", "pv_at_endpoint",
-    "pv_pair_integral", "jacobi_half_rule", "ladder_half_rule",
-    "graded_radial_rule",
+    "kernel_primitive", "pv_pair_integral", "jacobi_half_rule",
+    "ladder_half_rule", "graded_radial_rule",
 ]
 
 
@@ -87,24 +86,23 @@ def _first_diff_pair(q1: float, q2: float, g: float, h: float):
     return _first_diff(q1, g, h), _first_diff(q2, g, h)
 
 
-def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
-    """The endpoint of S that x stands for, or None: the nearest endpoint,
-    accepted within 1e-12 * max(1, |x|). The tolerance is local to x, so a
-    far-away interval cannot widen it until two endpoints match. A
-    non-finite x stands for no endpoint."""
+def _endpoint_index(S: IntervalSet, x: float) -> Optional[int]:
+    """The index, in the order a_1, b_1, a_2, b_2, ..., of the endpoint of S
+    that x stands for, or None: the first nearest endpoint, accepted within
+    1e-12 * max(1, |x|). The tolerance is local to x, so a far-away interval
+    cannot widen it until two endpoints match. A non-finite x stands for no
+    endpoint."""
     if not math.isfinite(x):
         return None
-    # the first nearest endpoint, in the order a_1, b_1, a_2, b_2, ...
-    e = min((e for ab in S.intervals for e in ab), key=lambda e: abs(e - x))
-    if abs(e - x) <= 1e-12 * max(1.0, abs(x)):
-        return e
-    return None
+    ends = [e for ab in S.intervals for e in ab]
+    j = min(range(len(ends)), key=lambda j: abs(ends[j] - x))
+    return j if abs(ends[j] - x) <= 1e-12 * max(1.0, abs(x)) else None
 
 
-def interval_partition(S: IntervalSet) -> list:
-    """_partition of the intervals of S. Built once per set, it serves
-    every endpoint of S (pv_at_endpoint)."""
-    return _partition(S.intervals)
+def _boundary_point(S: IntervalSet, x: float) -> Optional[float]:
+    """The endpoint of S that x stands for (_endpoint_index), or None."""
+    j = _endpoint_index(S, x)
+    return None if j is None else S.intervals[j // 2][j % 2]
 
 
 def _partition(intervals: tuple) -> list:
@@ -122,33 +120,25 @@ def _partition(intervals: tuple) -> list:
 
 def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     """Principal value of int (chi_{complement} - chi_S)(y) |x - y|^(-1-s) dy
-    at a boundary point x of the interval union S.
-
-    x is resolved to the endpoint of S it stands for (_boundary_point) and
-    the value is pv_at_endpoint over the partition of S.
-    """
+    at a boundary point x of the interval union S: the kappa of
+    _endpoint_pass at the index of the endpoint that x stands for."""
     if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s!r}")
-    xb = _boundary_point(S, x)
-    if xb is None:
-        raise ValueError(f"x = {x!r} is not a boundary point of the interval set")
-    return pv_at_endpoint(interval_partition(S), xb, s)
+        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    j = _endpoint_index(S, x)
+    if j is None:
+        raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")
+    return _endpoint_pass(_partition(S.intervals), j, s, None)[0]
 
 
-def pv_at_endpoint(segs: list, x: float, s: float) -> float:
-    """pv_pair_integral at x, an endpoint of the partition segs
-    (interval_partition), for s in (0, 1), which is not checked here: the
-    kappa of _endpoint_pass at the segment that ends at x where the next
-    one begins."""
-    for j in range(len(segs) - 1):
-        if segs[j][1] == x == segs[j + 1][0]:
-            return _endpoint_pass(segs, j, s, None)[0]
-    raise _malformed(x)
-
-
-def _malformed(x: float) -> GeometryError:
-    return GeometryError(f"x = {x!r} does not separate a set segment from a "
-                         "complement segment; the interval set is malformed")
+def _endpoint_fields(intervals: tuple, s: float, q: Optional[float]):
+    """(kappa, V) over the endpoints a_1, b_1, a_2, ... of an IntervalSet's
+    intervals for q = 1 - alpha, V all None for q = None: one partition of
+    the line, then one _endpoint_pass per endpoint, so symmetric endpoints
+    agree only if their values do. Bit for bit, kappa is pv_pair_integral
+    and V the 1D potential at the endpoint."""
+    segs = _partition(intervals)  # segment j ends at endpoint j
+    return tuple(zip(*(_endpoint_pass(segs, j, s, q)
+                       for j in range(len(segs) - 1))))
 
 
 def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
@@ -169,10 +159,6 @@ def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
     left, right = segs[j], segs[j + 1]
     lo, x, sig_left = left
     _, hi, sig_right = right
-    # one set segment and one complement segment meet at each endpoint of
-    # an IntervalSet; a partition that bypassed its constructor is refused
-    if sig_left + sig_right != 0.0:
-        raise _malformed(x)
     len_left, len_right = x - lo, hi - x  # either may be inf
     # the adjacent set segment adds _first_diff(q, 0, h) = h^q / q (q > 0)
     pot = [] if q is None else [
@@ -203,21 +189,19 @@ def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
 def _series_table(b: float):
     """C(b, 2), the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
     ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff, and the
-    sign that every term shares, +-1.0, where each ratio is >= 0 (b in
-    (-1, 2]), else 0.0. The ratios are one numpy expression of the same
-    IEEE operations as the scalar formula, so they are the same bits. A line
-    sweep uses two exponents, b = -s and 1 - alpha; the interval pair
-    integrals use 1 - s, 1 - alpha and 2 - alpha (one sign each), and the 1D
-    Au1 identity 3 - alpha (terms of both signs)."""
+    sign of C(b, 2), +-1.0, which every term shares for b in (-1, 2), where
+    each ratio is >= 0. The ratios are one numpy expression of the same IEEE
+    operations as the scalar formula, so they are the same bits. A line
+    sweep uses b = -s and 1 - alpha, the interval pair integrals 1 - s,
+    1 - alpha and 2 - alpha: with s, alpha in (0, 1) all lie in (-1, 2)."""
     k2 = np.arange(2.0, 120.0, 2.0)  # 2k
     ratios = (b - k2) * (b - k2 - 1.0) / ((k2 + 1.0) * (k2 + 2.0))
     c2 = b * (b - 1.0) * 0.5
-    sign = (-1.0 if c2 < 0.0 else 1.0) if -1.0 < b <= 2.0 else 0.0
-    return c2, tuple(ratios.tolist()), sign
+    return c2, tuple(ratios.tolist()), (-1.0 if c2 < 0.0 else 1.0)
 
 
 def _sym_second_diff(b: float, x: float) -> float:
-    """(1+x)^b + (1-x)^b - 2 without cancellation, 0 <= x < 1.
+    """(1+x)^b + (1-x)^b - 2 without cancellation, 0 <= x < 1, b in (-1, 2).
 
     For x below 1/2 the even binomial series
     2 sum_{k>=1} C(b, 2k) x^(2k) is summed with a term recurrence, up to 60
@@ -225,30 +209,20 @@ def _sym_second_diff(b: float, x: float) -> float:
     x^2 * |(b-2k+1)(b-2k+2)| / ((2k-1)2k), which stays below ~x^2 for b in
     (-1, 2), so the truncation error is controlled by the first omitted term.
     The sum stops at the first term below 1e-18 of the partial sum in
-    magnitude. For b in (-1, 2] every term has the sign of C(b, 2), so the
-    magnitudes are summed (negating a float is exact) and compared without
-    abs(); outside it the signs may differ and the test takes abs().
+    magnitude. Every term has the sign of C(b, 2), so the magnitudes are
+    summed (negating a float is exact) and compared without abs().
     """
     if x >= 0.5:
         return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
     c2, ratios, sign = _series_table(b)
-    if sign:
-        term = sign * c2 * x * x  # |C(b, 2)| x^2
-        acc = term
-        for r in ratios:
-            if not term > 1e-18 * acc:
-                break
-            term *= r * x * x
-            acc += term
-        return sign * (2.0 * acc)
-    term = c2 * x * x  # C(b, 2) x^2
+    term = sign * c2 * x * x  # |C(b, 2)| x^2
     acc = term
     for r in ratios:
-        if not abs(term) > 1e-18 * abs(acc):
+        if not term > 1e-18 * acc:
             break
         term *= r * x * x
         acc += term
-    return 2.0 * acc
+    return sign * (2.0 * acc)
 
 
 def _pair_second_diff(q: float, g: float, L1: float, L2: float) -> float:

@@ -369,6 +369,15 @@ def test_calibrate_bad_radii_exits_2(tmp_path, capsys):
     assert "radii" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radii", ["", " , ", "1,-1", "0", "1,nan", "inf"])
+def test_calibrate_empty_or_non_positive_radii_exit_2(tmp_path, capsys, radii):
+    # configuration, not a runtime failure: no traceback, no Ball error
+    assert main(["calibrate", "--n", "1", "--s", "0.5", "--config",
+                 str(_write(tmp_path, "c.conf", f"radii = {radii}\n")),
+                 "--out", str(tmp_path)]) == 2
+    assert "invalid radii" in capsys.readouterr().err
+
+
 # ------------------------------------------------------- precedence and output
 
 def test_main_parses_through_one_parser_as_fresh_ones_do(tmp_path,

@@ -375,6 +375,12 @@ def test_calibrate_rejects_other_dimensions():
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_calibrate_rejects_empty_radii(n):
+    with pytest.raises(ParamError, match="radii"):
+        calibrate_variation_constant(0.5, n=n, resolution=64, nq=16, radii=())
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, math.nan])
 def test_calibrate_rejects_s_outside_the_unit_interval(n, s):
     with pytest.raises(ParamError):

@@ -266,6 +266,18 @@ def test_ball_3d_potential_center():
                     atol=0.0)
 
 
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.29, 1.3, 1.31, 2.0, 10.0])
+def test_ball_3d_potential_off_center_is_newtonian(r):
+    # alpha = 1 in R^3: V = 4 pi R^3 / (3 r) outside, 2 pi (R^2 - r^2 / 3)
+    # inside, at distance r from an off-origin center
+    R, c = 1.3, np.array([0.4, -1.1, 2.5])
+    direction = np.array([2.0, -1.0, 2.0]) / 3.0
+    got = potential(Ball(tuple(c), R), c + r * direction, 1.0)
+    exact = (4.0 * math.pi * R ** 3 / (3.0 * r) if r >= R
+             else 2.0 * math.pi * (R * R - r * r / 3.0))
+    assert_allclose(got, exact, rtol=1e-13)
+
+
 def test_disk_tangential_gradient_vanishes(unit_disk):
     for th in (0.0, 0.7, 2.1):
         x = (math.cos(th), math.sin(th))

@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 from nlshape import (GeometryError, IntervalSet, ParamError, Params,
                      QuadratureError, TwoIntervalConfig, boundary_fields,
                      kernel_primitive, pv_pair_integral, zeta_endpoints)
-from nlshape.functionals import _endpoint_fields_1d, _potential_1d
-from nlshape.quad import (_first_diff, _pair_second_diff, interval_partition,
-                          jacobi_half_rule, ladder_half_rule, pv_at_endpoint)
+from nlshape.functionals import _potential_1d
+from nlshape.quad import (_endpoint_fields, _first_diff, _pair_second_diff,
+                          jacobi_half_rule, ladder_half_rule)
 
 from oracles import (OracleResult, PVSpec, QuadTolerance, box_oracle,
                      brute_oracle, pair_second_diff_mp, pv_oracle,
@@ -209,7 +209,8 @@ def test_pv_pairing_radius_independence(two_intervals):
 
 
 def test_pv_pair_integral_interior_point_rejected(unit_interval):
-    with pytest.raises(ValueError):
+    # the error that frac_curvature raises on the same set
+    with pytest.raises(GeometryError, match="not a boundary point"):
         pv_pair_integral(unit_interval, 0.5, 0.5)
 
 
@@ -227,8 +228,14 @@ def test_pv_pair_integral_far_interval_keeps_local_endpoints():
 def test_pv_pair_integral_non_finite_point_rejected(two_intervals, x):
     # the endpoint tolerance is relative to |x|, so an infinite x must be
     # refused before it, or it matches the first endpoint
-    with pytest.raises(ValueError, match="not a boundary point"):
+    with pytest.raises(GeometryError, match="not a boundary point"):
         pv_pair_integral(two_intervals, x, 0.5)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, -0.5, math.nan])
+def test_pv_pair_integral_refuses_s_outside_the_unit_interval(two_intervals, s):
+    with pytest.raises(ParamError, match="s must lie in"):
+        pv_pair_integral(two_intervals, 1.0, s)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +259,16 @@ def _hex(values):
 
 @pytest.mark.parametrize("S", ENDPOINT_SETS)
 def test_pv_at_endpoint_is_the_reference_bitwise(S):
-    segs = interval_partition(S)
+    # the principal value at each endpoint, by pv_pair_integral and by the
+    # kappa of the endpoint fields (kappa only)
     ends = S.endpoints().tolist()
     for p in ENDPOINT_PARAMS:
-        for x in ends:
+        kap, pot = _endpoint_fields(S.intervals, p.s, None)
+        assert pot == (None,) * len(ends)
+        for x, k in zip(ends, kap):
             ref = pv_pair_integral_reference(S, x, p.s).hex()
-            assert pv_at_endpoint(segs, x, p.s).hex() == ref, (x, p.s)
+            assert pv_pair_integral(S, x, p.s).hex() == ref, (x, p.s)
+            assert k.hex() == ref, (x, p.s)
             # a point one ulp off resolves to the same endpoint (at 2^51 the
             # next float is the next endpoint)
             near = math.nextafter(x, math.inf)
@@ -266,33 +277,13 @@ def test_pv_at_endpoint_is_the_reference_bitwise(S):
 
 
 def test_pv_at_endpoint_is_the_endpoint_fields_kappa_bitwise():
-    # pv_at_endpoint finds the endpoint's index itself; the endpoint fields
-    # pass it by position
+    # pv_pair_integral resolves one endpoint to its index; the endpoint
+    # fields take every index in turn, with V alongside
     S = IntervalSet([(-1.0, 0.25), (0.5, 2.0), (3.7, 9.1)])
     for p in ENDPOINT_PARAMS:
-        kap = _endpoint_fields_1d(S.intervals, p.s, p.alpha)[0]
+        kap = _endpoint_fields(S.intervals, p.s, 1.0 - p.alpha)[0]
         assert _hex(kap) == _hex(pv_pair_integral(S, x, p.s)
                                  for x in S.endpoints().tolist())
-
-
-INF = math.inf
-MALFORMED = {
-    # both segments at x = 0 lie in the complement
-    "no set segment": ([(-INF, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, INF, 1.0)],
-                       0.0),
-    # no segment begins at x = 1, where the set segment ends
-    "a hole": ([(-INF, 0.0, 1.0), (0.0, 1.0, -1.0), (2.0, INF, 1.0)], 1.0),
-    # no segment ends at x = 0.5
-    "not an endpoint": ([(-INF, 0.0, 1.0), (0.0, 1.0, -1.0), (1.0, INF, 1.0)],
-                        0.5),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_pv_at_endpoint_refuses_a_malformed_partition(name):
-    segs, x = MALFORMED[name]
-    with pytest.raises(GeometryError, match="malformed"):
-        pv_at_endpoint(segs, x, 0.5)
 
 
 @pytest.mark.parametrize("S", ENDPOINT_SETS)
