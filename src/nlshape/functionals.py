@@ -75,12 +75,15 @@ target's distance to its focus point, ceil(log2(pi / gap)) + 4 levels with
 gap = |x - y(theta)| / |y'(theta)|, and the targets run grouped by depth.
 Both paths hand the integrands nodes with the same flux(), normal_parts()
 and r2, so V and grad V have one integrand each, and grad V is rotated back
-from the focus frame. Targets run in fixed blocks of quadrature nodes,
-about 2^16 on the curve (_curve_batch) and 2^13 off it (_ladder_sums, whose
-working arrays then stay in a core's L2 cache), so the working arrays of a
-sweep or a batch stay bounded in the mesh size m and in the number of
-targets, and a target's sum is the same whatever batch or block it falls
-in.
+from the focus frame. Targets run in fixed blocks of about _BLOCK_NODES =
+2^13 quadrature nodes on the curve (_curve_batch) and off it (_ladder_sums),
+whose working arrays then stay in a core's L2 cache: that block size is
+within about 12% of the fastest on both paths, and it cut a sweep's
+traced peak at 1024/96 from 6.2 MB (2^16 nodes) to 0.9 MB. The working
+arrays of a sweep or a batch stay bounded in the mesh size m and in the
+number of targets, and a target's sum is the same whatever batch or block
+it falls in. A sweep's two exponents share each block's mode sums, r and
+r' (one _curve_batch with a pass per exponent).
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
@@ -102,12 +105,11 @@ from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, _endpoint_fields, _first_diff,
-                   _pair_second_diff, graded_radial_rule, jacobi_half_rule,
-                   ladder_half_rule, pv_pair_integral)
+                   _gauss_legendre, _pair_second_diff, graded_radial_rule,
+                   jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, uniform_angles,
                    volume, _per_shape)
@@ -123,10 +125,11 @@ __all__ = [
 DEFAULT_NQ = 48          # Gauss-Jacobi nodes per half-side
 DEFAULT_RESOLUTION = 256
 _ON_CURVE_RTOL = 1e-9
-# quadrature nodes per block of targets in _curve_batch (2^16 doubles,
-# 512 KB an array) and in _ladder_sums (2^13, 64 KB; see _ladder_sums)
-_CURVE_BLOCK_NODES = 1 << 16
-_LADDER_BLOCK_NODES = 1 << 13
+# quadrature nodes per block of targets in _curve_batch and _ladder_sums, and
+# per block of rays in set_integral_2d: 2^13 doubles, 64 KB an array, so a
+# block's working arrays stay in a core's L2 cache (see _curve_batch and
+# _ladder_sums for the timings behind it)
+_BLOCK_NODES = 1 << 13
 # the uniform grid whose largest radius sizes the Lal probe cloud of a star
 # shape (the 512 samples of diagnostics.annulus_deficit_rho, one kept grid)
 _PROBE_GRID = 512
@@ -333,15 +336,23 @@ class _CurveNodes(NamedTuple):
 
     def flux(self):
         """(y - x).nu(y) |y'(phi)| = r(t) D + Delta^2 + 2 r(t) r(phi)
-        sin^2(u/2): O(u^2), from terms that are each O(u^2)."""
-        return (self.r * self.d + self.delta * self.delta
-                + 2.0 * self.r * self.rp * self.sig)
+        sin^2(u/2): O(u^2), from terms that are each O(u^2). A new array,
+        summed left to right as written."""
+        f = self.r * self.d
+        f += self.delta * self.delta
+        t = (2.0 * self.r) * self.rp
+        t *= self.sig
+        f += t
+        return f
 
     def normal_parts(self):
         """nu(y) |y'(phi)| in the frame e(t), e(t) turned a quarter
         counterclockwise, as new arrays."""
-        return (self.rp * self.cu + self.drp * self.su,
-                self.rp * self.su - self.drp * self.cu)
+        ne = self.rp * self.cu
+        ne += self.drp * self.su
+        np_ = self.rp * self.su
+        np_ -= self.drp * self.cu
+        return ne, np_
 
 
 def _rows_times(a, T):
@@ -362,46 +373,64 @@ def _mode_sums(star, angles, kk):
     return star.a * ck + star.b * sk, star.b * ck - star.a * sk
 
 
-def _curve_batch(star, thetas, beta, nq, h_func, ncomp=1):
+def _curve_batch(star, thetas, nq, *passes):
     """Sum W_k h(u_k) for targets on the curve, the boundary points at the
-    angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor.
-    h_func builds the integrand from the block's _CurveNodes and returns or
-    yields one value array per component (ncomp of them); the result is
-    shaped as in _ladder_batch.
+    angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor,
+    once per pass (beta, h_func, ncomp): h_func builds the integrand from a
+    block's _CurveNodes at that beta and returns or yields one value array
+    per component (ncomp of them). The result is a list, one array per pass,
+    each shaped as in _ladder_batch.
 
     The geometry is in polar difference form. With A_k(t) = a_k cos kt +
     b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt, the node values
     r(t + u) - r(t), r'(t + u) and D are sums over the modes of A_k and B_k
-    against the u-tables of _u_tables (one contraction per block), and
-    |y - x|^2 = Delta^2 + 4 r(t) r(phi) sin^2(u/2). A target costs K sin/cos
-    pairs, not 2 nq K, and no position difference y - x is formed, so the
-    O(u^2) numerators keep their relative accuracy as the nodes crowd
-    toward u = 0. Blocks of about _CURVE_BLOCK_NODES nodes bound memory in the
-    target count.
+    against the u-tables of _u_tables (one contraction per block and pass),
+    and |y - x|^2 = Delta^2 + 4 r(t) r(phi) sin^2(u/2). A target costs K
+    sin/cos pairs, not 2 nq K, and no position difference y - x is formed,
+    so the O(u^2) numerators keep their relative accuracy as the nodes crowd
+    toward u = 0. The passes share a block's A_k, B_k, r(t) and r'(t), so a
+    sweep forms them once for its two exponents.
+
+    The targets run in blocks of about _BLOCK_NODES = 2^13 nodes, so the
+    (rows, 2 nq) arrays of a block take 64 KB each and stay in a core's L2
+    cache, and memory is bounded in the target count. On the first seed-101
+    descent shape a sweep (both passes) took 2.6-3.4 / 2.2-2.5 / 1.9-2.1 /
+    1.7-2.0 / 2.4-2.8 / 2.4-2.8 ms at 256/48 and 23 / 17-18 / 15-16 /
+    14-15 / 14-15 / 20-21 ms at 1024/96 with blocks of 2^11 / 2^12 / ... /
+    2^16 nodes (timeit, medians of nine interleaved rounds, two runs), and
+    its traced peak at 1024/96 read 0.3 / 0.5 / 0.9 / 1.6 / 3.0 / 5.8 MB:
+    2^13 is within about 12% of the fastest at a third of 2^15's peak.
     """
     K = star.kmax
-    T, sig, su, cu, WW = _u_tables(beta, nq, K)
     kk = np.arange(1.0, K + 1.0)
+    tables = [_u_tables(beta, nq, K) for beta, _, _ in passes]
     n = thetas.shape[0]
-    out = np.empty((n, ncomp))
-    step = max(1, _CURVE_BLOCK_NODES // WW.size)
+    outs = [np.empty((n, ncomp)) for _, _, ncomp in passes]
+    step = max(1, _BLOCK_NODES // (2 * nq))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         A, B = _mode_sums(star, thetas[rows], kk)
-        G = _rows_times(np.concatenate([A, B], axis=1), T)
-        delta, drp, d = np.split(G, 3, axis=1)
+        ab = np.concatenate([A, B], axis=1)
         r = star.r0 + A.sum(axis=1, keepdims=True)
-        rp = r + delta
-        nodes = _CurveNodes(
-            r=r, dr=(kk * B).sum(axis=1, keepdims=True), delta=delta, rp=rp,
-            drp=drp, d=d, r2=delta * delta + 4.0 * r * rp * sig,
-            sig=sig, su=su, cu=cu)
-        # an h_func that yields builds each component after the previous
-        # one is summed and freed
-        comps = iter(h_func(nodes))
-        for c in range(ncomp):
-            out[rows, c] = np.einsum("ij,j->i", next(comps), WW)
-    return out[:, 0] if ncomp == 1 else out
+        dr = (kk * B).sum(axis=1, keepdims=True)
+        for (T, sig, su, cu, WW), (_, h_func, ncomp), out in zip(tables, passes,
+                                                                 outs):
+            G = _rows_times(ab, T)
+            cols = WW.size
+            delta, drp, d = G[:, :cols], G[:, cols:2 * cols], G[:, 2 * cols:]
+            rp = r + delta
+            # Delta^2 + 4 r(t) r(phi) sin^2(u/2), the sum in either order
+            r2 = (4.0 * r) * rp
+            r2 *= sig
+            r2 += delta * delta
+            nodes = _CurveNodes(r=r, dr=dr, delta=delta, rp=rp, drp=drp, d=d,
+                                r2=r2, sig=sig, su=su, cu=cu)
+            # an h_func that yields builds each component after the previous
+            # one is summed and freed
+            comps = iter(h_func(nodes))
+            for c in range(ncomp):
+                out[rows, c] = np.einsum("ij,j->i", next(comps), WW)
+    return [out[:, 0] if out.shape[1] == 1 else out for out in outs]
 
 
 # ladder depth: dyadic levels beyond the one that reaches a target's scaled
@@ -508,17 +537,17 @@ def _ladder_sums(star, frame, depth, h_func, ncomp):
     reused in place where nothing else reads them; every float op keeps its
     operands and their order, so the sums keep their bits.
 
-    The targets run in blocks of about _LADDER_BLOCK_NODES = 2^13 nodes: the
-    ten or so (rows, 2n) arrays live in a block then take 64 KB each and
-    stay in a core's 2 MB L2 cache, which 512 KB arrays (2^16) spill. On
-    the Au1 integral of the seed-101 audit (4096 targets at resolution 256)
-    timeit read 47 / 41 / 47 / 57 / 70 ms at 2^12 / 2^13 / 2^14 / 2^15 /
-    2^16 nodes (medians of five rounds); smaller blocks pay more per-block
-    overhead."""
+    The targets run in blocks of about _BLOCK_NODES = 2^13 nodes, the block
+    size of _curve_batch too: the ten or so (rows, 2n) arrays live in a
+    block then take 64 KB each and stay in a core's 2 MB L2 cache, which
+    512 KB arrays (2^16) spill. On the Au1 integral of the seed-101 audit
+    (4096 targets at resolution 256) timeit read 47 / 41 / 47 / 57 / 70 ms
+    at 2^12 / 2^13 / 2^14 / 2^15 / 2^16 nodes (medians of five rounds);
+    smaller blocks pay more per-block overhead."""
     T, cu, su, WW = _ladder_tables(int(depth), star.kmax)
     n = frame.ab.shape[0]
     out = np.empty((n, ncomp))
-    step = max(1, _LADDER_BLOCK_NODES // WW.size)
+    step = max(1, _BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         rp = _rows_times(frame.ab[rows], T)
@@ -572,9 +601,16 @@ class _Exponent(NamedTuple):
     energy_of: Callable
 
 
+def _flux_h(g, power):
+    """g.flux() * g.r2 ** power, formed in the flux's new array."""
+    f = g.flux()
+    f *= g.r2 ** power
+    return f
+
+
 def _curvature_exponent(s) -> _Exponent:
     """kappa and P_s, at beta = -s."""
-    return _Exponent(-s, lambda g: g.flux() * g.r2 ** (-(2.0 + s) / 2.0),
+    return _Exponent(-s, lambda g: _flux_h(g, -(2.0 + s) / 2.0),
                      lambda sums: (2.0 / s) * sums,
                      lambda pair: pair / (s * s))
 
@@ -582,7 +618,7 @@ def _curvature_exponent(s) -> _Exponent:
 def _potential_exponent(alpha) -> _Exponent:
     """V and R_alpha, at beta = 2 - alpha."""
     q = 2.0 - alpha
-    return _Exponent(q, lambda g: g.flux() * g.r2 ** (-alpha / 2.0),
+    return _Exponent(q, lambda g: _flux_h(g, -alpha / 2.0),
                      lambda sums: sums / q,
                      lambda pair: -pair / q ** 2)
 
@@ -591,31 +627,45 @@ def _pair_h(g, q):
     """The pair integral's integrand at the curve targets x(t),
     |y - x|^q nu(x).nu(y) |x'(t)| |y'(phi)|, with
     nu(x).nu(y) |x'(t)| |y'(phi)| = r(t) Y_e - r'(t) Y_perp from the normal
-    parts of y."""
+    parts of y, formed in their arrays."""
     ye, yp = g.normal_parts()
-    return (g.r * ye - g.dr * yp) * g.r2 ** (q / 2.0)
+    ye *= g.r
+    yp *= g.dr
+    ye -= yp
+    ye *= g.r2 ** (q / 2.0)
+    return ye
 
 
-def _curve_pass(star, ex, thetas, nq, field=True, energy=False):
-    """(field, energy term) of the _Exponent ex from one _curve_batch at
-    ex.beta, each None unless asked for: the field at the boundary points at
-    the angles thetas, and the energy term, whose outer rule is the
-    trapezoid rule on thetas (the mesh angles). Both integrands are built
-    from the same nodes, so a sweep and its energy term cost one geometry."""
-    hs = [h for h, want in ((ex.field_h, field),
-                            (lambda g: _pair_h(g, ex.beta), energy)) if want]
-    sums = _curve_batch(star, thetas, ex.beta, nq,
-                        lambda g: (h(g) for h in hs), ncomp=len(hs))
-    sums = iter(sums.reshape(-1, len(hs)).T)
-    f = ex.field_of(next(sums)) if field else None
-    e = (ex.energy_of((2.0 * math.pi / thetas.size) * math.fsum(next(sums)))
-         if energy else None)
-    return f, e
+def _curve_pass(star, thetas, nq, *exes, field=True, energy=False):
+    """[(field, energy term)] of each _Exponent of exes, from one
+    _curve_batch with a pass at each ex.beta, each None unless asked for:
+    the field at the boundary points at the angles thetas, and the energy
+    term, whose outer rule is the trapezoid rule on thetas (the mesh
+    angles). Both integrands of an exponent are built from the same nodes,
+    and the exponents share each block's mode sums, so a sweep and its
+    energy terms cost one geometry."""
+    ncomp = int(field) + int(energy)
+
+    def integrands(ex):
+        hs = [h for h, want in ((ex.field_h, field),
+                                (lambda g: _pair_h(g, ex.beta), energy))
+              if want]
+        return ex.beta, lambda g: (h(g) for h in hs), ncomp
+
+    out = []
+    for ex, sums in zip(exes, _curve_batch(star, thetas, nq,
+                                           *map(integrands, exes))):
+        sums = iter(sums.reshape(-1, ncomp).T)
+        f = ex.field_of(next(sums)) if field else None
+        e = (ex.energy_of((2.0 * math.pi / thetas.size) * math.fsum(next(sums)))
+             if energy else None)
+        out.append((f, e))
+    return out
 
 
 def _kappa_2d_batch(star, s, thetas, nq):
     """kappa at the boundary points at the angles thetas."""
-    return _curve_pass(star, _curvature_exponent(s), thetas, nq)[0]
+    return _curve_pass(star, thetas, nq, _curvature_exponent(s))[0][0]
 
 
 def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
@@ -623,7 +673,7 @@ def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
     focus angles."""
     ex = _potential_exponent(alpha)
     if on_curve:
-        return _curve_pass(star, ex, focus_angles, nq)[0]
+        return _curve_pass(star, focus_angles, nq, ex)[0][0]
     return ex.field_of(_ladder_batch(star, targets_xy, focus_angles,
                                      lambda g: (ex.field_h(g),)))
 
@@ -648,7 +698,7 @@ def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
 
     if on_curve:
         _check_boundary_gradient(alpha)
-        loc = _curve_batch(star, focus_angles, -alpha, nq, h, ncomp=2)
+        loc = _curve_batch(star, focus_angles, nq, (-alpha, h, 2))[0]
     else:
         loc = _ladder_batch(star, targets_xy, focus_angles, h, ncomp=2)
     # the sums are in the frame e(theta), e(theta)^perp of each focus
@@ -665,10 +715,14 @@ def _grad_tau_2d_batch(star, alpha, thetas, nq):
 
     def h(g):
         ye, yp = g.normal_parts()
-        return ((g.dr * ye + g.r * yp) * g.r2 ** (-alpha / 2.0)
-                / np.sqrt(g.r * g.r + g.dr * g.dr),)
+        ye *= g.dr
+        yp *= g.r
+        ye += yp
+        ye *= g.r2 ** (-alpha / 2.0)
+        ye /= np.sqrt(g.r * g.r + g.dr * g.dr)
+        return (ye,)
 
-    return -_curve_batch(star, thetas, -alpha, nq, h)
+    return -_curve_batch(star, thetas, nq, (-alpha, h, 1))[0]
 
 
 def _with_error(value_at, nq, with_error):
@@ -799,27 +853,30 @@ class _StarKernel(_Kernel):
     planar = True
 
     def sweep(self, p: Params, resolution, nq):
-        mesh, kap, per = self.curvature_sweep(p.s, resolution, nq)
+        mesh = boundary_mesh(self.S, resolution)
         # R_alpha converges for alpha < 2, which planar Params (_kernel) have
-        pot, rz = _curve_pass(self.S, _potential_exponent(p.alpha), mesh.thetas,
-                              nq, energy=True)
+        (kap, per), (pot, rz) = _curve_pass(
+            self.S, mesh.thetas, nq, _curvature_exponent(p.s),
+            _potential_exponent(p.alpha), energy=True)
         return mesh, kap, pot, per, rz
 
     def curvature_sweep(self, s, resolution, nq):
         mesh = boundary_mesh(self.S, resolution)
-        kap, per = _curve_pass(self.S, _curvature_exponent(s), mesh.thetas, nq,
-                               energy=True)
+        [(kap, per)] = _curve_pass(self.S, mesh.thetas, nq,
+                                   _curvature_exponent(s), energy=True)
         return mesh, kap, per
 
     def perimeter(self, s, resolution, nq) -> float:
-        return _curve_pass(self.S, _curvature_exponent(s), mesh_angles(resolution),
-                           nq, field=False, energy=True)[1]
+        return _curve_pass(self.S, mesh_angles(resolution), nq,
+                           _curvature_exponent(s), field=False,
+                           energy=True)[0][1]
 
     def riesz(self, alpha, resolution, nq) -> float:
         if not (0.0 < alpha < 2.0):
             raise ParamError(f"2D Riesz energy needs alpha in (0, 2), got {alpha!r}")
-        return _curve_pass(self.S, _potential_exponent(alpha), mesh_angles(resolution),
-                           nq, field=False, energy=True)[1]
+        return _curve_pass(self.S, mesh_angles(resolution), nq,
+                           _potential_exponent(alpha), field=False,
+                           energy=True)[0][1]
 
     def curvature(self, x, s, nq) -> float:
         x, on_curve, focus = _planar_target(self.S, x)
@@ -900,7 +957,7 @@ class _BallKernel(_Kernel):
         if dist < R:
             inner = omega * lo ** (n - alpha) / (n - alpha)
         # integrand is continuous on [lo, hi]; composite Gauss-Legendre
-        t, w = leggauss(64)
+        t, w = _gauss_legendre(64)
         total = 0.0
         panels = np.linspace(lo, hi, 9)
         for p0, p1 in zip(panels, panels[1:]):
@@ -1063,7 +1120,7 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     max(12, resolution // 16), grows with the angular resolution, so
     refining the mesh refines the whole rule.
 
-    f_batch runs on blocks of whole rays, about _LADDER_BLOCK_NODES nodes
+    f_batch runs on blocks of whole rays, about _BLOCK_NODES nodes
     each, so memory stays bounded in the resolution; every block's terms
     feed one math.fsum, whose correctly rounded sum does not depend on the
     blocks.
@@ -1074,7 +1131,7 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     m = int(resolution)
     th = uniform_angles(m)
     cs, sn, r, _ = star._grid(m)
-    step = max(1, _LADDER_BLOCK_NODES // q_radial)
+    step = max(1, _BLOCK_NODES // q_radial)
 
     def terms(lo):
         # nodes x = center + (t * r) e(theta), weights r^2 t dt dtheta, on

@@ -185,6 +185,12 @@ def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
     return total, (None if q is None else math.fsum(pot))
 
 
+def _check_series_exponent(b: float):
+    if not -1.0 < b < 2.0:
+        raise ParamError(
+            f"the symmetric second difference needs b in (-1, 2), got {b!r}")
+
+
 @lru_cache(maxsize=64)
 def _series_table(b: float):
     """C(b, 2), the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
@@ -193,7 +199,11 @@ def _series_table(b: float):
     each ratio is >= 0. The ratios are one numpy expression of the same IEEE
     operations as the scalar formula, so they are the same bits. A line
     sweep uses b = -s and 1 - alpha, the interval pair integrals 1 - s,
-    1 - alpha and 2 - alpha: with s, alpha in (0, 1) all lie in (-1, 2)."""
+    1 - alpha and 2 - alpha: with s, alpha in (0, 1) all lie in (-1, 2).
+    Any other b is refused with ParamError: for b in (2, 3) the terms change
+    sign, and for large b they still grow at the 60th; the cache holds only
+    tables of the domain, so the series calls pay for the check once per b."""
+    _check_series_exponent(b)
     k2 = np.arange(2.0, 120.0, 2.0)  # 2k
     ratios = (b - k2) * (b - k2 - 1.0) / ((k2 + 1.0) * (k2 + 2.0))
     c2 = b * (b - 1.0) * 0.5
@@ -210,9 +220,11 @@ def _sym_second_diff(b: float, x: float) -> float:
     (-1, 2), so the truncation error is controlled by the first omitted term.
     The sum stops at the first term below 1e-18 of the partial sum in
     magnitude. Every term has the sign of C(b, 2), so the magnitudes are
-    summed (negating a float is exact) and compared without abs().
+    summed (negating a float is exact) and compared without abs(). A b
+    outside (-1, 2) is refused with ParamError on either branch.
     """
     if x >= 0.5:
+        _check_series_exponent(b)
         return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
     c2, ratios, sign = _series_table(b)
     term = sign * c2 * x * x  # |C(b, 2)| x^2
@@ -283,6 +295,17 @@ def jacobi_half_rule(beta: float, nq: int):
     return u, W
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(q: int):
+    """The q-point Gauss-Legendre rule on (-1, 1) as (nodes, weights),
+    read-only: leggauss(q), which costs about 0.2 ms at q = 12, built once
+    per q for the ladder panels, the radial rules and the ball potential."""
+    t, w = leggauss(q)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 @lru_cache(maxsize=64)
 def ladder_half_rule(depth: int = 24, q: int = 12):
     """Composite Gauss-Legendre on (0, pi) with dyadic panels toward 0.
@@ -291,9 +314,10 @@ def ladder_half_rule(depth: int = 24, q: int = 12):
     kernels seen from a point off the curve). The innermost panel reaches
     pi * 2^(-depth); the off-curve rule of functionals takes the depth from
     each target's distance to its focus point (up to 48 levels), so the
-    cache holds a rule for every depth in use.
+    cache holds a rule for every depth in use. Each panel maps the one
+    q-point rule of _gauss_legendre.
     """
-    t, w = leggauss(q)
+    t, w = _gauss_legendre(q)
     us, ws = [], []
     hi = math.pi
     for _ in range(depth):
@@ -318,7 +342,7 @@ def graded_radial_rule(q: int):
     Gauss-Legendre rule mapped to (0, 1) (tau = (t_GL + 1) / 2; the 1.5 is
     the Jacobian 3 (1 - tau)^2 times the 1/2 of the map). The rule depends
     only on q, so it is built once per order."""
-    tq, wq = leggauss(q)
+    tq, wq = _gauss_legendre(q)
     tau = 0.5 * (tq + 1.0)
     t = 1.0 - (1.0 - tau) ** 3
     w = 1.5 * wq * (1.0 - tau) ** 2

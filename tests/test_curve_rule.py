@@ -295,8 +295,9 @@ def test_on_curve_memory_is_bounded_and_tables_are_read_only():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a sweep of 256 targets holds a few (256, 96) node arrays and the
-    # (256, 288) contraction: about 3 MB
+    # a sweep's blocks of 2^13 nodes hold a few (85, 96) node arrays and
+    # the (85, 288) contraction; with the u-tables built here the peak is
+    # about 1 MB (2.1 MB with 2^16-node blocks)
     assert peak < 6 * 2 ** 20
     info = functionals._u_tables.cache_info()
     assert info.maxsize == 16 and 0 < info.currsize <= info.maxsize

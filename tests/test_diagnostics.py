@@ -393,13 +393,13 @@ def test_calibrate_2d_makes_one_pass_per_radius(monkeypatch):
     calls = []
     batch = functionals._curve_batch
 
-    def counted(star, thetas, beta, nq, h_func, ncomp=1):
-        calls.append((star.r0, beta, ncomp))
-        return batch(star, thetas, beta, nq, h_func, ncomp)
+    def counted(star, thetas, nq, *passes):
+        calls.append((star.r0, [(beta, ncomp) for beta, _, ncomp in passes]))
+        return batch(star, thetas, nq, *passes)
     monkeypatch.setattr(functionals, "_curve_batch", counted)
     c = calibrate_variation_constant(0.5, n=2, resolution=128, nq=32)
     monkeypatch.undo()
-    assert calls == [(0.5, -0.5, 2), (1.0, -0.5, 2), (2.0, -0.5, 2)]
+    assert calls == [(r0, [(-0.5, 2)]) for r0 in (0.5, 1.0, 2.0)]
     assert_allclose(c, 1.0, rtol=1e-9)
 
 

@@ -649,6 +649,7 @@ def test_set_integral_builds_its_radial_rule_once(monkeypatch, mode3_star):
         built.append(q)
         return np.polynomial.legendre.leggauss(q)
     quad.graded_radial_rule.cache_clear()
+    quad._gauss_legendre.cache_clear()
     monkeypatch.setattr(quad, "leggauss", counted)
     one = lambda pts, foci: np.ones(pts.shape[0])
     first = set_integral_2d(mode3_star, one, 512)
@@ -680,10 +681,10 @@ def test_batched_gradient_matches_scalar(mode3_star):
 
 
 def _ladder_targets_per_block(depth):
-    from nlshape.functionals import _LADDER_BLOCK_NODES
+    from nlshape.functionals import _BLOCK_NODES
     from nlshape.quad import ladder_half_rule
     # each target sums over the ladder of its depth on both sides of its focus
-    return _LADDER_BLOCK_NODES // (2 * ladder_half_rule(int(depth))[0].size)
+    return _BLOCK_NODES // (2 * ladder_half_rule(int(depth))[0].size)
 
 
 def _largest_depth_group(star, pts, foci):
@@ -817,25 +818,62 @@ def test_set_integral_never_calls_the_frame(monkeypatch, mode3_star):
 
 
 def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
-    # nq 48 puts 682 targets in a block: 1500 mesh nodes run in 3; a single
-    # target is a batch of one
-    from nlshape.functionals import (_grad_potential_2d_batch,
+    # 1500 mesh nodes run in blocks of _BLOCK_NODES // (2 nq) targets, the
+    # last one partial; the first and last target of the first two blocks
+    # and of the last one each equal a batch of one
+    from nlshape.functionals import (_BLOCK_NODES, _grad_potential_2d_batch,
                                      _grad_tau_2d_batch, _kappa_2d_batch,
                                      _potential_2d_batch)
-    bf = boundary_fields(mode3_star, params_2d, 1500, 48)
-    mesh = bf.mesh
-    gt = _grad_tau_2d_batch(mode3_star, 0.5, mesh.thetas, 48)
-    for i in (0, 681, 682, 1364, 1499):
-        one = slice(i, i + 1)
-        th, x = mesh.thetas[one], mesh.points[one]
-        assert bf.kappa[i] == _kappa_2d_batch(mode3_star, 0.5, th, 48)[0]
-        assert bf.pot[i] == _potential_2d_batch(mode3_star, 0.5, x, th, True,
-                                                48)[0]
-        assert gt[i] == _grad_tau_2d_batch(mode3_star, 0.5, th, 48)[0]
-        # the one tangential sum is the vector's tangential part
-        g = _grad_potential_2d_batch(mode3_star, 0.5, x, th, True, 48)[0]
-        assert abs(gt[i] - (g * mesh.tangents[i]).sum()) \
-            <= 1e-14 * np.abs(g).max()
+    m = 1500
+    for nq in (48, 96):
+        per_block = _BLOCK_NODES // (2 * nq)
+        last = m - m % per_block
+        assert 2 * per_block < last < m
+        bf = boundary_fields(mode3_star, params_2d, m, nq)
+        mesh = bf.mesh
+        gt = _grad_tau_2d_batch(mode3_star, 0.5, mesh.thetas, nq)
+        for i in (0, per_block - 1, per_block, 2 * per_block - 1, last - 1,
+                  last, m - 1):
+            one = slice(i, i + 1)
+            th, x = mesh.thetas[one], mesh.points[one]
+            assert bf.kappa[i] == _kappa_2d_batch(mode3_star, 0.5, th, nq)[0]
+            assert bf.pot[i] == _potential_2d_batch(mode3_star, 0.5, x, th,
+                                                    True, nq)[0]
+            assert gt[i] == _grad_tau_2d_batch(mode3_star, 0.5, th, nq)[0]
+            # the one tangential sum is the vector's tangential part
+            g = _grad_potential_2d_batch(mode3_star, 0.5, x, th, True, nq)[0]
+            assert abs(gt[i] - (g * mesh.tangents[i]).sum()) \
+                <= 1e-14 * np.abs(g).max()
+
+
+def test_sweep_over_blocks_equals_the_single_exponent_callers(mode3_star,
+                                                              params_2d):
+    # a sweep runs kappa / P_s (beta = -s) and V / R_alpha (beta = 2 - alpha)
+    # as two passes of one block loop; each is the bits of its own caller
+    from nlshape.functionals import _kappa_2d_batch, _potential_2d_batch
+    for m, nq in ((1500, 48), (256, 96)):
+        bf = boundary_fields(mode3_star, params_2d, m, nq)
+        th, pts = bf.mesh.thetas, bf.mesh.points
+        assert np.array_equal(bf.kappa,
+                              _kappa_2d_batch(mode3_star, 0.5, th, nq))
+        assert np.array_equal(bf.pot, _potential_2d_batch(
+            mode3_star, 0.5, pts, th, True, nq))
+        assert bf.perimeter == frac_perimeter(mode3_star, 0.5, m, nq)
+        assert bf.riesz == riesz_energy(mode3_star, 0.5, m, nq)
+
+
+def test_sweep_memory_is_cache_sized(mode3_star, params_2d):
+    # blocks of 2^13 nodes keep a sweep's traced peak near 0.9 MB at
+    # 1024/96; blocks of 2^16 nodes took 6.2 MB
+    import tracemalloc
+    boundary_fields(mode3_star, params_2d, 1024, 96)  # builds the u-tables
+    tracemalloc.start()
+    try:
+        boundary_fields(mode3_star, params_2d, 1024, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_set_integral_memory_is_bounded(mode3_star):

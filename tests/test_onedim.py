@@ -8,7 +8,6 @@ correctly rounded values.
 import inspect
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -114,12 +113,18 @@ def test_sym_second_diff_is_the_recurrence_bitwise():
 
 
 def test_sym_second_diff_at_the_term_cap():
-    # at b = 1000.5 the terms still grow at k = 59, so both stop at the cap
-    b, x = 1000.5, 0.49
-    got = _sym_second_diff(b, x)
-    assert got.hex() == sym_second_diff_recurrence(b, x).hex()
-    next_term = mp.binomial(b, 120) * mp.mpf(x) ** 120
-    assert next_term > 1e-18 * got / 2.0
+    # at b = 1000.5 the terms still grow at the 60th, where the series would
+    # stop (1.35e121 for 1.87e173 at x = 0.49): b is refused instead
+    with pytest.raises(ParamError):
+        _sym_second_diff(1000.5, 0.49)
+
+
+@pytest.mark.parametrize("b,x", [
+    (2.5, 0.3), (2.7, 0.45),  # the terms change sign: 0.3368672 for 0.3368599
+    (2.5, 0.75), (2.0, 0.1), (-1.0, 0.1), (-1.5, 0.6), (math.nan, 0.1)])
+def test_sym_second_diff_refuses_b_outside_its_domain(b, x):
+    with pytest.raises(ParamError):
+        _sym_second_diff(b, x)
 
 
 def test_series_table_cache_is_bounded():

@@ -348,3 +348,51 @@ def test_ladder_rule_peaked_integrand():
     u, w = ladder_half_rule()
     got = float(np.sum(w * h / (u * u + h * h)))
     assert_allclose(got, math.atan(math.pi / h), rtol=1e-10)
+
+
+def _ladder_rule_reference(depth, q=12):
+    # the ladder with its own leggauss(q), as each depth built it before
+    # the q-point rule was shared
+    t, w = np.polynomial.legendre.leggauss(q)
+    us, ws, hi = [], [], math.pi
+    for _ in range(depth):
+        lo = 0.5 * hi
+        us.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * t)
+        ws.append(0.5 * (hi - lo) * w)
+        hi = lo
+    us.append(0.5 * hi + 0.5 * hi * t)
+    ws.append(0.5 * hi * w)
+    return np.concatenate(us[::-1]), np.concatenate(ws[::-1])
+
+
+def _radial_rule_reference(q):
+    tq, wq = np.polynomial.legendre.leggauss(q)
+    tau = 0.5 * (tq + 1.0)
+    return 1.0 - (1.0 - tau) ** 3, 1.5 * wq * (1.0 - tau) ** 2
+
+
+def test_gauss_legendre_rule_is_built_once_per_order(monkeypatch):
+    # every ladder depth and the radial rule of the same order map one
+    # read-only q-point rule, with the bits of a rule built per use
+    from nlshape import quad
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return np.polynomial.legendre.leggauss(q)
+    for cached in (quad._gauss_legendre, ladder_half_rule,
+                   quad.graded_radial_rule):
+        cached.cache_clear()
+    monkeypatch.setattr(quad, "leggauss", counted)
+    ladders = [ladder_half_rule(depth) for depth in range(1, 49)]
+    radials = [quad.graded_radial_rule(q) for q in range(12, 65)]
+    monkeypatch.undo()
+    assert built == list(range(12, 65))
+    for depth, (u, W) in enumerate(ladders, start=1):
+        ref_u, ref_W = _ladder_rule_reference(depth)
+        assert u.tobytes() == ref_u.tobytes() and W.tobytes() == ref_W.tobytes()
+    for q, (t, w) in enumerate(radials, start=12):
+        ref_t, ref_w = _radial_rule_reference(q)
+        assert t.tobytes() == ref_t.tobytes() and w.tobytes() == ref_w.tobytes()
+    t, w = quad._gauss_legendre(12)
+    assert not t.flags.writeable and not w.flags.writeable
