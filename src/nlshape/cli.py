@@ -8,8 +8,14 @@ line endings, and no clocks or host information. Timestamps and wall time
 live only in the sidecar, so reruns with the same config produce
 byte-identical CSV files regardless of machine or configured thread count.
 
-Exit codes: 0 success; 1 domain failure (no root found, stalled descent,
-quadrature breakdown); 2 configuration or usage errors.
+One table, _KEYS, declares every key: its caster, its help text and the
+commands that take it as a flag. load_config casts file values by it, and
+the parser builds every subcommand's flags from it.
+
+Exit codes: 0 success; 1 domain failure (bad geometry, no root found,
+stalled descent, quadrature breakdown); 2 configuration or usage errors,
+every ParamError among them: a parameter out of its range is a
+configuration error wherever the library refuses it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import IDENTITY_KINDS, calibrate_variation_constant, diagnose
-from .errors import (ConfigError, ConfigNotFoundError, NlshapeError, ParamError)
+from .errors import ConfigError, ConfigNotFoundError, NlshapeError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _kernel,
                           boundary_fields, energy, potential)
 from .onedim import _sweep_record, epsilon_sweep
@@ -39,32 +45,43 @@ from .shapeopt import find_critical_2d, volume_project
 
 __all__ = ["main", "load_config", "run_command", "RunConfig"]
 
+# the first four run on a geometry file
 COMMANDS = ("energy", "curvature", "potential", "diagnose", "onedim-root",
             "onedim-sweep", "optimize2d", "calibrate")
+_ONEDIM, _OPT = COMMANDS[4:6], ("optimize2d",)
 
-# every key a config file or flag may set: name -> (caster, description)
+# every key a config file or flag may set: name -> (caster, help, the
+# commands that take it as a flag), in each subcommand's flag order
 _KEYS = {
-    "command": (str, "command to run (overridden by the CLI subcommand)"),
-    "n": (int, "ambient dimension"),
-    "s": (float, "perimeter order in (0, 1)"),
-    "alpha": (float, "repulsion exponent in (0, n)"),
-    "eps": (float, "coupling strength (nonnegative)"),
-    "mass": (float, "volume of the unscaled set (positive)"),
-    "c_coupling": (float, "constant multiplying eps*V in the boundary condition"),
-    "c_var": (float, "first-variation normalization"),
-    "geometry": (str, "path to a geometry JSON file"),
-    "out": (str, "output directory"),
-    "prefix": (str, "basename for emitted files (default: command name)"),
-    "resolution": (int, "2D boundary mesh size"),
-    "nq": (int, "quadrature nodes per half-side"),
-    "point": (str, "comma-separated coordinates for a single-point query"),
-    "f_tol": (float, "residual bound certified at a 1D root"),
-    "eps_grid": (str, "comma-separated eps values for the sweep"),
-    "tol": (float, "target boundary-condition residual (optimize2d)"),
-    "max_iter": (int, "iteration cap (optimize2d)"),
-    "k_max": (int, "highest retained Fourier mode (optimize2d)"),
-    "step": (float, "first trial step of each descent iteration (optimize2d)"),
-    "radii": (str, "comma-separated ball radii for calibration"),
+    "command": (str, "command to run (overridden by the CLI subcommand)", ()),
+    "out": (str, "output directory (default: current)", COMMANDS),
+    "prefix": (str, "basename for emitted files (default: command name)",
+               COMMANDS),
+    "n": (int, "ambient dimension", COMMANDS),
+    "s": (float, "perimeter order in (0, 1)", COMMANDS),
+    "alpha": (float, "repulsion exponent in (0, n)", COMMANDS),
+    "eps": (float, "coupling strength (nonnegative)", COMMANDS),
+    "mass": (float, "volume of the unscaled set (positive)", COMMANDS),
+    "c_coupling": (float, "boundary-condition coupling constant: it "
+                   "multiplies eps*V", COMMANDS),
+    "c_var": (float, "first-variation normalization", COMMANDS),
+    "resolution": (int, "2D boundary mesh size", COMMANDS),
+    "nq": (int, "quadrature nodes per half-side", COMMANDS),
+    "geometry": (str, "geometry JSON file", COMMANDS[:4] + _OPT),
+    "point": (str, "evaluate at one point: x[,y]", ("potential",)),
+    "f_tol": (float, "residual bound certified at the root", _ONEDIM),
+    "eps_grid": (str, "comma-separated eps values", ("onedim-sweep",)),
+    "k_max": (int, "highest retained Fourier mode", _OPT),
+    "tol": (float, "target residual", _OPT),
+    "max_iter": (int, "iteration cap", _OPT),
+    "step": (float, "first trial step of each descent iteration", _OPT),
+    "radii": (str, "comma-separated ball radii for calibration", ()),
+}
+
+# optimize2d's own flags for two keys: key -> (flag, help)
+_OPTIMIZE2D_FLAGS = {
+    "geometry": ("--init", "initial geometry JSON (default: unit-area disk)"),
+    "k_max": ("--modes", "highest retained Fourier mode"),
 }
 
 _DEFAULT_EPS_GRID = "1e-3,3.1623e-4,1e-4,3.1623e-5,1e-5,3.1623e-6,1e-6"
@@ -86,26 +103,12 @@ class RunConfig:
         return self.values[key]
 
     def params(self, default_n: int) -> Params:
-        kw = {"n": self.get("n", default_n)}
-        for key in ("s", "alpha", "eps", "mass", "c_coupling", "c_var"):
-            if key in self.values:
-                kw[key] = self.values[key]
-        if "s" not in kw:
-            raise ConfigError("missing required key: s")
-        if "alpha" not in kw:
-            raise ConfigError("missing required key: alpha")
-        try:
-            return Params(**kw)
-        except ParamError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-def _cast(key: str, raw: str, where: str):
-    caster, _ = _KEYS[key]
-    try:
-        return caster(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: invalid value for {key}: {raw!r}")
+        self.require("s")
+        self.require("alpha")
+        kw = {key: self.values[key] for key in
+              ("s", "alpha", "eps", "mass", "c_coupling", "c_var")
+              if key in self.values}
+        return Params(n=self.get("n", default_n), **kw)
 
 
 def load_config(path) -> RunConfig:
@@ -124,7 +127,11 @@ def load_config(path) -> RunConfig:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        val = _cast(key, raw, f"{path}:{lineno}")
+        try:
+            val = _KEYS[key][0](raw)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid value for {key}: {raw!r}")
         if key == "command":
             if val not in COMMANDS:
                 raise ConfigError(
@@ -137,18 +144,14 @@ def load_config(path) -> RunConfig:
 
 
 def _merged_config(args) -> RunConfig:
-    config = getattr(args, "config", None)
-    cfg = load_config(config) if config else RunConfig()
-    if getattr(args, "command", None):
+    cfg = load_config(args.config) if args.config else RunConfig()
+    if args.command:
         cfg.command = args.command
     if cfg.command is None:
         raise ConfigError("no command given (subcommand or command= in the file)")
-    for key in _KEYS:
-        if key == "command":
-            continue
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            cfg.values[key] = _cast(key, str(flag_val), f"--{key.replace('_', '-')}")
+    # argparse has cast each flag by its key's caster
+    cfg.values.update((key, val) for key, val in vars(args).items()
+                      if key in _KEYS and key != "command" and val is not None)
     return cfg
 
 
@@ -241,14 +244,11 @@ def _load_geometry_for(cfg: RunConfig):
 
 def _geometry_run(cfg: RunConfig):
     """(S, p, resolution, nq) of a command on a geometry file. Params whose
-    n is not the dimension of S are a configuration error, by the library's
+    n is not the dimension of S are refused (ParamError) by the library's
     one check of Params against a geometry (functionals._kernel)."""
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
-    try:
-        _kernel(S, p)
-    except ParamError as exc:
-        raise ConfigError(str(exc)) from exc
+    _kernel(S, p)
     return (S, p, *_mesh_knobs(cfg, S.n))
 
 
@@ -279,6 +279,13 @@ def _coord_header(S):
     return ["x"] if S.n == 1 else ["x", "y"]
 
 
+def _mesh_field_csv(emit, S, mesh, name, values):
+    """One boundary field at the mesh points: index, coordinates, value."""
+    rows = [(i, *x, float(v))
+            for i, (x, v) in enumerate(zip(mesh.points.tolist(), values))]
+    emit.csv(".csv", ["index", *_coord_header(S), name], rows)
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -294,9 +301,7 @@ def _run_energy(cfg, emit):
 def _run_curvature(cfg, emit):
     S, p, res, nq = _geometry_run(cfg)
     bf = boundary_fields(S, p, res, nq)
-    rows = [(i, *bf.mesh.points[i].tolist(), float(bf.kappa[i]))
-            for i in range(bf.mesh.points.shape[0])]
-    emit.csv(".csv", ["index", *_coord_header(S), "kappa"], rows)
+    _mesh_field_csv(emit, S, bf.mesh, "kappa", bf.kappa)
     emit.meta["params"] = _params_dict(p)
 
 
@@ -308,9 +313,7 @@ def _run_potential(cfg, emit):
         emit.csv(".csv", [*_coord_header(S), "potential"], [(*x, v)])
     else:
         bf = boundary_fields(S, p, res, nq)
-        rows = [(i, *bf.mesh.points[i].tolist(), float(bf.pot[i]))
-                for i in range(bf.mesh.points.shape[0])]
-        emit.csv(".csv", ["index", *_coord_header(S), "potential"], rows)
+        _mesh_field_csv(emit, S, bf.mesh, "potential", bf.pot)
     emit.meta["params"] = _params_dict(p)
 
 
@@ -345,8 +348,6 @@ def _onedim_row(r):
 
 def _run_onedim_root(cfg, emit):
     p = cfg.params(default_n=1)
-    if p.n != 1:
-        raise ConfigError(f"onedim commands need n = 1, got n = {p.n}")
     record = _sweep_record(p, cfg.get("f_tol", 1e-10))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(record)])
     emit.meta["params"] = _params_dict(p)
@@ -354,8 +355,6 @@ def _run_onedim_root(cfg, emit):
 
 def _run_onedim_sweep(cfg, emit):
     p = cfg.params(default_n=1)
-    if p.n != 1:
-        raise ConfigError(f"onedim commands need n = 1, got n = {p.n}")
     raw = cfg.get("eps_grid", _DEFAULT_EPS_GRID)
     try:
         grid = [float(v) for v in raw.split(",") if v.strip()]
@@ -369,8 +368,6 @@ def _run_onedim_sweep(cfg, emit):
 
 def _run_optimize2d(cfg, emit):
     p = cfg.params(default_n=2)
-    if p.n != 2:
-        raise ConfigError(f"optimize2d needs n = 2, got n = {p.n}")
     res, nq = _mesh_knobs(cfg, 2)
     if "geometry" in cfg.values:
         init = canonical(_load_geometry_for(cfg))
@@ -409,13 +406,7 @@ def _run_calibrate(cfg, emit):
         if not radii or not all(0.0 < r < math.inf for r in radii):
             raise ConfigError(f"invalid radii: {text!r}")
         kwargs["radii"] = radii
-    try:
-        c = calibrate_variation_constant(s, n, res, nq, **kwargs)
-    except ParamError as exc:
-        # out-of-range s reads as a config problem, not a runtime failure
-        if "must lie in" in str(exc) or "supports n in" in str(exc):
-            raise ConfigError(str(exc)) from exc
-        raise
+    c = calibrate_variation_constant(s, n, res, nq, **kwargs)
     emit.csv(".csv", ["n", "s", "c_var"], [(n, s, c)])
 
 
@@ -445,26 +436,6 @@ def run_command(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(sp):
-    # SUPPRESS: an absent subcommand-level --config must not clobber one
-    # given before the subcommand
-    sp.add_argument("--config", default=argparse.SUPPRESS,
-                    help="flat key=value config file")
-    sp.add_argument("--out", help="output directory (default: current)")
-    sp.add_argument("--prefix", help="basename for emitted files")
-    sp.add_argument("--n", type=int, help="ambient dimension")
-    sp.add_argument("--s", type=float, help="perimeter order in (0, 1)")
-    sp.add_argument("--alpha", type=float, help="repulsion exponent in (0, n)")
-    sp.add_argument("--eps", type=float, help="coupling strength")
-    sp.add_argument("--mass", type=float, help="volume of the unscaled set")
-    sp.add_argument("--c-coupling", dest="c_coupling", type=float,
-                    help="boundary-condition coupling constant")
-    sp.add_argument("--c-var", dest="c_var", type=float,
-                    help="first-variation normalization")
-    sp.add_argument("--resolution", type=int, help="2D boundary mesh size")
-    sp.add_argument("--nq", type=int, help="quadrature nodes per half-side")
-
-
 @functools.lru_cache(maxsize=1)
 def _build_parser():
     """The parser of main, built once per process (about 2 ms a build).
@@ -478,55 +449,33 @@ def _build_parser():
     ap.add_argument("--config", help="flat key=value config file; its "
                     "command= entry runs when no subcommand is given")
     sub = ap.add_subparsers(dest="command")
-
-    for name in ("energy", "curvature", "diagnose"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
-        _add_common(sp)
-        sp.add_argument("--geometry", help="geometry JSON file")
-
-    sp = sub.add_parser("potential")
-    _add_common(sp)
-    sp.add_argument("--geometry", help="geometry JSON file")
-    sp.add_argument("--point", help="evaluate at one point: x[,y]")
-
-    sp = sub.add_parser("onedim-root")
-    _add_common(sp)
-    sp.add_argument("--f-tol", dest="f_tol", type=float,
-                    help="residual bound certified at the root")
-
-    sp = sub.add_parser("onedim-sweep")
-    _add_common(sp)
-    sp.add_argument("--f-tol", dest="f_tol", type=float)
-    sp.add_argument("--eps-grid", dest="eps_grid",
-                    help="comma-separated eps values")
-
-    sp = sub.add_parser("optimize2d")
-    _add_common(sp)
-    sp.add_argument("--init", dest="geometry",
-                    help="initial geometry JSON (default: unit-area disk)")
-    sp.add_argument("--modes", dest="k_max", type=int,
-                    help="highest retained Fourier mode")
-    sp.add_argument("--tol", type=float, help="target residual")
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.add_argument("--step", type=float,
-                    help="first trial step of each descent iteration")
-
-    sp = sub.add_parser("calibrate")
-    _add_common(sp)
+        # SUPPRESS: an absent subcommand-level --config must not clobber one
+        # given before the subcommand
+        sp.add_argument("--config", default=argparse.SUPPRESS,
+                        help="flat key=value config file")
+        for key, (caster, text, commands) in _KEYS.items():
+            if name not in commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if name == "optimize2d":
+                flag, text = _OPTIMIZE2D_FLAGS.get(key, (flag, text))
+            # a str key keeps argparse's default type, None
+            sp.add_argument(flag, dest=key, help=text,
+                            type=None if caster is str else caster)
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _merged_config(args)
-        return run_command(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run_command(_merged_config(args))
     except NlshapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a parameter out of its range is a configuration error wherever
+        # the library refuses it
+        return 2 if isinstance(exc, (ConfigError, ParamError)) else 1
 
 
 if __name__ == "__main__":

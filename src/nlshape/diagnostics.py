@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GeometryError, ParamError
+from .errors import GeometryError, ParamError, QuadratureError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _grad_tau_2d_batch, _kernel, _sweep)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
@@ -346,8 +346,8 @@ def calibrate_variation_constant(s: float, n: int = 2,
                                  resolution: int = DEFAULT_RESOLUTION,
                                  nq: int = DEFAULT_NQ, radii=(0.5, 1.0, 2.0)) -> float:
     """c_var = (n - s) P_s(B) / int_dB kappa x.nu dsigma over balls of several
-    radii, averaged; raises if the values disagree by a relative spread
-    beyond 1e-4.
+    radii, averaged; raises QuadratureError if the values disagree by a
+    relative spread beyond 1e-4.
 
     Both sides scale like R^(n-s), so radius independence of the ratio is a
     built-in correctness check. In 1D everything is closed-form and the value
@@ -368,7 +368,7 @@ def calibrate_variation_constant(s: float, n: int = 2,
         vals.append((n - s) * per / _x_dot_nu_pairing(mesh, kap))
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
     if spread > _CALIBRATION_SPREAD_TOL:
-        raise ParamError(
+        raise QuadratureError(
             f"calibration is radius-dependent (spread {spread:g}); "
             "raise the quadrature resolution")
     return float(np.mean(vals))

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and usage problems exit
-with 2, domain failures (bad geometry, quadrature breakdown, failed brackets,
-stalled descent) exit with 1. Library callers get ordinary exceptions and
-never a process exit.
+with 2, and so does every ParamError, a parameter outside its range being a
+configuration error wherever the library refuses it; domain failures (bad
+geometry, quadrature breakdown, failed brackets, stalled descent) exit with
+1. Library callers get ordinary exceptions and never a process exit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ class GeometryError(NlshapeError, ValueError):
 
 
 class ParamError(NlshapeError, ValueError):
-    """Parameter outside its admissible range; message names the field."""
+    """Parameter outside its admissible range; message names the field
+    (CLI exit code 2)."""
 
 
 class ConfigError(NlshapeError, ValueError):
@@ -33,7 +35,8 @@ class QuadratureError(NlshapeError, RuntimeError):
     """A quadrature result is unusable: not finite, or short of its tolerance.
 
     estimate and error_bound are None unless the raiser has them; the
-    package's one raise site, shapeopt's disk spectrum, passes neither.
+    package's two raise sites, shapeopt's disk spectrum and the radius
+    check of calibrate_variation_constant, pass neither.
     """
 
     def __init__(self, message, estimate=None, error_bound=None):

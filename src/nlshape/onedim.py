@@ -70,7 +70,7 @@ class TwoIntervalConfig:
 
 def _check_gap(d: float, p: Params) -> None:
     if p.n != 1:
-        raise ParamError(f"two-interval analysis is 1D; params have n = {p.n}")
+        raise ParamError(f"two-interval analysis needs n = 1, got n = {p.n}")
     if not (d > 0.5):
         raise ParamError(f"gap parameter d must exceed 1/2, got {d!r}")
     if not (0.0 < p.alpha < 1.0):
@@ -120,7 +120,7 @@ def f_closed_form(d: float, p: Params) -> float:
 def _d_eps(p: Params) -> float:
     """The crossover scale d_eps of g_and_d_eps, with its checks and errors."""
     if p.n != 1:
-        raise ParamError(f"1D analysis; params have n = {p.n}")
+        raise ParamError(f"1D analysis needs n = 1, got n = {p.n}")
     if not (p.eps and p.eps > 0.0):
         raise ParamError("g and d_eps need eps > 0")
     s, alpha = p.s, p.alpha
@@ -264,7 +264,10 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     bracket keeps f(lo) <= 0 < f(hi) and the loop ends only when lo and hi
     are adjacent floats; the root is the end with the smaller |f|. The
     returned root satisfies |f| <= f_tol and d > d_eps; failure to bracket
-    raises BracketError."""
+    raises BracketError. An f_tol outside [0, inf), NaN among them, would
+    certify nothing and raises ParamError."""
+    if not 0.0 <= f_tol < math.inf:
+        raise ParamError(f"f_tol must lie in [0, inf), got {f_tol!r}")
     d_eps = _d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)
     f_lo = f_closed_form(lo, p)

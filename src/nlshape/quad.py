@@ -45,21 +45,25 @@ def kernel_primitive(a: float, b: float, x: float, p: float) -> float:
     """int_a^b |x - y|^(-p) dy for x outside the open interval (a, b), the
     first difference (_first_diff) over [a, b] at its distance from x.
 
-    p = 1 (the logarithmic case) is rejected, as are interior singular
-    points; those must go through the PV path. Endpoint singularities
-    (x == a or x == b) are allowed only for p < 1, where the improper
-    integral converges.
+    An interval with a > b or a NaN end, a non-finite x and an interior
+    singular point (which must go through the PV path) raise GeometryError.
+    p = 1 (the logarithmic case), a NaN p and an endpoint singularity
+    (x == a or x == b) with p >= 1, where the improper integral diverges,
+    raise ParamError.
     """
     if not a <= b:
-        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
-    if p == 1.0:
-        raise ValueError("log case unsupported: kernel exponent p = 1")
+        raise GeometryError(f"need a <= b, got a={a!r}, b={b!r}")
+    if not math.isfinite(x):
+        raise GeometryError(f"x must be finite, got {x!r}")
     if a < x < b:
-        raise ValueError("singular interior point: use PV path")
+        raise GeometryError("singular interior point: use PV path")
+    if p == 1.0 or math.isnan(p):
+        raise ParamError(
+            f"kernel exponent p must be a number other than 1 (the log case), "
+            f"got {p!r}")
     if x in (a, b) and p >= 1.0:
-        raise ValueError(
-            f"endpoint singularity diverges for p = {p} >= 1: use PV path"
-        )
+        raise ParamError(
+            f"endpoint singularity diverges for p = {p} >= 1: use PV path")
     return _first_diff(1.0 - p, a - x if x <= a else x - b, b - a)
 
 

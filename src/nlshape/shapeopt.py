@@ -130,8 +130,8 @@ def volume_project(S: StarShape2D) -> StarShape2D:
 def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                   k_max: int = DEFAULT_K_MAX,
                   step: float = DEFAULT_STEP) -> OptimizerState:
-    if step <= 0.0:
-        raise ParamError(f"step size must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise ParamError(f"step size must be finite and positive, got {step!r}")
     shape = _as_star(shape)
     return OptimizerState(shape=shape, step_size=step, iteration=0,
                           residual_history=(), volume_drift=abs(volume(shape) - 1.0),
@@ -256,20 +256,19 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     (shape, DiagnosticsReport), or (shape, report, OptimizerState) with
     full_output. Hitting max_iter returns normally with the residual visible
     in the report; a stall with the residual still above tol raises
-    StalledError.
+    StalledError. tol = inf takes no step: it diagnoses init. A NaN or
+    negative tol, which no residual meets, raises ParamError.
     """
     if p.n != 2:
         raise ParamError(f"planar search needs n = 2, got n = {p.n}")
+    if not tol >= 0.0:
+        raise ParamError(f"tol must be nonnegative, got {tol!r}")
     state = initial_state(init, resolution=resolution, k_max=k_max, step=step)
     init = state.shape
     if state.volume_drift > 1e-8:
         raise GeometryError(
             f"initial shape must have unit area (got {volume(init)!r}); "
             "apply volume_project first")
-    if math.isinf(tol):
-        report = diagnose(init, p, resolution, nq,
-                          with_identities=with_identities)
-        return (init, report, state) if full_output else (init, report)
     # each shape is swept once: its sweep is kept on it
     while state.iteration < max_iter:
         residual = _sweep(state.shape, p, resolution,

@@ -11,8 +11,9 @@ import pytest
 import nlshape
 
 from nlshape.cli import RunConfig, load_config, main, run_command
-from nlshape.errors import ConfigError, ConfigNotFoundError
+from nlshape.errors import ConfigError, ConfigNotFoundError, ParamError
 from nlshape.sets import IntervalSet, StarShape2D, save_geometry
+from nlshape import diagnostics, shapeopt
 from nlshape.shapeopt import fourier_shape, volume_project
 
 
@@ -83,10 +84,13 @@ def test_runconfig_require():
         cfg.require("geometry")
 
 
-def test_params_range_error_reads_as_config_error():
+def test_params_range_error_reads_as_config_error(capsys):
+    # the library's ParamError propagates as it is; main gives it exit 2
     cfg = RunConfig(values={"s": 1.5, "alpha": 0.5})
-    with pytest.raises(ConfigError, match="s must lie in"):
+    with pytest.raises(ParamError, match="s must lie in"):
         cfg.params(default_n=1)
+    assert main(["onedim-root", "--s", "1.5", "--alpha", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: s must lie in (0, 1), got 1.5\n"
 
 
 def test_run_command_rejects_unknown():
@@ -178,6 +182,91 @@ def test_planar_resolution_below_mesh_minimum_exits_2(tmp_path, capsys):
 def test_calibrate_out_of_range_dimension_exits_2(tmp_path, capsys):
     assert main(["calibrate", "--n", "3", "--s", "0.5",
                  "--out", str(tmp_path)]) == 2
+
+
+_SA = ["--s", "0.5", "--alpha", "0.5"]
+_OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
+
+
+# every ParamError is a configuration error (2), wherever the library raises
+# it; a domain failure is 1. The first three cases exited 1
+@pytest.mark.parametrize("argv, code, message", [
+    (["onedim-root", *_SA], 2, "g and d_eps need eps > 0"),
+    (["onedim-sweep", *_SA, "--eps-grid", "1e-3,1e-4,1e-5"], 2,
+     "at least 4 eps values"),
+    ([*_OPT, "--step", "-1"], 2, "step size must be finite and positive"),
+    (["onedim-root", *_SA, "--eps", "1e-3", "--n", "2"], 2,
+     "needs n = 1, got n = 2"),
+    ([*_OPT, "--n", "1"], 2, "needs n = 2, got n = 1"),
+    (["onedim-root", *_SA, "--eps", "1e-3", "--f-tol", "nan"], 2,
+     "f_tol must lie in [0, inf)"),
+    ([*_OPT, "--tol", "nan"], 2, "tol must be nonnegative"),
+    ([*_OPT, "--step", "nan"], 2, "step size must be finite and positive"),
+    (["energy", *_SA, "--geometry", "BAD"], 1, "JSON"),
+    ([*_OPT, "--init", "STAR", "--tol", "1e-6"], 1,
+     "no energy-non-increasing step"),
+    (["onedim-root", "--s", "0.01", "--alpha", "0.997", "--eps", "1e-3"], 1,
+     "f underflows to 0"),
+], ids=["no-eps", "short-grid", "negative-step", "onedim-n2", "optimize-n1",
+        "nan-f-tol", "nan-tol", "nan-step", "corrupt-geometry", "stall",
+        "bracket"])
+def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
+    # a first trial step below the least step stalls the descent at once
+    monkeypatch.setattr(shapeopt, "_MIN_STEP", 2.0)
+    files = {"BAD": str(_write(tmp_path, "bad.json", "{not json")),
+             "STAR": str(_star_geom(tmp_path))}
+    argv = [files.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_radius_dependent_calibration_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(diagnostics, "_CALIBRATION_SPREAD_TOL", -1.0)
+    assert main(["calibrate", "--n", "1", "--s", "0.5",
+                 "--out", str(tmp_path)]) == 1
+    assert "radius-dependent" in capsys.readouterr().err
+    assert not (tmp_path / "calibrate.csv").exists()
+
+
+_COMMON_FLAGS = [
+    (("--config",), "config", None), (("--out",), "out", None),
+    (("--prefix",), "prefix", None), (("--n",), "n", int),
+    (("--s",), "s", float), (("--alpha",), "alpha", float),
+    (("--eps",), "eps", float), (("--mass",), "mass", float),
+    (("--c-coupling",), "c_coupling", float), (("--c-var",), "c_var", float),
+    (("--resolution",), "resolution", int), (("--nq",), "nq", int)]
+_GEOMETRY_FLAG = [(("--geometry",), "geometry", None)]
+_F_TOL_FLAG = [(("--f-tol",), "f_tol", float)]
+
+
+def test_subcommand_flags_keep_their_names_dests_and_types():
+    # scripts and config files written against any earlier release keep
+    # working: each subcommand's (option strings, dest, type), in order
+    import argparse
+    from nlshape import cli
+    sub, = [a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [(tuple(a.option_strings), a.dest, a.type)
+                  for a in sp._actions if a.dest != "help"]
+           for name, sp in sub.choices.items()}
+    assert got == {
+        "energy": _COMMON_FLAGS + _GEOMETRY_FLAG,
+        "curvature": _COMMON_FLAGS + _GEOMETRY_FLAG,
+        "diagnose": _COMMON_FLAGS + _GEOMETRY_FLAG,
+        "potential": _COMMON_FLAGS + _GEOMETRY_FLAG
+        + [(("--point",), "point", None)],
+        "onedim-root": _COMMON_FLAGS + _F_TOL_FLAG,
+        "onedim-sweep": _COMMON_FLAGS + _F_TOL_FLAG
+        + [(("--eps-grid",), "eps_grid", None)],
+        "optimize2d": _COMMON_FLAGS + [
+            (("--init",), "geometry", None), (("--modes",), "k_max", int),
+            (("--tol",), "tol", float), (("--max-iter",), "max_iter", int),
+            (("--step",), "step", float)],
+        "calibrate": _COMMON_FLAGS,
+    }
+    help_of = {a.dest: a.help for a in sub.choices["optimize2d"]._actions}
+    assert "unit-area disk" in help_of["geometry"]
 
 
 # ------------------------------------------------------------------- commands

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
-                     StarShape2D, annulus_deficit_rho, ball_map_mu,
+                     QuadratureError, StarShape2D, annulus_deficit_rho, ball_map_mu,
                      calibrate_variation_constant, diagnose, identity_check,
                      lambda_cross_estimate, lambda_hat_and_residual,
                      lipschitz_defect_delta)
@@ -385,6 +385,16 @@ def test_calibrate_rejects_empty_radii(n):
 def test_calibrate_rejects_s_outside_the_unit_interval(n, s):
     with pytest.raises(ParamError):
         calibrate_variation_constant(s, n=n, resolution=64, nq=16)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_radius_dependent_calibration_is_a_quadrature_error(monkeypatch, n):
+    # a domain failure, not a parameter out of range: any spread, even 0,
+    # exceeds a negative bound
+    from nlshape import diagnostics
+    monkeypatch.setattr(diagnostics, "_CALIBRATION_SPREAD_TOL", -1.0)
+    with pytest.raises(QuadratureError, match="radius-dependent"):
+        calibrate_variation_constant(0.5, n=n, resolution=32, nq=8)
 
 
 def test_calibrate_2d_makes_one_pass_per_radius(monkeypatch):

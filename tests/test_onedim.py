@@ -355,6 +355,16 @@ def test_sweep_needs_enough_points():
         epsilon_sweep(_p(), [1e-3, 1e-4, 1e-5])
 
 
+@pytest.mark.parametrize("f_tol", [math.nan, -1.0, math.inf])
+def test_root_solve_refuses_an_f_tol_outside_zero_to_inf(f_tol):
+    # |f| > nan is False, so a NaN f_tol returned the root unchecked; -1
+    # reported a stalled solve
+    with pytest.raises(ParamError, match="f_tol"):
+        solve_critical_d(_p(), f_tol=f_tol)
+    with pytest.raises(ParamError, match="f_tol"):
+        epsilon_sweep(_p(), GRID_EPS, f_tol=f_tol)
+
+
 def test_sweep_without_failures_lists_none():
     _, fit = epsilon_sweep(_p(), GRID_EPS)
     assert fit["failed"] == []

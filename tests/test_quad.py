@@ -65,6 +65,32 @@ def test_primitive_rejections():
         kernel_primitive(0.0, 1.0, 1.0, 1.5)  # divergent endpoint
 
 
+@pytest.mark.parametrize("a, b, x", [
+    (1.0, 0.0, 2.0),          # a > b
+    (math.nan, 1.0, 2.0),     # a NaN end
+    (0.0, math.nan, 2.0),
+    (0.0, 1.0, 0.5),          # singular point inside
+    (0.0, 1.0, math.nan),     # a non-finite x
+    (0.0, 1.0, math.inf),
+    (0.0, 1.0, -math.inf),
+])
+def test_primitive_refuses_a_bad_layout_as_geometry(a, b, x):
+    # a NaN or infinite x gave nan
+    with pytest.raises(GeometryError):
+        kernel_primitive(a, b, x, 0.5)
+
+
+@pytest.mark.parametrize("x, p", [
+    (2.0, 1.0),               # the logarithmic exponent
+    (2.0, math.nan),          # gave nan
+    (1.0, 1.5),               # divergent endpoint
+    (0.0, 1.0),
+])
+def test_primitive_refuses_a_bad_exponent_as_param(x, p):
+    with pytest.raises(ParamError):
+        kernel_primitive(0.0, 1.0, x, p)
+
+
 # ---------------------------------------------------------------------------
 # the first difference ((g + h)^q - g^q) / q
 

@@ -140,6 +140,18 @@ def test_initial_state_rejects_bad_step():
         initial_state(_star(), step=0.0)
     with pytest.raises(ParamError):
         initial_state(_star(), step=-0.1)
+    # the halving loop kept an infinite step forever, and a NaN one stalled
+    for step in (math.inf, math.nan):
+        with pytest.raises(ParamError, match="finite and positive"):
+            initial_state(_star(), step=step)
+
+
+@pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": -1.0},
+                                {"step": math.nan}])
+def test_find_critical_refuses_bad_knobs_at_entry(kw):
+    # no residual meets a NaN or negative tol: the descent ran to max_iter
+    with pytest.raises(ParamError):
+        find_critical_2d(_star(), P2, max_iter=1, resolution=32, nq=8, **kw)
 
 
 # ------------------------------------------------------------- el_gradient_step
