@@ -14,8 +14,8 @@ vanishes. Each bracket is a symmetric second difference
 2 g(d) - g(d - 1/2) - g(d + 1/2); for large d these cancel to O(d^(b-2)) and
 are evaluated through the series for (1+x)^b + (1-x)^b - 2 with x = 1/(2d),
 never by subtracting nearly equal powers. The series coefficients of each
-exponent b in {-s, 1 - alpha} come from a table built once per b, so an
-evaluation of f costs only its arithmetic.
+exponent b in {-s, 1 - alpha} come from a table built once per b, in Python
+floats, so an evaluation of f costs only its arithmetic.
 
 The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
 
@@ -97,9 +97,10 @@ def zeta_endpoints(cfg: TwoIntervalConfig) -> np.ndarray:
     so the symmetry equalities are genuine output properties. The layout of
     two_interval_set, with its refusal, goes to them with no IntervalSet."""
     p = cfg.params
-    kap, pot = _endpoint_fields(_two_intervals(cfg.d), p.s, 1.0 - p.alpha)
+    (k0, k1, k2, k3), (v0, v1, v2, v3) = _endpoint_fields(
+        _two_intervals(cfg.d), p.s, 1.0 - p.alpha)
     ce = p.c_coupling * p.eps
-    return np.array([k + ce * v for k, v in zip(kap, pot)])
+    return np.array([k0 + ce * v0, k1 + ce * v1, k2 + ce * v2, k3 + ce * v3])
 
 
 def f_closed_form(d: float, p: Params) -> float:

@@ -79,17 +79,6 @@ def _first_diff(q: float, g: float, h: float) -> float:
     return ((g + h) ** q - g ** q) / q
 
 
-def _first_diff_pair(q1: float, q2: float, g: float, h: float):
-    """(_first_diff(q1, g, h), _first_diff(q2, g, h)), bit for bit, with one
-    log1p(h / g) for both."""
-    r = h / g if g > 0.0 else math.inf
-    if r < math.inf:
-        lg = math.log1p(r)
-        return (g ** q1 * math.expm1(q1 * lg) / q1,
-                g ** q2 * math.expm1(q2 * lg) / q2)
-    return _first_diff(q1, g, h), _first_diff(q2, g, h)
-
-
 def _endpoint_index(S: IntervalSet, x: float) -> Optional[int]:
     """The index, in the order a_1, b_1, a_2, b_2, ..., of the endpoint of S
     that x stands for, or None: the first nearest endpoint, accepted within
@@ -141,8 +130,12 @@ def _endpoint_fields(intervals: tuple, s: float, q: Optional[float]):
     agree only if their values do. Bit for bit, kappa is pv_pair_integral
     and V the 1D potential at the endpoint."""
     segs = _partition(intervals)  # segment j ends at endpoint j
-    return tuple(zip(*(_endpoint_pass(segs, j, s, q)
-                       for j in range(len(segs) - 1))))
+    kap, pot = [], []
+    for j in range(len(segs) - 1):
+        k, v = _endpoint_pass(segs, j, s, q)
+        kap.append(k)
+        pot.append(v)
+    return tuple(kap), tuple(pot)
 
 
 def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
@@ -157,36 +150,45 @@ def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
     rho^(-s)/s divergences of their one-sided integrals cancel; what is left
     is the closed form -(sigma_R L^(-s) + sigma_L M^(-s))/s in the adjacent
     lengths L, M (a half-line contributes 0). All other segments integrate
-    the kernel without singularity; a set segment among them serves kappa
-    and V from one log1p(h / g).
+    the kernel without singularity, each by the first difference
+    _first_diff(-s, g, h) formed in the loop with the same operations; a
+    set segment among them serves kappa and V from one log1p(h / g). Where
+    h / g is not finite (a half-line, a subnormal gap) both take
+    _first_diff's other branch, the powers subtracted as they stand.
     """
     left, right = segs[j], segs[j + 1]
     lo, x, sig_left = left
     _, hi, sig_right = right
     len_left, len_right = x - lo, hi - x  # either may be inf
     # the adjacent set segment adds _first_diff(q, 0, h) = h^q / q (q > 0)
-    pot = [] if q is None else [
+    pot = None if q is None else [
         (len_left if sig_left < 0.0 else len_right) ** q / q]
+    ms = -s
     total = 0.0
     for seg in segs:
         if seg is left or seg is right:
             continue
-        # a non-adjacent segment, a half-line with b - a = inf
+        # a non-adjacent segment at distance g, a half-line with h = inf
         a, b, sig = seg
-        dist = a - x if x < a else x - b
-        if q is None or sig > 0.0:
-            total += sig * _first_diff(-s, dist, b - a)
+        g = a - x if x < a else x - b
+        h = b - a
+        r = h / g if g > 0.0 else math.inf
+        if r < math.inf:
+            lg = math.log1p(r)
+            total += sig * (g ** ms * math.expm1(ms * lg) / ms)
+            if pot is not None and sig < 0.0:
+                pot.append(g ** q * math.expm1(q * lg) / q)
         else:
-            k, v = _first_diff_pair(-s, q, dist, b - a)
-            total += sig * k
-            pot.append(v)
+            total += sig * (((g + h) ** ms - g ** ms) / ms)
+            if pot is not None and sig < 0.0:
+                pot.append(((g + h) ** q - g ** q) / q)
     adj = 0.0
     if math.isfinite(len_right):
         adj += sig_right * len_right ** (-s)
     if math.isfinite(len_left):
         adj += sig_left * len_left ** (-s)
     total += -adj / s
-    return total, (None if q is None else math.fsum(pot))
+    return total, (None if pot is None else math.fsum(pot))
 
 
 def _check_series_exponent(b: float):
@@ -195,23 +197,27 @@ def _check_series_exponent(b: float):
             f"the symmetric second difference needs b in (-1, 2), got {b!r}")
 
 
+# (2k, (2k+1)(2k+2)) for k = 1..59, exact in floats
+_SERIES_K = tuple((2.0 * k, (2.0 * k + 1.0) * (2.0 * k + 2.0))
+                  for k in range(1, 60))
+
+
 @lru_cache(maxsize=64)
 def _series_table(b: float):
     """C(b, 2), the ratios C(b, 2k+2) / C(b, 2k) = (b-2k)(b-2k-1) /
     ((2k+1)(2k+2)), k = 1..59, of the series in _sym_second_diff, and the
     sign of C(b, 2), +-1.0, which every term shares for b in (-1, 2), where
-    each ratio is >= 0. The ratios are one numpy expression of the same IEEE
-    operations as the scalar formula, so they are the same bits. A line
+    each ratio is >= 0. The ratios are Python floats from the exact pairs of
+    _SERIES_K, built with the IEEE operations of the scalar formula. A line
     sweep uses b = -s and 1 - alpha, the interval pair integrals 1 - s,
     1 - alpha and 2 - alpha: with s, alpha in (0, 1) all lie in (-1, 2).
     Any other b is refused with ParamError: for b in (2, 3) the terms change
     sign, and for large b they still grow at the 60th; the cache holds only
     tables of the domain, so the series calls pay for the check once per b."""
     _check_series_exponent(b)
-    k2 = np.arange(2.0, 120.0, 2.0)  # 2k
-    ratios = (b - k2) * (b - k2 - 1.0) / ((k2 + 1.0) * (k2 + 2.0))
+    ratios = tuple([(b - k2) * (b - k2 - 1.0) / den for k2, den in _SERIES_K])
     c2 = b * (b - 1.0) * 0.5
-    return c2, tuple(ratios.tolist()), (-1.0 if c2 < 0.0 else 1.0)
+    return c2, ratios, (-1.0 if c2 < 0.0 else 1.0)
 
 
 def _sym_second_diff(b: float, x: float) -> float:

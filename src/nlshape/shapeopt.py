@@ -132,6 +132,11 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                   step: float = DEFAULT_STEP) -> OptimizerState:
     if not 0.0 < step < math.inf:
         raise ParamError(f"step size must be finite and positive, got {step!r}")
+    # StarShape2D.from_samples would read a negative cap from the end of the
+    # spectrum and keep no mode at all for 0
+    if (isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer))
+            or k_max < 1):
+        raise ParamError(f"k_max must be an integer of at least 1, got {k_max!r}")
     shape = _as_star(shape)
     return OptimizerState(shape=shape, step_size=step, iteration=0,
                           residual_history=(), volume_drift=abs(volume(shape) - 1.0),

@@ -202,14 +202,16 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "f_tol must lie in [0, inf)"),
     ([*_OPT, "--tol", "nan"], 2, "tol must be nonnegative"),
     ([*_OPT, "--step", "nan"], 2, "step size must be finite and positive"),
+    ([*_OPT, "--modes", "-2"], 2, "k_max must be an integer of at least 1"),
+    ([*_OPT, "--modes", "0"], 2, "k_max must be an integer of at least 1"),
     (["energy", *_SA, "--geometry", "BAD"], 1, "JSON"),
     ([*_OPT, "--init", "STAR", "--tol", "1e-6"], 1,
      "no energy-non-increasing step"),
     (["onedim-root", "--s", "0.01", "--alpha", "0.997", "--eps", "1e-3"], 1,
      "f underflows to 0"),
 ], ids=["no-eps", "short-grid", "negative-step", "onedim-n2", "optimize-n1",
-        "nan-f-tol", "nan-tol", "nan-step", "corrupt-geometry", "stall",
-        "bracket"])
+        "nan-f-tol", "nan-tol", "nan-step", "negative-modes", "zero-modes",
+        "corrupt-geometry", "stall", "bracket"])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     # a first trial step below the least step stalls the descent at once
     monkeypatch.setattr(shapeopt, "_MIN_STEP", 2.0)

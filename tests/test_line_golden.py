@@ -76,12 +76,22 @@ def line_outputs():
     return ops
 
 
+def golden_text(ops):
+    """The text of line_golden.json for the outputs ops, one line each."""
+    return ("[\n" + ",\n".join(json.dumps(op, separators=(",", ":"))
+                                for op in ops) + "\n]\n")
+
+
 def test_line_outputs_are_bitwise_frozen():
-    frozen = json.loads(GOLDEN.read_text())
+    text = GOLDEN.read_text()
+    frozen = json.loads(text)
     assert len(frozen) == OPERATIONS + len(RAISING_SA)
     assert sum("raises" in op for op in frozen) >= len(RAISING_SA)
-    for got, want in zip(line_outputs(), frozen):
+    ops = line_outputs()
+    for got, want in zip(ops, frozen):
         assert got == want, (got["s"], got["alpha"])
+    # regenerating the file leaves it byte-identical
+    assert golden_text(ops) == text
 
 
 def test_fit_slope_is_the_least_squares_slope():
@@ -103,6 +113,4 @@ def test_fit_slope_is_the_least_squares_slope():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        "[\n" + ",\n".join(json.dumps(op, separators=(",", ":"))
-                           for op in line_outputs()) + "\n]\n")
+    GOLDEN.write_text(golden_text(line_outputs()))

@@ -101,15 +101,23 @@ SERIES_X = ([float(x) for x in np.geomspace(1e-300, 0.5, 64)[:-1]]
             + [math.nextafter(0.5, 0.0), 0.5, 0.75, 0.99])
 
 
+# exponents at the edges of (-1, 2), where the sums run long: at the last x
+# below 1/2 those of the float above -1 and of -1 + 2^-20 take 30 ratios,
+# that of 2 - 2^-10 18 and that of 2 - 2^-20 14
+EDGE_B = (math.nextafter(-1.0, 0.0), -1.0 + 2.0 ** -20, 2.0 - 2.0 ** -10,
+          2.0 - 2.0 ** -20)
+
+
 def test_sym_second_diff_is_the_recurrence_bitwise():
-    # the two exponents of every sweep over the seeded grid, and those of the
-    # 1D P_s and R_alpha pair integrals (2 - alpha also serves the 1D Au1
-    # identity)
-    for s, alpha in GRID_SA:
-        for b in (-s, 1.0 - alpha, 1.0 - s, 2.0 - alpha):
-            for x in SERIES_X:
-                got = _sym_second_diff(b, x)
-                assert got.hex() == sym_second_diff_recurrence(b, x).hex(), (b, x)
+    # the exponents at the edges of the domain, then the two exponents of
+    # every sweep over the seeded grid, and those of the 1D P_s and R_alpha
+    # pair integrals (2 - alpha also serves the 1D Au1 identity)
+    grid = [b for s, alpha in GRID_SA
+            for b in (-s, 1.0 - alpha, 1.0 - s, 2.0 - alpha)]
+    for b in [*EDGE_B, *grid]:
+        for x in SERIES_X:
+            got = _sym_second_diff(b, x)
+            assert got.hex() == sym_second_diff_recurrence(b, x).hex(), (b, x)
 
 
 def test_sym_second_diff_at_the_term_cap():

@@ -267,11 +267,17 @@ def test_pv_pair_integral_refuses_s_outside_the_unit_interval(two_intervals, s):
 # ---------------------------------------------------------------------------
 # one partition for every endpoint, bitwise against the per-endpoint routine
 
-# two-interval sets from d = 0.6 to 2^51, three intervals, a far interval
+# two-interval sets from d = 0.6 to 2^51, three intervals, a far interval;
+# then gaps of a few ulps and a subnormal gap, across which h / g overflows
+# and the first difference subtracts its powers as they stand (a gap of
+# 5e-324 would overflow g^(-s) at s = 0.97)
 GAPS = [0.6, 0.75, 1.3, 7.0, 1e3, 1e9, 1e15, 2.0 ** 51]
 ENDPOINT_SETS = ([IntervalSet([(0.0, 0.5), (d, d + 0.5)]) for d in GAPS]
                  + [IntervalSet([(-1.0, 0.25), (0.5, 2.0), (3.7, 9.1)]),
-                    IntervalSet([(0.0, 1.0), (1e13, 1e13 + 3.0)])])
+                    IntervalSet([(0.0, 1.0), (1e13, 1e13 + 3.0)]),
+                    IntervalSet([(0.0, 1.0), (1.0 + 2.0 ** -50, 2.0),
+                                 (2.0 + 2.0 ** -50, 3.0)]),
+                    IntervalSet([(-1.0, 0.0), (2.0 ** -1050, 1.0)])])
 ENDPOINT_PARAMS = [Params(n=1, s=0.5, alpha=0.5, eps=1e-3),
                    Params(n=1, s=1e-9, alpha=1.0 - 1e-9, eps=1e-6),
                    Params(n=1, s=0.1, alpha=0.9, eps=0.0),

@@ -146,8 +146,18 @@ def test_initial_state_rejects_bad_step():
             initial_state(_star(), step=step)
 
 
+@pytest.mark.parametrize("k_max", [-2, 0, True, 2.0, None])
+def test_initial_state_refuses_a_mode_cap_below_1(k_max):
+    # from_samples read a negative cap from the end of the spectrum: the
+    # descent from a mode-2/3 star at k_max = -2 ended in a 15-mode shape,
+    # and k_max = 0 collapsed the start to a disk
+    with pytest.raises(ParamError, match="k_max must be an integer"):
+        initial_state(_star(), k_max=k_max)
+
+
 @pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": -1.0},
-                                {"step": math.nan}])
+                                {"step": math.nan}, {"k_max": -2},
+                                {"k_max": 0}])
 def test_find_critical_refuses_bad_knobs_at_entry(kw):
     # no residual meets a NaN or negative tol: the descent ran to max_iter
     with pytest.raises(ParamError):
