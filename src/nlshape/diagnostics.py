@@ -1,6 +1,7 @@
 """Rigidity diagnostics and integral-identity checks.
 
-Quantities measured on a candidate critical set:
+Quantities measured on a candidate critical set, each by the one public
+function that owns it, which diagnose calls:
 
 * delta: the Lipschitz defect of the curvature over boundary node pairs,
   sup |kappa(x) - kappa(y)| / |x - y|. On critical sets the boundary
@@ -16,9 +17,9 @@ Quantities measured on a candidate critical set:
   distance, interlaced in angle, and rho is the exact width there;
 * lambda_hat: weighted boundary mean of zeta, with the sup-norm residual of
   the constant-zeta condition; a cross-estimate of the same multiplier comes
-  from integral identities alone (no boundary sweep), see
-  lambda_cross_estimate;
-* named identity checks, each returning a relative residual:
+  from integral identities alone, see lambda_cross_estimate;
+* named identity checks, each returning a relative residual, from one table
+  (_IDENTITIES) that identity_check and diagnose both run:
     Au1          int_E grad V . x dx = -(alpha/2) int_E V dx
     Au2          int_dE V x.nu dsigma = (n - alpha/2) int_E V dx
     Minkowski    int_dE kappa x.nu dsigma = (n - s)/c_var * P_s(E)
@@ -47,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GeometryError, ParamError, QuadratureError
+from .errors import ParamError, QuadratureError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _grad_tau_2d_batch, _kernel, _sweep)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
@@ -59,7 +60,6 @@ __all__ = [
     "calibrate_variation_constant", "ball_map_mu", "diagnose", "IDENTITY_KINDS",
 ]
 
-IDENTITY_KINDS = ("Au1", "Au2", "Minkowski", "Lal", "TangentialBall")
 DEFAULT_MU_GATE = 0.5
 _PROBE_SEED = 173001
 _RESIDUAL_FLOOR = 1e-30
@@ -118,8 +118,6 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     if route not in ("kappa", "potential"):
         raise ParamError(f"route must be 'kappa' or 'potential', got {route!r}")
     bf = _sweep(S, p, resolution, nq)
-    if bf.mesh.points.shape[0] < 2:
-        raise GeometryError("Lipschitz defect needs at least 2 boundary nodes")
     if route == "kappa":
         return _pairwise_defect(bf.mesh.points, bf.kappa)
     return p.c_coupling * p.eps * _pairwise_defect(bf.mesh.points, bf.pot)
@@ -230,12 +228,8 @@ def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     kept boundary sweep, which diagnose reads too.
     """
     bf = _sweep(S, p, resolution, nq)
-    return _lambda_cross(S, p, bf.perimeter, bf.riesz)
-
-
-def _lambda_cross(S, p: Params, per: float, rz: float) -> float:
-    num = (p.n - p.s) / p.c_var * per \
-        + p.c_coupling * p.eps * (p.n - 0.5 * p.alpha) * rz
+    num = (p.n - p.s) / p.c_var * bf.perimeter \
+        + p.c_coupling * p.eps * (p.n - 0.5 * p.alpha) * bf.riesz
     return num / (p.n * volume(S))
 
 
@@ -274,38 +268,45 @@ def au2_sides(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     return _x_dot_nu_pairing(bf.mesh, bf.pot), bf.riesz
 
 
-def _identity_au2(p: Params, bf) -> float:
-    lhs = _x_dot_nu_pairing(bf.mesh, bf.pot)
-    return _rel_residual(lhs, (p.n - 0.5 * p.alpha) * bf.riesz)
+def _check_au1(k, p: Params, resolution, nq) -> float:
+    # the left side first: it refuses an alpha out of its range before
+    # anything is swept
+    lhs = k.au1_lhs(p.alpha, resolution, nq)
+    rz = _sweep(k.S, p, resolution, nq).riesz
+    return _rel_residual(lhs, -0.5 * p.alpha * rz)
 
 
-def _identity_minkowski(p: Params, bf) -> float:
-    lhs = _x_dot_nu_pairing(bf.mesh, bf.kappa)
-    return _rel_residual(lhs, (p.n - p.s) * bf.perimeter / p.c_var)
+def _check_au2(k, p: Params, resolution, nq) -> float:
+    lhs, rz = au2_sides(k.S, p, resolution, nq)
+    return _rel_residual(lhs, (p.n - 0.5 * p.alpha) * rz)
 
 
-def _identity_lal(k, p: Params, nq, probes: int = 50,
-                  seed: int = _PROBE_SEED) -> float:
-    """Positive part of max_x (V_E(x) - V_B(0)) / V_B(0) over the probe
+def _minkowski_sides(n, s, mesh, kappa, per):
+    """(int_dE kappa x.nu dsigma, (n - s) P_s), Minkowski without 1 / c_var."""
+    return _x_dot_nu_pairing(mesh, kappa), (n - s) * per
+
+
+def _check_minkowski(k, p: Params, resolution, nq) -> float:
+    bf = _sweep(k.S, p, resolution, nq)
+    lhs, rhs = _minkowski_sides(p.n, p.s, bf.mesh, bf.kappa, bf.perimeter)
+    return _rel_residual(lhs, rhs / p.c_var)
+
+
+def _check_lal(k, p: Params, resolution, nq) -> float:
+    """Positive part of max_x (V_E(x) - V_B(0)) / V_B(0) over 50 probe
     points of the kernel k, B the centered ball of the same volume. The
     clamp makes 'no violation' read exactly 0."""
-    vmax, vb0 = k.lal_max(p.alpha, nq, probes, np.random.default_rng(seed))
+    vmax, vb0 = k.lal_max(p.alpha, nq, 50, np.random.default_rng(_PROBE_SEED))
     return max(0.0, (vmax - vb0) / vb0)
 
 
-def _sup_tangential(S, p: Params, resolution, nq) -> float:
-    """sup |grad V . tau| over the mesh nodes, from the one sum that owns
-    grad V . tau (_grad_tau_2d_batch at the mesh angles); no boundary sweep
-    carries it."""
-    return float(np.abs(_grad_tau_2d_batch(S, p.alpha, mesh_angles(resolution),
-                                           nq)).max())
-
-
-def _identity_tangential_ball(S, p: Params, resolution, nq) -> float:
+def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     """Linearity of sup |grad V . tau| in the ball-map size mu: halve the
     radial deviation from the equal-area ball and compare the ratio of the
-    sups with the ratio of the mus. The residual is their mismatch; both
-    sups come from _sup_tangential."""
+    sups with the ratio of the mus. The residual is their mismatch. Each sup
+    is over the mesh nodes, from the one sum that owns grad V . tau
+    (_grad_tau_2d_batch); no boundary sweep carries it."""
+    S = _as_star(k.S)
     if not (0.0 < p.alpha < 1.0):
         raise ParamError("tangential-gradient check needs alpha in (0, 1)")
     mu_full = ball_map_mu(S)
@@ -313,12 +314,19 @@ def _identity_tangential_ball(S, p: Params, resolution, nq) -> float:
         return 0.0
     R = math.sqrt(volume(S) / math.pi)
     half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
-    mu_half = ball_map_mu(half)
-    ratio_mu = mu_full / mu_half
-    g_full = _sup_tangential(S, p, resolution, nq)
-    g_half = _sup_tangential(half, p, resolution, nq)
+    ratio_mu = mu_full / ball_map_mu(half)
+    g_full, g_half = (float(np.abs(_grad_tau_2d_batch(
+        T, p.alpha, mesh_angles(resolution), nq)).max()) for T in (S, half))
     ratio_g = g_full / max(g_half, _RESIDUAL_FLOOR)
     return abs(ratio_g - ratio_mu) / ratio_mu
+
+
+# the one implementation of each named identity, k = _kernel(S, p): what
+# identity_check dispatches and diagnose runs, in the CLI's column order
+_IDENTITIES = {"Au1": _check_au1, "Au2": _check_au2,
+               "Minkowski": _check_minkowski, "Lal": _check_lal,
+               "TangentialBall": _check_tangential_ball}
+IDENTITY_KINDS = tuple(_IDENTITIES)
 
 
 def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION,
@@ -327,19 +335,7 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
     if kind not in IDENTITY_KINDS:
         raise ParamError(
             f"unknown identity kind {kind!r}; choose from {IDENTITY_KINDS}")
-    k = _kernel(S, p)
-    if kind == "TangentialBall":
-        return _identity_tangential_ball(_as_star(S), p, resolution, nq)
-    if kind == "Lal":
-        return _identity_lal(k, p, nq)
-    if kind == "Au1":
-        # the left side first: it refuses an alpha out of its range before
-        # anything is swept
-        lhs = k.au1_lhs(p.alpha, resolution, nq)
-        rz = _sweep(k.S, p, resolution, nq).riesz
-        return _rel_residual(lhs, -0.5 * p.alpha * rz)
-    check = _identity_au2 if kind == "Au2" else _identity_minkowski
-    return check(p, _sweep(k.S, p, resolution, nq))
+    return _IDENTITIES[kind](_kernel(S, p), p, resolution, nq)
 
 
 def calibrate_variation_constant(s: float, n: int = 2,
@@ -364,8 +360,8 @@ def calibrate_variation_constant(s: float, n: int = 2,
     vals = []
     for R in radii:
         k = _kernel(Ball((0.0,) * int(n), R))
-        mesh, kap, per = k.curvature_sweep(s, resolution, nq)
-        vals.append((n - s) * per / _x_dot_nu_pairing(mesh, kap))
+        pairing, rhs = _minkowski_sides(n, s, *k.curvature_sweep(s, resolution, nq))
+        vals.append(rhs / pairing)
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
     if spread > _CALIBRATION_SPREAD_TOL:
         raise QuadratureError(
@@ -379,62 +375,46 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
              ) -> DiagnosticsReport:
     """Full diagnostic sweep for one shape.
 
-    Each shared quantity is computed once: the boundary sweep at nq
-    (lambda_hat, delta, Au2, Minkowski), which also carries P_s
-    (lambda_cross, Minkowski) and R_alpha (lambda_cross, and int_E V for Au1
-    and Au2), and the diameter (eta, rho, iso_ratio). A star shape or an
-    interval set keeps both (a star shape also its boundary samples at each
-    grid), so a shape that a descent or an earlier call swept at
-    (p, resolution, nq) is not swept again. The
-    planar error estimates are |value(2 nq) - value(nq)| against those nq
-    values, all four from one sweep at 2 nq.
-    TangentialBall reads grad V . tau from its one owner (_sup_tangential,
-    for the shape and its half-amplitude shape), which no sweep carries.
+    Each entry comes from its public owner, and each identity from the check
+    that identity_check runs, so the two agree bit for bit. The sweep
+    readers get the canonical shape, which keeps its sweep at
+    (p, resolution, nq): one sweep serves them all, and none if a descent or
+    an earlier call swept the shape. The closed-form measures (eta, rho,
+    iso_ratio, mu) take S, so a ball gets its exact values. The planar error
+    estimates are |value(2 nq) - value(nq)|, all four from one sweep at 2 nq.
 
-    The TangentialBall check only runs when the measured mu is positive and
-    at most DEFAULT_MU_GATE: the underlying comparison is a
-    small-perturbation statement and is out of regime for large deviations
-    from a ball.
+    Au1 runs only at alpha < 1, where the interior rule resolves its
+    gradient's boundary layer. TangentialBall runs only when also the
+    measured mu is positive and at most DEFAULT_MU_GATE: the comparison is a
+    small-perturbation statement.
     """
-    # k.S, the canonical form, is what every quadrature below runs on; the
-    # closed-form measures (eta, rho, iso_ratio, mu) keep S, so a ball gets
-    # its exact values
     k = _kernel(S, p)
     C = k.S
     mu = ball_map_mu(S) if k.planar else None
     bf = _sweep(C, p, resolution, nq)
-    per, rz = bf.perimeter, bf.riesz
-    lam, el_res = bf.lambda_hat_and_residual()
-    delta = _pairwise_defect(bf.mesh.points, bf.kappa)
+    lam, el_res = lambda_hat_and_residual(C, p, resolution, nq)
+    delta = lipschitz_defect_delta(C, p, resolution, nq)
     eta_v = eta(S, p, delta)
     rho = annulus_deficit_rho(S) if k.planar else None
 
-    implied = {"lambda_cross": _lambda_cross(C, p, per, rz)}
+    implied = {"lambda_cross": lambda_cross_estimate(C, p, resolution, nq)}
     if p.eps > 0.0:
         implied["eta_bound_constant"] = delta / p.eps
     if mu is not None:
         implied["mu"] = mu
 
-    identities = {}
-    if with_identities:
-        if 0.0 < p.alpha < 1.0:
-            # the gradient route under Au1 needs the weak-singularity range;
-            # for alpha >= 1 the boundary layer defeats the interior rule
-            identities["Au1"] = _rel_residual(
-                k.au1_lhs(p.alpha, resolution, nq), -0.5 * p.alpha * rz)
-        identities["Au2"] = _identity_au2(p, bf)
-        identities["Minkowski"] = _identity_minkowski(p, bf)
-        identities["Lal"] = _identity_lal(k, p, nq)
-        if (mu is not None and 0.0 < mu <= DEFAULT_MU_GATE
-                and 0.0 < p.alpha < 1.0):
-            identities["TangentialBall"] = _identity_tangential_ball(
-                C, p, resolution, nq)
+    runs = {"Au1": p.alpha < 1.0,
+            "TangentialBall": (k.planar and 0.0 < mu <= DEFAULT_MU_GATE
+                               and p.alpha < 1.0)}
+    identities = {kind: check(k, p, resolution, nq)
+                  for kind, check in _IDENTITIES.items()
+                  if with_identities and runs.get(kind, True)}
 
     errors = {}
     if k.planar:
         bf2 = _sweep(C, p, resolution, 2 * nq)
-        errors["perimeter"] = abs(bf2.perimeter - per)
-        errors["riesz"] = abs(bf2.riesz - rz)
+        errors["perimeter"] = abs(bf2.perimeter - bf.perimeter)
+        errors["riesz"] = abs(bf2.riesz - bf.riesz)
         errors["kappa"] = float(np.abs(bf2.kappa - bf.kappa).max())
         errors["potential"] = float(np.abs(bf2.pot - bf.pot).max())
 

@@ -73,9 +73,6 @@ def _check_gap(d: float, p: Params) -> None:
         raise ParamError(f"two-interval analysis needs n = 1, got n = {p.n}")
     if not (d > 0.5):
         raise ParamError(f"gap parameter d must exceed 1/2, got {d!r}")
-    if not (0.0 < p.alpha < 1.0):
-        raise ParamError(
-            f"two-interval analysis needs alpha in (0, 1), got {p.alpha!r}")
 
 
 def _two_intervals(d: float) -> tuple:

@@ -114,13 +114,18 @@ def _partition(intervals: tuple) -> list:
 def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     """Principal value of int (chi_{complement} - chi_S)(y) |x - y|^(-1-s) dy
     at a boundary point x of the interval union S: the kappa of
-    _endpoint_pass at the index of the endpoint that x stands for."""
+    _endpoint_pass at the index of the endpoint that x stands for. A gap or
+    interval whose length^(-s) overflows raises GeometryError."""
     if not (0.0 < s < 1.0):
         raise ParamError(f"s must lie in (0, 1), got {s!r}")
     j = _endpoint_index(S, x)
     if j is None:
         raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")
-    return _endpoint_pass(_partition(S.intervals), j, s, None)[0]
+    segs = _partition(S.intervals)
+    try:
+        return _endpoint_pass(segs, j, s, None)[0]
+    except OverflowError:
+        raise _too_short(segs, s) from None
 
 
 def _endpoint_fields(intervals: tuple, s: float, q: Optional[float]):
@@ -131,11 +136,24 @@ def _endpoint_fields(intervals: tuple, s: float, q: Optional[float]):
     and V the 1D potential at the endpoint."""
     segs = _partition(intervals)  # segment j ends at endpoint j
     kap, pot = [], []
-    for j in range(len(segs) - 1):
-        k, v = _endpoint_pass(segs, j, s, q)
-        kap.append(k)
-        pot.append(v)
+    try:
+        for j in range(len(segs) - 1):
+            k, v = _endpoint_pass(segs, j, s, q)
+            kap.append(k)
+            pot.append(v)
+    except OverflowError:
+        raise _too_short(segs, s) from None
     return tuple(kap), tuple(pot)
+
+
+def _too_short(segs: list, s: float) -> GeometryError:
+    """The refusal of an overflowed endpoint pass: only a power L^(-s) of a
+    length L can overflow, and the segments next to an endpoint are no
+    longer than its distance to any other, so it names the shortest one."""
+    lo, hi, sig = min(segs[1:-1], key=lambda seg: seg[1] - seg[0])
+    return GeometryError(
+        f"the {'gap' if sig > 0.0 else 'interval'} ({lo!r}, {hi!r}) is too "
+        f"short for s = {s!r}: its length^(-s) overflows the float range")
 
 
 def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):

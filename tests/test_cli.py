@@ -209,14 +209,18 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "no energy-non-increasing step"),
     (["onedim-root", "--s", "0.01", "--alpha", "0.997", "--eps", "1e-3"], 1,
      "f underflows to 0"),
+    (["curvature", "--s", "0.97", "--alpha", "0.5", "--geometry", "GAP"], 1,
+     "the gap (0.0, 5e-324) is too short for s = 0.97"),
 ], ids=["no-eps", "short-grid", "negative-step", "onedim-n2", "optimize-n1",
         "nan-f-tol", "nan-tol", "nan-step", "negative-modes", "zero-modes",
-        "corrupt-geometry", "stall", "bracket"])
+        "corrupt-geometry", "stall", "bracket", "subnormal-gap"])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     # a first trial step below the least step stalls the descent at once
     monkeypatch.setattr(shapeopt, "_MIN_STEP", 2.0)
     files = {"BAD": str(_write(tmp_path, "bad.json", "{not json")),
-             "STAR": str(_star_geom(tmp_path))}
+             "STAR": str(_star_geom(tmp_path)),
+             "GAP": str(_write(tmp_path, "gap.json", json.dumps(
+                 {"kind": "intervals", "intervals": [[-1, 0], [5e-324, 1]]})))}
     argv = [files.get(a, a) for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err

@@ -734,3 +734,16 @@ def test_mismatched_params_no_longer_read_a_report():
                  Params(n=3, s=0.5, alpha=2.5, eps=1e-3), 64, 16)
     with pytest.raises(ParamError, match="dimension 1"):
         diagnose(IntervalSet([(0, 0.5), (3, 3.5)]), P2, 64, 16)
+
+
+# ---------------------------------------------------------------------------
+# refusals that no other test reaches: the error type and its message
+
+@pytest.mark.parametrize("kind, message", [
+    ("Au1", r"Au1 on planar sets needs alpha in \(0, 1\), got 1.5"),
+    ("TangentialBall", r"tangential-gradient check needs alpha in \(0, 1\)"),
+])
+def test_refusals(kind, message):
+    star = StarShape2D((0.0, 0.0), 1.0, (0.0, 0.0, 0.1), ())
+    with pytest.raises(ParamError, match=message):
+        identity_check(star, Params(2, 0.5, 1.5, eps=0.1), kind)

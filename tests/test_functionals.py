@@ -928,3 +928,42 @@ def test_grad_set_integral_memory_is_cache_sized(mode3_star):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# refusals that no other test reaches: the error type and its message
+
+_STAR = StarShape2D((0.0, 0.0), 1.0, (0.0, 0.0, 0.1), ())
+_BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: riesz_energy(_STAR, 2.5), ParamError,
+     r"2D Riesz energy needs alpha in \(0, 2\)"),
+    (lambda: potential(_STAR, (2.0, 0.0), 2.0), ParamError,
+     r"2D potential needs alpha in \(0, 2\)"),
+    (lambda: boundary_fields(_BALL3, Params(n=3, s=0.5, alpha=0.5, eps=0.1)),
+     GeometryError, "got a Ball in dimension 3"),
+    (lambda: potential(_BALL3, (0.5, 0.0, 0.0), 3.5), ParamError,
+     r"potential needs alpha in \(0, n\), got 3.5"),
+    (lambda: grad_potential(_BALL3, (0.5, 0.0, 0.0), 0.5), GeometryError,
+     "only provided at the center"),
+    (lambda: frac_perimeter(_STAR, 1.5), ParamError,
+     r"s must lie in \(0, 1\), got 1.5"),
+    (lambda: frac_curvature(_STAR, (1.1, 0.0), 0.0), ParamError,
+     r"s must lie in \(0, 1\), got 0.0"),
+    (lambda: tangential_grad_potential(_STAR, (0.3, 0.2), 0.5), GeometryError,
+     r"x = \[0.3, 0.2\] is not on the boundary"),
+], ids=["riesz-alpha", "potential-alpha", "fields-ball3", "potential-ball3",
+        "grad-ball3-off-center", "perimeter-s", "curvature-s",
+        "tangential-off-curve"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("S, x", [(_STAR, (1.1, 0.0)),
+                                  (IntervalSet([(0.0, 0.5), (0.8, 2.0)]), 0.8)])
+def test_zeta_at_eps_0_is_the_curvature_bitwise(S, x):
+    p = Params(n=S.n, s=0.4, alpha=0.5, eps=0.0)
+    assert zeta(S, x, p).hex() == frac_curvature(S, x, p.s).hex()

@@ -342,6 +342,37 @@ def test_zeta_endpoints_are_the_per_endpoint_reference_bitwise(d):
         assert _hex(got) == _hex(ref), (d, p)
 
 
+# a gap so short that its length^(-s) leaves the float range: each route to
+# the endpoint fields refuses it as geometry and names it (a bare
+# OverflowError before); at s = 0.9 the same gap still gives a finite kappa
+_TINY_GAP = IntervalSet([(-1.0, 0.0), (5e-324, 1.0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: boundary_fields(_TINY_GAP, Params(n=1, s=0.97, alpha=0.5, eps=0.1)),
+     r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),
+    (lambda: _endpoint_fields(_TINY_GAP.intervals, 0.97, None),
+     r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),
+    (lambda: pv_pair_integral(_TINY_GAP, 0.0, 0.97),
+     r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),
+    (lambda: pv_pair_integral(_TINY_GAP, 5e-324, 0.97),
+     r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),
+    (lambda: pv_pair_integral(IntervalSet([(0.0, 5e-324)]), 0.0, 0.97),
+     r"the interval \(0.0, 5e-324\) is too short for s = 0.97"),
+], ids=["boundary-fields", "endpoint-fields", "pv-left", "pv-right",
+        "pv-tiny-interval"])
+def test_a_segment_too_short_for_s_is_refused_as_geometry(call, message):
+    with pytest.raises(GeometryError, match=message):
+        call()
+
+
+def test_a_tiny_gap_within_the_float_range_is_not_refused():
+    bf = boundary_fields(_TINY_GAP, Params(n=1, s=0.9, alpha=0.5, eps=0.1))
+    assert np.isfinite(bf.kappa).all() and bf.kappa[1] < -1e291
+    # the far endpoint sees the gap only at distance ~1
+    assert math.isfinite(pv_pair_integral(_TINY_GAP, 1.0, 0.97))
+
+
 # ---------------------------------------------------------------------------
 # boundary-kernel rules
 

@@ -522,3 +522,52 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
     back = load_geometry(path)
     th = np.linspace(0, 2 * np.pi, 17)
     assert_allclose(back.radius(th), mode3_star.radius(th), rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# refusals that no other test reaches: the error type and its message
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Params(n=0, s=0.5, alpha=0.5), ParamError,
+     "n must be a positive integer, got 0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, c_coupling=0.0), ParamError,
+     "c_coupling must be positive, got 0.0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, c_var=-1.0), ParamError,
+     "c_var must be positive, got -1.0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, mass=0.0), ParamError,
+     "mass must be positive, got 0.0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=0.1, mass=-1.0), ParamError,
+     "mass must be positive, got -1.0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=-1.0), ParamError,
+     "eps must be nonnegative, got -1.0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=-1.0, mass=1.0), ParamError,
+     "eps must be nonnegative, got -1.0"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps(math.inf), ParamError,
+     "eps must be finite, got inf"),
+    (lambda: IntervalSet([]), GeometryError, "interval set must be nonempty"),
+    (lambda: IntervalSet([(0.0, math.inf)]), GeometryError,
+     "interval endpoints must be finite"),
+    (lambda: Ball((), 1.0), GeometryError,
+     "ball center needs at least one coordinate"),
+    (lambda: Ball((0.0, 0.0), 0.0), GeometryError,
+     "ball radius must be positive and finite, got 0.0"),
+    (lambda: StarShape2D((0.0, 0.0, 0.0), 1.0), GeometryError,
+     "star shape center must have two coordinates"),
+    (lambda: StarShape2D.from_samples((0.0, 0.0), [1.0, 1.0, 1.0]),
+     GeometryError, "need at least 4 samples"),
+    (lambda: geometry_from_dict({"center": [0, 0]}), GeometryError,
+     "needs a 'kind' field"),
+    (lambda: geometry_from_dict({"kind": "torus"}), GeometryError,
+     "unknown geometry kind 'torus'"),
+    (lambda: geometry_from_dict({"kind": "star", "center": [0, 0],
+                                 "samples": [1.0, 1.0, 1.0]}),
+     GeometryError, "need at least 4 samples"),
+], ids=["n-0", "c-coupling-0", "c-var-negative", "mass-0",
+        "mass-negative-with-eps", "eps-negative", "eps-negative-with-mass",
+        "with-eps-inf", "intervals-empty", "interval-infinite-end",
+        "ball-no-center", "ball-radius-0", "star-center-3d",
+        "star-3-samples", "dict-no-kind", "dict-unknown-kind",
+        "dict-star-3-samples"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -526,7 +526,7 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
     rz = riesz_energy(sh, P2.alpha, 128, 32)
     assert st.energy == energy(sh, P2, 128, 32).total == per + P2.eps * rz
     assert rep.implied_constants["lambda_cross"] == \
-        diagnostics._lambda_cross(sh, P2, per, rz)
+        diagnostics.lambda_cross_estimate(sh, P2, 128, 32)
     assert rep.error_estimates["perimeter"] == \
         abs(frac_perimeter(sh, P2.s, 128, 64) - per)
     assert rep.error_estimates["riesz"] == \
