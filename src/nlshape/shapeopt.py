@@ -14,14 +14,23 @@ proportional to mu_k and so needs tens of iterations; dividing each mode
 by mu_k damps them all at once. The spectrum mu_2..mu_k_max is that second
 variation in closed form (_disk_spectrum, built at each step); modes 0
 and 1 (dilation, translation) use mu_2, and every mu_k is clamped below at
-a fixed fraction of the largest, so the scaled velocity is always a
-descent direction.
+a fixed fraction of the largest. What the clamp guarantees is a bound in
+the uniform-angle pairing: every mu_k is positive, so the scaled velocity
+d pairs positively with v = zeta - lambda_hat at equal node weights (sum
+v d is a positively weighted sum of |mode k of v|^2 / mu_k), and the ratio
+of the largest mu_k to the smallest is at most 1 / _MU_FLOOR. That does
+not make d a descent direction: the first variation of F_eps pairs v with
+d in arc length, with the weight J, and nothing bounds sum J v d. Near the
+disk J is nearly constant and the two pairings agree; far from it sum J v d
+can be small against sum v d (0.38 against 30 at eps = 30), and the line
+search stalls.
 
 One step:
-  1. sweep zeta over the boundary mesh, lambda_hat = weighted mean (the
-     sweep is kept on the shape, so the accepted candidate's sweep of the
-     previous step serves find_critical_2d's stopping test, this step and
-     the final diagnose);
+  1. read the shape's residual map (_residual_map): its boundary sweep,
+     lambda_hat = weighted mean of zeta, the residual, the modes of
+     zeta - lambda_hat and F_eps (the sweep is kept on the shape, so the
+     accepted candidate's sweep of the previous step serves
+     find_critical_2d's stopping test, this step and the final diagnose);
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
@@ -30,10 +39,10 @@ One step:
      spectral smoothing that keeps quadrature noise from feeding
      high-frequency growth;
   5. rescale to unit area;
-  6. sweep the candidate, which gives F_eps = P_s + eps R_alpha from the
-     same on-curve passes as its zeta; accept only if F_eps did not
-     increase, else halve the step and retry. The accepted candidate's
-     sweep, kept on it, is step 1 of the next iteration.
+  6. read the candidate's residual map, whose F_eps = P_s + eps R_alpha
+     comes from the same on-curve passes as its zeta; accept only if F_eps
+     did not increase, else halve the step and retry. The accepted
+     candidate's sweep, kept on it, is step 1 of the next iteration.
 
 Every iteration's first trial is the state's step_size (1, the full Newton
 step, by default); an accepted step leaves it unchanged. The iteration
@@ -50,8 +59,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, EnergyBreakdown,
-                          _as_star, _sweep)
+from .functionals import DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star, _sweep
 from .sets import Params, StarShape2D, volume
 
 __all__ = [
@@ -63,7 +71,7 @@ DEFAULT_K_MAX = 12
 DEFAULT_STEP = 1.0
 _MIN_STEP = 1e-14
 # no mode's eigenvalue is taken below this fraction of the largest one, so
-# the scaled velocity stays a descent direction where some mu_k <= 0
+# every mode is scaled by a positive 1 / mu_k even where some mu_k <= 0
 _MU_FLOOR = 1e-3
 # residual at or below this is quadrature noise: the step is a no-op rather
 # than a fight against roundoff (exact critical points must be fixed points)
@@ -116,13 +124,15 @@ def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> Sta
     return StarShape2D(center, r0, a, b)
 
 
-def volume_project(S: StarShape2D) -> StarShape2D:
+def volume_project(S) -> StarShape2D:
     """Uniform radial rescale about the shape's own center to unit area.
 
     All coefficients scale by the same factor, so the shape (and every
     scale-invariant diagnostic) is unchanged, and so is the sign of the
-    radius: the positivity check is not run again.
+    radius: the positivity check is not run again. A planar ball is read as
+    its constant-radius star shape; any other geometry raises GeometryError.
     """
+    S = _as_star(S)
     c = 1.0 / math.sqrt(volume(S))
     return StarShape2D._positive(S.center, c * S.r0, c * S.a, c * S.b)
 
@@ -130,17 +140,31 @@ def volume_project(S: StarShape2D) -> StarShape2D:
 def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
                   k_max: int = DEFAULT_K_MAX,
                   step: float = DEFAULT_STEP) -> OptimizerState:
+    """The state at iteration 0 of a descent from shape (a star shape or a
+    planar ball, read as its star shape).
+
+    Raises ParamError for a step that is not finite and positive, and for a
+    k_max that is a bool, not an integer, or below 1; GeometryError for a
+    geometry that is not planar.
+    """
     if not 0.0 < step < math.inf:
         raise ParamError(f"step size must be finite and positive, got {step!r}")
     # StarShape2D.from_samples would read a negative cap from the end of the
     # spectrum and keep no mode at all for 0
-    if (isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer))
-            or k_max < 1):
-        raise ParamError(f"k_max must be an integer of at least 1, got {k_max!r}")
+    _require_count("k_max", k_max, 1)
     shape = _as_star(shape)
     return OptimizerState(shape=shape, step_size=step, iteration=0,
                           residual_history=(), volume_drift=abs(volume(shape) - 1.0),
                           mesh_resolution=resolution, k_max=k_max)
+
+
+def _require_count(name: str, value, least: int):
+    """Refuse (ParamError) a value that is a bool, not an integer, or below
+    least."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ParamError(
+            f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _mode_gaps(q: float, k_max: int) -> np.ndarray:
@@ -185,20 +209,34 @@ def _disk_spectrum(p: Params, k_max: int) -> np.ndarray:
     return np.concatenate([mu[:1], mu[:1], mu])
 
 
+def _residual_map(shape, p: Params, resolution: int, nq: int, k_max: int):
+    """Everything the descent reads off a shape, as the tuple (bf, lam,
+    residual, modes, f_eps): the boundary sweep bf kept on the shape,
+    lambda_hat and sup |zeta - lambda_hat| from it, the real-FFT modes
+    0..max(2, k_max) of zeta - lambda_hat (fewer when the mesh has fewer),
+    and F_eps = P_s + eps R_alpha. Only the sweep is kept: a second call
+    repeats the rest, which is cheap beside it."""
+    bf = _sweep(shape, p, resolution, nq)
+    lam, residual = bf.lambda_hat_and_residual()
+    modes = np.fft.rfft(bf.zeta - lam)[:max(2, k_max) + 1]
+    return bf, lam, residual, modes, bf.perimeter + p.eps * bf.riesz
+
+
 def el_gradient_step(state: OptimizerState, p: Params,
                      nq: int = DEFAULT_NQ) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
 
-    lambda_hat, the residual and the velocity are read from the sweep kept
-    on the shape (the accepted candidate's of the previous step). Each
-    candidate is evaluated by one boundary sweep, which gives its F_eps and
-    is kept on it. Raises StalledError (carrying the state) when no
-    energy-non-increasing candidate exists down to the minimal step size.
+    lambda_hat, the residual and the velocity are read from the residual
+    map of the shape, whose sweep is kept on it (the accepted candidate's
+    of the previous step). Each candidate is evaluated by its residual map,
+    one boundary sweep, which gives its F_eps and is kept on it. Raises
+    StalledError (carrying the state) when no energy-non-increasing
+    candidate exists down to the minimal step size.
     """
     shape = state.shape
     res = state.mesh_resolution
-    bf = _sweep(shape, p, res, nq)
-    lam, residual = bf.lambda_hat_and_residual()
+    bf, lam, residual, coef, f_eps = _residual_map(shape, p, res, nq,
+                                                   state.k_max)
     history = state.residual_history + (residual,)
 
     scale = max(1.0, abs(lam))
@@ -206,17 +244,13 @@ def el_gradient_step(state: OptimizerState, p: Params,
         return replace(state, iteration=state.iteration + 1,
                        residual_history=history)
 
-    base = state.energy
-    if math.isnan(base):
-        base = EnergyBreakdown(bf.perimeter, bf.riesz, p.eps).total
+    base = f_eps if math.isnan(state.energy) else state.energy
 
     # the Newton step at the disk: mode k of zeta - lambda_hat divided by
     # mu_k, applied as the normal speed v * J / r at the mesh angles
     mesh = bf.mesh
-    v = bf.zeta - lam
     mu = _disk_spectrum(p, state.k_max)
-    coef = np.fft.rfft(v)[:mu.size]
-    v = np.fft.irfft(coef / mu[:coef.size], v.size)
+    v = np.fft.irfft(coef / mu[:coef.size], bf.zeta.size)
     speed = mesh.weights * mesh.points.shape[0] / (2.0 * math.pi)
     r = shape._grid(mesh.thetas.size)[2]
 
@@ -234,9 +268,7 @@ def el_gradient_step(state: OptimizerState, p: Params,
                 step *= 0.5
                 continue
             cand = volume_project(cand)
-            cand_bf = _sweep(cand, p, res, nq)
-            f_cand = EnergyBreakdown(cand_bf.perimeter, cand_bf.riesz,
-                                     p.eps).total
+            f_cand = _residual_map(cand, p, res, nq, state.k_max)[4]
             if f_cand <= base:
                 return replace(state, shape=cand, iteration=state.iteration + 1,
                                residual_history=history,
@@ -261,13 +293,15 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     (shape, DiagnosticsReport), or (shape, report, OptimizerState) with
     full_output. Hitting max_iter returns normally with the residual visible
     in the report; a stall with the residual still above tol raises
-    StalledError. tol = inf takes no step: it diagnoses init. A NaN or
-    negative tol, which no residual meets, raises ParamError.
+    StalledError. tol = inf or max_iter = 0 takes no step: it diagnoses
+    init. A NaN or negative tol, which no residual meets, raises ParamError,
+    and so does a max_iter that is a bool, not an integer, or negative.
     """
     if p.n != 2:
         raise ParamError(f"planar search needs n = 2, got n = {p.n}")
     if not tol >= 0.0:
         raise ParamError(f"tol must be nonnegative, got {tol!r}")
+    _require_count("max_iter", max_iter, 0)
     state = initial_state(init, resolution=resolution, k_max=k_max, step=step)
     init = state.shape
     if state.volume_drift > 1e-8:
@@ -276,8 +310,7 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
             "apply volume_project first")
     # each shape is swept once: its sweep is kept on it
     while state.iteration < max_iter:
-        residual = _sweep(state.shape, p, resolution,
-                          nq).lambda_hat_and_residual()[1]
+        residual = _residual_map(state.shape, p, resolution, nq, k_max)[2]
         if residual <= tol:
             state = replace(
                 state, residual_history=state.residual_history + (residual,))

@@ -204,6 +204,8 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
     ([*_OPT, "--step", "nan"], 2, "step size must be finite and positive"),
     ([*_OPT, "--modes", "-2"], 2, "k_max must be an integer of at least 1"),
     ([*_OPT, "--modes", "0"], 2, "k_max must be an integer of at least 1"),
+    ([*_OPT, "--max-iter", "-1"], 2,
+     "max_iter must be an integer of at least 0"),
     (["energy", *_SA, "--geometry", "BAD"], 1, "JSON"),
     ([*_OPT, "--init", "STAR", "--tol", "1e-6"], 1,
      "no energy-non-increasing step"),
@@ -213,7 +215,8 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "the gap (0.0, 5e-324) is too short for s = 0.97"),
 ], ids=["no-eps", "short-grid", "negative-step", "onedim-n2", "optimize-n1",
         "nan-f-tol", "nan-tol", "nan-step", "negative-modes", "zero-modes",
-        "corrupt-geometry", "stall", "bracket", "subnormal-gap"])
+        "negative-max-iter", "corrupt-geometry", "stall", "bracket",
+        "subnormal-gap"])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     # a first trial step below the least step stalls the descent at once
     monkeypatch.setattr(shapeopt, "_MIN_STEP", 2.0)

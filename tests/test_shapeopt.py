@@ -13,8 +13,8 @@ from nlshape.errors import (GeometryError, ParamError, QuadratureError,
                             StalledError)
 from nlshape.functionals import (boundary_fields, energy, frac_perimeter,
                                  riesz_energy, zeta)
-from nlshape.sets import (Ball, Params, StarShape2D, uniform_angles,
-                          volume)
+from nlshape.sets import (Ball, IntervalSet, Params, StarShape2D,
+                          uniform_angles, volume)
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
                               find_critical_2d, fourier_shape, initial_state,
                               volume_project)
@@ -116,6 +116,24 @@ def test_volume_project_idempotent():
     assert U.r0 == pytest.approx(T.r0, rel=1e-14)
 
 
+def test_volume_project_reads_a_planar_ball_as_its_star():
+    # find_critical_2d accepts a planar ball, so the projection does too;
+    # it raised a bare AttributeError (no r0 on a Ball)
+    got = volume_project(Ball((0.3, -0.1), 2.0))
+    want = volume_project(StarShape2D((0.3, -0.1), 2.0))
+    assert type(got) is StarShape2D and got.center == want.center
+    assert got.r0 == want.r0 and got.a.size == got.b.size == 0
+    assert volume(got) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("geometry", [
+    IntervalSet([(0.0, 1.0)]), Ball((0.0,), 1.0), Ball((0.0, 0.0, 0.0), 1.0)],
+    ids=["intervals", "ball-1d", "ball-3d"])
+def test_volume_project_refuses_a_non_planar_geometry(geometry):
+    with pytest.raises(GeometryError, match="star shape or planar ball"):
+        volume_project(geometry)
+
+
 # ---------------------------------------------------------------- initial_state
 
 def test_initial_state_fields():
@@ -157,14 +175,56 @@ def test_initial_state_refuses_a_mode_cap_below_1(k_max):
 
 @pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": -1.0},
                                 {"step": math.nan}, {"k_max": -2},
-                                {"k_max": 0}])
+                                {"k_max": 0}, {"max_iter": -1},
+                                {"max_iter": math.nan}, {"max_iter": True},
+                                {"max_iter": 2.0}, {"max_iter": None}])
 def test_find_critical_refuses_bad_knobs_at_entry(kw):
-    # no residual meets a NaN or negative tol: the descent ran to max_iter
+    # no residual meets a NaN or negative tol: the descent ran to max_iter.
+    # A max_iter of -1 or NaN returned the start's diagnosis after 0
+    # iterations, True ran one iteration and 2.0 two
     with pytest.raises(ParamError):
-        find_critical_2d(_star(), P2, max_iter=1, resolution=32, nq=8, **kw)
+        find_critical_2d(_star(), P2, resolution=32, nq=8,
+                         **{"max_iter": 1, **kw})
+
+
+def test_find_critical_max_iter_0_diagnoses_the_start():
+    S = _star()
+    sh, rep, st = find_critical_2d(S, P2, max_iter=np.int64(0), resolution=64,
+                                   nq=16, full_output=True)
+    assert sh is S and st.iteration == 0 and st.residual_history == ()
+    assert rep.as_dict() == diagnostics.diagnose(
+        _fresh(S), P2, 64, 16, with_identities=False).as_dict()
 
 
 # ------------------------------------------------------------- el_gradient_step
+
+def test_residual_map_agrees_with_its_public_owners():
+    # the one map the descent reads a shape through gives the public
+    # functions' values, bit for bit
+    S = volume_project(fourier_shape(
+        {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
+    bf, lam, residual, modes, f_eps = shapeopt._residual_map(S, P2, 64, 16, 8)
+    assert bf is functionals._sweep(S, P2, 64, 16)
+    assert (lam, residual) == diagnostics.lambda_hat_and_residual(
+        _fresh(S), P2, 64, 16)
+    assert f_eps == energy(_fresh(S), P2, 64, 16).total
+    fresh = boundary_fields(_fresh(S), P2, 64, 16)
+    want = np.fft.rfft(fresh.zeta - lam)[:9]
+    assert modes.size == 9 and modes.tobytes() == want.tobytes()
+    # modes 0..2 are read even at k_max = 1, for the spectrum's mu_2
+    assert shapeopt._residual_map(S, P2, 64, 16, 1)[3].size == 3
+
+
+def test_residual_map_cuts_the_modes_at_the_fft_length():
+    # a mode cap above m / 2 keeps every mode the real FFT has, and the step
+    # scales them by the leading part of the spectrum
+    S = _star()
+    m = boundary_fields(S, P2, 16, 8).zeta.size
+    modes = shapeopt._residual_map(S, P2, 16, 8, m)[3]
+    assert modes.size == m // 2 + 1
+    st = el_gradient_step(initial_state(S, resolution=16, k_max=m), P2, nq=8)
+    assert st.iteration == 1 and st.energy < energy(S, P2, 16, 8).total
+
 
 def test_step_velocity_is_mean_zero():
     # the applied normal speed is zeta minus its weighted mean, so its
