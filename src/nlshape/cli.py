@@ -39,8 +39,8 @@ from .errors import ConfigError, ConfigNotFoundError, NlshapeError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _kernel,
                           boundary_fields, energy, potential)
 from .onedim import _sweep_record, epsilon_sweep
-from .sets import (_MIN_RESOLUTION, Params, StarShape2D, canonical,
-                   geometry_to_dict, load_geometry, volume)
+from .sets import (Params, StarShape2D, _require_count, canonical,
+                   geometry_to_dict, load_geometry, mesh_angles, volume)
 from .shapeopt import find_critical_2d, volume_project
 
 __all__ = ["main", "load_config", "run_command", "RunConfig"]
@@ -263,15 +263,14 @@ def _parse_point(raw: str, n: int):
 
 
 def _mesh_knobs(cfg: RunConfig, n: int):
-    """(resolution, nq), refused as configuration errors when out of range.
-    The resolution only matters, and is only checked, for planar sets."""
+    """(resolution, nq), refused up front by the library's own checks, so a
+    run that reads neither (potential --point) refuses them too. The
+    resolution only matters, and is only checked, for planar sets."""
     res = cfg.get("resolution", DEFAULT_RESOLUTION)
     nq = cfg.get("nq", DEFAULT_NQ)
-    if nq < 1:
-        raise ConfigError(f"nq must be a positive integer, got {nq}")
-    if n == 2 and res < _MIN_RESOLUTION:
-        raise ConfigError(
-            f"resolution must be >= {_MIN_RESOLUTION} for planar sets, got {res}")
+    _require_count("nq", nq, 1)
+    if n == 2:
+        mesh_angles(res)
     return res, nq
 
 

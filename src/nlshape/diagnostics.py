@@ -52,7 +52,8 @@ from .errors import ParamError, QuadratureError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _grad_tau_2d_batch, _kernel, _sweep)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
-                   mesh_angles, volume, _pair_blocks)
+                   mesh_angles, volume, _pair_blocks, _require_count,
+                   _require_s)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -309,6 +310,7 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     S = _as_star(k.S)
     if not (0.0 < p.alpha < 1.0):
         raise ParamError("tangential-gradient check needs alpha in (0, 1)")
+    th = mesh_angles(resolution)
     mu_full = ball_map_mu(S)
     if mu_full == 0.0:
         return 0.0
@@ -316,7 +318,7 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
     ratio_mu = mu_full / ball_map_mu(half)
     g_full, g_half = (float(np.abs(_grad_tau_2d_batch(
-        T, p.alpha, mesh_angles(resolution), nq)).max()) for T in (S, half))
+        T, p.alpha, th, nq)).max()) for T in (S, half))
     ratio_g = g_full / max(g_half, _RESIDUAL_FLOOR)
     return abs(ratio_g - ratio_mu) / ratio_mu
 
@@ -351,15 +353,15 @@ def calibrate_variation_constant(s: float, n: int = 2,
     come from the curvature sweep of its kernel, in the plane one on-curve
     pass at beta = -s.
     """
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    _require_s(s)
+    _require_count("n", n, 1)
     if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
     if not radii:
         raise ParamError("radii must name at least one ball radius, got none")
     vals = []
     for R in radii:
-        k = _kernel(Ball((0.0,) * int(n), R))
+        k = _kernel(Ball((0.0,) * n, R))
         pairing, rhs = _minkowski_sides(n, s, *k.curvature_sweep(s, resolution, nq))
         vals.append(rhs / pairing)
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))

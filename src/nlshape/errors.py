@@ -32,17 +32,9 @@ class ConfigNotFoundError(ConfigError):
 
 
 class QuadratureError(NlshapeError, RuntimeError):
-    """A quadrature result is unusable: not finite, or short of its tolerance.
-
-    estimate and error_bound are None unless the raiser has them; the
-    package's two raise sites, shapeopt's disk spectrum and the radius
-    check of calibrate_variation_constant, pass neither.
-    """
-
-    def __init__(self, message, estimate=None, error_bound=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+    """A quadrature result is unusable: not finite, or short of its tolerance
+    (shapeopt's disk spectrum, the radius check of
+    calibrate_variation_constant)."""
 
 
 class BracketError(NlshapeError, RuntimeError):

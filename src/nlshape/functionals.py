@@ -111,8 +111,8 @@ from .quad import (_boundary_point, _endpoint_fields, _first_diff,
                    _gauss_legendre, _pair_second_diff, graded_radial_rule,
                    jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical, mesh_angles, uniform_angles,
-                   volume, _per_shape)
+                   boundary_mesh, canonical, mesh_angles, volume, _per_shape,
+                   _require_s)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -1009,8 +1009,7 @@ def _as_star(S) -> StarShape2D:
 def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
                    nq: int = DEFAULT_NQ, with_error: bool = False):
     """Fractional perimeter P_s(E)."""
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    _require_s(s)
     k = _kernel(S)
     return _with_error(lambda q: k.perimeter(s, resolution, q), nq, with_error)
 
@@ -1059,8 +1058,7 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
 
     Sign convention: positive on boundaries of convex sets.
     """
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    _require_s(s)
     return _kernel(S).curvature(x, s, nq)
 
 
@@ -1126,10 +1124,10 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     blocks.
     """
     star = _as_star(star)
-    q_radial = max(12, int(resolution) // 16)
+    th = mesh_angles(resolution)
+    m = th.size
+    q_radial = max(12, m // 16)
     t, wt = graded_radial_rule(q_radial)
-    m = int(resolution)
-    th = uniform_angles(m)
     cs, sn, r, _ = star._grid(m)
     step = max(1, _BLOCK_NODES // q_radial)
 

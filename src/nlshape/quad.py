@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
-from .sets import IntervalSet
+from .sets import IntervalSet, _require_count, _require_s
 
 __all__ = [
     "kernel_primitive", "pv_pair_integral", "jacobi_half_rule",
@@ -116,8 +116,7 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     at a boundary point x of the interval union S: the kappa of
     _endpoint_pass at the index of the endpoint that x stands for. A gap or
     interval whose length^(-s) overflows raises GeometryError."""
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+    _require_s(s)
     j = _endpoint_index(S, x)
     if j is None:
         raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")
@@ -304,8 +303,7 @@ def jacobi_half_rule(beta: float, nq: int):
     at nq = 256, where the Newton-polished rule of scipy's roots_jacobi
     carries 1e-10.
     """
-    if isinstance(nq, bool) or not isinstance(nq, (int, np.integer)) or nq < 1:
-        raise ParamError(f"nq must be a positive integer, got {nq!r}")
+    _require_count("nq", nq, 1)
     if beta <= -1.0:
         raise ValueError(f"algebraic exponent beta must exceed -1, got {beta}")
     k = np.arange(1, nq, dtype=float)

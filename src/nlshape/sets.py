@@ -64,13 +64,27 @@ def uniform_angles(m: int) -> np.ndarray:
 
 
 def mesh_angles(resolution) -> np.ndarray:
-    """The angles of a planar mesh of the given resolution, refused with
-    GeometryError below _MIN_RESOLUTION nodes."""
-    m = int(resolution)
-    if m < _MIN_RESOLUTION:
-        raise GeometryError(
-            f"2D mesh resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
-    return uniform_angles(m)
+    """The angles of a planar mesh of the given resolution, an integer (int
+    or numpy integer, not a bool) of at least _MIN_RESOLUTION nodes; any
+    other value raises ParamError."""
+    _require_count("resolution", resolution, _MIN_RESOLUTION)
+    return uniform_angles(resolution)
+
+
+def _require_count(name: str, value, least: int):
+    """Refuse (ParamError) a value that is a bool, not an integer, or below
+    least: the one check of every integer knob (resolution, nq, k_max,
+    max_iter and n)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ParamError(
+            f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _require_s(s):
+    """Refuse (ParamError) a perimeter order s outside (0, 1)."""
+    if not (0.0 < s < 1.0):
+        raise ParamError(f"s must lie in (0, 1), got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +115,8 @@ class Params:
     c_var: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParamError(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 < self.s < 1.0):
-            raise ParamError(f"s must lie in (0, 1), got {self.s!r}")
+        _require_count("n", self.n, 1)
+        _require_s(self.s)
         if not (0.0 < self.alpha < self.n):
             raise ParamError(
                 f"alpha must lie in (0, n) = (0, {self.n}), got {self.alpha!r}"
@@ -453,15 +465,19 @@ class StarShape2D:
 
         Modes above k_max (default: the largest alias-free order) are
         discarded, which doubles as the spectral smoothing step of the shape
-        optimizer. The reconstruction agrees with the input samples exactly
-        only when the input is band-limited to the retained modes.
+        optimizer; k_max = 0 keeps the mean radius alone. A k_max that is a
+        bool, not an integer, or negative raises ParamError. The
+        reconstruction agrees with the input samples exactly only when the
+        input is band-limited to the retained modes.
         """
         v = np.asarray(values, dtype=float)
         m = v.size
         if m < 4:
             raise GeometryError("need at least 4 samples to build a star shape")
         kcap = (m - 1) // 2
-        k = kcap if k_max is None else min(int(k_max), kcap)
+        if k_max is not None:
+            _require_count("k_max", k_max, 0)
+        k = kcap if k_max is None else min(k_max, kcap)
         coef = np.fft.rfft(v)
         r0 = coef[0].real / m
         a = 2.0 * coef[1:k + 1].real / m

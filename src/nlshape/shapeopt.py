@@ -60,7 +60,7 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star, _sweep
-from .sets import Params, StarShape2D, volume
+from .sets import Params, StarShape2D, _require_count, mesh_angles, volume
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
@@ -96,8 +96,11 @@ def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> Sta
     """Build a star shape from a mapping like {"r0": 1.0, "a3": 0.05}.
 
     Keys: r0, a<k>, b<k> for k >= 1. Modes above k_max (when given) are
-    rejected rather than dropped, so a config cannot silently lose detail.
+    rejected rather than dropped, so a config cannot silently lose detail;
+    a k_max that is a bool, not an integer, or negative raises ParamError.
     """
+    if k_max is not None:
+        _require_count("k_max", k_max, 0)
     r0 = None
     amp = {}
     for key, val in dict(coeffs).items():
@@ -143,28 +146,19 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
     """The state at iteration 0 of a descent from shape (a star shape or a
     planar ball, read as its star shape).
 
-    Raises ParamError for a step that is not finite and positive, and for a
-    k_max that is a bool, not an integer, or below 1; GeometryError for a
-    geometry that is not planar.
+    Raises ParamError for a step that is not finite and positive, for a
+    resolution that mesh_angles refuses, and for a k_max that is a bool, not
+    an integer, or below 1 (a descent keeps at least mode 1); GeometryError
+    for a geometry that is not planar.
     """
     if not 0.0 < step < math.inf:
         raise ParamError(f"step size must be finite and positive, got {step!r}")
-    # StarShape2D.from_samples would read a negative cap from the end of the
-    # spectrum and keep no mode at all for 0
+    mesh_angles(resolution)
     _require_count("k_max", k_max, 1)
     shape = _as_star(shape)
     return OptimizerState(shape=shape, step_size=step, iteration=0,
                           residual_history=(), volume_drift=abs(volume(shape) - 1.0),
                           mesh_resolution=resolution, k_max=k_max)
-
-
-def _require_count(name: str, value, least: int):
-    """Refuse (ParamError) a value that is a bool, not an integer, or below
-    least."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise ParamError(
-            f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _mode_gaps(q: float, k_max: int) -> np.ndarray:

@@ -75,6 +75,16 @@ from nlshape.sets import Ball, IntervalSet, StarShape2D
 _T_FLOOR = 1e-12
 
 
+class OracleError(QuadratureError):
+    """An oracle short of its tolerance, carrying its best estimate and that
+    estimate's error bound."""
+
+    def __init__(self, message, estimate, error_bound):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error_bound = error_bound
+
+
 class _RayFrame:
     """One ray x + t e with exact small-t arithmetic for the crossing test."""
 
@@ -817,14 +827,11 @@ def brute_oracle(integrand: Callable, region, tol: QuadTolerance = QuadTolerance
     region: an IntervalSet, a (lo, hi) pair (ends may be +-inf), or a list of
     such pairs.
 
-    Raises QuadratureError (carrying the best estimate) when the subdivision
-    budget is exhausted before the tolerance is met.
+    Raises OracleError, a QuadratureError carrying the best estimate, when
+    the subdivision budget is exhausted before the tolerance is met.
     """
     value, err, cnt = _oracle_1d(integrand, region, tol)
-    if err > max(tol.abs_tol, tol.rel_tol * abs(value)) * 8.0 + 1e-300:
-        raise QuadratureError(
-            f"oracle did not converge: error bound {err:g} for estimate {value:g}",
-            estimate=value, error_bound=err)
+    _certified(value, err, tol)
     result = OracleResult(value=value, error=err, subdivisions=cnt)
     return result if full_output else result.value
 
@@ -846,10 +853,10 @@ class PVSpec:
 
 
 def _certified(value, err, tol):
-    """value, or QuadratureError when err misses the tolerance (brute_oracle's
+    """value, or OracleError when err misses the tolerance (brute_oracle's
     acceptance rule)."""
     if err > max(tol.abs_tol, tol.rel_tol * abs(value)) * 8.0 + 1e-300:
-        raise QuadratureError(
+        raise OracleError(
             f"oracle did not converge: error bound {err:g} for estimate {value:g}",
             estimate=value, error_bound=err)
     return value

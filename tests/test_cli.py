@@ -179,6 +179,25 @@ def test_planar_resolution_below_mesh_minimum_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: resolution must be")
 
 
+def test_point_potential_refuses_a_bad_planar_resolution(tmp_path, capsys):
+    # the point evaluation reads no mesh, and still refuses the knob
+    assert main(["potential", "--geometry", str(_star_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", "--point", "0.1,0.2",
+                 "--resolution", "4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: resolution must be")
+    assert not (tmp_path / "potential.csv").exists()
+
+
+def test_negative_mode_cap_in_a_samples_file_exits_2(tmp_path, capsys):
+    geometry = _write(tmp_path, "samples.json", json.dumps(
+        {"kind": "star", "center": [0, 0], "samples": [1.0] * 16, "k_max": -2}))
+    assert main(["diagnose", "--geometry", str(geometry), "--s", "0.5",
+                 "--alpha", "0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: k_max must be an integer of at least 0, got -2")
+    assert not (tmp_path / "diagnose.csv").exists()
+
+
 def test_calibrate_out_of_range_dimension_exits_2(tmp_path, capsys):
     assert main(["calibrate", "--n", "3", "--s", "0.5",
                  "--out", str(tmp_path)]) == 2

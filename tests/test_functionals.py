@@ -495,7 +495,8 @@ def test_energy_terms_refuse_a_mesh_below_the_minimum(mode3_star):
     # the energy terms read the mesh angles without building a mesh, and
     # keep the mesh's lower bound
     for term in (frac_perimeter, riesz_energy):
-        with pytest.raises(GeometryError, match="resolution must be >= 8"):
+        with pytest.raises(ParamError,
+                           match="resolution must be an integer of at least 8"):
             term(mode3_star, 0.5, 7)
         assert math.isfinite(term(mode3_star, 0.5, 8))
 

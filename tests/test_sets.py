@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
-                     StarShape2D, diameter, geometry_from_dict,
-                     geometry_to_dict, isodiametric_ratio, load_geometry,
-                     save_geometry, volume)
+                     StarShape2D, boundary_fields,
+                     calibrate_variation_constant, diagnose, diameter, energy,
+                     find_critical_2d, fourier_shape, frac_perimeter,
+                     geometry_from_dict, geometry_to_dict, identity_check,
+                     initial_state, isodiametric_ratio, load_geometry,
+                     riesz_energy, save_geometry, set_integral_2d, volume,
+                     volume_project)
 from nlshape.sets import (beta_exponent, boundary_mesh, canonical, scaled,
                           translated)
 
@@ -529,7 +533,7 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Params(n=0, s=0.5, alpha=0.5), ParamError,
-     "n must be a positive integer, got 0"),
+     "n must be an integer of at least 1, got 0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, c_coupling=0.0), ParamError,
      "c_coupling must be positive, got 0.0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, c_var=-1.0), ParamError,
@@ -571,3 +575,55 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
 def test_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# integer knobs: one check (sets._require_count) refuses a bool, a float, a
+# string and a value below the knob's least, and accepts a numpy integer
+
+# every public entry that takes a resolution, on a planar shape
+_RESOLUTION_ENTRIES = {
+    "frac_perimeter": lambda S, p, m: frac_perimeter(S, p.s, m, 8),
+    "riesz_energy": lambda S, p, m: riesz_energy(S, p.alpha, m, 8),
+    "energy": lambda S, p, m: energy(S, p, m, 8),
+    "boundary_fields": lambda S, p, m: boundary_fields(S, p, m, 8),
+    "set_integral_2d": lambda S, p, m: set_integral_2d(
+        S, lambda pts, foci: np.ones(len(pts)), m),
+    "identity_check": lambda S, p, m: identity_check(S, p, "TangentialBall",
+                                                     m, 8),
+    "diagnose": lambda S, p, m: diagnose(S, p, m, 8),
+    "initial_state": lambda S, p, m: initial_state(S, resolution=m),
+    "find_critical_2d": lambda S, p, m: find_critical_2d(
+        volume_project(S), p, max_iter=0, resolution=m, nq=8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RESOLUTION_ENTRIES))
+def test_every_resolution_entry_refuses_a_bad_mesh_size(entry, mode3_star,
+                                                        params_2d):
+    call = _RESOLUTION_ENTRIES[entry]
+    for bad in (0, 7, 8.5, True, "64"):
+        with pytest.raises(ParamError, match="resolution must be an integer"):
+            call(mode3_star, params_2d, bad)
+    call(mode3_star, params_2d, np.int64(8))
+
+
+def test_shape_builders_refuse_a_bad_mode_cap():
+    samples = np.ones(16)
+    for bad in (-2, 2.7, True):
+        with pytest.raises(ParamError, match="k_max must be an integer of at least 0"):
+            StarShape2D.from_samples((0.0, 0.0), samples, bad)
+        with pytest.raises(ParamError, match="k_max must be an integer of at least 0"):
+            fourier_shape({"r0": 1.0}, k_max=bad)
+    S = StarShape2D.from_samples((0.0, 0.0), samples, 0)
+    assert S.kmax == 0 and S.r0 == 1.0
+    assert StarShape2D.from_samples((0.0, 0.0), samples, np.int64(3)).kmax == 3
+
+
+def test_dimension_is_refused_as_an_integer_knob():
+    with pytest.raises(ParamError, match="n must be an integer of at least 1, got True"):
+        Params(n=True, s=0.5, alpha=0.5)
+    for n in (2.0, True):
+        with pytest.raises(ParamError, match="n must be an integer"):
+            calibrate_variation_constant(0.5, n=n)
+    assert Params(n=np.int64(2), s=0.5, alpha=0.5).n == 2
