@@ -249,7 +249,7 @@ def _geometry_run(cfg: RunConfig):
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
     _kernel(S, p)
-    return (S, p, *_mesh_knobs(cfg, S.n))
+    return (S, p, *_mesh_knobs(cfg))
 
 
 def _parse_point(raw: str, n: int):
@@ -262,15 +262,14 @@ def _parse_point(raw: str, n: int):
         raise ConfigError(f"invalid point coordinates: {raw!r}")
 
 
-def _mesh_knobs(cfg: RunConfig, n: int):
+def _mesh_knobs(cfg: RunConfig):
     """(resolution, nq), refused up front by the library's own checks, so a
-    run that reads neither (potential --point) refuses them too. The
-    resolution only matters, and is only checked, for planar sets."""
+    run that reads neither (potential --point) refuses them too, on every
+    geometry."""
     res = cfg.get("resolution", DEFAULT_RESOLUTION)
     nq = cfg.get("nq", DEFAULT_NQ)
     _require_count("nq", nq, 1)
-    if n == 2:
-        mesh_angles(res)
+    mesh_angles(res)
     return res, nq
 
 
@@ -367,7 +366,7 @@ def _run_onedim_sweep(cfg, emit):
 
 def _run_optimize2d(cfg, emit):
     p = cfg.params(default_n=2)
-    res, nq = _mesh_knobs(cfg, 2)
+    res, nq = _mesh_knobs(cfg)
     if "geometry" in cfg.values:
         init = canonical(_load_geometry_for(cfg))
         if init.n != 2:
@@ -394,7 +393,7 @@ def _run_optimize2d(cfg, emit):
 def _run_calibrate(cfg, emit):
     s = cfg.require("s")
     n = cfg.get("n", 2)
-    res, nq = _mesh_knobs(cfg, n)
+    res, nq = _mesh_knobs(cfg)
     kwargs = {}
     if "radii" in cfg.values:
         text = cfg.values["radii"]

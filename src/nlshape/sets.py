@@ -116,6 +116,8 @@ class Params:
 
     def __post_init__(self):
         _require_count("n", self.n, 1)
+        # a numpy integer n would make the derived mass or eps numpy scalars
+        object.__setattr__(self, "n", int(self.n))
         _require_s(self.s)
         if not (0.0 < self.alpha < self.n):
             raise ParamError(

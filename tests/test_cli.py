@@ -188,6 +188,15 @@ def test_point_potential_refuses_a_bad_planar_resolution(tmp_path, capsys):
     assert not (tmp_path / "potential.csv").exists()
 
 
+def test_interval_energy_refuses_a_bad_resolution(tmp_path, capsys):
+    # the closed forms read no mesh; the knob is refused as on a planar set
+    assert main(["energy", "--geometry", str(_interval_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", "--resolution", "4",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: resolution must be")
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_negative_mode_cap_in_a_samples_file_exits_2(tmp_path, capsys):
     geometry = _write(tmp_path, "samples.json", json.dumps(
         {"kind": "star", "center": [0, 0], "samples": [1.0] * 16, "k_max": -2}))

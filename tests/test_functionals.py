@@ -889,17 +889,26 @@ def test_set_integral_memory_is_bounded(mode3_star):
     assert peak < 100 * 2 ** 20
 
 
-def test_set_integral_runs_in_bounded_blocks(mode3_star):
+def test_set_integral_runs_in_bounded_blocks():
     # f_batch sees blocks of whole rays, about 2^13 nodes each, so the
     # traced peak stays flat in the resolution (3.5 MB at m = 1024 and
     # 14 MB at m = 2048 when every node went in one batch); the blocks' sums
-    # feed one fsum, so the value is that of a single batch
+    # feed one fsum, so the value is that of a single batch. The mode 30
+    # puts the first level of the ray doubling at 20 (30 + 1) > m / 2, so
+    # the rule takes all m rays from the start (mode3_star would stop at
+    # 128 rays, one block)
     import tracemalloc
-    x2 = lambda pts, foci: pts[:, 0] ** 2
-    set_integral_2d(mode3_star, x2, 1024)
+    star = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.2) + (0.0,) * 26 + (0.01,))
+    calls = []
+
+    def x2(pts, foci):
+        calls.append(len(pts))
+        return pts[:, 0] ** 2
+    set_integral_2d(star, x2, 1024)
+    assert calls == [8192] * 8
     tracemalloc.start()
     try:
-        value = set_integral_2d(mode3_star, x2, 1024)
+        value = set_integral_2d(star, x2, 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -908,10 +917,10 @@ def test_set_integral_runs_in_bounded_blocks(mode3_star):
     from nlshape import quad
     m, q = 1024, 64
     t, wt = quad.graded_radial_rule(q)
-    _, _, r, _ = mode3_star._grid(m)
+    _, _, r, _ = star._grid(m)
     th = 2.0 * np.pi * np.arange(m) / m
     rad = np.multiply.outer(r, t)
-    x = mode3_star.center[0] + rad * np.cos(th)[:, None]
+    x = star.center[0] + rad * np.cos(th)[:, None]
     w = np.multiply.outer((2.0 * np.pi / m) * (r * r), t * wt)
     assert value == math.fsum((x ** 2 * w).ravel())
 

@@ -14,6 +14,8 @@ signed distance d along the outward normal at the angle theta (inside for
 d < 0), |d| = 1e-1 ... 1e-8, with theta as the focus.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,13 @@ from nlshape import (Ball, Params, grad_potential_at_points,
 from nlshape.diagnostics import identity_check
 from nlshape.functionals import (_LADDER_CAP, _focus_frame, _ladder_batch,
                                  _ladder_sums, _ladder_tables)
-from nlshape.quad import ladder_half_rule
+from nlshape.quad import graded_radial_rule, ladder_half_rule
+from nlshape.shapeopt import fourier_shape, volume_project
 
 from oracles import (frame_ladder_gradient, frame_ladder_potential,
                      off_curve_potential_mp_oracle)
 from test_curve_rule import MAP_SHAPES
+from test_diagnostics import AUDIT_SHAPE
 
 ALPHA = 0.5
 OFF_DISTANCES = tuple(side * 10.0 ** -e for e in range(1, 9) for side in (-1, 1))
@@ -297,3 +301,80 @@ def test_interior_rule_reuses_its_rules_and_tables(mode3_star):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the ray count of the interior rule: nested doubling from 20 (kmax + 1) rays
+
+
+def _large_amplitude_shape():
+    # the first shape of bench/workloads._perturbed_disk_coeffs(rng(7), 0.15)
+    # at unit area: modes 2-5 at 7.5-15%
+    rng = np.random.default_rng(7)
+    amps = rng.uniform(0.075, 0.15, size=4)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
+    coeffs = {"r0": 1.0}
+    for k, amp, ph in zip(range(2, 6), amps, phases):
+        coeffs[f"a{k}"] = float(amp * math.cos(ph))
+        coeffs[f"b{k}"] = float(amp * math.sin(ph))
+    return volume_project(fourier_shape(coeffs))
+
+
+def _counted_au1_integrand(star, calls):
+    """The Au1 integrand x . grad V at alpha 0.5, nq 48, recording each
+    batch's focus angles in calls."""
+    def f(pts, foci):
+        calls.append(np.array(foci))
+        return (grad_potential_at_points(star, pts, foci, ALPHA, 48)
+                * pts).sum(1)
+    return f
+
+
+def _all_rays_fsum(star, f, m):
+    """The interior rule on all m mesh rays, in one batch, summed by fsum."""
+    q = max(12, m // 16)
+    t, wt = graded_radial_rule(q)
+    cs, sn, r, _ = star._grid(m)
+    th = 2.0 * np.pi * np.arange(m) / m
+    rad = np.multiply.outer(r, t)
+    pts = np.stack([star.center[0] + rad * cs[:, None],
+                    star.center[1] + rad * sn[:, None]], axis=-1)
+    vals = f(pts.reshape(-1, 2), np.repeat(th, q))
+    w = np.multiply.outer((2.0 * np.pi / m) * (r * r), t * wt)
+    return math.fsum((vals * w.ravel()).tolist())
+
+
+def test_interior_rule_certifies_the_audit_shape_on_half_the_rays():
+    # modes 2-5 at 5%: the doubling test starts at 128 = 20 (5 + 1) rounded
+    # up to a level of 256, and 64 and 128 rays agree to 1e-13, so the rule
+    # stops there; the value equals the all-rays value (measured: bitwise
+    # here, 1 ulp off on 9 of the 50 shapes of seeds 1-25)
+    calls = []
+    f = _counted_au1_integrand(AUDIT_SHAPE, calls)
+    value = set_integral_2d(AUDIT_SHAPE, f, 256)
+    assert sum(map(len, calls)) == 128 * 16
+    ref = _all_rays_fsum(AUDIT_SHAPE, f, 256)
+    assert abs(value - ref) <= 1e-15 * abs(ref)
+
+
+def test_interior_rule_falls_back_to_every_ray_bit_for_bit():
+    # at 15% amplitude 128 rays miss 64 by more than 1e-13, so the rule
+    # evaluates the 128 rays in between and returns the all-rays fsum
+    star = _large_amplitude_shape()
+    calls = []
+    f = _counted_au1_integrand(star, calls)
+    value = set_integral_2d(star, f, 256)
+    assert sum(map(len, calls)) == 256 * 16
+    assert value == _all_rays_fsum(star, f, 256)
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_no_ray_reaches_the_integrand_twice(large):
+    star = _large_amplitude_shape() if large else AUDIT_SHAPE
+    calls = []
+    set_integral_2d(star, _counted_au1_integrand(star, calls), 256)
+    foci = np.concatenate(calls)
+    rays = np.unique(foci)
+    # each ray's 16 radial nodes share its angle, and no angle comes twice
+    assert foci.size == 16 * rays.size
+    assert rays.size == (256 if large else 128)

@@ -627,3 +627,35 @@ def test_dimension_is_refused_as_an_integer_knob():
         with pytest.raises(ParamError, match="n must be an integer"):
             calibrate_variation_constant(0.5, n=n)
     assert Params(n=np.int64(2), s=0.5, alpha=0.5).n == 2
+
+
+def test_a_numpy_dimension_is_kept_as_an_int():
+    # n is stored as an int, so what Params derives from it is a float
+    p = Params(n=np.int64(2), s=0.5, alpha=0.5, eps=1e-3)
+    q = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
+    assert type(p.n) is int and type(p.mass) is float
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+
+# every public entry that takes a resolution, on an interval set: the
+# closed forms read no mesh, and still refuse what a planar shape refuses
+_RESOLUTION_ENTRIES_1D = {
+    "frac_perimeter": lambda S, p, m: frac_perimeter(S, p.s, m),
+    "riesz_energy": lambda S, p, m: riesz_energy(S, p.alpha, m),
+    "energy": lambda S, p, m: energy(S, p, m),
+    "boundary_fields": lambda S, p, m: boundary_fields(S, p, m),
+    "identity_check": lambda S, p, m: identity_check(S, p, "Au1", m),
+    "diagnose": lambda S, p, m: diagnose(S, p, m),
+    "calibrate_variation_constant": lambda S, p, m:
+        calibrate_variation_constant(p.s, n=1, resolution=m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RESOLUTION_ENTRIES_1D))
+def test_every_resolution_entry_refuses_a_bad_mesh_size_on_a_line(
+        entry, unit_interval, params_1d):
+    call = _RESOLUTION_ENTRIES_1D[entry]
+    for bad in ("64", 8.5, True, 4):
+        with pytest.raises(ParamError, match="resolution must be an integer"):
+            call(unit_interval, params_1d, bad)
+    call(unit_interval, params_1d, np.int64(8))
