@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -193,11 +193,6 @@ def _write_json(path: Path, payload):
                     encoding="utf-8", newline="\n")
 
 
-def _params_dict(p: Params) -> dict:
-    return {"n": p.n, "s": p.s, "alpha": p.alpha, "eps": p.eps, "mass": p.mass,
-            "c_coupling": p.c_coupling, "c_var": p.c_var}
-
-
 class _Emitter:
     """Collects output files and writes the metadata sidecar at the end."""
 
@@ -293,14 +288,14 @@ def _run_energy(cfg, emit):
     br = energy(S, p, res, nq)
     emit.csv(".csv", ["perimeter_term", "riesz_term", "eps", "total"],
              [(br.perimeter_term, br.riesz_term, br.eps, br.total)])
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
 
 
 def _run_curvature(cfg, emit):
     S, p, res, nq = _geometry_run(cfg)
     bf = boundary_fields(S, p, res, nq)
     _mesh_field_csv(emit, S, bf.mesh, "kappa", bf.kappa)
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
 
 
 def _run_potential(cfg, emit):
@@ -312,7 +307,7 @@ def _run_potential(cfg, emit):
     else:
         bf = boundary_fields(S, p, res, nq)
         _mesh_field_csv(emit, S, bf.mesh, "potential", bf.pot)
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
 
 
 _REPORT_COLS = ["delta_s", "eta_s", "rho", "iso_ratio", "lambda_hat",
@@ -334,7 +329,7 @@ def _run_diagnose(cfg, emit):
     report = diagnose(S, p, res, nq)
     emit.json(".report.json", report.as_dict())
     emit.csv(".csv", _report_header(), [_report_row(report)])
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
 
 
 _ONEDIM_COLUMNS = ["eps", "d_star", "d_eps", "diameter", "f_at_root", "residual"]
@@ -348,7 +343,7 @@ def _run_onedim_root(cfg, emit):
     p = cfg.params(default_n=1)
     record = _sweep_record(p, cfg.get("f_tol", 1e-10))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(record)])
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
 
 
 def _run_onedim_sweep(cfg, emit):
@@ -361,7 +356,7 @@ def _run_onedim_sweep(cfg, emit):
     records, fit = epsilon_sweep(p, grid, f_tol=cfg.get("f_tol", 1e-10))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(r) for r in records])
     emit.json(".summary.json", fit)
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
 
 
 def _run_optimize2d(cfg, emit):
@@ -385,7 +380,7 @@ def _run_optimize2d(cfg, emit):
              list(enumerate(state.residual_history)))
     emit.json(".report.json", report.as_dict())
     emit.csv(".csv", _report_header(), [_report_row(report)])
-    emit.meta["params"] = _params_dict(p)
+    emit.meta["params"] = asdict(p)
     emit.meta["iterations"] = state.iteration
     emit.meta["final_volume"] = volume(shape)
 

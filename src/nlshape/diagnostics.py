@@ -50,10 +50,11 @@ import numpy as np
 
 from .errors import ParamError, QuadratureError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
-                          _grad_tau_2d_batch, _kernel, _sweep)
+                          _grad_tau_2d_batch, _kernel, _sweep,
+                          _BOUNDARY_GRADIENT)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
                    mesh_angles, volume, _pair_blocks, _require_count,
-                   _require_s)
+                   _require_exponent)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -125,8 +126,8 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
 
 def eta(S, p: Params, delta: float) -> float:
-    """Scale-weighted defect diam^(2n+s+1) * delta."""
-    if delta < 0.0:
+    """Scale-weighted defect diam^(2n+s+1) * delta, for delta in [0, inf]."""
+    if not delta >= 0.0:
         raise ParamError(f"delta must be nonnegative, got {delta!r}")
     _kernel(S, p)  # refuses Params of another dimension
     return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
@@ -308,8 +309,7 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     is over the mesh nodes, from the one sum that owns grad V . tau
     (_grad_tau_2d_batch); no boundary sweep carries it."""
     S = _as_star(k.S)
-    if not (0.0 < p.alpha < 1.0):
-        raise ParamError("tangential-gradient check needs alpha in (0, 1)")
+    _require_exponent("alpha", p.alpha, S.n - 1, _BOUNDARY_GRADIENT)
     th = mesh_angles(resolution)
     mu_full = ball_map_mu(S)
     if mu_full == 0.0:
@@ -353,7 +353,7 @@ def calibrate_variation_constant(s: float, n: int = 2,
     come from the curvature sweep of its kernel, in the plane one on-curve
     pass at beta = -s.
     """
-    _require_s(s)
+    _require_exponent("s", s, 1)
     _require_count("n", n, 1)
     if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")

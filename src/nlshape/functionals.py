@@ -26,10 +26,12 @@ q = alpha,
     R_alpha   = -1/(2-alpha)^2 int int |x-y|^(2-alpha) nu(x).nu(y) ...
 
 Every public function accepts an IntervalSet, a Ball or a StarShape2D,
-validates its parameters and calls the kernel of the shape (_kernel): its
-canonical form (sets.canonical, which refuses anything else with
-GeometryError: a 1D ball as its interval set, a planar ball as a
-constant-radius star shape) in the one kernel class of that geometry
+resolves the kernel of the shape (_kernel), validates its parameters (an
+exponent by sets._require_exponent, against the dimension n of the kernel's
+geometry) and calls the kernel. The kernel holds the shape's canonical
+form (sets.canonical, which refuses anything else with GeometryError: a 1D
+ball as its interval set, a planar ball as a constant-radius star shape) in
+the one kernel class of that geometry
 (_IntervalKernel, _StarKernel, _BallKernel for n >= 3), whose methods are
 those of _Kernel. What a kernel has no algorithm for, and the planar-only
 functions on a non-planar shape, are refused with GeometryError. Each 2D
@@ -112,7 +114,7 @@ from .quad import (_boundary_point, _endpoint_fields, _first_diff,
                    jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, volume, _per_shape,
-                   _require_count, _require_s, _MIN_RESOLUTION)
+                   _require_count, _require_exponent, _MIN_RESOLUTION)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -140,6 +142,9 @@ _PROBE_GRID = 512
 # shapes, which 10 (kmax + 1) rays missed by up to 5.8e-9, take all m
 _RAYS_PER_MODE = 20
 _RAY_RTOL = 1e-13
+# why alpha stays below n - 1 where V's gradient meets the boundary: on the
+# curve, in planar Au1 and in TangentialBall
+_BOUNDARY_GRADIENT = "the boundary gradient of V converges only for alpha < n - 1"
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,6 @@ def _pair_sum_1d(S: IntervalSet, q: float) -> float:
 
 
 def _riesz_1d(S: IntervalSet, alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise ParamError(f"1D Riesz energy needs alpha in (0, 1), got {alpha!r}")
     return _pair_sum_1d(S, 2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
 
 
@@ -187,8 +190,6 @@ def _point_1d(x) -> float:
 
 
 def _potential_1d(S: IntervalSet, x: float, alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise ParamError(f"1D potential needs alpha in (0, 1), got {alpha!r}")
     q = 1.0 - alpha
     acc = []
     for a, b in S.intervals:
@@ -685,13 +686,6 @@ def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
                                      lambda g: (ex.field_h(g),)))
 
 
-def _check_boundary_gradient(alpha):
-    # on the curve the integral is improper, convergent only for alpha < n - 1
-    if not (0.0 < alpha < 1.0):
-        raise ParamError(
-            f"boundary gradient needs alpha in (0, n-1) = (0, 1), got {alpha!r}")
-
-
 def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
                              nq):
     """grad V at the targets, one row per target; on the curve they are the
@@ -704,7 +698,6 @@ def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
         return ne, np_
 
     if on_curve:
-        _check_boundary_gradient(alpha)
         loc = _curve_batch(star, focus_angles, nq, (-alpha, h, 2))[0]
     else:
         loc = _ladder_batch(star, targets_xy, focus_angles, h, ncomp=2)
@@ -717,9 +710,8 @@ def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
 def _grad_tau_2d_batch(star, alpha, thetas, nq):
     """grad V . tau at the boundary points at the angles thetas, as one sum:
     the normal parts of the nodes against x'(t) / |x'(t)|, where
-    x'(t) = r'(t) e(t) + r(t) e(t)^perp."""
-    _check_boundary_gradient(alpha)
-
+    x'(t) = r'(t) e(t) + r(t) e(t)^perp. Its callers hold alpha in
+    (0, n - 1), where the sum converges."""
     def h(g):
         ye, yp = g.normal_parts()
         ye *= g.dr
@@ -884,8 +876,6 @@ class _StarKernel(_Kernel):
                            energy=True)[0][1]
 
     def riesz(self, alpha, resolution, nq) -> float:
-        if not (0.0 < alpha < 2.0):
-            raise ParamError(f"2D Riesz energy needs alpha in (0, 2), got {alpha!r}")
         return _curve_pass(self.S, mesh_angles(resolution), nq,
                            _potential_exponent(alpha), field=False,
                            energy=True)[0][1]
@@ -898,22 +888,21 @@ class _StarKernel(_Kernel):
         return float(_kappa_2d_batch(self.S, s, focus, nq)[0])
 
     def potential(self, x, alpha, nq) -> float:
-        if not (0.0 < alpha < 2.0):
-            raise ParamError(f"2D potential needs alpha in (0, 2), got {alpha!r}")
         x, on_curve, focus = _planar_target(self.S, x)
         return float(_potential_2d_batch(self.S, alpha, x[None, :], focus,
                                          on_curve, nq)[0])
 
     def grad_potential(self, x, alpha, nq) -> np.ndarray:
         x, on_curve, focus = _planar_target(self.S, x)
+        if on_curve:
+            _require_exponent("alpha", alpha, self.S.n - 1, _BOUNDARY_GRADIENT)
         return _grad_potential_2d_batch(self.S, alpha, x[None, :], focus,
                                         on_curve, nq)[0]
 
     def au1_lhs(self, alpha, resolution, nq) -> float:
-        """The interior rule of set_integral_2d on grad V . x."""
-        if not (0.0 < alpha < 1.0):
-            raise ParamError(
-                f"Au1 on planar sets needs alpha in (0, 1), got {alpha!r}")
+        """The interior rule of set_integral_2d on grad V . x, which
+        resolves the boundary layer of grad V only below n - 1."""
+        _require_exponent("alpha", alpha, self.S.n - 1, _BOUNDARY_GRADIENT)
 
         def gv_dot_x(pts, foci):
             g = grad_potential_at_points(self.S, pts, foci, alpha, nq)
@@ -941,8 +930,6 @@ class _BallKernel(_Kernel):
         from scipy.special import betainc
         B = self.S
         n = B.n
-        if not (0.0 < alpha < n):
-            raise ParamError(f"potential needs alpha in (0, n), got {alpha!r}")
         x = np.asarray(x, dtype=float).reshape(n)
         if np.isnan(x).any():
             raise GeometryError(f"point must not be NaN, got {x.tolist()}")
@@ -1021,8 +1008,8 @@ def _as_star(S) -> StarShape2D:
 def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
                    nq: int = DEFAULT_NQ, with_error: bool = False):
     """Fractional perimeter P_s(E)."""
-    _require_s(s)
     k = _kernel(S)
+    _require_exponent("s", s, 1)
     return _with_error(lambda q: k.perimeter(s, resolution, q), nq, with_error)
 
 
@@ -1030,6 +1017,7 @@ def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
                  nq: int = DEFAULT_NQ, with_error: bool = False):
     """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
     k = _kernel(S)
+    _require_exponent("alpha", alpha, k.S.n)
     return _with_error(lambda q: k.riesz(alpha, resolution, q), nq, with_error)
 
 
@@ -1045,20 +1033,26 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
 def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
-    return _kernel(S).potential(x, alpha, nq)
+    k = _kernel(S)
+    _require_exponent("alpha", alpha, k.S.n)
+    return k.potential(x, alpha, nq)
 
 
 def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
-    """Gradient of the potential, as a vector. At boundary points this is the
-    one-sided improper integral, which requires alpha < n - 1; outside that
-    range the call is refused rather than regularized."""
-    return _kernel(S).grad_potential(x, alpha, nq)
+    """Gradient of the potential, as a vector, for alpha in (0, n) off the
+    boundary. At boundary points this is the one-sided improper integral,
+    which requires alpha in (0, n - 1); outside that range the call is
+    refused rather than regularized."""
+    k = _kernel(S)
+    _require_exponent("alpha", alpha, k.S.n)
+    return k.grad_potential(x, alpha, nq)
 
 
 def tangential_grad_potential(S, x, alpha: float, *,
                               nq: int = DEFAULT_NQ) -> float:
     """grad V . tau at a boundary point of a planar shape."""
     star = _as_star(S)
+    _require_exponent("alpha", alpha, star.n - 1, _BOUNDARY_GRADIENT)
     x, on_curve, focus = _planar_target(star, x)
     if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
@@ -1070,8 +1064,9 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
 
     Sign convention: positive on boundaries of convex sets.
     """
-    _require_s(s)
-    return _kernel(S).curvature(x, s, nq)
+    k = _kernel(S)
+    _require_exponent("s", s, 1)
+    return k.curvature(x, s, nq)
 
 
 def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
@@ -1188,14 +1183,17 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
 
 
 def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
-    """V at interior/exterior points, batched (smooth ladder path)."""
+    """V at interior/exterior points, batched (smooth ladder path), for
+    alpha in (0, 2)."""
     star = _as_star(star)
+    _require_exponent("alpha", alpha, star.n)
     pts, foci = _finite_batch(pts, foci)
     return _potential_2d_batch(star, alpha, pts, foci, False, nq)
 
 
 def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
-    """grad V at off-boundary points, batched."""
+    """grad V at off-boundary points, batched, for alpha in (0, 2)."""
     star = _as_star(star)
+    _require_exponent("alpha", alpha, star.n)
     pts, foci = _finite_batch(pts, foci)
     return _grad_potential_2d_batch(star, alpha, pts, foci, False, nq)

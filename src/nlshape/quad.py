@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
-from .sets import IntervalSet, _require_count, _require_s
+from .sets import IntervalSet, _require_count, _require_exponent
 
 __all__ = [
     "kernel_primitive", "pv_pair_integral", "jacobi_half_rule",
@@ -116,7 +116,7 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     at a boundary point x of the interval union S: the kappa of
     _endpoint_pass at the index of the endpoint that x stands for. A gap or
     interval whose length^(-s) overflows raises GeometryError."""
-    _require_s(s)
+    _require_exponent("s", s, 1)
     j = _endpoint_index(S, x)
     if j is None:
         raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")

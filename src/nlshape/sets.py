@@ -81,10 +81,14 @@ def _require_count(name: str, value, least: int):
             f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _require_s(s):
-    """Refuse (ParamError) a perimeter order s outside (0, 1)."""
-    if not (0.0 < s < 1.0):
-        raise ParamError(f"s must lie in (0, 1), got {s!r}")
+def _require_exponent(name: str, value, upper, why: str = ""):
+    """Refuse (ParamError) a value outside (0, upper), NaN included: the one
+    range check of the exponents s (upper 1) and alpha (upper n, where the
+    Riesz kernel is locally integrable, or n - 1 on the boundary, where the
+    gradient of V converges). why, if given, ends the message."""
+    if not 0.0 < value < upper:
+        raise ParamError(f"{name} must lie in (0, {upper:g}), got {value!r}"
+                         + (f" ({why})" if why else ""))
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,8 @@ class Params:
         _require_count("n", self.n, 1)
         # a numpy integer n would make the derived mass or eps numpy scalars
         object.__setattr__(self, "n", int(self.n))
-        _require_s(self.s)
-        if not (0.0 < self.alpha < self.n):
-            raise ParamError(
-                f"alpha must lie in (0, n) = (0, {self.n}), got {self.alpha!r}"
-            )
+        _require_exponent("s", self.s, 1)
+        _require_exponent("alpha", self.alpha, self.n)
         # NaN passes every ordered comparison below, so refuse it up front
         for name in ("eps", "mass", "c_coupling", "c_var"):
             v = getattr(self, name)

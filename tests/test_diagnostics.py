@@ -739,11 +739,22 @@ def test_mismatched_params_no_longer_read_a_report():
 # ---------------------------------------------------------------------------
 # refusals that no other test reaches: the error type and its message
 
-@pytest.mark.parametrize("kind, message", [
-    ("Au1", r"Au1 on planar sets needs alpha in \(0, 1\), got 1.5"),
-    ("TangentialBall", r"tangential-gradient check needs alpha in \(0, 1\)"),
-])
-def test_refusals(kind, message):
-    star = StarShape2D((0.0, 0.0), 1.0, (0.0, 0.0, 0.1), ())
+_STAR = StarShape2D((0.0, 0.0), 1.0, (0.0, 0.0, 0.1), ())
+_BOUNDARY_ALPHA = r"alpha must lie in \(0, 1\), got 1.5 \(the boundary gradient"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: identity_check(_STAR, Params(2, 0.5, 1.5, eps=0.1), "Au1"),
+     _BOUNDARY_ALPHA),
+    (lambda: identity_check(_STAR, Params(2, 0.5, 1.5, eps=0.1),
+                            "TangentialBall"), _BOUNDARY_ALPHA),
+    # delta < 0 let a NaN through, and eta read nan
+    (lambda: eta(_STAR, P2, math.nan), "delta must be nonnegative, got nan"),
+], ids=["Au1", "TangentialBall", "eta-nan-delta"])
+def test_refusals(call, message):
     with pytest.raises(ParamError, match=message):
-        identity_check(star, Params(2, 0.5, 1.5, eps=0.1), kind)
+        call()
+
+
+def test_eta_accepts_an_infinite_delta():
+    assert eta(_STAR, P2, math.inf) == math.inf

@@ -945,17 +945,37 @@ def test_grad_set_integral_memory_is_cache_sized(mode3_star):
 
 _STAR = StarShape2D((0.0, 0.0), 1.0, (0.0, 0.0, 0.1), ())
 _BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
+_GAPPED = IntervalSet([(0.0, 0.5), (0.8, 2.0)])
+# an interior point of _STAR with its focus, the polar angle about the center
+_INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: riesz_energy(_STAR, 2.5), ParamError,
-     r"2D Riesz energy needs alpha in \(0, 2\)"),
+     r"alpha must lie in \(0, 2\), got 2.5"),
     (lambda: potential(_STAR, (2.0, 0.0), 2.0), ParamError,
-     r"2D potential needs alpha in \(0, 2\)"),
+     r"alpha must lie in \(0, 2\), got 2.0"),
     (lambda: boundary_fields(_BALL3, Params(n=3, s=0.5, alpha=0.5, eps=0.1)),
      GeometryError, "got a Ball in dimension 3"),
     (lambda: potential(_BALL3, (0.5, 0.0, 0.0), 3.5), ParamError,
-     r"potential needs alpha in \(0, n\), got 3.5"),
+     r"alpha must lie in \(0, 3\), got 3.5"),
+    # V diverges in the set at alpha >= n: the batch divided by zero at 2.0
+    # and read -12.77 at 2.5; a NaN alpha read NaN
+    (lambda: potential_at_points(_STAR, _INNER, _INNER_FOCUS, 2.0), ParamError,
+     r"alpha must lie in \(0, 2\), got 2.0"),
+    (lambda: potential_at_points(_STAR, _INNER, _INNER_FOCUS, 2.5), ParamError,
+     r"alpha must lie in \(0, 2\), got 2.5"),
+    (lambda: potential_at_points(_STAR, _INNER, _INNER_FOCUS, math.nan),
+     ParamError, r"alpha must lie in \(0, 2\), got nan"),
+    (lambda: grad_potential_at_points(_STAR, _INNER, _INNER_FOCUS, math.nan),
+     ParamError, r"alpha must lie in \(0, 2\), got nan"),
+    # off the set, grad V refuses the alpha that V refuses
+    (lambda: grad_potential(_GAPPED, 0.65, 1.5), ParamError,
+     r"alpha must lie in \(0, 1\), got 1.5"),
+    (lambda: grad_potential(_GAPPED, 0.65, math.nan), ParamError,
+     r"alpha must lie in \(0, 1\), got nan"),
+    (lambda: grad_potential(_STAR, (0.3, 0.2), math.nan), ParamError,
+     r"alpha must lie in \(0, 2\), got nan"),
     (lambda: grad_potential(_BALL3, (0.5, 0.0, 0.0), 0.5), GeometryError,
      "only provided at the center"),
     (lambda: frac_perimeter(_STAR, 1.5), ParamError,
@@ -965,6 +985,10 @@ _BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
     (lambda: tangential_grad_potential(_STAR, (0.3, 0.2), 0.5), GeometryError,
      r"x = \[0.3, 0.2\] is not on the boundary"),
 ], ids=["riesz-alpha", "potential-alpha", "fields-ball3", "potential-ball3",
+        "points-potential-alpha-2", "points-potential-alpha-2.5",
+        "points-potential-alpha-nan", "points-grad-alpha-nan",
+        "grad-1d-off-set-alpha-1.5", "grad-1d-off-set-alpha-nan",
+        "grad-off-curve-alpha-nan",
         "grad-ball3-off-center", "perimeter-s", "curvature-s",
         "tangential-off-curve"])
 def test_refusals(call, error, message):
