@@ -50,11 +50,11 @@ import numpy as np
 
 from .errors import ParamError, QuadratureError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
-                          _grad_tau_2d_batch, _kernel, _sweep,
+                          _curve_batch, _grad_tau_field, _kernel, _sweep,
                           _BOUNDARY_GRADIENT)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
-                   mesh_angles, volume, _pair_blocks, _require_count,
-                   _require_exponent)
+                   mesh_angles, volume, _is_real, _pair_blocks,
+                   _require_count, _require_exponent)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -126,8 +126,9 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
 
 def eta(S, p: Params, delta: float) -> float:
-    """Scale-weighted defect diam^(2n+s+1) * delta, for delta in [0, inf]."""
-    if not delta >= 0.0:
+    """Scale-weighted defect diam^(2n+s+1) * delta, for a real delta (not a
+    bool) in [0, inf]."""
+    if not (_is_real(delta) and delta >= 0.0):
         raise ParamError(f"delta must be nonnegative, got {delta!r}")
     _kernel(S, p)  # refuses Params of another dimension
     return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
@@ -306,8 +307,9 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     """Linearity of sup |grad V . tau| in the ball-map size mu: halve the
     radial deviation from the equal-area ball and compare the ratio of the
     sups with the ratio of the mus. The residual is their mismatch. Each sup
-    is over the mesh nodes, from the one sum that owns grad V . tau
-    (_grad_tau_2d_batch); no boundary sweep carries it."""
+    is over the mesh nodes, from the one field that owns grad V . tau
+    (_grad_tau_field, on the curve by _curve_batch); no boundary sweep
+    carries it."""
     S = _as_star(k.S)
     _require_exponent("alpha", p.alpha, S.n - 1, _BOUNDARY_GRADIENT)
     th = mesh_angles(resolution)
@@ -317,8 +319,8 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     R = math.sqrt(volume(S) / math.pi)
     half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
     ratio_mu = mu_full / ball_map_mu(half)
-    g_full, g_half = (float(np.abs(_grad_tau_2d_batch(
-        T, p.alpha, th, nq)).max()) for T in (S, half))
+    g_full, g_half = (float(np.abs(_curve_batch(
+        T, th, nq, _grad_tau_field(p.alpha))[0]).max()) for T in (S, half))
     ratio_g = g_full / max(g_half, _RESIDUAL_FLOOR)
     return abs(ratio_g - ratio_mu) / ratio_mu
 

@@ -38,19 +38,26 @@ functions on a non-planar shape, are refused with GeometryError. Each 2D
 value is one Gauss-Jacobi (on the curve) or graded-ladder (off the curve)
 sum per target.
 
-On the curve (the sweeps of boundary_fields, both energy terms and the
-on-curve point queries, whose target is the boundary point at its focus
-angle) the geometry is in polar difference form. A sweep and both energy
-terms share one pass per exponent (_Exponent, _curve_pass): kappa and the
-integrand of P_s are summed on the same nodes at beta = -s, V and that of
-R_alpha at beta = 2 - alpha, so boundary_fields carries P_s and R_alpha
-with the bits of frac_perimeter and riesz_energy. A sweep takes no switches
-and always holds the same fields, so a star shape or an interval set keeps
-its sweep per (Params, resolution, nq) (_sweep; boundary_fields itself
-keeps nothing).
-grad V . tau is not a sweep field: its one owner is _grad_tau_2d_batch
-(tangential_grad_potential at a single point), one pass at
-beta = -alpha. With A_k(t) = a_k cos kt + b_k sin kt and
+Each of the six 2D quantities, kappa, V, grad V, grad V . tau, P_s and
+R_alpha, is one _Field (_kappa_field, _potential_field, _grad_field,
+_grad_tau_field, _perimeter_field, _riesz_field): its exponent beta, its
+integrands on a block's nodes and the map from their sums to its value.
+Both rules take the entry as it stands: _curve_batch on the curve (the
+sweeps of boundary_fields, both energy terms and the on-curve point
+queries, whose target is the boundary point at its focus angle) and, for V
+and grad V, _ladder_batch off it.
+Consecutive fields at one beta share a block's nodes in _curve_batch:
+kappa and the integrand of P_s are summed on the same nodes at
+beta = -s, V and that of R_alpha at beta = 2 - alpha, so boundary_fields
+carries P_s and R_alpha with the bits of frac_perimeter and riesz_energy.
+A sweep takes no switches and always holds the same fields, so a star
+shape or an interval set keeps its sweep per (Params, resolution, nq)
+(_sweep; boundary_fields itself keeps nothing). grad V . tau is not a
+sweep field: its one owner is _grad_tau_field (tangential_grad_potential
+at a single point), one sum at beta = -alpha.
+
+On the curve the geometry is in polar difference form. With
+A_k(t) = a_k cos kt + b_k sin kt and
 B_k(t) = b_k cos kt - a_k sin kt at the targets, a node phi = t + u has
 
     Delta = r(phi) - r(t) = sum_k A_k (cos ku - 1) + B_k sin ku,
@@ -84,8 +91,8 @@ within about 12% of the fastest on both paths, and it cut a sweep's
 traced peak at 1024/96 from 6.2 MB (2^16 nodes) to 0.9 MB. The working
 arrays of a sweep or a batch stay bounded in the mesh size m and in the
 number of targets, and a target's sum is the same whatever batch or block
-it falls in. A sweep's two exponents share each block's mode sums, r and
-r' (one _curve_batch with a pass per exponent).
+it falls in. A sweep's four fields share each block's mode sums, r and r'
+(one _curve_batch, one contraction per exponent).
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
@@ -103,7 +110,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -381,29 +388,29 @@ def _mode_sums(star, angles, kk):
     return star.a * ck + star.b * sk, star.b * ck - star.a * sk
 
 
-def _curve_batch(star, thetas, nq, *passes):
-    """Sum W_k h(u_k) for targets on the curve, the boundary points at the
-    angles thetas, by the Gauss-Jacobi rule, which carries the u^beta factor,
-    once per pass (beta, h_func, ncomp): h_func builds the integrand from a
-    block's _CurveNodes at that beta and returns or yields one value array
-    per component (ncomp of them). The result is a list, one array per pass,
-    each shaped as in _ladder_batch.
+def _curve_batch(star, thetas, nq, *fields):
+    """The value of each _Field of fields at the boundary points at the
+    angles thetas, as a list: the sums W_k h(u_k) of the field's integrands
+    by the Gauss-Jacobi rule at its beta, which carries the u^beta factor,
+    turned into the value by its of.
 
     The geometry is in polar difference form. With A_k(t) = a_k cos kt +
     b_k sin kt and B_k(t) = b_k cos kt - a_k sin kt, the node values
     r(t + u) - r(t), r'(t + u) and D are sums over the modes of A_k and B_k
-    against the u-tables of _u_tables (one contraction per block and pass),
+    against the u-tables of _u_tables (one contraction per block and beta),
     and |y - x|^2 = Delta^2 + 4 r(t) r(phi) sin^2(u/2). A target costs K
     sin/cos pairs, not 2 nq K, and no position difference y - x is formed,
     so the O(u^2) numerators keep their relative accuracy as the nodes crowd
-    toward u = 0. The passes share a block's A_k, B_k, r(t) and r'(t), so a
-    sweep forms them once for its two exponents.
+    toward u = 0. Every field shares a block's A_k, B_k, r(t) and r'(t), and
+    consecutive fields at one beta share its nodes, so a sweep (kappa, P_s,
+    V, R_alpha) makes one contraction per exponent and block. Each field's
+    integrands are summed before the next field builds its own.
 
     The targets run in blocks of about _BLOCK_NODES = 2^13 nodes, so the
     (rows, 2 nq) arrays of a block take 64 KB each and stay in a core's L2
     cache, and memory is bounded in the target count. On the first seed-101
-    descent shape a sweep (both passes) took 2.6-3.4 / 2.2-2.5 / 1.9-2.1 /
-    1.7-2.0 / 2.4-2.8 / 2.4-2.8 ms at 256/48 and 23 / 17-18 / 15-16 /
+    descent shape a sweep (both exponents) took 2.6-3.4 / 2.2-2.5 / 1.9-2.1
+    / 1.7-2.0 / 2.4-2.8 / 2.4-2.8 ms at 256/48 and 23 / 17-18 / 15-16 /
     14-15 / 14-15 / 20-21 ms at 1024/96 with blocks of 2^11 / 2^12 / ... /
     2^16 nodes (timeit, medians of nine interleaved rounds, two runs), and
     its traced peak at 1024/96 read 0.3 / 0.5 / 0.9 / 1.6 / 3.0 / 5.8 MB:
@@ -411,9 +418,11 @@ def _curve_batch(star, thetas, nq, *passes):
     """
     K = star.kmax
     kk = np.arange(1.0, K + 1.0)
-    tables = [_u_tables(beta, nq, K) for beta, _, _ in passes]
     n = thetas.shape[0]
-    outs = [np.empty((n, ncomp)) for _, _, ncomp in passes]
+    sums = [np.empty((f.ncomp, n)) for f in fields]
+    # the tables (and the refusal of a bad nq) come before the first block
+    runs = [(_u_tables(beta, nq, K), list(run)) for beta, run in
+            groupby(zip(fields, sums), key=lambda pair: pair[0].beta)]
     step = max(1, _BLOCK_NODES // (2 * nq))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
@@ -421,8 +430,7 @@ def _curve_batch(star, thetas, nq, *passes):
         ab = np.concatenate([A, B], axis=1)
         r = star.r0 + A.sum(axis=1, keepdims=True)
         dr = (kk * B).sum(axis=1, keepdims=True)
-        for (T, sig, su, cu, WW), (_, h_func, ncomp), out in zip(tables, passes,
-                                                                 outs):
+        for (T, sig, su, cu, WW), run in runs:
             G = _rows_times(ab, T)
             cols = WW.size
             delta, drp, d = G[:, :cols], G[:, cols:2 * cols], G[:, 2 * cols:]
@@ -433,12 +441,11 @@ def _curve_batch(star, thetas, nq, *passes):
             r2 += delta * delta
             nodes = _CurveNodes(r=r, dr=dr, delta=delta, rp=rp, drp=drp, d=d,
                                 r2=r2, sig=sig, su=su, cu=cu)
-            # an h_func that yields builds each component after the previous
-            # one is summed and freed
-            comps = iter(h_func(nodes))
-            for c in range(ncomp):
-                out[rows, c] = np.einsum("ij,j->i", next(comps), WW)
-    return [out[:, 0] if out.shape[1] == 1 else out for out in outs]
+            for field, out in run:
+                out[:, rows] = [np.einsum("ij,j->i", v, WW)
+                                for v in field.h(nodes)]
+    return [f.of(out[0] if f.ncomp == 1 else out, thetas)
+            for f, out in zip(fields, sums)]
 
 
 # ladder depth: dyadic levels beyond the one that reaches a target's scaled
@@ -535,15 +542,16 @@ def _focus_frame(star, targets_xy, focus_angles):
                        rho_e, rho_p, depth)
 
 
-def _ladder_sums(star, frame, depth, h_func, ncomp):
-    """Sum W_k h(u_k) over the ladder of the given depth for the targets of
-    frame (a _FocusFrame), as a (targets, ncomp) array. The node values
-    r(theta + u) and r'(theta + u) are contractions with the table of
-    _ladder_tables, and y - x = (r cos u - rho_e, r sin u - rho_p) in the
-    focus frame, so no node costs a sin or cos. r cos u and r sin u are
-    formed once and shared by y - x and the normal parts, and the arrays are
-    reused in place where nothing else reads them; every float op keeps its
-    operands and their order, so the sums keep their bits.
+def _ladder_sums(star, frame, depth, field):
+    """The sums W_k h(u_k) of the integrands of field (a _Field) over the
+    ladder of the given depth for the targets of frame (a _FocusFrame), as
+    a (ncomp, targets) array. The node values r(theta + u) and
+    r'(theta + u) are contractions with the table of _ladder_tables, and
+    y - x = (r cos u - rho_e, r sin u - rho_p) in the focus frame, so no
+    node costs a sin or cos. r cos u and r sin u are formed once and shared
+    by y - x and the normal parts, and the arrays are reused in place where
+    nothing else reads them; every float op keeps its operands and their
+    order, so the sums keep their bits.
 
     The targets run in blocks of about _BLOCK_NODES = 2^13 nodes, the block
     size of _curve_batch too: the ten or so (rows, 2n) arrays live in a
@@ -554,7 +562,7 @@ def _ladder_sums(star, frame, depth, h_func, ncomp):
     smaller blocks pay more per-block overhead."""
     T, cu, su, WW = _ladder_tables(int(depth), star.kmax)
     n = frame.ab.shape[0]
-    out = np.empty((n, ncomp))
+    out = np.empty((field.ncomp, n))
     step = max(1, _BLOCK_NODES // WW.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
@@ -569,44 +577,43 @@ def _ladder_sums(star, frame, depth, h_func, ncomp):
         r2 += dp * dp
         nodes = _LadderNodes(rc=rc, rs=rs, drp=drp, de=de, dp=dp, r2=r2,
                              cu=cu, su=su)
-        for c, vals in enumerate(h_func(nodes)):
-            out[rows, c] = np.einsum("ij,j->i", vals, WW)
+        out[:, rows] = [np.einsum("ij,j->i", v, WW) for v in field.h(nodes)]
     return out
 
 
-def _ladder_batch(star, targets_xy, focus_angles, h_func, ncomp=1):
-    """Sum W_k h(u_k) over the dyadic ladder of ladder_half_rule about each
-    target's focus, for targets off the curve; h_func builds the integrand
-    from the block's _LadderNodes, and the result is shaped as in
-    _curve_batch.
+def _ladder_batch(star, targets_xy, focus_angles, field):
+    """The value of field (a _Field) at targets off the curve: the sums of
+    its integrands over the dyadic ladder of ladder_half_rule about each
+    target's focus, turned into the value by field.of.
 
     Each target takes its depth from its distance to the focus point
     (_focus_frame), and the targets run grouped by depth. A target's sum
     depends only on the target, so it is the same whatever batch it falls
     in."""
     frame = _focus_frame(star, targets_xy, focus_angles)
-    out = np.empty((targets_xy.shape[0], ncomp))
+    out = np.empty((field.ncomp, targets_xy.shape[0]))
     # np.bincount rather than np.unique, which on integer input imports
     # numpy.ma (about 1.6 MB of RSS and 15 ms) on first use
     for depth in np.flatnonzero(np.bincount(frame.depth)):
         idx = np.flatnonzero(frame.depth == depth)
         part = _FocusFrame(*(arr[idx] for arr in frame))
-        out[idx] = _ladder_sums(star, part, depth, h_func, ncomp)
-    return out[:, 0] if ncomp == 1 else out
+        out[:, idx] = _ladder_sums(star, part, depth, field)
+    return field.of(out[0] if field.ncomp == 1 else out, focus_angles)
 
 
-class _Exponent(NamedTuple):
-    """A boundary field and the energy term that share one on-curve rule.
-    beta is the rule's exponent and also the power q of the pair integral
-    int_dE int_dE |x - y|^q nu(x).nu(y) dsigma dsigma behind the energy
-    term; field_h is the field's integrand on a block's nodes (on or off the
-    curve), field_of turns its sums into the field and energy_of the pair
-    integral into the energy term."""
+class _Field(NamedTuple):
+    """One boundary-reduced quantity, the entry that both rules take. beta
+    is the exponent of the on-curve rule (and, for an energy term, the power
+    q of its pair integral int_dE int_dE |x - y|^q nu(x).nu(y) dsigma
+    dsigma); h builds the ncomp integrands from a block's _CurveNodes (or,
+    for V and grad V, _LadderNodes); of(sums, thetas) turns the sums,
+    (targets,) or (ncomp, targets), into the value at the target angles or
+    foci thetas."""
 
     beta: float
-    field_h: Callable
-    field_of: Callable
-    energy_of: Callable
+    h: Callable
+    ncomp: int
+    of: Callable
 
 
 def _flux_h(g, power):
@@ -614,21 +621,6 @@ def _flux_h(g, power):
     f = g.flux()
     f *= g.r2 ** power
     return f
-
-
-def _curvature_exponent(s) -> _Exponent:
-    """kappa and P_s, at beta = -s."""
-    return _Exponent(-s, lambda g: _flux_h(g, -(2.0 + s) / 2.0),
-                     lambda sums: (2.0 / s) * sums,
-                     lambda pair: pair / (s * s))
-
-
-def _potential_exponent(alpha) -> _Exponent:
-    """V and R_alpha, at beta = 2 - alpha."""
-    q = 2.0 - alpha
-    return _Exponent(q, lambda g: _flux_h(g, -alpha / 2.0),
-                     lambda sums: sums / q,
-                     lambda pair: -pair / q ** 2)
 
 
 def _pair_h(g, q):
@@ -644,52 +636,41 @@ def _pair_h(g, q):
     return ye
 
 
-def _curve_pass(star, thetas, nq, *exes, field=True, energy=False):
-    """[(field, energy term)] of each _Exponent of exes, from one
-    _curve_batch with a pass at each ex.beta, each None unless asked for:
-    the field at the boundary points at the angles thetas, and the energy
-    term, whose outer rule is the trapezoid rule on thetas (the mesh
-    angles). Both integrands of an exponent are built from the same nodes,
-    and the exponents share each block's mode sums, so a sweep and its
-    energy terms cost one geometry."""
-    ncomp = int(field) + int(energy)
-
-    def integrands(ex):
-        hs = [h for h, want in ((ex.field_h, field),
-                                (lambda g: _pair_h(g, ex.beta), energy))
-              if want]
-        return ex.beta, lambda g: (h(g) for h in hs), ncomp
-
-    out = []
-    for ex, sums in zip(exes, _curve_batch(star, thetas, nq,
-                                           *map(integrands, exes))):
-        sums = iter(sums.reshape(-1, ncomp).T)
-        f = ex.field_of(next(sums)) if field else None
-        e = (ex.energy_of((2.0 * math.pi / thetas.size) * math.fsum(next(sums)))
-             if energy else None)
-        out.append((f, e))
-    return out
+def _pair_field(q, energy_of):
+    """The energy term energy_of(pair) of the pair integral at the power q,
+    whose outer rule is the trapezoid rule on the target angles (the mesh
+    angles)."""
+    return _Field(q, lambda g: (_pair_h(g, q),), 1, lambda sums, thetas:
+                  energy_of((2.0 * math.pi / thetas.size) * math.fsum(sums)))
 
 
-def _kappa_2d_batch(star, s, thetas, nq):
-    """kappa at the boundary points at the angles thetas."""
-    return _curve_pass(star, thetas, nq, _curvature_exponent(s))[0][0]
+def _kappa_field(s) -> _Field:
+    """kappa, at beta = -s."""
+    return _Field(-s, lambda g: (_flux_h(g, -(2.0 + s) / 2.0),), 1,
+                  lambda sums, thetas: (2.0 / s) * sums)
 
 
-def _potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve, nq):
-    """V at the targets; on the curve they are the boundary points at the
-    focus angles."""
-    ex = _potential_exponent(alpha)
-    if on_curve:
-        return _curve_pass(star, focus_angles, nq, ex)[0][0]
-    return ex.field_of(_ladder_batch(star, targets_xy, focus_angles,
-                                     lambda g: (ex.field_h(g),)))
+def _perimeter_field(s) -> _Field:
+    """P_s, at beta = -s."""
+    return _pair_field(-s, lambda pair: pair / (s * s))
 
 
-def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
-                             nq):
-    """grad V at the targets, one row per target; on the curve they are the
-    boundary points at the focus angles."""
+def _potential_field(alpha) -> _Field:
+    """V, at beta = 2 - alpha."""
+    q = 2.0 - alpha
+    return _Field(q, lambda g: (_flux_h(g, -alpha / 2.0),), 1,
+                  lambda sums, thetas: sums / q)
+
+
+def _riesz_field(alpha) -> _Field:
+    """R_alpha, at beta = 2 - alpha."""
+    q = 2.0 - alpha
+    return _pair_field(q, lambda pair: -pair / q ** 2)
+
+
+def _grad_field(alpha) -> _Field:
+    """grad V, one row per target, at beta = -alpha: the sums are in the
+    frame e(theta), e(theta)^perp of each focus, and of rotates them back."""
     def h(g):
         kern = g.r2 ** (-alpha / 2.0)
         ne, np_ = g.normal_parts()
@@ -697,19 +678,16 @@ def _grad_potential_2d_batch(star, alpha, targets_xy, focus_angles, on_curve,
         np_ *= kern
         return ne, np_
 
-    if on_curve:
-        loc = _curve_batch(star, focus_angles, nq, (-alpha, h, 2))[0]
-    else:
-        loc = _ladder_batch(star, targets_xy, focus_angles, h, ncomp=2)
-    # the sums are in the frame e(theta), e(theta)^perp of each focus
-    c, s = np.cos(focus_angles), np.sin(focus_angles)
-    return -np.stack([loc[:, 0] * c - loc[:, 1] * s,
-                      loc[:, 0] * s + loc[:, 1] * c], axis=1)
+    def of(sums, thetas):
+        c, s = np.cos(thetas), np.sin(thetas)
+        return -np.stack([sums[0] * c - sums[1] * s,
+                          sums[0] * s + sums[1] * c], axis=1)
+    return _Field(-alpha, h, 2, of)
 
 
-def _grad_tau_2d_batch(star, alpha, thetas, nq):
-    """grad V . tau at the boundary points at the angles thetas, as one sum:
-    the normal parts of the nodes against x'(t) / |x'(t)|, where
+def _grad_tau_field(alpha) -> _Field:
+    """grad V . tau on the curve, at beta = -alpha, as one sum: the normal
+    parts of the nodes against x'(t) / |x'(t)|, where
     x'(t) = r'(t) e(t) + r(t) e(t)^perp. Its callers hold alpha in
     (0, n - 1), where the sum converges."""
     def h(g):
@@ -720,8 +698,7 @@ def _grad_tau_2d_batch(star, alpha, thetas, nq):
         ye *= g.r2 ** (-alpha / 2.0)
         ye /= np.sqrt(g.r * g.r + g.dr * g.dr)
         return (ye,)
-
-    return -_curve_batch(star, thetas, nq, (-alpha, h, 1))[0]
+    return _Field(-alpha, h, 1, lambda sums, thetas: -sums)
 
 
 def _with_error(value_at, nq, with_error):
@@ -743,8 +720,10 @@ class BoundaryFields:
     """Per-node boundary data for one shape (kappa, V and zeta at the mesh
     nodes), with its two energy terms: P_s (perimeter) and R_alpha (riesz),
     the values of frac_perimeter and riesz_energy at the same resolution and
-    nq. grad V . tau is not a sweep field: its one owner is
-    tangential_grad_potential (in a batch, _grad_tau_2d_batch)."""
+    nq, from one _curve_batch over the fields _kappa_field, _perimeter_field,
+    _potential_field and _riesz_field. grad V . tau is not a sweep field:
+    its one owner is _grad_tau_field, behind tangential_grad_potential (one
+    point) and the TangentialBall check (the mesh nodes)."""
 
     mesh: BoundaryMesh
     kappa: np.ndarray
@@ -859,45 +838,46 @@ class _StarKernel(_Kernel):
     def sweep(self, p: Params, resolution, nq):
         mesh = boundary_mesh(self.S, resolution)
         # R_alpha converges for alpha < 2, which planar Params (_kernel) have
-        (kap, per), (pot, rz) = _curve_pass(
-            self.S, mesh.thetas, nq, _curvature_exponent(p.s),
-            _potential_exponent(p.alpha), energy=True)
+        kap, per, pot, rz = _curve_batch(
+            self.S, mesh.thetas, nq, _kappa_field(p.s), _perimeter_field(p.s),
+            _potential_field(p.alpha), _riesz_field(p.alpha))
         return mesh, kap, pot, per, rz
 
     def curvature_sweep(self, s, resolution, nq):
         mesh = boundary_mesh(self.S, resolution)
-        [(kap, per)] = _curve_pass(self.S, mesh.thetas, nq,
-                                   _curvature_exponent(s), energy=True)
+        kap, per = _curve_batch(self.S, mesh.thetas, nq, _kappa_field(s),
+                                _perimeter_field(s))
         return mesh, kap, per
 
     def perimeter(self, s, resolution, nq) -> float:
-        return _curve_pass(self.S, mesh_angles(resolution), nq,
-                           _curvature_exponent(s), field=False,
-                           energy=True)[0][1]
+        return _curve_batch(self.S, mesh_angles(resolution), nq,
+                            _perimeter_field(s))[0]
 
     def riesz(self, alpha, resolution, nq) -> float:
-        return _curve_pass(self.S, mesh_angles(resolution), nq,
-                           _potential_exponent(alpha), field=False,
-                           energy=True)[0][1]
+        return _curve_batch(self.S, mesh_angles(resolution), nq,
+                            _riesz_field(alpha))[0]
 
     def curvature(self, x, s, nq) -> float:
         x, on_curve, focus = _planar_target(self.S, x)
         if not on_curve:
             raise GeometryError(f"x = {x.tolist()} is not on the boundary")
         # the target is snapped onto the curve: frame(focus), not x itself
-        return float(_kappa_2d_batch(self.S, s, focus, nq)[0])
+        return float(_curve_batch(self.S, focus, nq, _kappa_field(s))[0][0])
 
     def potential(self, x, alpha, nq) -> float:
         x, on_curve, focus = _planar_target(self.S, x)
-        return float(_potential_2d_batch(self.S, alpha, x[None, :], focus,
-                                         on_curve, nq)[0])
+        field = _potential_field(alpha)
+        if on_curve:
+            return float(_curve_batch(self.S, focus, nq, field)[0][0])
+        return float(_ladder_batch(self.S, x[None, :], focus, field)[0])
 
     def grad_potential(self, x, alpha, nq) -> np.ndarray:
         x, on_curve, focus = _planar_target(self.S, x)
+        field = _grad_field(alpha)
         if on_curve:
             _require_exponent("alpha", alpha, self.S.n - 1, _BOUNDARY_GRADIENT)
-        return _grad_potential_2d_batch(self.S, alpha, x[None, :], focus,
-                                        on_curve, nq)[0]
+            return _curve_batch(self.S, focus, nq, field)[0][0]
+        return _ladder_batch(self.S, x[None, :], focus, field)[0]
 
     def au1_lhs(self, alpha, resolution, nq) -> float:
         """The interior rule of set_integral_2d on grad V . x, which
@@ -1056,7 +1036,7 @@ def tangential_grad_potential(S, x, alpha: float, *,
     x, on_curve, focus = _planar_target(star, x)
     if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
-    return float(_grad_tau_2d_batch(star, alpha, focus, nq)[0])
+    return float(_curve_batch(star, focus, nq, _grad_tau_field(alpha))[0][0])
 
 
 def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
@@ -1085,8 +1065,8 @@ def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
 def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                     nq: int = DEFAULT_NQ) -> BoundaryFields:
     """kappa, V and zeta at every mesh node, and P_s and R_alpha. On a
-    planar shape kappa and P_s come from one on-curve pass (beta = -s), V
-    and R_alpha from another (beta = 2 - alpha); on an interval set the
+    planar shape kappa and P_s share the on-curve nodes at beta = -s, V
+    and R_alpha those at beta = 2 - alpha; on an interval set the
     energy terms are the closed forms. The sweep takes no switches, so one
     sweep of a shape serves every caller at the same (Params, resolution,
     nq)."""
@@ -1188,7 +1168,7 @@ def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
     star = _as_star(star)
     _require_exponent("alpha", alpha, star.n)
     pts, foci = _finite_batch(pts, foci)
-    return _potential_2d_batch(star, alpha, pts, foci, False, nq)
+    return _ladder_batch(star, pts, foci, _potential_field(alpha))
 
 
 def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
@@ -1196,4 +1176,4 @@ def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ
     star = _as_star(star)
     _require_exponent("alpha", alpha, star.n)
     pts, foci = _finite_batch(pts, foci)
-    return _grad_potential_2d_batch(star, alpha, pts, foci, False, nq)
+    return _ladder_batch(star, pts, foci, _grad_field(alpha))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Sequence
 
@@ -81,12 +82,20 @@ def _require_count(name: str, value, least: int):
             f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number (numbers.Real: int, float and the
+    numpy integers and floats) and not a bool, which would read as 0 or 1.
+    bool has no subclasses, so its exact type is the test."""
+    return isinstance(value, numbers.Real) and type(value) is not bool
+
+
 def _require_exponent(name: str, value, upper, why: str = ""):
-    """Refuse (ParamError) a value outside (0, upper), NaN included: the one
-    range check of the exponents s (upper 1) and alpha (upper n, where the
-    Riesz kernel is locally integrable, or n - 1 on the boundary, where the
-    gradient of V converges). why, if given, ends the message."""
-    if not 0.0 < value < upper:
+    """Refuse (ParamError) a value that is not a real number (_is_real) or
+    lies outside (0, upper), NaN included: the one check of the exponents
+    s (upper 1) and alpha (upper n, where the Riesz kernel is locally
+    integrable, or n - 1 on the boundary, where the gradient of V
+    converges). why, if given, ends the message."""
+    if not (_is_real(value) and 0.0 < value < upper):
         raise ParamError(f"{name} must lie in (0, {upper:g}), got {value!r}"
                          + (f" ({why})" if why else ""))
 

@@ -24,9 +24,9 @@ from nlshape import (Params, StarShape2D, boundary_fields, energy,
                      frac_curvature, frac_perimeter, grad_potential, potential,
                      riesz_energy, tangential_grad_potential)
 from nlshape import functionals
-from nlshape.functionals import (_d_series, _grad_potential_2d_batch,
-                                 _grad_tau_2d_batch, _kappa_2d_batch,
-                                 _potential_2d_batch, _u_tables)
+from nlshape.functionals import (_curve_batch, _d_series, _grad_field,
+                                 _grad_tau_field, _kappa_field,
+                                 _potential_field, _u_tables)
 from nlshape.quad import jacobi_half_rule
 from nlshape.sets import uniform_angles
 
@@ -192,9 +192,9 @@ def test_kappa_error_does_not_grow_under_refinement():
     # roundoff floor
     star = _k12_star()
     th = uniform_angles(64)
-    ref = _kappa_2d_batch(star, 0.8, th, 256)
+    ref = _curve_batch(star, th, 256, _kappa_field(0.8))[0]
     floor = 100 * np.finfo(float).eps * np.abs(ref).max()
-    errs = [np.abs(_kappa_2d_batch(star, 0.8, th, nq) - ref).max()
+    errs = [np.abs(_curve_batch(star, th, nq, _kappa_field(0.8))[0] - ref).max()
             for nq in (48, 96, 192)]
     for coarse, fine in zip(errs, errs[1:]):
         assert fine <= max(coarse, floor)
@@ -206,16 +206,16 @@ def test_one_target_equals_its_row_of_the_sweep():
     p = Params(n=2, s=0.8, alpha=0.4, eps=1e-2)
     bf = boundary_fields(star, p, 256, 48)
     th = bf.mesh.thetas
-    g_all = _grad_potential_2d_batch(star, p.alpha, bf.mesh.points, th, True,
-                                     48)
-    gt_all = _grad_tau_2d_batch(star, p.alpha, th, 48)
+    g_all = _curve_batch(star, th, 48, _grad_field(p.alpha))[0]
+    gt_all = _curve_batch(star, th, 48, _grad_tau_field(p.alpha))[0]
     for i in (0, 1, 77, 128, 255):
         one = th[i:i + 1]
-        assert bf.kappa[i] == _kappa_2d_batch(star, p.s, one, 48)[0]
-        assert bf.pot[i] == _potential_2d_batch(star, p.alpha, None, one,
-                                                True, 48)[0]
-        assert gt_all[i] == _grad_tau_2d_batch(star, p.alpha, one, 48)[0]
-        g = _grad_potential_2d_batch(star, p.alpha, None, one, True, 48)[0]
+        assert bf.kappa[i] == _curve_batch(star, one, 48, _kappa_field(p.s))[0][0]
+        assert bf.pot[i] == _curve_batch(star, one, 48,
+                                         _potential_field(p.alpha))[0][0]
+        assert gt_all[i] == _curve_batch(star, one, 48,
+                                         _grad_tau_field(p.alpha))[0][0]
+        g = _curve_batch(star, one, 48, _grad_field(p.alpha))[0][0]
         assert np.array_equal(g_all[i], g)
 
 
@@ -238,9 +238,10 @@ def test_sweep_carries_the_functionals_bit_for_bit(key, nq, s, alpha):
     th = bf.mesh.thetas
     assert bf.perimeter == frac_perimeter(star, s, 256, nq)
     assert bf.riesz == riesz_energy(star, alpha, 256, nq)
-    assert np.array_equal(bf.kappa, _kappa_2d_batch(star, s, th, nq))
-    assert np.array_equal(bf.pot, _potential_2d_batch(
-        star, alpha, bf.mesh.points, th, True, nq))
+    assert np.array_equal(bf.kappa, _curve_batch(star, th, nq,
+                                                 _kappa_field(s))[0])
+    assert np.array_equal(bf.pot, _curve_batch(star, th, nq,
+                                               _potential_field(alpha))[0])
     br = energy(star, p, 256, nq)
     assert (br.perimeter_term, br.riesz_term) == (bf.perimeter, bf.riesz)
 

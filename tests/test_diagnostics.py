@@ -403,13 +403,13 @@ def test_calibrate_2d_makes_one_pass_per_radius(monkeypatch):
     calls = []
     batch = functionals._curve_batch
 
-    def counted(star, thetas, nq, *passes):
-        calls.append((star.r0, [(beta, ncomp) for beta, _, ncomp in passes]))
-        return batch(star, thetas, nq, *passes)
+    def counted(star, thetas, nq, *fields):
+        calls.append((star.r0, [f.beta for f in fields]))
+        return batch(star, thetas, nq, *fields)
     monkeypatch.setattr(functionals, "_curve_batch", counted)
     c = calibrate_variation_constant(0.5, n=2, resolution=128, nq=32)
     monkeypatch.undo()
-    assert calls == [(r0, [(-0.5, 2)]) for r0 in (0.5, 1.0, 2.0)]
+    assert calls == [(r0, [-0.5, -0.5]) for r0 in (0.5, 1.0, 2.0)]
     assert_allclose(c, 1.0, rtol=1e-9)
 
 
@@ -489,7 +489,8 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     for name in ("boundary_fields", "set_integral_2d", "frac_perimeter",
                  "riesz_energy"):
         counted(functionals, name)
-    counted(diagnostics, "_grad_tau_2d_batch")
+    # TangentialBall sums grad V . tau through diagnostics' own name
+    counted(diagnostics, "_curve_batch")
     small = StarShape2D((0.0, 0.0), 1.0, a=(0.0, 0.0, 0.05))
     rep = diagnose(small, P2, resolution=64, nq=16)
     assert set(rep.identity_residuals) == set(IDENTITY_KINDS)
@@ -500,7 +501,7 @@ def test_diagnose_computes_shared_quantities_once(monkeypatch):
     assert calls.get("frac_perimeter", 0) == 0
     assert calls.get("riesz_energy", 0) == 0
     assert calls == {"set_integral_2d": 1, "boundary_fields": 2,
-                     "_grad_tau_2d_batch": 2}
+                     "_curve_batch": 2}
 
 
 @pytest.mark.parametrize("nq", [16, 48])
@@ -750,7 +751,11 @@ _BOUNDARY_ALPHA = r"alpha must lie in \(0, 1\), got 1.5 \(the boundary gradient"
                             "TangentialBall"), _BOUNDARY_ALPHA),
     # delta < 0 let a NaN through, and eta read nan
     (lambda: eta(_STAR, P2, math.nan), "delta must be nonnegative, got nan"),
-], ids=["Au1", "TangentialBall", "eta-nan-delta"])
+    # a string failed with TypeError, and True was taken as delta = 1
+    (lambda: eta(_STAR, P2, "1"), "delta must be nonnegative, got '1'"),
+    (lambda: eta(_STAR, P2, True), "delta must be nonnegative, got True"),
+], ids=["Au1", "TangentialBall", "eta-nan-delta", "eta-str-delta",
+        "eta-bool-delta"])
 def test_refusals(call, message):
     with pytest.raises(ParamError, match=message):
         call()

@@ -540,10 +540,10 @@ def test_boundary_fields_disk(unit_disk, params_2d):
     assert_allclose(bf.zeta,
                     bf.kappa + params_2d.c_coupling * params_2d.eps * bf.pot,
                     rtol=1e-14)
-    from nlshape.functionals import _grad_tau_2d_batch
+    from nlshape.functionals import _curve_batch, _grad_tau_field
     from nlshape.sets import canonical
-    gt = _grad_tau_2d_batch(canonical(unit_disk), params_2d.alpha,
-                            bf.mesh.thetas, 32)
+    gt = _curve_batch(canonical(unit_disk), bf.mesh.thetas, 32,
+                      _grad_tau_field(params_2d.alpha))[0]
     assert np.abs(gt).max() < 1e-10
     assert not bf.kappa.flags.writeable
 
@@ -822,9 +822,9 @@ def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
     # 1500 mesh nodes run in blocks of _BLOCK_NODES // (2 nq) targets, the
     # last one partial; the first and last target of the first two blocks
     # and of the last one each equal a batch of one
-    from nlshape.functionals import (_BLOCK_NODES, _grad_potential_2d_batch,
-                                     _grad_tau_2d_batch, _kappa_2d_batch,
-                                     _potential_2d_batch)
+    from nlshape.functionals import (_BLOCK_NODES, _curve_batch, _grad_field,
+                                     _grad_tau_field, _kappa_field,
+                                     _potential_field)
     m = 1500
     for nq in (48, 96):
         per_block = _BLOCK_NODES // (2 * nq)
@@ -832,17 +832,19 @@ def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
         assert 2 * per_block < last < m
         bf = boundary_fields(mode3_star, params_2d, m, nq)
         mesh = bf.mesh
-        gt = _grad_tau_2d_batch(mode3_star, 0.5, mesh.thetas, nq)
+        gt = _curve_batch(mode3_star, mesh.thetas, nq, _grad_tau_field(0.5))[0]
         for i in (0, per_block - 1, per_block, 2 * per_block - 1, last - 1,
                   last, m - 1):
             one = slice(i, i + 1)
-            th, x = mesh.thetas[one], mesh.points[one]
-            assert bf.kappa[i] == _kappa_2d_batch(mode3_star, 0.5, th, nq)[0]
-            assert bf.pot[i] == _potential_2d_batch(mode3_star, 0.5, x, th,
-                                                    True, nq)[0]
-            assert gt[i] == _grad_tau_2d_batch(mode3_star, 0.5, th, nq)[0]
+            th = mesh.thetas[one]
+            assert bf.kappa[i] == _curve_batch(mode3_star, th, nq,
+                                               _kappa_field(0.5))[0][0]
+            assert bf.pot[i] == _curve_batch(mode3_star, th, nq,
+                                             _potential_field(0.5))[0][0]
+            assert gt[i] == _curve_batch(mode3_star, th, nq,
+                                         _grad_tau_field(0.5))[0][0]
             # the one tangential sum is the vector's tangential part
-            g = _grad_potential_2d_batch(mode3_star, 0.5, x, th, True, nq)[0]
+            g = _curve_batch(mode3_star, th, nq, _grad_field(0.5))[0][0]
             assert abs(gt[i] - (g * mesh.tangents[i]).sum()) \
                 <= 1e-14 * np.abs(g).max()
 
@@ -850,17 +852,36 @@ def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
 def test_sweep_over_blocks_equals_the_single_exponent_callers(mode3_star,
                                                               params_2d):
     # a sweep runs kappa / P_s (beta = -s) and V / R_alpha (beta = 2 - alpha)
-    # as two passes of one block loop; each is the bits of its own caller
-    from nlshape.functionals import _kappa_2d_batch, _potential_2d_batch
+    # as two exponents of one block loop; each is the bits of its own caller
+    from nlshape.functionals import (_curve_batch, _kappa_field,
+                                     _potential_field)
     for m, nq in ((1500, 48), (256, 96)):
         bf = boundary_fields(mode3_star, params_2d, m, nq)
-        th, pts = bf.mesh.thetas, bf.mesh.points
-        assert np.array_equal(bf.kappa,
-                              _kappa_2d_batch(mode3_star, 0.5, th, nq))
-        assert np.array_equal(bf.pot, _potential_2d_batch(
-            mode3_star, 0.5, pts, th, True, nq))
+        th = bf.mesh.thetas
+        assert np.array_equal(bf.kappa, _curve_batch(mode3_star, th, nq,
+                                                     _kappa_field(0.5))[0])
+        assert np.array_equal(bf.pot, _curve_batch(mode3_star, th, nq,
+                                                   _potential_field(0.5))[0])
         assert bf.perimeter == frac_perimeter(mode3_star, 0.5, m, nq)
         assert bf.riesz == riesz_energy(mode3_star, 0.5, m, nq)
+
+
+def test_sweep_makes_one_contraction_per_exponent_and_block(monkeypatch,
+                                                            mode3_star,
+                                                            params_2d):
+    # kappa and P_s share a block's nodes at beta = -s, V and R_alpha those
+    # at beta = 2 - alpha: 256 targets at nq 48 run in 4 blocks (3 of
+    # _BLOCK_NODES // 96 = 85 targets and 1 of 1), two contractions each
+    from nlshape import functionals
+    rows = []
+    rows_times = functionals._rows_times
+
+    def counted(a, T):
+        rows.append(a.shape[0])
+        return rows_times(a, T)
+    monkeypatch.setattr(functionals, "_rows_times", counted)
+    boundary_fields(mode3_star, params_2d, 256, 48)
+    assert rows == [85, 85, 85, 85, 85, 85, 1, 1]
 
 
 def test_sweep_memory_is_cache_sized(mode3_star, params_2d):
@@ -984,13 +1005,22 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
      r"s must lie in \(0, 1\), got 0.0"),
     (lambda: tangential_grad_potential(_STAR, (0.3, 0.2), 0.5), GeometryError,
      r"x = \[0.3, 0.2\] is not on the boundary"),
+    # an exponent that is not a real number failed in the range comparison
+    # with TypeError
+    (lambda: frac_perimeter(_STAR, "0.5"), ParamError,
+     r"s must lie in \(0, 1\), got '0.5'"),
+    (lambda: potential(_STAR, (0.2, 0.1), 1 + 0j), ParamError,
+     r"alpha must lie in \(0, 2\), got \(1\+0j\)"),
+    (lambda: riesz_energy(_STAR, None), ParamError,
+     r"alpha must lie in \(0, 2\), got None"),
 ], ids=["riesz-alpha", "potential-alpha", "fields-ball3", "potential-ball3",
         "points-potential-alpha-2", "points-potential-alpha-2.5",
         "points-potential-alpha-nan", "points-grad-alpha-nan",
         "grad-1d-off-set-alpha-1.5", "grad-1d-off-set-alpha-nan",
         "grad-off-curve-alpha-nan",
         "grad-ball3-off-center", "perimeter-s", "curvature-s",
-        "tangential-off-curve"])
+        "tangential-off-curve", "perimeter-s-str", "potential-alpha-complex",
+        "riesz-alpha-none"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -22,8 +22,9 @@ import pytest
 from nlshape import (Ball, Params, grad_potential_at_points,
                      potential_at_points, set_integral_2d)
 from nlshape.diagnostics import identity_check
-from nlshape.functionals import (_LADDER_CAP, _focus_frame, _ladder_batch,
-                                 _ladder_sums, _ladder_tables)
+from nlshape.functionals import (_LADDER_CAP, _focus_frame, _grad_field,
+                                 _ladder_batch, _ladder_sums, _ladder_tables,
+                                 _potential_field)
 from nlshape.quad import graded_radial_rule, ladder_half_rule
 from nlshape.shapeopt import fourier_shape, volume_project
 
@@ -190,13 +191,14 @@ def _targets(name, theta, distances=OFF_DISTANCES):
     return star, pos[0] + d[:, None] * nu[0], np.full(d.size, theta)
 
 
-def _v_integrand(g):
-    return (g.flux() * g.r2 ** (-ALPHA / 2.0),)
+def _raw(sums, foci):
+    return sums
 
 
-def _grad_integrand(g):
-    kern = g.r2 ** (-ALPHA / 2.0)
-    return tuple(part * kern for part in g.normal_parts())
+# V and grad V at ALPHA with their sums as the value, so _ladder_batch and
+# _ladder_sums compare sum for sum
+_V_SUMS = _potential_field(ALPHA)._replace(of=_raw)
+_GRAD_SUMS = _grad_field(ALPHA)._replace(of=_raw)
 
 
 def test_map_covers_the_promised_targets():
@@ -243,10 +245,10 @@ def test_focus_frame_ladder_matches_the_frame_ladder(key):
                 / np.abs(old).max(axis=1)).max() <= 1e-14
 
 
-def _abs_sums(star, frame, h, ncomp):
-    """The full ladder's sums of the magnitudes of h's terms."""
-    return _ladder_sums(star, frame, _LADDER_CAP,
-                        lambda n: tuple(np.abs(part) for part in h(n)), ncomp)
+def _abs_sums(star, frame, field):
+    """The full ladder's sums of the magnitudes of field's terms."""
+    return _ladder_sums(star, frame, _LADDER_CAP, field._replace(
+        h=lambda n: tuple(np.abs(part) for part in field.h(n))))
 
 
 @pytest.mark.parametrize("key", sorted(OFF_REF))
@@ -263,15 +265,15 @@ def test_depth_from_distance_equals_the_full_ladder(key):
         f = foci + shift
         frame = _focus_frame(star, pts, f)
         assert frame.depth.max() < _LADDER_CAP
-        v = _ladder_batch(star, pts, f, _v_integrand)
-        v_full = _ladder_sums(star, frame, _LADDER_CAP, _v_integrand, 1)[:, 0]
+        v = _ladder_batch(star, pts, f, _V_SUMS)
+        v_full = _ladder_sums(star, frame, _LADDER_CAP, _V_SUMS)[0]
         if shift == 0.0:
             assert (np.abs(v - v_full) <= 4 * np.spacing(np.abs(v_full))).all()
-        v_abs = _abs_sums(star, frame, _v_integrand, 1)[:, 0]
+        v_abs = _abs_sums(star, frame, _V_SUMS)[0]
         assert (np.abs(v - v_full) <= 16 * eps * v_abs).all()
-        g = _ladder_batch(star, pts, f, _grad_integrand, 2)
-        g_full = _ladder_sums(star, frame, _LADDER_CAP, _grad_integrand, 2)
-        g_abs = _abs_sums(star, frame, _grad_integrand, 2)
+        g = _ladder_batch(star, pts, f, _GRAD_SUMS)
+        g_full = _ladder_sums(star, frame, _LADDER_CAP, _GRAD_SUMS)
+        g_abs = _abs_sums(star, frame, _GRAD_SUMS)
         assert (np.abs(g - g_full) <= 16 * eps * g_abs).all()
 
 

@@ -536,6 +536,11 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      "n must be an integer of at least 1, got 0"),
     (lambda: Params(n=2, s=0.5, alpha=2.0), ParamError,
      r"alpha must lie in \(0, 2\), got 2.0"),
+    # a string failed with TypeError, and True was taken as alpha = 1
+    (lambda: Params(n=2, s="0.5", alpha=0.5), ParamError,
+     r"s must lie in \(0, 1\), got '0.5'"),
+    (lambda: Params(n=2, s=0.5, alpha=True), ParamError,
+     r"alpha must lie in \(0, 2\), got True"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, c_coupling=0.0), ParamError,
      "c_coupling must be positive, got 0.0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, c_var=-1.0), ParamError,
@@ -568,7 +573,7 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
     (lambda: geometry_from_dict({"kind": "star", "center": [0, 0],
                                  "samples": [1.0, 1.0, 1.0]}),
      GeometryError, "need at least 4 samples"),
-], ids=["n-0", "alpha-at-n", "c-coupling-0", "c-var-negative", "mass-0",
+], ids=["n-0", "alpha-at-n", "s-str", "alpha-bool", "c-coupling-0", "c-var-negative", "mass-0",
         "mass-negative-with-eps", "eps-negative", "eps-negative-with-mass",
         "with-eps-inf", "intervals-empty", "interval-infinite-end",
         "ball-no-center", "ball-radius-0", "star-center-3d",
