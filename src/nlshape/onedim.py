@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import BracketError, GeometryError, ParamError
 from .quad import _endpoint_fields, _sym_second_diff
-from .sets import IntervalSet, Params
+from .sets import IntervalSet, Params, _is_real
 
 __all__ = [
     "TwoIntervalConfig", "SweepRecord", "two_interval_set", "zeta_endpoints",
@@ -263,8 +263,9 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     are adjacent floats; the root is the end with the smaller |f|. The
     returned root satisfies |f| <= f_tol and d > d_eps; failure to bracket
     raises BracketError. An f_tol outside [0, inf), NaN among them, would
-    certify nothing and raises ParamError."""
-    if not 0.0 <= f_tol < math.inf:
+    certify nothing and raises ParamError, as does one that is not a real
+    number (a bool among them)."""
+    if not (_is_real(f_tol) and 0.0 <= f_tol < math.inf):
         raise ParamError(f"f_tol must lie in [0, inf), got {f_tol!r}")
     d_eps = _d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)

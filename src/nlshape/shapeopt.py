@@ -60,7 +60,8 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star, _sweep
-from .sets import Params, StarShape2D, _require_count, mesh_angles, volume
+from .sets import (Params, StarShape2D, _is_real, _require_count, mesh_angles,
+                   volume)
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
@@ -146,12 +147,12 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
     """The state at iteration 0 of a descent from shape (a star shape or a
     planar ball, read as its star shape).
 
-    Raises ParamError for a step that is not finite and positive, for a
-    resolution that mesh_angles refuses, and for a k_max that is a bool, not
-    an integer, or below 1 (a descent keeps at least mode 1); GeometryError
-    for a geometry that is not planar.
+    Raises ParamError for a step that is not a finite positive real number
+    (a bool is not one), for a resolution that mesh_angles refuses, and for
+    a k_max that is a bool, not an integer, or below 1 (a descent keeps at
+    least mode 1); GeometryError for a geometry that is not planar.
     """
-    if not 0.0 < step < math.inf:
+    if not (_is_real(step) and 0.0 < step < math.inf):
         raise ParamError(f"step size must be finite and positive, got {step!r}")
     mesh_angles(resolution)
     _require_count("k_max", k_max, 1)
@@ -288,12 +289,13 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     full_output. Hitting max_iter returns normally with the residual visible
     in the report; a stall with the residual still above tol raises
     StalledError. tol = inf or max_iter = 0 takes no step: it diagnoses
-    init. A NaN or negative tol, which no residual meets, raises ParamError,
-    and so does a max_iter that is a bool, not an integer, or negative.
+    init. A NaN or negative tol, which no residual meets, or one that is not
+    a real number (a bool among them) raises ParamError, and so does a
+    max_iter that is a bool, not an integer, or negative.
     """
     if p.n != 2:
         raise ParamError(f"planar search needs n = 2, got n = {p.n}")
-    if not tol >= 0.0:
+    if not (_is_real(tol) and tol >= 0.0):
         raise ParamError(f"tol must be nonnegative, got {tol!r}")
     _require_count("max_iter", max_iter, 0)
     state = initial_state(init, resolution=resolution, k_max=k_max, step=step)

@@ -363,10 +363,11 @@ def test_sweep_needs_enough_points():
         epsilon_sweep(_p(), [1e-3, 1e-4, 1e-5])
 
 
-@pytest.mark.parametrize("f_tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("f_tol", [math.nan, -1.0, math.inf, True, "1e-10"])
 def test_root_solve_refuses_an_f_tol_outside_zero_to_inf(f_tol):
     # |f| > nan is False, so a NaN f_tol returned the root unchecked; -1
-    # reported a stalled solve
+    # reported a stalled solve. True certified |f| <= 1 (the root read
+    # 3000.0), and a string failed with TypeError
     with pytest.raises(ParamError, match="f_tol"):
         solve_critical_d(_p(), f_tol=f_tol)
     with pytest.raises(ParamError, match="f_tol"):

@@ -555,6 +555,22 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      "eps must be nonnegative, got -1.0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps(math.inf), ParamError,
      "eps must be finite, got inf"),
+    # True built the parameters with the value 1, and a string or complex
+    # value failed in the range comparison with TypeError
+    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=True), ParamError,
+     "eps must be finite, got True"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, mass=True), ParamError,
+     "mass must be finite, got True"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, c_coupling=True), ParamError,
+     "c_coupling must be finite, got True"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, eps="1e-3"), ParamError,
+     "eps must be finite, got '1e-3'"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5, c_var=1j), ParamError,
+     r"c_var must be finite, got 1j"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps(True), ParamError,
+     "eps must be finite, got True"),
+    (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps("1e-3"), ParamError,
+     "eps must be finite, got '1e-3'"),
     (lambda: IntervalSet([]), GeometryError, "interval set must be nonempty"),
     (lambda: IntervalSet([(0.0, math.inf)]), GeometryError,
      "interval endpoints must be finite"),
@@ -575,7 +591,9 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      GeometryError, "need at least 4 samples"),
 ], ids=["n-0", "alpha-at-n", "s-str", "alpha-bool", "c-coupling-0", "c-var-negative", "mass-0",
         "mass-negative-with-eps", "eps-negative", "eps-negative-with-mass",
-        "with-eps-inf", "intervals-empty", "interval-infinite-end",
+        "with-eps-inf", "eps-bool", "mass-bool", "c-coupling-bool", "eps-str",
+        "c-var-complex", "with-eps-bool", "with-eps-str", "intervals-empty",
+        "interval-infinite-end",
         "ball-no-center", "ball-radius-0", "star-center-3d",
         "star-3-samples", "dict-no-kind", "dict-unknown-kind",
         "dict-star-3-samples"])

@@ -158,8 +158,9 @@ def test_initial_state_rejects_bad_step():
         initial_state(_star(), step=0.0)
     with pytest.raises(ParamError):
         initial_state(_star(), step=-0.1)
-    # the halving loop kept an infinite step forever, and a NaN one stalled
-    for step in (math.inf, math.nan):
+    # the halving loop kept an infinite step forever, and a NaN one stalled;
+    # True ran as a step of 1, and a string failed with TypeError
+    for step in (math.inf, math.nan, True, "0.5"):
         with pytest.raises(ParamError, match="finite and positive"):
             initial_state(_star(), step=step)
 
@@ -177,11 +178,14 @@ def test_initial_state_refuses_a_mode_cap_below_1(k_max):
                                 {"step": math.nan}, {"k_max": -2},
                                 {"k_max": 0}, {"max_iter": -1},
                                 {"max_iter": math.nan}, {"max_iter": True},
-                                {"max_iter": 2.0}, {"max_iter": None}])
+                                {"max_iter": 2.0}, {"max_iter": None},
+                                {"tol": True}, {"tol": "1e-3"},
+                                {"step": True}])
 def test_find_critical_refuses_bad_knobs_at_entry(kw):
     # no residual meets a NaN or negative tol: the descent ran to max_iter.
     # A max_iter of -1 or NaN returned the start's diagnosis after 0
-    # iterations, True ran one iteration and 2.0 two
+    # iterations, True ran one iteration and 2.0 two. A tol or step of True
+    # ran as 1, and a string tol failed with TypeError
     with pytest.raises(ParamError):
         find_critical_2d(_star(), P2, resolution=32, nq=8,
                          **{"max_iter": 1, **kw})
