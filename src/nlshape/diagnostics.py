@@ -53,8 +53,8 @@ from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _curve_batch, _grad_tau_field, _kernel, _sweep,
                           _BOUNDARY_GRADIENT)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
-                   mesh_angles, volume, _is_real, _pair_blocks,
-                   _require_count, _require_exponent)
+                   mesh_angles, volume, _pair_blocks, _require_count,
+                   _require_exponent, _require_real)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -128,8 +128,7 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 def eta(S, p: Params, delta: float) -> float:
     """Scale-weighted defect diam^(2n+s+1) * delta, for a real delta (not a
     bool) in [0, inf]."""
-    if not (_is_real(delta) and delta >= 0.0):
-        raise ParamError(f"delta must be nonnegative, got {delta!r}")
+    delta = _require_real("delta", delta, "[0, inf]")
     _kernel(S, p)  # refuses Params of another dimension
     return diameter(S) ** (2.0 * p.n + p.s + 1.0) * delta
 
@@ -339,7 +338,7 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
     if kind not in IDENTITY_KINDS:
         raise ParamError(
             f"unknown identity kind {kind!r}; choose from {IDENTITY_KINDS}")
-    return _IDENTITIES[kind](_kernel(S, p), p, resolution, nq)
+    return _IDENTITIES[kind](_kernel(S, p, nq), p, resolution, nq)
 
 
 def calibrate_variation_constant(s: float, n: int = 2,
@@ -363,7 +362,7 @@ def calibrate_variation_constant(s: float, n: int = 2,
         raise ParamError("radii must name at least one ball radius, got none")
     vals = []
     for R in radii:
-        k = _kernel(Ball((0.0,) * n, R))
+        k = _kernel(Ball((0.0,) * n, R), nq=nq)
         pairing, rhs = _minkowski_sides(n, s, *k.curvature_sweep(s, resolution, nq))
         vals.append(rhs / pairing)
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
@@ -392,7 +391,7 @@ def diagnose(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     measured mu is positive and at most DEFAULT_MU_GATE: the comparison is a
     small-perturbation statement.
     """
-    k = _kernel(S, p)
+    k = _kernel(S, p, nq)
     C = k.S
     mu = ball_map_mu(S) if k.planar else None
     bf = _sweep(C, p, resolution, nq)

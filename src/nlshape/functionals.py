@@ -959,10 +959,13 @@ _KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel,
             Ball: _BallKernel}
 
 
-def _kernel(S, p: Optional[Params] = None) -> _Kernel:
+def _kernel(S, p: Optional[Params] = None, nq=None) -> _Kernel:
     """The kernel of canonical(S), which refuses non-geometries. Params p,
     where given, must have the dimension of S as n: the one check of Params
-    against a geometry (ParamError)."""
+    against a geometry (ParamError). nq, where given, is refused as every
+    entry's (_require_count), also where the kernel reads none."""
+    if nq is not None:
+        _require_count("nq", nq, 1)
     C = canonical(S)
     # the most derived geometry class of C that has a kernel
     kernel = next(_KERNELS[c] for c in type(C).__mro__ if c in _KERNELS)
@@ -972,9 +975,10 @@ def _kernel(S, p: Optional[Params] = None) -> _Kernel:
     return kernel(C)
 
 
-def _as_star(S) -> StarShape2D:
-    """The canonical star shape of S, for the planar-only functions."""
-    k = _kernel(S)
+def _as_star(S, nq=None) -> StarShape2D:
+    """The canonical star shape of S, for the planar-only functions (nq as
+    in _kernel)."""
+    k = _kernel(S, nq=nq)
     if not k.planar:
         raise GeometryError(
             f"2D boundary quadrature needs a star shape or planar ball, got {type(k.S).__name__}")
@@ -988,7 +992,7 @@ def _as_star(S) -> StarShape2D:
 def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
                    nq: int = DEFAULT_NQ, with_error: bool = False):
     """Fractional perimeter P_s(E)."""
-    k = _kernel(S)
+    k = _kernel(S, nq=nq)
     _require_exponent("s", s, 1)
     return _with_error(lambda q: k.perimeter(s, resolution, q), nq, with_error)
 
@@ -996,7 +1000,7 @@ def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
 def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
                  nq: int = DEFAULT_NQ, with_error: bool = False):
     """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
-    k = _kernel(S)
+    k = _kernel(S, nq=nq)
     _require_exponent("alpha", alpha, k.S.n)
     return _with_error(lambda q: k.riesz(alpha, resolution, q), nq, with_error)
 
@@ -1013,7 +1017,7 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 
 def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
-    k = _kernel(S)
+    k = _kernel(S, nq=nq)
     _require_exponent("alpha", alpha, k.S.n)
     return k.potential(x, alpha, nq)
 
@@ -1023,7 +1027,7 @@ def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
     boundary. At boundary points this is the one-sided improper integral,
     which requires alpha in (0, n - 1); outside that range the call is
     refused rather than regularized."""
-    k = _kernel(S)
+    k = _kernel(S, nq=nq)
     _require_exponent("alpha", alpha, k.S.n)
     return k.grad_potential(x, alpha, nq)
 
@@ -1031,7 +1035,7 @@ def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
 def tangential_grad_potential(S, x, alpha: float, *,
                               nq: int = DEFAULT_NQ) -> float:
     """grad V . tau at a boundary point of a planar shape."""
-    star = _as_star(S)
+    star = _as_star(S, nq)
     _require_exponent("alpha", alpha, star.n - 1, _BOUNDARY_GRADIENT)
     x, on_curve, focus = _planar_target(star, x)
     if not on_curve:
@@ -1044,7 +1048,7 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
 
     Sign convention: positive on boundaries of convex sets.
     """
-    k = _kernel(S)
+    k = _kernel(S, nq=nq)
     _require_exponent("s", s, 1)
     return k.curvature(x, s, nq)
 
@@ -1070,7 +1074,7 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     energy terms are the closed forms. The sweep takes no switches, so one
     sweep of a shape serves every caller at the same (Params, resolution,
     nq)."""
-    mesh, kap, pot, per, rz = _kernel(S, p).sweep(p, resolution, nq)
+    mesh, kap, pot, per, rz = _kernel(S, p, nq).sweep(p, resolution, nq)
     return BoundaryFields(mesh=mesh, kappa=kap, pot=pot,
                           zeta=kap + p.c_coupling * p.eps * pot,
                           perimeter=per, riesz=rz)
@@ -1164,16 +1168,18 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
 
 def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
     """V at interior/exterior points, batched (smooth ladder path), for
-    alpha in (0, 2)."""
-    star = _as_star(star)
+    alpha in (0, 2). nq is refused as every entry's, though the ladder
+    reads none."""
+    star = _as_star(star, nq)
     _require_exponent("alpha", alpha, star.n)
     pts, foci = _finite_batch(pts, foci)
     return _ladder_batch(star, pts, foci, _potential_field(alpha))
 
 
 def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
-    """grad V at off-boundary points, batched, for alpha in (0, 2)."""
-    star = _as_star(star)
+    """grad V at off-boundary points, batched, for alpha in (0, 2) (nq as
+    in potential_at_points)."""
+    star = _as_star(star, nq)
     _require_exponent("alpha", alpha, star.n)
     pts, foci = _finite_batch(pts, foci)
     return _ladder_batch(star, pts, foci, _grad_field(alpha))

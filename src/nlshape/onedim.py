@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import BracketError, GeometryError, ParamError
 from .quad import _endpoint_fields, _sym_second_diff
-from .sets import IntervalSet, Params, _is_real
+from .sets import IntervalSet, Params, _require_real
 
 __all__ = [
     "TwoIntervalConfig", "SweepRecord", "two_interval_set", "zeta_endpoints",
@@ -65,14 +65,15 @@ class TwoIntervalConfig:
     params: Params
 
     def __post_init__(self):
-        _check_gap(self.d, self.params)
+        object.__setattr__(self, "d", _check_gap(self.d, self.params))
 
 
-def _check_gap(d: float, p: Params) -> None:
+def _check_gap(d: float, p: Params) -> float:
+    """d as a float, refused (ParamError) unless it lies in (1/2, inf) and
+    p has n = 1."""
     if p.n != 1:
         raise ParamError(f"two-interval analysis needs n = 1, got n = {p.n}")
-    if not (d > 0.5):
-        raise ParamError(f"gap parameter d must exceed 1/2, got {d!r}")
+    return _require_real("gap parameter d", d, "(0.5, inf)")
 
 
 def _two_intervals(d: float) -> tuple:
@@ -80,7 +81,6 @@ def _two_intervals(d: float) -> tuple:
     if math.ulp(d) > 0.5:
         # d + 1/2 would round, so the second interval would not have length 1/2
         raise GeometryError(f"gap d = {d!r} is too large to place d + 1/2 exactly")
-    d = float(d)
     return (0.0, 0.5), (d, d + 0.5)
 
 
@@ -105,7 +105,7 @@ def f_closed_form(d: float, p: Params) -> float:
 
     Each bracket 2 d^b - (d - 1/2)^b - (d + 1/2)^b is formed without
     cancellation as -d^b * _sym_second_diff(b, 1/(2d))."""
-    _check_gap(d, p)
+    d = _check_gap(d, p)
     s, alpha = p.s, p.alpha
     x = 0.5 / d
     val = (2.0 / s) * (-(d ** -s) * _sym_second_diff(-s, x))
@@ -214,8 +214,8 @@ def _bracket(p: Params, lo: float, f_lo: float, d_eps: float):
         lo_0, f_lo_0 = lo, f_lo
         lo, f_lo = x, f_x
         zeros = 0 if f_x == 0.0 else -1  # the run of f = 0 from the start
-        while step <= lo:  # walk up to f > 0, as far as 2 x
-            x = lo + step
+        # walk up to f > 0, below the float range (f refuses an infinite gap)
+        while step <= lo and (x := lo + step) < math.inf:
             f_x = f_closed_form(x, p)
             if f_x > 0.0:
                 return lo, f_lo, x, f_x
@@ -229,12 +229,14 @@ def _bracket(p: Params, lo: float, f_lo: float, d_eps: float):
     d = lo  # double up from the last point with f <= 0
     for _ in range(_PROBE_BUDGET):
         d *= 2.0
+        if d == math.inf:  # f refuses an infinite gap
+            break
         f_d = f_closed_form(d, p)
         if f_d > 0.0:
             return lo, f_lo, d, f_d
         lo, f_lo = d, f_d
-    raise BracketError(
-        f"no sign change of f within {_PROBE_BUDGET} doublings from d_eps")
+    raise BracketError(f"no sign change of f within {_PROBE_BUDGET} "
+                       "doublings from d_eps or below the float range")
 
 
 def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
@@ -253,7 +255,7 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     its first 8 steps as well means f underflows there. Where d_1 is not
     above lo or is infinite, f underflows, or the walk up finds no sign
     change, the search doubles up from the last point with f <= 0 (from lo
-    where f underflowed), at most 64 times.
+    where f underflowed), at most 64 times and while d stays finite.
 
     Each step takes the secant point of the stored end values, clamped
     strictly inside the bracket; when one end moves twice in a row the
@@ -265,8 +267,7 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
     raises BracketError. An f_tol outside [0, inf), NaN among them, would
     certify nothing and raises ParamError, as does one that is not a real
     number (a bool among them)."""
-    if not (_is_real(f_tol) and 0.0 <= f_tol < math.inf):
-        raise ParamError(f"f_tol must lie in [0, inf), got {f_tol!r}")
+    f_tol = _require_real("f_tol", f_tol, "[0, inf)")
     d_eps = _d_eps(p)
     lo = max(d_eps, 0.5 + 1e-9)
     f_lo = f_closed_form(lo, p)
@@ -366,12 +367,13 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
     """
     if len(eps_grid) < 4:
         raise ParamError("sweep needs at least 4 eps values for a stable fit")
+    grid = [_require_real("eps", e, "[0, inf)") for e in eps_grid]
     records, errors = [], []
-    for e in sorted(eps_grid, reverse=True):
+    for e in sorted(grid, reverse=True):
         try:
-            records.append(_sweep_record(p.with_eps(float(e)), f_tol))
+            records.append(_sweep_record(p.with_eps(e), f_tol))
         except (BracketError, GeometryError) as exc:
-            errors.append((float(e), exc))
+            errors.append((e, exc))
     if len(records) < 4:
         raise errors[0][1]
     slope = _ls_slope([-math.log(r.eps) for r in records],

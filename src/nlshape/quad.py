@@ -29,7 +29,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
-from .sets import IntervalSet, _require_count, _require_exponent
+from .sets import (IntervalSet, _require_count, _require_exponent,
+                   _require_real)
 
 __all__ = [
     "kernel_primitive", "pv_pair_integral", "jacobi_half_rule",
@@ -45,19 +46,22 @@ def kernel_primitive(a: float, b: float, x: float, p: float) -> float:
     """int_a^b |x - y|^(-p) dy for x outside the open interval (a, b), the
     first difference (_first_diff) over [a, b] at its distance from x.
 
-    An interval with a > b or a NaN end, a non-finite x and an interior
+    An end or x that is not a real number (a bool or a string among them),
+    an interval with a > b or a NaN end, a non-finite x and an interior
     singular point (which must go through the PV path) raise GeometryError.
-    p = 1 (the logarithmic case), a NaN p and an endpoint singularity
-    (x == a or x == b) with p >= 1, where the improper integral diverges,
-    raise ParamError.
+    p = 1 (the logarithmic case), a p that is NaN or not a real number and
+    an endpoint singularity (x == a or x == b) with p >= 1, where the
+    improper integral diverges, raise ParamError.
     """
+    a = _require_real("a", a, "[-inf, inf]", GeometryError)
+    b = _require_real("b", b, "[-inf, inf]", GeometryError)
+    x = _require_real("x", x, error=GeometryError)
     if not a <= b:
         raise GeometryError(f"need a <= b, got a={a!r}, b={b!r}")
-    if not math.isfinite(x):
-        raise GeometryError(f"x must be finite, got {x!r}")
     if a < x < b:
         raise GeometryError("singular interior point: use PV path")
-    if p == 1.0 or math.isnan(p):
+    p = _require_real("p", p, "[-inf, inf]")
+    if p == 1.0:
         raise ParamError(
             f"kernel exponent p must be a number other than 1 (the log case), "
             f"got {p!r}")
@@ -295,7 +299,8 @@ def jacobi_half_rule(beta: float, nq: int):
 
     The Gauss-Jacobi weight absorbs the algebraic factor; W already contains
     u^(-beta) so the rule applies to the raw integrand h. The cache is typed,
-    so an nq of 16.0 or True reaches the check instead of a cached rule.
+    so an nq of 16.0 or True reaches the check instead of a cached rule. A
+    beta that is not a real number in (-1, inf) raises ParamError.
 
     Nodes and weights come from the eigen-decomposition of the Jacobi matrix
     of the weight (1 + t)^beta on (-1, 1) (Golub-Welsch): the weights are the
@@ -304,8 +309,7 @@ def jacobi_half_rule(beta: float, nq: int):
     carries 1e-10.
     """
     _require_count("nq", nq, 1)
-    if beta <= -1.0:
-        raise ValueError(f"algebraic exponent beta must exceed -1, got {beta}")
+    beta = _require_real("beta", beta, "(-1, inf)")
     k = np.arange(1, nq, dtype=float)
     c = 2.0 * k + beta
     diag = np.concatenate([[beta / (beta + 2.0)],
@@ -332,7 +336,7 @@ def _gauss_legendre(q: int):
     return t, w
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def ladder_half_rule(depth: int = 24, q: int = 12):
     """Composite Gauss-Legendre on (0, pi) with dyadic panels toward 0.
 
@@ -341,8 +345,11 @@ def ladder_half_rule(depth: int = 24, q: int = 12):
     pi * 2^(-depth); the off-curve rule of functionals takes the depth from
     each target's distance to its focus point (up to 48 levels), so the
     cache holds a rule for every depth in use. Each panel maps the one
-    q-point rule of _gauss_legendre.
+    q-point rule of _gauss_legendre. A depth below 0 or a q below 1 raises
+    ParamError (the cache is typed, so True reaches the check).
     """
+    _require_count("depth", depth, 0)
+    _require_count("q", q, 1)
     t, w = _gauss_legendre(q)
     us, ws = [], []
     hi = math.pi
@@ -360,14 +367,16 @@ def ladder_half_rule(depth: int = 24, q: int = 12):
     return u, W
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def graded_radial_rule(q: int):
     """Nodes t in (0, 1) and weights w of the q-point radial rule of the
     interior set integrals, graded toward the boundary t = 1, read-only:
     t = 1 - (1 - tau)^3 and w = 1.5 w_GL (1 - tau)^2, with tau and w_GL the
     Gauss-Legendre rule mapped to (0, 1) (tau = (t_GL + 1) / 2; the 1.5 is
     the Jacobian 3 (1 - tau)^2 times the 1/2 of the map). The rule depends
-    only on q, so it is built once per order."""
+    only on q, so it is built once per order; a q below 1 raises
+    ParamError (the cache is typed, so True reaches the check)."""
+    _require_count("q", q, 1)
     tq, wq = _gauss_legendre(q)
     tau = 0.5 * (tq + 1.0)
     t = 1.0 - (1.0 - tau) ** 3

@@ -75,7 +75,8 @@ def mesh_angles(resolution) -> np.ndarray:
 def _require_count(name: str, value, least: int):
     """Refuse (ParamError) a value that is a bool (_is_real), not an
     integer, or below least: the one check of every integer knob
-    (resolution, nq, k_max, max_iter and n)."""
+    (resolution, nq, k_max, max_iter and n, and the orders of quad's
+    rules)."""
     if not (_is_real(value) and isinstance(value, (int, np.integer))
             and value >= least):
         raise ParamError(
@@ -91,6 +92,51 @@ def _is_real(value) -> bool:
     # floats (4% of its time)
     return isinstance(value, float) or (isinstance(value, numbers.Real)
                                         and not isinstance(value, bool))
+
+
+# (lo, hi, lo included, hi included) of each interval of _require_real,
+# parsed at its first use: a dict lookup costs a third of an lru_cache call
+_BOUNDS = {}
+
+
+def _require_real(name: str, value, rng: str = "(-inf, inf)",
+                  error=ParamError) -> float:
+    """value as a float, refused (error) unless it is a real number
+    (_is_real) in the interval rng, written like "[0, inf)", NaN never:
+    the one check of every real a caller hands the package (parameters
+    with ParamError, the numbers a geometry is built from with
+    GeometryError). The message reads "<name> must lie in <rng>, got
+    <value!r>"."""
+    bounds = _BOUNDS.get(rng)
+    if bounds is None:
+        lo, hi = map(float, rng[1:-1].split(","))
+        bounds = _BOUNDS[rng] = (lo, hi, rng[0] == "[", rng[-1] == "]")
+    lo, hi, lo_in, hi_in = bounds
+    v = value
+    # a float, as most values are, skips the 0.5 us ABC test of _is_real:
+    # the line's f_closed_form checks its gap about 7 times per root
+    if type(v) is not float:
+        try:
+            v = float(value) if _is_real(value) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            v = math.nan
+    if (lo < v or lo_in and v == lo) and (v < hi or hi_in and v == hi):
+        return v
+    raise error(f"{name} must lie in {rng}, got {value!r}")
+
+
+def _real_array(name: str, values, error=GeometryError) -> np.ndarray:
+    """values, a scalar or sequence, as a flat float array of finite
+    entries: an ndarray of integer or float dtype is checked whole, any
+    other values entry by entry by _require_real (so a bool or a string
+    inside a list is refused, not converted)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        out = np.asarray(values, dtype=float).reshape(-1)
+        if np.isfinite(out).all():
+            return out
+        values = out  # the loop below names the first bad entry
+    return np.array([_require_real(name, v, error=error) for v in
+                     np.asarray(values, dtype=object).reshape(-1)], dtype=float)
 
 
 def _require_exponent(name: str, value, upper, why: str = ""):
@@ -121,6 +167,10 @@ class Params:
     c_var is the first-variation normalization relating the curvature pairing
     to the perimeter (see diagnostics.calibrate_variation_constant). With the
     conventions used here it is 1 and that is the default.
+
+    eps lies in [0, inf) and mass, c_coupling and c_var in (0, inf); each is
+    stored as a float, and anything else (a bool, a string, NaN) raises
+    ParamError (_require_real).
     """
 
     n: int
@@ -137,44 +187,32 @@ class Params:
         object.__setattr__(self, "n", int(self.n))
         _require_exponent("s", self.s, 1)
         _require_exponent("alpha", self.alpha, self.n)
-        # NaN passes every ordered comparison below, a bool reads as 0 or 1
-        # and a string fails in them with TypeError, so refuse them up front
-        for name in ("eps", "mass", "c_coupling", "c_var"):
-            v = getattr(self, name)
-            if v is not None and not (_is_real(v) and math.isfinite(v)):
-                raise ParamError(f"{name} must be finite, got {v!r}")
-        if self.c_coupling <= 0.0:
-            raise ParamError(f"c_coupling must be positive, got {self.c_coupling!r}")
-        if self.c_var <= 0.0:
-            raise ParamError(f"c_var must be positive, got {self.c_var!r}")
-        self._fill_eps_mass()
+        for name in ("c_coupling", "c_var"):
+            object.__setattr__(self, name, _require_real(
+                name, getattr(self, name), "(0, inf)"))
+        self._fill_eps_mass(self.eps, self.mass)
 
-    def _fill_eps_mass(self):
-        # derive the omitted one of eps and mass from the other; eps and mass
-        # are finite or None here
+    def _fill_eps_mass(self, eps, mass):
+        # store eps in [0, inf) and mass in (0, inf) as floats; the one
+        # given as None is derived from the other (eps = 0 leaves mass None)
+        if eps is not None:
+            eps = _require_real("eps", eps, "[0, inf)")
+        if mass is not None:
+            mass = _require_real("mass", mass, "(0, inf)")
         e = self.mass_to_eps_exponent()
-        if self.eps is None and self.mass is None:
-            object.__setattr__(self, "eps", 0.0)
-        elif self.eps is None:
-            if self.mass <= 0.0:
-                raise ParamError(f"mass must be positive, got {self.mass!r}")
-            object.__setattr__(self, "eps", self.mass ** e)
-        elif self.mass is None:
-            if self.eps < 0.0:
-                raise ParamError(f"eps must be nonnegative, got {self.eps!r}")
-            if self.eps > 0.0:
-                object.__setattr__(self, "mass", self.eps ** (1.0 / e))
+        if eps is None:
+            eps = 0.0 if mass is None else mass ** e
+        elif mass is None:
+            mass = eps ** (1.0 / e) if eps > 0.0 else None
         else:
-            if self.eps < 0.0:
-                raise ParamError(f"eps must be nonnegative, got {self.eps!r}")
-            if self.mass <= 0.0:
-                raise ParamError(f"mass must be positive, got {self.mass!r}")
-            expect = self.mass ** e
-            if abs(self.eps - expect) > 1e-9 * max(1.0, abs(expect)):
+            expect = mass ** e
+            if abs(eps - expect) > 1e-9 * max(1.0, abs(expect)):
                 raise ParamError(
                     "eps and mass are inconsistent: "
-                    f"eps={self.eps!r} but mass**(1-alpha/n+s/n)={expect!r}"
+                    f"eps={eps!r} but mass**(1-alpha/n+s/n)={expect!r}"
                 )
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "mass", mass)
 
     def mass_to_eps_exponent(self) -> float:
         return 1.0 - self.alpha / self.n + self.s / self.n
@@ -184,11 +222,9 @@ class Params:
 
         Only eps is checked, with the errors of __post_init__: the other
         fields are those of self, which passed it already."""
-        if eps is not None and not (_is_real(eps) and math.isfinite(eps)):
-            raise ParamError(f"eps must be finite, got {eps!r}")
         new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, eps=eps, mass=None)
-        new._fill_eps_mass()
+        new.__dict__.update(self.__dict__)
+        new._fill_eps_mass(eps, None)
         return new
 
 
@@ -210,12 +246,12 @@ class IntervalSet:
         return (IntervalSet, (self.intervals,))
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
-        ivals = sorted((float(a), float(b)) for a, b in intervals)
+        end = functools.partial(_require_real, "interval end",
+                                error=GeometryError)
+        ivals = sorted((end(a), end(b)) for a, b in intervals)
         if not ivals:
             raise GeometryError("interval set must be nonempty")
         for a, b in ivals:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise GeometryError(f"interval endpoints must be finite: ({a}, {b})")
             if not a < b:
                 raise GeometryError(f"empty or inverted interval ({a}, {b})")
         for (a1, b1), (a2, b2) in zip(ivals, ivals[1:]):
@@ -272,15 +308,13 @@ class Ball:
     radius: float
 
     def __init__(self, center: Sequence[float], radius: float):
-        c = tuple(float(v) for v in center)
+        c = tuple(_require_real("ball center", v, error=GeometryError)
+                  for v in center)
         if len(c) < 1:
             raise GeometryError("ball center needs at least one coordinate")
-        if not all(map(math.isfinite, c)):
-            raise GeometryError(f"ball center must be finite, got {c}")
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise GeometryError(f"ball radius must be positive and finite, got {radius!r}")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "radius", _require_real(
+            "ball radius", radius, "(0, inf)", GeometryError))
 
     @property
     def n(self) -> int:
@@ -384,21 +418,13 @@ class StarShape2D:
         # the fields from the constructor's arguments: the center as two
         # floats, r0 as a float, a and b as read-only float arrays of one
         # length; and an empty memo
-        c = tuple(float(v) for v in center)
+        c = tuple(_require_real("star shape center", v, error=GeometryError)
+                  for v in center)
         if len(c) != 2:
             raise GeometryError("star shape center must have two coordinates")
-        r0 = float(r0)
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if not (np.isfinite(c).all() and math.isfinite(r0)
-                and np.isfinite(a).all() and np.isfinite(b).all()):
-            raise GeometryError(
-                f"star shape center, r0 and coefficients must be finite, got "
-                f"center {c} and r0 {r0!r}")
-        if a.size == 0:
-            a = np.zeros(0)
-        if b.size == 0:
-            b = np.zeros(0)
+        r0 = _require_real("r0", r0, error=GeometryError)
+        a = _real_array("a coefficient", a)
+        b = _real_array("b coefficient", b)
         k = max(a.size, b.size)
         a = np.pad(a, (0, k - a.size))
         b = np.pad(b, (0, k - b.size))
@@ -487,7 +513,7 @@ class StarShape2D:
         reconstruction agrees with the input samples exactly only when the
         input is band-limited to the retained modes.
         """
-        v = np.asarray(values, dtype=float)
+        v = _real_array("sample", values)
         m = v.size
         if m < 4:
             raise GeometryError("need at least 4 samples to build a star shape")
@@ -625,8 +651,7 @@ def beta_exponent(p: Params) -> float:
 
 def scaled(S, lam: float):
     """Dilation x -> lam * x about the origin."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise GeometryError(f"scale factor must be positive and finite, got {lam!r}")
+    lam = _require_real("scale factor", lam, "(0, inf)", GeometryError)
     return _geometry(S)._scaled(lam)
 
 
@@ -634,7 +659,7 @@ def translated(S, shift):
     """Translation x -> x + shift, shift of the dimension of S (on the line
     a scalar or a 1-vector)."""
     _geometry(S)
-    h = np.asarray(shift, dtype=float).reshape(-1)
+    h = _real_array("shift", shift)
     if h.size != S.n:
         raise GeometryError(
             f"a shift of dimension {h.size} does not match a set in dimension {S.n}")

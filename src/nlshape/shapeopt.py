@@ -60,8 +60,8 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star, _sweep
-from .sets import (Params, StarShape2D, _is_real, _require_count, mesh_angles,
-                   volume)
+from .sets import (Params, StarShape2D, _require_count, _require_real,
+                   mesh_angles, volume)
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
@@ -98,14 +98,16 @@ def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> Sta
 
     Keys: r0, a<k>, b<k> for k >= 1. Modes above k_max (when given) are
     rejected rather than dropped, so a config cannot silently lose detail;
-    a k_max that is a bool, not an integer, or negative raises ParamError.
+    a k_max that is a bool, not an integer, or negative raises ParamError,
+    and so does a value that is not a finite real number (a bool or a
+    string among them).
     """
     if k_max is not None:
         _require_count("k_max", k_max, 0)
     r0 = None
     amp = {}
     for key, val in dict(coeffs).items():
-        v = float(val)
+        v = _require_real(key, val)
         if key == "r0":
             r0 = v
             continue
@@ -152,8 +154,7 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
     a k_max that is a bool, not an integer, or below 1 (a descent keeps at
     least mode 1); GeometryError for a geometry that is not planar.
     """
-    if not (_is_real(step) and 0.0 < step < math.inf):
-        raise ParamError(f"step size must be finite and positive, got {step!r}")
+    step = _require_real("step", step, "(0, inf)")
     mesh_angles(resolution)
     _require_count("k_max", k_max, 1)
     shape = _as_star(shape)
@@ -295,8 +296,7 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     """
     if p.n != 2:
         raise ParamError(f"planar search needs n = 2, got n = {p.n}")
-    if not (_is_real(tol) and tol >= 0.0):
-        raise ParamError(f"tol must be nonnegative, got {tol!r}")
+    tol = _require_real("tol", tol, "[0, inf]")
     _require_count("max_iter", max_iter, 0)
     state = initial_state(init, resolution=resolution, k_max=k_max, step=step)
     init = state.shape

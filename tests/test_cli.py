@@ -141,7 +141,25 @@ def test_overflowing_geometry_is_refused_as_such(tmp_path, capsys):
     assert main(["diagnose", "--s", "0.5", "--alpha", "0.5",
                  "--geometry", str(bad), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "r0" in err and "finite" in err and "points" not in err
+    assert "r0 must lie in (-inf, inf), got inf" in err and "points" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    # a unit ball, an interval (0, 1) and a mode-1 coefficient of 1 before
+    # the one rule for real values
+    ('{"kind": "ball", "center": [0, 0], "radius": true}',
+     "ball radius must lie in (0, inf), got True"),
+    ('{"kind": "intervals", "intervals": [[0, "1"]]}',
+     "interval end must lie in (-inf, inf), got '1'"),
+    ('{"kind": "star", "center": [0, 0], "r0": 2, "cos": [true]}',
+     "a coefficient must lie in (-inf, inf), got True"),
+], ids=["ball-radius-bool", "interval-end-str", "star-cos-bool"])
+def test_geometry_file_numbers_are_refused_as_geometry(tmp_path, capsys, text,
+                                                       message):
+    bad = _write(tmp_path, "bad.json", text)
+    assert main(["energy", "--s", "0.5", "--alpha", "0.5",
+                 "--geometry", str(bad), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_onedim_rejects_planar_dimension(capsys):
@@ -155,7 +173,8 @@ def test_nonfinite_param_exits_2(tmp_path, capsys, flag):
     assert main(["energy", "--geometry", str(_interval_geom(tmp_path)),
                  "--s", "0.5", "--alpha", "0.5", flag, "nan",
                  "--out", str(tmp_path)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert " must lie in " in err and ", got nan" in err
     assert not (tmp_path / "energy.csv").exists()
 
 
@@ -217,14 +236,14 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
     (["onedim-root", *_SA], 2, "g and d_eps need eps > 0"),
     (["onedim-sweep", *_SA, "--eps-grid", "1e-3,1e-4,1e-5"], 2,
      "at least 4 eps values"),
-    ([*_OPT, "--step", "-1"], 2, "step size must be finite and positive"),
+    ([*_OPT, "--step", "-1"], 2, "step must lie in (0, inf)"),
     (["onedim-root", *_SA, "--eps", "1e-3", "--n", "2"], 2,
      "needs n = 1, got n = 2"),
     ([*_OPT, "--n", "1"], 2, "needs n = 2, got n = 1"),
     (["onedim-root", *_SA, "--eps", "1e-3", "--f-tol", "nan"], 2,
      "f_tol must lie in [0, inf)"),
-    ([*_OPT, "--tol", "nan"], 2, "tol must be nonnegative"),
-    ([*_OPT, "--step", "nan"], 2, "step size must be finite and positive"),
+    ([*_OPT, "--tol", "nan"], 2, "tol must lie in [0, inf]"),
+    ([*_OPT, "--step", "nan"], 2, "step must lie in (0, inf)"),
     ([*_OPT, "--modes", "-2"], 2, "k_max must be an integer of at least 1"),
     ([*_OPT, "--modes", "0"], 2, "k_max must be an integer of at least 1"),
     ([*_OPT, "--max-iter", "-1"], 2,

@@ -750,10 +750,10 @@ _BOUNDARY_ALPHA = r"alpha must lie in \(0, 1\), got 1.5 \(the boundary gradient"
     (lambda: identity_check(_STAR, Params(2, 0.5, 1.5, eps=0.1),
                             "TangentialBall"), _BOUNDARY_ALPHA),
     # delta < 0 let a NaN through, and eta read nan
-    (lambda: eta(_STAR, P2, math.nan), "delta must be nonnegative, got nan"),
+    (lambda: eta(_STAR, P2, math.nan), r"delta must lie in \[0, inf\], got nan"),
     # a string failed with TypeError, and True was taken as delta = 1
-    (lambda: eta(_STAR, P2, "1"), "delta must be nonnegative, got '1'"),
-    (lambda: eta(_STAR, P2, True), "delta must be nonnegative, got True"),
+    (lambda: eta(_STAR, P2, "1"), r"delta must lie in \[0, inf\], got '1'"),
+    (lambda: eta(_STAR, P2, True), r"delta must lie in \[0, inf\], got True"),
 ], ids=["Au1", "TangentialBall", "eta-nan-delta", "eta-str-delta",
         "eta-bool-delta"])
 def test_refusals(call, message):

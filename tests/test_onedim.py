@@ -204,6 +204,24 @@ def test_stall_is_a_root_solve_error():
     assert 0.0 < abs(f_closed_form(solve_critical_d(p), p)) <= 1e-10
 
 
+def test_doubling_probe_stops_below_an_infinite_gap(monkeypatch):
+    # with f < 0 everywhere the walk up and the probe run until the next
+    # step would overflow, and raise BracketError there, which a sweep lists
+    # under fit["failed"]: f, which refuses an infinite gap with ParamError,
+    # is never asked for one
+    seen = []
+
+    def negative(d, p):
+        assert math.isfinite(d), "f was asked for an infinite gap"
+        seen.append(d)
+        return -1.0
+    monkeypatch.setattr(onedim, "f_closed_form", negative)
+    monkeypatch.setattr(onedim, "_PROBE_BUDGET", 2000)
+    with pytest.raises(BracketError, match="below the float range"):
+        solve_critical_d(_p())
+    assert max(seen) > 1e307
+
+
 # the default eps grid of `nlshape onedim-sweep` at seeded (s, alpha) on the
 # open unit square plus three corners
 GRID_EPS = (1e-3, 3.1623e-4, 1e-4, 3.1623e-5, 1e-5, 3.1623e-6, 1e-6)

@@ -161,7 +161,7 @@ def test_initial_state_rejects_bad_step():
     # the halving loop kept an infinite step forever, and a NaN one stalled;
     # True ran as a step of 1, and a string failed with TypeError
     for step in (math.inf, math.nan, True, "0.5"):
-        with pytest.raises(ParamError, match="finite and positive"):
+        with pytest.raises(ParamError, match=r"step must lie in \(0, inf\)"):
             initial_state(_star(), step=step)
 
 
