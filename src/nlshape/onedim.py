@@ -123,12 +123,16 @@ def _d_eps(p: Params) -> float:
         raise ParamError("g and d_eps need eps > 0")
     s, alpha = p.s, p.alpha
     try:
-        return ((1.0 + s) / (p.c_coupling * p.eps * alpha)) ** (
+        d_eps = ((1.0 + s) / (p.c_coupling * p.eps * alpha)) ** (
             1.0 / (1.0 + s - alpha))
-    except OverflowError:
-        raise GeometryError(
-            f"the critical-gap scale d_eps overflows at eps = {p.eps:g}: "
-            f"1 + s - alpha = {1.0 + s - alpha:g} is too small") from None
+    except (OverflowError, ZeroDivisionError):  # c eps alpha underflowed
+        d_eps = math.inf
+    # a quotient past the float range is inf without an OverflowError
+    if d_eps < math.inf:
+        return d_eps
+    raise GeometryError(
+        f"the critical-gap scale d_eps overflows at eps = {p.eps:g} and "
+        f"1 + s - alpha = {1.0 + s - alpha:g}")
 
 
 def g_and_d_eps(p: Params):
@@ -138,7 +142,7 @@ def g_and_d_eps(p: Params):
     g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2;
     d_eps = ((1+s) / (c alpha eps))^(1 / (1+s-alpha)), where g < 0; g
     vanishes at d_g = 2^(1 / (1+s-alpha)) d_eps. Requires eps > 0.
-    A d_eps beyond the float range (1 + s - alpha small) raises
+    A d_eps beyond the float range (1 + s - alpha or eps small) raises
     GeometryError: no gap of that size can be placed on the line.
     """
     d_eps = _d_eps(p)

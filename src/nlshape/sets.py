@@ -125,7 +125,7 @@ def _require_real(name: str, value, rng: str = "(-inf, inf)",
     raise error(f"{name} must lie in {rng}, got {value!r}")
 
 
-def _real_array(name: str, values, error=GeometryError) -> np.ndarray:
+def _real_array(name: str, values) -> np.ndarray:
     """values, a scalar or sequence, as a flat float array of finite
     entries: an ndarray of integer or float dtype is checked whole, any
     other values entry by entry by _require_real (so a bool or a string
@@ -135,19 +135,20 @@ def _real_array(name: str, values, error=GeometryError) -> np.ndarray:
         if np.isfinite(out).all():
             return out
         values = out  # the loop below names the first bad entry
-    return np.array([_require_real(name, v, error=error) for v in
+    return np.array([_require_real(name, v, error=GeometryError) for v in
                      np.asarray(values, dtype=object).reshape(-1)], dtype=float)
 
 
-def _require_exponent(name: str, value, upper, why: str = ""):
-    """Refuse (ParamError) a value that is not a real number (_is_real) or
-    lies outside (0, upper), NaN included: the one check of the exponents
-    s (upper 1) and alpha (upper n, where the Riesz kernel is locally
-    integrable, or n - 1 on the boundary, where the gradient of V
+def _require_exponent(name: str, value, upper, why: str = "") -> float:
+    """value as a float, refused (ParamError) if it is not a real number
+    (_is_real) or lies outside (0, upper), NaN included: the one check of
+    the exponents s (upper 1) and alpha (upper n, where the Riesz kernel is
+    locally integrable, or n - 1 on the boundary, where the gradient of V
     converges). why, if given, ends the message."""
     if not (_is_real(value) and 0.0 < value < upper):
         raise ParamError(f"{name} must lie in (0, {upper:g}), got {value!r}"
                          + (f" ({why})" if why else ""))
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,10 @@ class Params:
     to the perimeter (see diagnostics.calibrate_variation_constant). With the
     conventions used here it is 1 and that is the default.
 
-    eps lies in [0, inf) and mass, c_coupling and c_var in (0, inf); each is
-    stored as a float, and anything else (a bool, a string, NaN) raises
-    ParamError (_require_real).
+    s lies in (0, 1) and alpha in (0, n) (_require_exponent), eps in
+    [0, inf) and mass, c_coupling and c_var in (0, inf) (_require_real);
+    each is stored as a float, and anything else (a bool, a string, NaN)
+    raises ParamError.
     """
 
     n: int
@@ -185,8 +187,9 @@ class Params:
         _require_count("n", self.n, 1)
         # a numpy integer n would make the derived mass or eps numpy scalars
         object.__setattr__(self, "n", int(self.n))
-        _require_exponent("s", self.s, 1)
-        _require_exponent("alpha", self.alpha, self.n)
+        object.__setattr__(self, "s", _require_exponent("s", self.s, 1))
+        object.__setattr__(self, "alpha",
+                           _require_exponent("alpha", self.alpha, self.n))
         for name in ("c_coupling", "c_var"):
             object.__setattr__(self, name, _require_real(
                 name, getattr(self, name), "(0, inf)"))

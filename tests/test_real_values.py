@@ -170,6 +170,7 @@ ACCEPT_SITES = [
     ("Params-c_coupling",
      lambda v: vars(Params(n=1, s=0.5, alpha=0.5, c_coupling=v)), 3),
     ("Params-c_var", lambda v: vars(Params(n=1, s=0.5, alpha=0.5, c_var=v)), 1),
+    ("Params-alpha", lambda v: vars(Params(n=2, s=0.5, alpha=v, eps=1e-3)), 1),
     ("with_eps", lambda v: vars(P1.with_eps(v)), 2),
     ("initial_state-step",
      lambda v: initial_state(STAR, 16, step=v).step_size, 2),
@@ -203,6 +204,29 @@ ACCEPT_SITES = [
 def test_takes_numpy_and_integer_values_as_floats(call, value, kind):
     typed = kind(value)
     assert _key(call(typed)) == _key(call(float(typed)))
+
+
+def test_numpy_exponents_reach_the_line_as_floats():
+    # Params stores s and alpha as floats; kept as numpy floats, a d_eps
+    # past the float range was a numpy inf with a RuntimeWarning, and the
+    # solve then failed on the refused gap d = inf with ParamError
+    for kind in (np.float64, float):
+        p = Params(n=1, s=kind(1e-9), alpha=kind(1.0 - 1e-9), eps=1e-3)
+        assert type(p.s) is float and type(p.alpha) is float
+        with pytest.raises(GeometryError, match="d_eps overflows"):
+            solve_critical_d(p)
+
+
+def test_sweep_records_an_eps_whose_d_eps_overflows():
+    # at the least subnormal eps, 1.5 / (c eps alpha) passes the float range
+    # as inf with no OverflowError; at alpha = 0.1, c eps alpha is 0
+    for alpha in (0.5, 0.1):
+        p = Params(n=1, s=0.5, alpha=alpha, eps=1e-3)
+        _, fit = epsilon_sweep(p, [1e-3, 1e-4, 1e-5, 1e-6, 5e-324])
+        [failed] = fit["failed"]
+        assert failed["eps"] == 5e-324
+        assert failed["error"].startswith(
+            "GeometryError: the critical-gap scale d_eps overflows")
 
 
 # ---------------------------------------------------------------------------
