@@ -218,8 +218,10 @@ def _bracket(p: Params, lo: float, f_lo: float, d_eps: float):
         lo_0, f_lo_0 = lo, f_lo
         lo, f_lo = x, f_x
         zeros = 0 if f_x == 0.0 else -1  # the run of f = 0 from the start
-        # walk up to f > 0, below the float range (f refuses an infinite gap)
-        while step <= lo and (x := lo + step) < math.inf:
+        # walk up to f > 0, as far as twice the start and below the float
+        # range (f refuses an infinite gap)
+        top = 2.0 * x
+        while (x := lo + step) <= top and x < math.inf:
             f_x = f_closed_form(x, p)
             if f_x > 0.0:
                 return lo, f_lo, x, f_x
@@ -282,8 +284,9 @@ def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
             "resolved there")
     if f_lo > 0.0:
         raise BracketError(
-            f"f(d_eps) = {f_lo:g} is not negative; eps = {p.eps:g} may exceed "
-            "the smallness threshold for a two-interval critical point")
+            f"f = {f_lo:g} at lo = max(d_eps, 1/2 + 1e-9) = {lo:g} is not "
+            f"negative; eps = {p.eps:g} may exceed the smallness threshold "
+            "for a two-interval critical point")
     lo, f_lo, hi, f_hi = _bracket(p, lo, f_lo, d_eps)
     w_lo, w_hi = f_lo, f_hi  # secant weights; the Illinois rule halves them
     last = 0  # +1 when hi moved last, -1 when lo did

@@ -501,8 +501,9 @@ def bisection_critical_d(p, f_tol=1e-10):
     f_lo = onedim.f_closed_form(lo, p)
     if f_lo >= 0.0:
         raise BracketError(
-            f"f(d_eps) = {f_lo:g} is not negative; eps = {p.eps:g} may exceed "
-            "the smallness threshold for a two-interval critical point")
+            f"f = {f_lo:g} at lo = max(d_eps, 1/2 + 1e-9) = {lo:g} is not "
+            f"negative; eps = {p.eps:g} may exceed the smallness threshold "
+            "for a two-interval critical point")
     hi = None
     d = lo
     for _ in range(onedim._PROBE_BUDGET):

@@ -7,9 +7,14 @@ import pytest
 
 from nlshape.cli import RunConfig, load_config, main, run_command
 from nlshape.errors import ConfigError, ConfigNotFoundError, ParamError
-from nlshape.sets import IntervalSet, StarShape2D, save_geometry
+from nlshape.sets import (IntervalSet, Params, StarShape2D, load_geometry,
+                          save_geometry)
 from nlshape import diagnostics, shapeopt
+from nlshape.diagnostics import identity_check
 from nlshape.shapeopt import fourier_shape, volume_project
+
+from oracles import CLOSED_FORM_SETS
+from test_diagnostics import AUDIT_SHAPE
 
 
 def _rows(path):
@@ -392,6 +397,15 @@ def test_potential_point_needs_matching_arity(tmp_path, capsys):
     assert "coordinates" in capsys.readouterr().err
 
 
+def test_potential_point_refuses_a_non_numeric_coordinate(tmp_path, capsys):
+    assert main(["potential", "--geometry", str(_star_geom(tmp_path)),
+                 "--s", "0.5", "--alpha", "0.5", "--point", "0.2,x",
+                 "--out", str(tmp_path)]) == 2
+    assert ("invalid point coordinates: '0.2,x'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "potential.csv").exists()
+
+
 def test_potential_boundary_sweep_2d(tmp_path):
     geom = _star_geom(tmp_path)
     assert main(["potential", "--geometry", str(geom), "--s", "0.5",
@@ -421,6 +435,28 @@ def test_diagnose_interval_report(tmp_path):
     report = json.loads((tmp_path / "d1.report.json").read_text())
     assert report["rho"] is None
     assert "Au1" in report["identity_residuals"]
+
+
+@pytest.mark.parametrize("shape,alpha", [
+    (AUDIT_SHAPE, 0.5), (AUDIT_SHAPE, 0.9),
+    (IntervalSet(CLOSED_FORM_SETS[4]), 0.5)],
+    ids=["audit-0.5", "audit-0.9", "gap-1e6"])
+def test_diagnose_reports_the_identity_residuals(tmp_path, shape, alpha):
+    # the first seed-101 audit shape and the paper's two-interval set at gap
+    # d = 1e6: diagnose exits 0 and reports identity_check's residuals, whose
+    # bounds test_diagnostics and test_interior_rule hold
+    geom = tmp_path / "shape.json"
+    save_geometry(shape, geom)
+    assert main(["diagnose", "--geometry", str(geom), "--s", "0.5",
+                 "--alpha", repr(alpha), "--eps", "1e-3",
+                 "--resolution", "256", "--nq", "48",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "diagnose.report.json").read_text())
+    ids = report["identity_residuals"]
+    assert {"Au1", "Au2"} <= ids.keys()
+    p = Params(n=shape.n, s=0.5, alpha=alpha, eps=1e-3)
+    S = load_geometry(geom)
+    assert ids == {kind: identity_check(S, p, kind, 256, 48) for kind in ids}
 
 
 def test_onedim_root_output(tmp_path):
@@ -507,6 +543,18 @@ def test_calibrate_bad_radii_exits_2(tmp_path, capsys):
                  str(_write(tmp_path, "c.conf", "radii = 1.0;2.0\n")),
                  "--out", str(tmp_path)]) == 2
     assert "radii" in capsys.readouterr().err
+
+
+def test_calibrate_reads_radii_from_a_config(tmp_path):
+    # the value at radii (0.5, 2), 1 ulp off the default radii's
+    assert main(["calibrate", "--n", "2", "--s", "0.5", "--resolution", "64",
+                 "--nq", "16", "--config",
+                 str(_write(tmp_path, "c.conf", "radii = 0.5,2\n")),
+                 "--out", str(tmp_path)]) == 0
+    header, rows = _rows(tmp_path / "calibrate.csv")
+    assert header == ["n", "s", "c_var"]
+    assert float(rows[0][2]) == diagnostics.calibrate_variation_constant(
+        0.5, 2, 64, 16, radii=(0.5, 2.0))
 
 
 @pytest.mark.parametrize("radii", ["", " , ", "1,-1", "0", "1,nan", "inf"])

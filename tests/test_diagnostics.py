@@ -302,6 +302,14 @@ def test_au2_1d_at_gap_1e4(alpha):
     assert identity_check(IntervalSet(CLOSED_FORM_SETS[3]), p, "Au2") <= 1e-11
 
 
+@pytest.mark.parametrize("alpha", ALPHAS_1D)
+def test_au2_1d_at_gap_1e6(alpha):
+    # the paper's two-interval set at d = 1e6: measured at most 2.5e-10, at
+    # alpha 0.1 (the difference of two powers in the endpoint V left 1.2e-7)
+    p = Params(n=1, s=0.5, alpha=alpha, eps=1e-3)
+    assert identity_check(IntervalSet(CLOSED_FORM_SETS[4]), p, "Au2") <= 1e-9
+
+
 def test_ball_1d_diagnoses_as_its_interval():
     B = Ball((0.0,), 0.5)
     iv = IntervalSet([(-0.5, 0.5)])

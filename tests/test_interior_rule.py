@@ -281,10 +281,12 @@ def test_depth_from_distance_equals_the_full_ladder(key):
 def test_au1_holds_to_the_graded_rule(alpha, mode3_star):
     # the d^(1 - alpha) boundary layer of grad V, which left Au1 at 2e-6 to
     # 4e-4 under a plain radial rule, is graded away: measured 2.5e-12,
-    # 1e-10, 5.3e-10 and 5.1e-8 at 256/48
+    # 1e-10, 5.3e-10 and 5.1e-8 at 256/48, and on the audit shape 2.5e-12,
+    # 9.9e-11, 5.2e-10 and 5.0e-8 (the plain radial rule gave 1.5e-5 there
+    # at alpha 0.5)
     p = Params(n=2, s=0.5, alpha=alpha, eps=1e-3)
     bound = 1e-9 if alpha <= 0.7 else 1e-7
-    for shape in (Ball((0.0, 0.0), 1.0), mode3_star):
+    for shape in (Ball((0.0, 0.0), 1.0), mode3_star, AUDIT_SHAPE):
         assert identity_check(shape, p, "Au1", 256, 48) <= bound
 
 
@@ -346,17 +348,23 @@ def _all_rays_fsum(star, f, m):
     return math.fsum((vals * w.ravel()).tolist())
 
 
-def test_interior_rule_certifies_the_audit_shape_on_half_the_rays():
+@pytest.mark.parametrize("m", [256, 1024])
+def test_interior_rule_certifies_the_audit_shape_on_128_rays(m):
     # modes 2-5 at 5%: the doubling test starts at 128 = 20 (5 + 1) rounded
-    # up to a level of 256, and 64 and 128 rays agree to 1e-13, so the rule
-    # stops there; the value equals the all-rays value (measured: bitwise
-    # here, 1 ulp off on 9 of the 50 shapes of seeds 1-25)
+    # up to a level of m, and 64 and 128 rays agree to 1e-13, so the rule
+    # stops there, on max(12, m // 16) radial nodes a ray (one ray per mesh
+    # node was 256 and 1024 rays); the value equals the all-rays value
+    # (measured: bitwise here, 1 ulp off on 9 of the 50 shapes of seeds
+    # 1-25 at m = 256), and Au1 holds at m/48 (measured 9.9e-11 at 256 and
+    # 3.3e-15 at 1024)
     calls = []
     f = _counted_au1_integrand(AUDIT_SHAPE, calls)
-    value = set_integral_2d(AUDIT_SHAPE, f, 256)
-    assert sum(map(len, calls)) == 128 * 16
-    ref = _all_rays_fsum(AUDIT_SHAPE, f, 256)
+    value = set_integral_2d(AUDIT_SHAPE, f, m)
+    assert sum(map(len, calls)) == 128 * max(12, m // 16)
+    ref = _all_rays_fsum(AUDIT_SHAPE, f, m)
     assert abs(value - ref) <= 1e-15 * abs(ref)
+    p = Params(n=2, s=0.5, alpha=ALPHA, eps=1e-3)
+    assert identity_check(AUDIT_SHAPE, p, "Au1", m, 48) <= 1e-8
 
 
 def test_interior_rule_falls_back_to_every_ray_bit_for_bit():

@@ -204,11 +204,44 @@ def test_stall_is_a_root_solve_error():
     assert 0.0 < abs(f_closed_form(solve_critical_d(p), p)) <= 1e-10
 
 
+def test_threshold_refusal_names_the_point_it_evaluated():
+    # d_eps is 8.5e-7 here, so f is evaluated at lo = 1/2 + 1e-9, which the
+    # message names, not at d_eps
+    p = Params(n=1, s=0.1, alpha=0.9, eps=10)
+    assert g_and_d_eps(p)[1] < 0.5
+    with pytest.raises(BracketError) as info:
+        solve_critical_d(p)
+    assert str(info.value) == (
+        "f = 12.04 at lo = max(d_eps, 1/2 + 1e-9) = 0.5 is not negative; "
+        "eps = 10 may exceed the smallness threshold for a two-interval "
+        "critical point")
+
+
+def test_walk_up_stops_at_twice_its_start(monkeypatch):
+    # with f < 0 everywhere f is evaluated at lo, d_1 and the Newton step
+    # from it, the walk up goes from there as far as twice that start, and
+    # the probe doubles 64 times: 119 evaluations, where a walk bounded
+    # only by the float range made 1038, up to d = 9.0e307
+    seen = []
+
+    def negative(d, p):
+        seen.append(d)
+        return -1.0
+    monkeypatch.setattr(onedim, "f_closed_form", negative)
+    with pytest.raises(BracketError, match="within 64 doublings"):
+        solve_critical_d(_p())
+    assert len(seen) <= 130
+    start, walk, probe = seen[2], seen[3:-64], seen[-64:]
+    assert all(start < d <= 2.0 * start for d in walk)
+    assert probe == [walk[-1] * 2.0 ** k for k in range(1, 65)]
+
+
 def test_doubling_probe_stops_below_an_infinite_gap(monkeypatch):
-    # with f < 0 everywhere the walk up and the probe run until the next
-    # step would overflow, and raise BracketError there, which a sweep lists
-    # under fit["failed"]: f, which refuses an infinite gap with ParamError,
-    # is never asked for one
+    # with f < 0 everywhere the walk up ends at twice its start, and the
+    # probe, given 2000 doublings, runs until the next one would overflow
+    # and raises BracketError there, which a sweep lists under
+    # fit["failed"]: f, which refuses an infinite gap with ParamError, is
+    # never asked for one
     seen = []
 
     def negative(d, p):

@@ -118,7 +118,8 @@ def test_refuses_a_value_outside_its_range(call, value, rng, error):
 
 
 def test_reproductions_are_refused_with_their_types():
-    # each built or answered before the one rule, or raised TypeError
+    # each built or answered before the one rule, or raised TypeError (or
+    # OverflowError: an integer beyond the float range)
     for call in (lambda: Ball((0, 0), True), lambda: Ball((0, 0), "1"),
                  lambda: IntervalSet([(0, "1")]),
                  lambda: StarShape2D((0, 0), 1.0, ["0.1"]),
@@ -132,7 +133,8 @@ def test_reproductions_are_refused_with_their_types():
                  lambda: epsilon_sweep(P1, [1e-3, 1e-4, 1e-5, True]),
                  lambda: epsilon_sweep(P1, [1e-3, 1e-4, 1e-5, "1e-6"]),
                  lambda: TwoIntervalConfig(d=True, params=P1),
-                 lambda: f_closed_form("2", P1)):
+                 lambda: f_closed_form("2", P1),
+                 lambda: Params(n=2, s=0.5, alpha=0.5, eps=10**400)):
         with pytest.raises(ParamError):
             call()
 

@@ -135,6 +135,11 @@ def test_star_radius_and_volume(mode3_star):
     assert_allclose(volume(mode3_star), np.pi * (1.0 + 0.02), rtol=1e-12)
 
 
+def test_star_repr_names_center_mean_radius_and_modes():
+    star = StarShape2D((0.5, -1.0), 1.0 / 3.0, a=(0.0, 0.0, 0.2))
+    assert repr(star) == "StarShape2D(center=(0.5, -1.0), r0=0.333333, modes=3)"
+
+
 def test_star_rejects_nonpositive_radius():
     with pytest.raises(GeometryError):
         StarShape2D((0.0, 0.0), 1.0, a=(1.5,))
