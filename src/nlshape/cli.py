@@ -15,7 +15,11 @@ the parser builds every subcommand's flags from it.
 Exit codes: 0 success; 1 domain failure (bad geometry, no root found,
 stalled descent, quadrature breakdown); 2 configuration or usage errors,
 every ParamError among them: a parameter out of its range is a
-configuration error wherever the library refuses it.
+configuration error wherever the library refuses it. A config file that
+cannot be read as UTF-8 text, a geometry path that cannot be read (a
+directory) and an output directory that cannot be made (an existing file)
+are configuration errors too; geometry bytes that are not UTF-8 are a bad
+geometry.
 """
 
 from __future__ import annotations
@@ -116,9 +120,13 @@ def load_config(path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigNotFoundError(f"config file not found: {path}")
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
     command = None
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -198,7 +206,11 @@ class _Emitter:
 
     def __init__(self, cfg: RunConfig):
         self.out_dir = Path(cfg.get("out", "."))
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot make output directory {self.out_dir}: {exc}") from None
         self.prefix = cfg.get("prefix", cfg.command)
         self.cfg = cfg
         self.files = []
@@ -234,7 +246,10 @@ def _load_geometry_for(cfg: RunConfig):
     path = cfg.require("geometry")
     if not Path(path).exists():
         raise ConfigError(f"geometry file not found: {path}")
-    return load_geometry(path)
+    try:
+        return load_geometry(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read geometry file {path}: {exc}") from None
 
 
 def _geometry_run(cfg: RunConfig):

@@ -14,7 +14,8 @@ So a star shape or an interval set computes what it determines once, when
 first asked, and keeps the newest _MEMO_ENTRIES such values in one private
 memo (_per_shape): its volume, its diameter, its boundary sweeps per
 Params (functionals._sweep) and, on a star shape, polar at each uniform
-grid (_grid, read-only). The memo is empty after construction (the
+grid (_grid, read-only) and the descent's residual map
+(shapeopt._residual_map). The memo is empty after construction (the
 positivity check keeps nothing), after _positive and after pickle, copy or
 deepcopy, which rebuild the shape through __init__. Threads that race on
 an entry compute the same bits and dict.setdefault keeps one, so instances
@@ -54,7 +55,8 @@ _MIN_POSITIVITY_SAMPLES = 512
 _MIN_RESOLUTION = 8
 # point pairs per block of _pair_blocks (2^14 doubles, 128 KB an array)
 _PAIR_BLOCK = 1 << 14
-# most entries a shape's memo keeps (a 2D diagnose makes 8)
+# most entries a shape's memo keeps (a 2D diagnose makes 8; the last shape
+# of a descent holds 9 after it)
 _MEMO_ENTRIES = 16
 
 
@@ -137,6 +139,17 @@ def _real_array(name: str, values) -> np.ndarray:
         values = out  # the loop below names the first bad entry
     return np.array([_require_real(name, v, error=GeometryError) for v in
                      np.asarray(values, dtype=object).reshape(-1)], dtype=float)
+
+
+def _sequence(name: str, values) -> tuple:
+    """tuple(values), refused (GeometryError) where values is not a
+    sequence, such as a number or None: the structure check of a ball's or
+    a star shape's center, an interval set and an interval."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise GeometryError(
+            f"{name} must be a sequence, got {values!r}") from None
 
 
 def _require_exponent(name: str, value, upper, why: str = "") -> float:
@@ -251,7 +264,12 @@ class IntervalSet:
     def __init__(self, intervals: Sequence[Sequence[float]]):
         end = functools.partial(_require_real, "interval end",
                                 error=GeometryError)
-        ivals = sorted((end(a), end(b)) for a, b in intervals)
+        pairs = [_sequence("interval", ab)
+                 for ab in _sequence("interval set", intervals)]
+        for ab in pairs:
+            if len(ab) != 2:
+                raise GeometryError(f"an interval must have two ends, got {ab}")
+        ivals = sorted((end(a), end(b)) for a, b in pairs)
         if not ivals:
             raise GeometryError("interval set must be nonempty")
         for a, b in ivals:
@@ -312,7 +330,7 @@ class Ball:
 
     def __init__(self, center: Sequence[float], radius: float):
         c = tuple(_require_real("ball center", v, error=GeometryError)
-                  for v in center)
+                  for v in _sequence("ball center", center))
         if len(c) < 1:
             raise GeometryError("ball center needs at least one coordinate")
         object.__setattr__(self, "center", c)
@@ -365,7 +383,10 @@ def _per_shape(fn):
         try:
             return memo[key]
         except KeyError:
-            value = fn(S, *args)
+            pass
+        # a miss is computed outside the except block, so that an error it
+        # raises does not carry the KeyError as its context
+        value = fn(S, *args)
         for old in list(memo)[:max(0, len(memo) + 1 - _MEMO_ENTRIES)]:
             memo.pop(old, None)
         return memo.setdefault(key, value)
@@ -422,7 +443,7 @@ class StarShape2D:
         # floats, r0 as a float, a and b as read-only float arrays of one
         # length; and an empty memo
         c = tuple(_require_real("star shape center", v, error=GeometryError)
-                  for v in center)
+                  for v in _sequence("star shape center", center))
         if len(c) != 2:
             raise GeometryError("star shape center must have two coordinates")
         r0 = _require_real("r0", r0, error=GeometryError)
@@ -732,7 +753,7 @@ def load_geometry(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GeometryError(f"geometry file {path} is not valid JSON: {exc}")
     return geometry_from_dict(d)
 

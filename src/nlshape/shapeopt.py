@@ -28,25 +28,33 @@ search stalls.
 One step:
   1. read the shape's residual map (_residual_map): its boundary sweep,
      lambda_hat = weighted mean of zeta, the residual, the modes of
-     zeta - lambda_hat and F_eps (the sweep is kept on the shape, so the
-     accepted candidate's sweep of the previous step serves
-     find_critical_2d's stopping test, this step and the final diagnose);
+     zeta - lambda_hat and F_eps. The map is kept on the shape, like its
+     sweep, so the accepted candidate's map of the previous step serves
+     find_critical_2d's stopping test and this step, and its sweep the
+     final diagnose;
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
      converts normal speed to radial speed; r is the shape's kept grid);
   4. resample to Fourier coefficients, truncating above k_max -- the
      spectral smoothing that keeps quadrature noise from feeding
-     high-frequency growth;
+     high-frequency growth. A radius that is not positive is a rejected
+     trial (StarShape2D.from_samples refuses it);
   5. rescale to unit area;
   6. read the candidate's residual map, whose F_eps = P_s + eps R_alpha
      comes from the same on-curve passes as its zeta; accept only if F_eps
-     did not increase, else halve the step and retry. The accepted
-     candidate's sweep, kept on it, is step 1 of the next iteration.
+     is at most the F_eps of step 1's map, else halve the step and retry.
+     The accepted candidate's map, kept on it, is step 1 of the next
+     iteration.
 
-Every iteration's first trial is the state's step_size (1, the full Newton
-step, by default); an accepted step leaves it unchanged. The iteration
-certifies criticality (small sup |zeta - lambda_hat|), not minimality.
+The state (OptimizerState) is the trajectory alone: the shape, the first
+trial step, the iteration count, the residuals and the settings it started
+with. F_eps is not held on it, so a step under other Params compares its
+candidates with the F_eps of the shape under those Params; the area of the
+shape is sets.volume's, also kept on the shape. Every iteration's first
+trial is the state's step_size (1, the full Newton step, by default); an
+accepted step leaves it unchanged. The iteration certifies criticality
+(small sup |zeta - lambda_hat|), not minimality.
 """
 
 from __future__ import annotations
@@ -60,8 +68,8 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .errors import GeometryError, ParamError, QuadratureError, StalledError
 from .functionals import DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star, _sweep
-from .sets import (Params, StarShape2D, _require_count, _require_real,
-                   mesh_angles, volume)
+from .sets import (Params, StarShape2D, _per_shape, _require_count,
+                   _require_real, mesh_angles, volume)
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
@@ -81,16 +89,23 @@ _NOOP_FLOOR = 1e-11
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Immutable snapshot of one optimization trajectory."""
+    """Immutable snapshot of one optimization trajectory: the shape it has
+    reached, the first trial step of the next iteration, the iterations
+    taken and the residual each read, and the mesh resolution and mode cap
+    it started with.
+
+    It holds nothing its shape determines. F_eps and the residual are read
+    from the shape's residual map (_residual_map, kept on the shape) under
+    the Params and nq of the call that reads them, and the area from
+    sets.volume, also kept on the shape.
+    """
 
     shape: StarShape2D
     step_size: float
     iteration: int
     residual_history: tuple
-    volume_drift: float
     mesh_resolution: int = DEFAULT_RESOLUTION
     k_max: int = DEFAULT_K_MAX
-    energy: float = math.nan  # F_eps of shape; nan = not yet evaluated
 
 
 def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> StarShape2D:
@@ -119,6 +134,8 @@ def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> Sta
             raise ParamError(f"mode index must be >= 1 in {key!r}")
         if k_max is not None and k > k_max:
             raise ParamError(f"coefficient {key!r} exceeds k_max = {k_max}")
+        if (mode, k) in amp:
+            raise ParamError(f"coefficient {key!r} names mode {mode}{k} again")
         amp[(mode, k)] = v
     if r0 is None:
         raise ParamError("coefficient mapping needs an r0 entry")
@@ -159,8 +176,8 @@ def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
     _require_count("k_max", k_max, 1)
     shape = _as_star(shape)
     return OptimizerState(shape=shape, step_size=step, iteration=0,
-                          residual_history=(), volume_drift=abs(volume(shape) - 1.0),
-                          mesh_resolution=resolution, k_max=k_max)
+                          residual_history=(), mesh_resolution=resolution,
+                          k_max=k_max)
 
 
 def _mode_gaps(q: float, k_max: int) -> np.ndarray:
@@ -205,16 +222,19 @@ def _disk_spectrum(p: Params, k_max: int) -> np.ndarray:
     return np.concatenate([mu[:1], mu[:1], mu])
 
 
+@_per_shape
 def _residual_map(shape, p: Params, resolution: int, nq: int, k_max: int):
     """Everything the descent reads off a shape, as the tuple (bf, lam,
-    residual, modes, f_eps): the boundary sweep bf kept on the shape,
-    lambda_hat and sup |zeta - lambda_hat| from it, the real-FFT modes
-    0..max(2, k_max) of zeta - lambda_hat (fewer when the mesh has fewer),
-    and F_eps = P_s + eps R_alpha. Only the sweep is kept: a second call
-    repeats the rest, which is cheap beside it."""
+    residual, modes, f_eps): the boundary sweep bf, lambda_hat and
+    sup |zeta - lambda_hat| from it, the real-FFT modes 0..max(2, k_max) of
+    zeta - lambda_hat (fewer when the mesh has fewer; read-only) and
+    F_eps = P_s + eps R_alpha. Like the sweep, it is kept on the shape
+    (sets._per_shape), so the stopping test, the step from the shape and
+    the shape's own test as a candidate read one computation."""
     bf = _sweep(shape, p, resolution, nq)
     lam, residual = bf.lambda_hat_and_residual()
     modes = np.fft.rfft(bf.zeta - lam)[:max(2, k_max) + 1]
+    modes.flags.writeable = False
     return bf, lam, residual, modes, bf.perimeter + p.eps * bf.riesz
 
 
@@ -222,12 +242,13 @@ def el_gradient_step(state: OptimizerState, p: Params,
                      nq: int = DEFAULT_NQ) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
 
-    lambda_hat, the residual and the velocity are read from the residual
-    map of the shape, whose sweep is kept on it (the accepted candidate's
-    of the previous step). Each candidate is evaluated by its residual map,
-    one boundary sweep, which gives its F_eps and is kept on it. Raises
-    StalledError (carrying the state) when no energy-non-increasing
-    candidate exists down to the minimal step size.
+    lambda_hat, the residual, the velocity and the F_eps every candidate is
+    compared with are read from the residual map of the state's shape under
+    p and nq, kept on the shape (the accepted candidate's of the previous
+    step). Each candidate is evaluated by its own residual map, one boundary
+    sweep, which is kept on it. Raises StalledError (carrying the state)
+    when no energy-non-increasing candidate exists down to the minimal step
+    size.
     """
     shape = state.shape
     res = state.mesh_resolution
@@ -240,8 +261,6 @@ def el_gradient_step(state: OptimizerState, p: Params,
         return replace(state, iteration=state.iteration + 1,
                        residual_history=history)
 
-    base = f_eps if math.isnan(state.energy) else state.energy
-
     # the Newton step at the disk: mode k of zeta - lambda_hat divided by
     # mu_k, applied as the normal speed v * J / r at the mesh angles
     mesh = bf.mesh
@@ -252,24 +271,19 @@ def el_gradient_step(state: OptimizerState, p: Params,
 
     step = state.step_size
     while step >= _MIN_STEP:
-        dr = -step * v * speed / r
-        cand_samples = r + dr
-        if cand_samples.min() > 0.0:
-            try:
-                cand = StarShape2D.from_samples(shape.center, cand_samples,
-                                                state.k_max)
-            except GeometryError:
-                # the k_max-truncated series dips below zero between the
-                # mesh angles: a rejected trial like an energy increase
-                step *= 0.5
-                continue
-            cand = volume_project(cand)
-            f_cand = _residual_map(cand, p, res, nq, state.k_max)[4]
-            if f_cand <= base:
-                return replace(state, shape=cand, iteration=state.iteration + 1,
-                               residual_history=history,
-                               volume_drift=abs(volume(cand) - 1.0),
-                               energy=f_cand)
+        try:
+            cand = StarShape2D.from_samples(
+                shape.center, r - step * v * speed / r, state.k_max)
+        except GeometryError:
+            # a radius that is not positive, at a mesh angle or between
+            # them once the series is cut at k_max: a rejected trial like
+            # an energy increase
+            step *= 0.5
+            continue
+        cand = volume_project(cand)
+        if _residual_map(cand, p, res, nq, state.k_max)[4] <= f_eps:
+            return replace(state, shape=cand, iteration=state.iteration + 1,
+                           residual_history=history)
         step *= 0.5
     raise StalledError(
         f"no energy-non-increasing step found above step={_MIN_STEP:g} "
@@ -294,17 +308,15 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     a real number (a bool among them) raises ParamError, and so does a
     max_iter that is a bool, not an integer, or negative.
     """
-    if p.n != 2:
-        raise ParamError(f"planar search needs n = 2, got n = {p.n}")
     tol = _require_real("tol", tol, "[0, inf]")
     _require_count("max_iter", max_iter, 0)
     state = initial_state(init, resolution=resolution, k_max=k_max, step=step)
     init = state.shape
-    if state.volume_drift > 1e-8:
+    if abs(volume(init) - 1.0) > 1e-8:
         raise GeometryError(
             f"initial shape must have unit area (got {volume(init)!r}); "
             "apply volume_project first")
-    # each shape is swept once: its sweep is kept on it
+    # each shape's residual map is computed once: it is kept on the shape
     while state.iteration < max_iter:
         residual = _residual_map(state.shape, p, resolution, nq, k_max)[2]
         if residual <= tol:

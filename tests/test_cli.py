@@ -158,13 +158,53 @@ def test_overflowing_geometry_is_refused_as_such(tmp_path, capsys):
      "interval end must lie in (-inf, inf), got '1'"),
     ('{"kind": "star", "center": [0, 0], "r0": 2, "cos": [true]}',
      "a coefficient must lie in (-inf, inf), got True"),
-], ids=["ball-radius-bool", "interval-end-str", "star-cos-bool"])
+    # a center or interval of the wrong structure ended in a traceback
+    ('{"kind": "star", "center": 5, "r0": 1}',
+     "star shape center must be a sequence, got 5"),
+    ('{"kind": "star", "center": null, "r0": 1}',
+     "star shape center must be a sequence, got None"),
+    ('{"kind": "ball", "center": 5, "radius": 1}',
+     "ball center must be a sequence, got 5"),
+    ('{"kind": "intervals", "intervals": [[0, 1, 2]]}',
+     "an interval must have two ends, got (0, 1, 2)"),
+    ('{"kind": "intervals", "intervals": 5}',
+     "interval set must be a sequence, got 5"),
+], ids=["ball-radius-bool", "interval-end-str", "star-cos-bool",
+        "star-center-number", "star-center-null", "ball-center-number",
+        "interval-three-ends", "intervals-number"])
 def test_geometry_file_numbers_are_refused_as_geometry(tmp_path, capsys, text,
                                                        message):
     bad = _write(tmp_path, "bad.json", text)
     assert main(["energy", "--s", "0.5", "--alpha", "0.5",
                  "--geometry", str(bad), "--out", str(tmp_path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+# a file the CLI cannot read ended in IsADirectoryError, UnicodeDecodeError
+# or FileExistsError, each with a traceback and exit 1
+@pytest.mark.parametrize("argv, code, message", [
+    (["--config", "DIR", "energy"], 2, "cannot read config file"),
+    (["--config", "LATIN1", "energy"], 2, "cannot read config file"),
+    (["energy", "--geometry", "DIR"], 2, "cannot read geometry file"),
+    (["energy", "--geometry", "LATIN1"], 1, "is not valid JSON"),
+    (["energy", "--geometry", "STAR", "--out", "FILE"], 2,
+     "cannot make output directory"),
+], ids=["config-directory", "config-not-utf8", "geometry-directory",
+        "geometry-not-utf8", "out-is-a-file"])
+def test_unreadable_files_exit_with_their_code(tmp_path, capsys, argv, code,
+                                               message):
+    (tmp_path / "dir").mkdir()
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("s = 0.5 # \xe9\n".encode("latin-1"))
+    files = {"DIR": tmp_path / "dir", "LATIN1": latin1,
+             "STAR": _star_geom(tmp_path),
+             "FILE": _write(tmp_path, "file.txt", "")}
+    argv = [str(files.get(a, a)) for a in argv]
+    out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *_SA, *out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_onedim_rejects_planar_dimension(capsys):
@@ -244,7 +284,8 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
     ([*_OPT, "--step", "-1"], 2, "step must lie in (0, inf)"),
     (["onedim-root", *_SA, "--eps", "1e-3", "--n", "2"], 2,
      "needs n = 1, got n = 2"),
-    ([*_OPT, "--n", "1"], 2, "needs n = 2, got n = 1"),
+    ([*_OPT, "--n", "1"], 2,
+     "params have n = 1, but the StarShape2D lies in dimension 2"),
     (["onedim-root", *_SA, "--eps", "1e-3", "--f-tol", "nan"], 2,
      "f_tol must lie in [0, inf)"),
     ([*_OPT, "--tol", "nan"], 2, "tol must lie in [0, inf]"),
@@ -528,6 +569,23 @@ def test_optimize2d_projects_init_volume(tmp_path):
                  "--tol", "1e-3", "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "optimize2d.meta.json").read_text())
     assert meta["final_volume"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_optimize2d_from_a_star_writes_its_modes(tmp_path):
+    # the descent's shape keeps its coefficients as numpy floats; the shape
+    # file holds them as JSON numbers and reads back as that shape
+    init = _star_geom(tmp_path)
+    assert main([*_OPT, "--init", str(init), "--tol", "1e-3",
+                 "--out", str(tmp_path)]) == 0
+    got = load_geometry(tmp_path / "optimize2d.shape.json")
+    want, _, state = shapeopt.find_critical_2d(
+        volume_project(load_geometry(init)),
+        Params(n=2, s=0.5, alpha=0.5, eps=1e-3), tol=1e-3, resolution=32,
+        nq=8, full_output=True)
+    assert state.iteration >= 1 and want.kmax > 0
+    assert got.center == want.center and got.r0 == want.r0
+    assert got.a.tobytes() == want.a.tobytes()
+    assert got.b.tobytes() == want.b.tobytes()
 
 
 def test_calibrate_closed_form(tmp_path):

@@ -150,6 +150,15 @@ CERTIFICATE_STARS = [
 ] + [star for star in _old_generator_stars(6) if star.kmax > 0]
 
 
+def test_rho_exchange_ends_at_a_singular_reference():
+    # points on one ray from the start have one unit vector, so the
+    # exchange's system is singular: the search ends, with the exact width
+    # at the start
+    from nlshape.diagnostics import _min_zone
+    c, width = _min_zone(np.arange(1.0, 9.0), np.zeros(8), (0.0, 0.0), 1.0)
+    assert tuple(c) == (0.0, 0.0) and width == 7.0
+
+
 @pytest.mark.parametrize("star", CERTIFICATE_STARS)
 def test_rho_exchange_certificate(star):
     # at the returned center two samples lie farthest and two nearest,

@@ -236,6 +236,50 @@ def test_walk_up_stops_at_twice_its_start(monkeypatch):
     assert probe == [walk[-1] * 2.0 ** k for k in range(1, 65)]
 
 
+def test_newton_step_keeps_a_gap_whose_power_overflows():
+    # d^(1 + alpha) overflows at d = 1e300: the step keeps d
+    assert onedim._newton_step(_p(), 1e300, 1.0) == 1e300
+
+
+def test_bracket_is_lo_to_the_start_when_the_newton_step_passes_lo(
+        monkeypatch):
+    # f is large and positive at d_1, so the Newton step from it lands below
+    # lo: (lo, d_1) is the bracket, and f is evaluated at d_1 alone
+    p = _p()
+    lo, d_1 = 0.6, onedim._second_order_root(p, g_and_d_eps(p)[1])
+    seen = []
+
+    def steep(d, p):
+        seen.append(d)
+        return 1e30
+    monkeypatch.setattr(onedim, "f_closed_form", steep)
+    assert onedim._newton_step(p, d_1, 1e30) <= lo < d_1
+    assert onedim._bracket(p, lo, -1.0, g_and_d_eps(p)[1]) == (
+        lo, -1.0, d_1, 1e30)
+    assert seen == [d_1]
+
+
+def test_bracket_walk_down_stops_at_lo(monkeypatch):
+    # f is positive but below the Newton step's resolution everywhere above
+    # lo: the step keeps d_1, and the walk down from it doubles its step
+    # until the next point would not lie above lo; (lo, the last point) is
+    # the bracket
+    p = _p()
+    lo, d_1 = 0.6, onedim._second_order_root(p, g_and_d_eps(p)[1])
+    seen = []
+
+    def flat(d, p):
+        seen.append(d)
+        return 1e-300
+    monkeypatch.setattr(onedim, "f_closed_form", flat)
+    assert onedim._newton_step(p, d_1, 1e-300) == d_1
+    got = onedim._bracket(p, lo, -1.0, g_and_d_eps(p)[1])
+    assert got == (lo, -1.0, seen[-1], 1e-300)
+    assert seen[0] == d_1 and all(lo < d < d_1 for d in seen[1:])
+    # one more doubled step from the last point would reach lo
+    assert seen[-1] - 2.0 * (seen[-2] - seen[-1]) <= lo
+
+
 def test_doubling_probe_stops_below_an_infinite_gap(monkeypatch):
     # with f < 0 everywhere the walk up ends at twice its start, and the
     # probe, given 2000 doublings, runs until the next one would overflow

@@ -281,6 +281,16 @@ def test_star_memo_keeps_the_newest_grids(mode3_star):
         assert np.array_equal(got, ref)
 
 
+def test_memo_miss_refusal_carries_no_key_error():
+    # an error raised while a memo miss is computed carried the miss's
+    # KeyError as its context ("During handling of the above exception")
+    from nlshape.diagnostics import lambda_hat_and_residual
+    with pytest.raises(ParamError, match="params have n = 1") as exc:
+        lambda_hat_and_residual(StarShape2D((0, 0), 1.0),
+                                Params(n=1, s=0.5, alpha=0.5, eps=1e-3), 64, 16)
+    assert exc.value.__context__ is None
+
+
 def test_star_volume_and_diameter_take_s_by_keyword(mode3_star):
     vol, diam = volume(mode3_star), diameter(mode3_star)
     assert (volume(S=mode3_star), diameter(S=mode3_star)) == (vol, diam)
@@ -591,6 +601,22 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      "star shape center must have two coordinates"),
     (lambda: StarShape2D.from_samples((0.0, 0.0), [1.0, 1.0, 1.0]),
      GeometryError, "need at least 4 samples"),
+    # a center, interval list or interval of the wrong structure raised
+    # TypeError or ValueError
+    (lambda: StarShape2D(5, 1.0), GeometryError,
+     "star shape center must be a sequence, got 5"),
+    (lambda: StarShape2D(None, 1.0), GeometryError,
+     "star shape center must be a sequence, got None"),
+    (lambda: Ball(0.0, 1.0), GeometryError,
+     "ball center must be a sequence, got 0.0"),
+    (lambda: IntervalSet(5), GeometryError,
+     "interval set must be a sequence, got 5"),
+    (lambda: IntervalSet([5]), GeometryError,
+     "interval must be a sequence, got 5"),
+    (lambda: IntervalSet([[0, 1, 2]]), GeometryError,
+     r"an interval must have two ends, got \(0, 1, 2\)"),
+    (lambda: IntervalSet([[0]]), GeometryError,
+     r"an interval must have two ends, got \(0,\)"),
     (lambda: geometry_from_dict({"center": [0, 0]}), GeometryError,
      "needs a 'kind' field"),
     (lambda: geometry_from_dict({"kind": "torus"}), GeometryError,
@@ -604,8 +630,10 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
         "c-var-complex", "with-eps-bool", "with-eps-str", "intervals-empty",
         "interval-infinite-end",
         "ball-no-center", "ball-radius-0", "star-center-3d",
-        "star-3-samples", "dict-no-kind", "dict-unknown-kind",
-        "dict-star-3-samples"])
+        "star-3-samples", "star-center-number", "star-center-none",
+        "ball-center-number", "intervals-number", "interval-number",
+        "interval-three-ends", "interval-one-end", "dict-no-kind",
+        "dict-unknown-kind", "dict-star-3-samples"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
