@@ -183,12 +183,13 @@ def _write_csv(path: Path, header, rows):
 
 
 def _json_safe(obj):
+    """A payload as strict JSON values: numpy scalars as Python numbers and
+    a non-finite float as None (null). The payloads hold dicts, lists,
+    tuples and scalars, no arrays."""
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):

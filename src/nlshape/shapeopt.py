@@ -30,8 +30,8 @@ One step:
      lambda_hat = weighted mean of zeta, the residual, the modes of
      zeta - lambda_hat and F_eps. The map is kept on the shape, like its
      sweep, so the accepted candidate's map of the previous step serves
-     find_critical_2d's stopping test and this step, and its sweep the
-     final diagnose;
+     find_critical_2d's stopping test and this step, and the final shape's
+     sweep at the requested mesh the final diagnose;
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
@@ -46,6 +46,16 @@ One step:
      is at most the F_eps of step 1's map, else halve the step and retry.
      The accepted candidate's map, kept on it, is step 1 of the next
      iteration.
+
+find_critical_2d runs these steps on two meshes. It steps on a coarse mesh
+of min(m, _TARGETS_PER_MODE (k_max + 1)) targets, which resolves the
+shape's k_max modes, and moves to the requested resolution m when the
+coarse residual meets tol or the no-op floor, or a coarse step stalls; it
+steps on at m until the residual there meets tol. The final shape is swept
+once at (m, nq), and that sweep serves the stopping test, the report and
+diagnose, so everything the solve returns is read at m. Each entry of
+residual_history is read on the mesh of its step. At m the first residual
+at the no-op floor ends the solve, with no idle iteration counted.
 
 The state (OptimizerState) is the trajectory alone: the shape, the first
 trial step, the iteration count, the residuals and the settings it started
@@ -85,6 +95,8 @@ _MU_FLOOR = 1e-3
 # residual at or below this is quadrature noise: the step is a no-op rather
 # than a fight against roundoff (exact critical points must be fixed points)
 _NOOP_FLOOR = 1e-11
+# find_critical_2d steps on a mesh of this many targets per kept mode
+_TARGETS_PER_MODE = 5
 
 
 @dataclass(frozen=True)
@@ -238,6 +250,12 @@ def _residual_map(shape, p: Params, resolution: int, nq: int, k_max: int):
     return bf, lam, residual, modes, bf.perimeter + p.eps * bf.riesz
 
 
+def _at_floor(lam: float, residual: float) -> bool:
+    """Whether a residual is at the no-op floor, _NOOP_FLOOR times
+    max(1, |lambda_hat|): quadrature noise that a step would only fight."""
+    return residual <= _NOOP_FLOOR * max(1.0, abs(lam))
+
+
 def el_gradient_step(state: OptimizerState, p: Params,
                      nq: int = DEFAULT_NQ) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
@@ -256,8 +274,7 @@ def el_gradient_step(state: OptimizerState, p: Params,
                                                    state.k_max)
     history = state.residual_history + (residual,)
 
-    scale = max(1.0, abs(lam))
-    if residual <= _NOOP_FLOOR * scale:
+    if _at_floor(lam, residual):
         return replace(state, iteration=state.iteration + 1,
                        residual_history=history)
 
@@ -301,12 +318,23 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
 
     init must already have unit area (use volume_project). Returns
     (shape, DiagnosticsReport), or (shape, report, OptimizerState) with
-    full_output. Hitting max_iter returns normally with the residual visible
-    in the report; a stall with the residual still above tol raises
-    StalledError. tol = inf or max_iter = 0 takes no step: it diagnoses
-    init. A NaN or negative tol, which no residual meets, or one that is not
-    a real number (a bool among them) raises ParamError, and so does a
-    max_iter that is a bool, not an integer, or negative.
+    full_output.
+
+    The steps run on a mesh of min(resolution, 5 (k_max + 1)) targets. The
+    solve moves to the requested resolution when the residual on that mesh
+    meets tol or the no-op floor (_NOOP_FLOOR max(1, |lambda_hat|)), or a
+    step there raises StalledError, and steps on at resolution until the
+    residual there meets tol. The report and the returned or raised state
+    (its mesh_resolution is resolution) are read at resolution; each entry
+    of residual_history is read on the mesh of its step.
+
+    Hitting max_iter, or a residual at the no-op floor at resolution,
+    returns normally with the residual visible in the report; a stall at
+    resolution with the residual still above tol raises StalledError.
+    tol = inf or max_iter = 0 takes no step: it diagnoses init. A NaN or
+    negative tol, which no residual meets, or one that is not a real number
+    (a bool among them) raises ParamError, and so does a max_iter that is a
+    bool, not an integer, or negative.
     """
     tol = _require_real("tol", tol, "[0, inf]")
     _require_count("max_iter", max_iter, 0)
@@ -316,15 +344,27 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
         raise GeometryError(
             f"initial shape must have unit area (got {volume(init)!r}); "
             "apply volume_project first")
-    # each shape's residual map is computed once: it is kept on the shape
+    # each shape's residual map is computed once per mesh: it is kept on it
+    state = replace(state, mesh_resolution=min(
+        resolution, _TARGETS_PER_MODE * (k_max + 1)))
     while state.iteration < max_iter:
-        residual = _residual_map(state.shape, p, resolution, nq, k_max)[2]
-        if residual <= tol:
+        mesh = state.mesh_resolution
+        _, lam, residual = _residual_map(state.shape, p, mesh, nq, k_max)[:3]
+        if residual <= tol or _at_floor(lam, residual):
+            if mesh < resolution:
+                state = replace(state, mesh_resolution=resolution)
+                continue
             state = replace(
                 state, residual_history=state.residual_history + (residual,))
             break
-        # a stall here has the swept residual above tol, so it propagates
-        state = el_gradient_step(state, p, nq)
+        try:
+            state = el_gradient_step(state, p, nq)
+        except StalledError:
+            # a stall at the requested mesh has its residual above tol
+            if mesh == resolution:
+                raise
+            state = replace(state, mesh_resolution=resolution)
+    state = replace(state, mesh_resolution=resolution)
     report = diagnose(state.shape, p, resolution, nq,
                       with_identities=with_identities)
     return (state.shape, report, state) if full_output else (state.shape, report)

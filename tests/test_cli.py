@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nlshape.cli import RunConfig, load_config, main, run_command
@@ -586,6 +587,35 @@ def test_optimize2d_from_a_star_writes_its_modes(tmp_path):
     assert got.center == want.center and got.r0 == want.r0
     assert got.a.tobytes() == want.a.tobytes()
     assert got.b.tobytes() == want.b.tobytes()
+
+
+def test_non_finite_report_values_are_written_as_null(tmp_path,
+                                                     monkeypatch):
+    # the report file is strict JSON: a non-finite value, a Python or a
+    # numpy float, reads back as null, which the benchmark's audit reads as
+    # a missing value
+    from dataclasses import replace
+
+    from nlshape import cli
+
+    def non_finite(*args, **kwargs):
+        report = diagnostics.diagnose(*args, **kwargs)
+        return replace(report, rho=math.nan, error_estimates={
+            **report.error_estimates, "perimeter": math.inf,
+            "riesz": np.float64(-math.inf)})
+    monkeypatch.setattr(cli, "diagnose", non_finite)
+    assert main(["diagnose", "--geometry", str(_star_geom(tmp_path)), *_SA,
+                 "--eps", "1e-3", "--resolution", "32", "--nq", "8",
+                 "--out", str(tmp_path)]) == 0
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} written to the report")
+    report = json.loads((tmp_path / "diagnose.report.json").read_text(),
+                        parse_constant=refuse)
+    assert report["rho"] is None
+    assert report["error_estimates"]["perimeter"] is None
+    assert report["error_estimates"]["riesz"] is None
+    assert math.isfinite(report["el_residual"])
 
 
 def test_calibrate_closed_form(tmp_path):

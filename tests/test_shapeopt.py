@@ -293,9 +293,11 @@ def test_step_reads_the_energy_of_its_shape_under_its_params():
 
 def test_find_critical_maps_each_shape_once(monkeypatch):
     # the stopping test, the step from a shape and the shape's test as a
-    # candidate read one residual map, kept on the shape: its part beyond
-    # the sweep (lambda_hat, the residual, the modes) runs once per shape
-    # the solve evaluates. It ran three times per accepted shape
+    # candidate read one residual map per mesh, kept on the shape: its part
+    # beyond the sweep (lambda_hat, the residual, the modes) runs once per
+    # shape and mesh. At 128/32 and k_max 12 the steps run on 65 targets,
+    # and the last shape they reach is mapped once more, at 128. Before the
+    # coarse mesh, every shape was mapped once, at 128
     init = volume_project(fourier_shape(
         {"r0": 1.0, "a2": 0.09, "b3": -0.075, "a4": 0.06, "b5": 0.105}))
     calls, candidates = [], []
@@ -316,10 +318,13 @@ def test_find_critical_maps_each_shape_once(monkeypatch):
     sh, _, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
                                  full_output=True)
     monkeypatch.undo()
-    assert len(candidates) > st.iteration >= 3
-    assert len(calls) == len({id(bf) for bf in calls}) == 1 + len(candidates)
-    assert all(bf is functionals._sweep(S, P2, 128, 32)
-               for bf, S in zip(calls, [init, *candidates]))
+    assert len(candidates) >= st.iteration >= 3 and candidates[-1] is sh
+    assert len(calls) == len({id(bf) for bf in calls}) == 2 + len(candidates)
+    assert [bf.zeta.size for bf in calls] == [65] * (1 + len(candidates)) + [128]
+    shapes = [init, *candidates, sh]
+    assert all(bf is functionals._sweep(S, P2, bf.zeta.size, 32)
+               for bf, S in zip(calls, shapes))
+    assert st.mesh_resolution == 128
 
 
 def test_disk_is_a_fixed_point():
@@ -584,6 +589,143 @@ def test_find_critical_max_iter_returns_normally():
     assert rep.el_residual > 1e-12
 
 
+# ------------------------------------------------------------ the coarse mesh
+
+def _recorded_steps(monkeypatch):
+    """The list of every state el_gradient_step is called with, filled as
+    the solve runs."""
+    step = shapeopt.el_gradient_step
+    calls = []
+
+    def recording(state, *args, **kwargs):
+        calls.append(state)
+        return step(state, *args, **kwargs)
+    monkeypatch.setattr(shapeopt, "el_gradient_step", recording)
+    return calls
+
+
+def test_coarse_residual_at_tol_continues_at_the_requested_mesh(monkeypatch):
+    # at 128/32, k_max 12, the steps run on 65 targets. After 7 steps the
+    # shape's residual reads 6.084e-8 on them and 6.227e-8 at 128: a tol
+    # between the two hands the shape over, and the descent steps on at 128
+    # until the residual there meets tol
+    init = volume_project(fourier_shape(
+        {"r0": 1.0, "a2": 0.09, "b3": -0.075, "a4": 0.06, "b5": 0.105}))
+    tol = 6.15e-8
+    calls = _recorded_steps(monkeypatch)
+    sh, rep, st = find_critical_2d(init, P2, tol=tol, resolution=128, nq=32,
+                                   full_output=True)
+    monkeypatch.undo()
+    meshes = [state.mesh_resolution for state in calls]
+    assert meshes == [65] * 7 + [128] * (len(meshes) - 7) and len(meshes) > 7
+    handed = calls[7].shape
+    assert shapeopt._residual_map(handed, P2, 65, 32, 12)[2] <= tol
+    assert shapeopt._residual_map(handed, P2, 128, 32, 12)[2] > tol
+    assert st.mesh_resolution == 128 and st.iteration == len(calls)
+    assert rep.el_residual == st.residual_history[-1] <= tol
+    # each entry of the history is read on the mesh of its step
+    assert st.residual_history[7] == \
+        shapeopt._residual_map(handed, P2, 128, 32, 12)[2]
+
+
+def test_a_two_mode_descent_certifies_at_the_requested_mesh(monkeypatch):
+    # k_max 2 steps on 15 targets; the start's modes 3-5 are cut by the
+    # first step, and the shape that meets tol there meets it at 128 too
+    init = volume_project(fourier_shape(
+        {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
+    calls = _recorded_steps(monkeypatch)
+    sh, rep, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
+                                   k_max=2, full_output=True)
+    monkeypatch.undo()
+    assert {state.mesh_resolution for state in calls} == {15}
+    assert sh.kmax == 2 and st.mesh_resolution == 128
+    assert rep.el_residual == st.residual_history[-1] <= 1e-8
+    assert rep.as_dict() == diagnostics.diagnose(
+        _fresh(sh), P2, 128, 32, with_identities=False).as_dict()
+
+
+def test_a_mesh_at_most_the_coarse_one_sweeps_every_candidate_at_it(
+        monkeypatch):
+    # 5 (12 + 1) = 65 targets exceed 64: the descent steps at 64 throughout
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2:4])
+        return boundary_fields(*args, **kwargs)
+    monkeypatch.setattr(functionals, "boundary_fields", counted)
+    sh, rep, st = find_critical_2d(_star(), P2, tol=1e-6, resolution=64,
+                                   nq=16, full_output=True)
+    monkeypatch.undo()
+    assert st.iteration >= 2
+    assert sweeps[:-1] == [(64, 16)] * (len(sweeps) - 1)
+    assert sweeps[-1] == (64, 32)
+
+
+def test_a_coarse_stall_hands_over_to_the_requested_mesh(monkeypatch):
+    # a step that stalls on the coarse mesh does not end the solve: the
+    # same shape steps again at the requested mesh
+    step = shapeopt.el_gradient_step
+    calls = []
+
+    def stalls_coarse(state, *args, **kwargs):
+        calls.append(state)
+        if state.mesh_resolution < 128:
+            raise StalledError("coarse stall", state=state)
+        return step(state, *args, **kwargs)
+    monkeypatch.setattr(shapeopt, "el_gradient_step", stalls_coarse)
+    init = _star()
+    sh, rep, st = find_critical_2d(init, P2, tol=1e-6, resolution=128, nq=32,
+                                   full_output=True)
+    monkeypatch.undo()
+    assert calls[0].mesh_resolution == 65 and calls[1].shape is init
+    assert [state.mesh_resolution for state in calls[1:]] == \
+        [128] * (len(calls) - 1)
+    assert st.iteration == len(calls) - 1
+    assert rep.el_residual == st.residual_history[-1] <= 1e-6
+
+
+def test_max_iter_on_the_coarse_mesh_reports_at_the_requested_one():
+    # two steps on 65 targets cannot reach tol; the state and the report
+    # are read at 128 all the same
+    sh, rep, st = find_critical_2d(_star(), P2, tol=1e-12, max_iter=2,
+                                   resolution=128, nq=32, full_output=True)
+    assert st.iteration == 2 and st.mesh_resolution == 128
+    assert len(st.residual_history) == 2
+    assert rep.as_dict() == diagnostics.diagnose(
+        _fresh(sh), P2, 128, 32, with_identities=False).as_dict()
+    assert rep.el_residual > 1e-12
+
+
+# the first seed-101 descent start of the benchmark, at unit area
+_SEED_101_START = {
+    "r0": 1.0, "a2": -0.010686994423661528, "b2": 0.03737265832576755,
+    "a3": 0.02404620811703893, "b3": -0.0126881871655741,
+    "a4": 0.02432616199796952, "b4": -0.02612374371883693,
+    "a5": -0.02091708197615609, "b5": 0.023986291641635023}
+
+
+def test_the_no_op_floor_ends_the_descent(monkeypatch):
+    # at eps 10, tol 1e-10, 128/32 and k_max 8 the residual reaches the
+    # no-op floor, 1e-11 |lambda_hat|, above tol. The descent stopped there
+    # only at max_iter 500, after 494 idle iterations; it now returns at the
+    # first shape at the floor, with its residual in the report, and counts
+    # no idle step
+    init = volume_project(fourier_shape(_SEED_101_START))
+    p = P2.with_eps(10.0)
+    calls = _recorded_steps(monkeypatch)
+    sh, rep, st = find_critical_2d(init, p, tol=1e-10, resolution=128, nq=32,
+                                   k_max=8, full_output=True)
+    monkeypatch.undo()
+    # every step moved the shape: none was a no-op
+    assert st.iteration == len(calls) <= 10
+    assert len({id(S) for S in [*(state.shape for state in calls), sh]}) == \
+        len(calls) + 1
+    _, lam, residual = shapeopt._residual_map(sh, p, 128, 32, 8)[:3]
+    assert 1e-10 < residual <= shapeopt._NOOP_FLOOR * abs(lam)
+    assert rep.el_residual == st.residual_history[-1] == residual
+    assert len(st.residual_history) == st.iteration + 1
+
+
 def _fresh(shape):
     """An equal shape with an empty memo, so that what is computed on it is
     computed again."""
@@ -600,37 +742,45 @@ def test_find_critical_diagnoses_with_its_last_sweep(monkeypatch):
     sweeps = []
 
     def counted(*args, **kwargs):
-        sweeps.append(args[0])
+        sweeps.append((args[0], args[2], args[3]))
         return boundary_fields(*args, **kwargs)
     monkeypatch.setattr(functionals, "boundary_fields", counted)
     sh, rep, st = find_critical_2d(init, P2, resolution=128, nq=32,
                                    full_output=True)
-    solve = len(sweeps)
+    solve = sweeps[:]
     fresh = diagnostics.diagnose(_fresh(sh), P2, 128, 32,
                                  with_identities=False)
     assert rep.as_dict() == fresh.as_dict()
     # the start's sweep and one per candidate (each accepted here at its
-    # first trial), then only the 2 nq sweep of diagnose, which sweeps twice
-    # on its own
+    # first trial) on the 65-target mesh, one of the final shape at 128,
+    # then only the 2 nq sweep of diagnose, which sweeps twice on its own.
+    # Before the coarse mesh, the start and every candidate were swept at
+    # 128 and the final shape's sweep was its sweep as a candidate
     assert st.iteration >= 1
-    assert solve == st.iteration + 2
-    assert len(sweeps) - solve == 2
+    assert [(m, nq) for _, m, nq in solve] == \
+        [(65, 32)] * (st.iteration + 1) + [(128, 32), (128, 64)]
+    assert solve[-2][0] is solve[-3][0] is sh
+    assert [(m, nq) for _, m, nq in sweeps[len(solve):]] == [(128, 32),
+                                                           (128, 64)]
 
 
 def test_find_critical_sweeps_each_shape_once(monkeypatch):
-    # every evaluated shape, the start and each candidate, is swept once, and
-    # that sweep gives its energy: no energy functional runs in the solve.
-    # The final diagnose reads the held sweep at nq and sweeps once at 2 nq
+    # every evaluated shape, the start and each candidate, is swept once on
+    # the 65-target mesh of the steps, and that sweep gives its energy: no
+    # energy functional runs in the solve. The final shape is swept once
+    # more, at the requested 128; the final diagnose reads that sweep at nq
+    # and sweeps once at 2 nq. Before the coarse mesh, the start and every
+    # candidate were swept once at 128 and nothing else was swept at nq
     from nlshape import functionals
     init = volume_project(fourier_shape(
-        {"r0": 1.0, "a2": 0.09, "b3": -0.075, "a4": 0.06, "b5": 0.105}))
+        {"r0": 1.0, "a2": 0.03, "b3": -0.025, "a4": 0.02, "b5": 0.035}))
     calls = []
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, args[3] if len(args) > 3 else kwargs.get("nq")))
+            calls.append((name, args[2:4]))
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -640,9 +790,9 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
                          (functionals, "frac_perimeter"),
                          (functionals, "riesz_energy")):
         counted(module, name)
-    # at tol 1e-8 the line search rejects some candidates (22 for 12 steps),
-    # all of them below residual 2e-6, where a full step's F_eps differs
-    # from the held one by a few ulps
+    # at tol 1e-8 the line search rejects some candidates (3 for 7 steps),
+    # below residual 1e-5, where a full step's F_eps differs from the held
+    # one by a few ulps
     sh, rep, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
                                    full_output=True)
     monkeypatch.undo()
@@ -650,8 +800,8 @@ def test_find_critical_sweeps_each_shape_once(monkeypatch):
     candidates = names.count("volume_project")
     assert candidates > st.iteration >= 1
     assert set(names) == {"boundary_fields", "volume_project"}
-    sweeps = [nq for name, nq in calls if name == "boundary_fields"]
-    assert sweeps == [32] * (1 + candidates) + [64]
+    sweeps = [mesh for name, mesh in calls if name == "boundary_fields"]
+    assert sweeps == [(65, 32)] * (1 + candidates) + [(128, 32), (128, 64)]
     # the held sweep's energy terms are the functionals' values, bit for bit
     per = frac_perimeter(sh, P2.s, 128, 32)
     rz = riesz_energy(sh, P2.alpha, 128, 32)
@@ -689,9 +839,12 @@ def test_held_sweep_is_not_part_of_the_state(monkeypatch):
 
 
 def test_accepted_candidate_grid_is_evaluated_once(monkeypatch):
-    # an accepted candidate's radius at the mesh angles comes from one polar
-    # call: its sweep's mesh, its volume (volume_drift) and the next step's
-    # r read the grid kept on it, and so does the final diagnose
+    # an accepted candidate's radius at the angles of a mesh comes from one
+    # polar call per mesh: its sweep's mesh and the next step's r read the
+    # grid of the 65-target mesh kept on it, and the final shape's sweep at
+    # 256, its volume (volume_drift) and the final diagnose the grid of 256
+    # kept on it. Before the coarse mesh, every accepted candidate had the
+    # one grid of 256
     accepted = []
     step = shapeopt.el_gradient_step
 
@@ -708,10 +861,15 @@ def test_accepted_candidate_grid_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(shapeopt, "el_gradient_step", recording)
     monkeypatch.setattr(StarShape2D, "polar", counting)
     sh, rep = find_critical_2d(_star(), P2, tol=1e-8, resolution=256, nq=16)
+    volume(sh)
     monkeypatch.undo()
     assert len(accepted) >= 3 and accepted[-1] is sh
-    for shape in accepted:
-        assert sum(1 for s, m in grids if s is shape and m == 256) == 1
+    for shape in accepted[:-1]:
+        assert [m for s, m in grids if s is shape] == [65]
+    # the diagnose adds the grids of rho and the diameter (512) and of
+    # ball_map_mu (1024), each once
+    final = [m for s, m in grids if s is sh]
+    assert final[:2] == [65, 256] and len(set(final)) == len(final)
 
 
 def test_find_critical_tangential_check_reads_the_held_sweep(monkeypatch):
