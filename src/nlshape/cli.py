@@ -78,7 +78,6 @@ _KEYS = {
     "k_max": (int, "highest retained Fourier mode", _OPT),
     "tol": (float, "target residual", _OPT),
     "max_iter": (int, "iteration cap", _OPT),
-    "step": (float, "first trial step of each descent iteration", _OPT),
     "radii": (str, "comma-separated ball radii for calibration", ()),
 }
 
@@ -386,7 +385,7 @@ def _run_optimize2d(cfg, emit):
         init = StarShape2D((0.0, 0.0), 1.0)
     # only the knobs that are set are passed, so find_critical_2d's own
     # defaults apply to the rest
-    knobs = {k: cfg.values[k] for k in ("tol", "max_iter", "k_max", "step")
+    knobs = {k: cfg.values[k] for k in ("tol", "max_iter", "k_max")
              if k in cfg.values}
     shape, report, state = find_critical_2d(
         volume_project(init), p, resolution=res, nq=nq, full_output=True,

@@ -335,11 +335,6 @@ class SweepRecord(NamedTuple):
     zeta_spread: float  # max - min over the four endpoint zeta values
 
 
-# the constructor keeps the signature it had as a frozen dataclass
-SweepRecord.__new__.__annotations__ = {
-    **dict.fromkeys(SweepRecord._fields, "float"), "return": None}
-
-
 def _sweep_record(pe: Params, f_tol: float) -> SweepRecord:
     d_star = solve_critical_d(pe, f_tol=f_tol)
     zs = zeta_endpoints(TwoIntervalConfig(d=d_star, params=pe)).tolist()
@@ -361,9 +356,10 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
 
     Each eps is solved on its own: one whose gap cannot be bracketed
     (BracketError) or placed on the line (GeometryError) is listed in
-    fit["failed"] as {"eps", "error"} and the fit uses the others. With
-    fewer than 4 solved values the first of those errors is raised; any
-    other error propagates.
+    fit["failed"] as {"eps", "error"} and the fit uses the others. The fit
+    needs 4 distinct abscissae log(eps): a grid with fewer raises
+    ParamError, and with fewer solved the first of those errors is raised;
+    any other error propagates (ParamError for eps = 0).
 
     Returns (records, fit), one record per solved eps, where fit maps:
       slope          - fitted d log(diam) / d log(1/eps)
@@ -372,16 +368,19 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
       c_implied      - min over the solved eps of diam * eps^(1/(1+s-alpha))
       failed         - the eps values left out, with their errors
     """
-    if len(eps_grid) < 4:
-        raise ParamError("sweep needs at least 4 eps values for a stable fit")
     grid = [_require_real("eps", e, "[0, inf)") for e in eps_grid]
+    # adjacent floats can share a logarithm; eps = 0 is refused when solved
+    distinct = len({math.log(e) for e in grid if e > 0.0})
+    if distinct < 4:
+        raise ParamError("sweep needs at least 4 eps values for a stable "
+                         f"fit, got {distinct} with distinct log(eps)")
     records, errors = [], []
     for e in sorted(grid, reverse=True):
         try:
             records.append(_sweep_record(p.with_eps(e), f_tol))
         except (BracketError, GeometryError) as exc:
             errors.append((e, exc))
-    if len(records) < 4:
+    if len({math.log(r.eps) for r in records}) < 4:
         raise errors[0][1]
     slope = _ls_slope([-math.log(r.eps) for r in records],
                       [math.log(r.diameter) for r in records])

@@ -584,11 +584,9 @@ class StarShape2D:
     def _mesh(self, resolution):
         th = mesh_angles(resolution)
         points, normals, speed = self._frame(*self._grid(th.size))
-        # the unit tangent is the outward normal turned a quarter counterclockwise
-        tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
         return BoundaryMesh(points=points, normals=normals,
                             weights=speed * (2.0 * math.pi / th.size),
-                            tangents=tangents, thetas=th)
+                            thetas=th)
 
     def _to_dict(self):
         return {"kind": "star", "center": list(self.center), "r0": self.r0,
@@ -597,23 +595,23 @@ class StarShape2D:
 
 @dataclass(frozen=True)
 class BoundaryMesh:
-    """Discretized boundary: points, unit normals, tangents, weights.
+    """Discretized boundary: points, unit normals, weights.
 
     In 1D the mesh is the finite endpoint set with unit weights and signed
-    normals -1/+1 (tangents are None). In 2D the nodes are uniform in the
-    parameter angle and the weights are the arclength trapezoid weights
-    |y'(theta_j)| * 2*pi/m, so the weights sum to the perimeter. thetas
-    holds the parameter angles for 2D meshes.
+    normals -1/+1. In 2D the nodes are uniform in the parameter angle and
+    the weights are the arclength trapezoid weights |y'(theta_j)| * 2*pi/m,
+    so the weights sum to the perimeter; thetas holds the parameter angles,
+    and the unit tangent at a node is its normal turned a quarter
+    counterclockwise, (-n_y, n_x).
     """
 
     points: np.ndarray
     normals: np.ndarray
     weights: np.ndarray
-    tangents: Optional[np.ndarray] = None
     thetas: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for arr in (self.points, self.normals, self.weights, self.tangents, self.thetas):
+        for arr in (self.points, self.normals, self.weights, self.thetas):
             if arr is not None:
                 arr.flags.writeable = False
 

@@ -35,7 +35,8 @@ One step:
   2. scale mode k of v = zeta - lambda_hat by 1 / mu_k (real FFT over the
      mesh angles, modes above k_max dropped);
   3. radial update dr = -step * v * J / r at the mesh angles (J / r
-     converts normal speed to radial speed; r is the shape's kept grid);
+     converts normal speed to radial speed; r is the shape's kept grid),
+     with step = 1 (the full Newton step) at the first trial;
   4. resample to Fourier coefficients, truncating above k_max -- the
      spectral smoothing that keeps quadrature noise from feeding
      high-frequency growth. A radius that is not positive is a rejected
@@ -57,21 +58,20 @@ diagnose, so everything the solve returns is read at m. Each entry of
 residual_history is read on the mesh of its step. At m the first residual
 at the no-op floor ends the solve, with no idle iteration counted.
 
-The state (OptimizerState) is the trajectory alone: the shape, the first
-trial step, the iteration count, the residuals and the settings it started
-with. F_eps is not held on it, so a step under other Params compares its
-candidates with the F_eps of the shape under those Params; the area of the
-shape is sets.volume's, also kept on the shape. Every iteration's first
-trial is the state's step_size (1, the full Newton step, by default); an
-accepted step leaves it unchanged. The iteration certifies criticality
-(small sup |zeta - lambda_hat|), not minimality.
+The state (OptimizerState) is the trajectory alone: the shape, the
+iteration count, the residuals and the mesh resolution and mode cap it
+runs with. F_eps is not held on it, so a step under other Params compares
+its candidates with the F_eps of the shape under those Params; the area of
+the shape is sets.volume's, also kept on the shape. The iteration
+certifies criticality (small sup |zeta - lambda_hat|), not minimality; the
+identities of a solved shape come from diagnose on it, which reads the
+sweeps the solve kept on the shape and makes none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -87,7 +87,6 @@ __all__ = [
 ]
 
 DEFAULT_K_MAX = 12
-DEFAULT_STEP = 1.0
 _MIN_STEP = 1e-14
 # no mode's eigenvalue is taken below this fraction of the largest one, so
 # every mode is scaled by a positive 1 / mu_k even where some mu_k <= 0
@@ -102,9 +101,8 @@ _TARGETS_PER_MODE = 5
 @dataclass(frozen=True)
 class OptimizerState:
     """Immutable snapshot of one optimization trajectory: the shape it has
-    reached, the first trial step of the next iteration, the iterations
-    taken and the residual each read, and the mesh resolution and mode cap
-    it started with.
+    reached, the iterations taken and the residual each read, and the mesh
+    resolution and mode cap it runs with.
 
     It holds nothing its shape determines. F_eps and the residual are read
     from the shape's residual map (_residual_map, kept on the shape) under
@@ -113,24 +111,19 @@ class OptimizerState:
     """
 
     shape: StarShape2D
-    step_size: float
     iteration: int
     residual_history: tuple
     mesh_resolution: int = DEFAULT_RESOLUTION
     k_max: int = DEFAULT_K_MAX
 
 
-def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> StarShape2D:
+def fourier_shape(coeffs, center=(0.0, 0.0)) -> StarShape2D:
     """Build a star shape from a mapping like {"r0": 1.0, "a3": 0.05}.
 
-    Keys: r0, a<k>, b<k> for k >= 1. Modes above k_max (when given) are
-    rejected rather than dropped, so a config cannot silently lose detail;
-    a k_max that is a bool, not an integer, or negative raises ParamError,
-    and so does a value that is not a finite real number (a bool or a
-    string among them).
+    Keys: r0, a<k>, b<k> for k >= 1, each mode named once; the shape's kmax
+    is the highest mode named. A value that is not a finite real number (a
+    bool or a string among them) raises ParamError.
     """
-    if k_max is not None:
-        _require_count("k_max", k_max, 0)
     r0 = None
     amp = {}
     for key, val in dict(coeffs).items():
@@ -144,8 +137,6 @@ def fourier_shape(coeffs, center=(0.0, 0.0), k_max: Optional[int] = None) -> Sta
         k = int(key[1:])
         if k < 1:
             raise ParamError(f"mode index must be >= 1 in {key!r}")
-        if k_max is not None and k > k_max:
-            raise ParamError(f"coefficient {key!r} exceeds k_max = {k_max}")
         if (mode, k) in amp:
             raise ParamError(f"coefficient {key!r} names mode {mode}{k} again")
         amp[(mode, k)] = v
@@ -173,21 +164,17 @@ def volume_project(S) -> StarShape2D:
 
 
 def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
-                  k_max: int = DEFAULT_K_MAX,
-                  step: float = DEFAULT_STEP) -> OptimizerState:
+                  k_max: int = DEFAULT_K_MAX) -> OptimizerState:
     """The state at iteration 0 of a descent from shape (a star shape or a
     planar ball, read as its star shape).
 
-    Raises ParamError for a step that is not a finite positive real number
-    (a bool is not one), for a resolution that mesh_angles refuses, and for
-    a k_max that is a bool, not an integer, or below 1 (a descent keeps at
+    Raises ParamError for a resolution that mesh_angles refuses and for a
+    k_max that is a bool, not an integer, or below 1 (a descent keeps at
     least mode 1); GeometryError for a geometry that is not planar.
     """
-    step = _require_real("step", step, "(0, inf)")
     mesh_angles(resolution)
     _require_count("k_max", k_max, 1)
-    shape = _as_star(shape)
-    return OptimizerState(shape=shape, step_size=step, iteration=0,
+    return OptimizerState(shape=_as_star(shape), iteration=0,
                           residual_history=(), mesh_resolution=resolution,
                           k_max=k_max)
 
@@ -264,8 +251,9 @@ def el_gradient_step(state: OptimizerState, p: Params,
     compared with are read from the residual map of the state's shape under
     p and nq, kept on the shape (the accepted candidate's of the previous
     step). Each candidate is evaluated by its own residual map, one boundary
-    sweep, which is kept on it. Raises StalledError (carrying the state)
-    when no energy-non-increasing candidate exists down to the minimal step
+    sweep, which is kept on it. The first trial is the full Newton step 1,
+    halved on each rejection. Raises StalledError (carrying the state) when
+    no energy-non-increasing candidate exists down to the minimal step
     size.
     """
     shape = state.shape
@@ -286,7 +274,7 @@ def el_gradient_step(state: OptimizerState, p: Params,
     speed = mesh.weights * mesh.points.shape[0] / (2.0 * math.pi)
     r = shape._grid(mesh.thetas.size)[2]
 
-    step = state.step_size
+    step = 1.0
     while step >= _MIN_STEP:
         try:
             cand = StarShape2D.from_samples(
@@ -312,13 +300,14 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
                      max_iter: int = 500,
                      resolution: int = DEFAULT_RESOLUTION,
                      nq: int = DEFAULT_NQ, k_max: int = DEFAULT_K_MAX,
-                     step: float = DEFAULT_STEP,
-                     with_identities: bool = False, full_output: bool = False):
+                     full_output: bool = False):
     """Drive the boundary condition residual below tol from init.
 
     init must already have unit area (use volume_project). Returns
     (shape, DiagnosticsReport), or (shape, report, OptimizerState) with
-    full_output.
+    full_output. The report holds no identity residuals; diagnose(shape,
+    p, resolution, nq) gives them with no boundary sweep of its own, as it
+    reads the sweeps at nq and 2 nq kept on the returned shape.
 
     The steps run on a mesh of min(resolution, 5 (k_max + 1)) targets. The
     solve moves to the requested resolution when the residual on that mesh
@@ -338,7 +327,7 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     """
     tol = _require_real("tol", tol, "[0, inf]")
     _require_count("max_iter", max_iter, 0)
-    state = initial_state(init, resolution=resolution, k_max=k_max, step=step)
+    state = initial_state(init, resolution=resolution, k_max=k_max)
     init = state.shape
     if abs(volume(init) - 1.0) > 1e-8:
         raise GeometryError(
@@ -365,6 +354,5 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
                 raise
             state = replace(state, mesh_resolution=resolution)
     state = replace(state, mesh_resolution=resolution)
-    report = diagnose(state.shape, p, resolution, nq,
-                      with_identities=with_identities)
+    report = diagnose(state.shape, p, resolution, nq, with_identities=False)
     return (state.shape, report, state) if full_output else (state.shape, report)

@@ -282,7 +282,9 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
     (["onedim-root", *_SA], 2, "g and d_eps need eps > 0"),
     (["onedim-sweep", *_SA, "--eps-grid", "1e-3,1e-4,1e-5"], 2,
      "at least 4 eps values"),
-    ([*_OPT, "--step", "-1"], 2, "step must lie in (0, inf)"),
+    (["onedim-sweep", *_SA, "--eps", "1e-3", "--eps-grid",
+      "1e-3,1e-3,1e-3,1e-3"], 2, "at least 4 eps values for a stable fit, "
+     "got 1 with distinct log(eps)"),
     (["onedim-root", *_SA, "--eps", "1e-3", "--n", "2"], 2,
      "needs n = 1, got n = 2"),
     ([*_OPT, "--n", "1"], 2,
@@ -290,7 +292,6 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
     (["onedim-root", *_SA, "--eps", "1e-3", "--f-tol", "nan"], 2,
      "f_tol must lie in [0, inf)"),
     ([*_OPT, "--tol", "nan"], 2, "tol must lie in [0, inf]"),
-    ([*_OPT, "--step", "nan"], 2, "step must lie in (0, inf)"),
     ([*_OPT, "--modes", "-2"], 2, "k_max must be an integer of at least 1"),
     ([*_OPT, "--modes", "0"], 2, "k_max must be an integer of at least 1"),
     ([*_OPT, "--max-iter", "-1"], 2,
@@ -302,8 +303,8 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "f underflows to 0"),
     (["curvature", "--s", "0.97", "--alpha", "0.5", "--geometry", "GAP"], 1,
      "the gap (0.0, 5e-324) is too short for s = 0.97"),
-], ids=["no-eps", "short-grid", "negative-step", "onedim-n2", "optimize-n1",
-        "nan-f-tol", "nan-tol", "nan-step", "negative-modes", "zero-modes",
+], ids=["no-eps", "short-grid", "one-distinct-eps", "onedim-n2",
+        "optimize-n1", "nan-f-tol", "nan-tol", "negative-modes", "zero-modes",
         "negative-max-iter", "corrupt-geometry", "stall", "bracket",
         "subnormal-gap"])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
@@ -317,6 +318,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     assert main([*argv, "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_step_is_no_key(tmp_path, capsys):
+    # every descent iteration's first trial is the full Newton step, so no
+    # flag or config key sets it: both are refused as unknown (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main([*_OPT, "--step", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step 1" in capsys.readouterr().err
+    conf = _write(tmp_path, "run.conf", "command = optimize2d\nstep = 1\n")
+    assert main(["--config", str(conf)]) == 2
+    assert "run.conf:2: unknown key 'step'" in capsys.readouterr().err
 
 
 def test_radius_dependent_calibration_exits_1(tmp_path, capsys, monkeypatch):
@@ -339,8 +352,10 @@ _F_TOL_FLAG = [(("--f-tol",), "f_tol", float)]
 
 
 def test_subcommand_flags_keep_their_names_dests_and_types():
-    # scripts and config files written against any earlier release keep
-    # working: each subcommand's (option strings, dest, type), in order
+    # scripts and config files written against an earlier release keep
+    # working, but for optimize2d's --step (the first trial step is always
+    # the full Newton step): each subcommand's (option strings, dest,
+    # type), in order
     import argparse
     from nlshape import cli
     sub, = [a for a in cli._build_parser()._actions
@@ -359,8 +374,7 @@ def test_subcommand_flags_keep_their_names_dests_and_types():
         + [(("--eps-grid",), "eps_grid", None)],
         "optimize2d": _COMMON_FLAGS + [
             (("--init",), "geometry", None), (("--modes",), "k_max", int),
-            (("--tol",), "tol", float), (("--max-iter",), "max_iter", int),
-            (("--step",), "step", float)],
+            (("--tol",), "tol", float), (("--max-iter",), "max_iter", int)],
         "calibrate": _COMMON_FLAGS,
     }
     help_of = {a.dest: a.help for a in sub.choices["optimize2d"]._actions}

@@ -843,9 +843,11 @@ def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
                                              _potential_field(0.5))[0][0]
             assert gt[i] == _curve_batch(mode3_star, th, nq,
                                          _grad_tau_field(0.5))[0][0]
-            # the one tangential sum is the vector's tangential part
+            # the one tangential sum is the vector's tangential part; the
+            # unit tangent is the normal turned a quarter counterclockwise
             g = _curve_batch(mode3_star, th, nq, _grad_field(0.5))[0][0]
-            assert abs(gt[i] - (g * mesh.tangents[i]).sum()) \
+            nx, ny = mesh.normals[i]
+            assert abs(gt[i] - (g[0] * -ny + g[1] * nx)) \
                 <= 1e-14 * np.abs(g).max()
 
 

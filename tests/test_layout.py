@@ -73,12 +73,11 @@ def _loads_scipy_optimize(nodes):
             [proc.stderr or "importing nlshape.cli loads scipy.optimize"])
 
 
-def _private_parameters(nodes):
-    """label(parameter) for each parameter named "_..." of a function in the
-    __all__ of a module read, or of the constructor or a public method of a
+def _public_parameters(modules):
+    """(module, label, fn, parameter) for each parameter of a function in the
+    __all__ of one of modules, or of the constructor or a public method of a
     class in it."""
-    hits = []
-    for mod in sorted({mod for mod, _ in nodes}):
+    for mod in sorted(modules):
         module = importlib.import_module(
             PACKAGE.name + ("" if mod == "__init__" else "." + mod))
         for name in getattr(module, "__all__", ()):
@@ -91,11 +90,38 @@ def _private_parameters(nodes):
                             and (inspect.isfunction(fn) or inspect.ismethod(fn))]
             for label, fn in members:
                 try:
-                    params = inspect.signature(fn).parameters
+                    params = inspect.signature(fn).parameters.values()
                 except (TypeError, ValueError):
                     continue
-                hits += [f"{mod}.{label}({p})" for p in params if p.startswith("_")]
-    return hits
+                yield from ((mod, label, fn, p) for p in params)
+
+
+def _private_parameters(nodes):
+    """label(parameter) for each public parameter named "_..."."""
+    return [f"{mod}.{label}({p.name})"
+            for mod, label, _, p in _public_parameters({m for m, _ in nodes})
+            if p.name.startswith("_")]
+
+
+# module.function.parameter of every bool-default public parameter
+PUBLIC_FLAGS = {"shapeopt.find_critical_2d.full_output",
+                "diagnostics.diagnose.with_identities",
+                "functionals.frac_perimeter.with_error",
+                "functionals.riesz_energy.with_error"}
+
+
+def _public_flags(nodes):
+    """The bool-default public parameters, as module.function.parameter of
+    the module defining the function, that are not in PUBLIC_FLAGS, and the
+    entries of PUBLIC_FLAGS of a module read that are missing."""
+    read = {mod for mod, _ in nodes}
+    found = {f"{fn.__module__.removeprefix(PACKAGE.name + '.')}."
+             f"{fn.__qualname__}.{p.name}"
+             for _, _, fn, p in _public_parameters(read)
+             if isinstance(p.default, bool)}
+    return (sorted(found - PUBLIC_FLAGS)
+            + [f"missing {flag}" for flag in sorted(PUBLIC_FLAGS - found)
+               if flag.split(".")[0] in read])
 
 
 def _has_flag(fn):
@@ -210,6 +236,15 @@ RULES = {
                                 "sets._require_real"),
                         fault=("diagnostics", "def eta(delta): "
                                "return _is_real(delta) and delta >= 0.0")),
+    # a public bool knob is a second entry point for every caller to learn
+    # and every test to cover: the descent's with_identities only passed a
+    # flag on to diagnose, which a caller runs on the solved shape at no
+    # sweep. So the bool-default parameters of the package's public
+    # functions are exactly find_critical_2d's full_output (the benchmark
+    # reads the state), diagnose's with_identities and the with_error of
+    # frac_perimeter and riesz_energy
+    "public-flags": Rule(_public_flags, fault=(
+        "fault", "__all__ = ['solve']\ndef solve(p, verbose=False): pass")),
     # each 2D quantity (kappa, V, grad V, grad V . tau, P_s, R_alpha) is one
     # functionals._Field, and the on-curve and off-curve drivers take fields,
     # so the caller picks the rule from where the target lies and not through

@@ -5,7 +5,6 @@ The frozen roots below were computed independently with mpmath at 40 digits
 correctly rounded values.
 """
 
-import inspect
 import math
 
 import numpy as np
@@ -458,6 +457,30 @@ def test_sweep_needs_enough_points():
         epsilon_sweep(_p(), [1e-3, 1e-4, 1e-5])
 
 
+def test_sweep_needs_four_distinct_eps():
+    # four equal eps, or four adjacent floats (one logarithm), fitted a line
+    # through one abscissa: the least-squares slope divided by zero
+    # (ZeroDivisionError)
+    adjacent = [1e-3]
+    for _ in range(3):
+        adjacent.append(math.nextafter(adjacent[-1], 1.0))
+    assert len(set(adjacent)) == 4
+    for grid in ([1e-3] * 4, adjacent):
+        with pytest.raises(ParamError, match=r"got 1 with distinct log\(eps\)"):
+            epsilon_sweep(_p(), grid)
+    with pytest.raises(ParamError, match="got 3 with distinct"):
+        epsilon_sweep(_p(), [1e-3, 1e-4, 1e-5, 1e-4, 1e-3])
+    # repeats beside four distinct values are solved, one record each
+    records, _ = epsilon_sweep(_p(), [1e-3, 1e-4, 1e-5, 1e-6, 1e-4])
+    assert [r.eps for r in records] == [1e-3, 1e-4, 1e-4, 1e-5, 1e-6]
+    # at 1 + s - alpha = 0.35 the two smallest of GRID_EPS are not solved:
+    # four records of three distinct eps were fitted; now the first solve
+    # error is raised, as for fewer than four solved values
+    grid = [GRID_EPS[0], GRID_EPS[0], GRID_EPS[1], GRID_EPS[2], GRID_EPS[5]]
+    with pytest.raises(GeometryError, match="gap d = "):
+        epsilon_sweep(_p(0.1, 0.75), grid)
+
+
 @pytest.mark.parametrize("f_tol", [math.nan, -1.0, math.inf, True, "1e-10"])
 def test_root_solve_refuses_an_f_tol_outside_zero_to_inf(f_tol):
     # |f| > nan is False, so a NaN f_tol returned the root unchecked; -1
@@ -530,10 +553,6 @@ def test_sweep_record_is_an_immutable_named_tuple():
         r.extra = 1.0
     assert SweepRecord._fields == ("eps", "d_star", "d_eps", "diameter",
                                    "f_at_root", "zeta_spread")
-    # the signature it had as a frozen dataclass
-    assert str(inspect.signature(SweepRecord)) == (
-        "(eps: 'float', d_star: 'float', d_eps: 'float', diameter: 'float', "
-        "f_at_root: 'float', zeta_spread: 'float') -> None")
 
 
 # `nlshape onedim-sweep` at the first seed-101 (s, alpha) of the line

@@ -19,7 +19,7 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      epsilon_sweep, eta, f_closed_form, find_critical_2d,
                      fourier_shape, frac_curvature, frac_perimeter,
                      grad_potential, grad_potential_at_points, identity_check,
-                     initial_state, kernel_primitive, potential,
+                     kernel_primitive, potential,
                      potential_at_points, riesz_energy, solve_critical_d,
                      tangential_grad_potential, zeta)
 from nlshape.quad import graded_radial_rule, jacobi_half_rule, ladder_half_rule
@@ -48,8 +48,6 @@ PARAM_SITES = [
     ("Params-c_var", lambda v: Params(n=1, s=0.5, alpha=0.5, c_var=v),
      "(0, inf)", (math.inf, -1.0)),
     ("with_eps", lambda v: P1.with_eps(v), "[0, inf)", (math.inf, -1.0)),
-    ("initial_state-step", lambda v: initial_state(STAR, 16, step=v),
-     "(0, inf)", (math.inf, 0.0)),
     ("find_critical_2d-tol",
      lambda v: find_critical_2d(DISK, P2, tol=v, resolution=16, nq=4),
      "[0, inf]", (-1.0,)),
@@ -174,8 +172,6 @@ ACCEPT_SITES = [
     ("Params-c_var", lambda v: vars(Params(n=1, s=0.5, alpha=0.5, c_var=v)), 1),
     ("Params-alpha", lambda v: vars(Params(n=2, s=0.5, alpha=v, eps=1e-3)), 1),
     ("with_eps", lambda v: vars(P1.with_eps(v)), 2),
-    ("initial_state-step",
-     lambda v: initial_state(STAR, 16, step=v).step_size, 2),
     ("find_critical_2d-tol",
      lambda v: find_critical_2d(DISK, P2, tol=v, resolution=16,
                                 nq=4)[1].as_dict(), 1),

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      StarShape2D, boundary_fields,
                      calibrate_variation_constant, diagnose, diameter, energy,
-                     find_critical_2d, fourier_shape, frac_perimeter,
+                     find_critical_2d, frac_perimeter,
                      geometry_from_dict, geometry_to_dict, identity_check,
                      initial_state, isodiametric_ratio, load_geometry,
                      riesz_energy, save_geometry, set_integral_2d, volume,
@@ -410,11 +410,20 @@ def test_from_samples_caps_modes():
 
 def test_boundary_mesh_geometry(mode3_star):
     m = boundary_mesh(mode3_star, 128)
-    # unit outward normals, orthogonal tangents, positive weights
+    # unit outward normals, positive weights
     assert_allclose(np.hypot(m.normals[:, 0], m.normals[:, 1]), 1.0,
                     atol=1e-13)
-    assert np.all((m.normals * m.tangents).sum(axis=1) < 1e-13)
     assert np.all(m.weights > 0)
+    # the normal turned a quarter counterclockwise is the unit tangent: it
+    # is the curve's derivative in theta, normalized (the mesh keeps none)
+    th = m.thetas
+    r, dr = mode3_star.radius(th), mode3_star.radius_deriv(th)
+    dy = np.stack([dr * np.cos(th) - r * np.sin(th),
+                   dr * np.sin(th) + r * np.cos(th)], axis=1)
+    tangents = np.stack([-m.normals[:, 1], m.normals[:, 0]], axis=1)
+    assert_allclose(tangents, dy / np.hypot(dy[:, 0], dy[:, 1])[:, None],
+                    atol=1e-13)
+    assert not hasattr(m, "tangents")
     radial = m.points / np.hypot(m.points[:, 0], m.points[:, 1])[:, None]
     assert np.all((m.normals * radial).sum(axis=1) > 0)
 
@@ -675,8 +684,6 @@ def test_shape_builders_refuse_a_bad_mode_cap():
     for bad in (-2, 2.7, True):
         with pytest.raises(ParamError, match="k_max must be an integer of at least 0"):
             StarShape2D.from_samples((0.0, 0.0), samples, bad)
-        with pytest.raises(ParamError, match="k_max must be an integer of at least 0"):
-            fourier_shape({"r0": 1.0}, k_max=bad)
     S = StarShape2D.from_samples((0.0, 0.0), samples, 0)
     assert S.kmax == 0 and S.r0 == 1.0
     assert StarShape2D.from_samples((0.0, 0.0), samples, np.int64(3)).kmax == 3
