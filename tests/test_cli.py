@@ -296,6 +296,10 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
     ([*_OPT, "--modes", "0"], 2, "k_max must be an integer of at least 1"),
     ([*_OPT, "--max-iter", "-1"], 2,
      "max_iter must be an integer of at least 0"),
+    # no key sets the first trial step: a step in a config file is refused
+    # as unknown, whatever its value
+    (["--config", "NANSTEP", "optimize2d"], 2, ":2: unknown key 'step'"),
+    (["--config", "NEGSTEP", "optimize2d"], 2, ":2: unknown key 'step'"),
     (["energy", *_SA, "--geometry", "BAD"], 1, "JSON"),
     ([*_OPT, "--init", "STAR", "--tol", "1e-6"], 1,
      "no energy-non-increasing step"),
@@ -305,7 +309,7 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "the gap (0.0, 5e-324) is too short for s = 0.97"),
 ], ids=["no-eps", "short-grid", "one-distinct-eps", "onedim-n2",
         "optimize-n1", "nan-f-tol", "nan-tol", "negative-modes", "zero-modes",
-        "negative-max-iter", "corrupt-geometry", "stall", "bracket",
+        "negative-max-iter", "nan-step", "negative-step", "corrupt-geometry", "stall", "bracket",
         "subnormal-gap"])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     # a first trial step below the least step stalls the descent at once
@@ -313,7 +317,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     files = {"BAD": str(_write(tmp_path, "bad.json", "{not json")),
              "STAR": str(_star_geom(tmp_path)),
              "GAP": str(_write(tmp_path, "gap.json", json.dumps(
-                 {"kind": "intervals", "intervals": [[-1, 0], [5e-324, 1]]})))}
+                 {"kind": "intervals", "intervals": [[-1, 0], [5e-324, 1]]}))),
+             "NANSTEP": str(_write(tmp_path, "nan.conf",
+                                   "command = optimize2d\nstep = nan\n")),
+             "NEGSTEP": str(_write(tmp_path, "neg.conf",
+                                   "command = optimize2d\nstep = -1\n"))}
     argv = [files.get(a, a) for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
