@@ -68,7 +68,6 @@ _KEYS = {
     "mass": (float, "volume of the unscaled set (positive)", COMMANDS),
     "c_coupling": (float, "boundary-condition coupling constant: it "
                    "multiplies eps*V", COMMANDS),
-    "c_var": (float, "first-variation normalization", COMMANDS),
     "resolution": (int, "2D boundary mesh size", COMMANDS),
     "nq": (int, "quadrature nodes per half-side", COMMANDS),
     "geometry": (str, "geometry JSON file", COMMANDS[:4] + _OPT),
@@ -109,7 +108,7 @@ class RunConfig:
         self.require("s")
         self.require("alpha")
         kw = {key: self.values[key] for key in
-              ("s", "alpha", "eps", "mass", "c_coupling", "c_var")
+              ("s", "alpha", "eps", "mass", "c_coupling")
               if key in self.values}
         return Params(n=self.get("n", default_n), **kw)
 

@@ -22,7 +22,7 @@ function that owns it, which diagnose calls:
   (_IDENTITIES) that identity_check and diagnose both run:
     Au1          int_E grad V . x dx = -(alpha/2) int_E V dx
     Au2          int_dE V x.nu dsigma = (n - alpha/2) int_E V dx
-    Minkowski    int_dE kappa x.nu dsigma = (n - s)/c_var * P_s(E)
+    Minkowski    int_dE kappa x.nu dsigma = (n - s) * P_s(E)
     Lal          max_x V_E(x) <= V_B(0), B the centered ball with |B| = |E|
     TangentialBall   sup |grad V . tau| scales linearly with the ball-map
                      size mu (ratio test against the half-amplitude shape)
@@ -35,9 +35,11 @@ function that owns it, which diagnose calls:
   (functionals._kernel; in the plane the off-curve interior rule, on the
   line the closed-form moments), Au2 the on-curve V of the boundary sweep.
 
-calibrate_variation_constant pins down c_var on balls, where kappa is
-constant and the curvature pairing has a closed value; the ratio is
-radius-independent, which doubles as a self-check.
+Minkowski's factor (n - s) takes the first-variation normalization as 1,
+the value of the kappa and P_s of functionals: calibrate_variation_constant
+measures it on balls, where kappa is constant and the curvature pairing has
+a closed value; the ratio is radius-independent, which doubles as a
+self-check.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _BOUNDARY_GRADIENT)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
                    mesh_angles, volume, _pair_blocks, _require_count,
-                   _require_exponent, _require_real)
+                   _require_real)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -223,14 +225,15 @@ def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     Pairing the boundary condition with x.nu and applying the Minkowski and
     Au2 identities gives
 
-        lambda * n * |E| = (n-s)/c_var * P_s + c*eps*(n - alpha/2) * R_alpha
+        lambda * n * |E| = (n-s) * P_s + c*eps*(n - alpha/2) * R_alpha
 
-    (int_E V equals the Riesz double integral). Exact on critical sets, a
-    consistency cross-check on candidates. P_s and R_alpha are those of the
-    kept boundary sweep, which diagnose reads too.
+    (int_E V equals the Riesz double integral; the first-variation
+    normalization is 1, as calibrate_variation_constant measures). Exact on
+    critical sets, a consistency cross-check on candidates. P_s and R_alpha
+    are those of the kept boundary sweep, which diagnose reads too.
     """
     bf = _sweep(S, p, resolution, nq)
-    num = (p.n - p.s) / p.c_var * bf.perimeter \
+    num = (p.n - p.s) * bf.perimeter \
         + p.c_coupling * p.eps * (p.n - 0.5 * p.alpha) * bf.riesz
     return num / (p.n * volume(S))
 
@@ -284,14 +287,14 @@ def _check_au2(k, p: Params, resolution, nq) -> float:
 
 
 def _minkowski_sides(n, s, mesh, kappa, per):
-    """(int_dE kappa x.nu dsigma, (n - s) P_s), Minkowski without 1 / c_var."""
+    """(int_dE kappa x.nu dsigma, (n - s) P_s): the two sides of Minkowski."""
     return _x_dot_nu_pairing(mesh, kappa), (n - s) * per
 
 
 def _check_minkowski(k, p: Params, resolution, nq) -> float:
     bf = _sweep(k.S, p, resolution, nq)
     lhs, rhs = _minkowski_sides(p.n, p.s, bf.mesh, bf.kappa, bf.perimeter)
-    return _rel_residual(lhs, rhs / p.c_var)
+    return _rel_residual(lhs, rhs)
 
 
 def _check_lal(k, p: Params, resolution, nq) -> float:
@@ -310,7 +313,7 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     (_grad_tau_field, on the curve by _curve_batch); no boundary sweep
     carries it."""
     S = _as_star(k.S)
-    _require_exponent("alpha", p.alpha, S.n - 1, _BOUNDARY_GRADIENT)
+    _require_real("alpha", p.alpha, f"(0, {S.n - 1})", why=_BOUNDARY_GRADIENT)
     th = mesh_angles(resolution)
     mu_full = ball_map_mu(S)
     if mu_full == 0.0:
@@ -344,17 +347,18 @@ def identity_check(S, p: Params, kind: str, resolution: int = DEFAULT_RESOLUTION
 def calibrate_variation_constant(s: float, n: int = 2,
                                  resolution: int = DEFAULT_RESOLUTION,
                                  nq: int = DEFAULT_NQ, radii=(0.5, 1.0, 2.0)) -> float:
-    """c_var = (n - s) P_s(B) / int_dB kappa x.nu dsigma over balls of several
-    radii, averaged; raises QuadratureError if the values disagree by a
-    relative spread beyond 1e-4.
+    """The first-variation normalization c_var = (n - s) P_s(B) /
+    int_dB kappa x.nu dsigma over balls of several radii, averaged; raises
+    QuadratureError if the values disagree by a relative spread beyond 1e-4.
 
     Both sides scale like R^(n-s), so radius independence of the ratio is a
     built-in correctness check. In 1D everything is closed-form and the value
-    is exactly 1 under the conventions used here. Each ball's kappa and P_s
-    come from the curvature sweep of its kernel, in the plane one on-curve
-    pass at beta = -s.
+    is exactly 1 under the conventions used here, which the Minkowski
+    identity and lambda_cross_estimate take it to be: this measures what
+    they assume. Each ball's kappa and P_s come from the curvature sweep of
+    its kernel, in the plane one on-curve pass at beta = -s.
     """
-    _require_exponent("s", s, 1)
+    _require_real("s", s, "(0, 1)")
     _require_count("n", n, 1)
     if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")

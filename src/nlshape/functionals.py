@@ -27,11 +27,12 @@ q = alpha,
 
 Every public function accepts an IntervalSet, a Ball or a StarShape2D,
 resolves the kernel of the shape (_kernel), validates its parameters (an
-exponent by sets._require_exponent, against the dimension n of the kernel's
-geometry) and calls the kernel. The kernel holds the shape's canonical
-form (sets.canonical, which refuses anything else with GeometryError: a 1D
-ball as its interval set, a planar ball as a constant-radius star shape) in
-the one kernel class of that geometry
+exponent by sets._require_real: s in (0, 1), and alpha in (0, n), or in
+(0, n - 1) where grad V meets the boundary, for the dimension n of the
+kernel's geometry) and calls the kernel. The kernel holds the shape's
+canonical form (sets.canonical, which refuses anything else with
+GeometryError: a 1D ball as its interval set, a planar ball as a
+constant-radius star shape) in the one kernel class of that geometry
 (_IntervalKernel, _StarKernel, _BallKernel for n >= 3), whose methods are
 those of _Kernel. What a kernel has no algorithm for, and the planar-only
 functions on a non-planar shape, are refused with GeometryError. Each 2D
@@ -121,7 +122,7 @@ from .quad import (_boundary_point, _endpoint_fields, _first_diff,
                    jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, volume, _per_shape,
-                   _require_count, _require_exponent, _MIN_RESOLUTION)
+                   _require_count, _require_real, _MIN_RESOLUTION)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -875,14 +876,16 @@ class _StarKernel(_Kernel):
         x, on_curve, focus = _planar_target(self.S, x)
         field = _grad_field(alpha)
         if on_curve:
-            _require_exponent("alpha", alpha, self.S.n - 1, _BOUNDARY_GRADIENT)
+            _require_real("alpha", alpha, f"(0, {self.S.n - 1})",
+                          why=_BOUNDARY_GRADIENT)
             return _curve_batch(self.S, focus, nq, field)[0][0]
         return _ladder_batch(self.S, x[None, :], focus, field)[0]
 
     def au1_lhs(self, alpha, resolution, nq) -> float:
         """The interior rule of set_integral_2d on grad V . x, which
         resolves the boundary layer of grad V only below n - 1."""
-        _require_exponent("alpha", alpha, self.S.n - 1, _BOUNDARY_GRADIENT)
+        _require_real("alpha", alpha, f"(0, {self.S.n - 1})",
+                      why=_BOUNDARY_GRADIENT)
 
         def gv_dot_x(pts, foci):
             g = grad_potential_at_points(self.S, pts, foci, alpha, nq)
@@ -993,7 +996,7 @@ def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
                    nq: int = DEFAULT_NQ, with_error: bool = False):
     """Fractional perimeter P_s(E)."""
     k = _kernel(S, nq=nq)
-    _require_exponent("s", s, 1)
+    _require_real("s", s, "(0, 1)")
     return _with_error(lambda q: k.perimeter(s, resolution, q), nq, with_error)
 
 
@@ -1001,7 +1004,7 @@ def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
                  nq: int = DEFAULT_NQ, with_error: bool = False):
     """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
     k = _kernel(S, nq=nq)
-    _require_exponent("alpha", alpha, k.S.n)
+    _require_real("alpha", alpha, f"(0, {k.S.n})")
     return _with_error(lambda q: k.riesz(alpha, resolution, q), nq, with_error)
 
 
@@ -1018,7 +1021,7 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
     k = _kernel(S, nq=nq)
-    _require_exponent("alpha", alpha, k.S.n)
+    _require_real("alpha", alpha, f"(0, {k.S.n})")
     return k.potential(x, alpha, nq)
 
 
@@ -1028,7 +1031,7 @@ def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
     which requires alpha in (0, n - 1); outside that range the call is
     refused rather than regularized."""
     k = _kernel(S, nq=nq)
-    _require_exponent("alpha", alpha, k.S.n)
+    _require_real("alpha", alpha, f"(0, {k.S.n})")
     return k.grad_potential(x, alpha, nq)
 
 
@@ -1036,7 +1039,7 @@ def tangential_grad_potential(S, x, alpha: float, *,
                               nq: int = DEFAULT_NQ) -> float:
     """grad V . tau at a boundary point of a planar shape."""
     star = _as_star(S, nq)
-    _require_exponent("alpha", alpha, star.n - 1, _BOUNDARY_GRADIENT)
+    _require_real("alpha", alpha, f"(0, {star.n - 1})", why=_BOUNDARY_GRADIENT)
     x, on_curve, focus = _planar_target(star, x)
     if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
@@ -1049,7 +1052,7 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
     Sign convention: positive on boundaries of convex sets.
     """
     k = _kernel(S, nq=nq)
-    _require_exponent("s", s, 1)
+    _require_real("s", s, "(0, 1)")
     return k.curvature(x, s, nq)
 
 
@@ -1171,7 +1174,7 @@ def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
     alpha in (0, 2). nq is refused as every entry's, though the ladder
     reads none."""
     star = _as_star(star, nq)
-    _require_exponent("alpha", alpha, star.n)
+    _require_real("alpha", alpha, f"(0, {star.n})")
     pts, foci = _finite_batch(pts, foci)
     return _ladder_batch(star, pts, foci, _potential_field(alpha))
 
@@ -1180,6 +1183,6 @@ def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ
     """grad V at off-boundary points, batched, for alpha in (0, 2) (nq as
     in potential_at_points)."""
     star = _as_star(star, nq)
-    _require_exponent("alpha", alpha, star.n)
+    _require_real("alpha", alpha, f"(0, {star.n})")
     pts, foci = _finite_batch(pts, foci)
     return _ladder_batch(star, pts, foci, _grad_field(alpha))

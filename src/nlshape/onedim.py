@@ -119,8 +119,7 @@ def _d_eps(p: Params) -> float:
     """The crossover scale d_eps of g_and_d_eps, with its checks and errors."""
     if p.n != 1:
         raise ParamError(f"1D analysis needs n = 1, got n = {p.n}")
-    if not (p.eps and p.eps > 0.0):
-        raise ParamError("g and d_eps need eps > 0")
+    _require_real("eps", p.eps, "(0, inf)")
     s, alpha = p.s, p.alpha
     try:
         d_eps = ((1.0 + s) / (p.c_coupling * p.eps * alpha)) ** (

@@ -29,8 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError, ParamError
-from .sets import (IntervalSet, _require_count, _require_exponent,
-                   _require_real)
+from .sets import IntervalSet, _require_count, _require_real
 
 __all__ = [
     "kernel_primitive", "pv_pair_integral", "jacobi_half_rule",
@@ -120,7 +119,7 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     at a boundary point x of the interval union S: the kappa of
     _endpoint_pass at the index of the endpoint that x stands for. A gap or
     interval whose length^(-s) overflows raises GeometryError."""
-    _require_exponent("s", s, 1)
+    _require_real("s", s, "(0, 1)")
     j = _endpoint_index(S, x)
     if j is None:
         raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")
@@ -212,12 +211,6 @@ def _endpoint_pass(segs: list, j: int, s: float, q: Optional[float]):
     return total, (None if pot is None else math.fsum(pot))
 
 
-def _check_series_exponent(b: float):
-    if not -1.0 < b < 2.0:
-        raise ParamError(
-            f"the symmetric second difference needs b in (-1, 2), got {b!r}")
-
-
 # (2k, (2k+1)(2k+2)) for k = 1..59, exact in floats
 _SERIES_K = tuple((2.0 * k, (2.0 * k + 1.0) * (2.0 * k + 2.0))
                   for k in range(1, 60))
@@ -235,7 +228,7 @@ def _series_table(b: float):
     Any other b is refused with ParamError: for b in (2, 3) the terms change
     sign, and for large b they still grow at the 60th; the cache holds only
     tables of the domain, so the series calls pay for the check once per b."""
-    _check_series_exponent(b)
+    _require_real("b", b, "(-1, 2)")
     ratios = tuple([(b - k2) * (b - k2 - 1.0) / den for k2, den in _SERIES_K])
     c2 = b * (b - 1.0) * 0.5
     return c2, ratios, (-1.0 if c2 < 0.0 else 1.0)
@@ -255,7 +248,7 @@ def _sym_second_diff(b: float, x: float) -> float:
     outside (-1, 2) is refused with ParamError on either branch.
     """
     if x >= 0.5:
-        _check_series_exponent(b)
+        _require_real("b", b, "(-1, 2)")
         return (1.0 + x) ** b + (1.0 - x) ** b - 2.0
     c2, ratios, sign = _series_table(b)
     term = sign * c2 * x * x  # |C(b, 2)| x^2

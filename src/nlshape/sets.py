@@ -102,13 +102,15 @@ _BOUNDS = {}
 
 
 def _require_real(name: str, value, rng: str = "(-inf, inf)",
-                  error=ParamError) -> float:
+                  error=ParamError, why: str = "") -> float:
     """value as a float, refused (error) unless it is a real number
-    (_is_real) in the interval rng, written like "[0, inf)", NaN never:
-    the one check of every real a caller hands the package (parameters
-    with ParamError, the numbers a geometry is built from with
-    GeometryError). The message reads "<name> must lie in <rng>, got
-    <value!r>"."""
+    (_is_real) whose float lies in the interval rng, written like
+    "[0, inf)", NaN never: the one check of every real a caller hands the
+    package (parameters with ParamError, the numbers a geometry is built
+    from with GeometryError). The float is tested, not the value, so a
+    value that rounds onto an open bound is refused. The message reads
+    "<name> must lie in <rng>, got <value!r>", and why, if given, ends it
+    in parentheses."""
     bounds = _BOUNDS.get(rng)
     if bounds is None:
         lo, hi = map(float, rng[1:-1].split(","))
@@ -124,7 +126,8 @@ def _require_real(name: str, value, rng: str = "(-inf, inf)",
             v = math.nan
     if (lo < v or lo_in and v == lo) and (v < hi or hi_in and v == hi):
         return v
-    raise error(f"{name} must lie in {rng}, got {value!r}")
+    raise error(f"{name} must lie in {rng}, got {value!r}"
+                + (f" ({why})" if why else ""))
 
 
 def _real_array(name: str, values) -> np.ndarray:
@@ -152,18 +155,6 @@ def _sequence(name: str, values) -> tuple:
             f"{name} must be a sequence, got {values!r}") from None
 
 
-def _require_exponent(name: str, value, upper, why: str = "") -> float:
-    """value as a float, refused (ParamError) if it is not a real number
-    (_is_real) or lies outside (0, upper), NaN included: the one check of
-    the exponents s (upper 1) and alpha (upper n, where the Riesz kernel is
-    locally integrable, or n - 1 on the boundary, where the gradient of V
-    converges). why, if given, ends the message."""
-    if not (_is_real(value) and 0.0 < value < upper):
-        raise ParamError(f"{name} must lie in (0, {upper:g}), got {value!r}"
-                         + (f" ({why})" if why else ""))
-    return float(value)
-
-
 @dataclass(frozen=True)
 class Params:
     """Problem parameters for the perimeter/repulsion energy.
@@ -178,14 +169,14 @@ class Params:
     the repulsion term has first variation 2*V, so 2.0 is the default; it is
     configurable, never asserted.
 
-    c_var is the first-variation normalization relating the curvature pairing
-    to the perimeter (see diagnostics.calibrate_variation_constant). With the
-    conventions used here it is 1 and that is the default.
+    The first-variation normalization relating the curvature pairing to
+    the perimeter is 1 with the kappa and P_s of this package (measured by
+    diagnostics.calibrate_variation_constant), so it is no parameter.
 
-    s lies in (0, 1) and alpha in (0, n) (_require_exponent), eps in
-    [0, inf) and mass, c_coupling and c_var in (0, inf) (_require_real);
-    each is stored as a float, and anything else (a bool, a string, NaN)
-    raises ParamError.
+    s lies in (0, 1), alpha in (0, n), eps in [0, inf) and mass and
+    c_coupling in (0, inf), each checked by _require_real and stored as the
+    float it tested; anything else (a bool, a string, NaN, a value whose
+    float rounds onto a bound) raises ParamError.
     """
 
     n: int
@@ -194,18 +185,16 @@ class Params:
     eps: Optional[float] = None
     mass: Optional[float] = None
     c_coupling: float = 2.0
-    c_var: float = 1.0
 
     def __post_init__(self):
         _require_count("n", self.n, 1)
         # a numpy integer n would make the derived mass or eps numpy scalars
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "s", _require_exponent("s", self.s, 1))
-        object.__setattr__(self, "alpha",
-                           _require_exponent("alpha", self.alpha, self.n))
-        for name in ("c_coupling", "c_var"):
-            object.__setattr__(self, name, _require_real(
-                name, getattr(self, name), "(0, inf)"))
+        object.__setattr__(self, "s", _require_real("s", self.s, "(0, 1)"))
+        object.__setattr__(self, "alpha", _require_real(
+            "alpha", self.alpha, f"(0, {self.n})"))
+        object.__setattr__(self, "c_coupling", _require_real(
+            "c_coupling", self.c_coupling, "(0, inf)"))
         self._fill_eps_mass(self.eps, self.mass)
 
     def _fill_eps_mass(self, eps, mass):

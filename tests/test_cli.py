@@ -279,7 +279,7 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
 # every ParamError is a configuration error (2), wherever the library raises
 # it; a domain failure is 1. The first three cases exited 1
 @pytest.mark.parametrize("argv, code, message", [
-    (["onedim-root", *_SA], 2, "g and d_eps need eps > 0"),
+    (["onedim-root", *_SA], 2, "eps must lie in (0, inf), got 0.0"),
     (["onedim-sweep", *_SA, "--eps-grid", "1e-3,1e-4,1e-5"], 2,
      "at least 4 eps values"),
     (["onedim-sweep", *_SA, "--eps", "1e-3", "--eps-grid",
@@ -328,16 +328,30 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     assert err.startswith("error: ") and message in err
 
 
+def _refused_as_unknown(tmp_path, capsys, argv, flag, key):
+    # argv with flag 1, and a config file of argv's command with key = 1,
+    # each exit 2 as unknown
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    conf = _write(tmp_path, "run.conf", f"command = {argv[0]}\n{key} = 1\n")
+    assert main(["--config", str(conf)]) == 2
+    assert f"run.conf:2: unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_step_is_no_key(tmp_path, capsys):
     # every descent iteration's first trial is the full Newton step, so no
     # flag or config key sets it: both are refused as unknown (exit 2)
-    with pytest.raises(SystemExit) as exc:
-        main([*_OPT, "--step", "1", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --step 1" in capsys.readouterr().err
-    conf = _write(tmp_path, "run.conf", "command = optimize2d\nstep = 1\n")
-    assert main(["--config", str(conf)]) == 2
-    assert "run.conf:2: unknown key 'step'" in capsys.readouterr().err
+    _refused_as_unknown(tmp_path, capsys, _OPT, "--step", "step")
+
+
+def test_c_var_is_no_key(tmp_path, capsys):
+    # the first-variation normalization is 1 with the package's kappa and
+    # P_s (calibrate measures it), so no flag or config key sets it
+    _refused_as_unknown(tmp_path, capsys,
+                        ["calibrate", "--n", "1", "--s", "0.5"], "--c-var",
+                        "c_var")
 
 
 def test_radius_dependent_calibration_exits_1(tmp_path, capsys, monkeypatch):
@@ -353,7 +367,7 @@ _COMMON_FLAGS = [
     (("--prefix",), "prefix", None), (("--n",), "n", int),
     (("--s",), "s", float), (("--alpha",), "alpha", float),
     (("--eps",), "eps", float), (("--mass",), "mass", float),
-    (("--c-coupling",), "c_coupling", float), (("--c-var",), "c_var", float),
+    (("--c-coupling",), "c_coupling", float),
     (("--resolution",), "resolution", int), (("--nq",), "nq", int)]
 _GEOMETRY_FLAG = [(("--geometry",), "geometry", None)]
 _F_TOL_FLAG = [(("--f-tol",), "f_tol", float)]
@@ -362,8 +376,8 @@ _F_TOL_FLAG = [(("--f-tol",), "f_tol", float)]
 def test_subcommand_flags_keep_their_names_dests_and_types():
     # scripts and config files written against an earlier release keep
     # working, but for optimize2d's --step (the first trial step is always
-    # the full Newton step): each subcommand's (option strings, dest,
-    # type), in order
+    # the full Newton step) and --c-var (the first-variation normalization
+    # is 1): each subcommand's (option strings, dest, type), in order
     import argparse
     from nlshape import cli
     sub, = [a for a in cli._build_parser()._actions

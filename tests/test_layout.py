@@ -209,33 +209,43 @@ RULES = {
         or any(_ident(s) == "bool" for s in _sides(n))),
         owners=("sets._is_real",), fault=(
             "sets", "def mesh_angles(resolution): return int(resolution)")),
-    # every exponent is refused by one function, sets._require_exponent: s
-    # outside (0, 1) and alpha outside (0, n), or (0, n - 1) where V's
+    # every exponent is refused by sets._require_real, as every other real
+    # is: s outside (0, 1) and alpha outside (0, n), or (0, n - 1) where V's
     # gradient meets the boundary, NaN included. A range test elsewhere is a
     # second copy with its own message, and a new entry that forgets it
-    # answers silently. So no comparison outside it has a name or attribute s
-    # or alpha on one side and the constant 0 on another (diagnose's
-    # alpha < 1 gates compare with no 0 and are not range tests)
+    # answers silently. So no comparison has a name or attribute s or alpha
+    # on one side and the constant 0 on another (_require_real compares its
+    # value's float, and diagnose's alpha < 1 gates compare with no 0 and
+    # are not range tests)
     "exponent-ranges": Rule(_scan(
         lambda mod, n: any(isinstance(s, ast.Constant)
                            and not isinstance(s.value, bool) and s.value == 0
                            for s in _sides(n))
         and any(_ident(s) in {"s", "alpha"} for s in _sides(n))),
-        owners=("sets._require_exponent",),
         fault=("functionals", "def riesz_energy(S, alpha): return alpha > 0")),
-    # every real value a caller hands the package (Params' eps, mass,
-    # c_coupling and c_var, a step, a tol, a gap, a scale factor, the
-    # numbers a geometry is built from) is refused by one function,
-    # sets._require_real, as the integer knobs and the exponents are by
-    # theirs: a bool, a string, a complex number, NaN and a value outside
-    # its range raise the documented error with one message. A real test
+    # every real value a caller hands the package (the exponents, Params'
+    # eps, mass and c_coupling, a tol, a gap, a scale factor, the numbers a
+    # geometry is built from) is refused by one function,
+    # sets._require_real, as the integer knobs are by theirs: a bool, a
+    # string, a complex number, NaN and a value whose float lies outside its
+    # range raise the documented error with one message. A real test
     # elsewhere is a second copy whose message and range drift, so the
-    # package calls _is_real only inside those three owners
+    # package calls _is_real only inside those two owners
     "real-values": Rule(_scan(lambda mod, n: _calls(n, "_is_real")),
-                        owners=("sets._require_count", "sets._require_exponent",
-                                "sets._require_real"),
+                        owners=("sets._require_count", "sets._require_real"),
                         fault=("diagnostics", "def eta(delta): "
                                "return _is_real(delta) and delta >= 0.0")),
+    # and so one function writes the range message: a copy that tests the
+    # value before converting it passes one whose float rounds onto an open
+    # bound (an s of Fraction(1, 10**400) was stored as 0.0). So the text
+    # "must lie in" appears in a string only inside sets._require_real
+    "range-message": Rule(_scan(
+        lambda mod, n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and "must lie in" in n.value),
+        owners=("sets._require_real",), fault=(
+            "sets", "def _require_exponent(name, value, upper):\n"
+            "    if not 0.0 < value < upper:\n"
+            "        raise ParamError(f'{name} must lie in (0, {upper:g})')")),
     # a public bool knob is a second entry point for every caller to learn
     # and every test to cover: the descent's with_identities only passed a
     # flag on to diagnose, which a caller runs on the solved shape at no

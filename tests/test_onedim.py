@@ -130,7 +130,7 @@ def test_sym_second_diff_at_the_term_cap():
     (2.5, 0.3), (2.7, 0.45),  # the terms change sign: 0.3368672 for 0.3368599
     (2.5, 0.75), (2.0, 0.1), (-1.0, 0.1), (-1.5, 0.6), (math.nan, 0.1)])
 def test_sym_second_diff_refuses_b_outside_its_domain(b, x):
-    with pytest.raises(ParamError):
+    with pytest.raises(ParamError, match=r"b must lie in \(-1, 2\), got "):
         _sym_second_diff(b, x)
 
 
