@@ -410,7 +410,7 @@ def _run_calibrate(cfg, emit):
             radii = tuple(float(v) for v in text.split(",") if v.strip())
         except ValueError:
             radii = ()
-        if not radii or not all(0.0 < r < math.inf for r in radii):
+        if not radii:
             raise ConfigError(f"invalid radii: {text!r}")
         kwargs["radii"] = radii
     c = calibrate_variation_constant(s, n, res, nq, **kwargs)

@@ -356,14 +356,16 @@ def calibrate_variation_constant(s: float, n: int = 2,
     is exactly 1 under the conventions used here, which the Minkowski
     identity and lambda_cross_estimate take it to be: this measures what
     they assume. Each ball's kappa and P_s come from the curvature sweep of
-    its kernel, in the plane one on-curve pass at beta = -s.
+    its kernel, in the plane one on-curve pass at beta = -s. A radius
+    outside (0, inf) raises ParamError before any ball is swept.
     """
-    _require_real("s", s, "(0, 1)")
+    s = _require_real("s", s, "(0, 1)")
     _require_count("n", n, 1)
     if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
     if not radii:
         raise ParamError("radii must name at least one ball radius, got none")
+    radii = [_require_real("radius", R, "(0, inf)") for R in radii]
     vals = []
     for R in radii:
         k = _kernel(Ball((0.0,) * n, R), nq=nq)

@@ -85,14 +85,14 @@ target's distance to its focus point, ceil(log2(pi / gap)) + 4 levels with
 gap = |x - y(theta)| / |y'(theta)|, and the targets run grouped by depth.
 Both paths hand the integrands nodes with the same flux(), normal_parts()
 and r2, so V and grad V have one integrand each, and grad V is rotated back
-from the focus frame. Targets run in fixed blocks of about _BLOCK_NODES =
-2^13 quadrature nodes on the curve (_curve_batch) and off it (_ladder_sums),
-whose working arrays then stay in a core's L2 cache: that block size is
-within about 12% of the fastest on both paths, and it cut a sweep's
-traced peak at 1024/96 from 6.2 MB (2^16 nodes) to 0.9 MB. The working
-arrays of a sweep or a batch stay bounded in the mesh size m and in the
-number of targets, and a target's sum is the same whatever batch or block
-it falls in. A sweep's four fields share each block's mode sums, r and r'
+from the focus frame. Targets run in equal blocks of about _BLOCK_NODES =
+2^13 quadrature nodes (sets._blocks) on the curve (_curve_batch) and off it
+(_ladder_sums), whose working arrays then stay in a core's L2 cache: that
+block size is within about 12% of the fastest on both paths, and it cut a
+sweep's traced peak at 1024/96 from 6.2 MB (2^16 nodes) to 0.9 MB. The
+working arrays of a sweep or a batch stay bounded in the mesh size m and in
+the number of targets, and a target's sum is the same whatever batch or
+block it falls in. A sweep's four fields share each block's mode sums, r and r'
 (one _curve_batch, one contraction per exponent).
 
 The whole-boundary functionals, sweeps and set integrals take the mesh
@@ -101,9 +101,6 @@ planar point query resolves x once (_planar_target): on the curve or not,
 and its focus, the polar angle about the center. Non-finite planar points
 and foci, and NaN points on the line or in a ball, are refused with
 GeometryError; at +-inf the 1D and ball potential is its limit 0.
-frac_perimeter and riesz_energy can report a refinement error estimate (the
-change under doubling the per-node quadrature order; 0 for the 1D closed
-forms).
 """
 
 from __future__ import annotations
@@ -121,8 +118,8 @@ from .quad import (_boundary_point, _endpoint_fields, _first_diff,
                    _gauss_legendre, _pair_second_diff, graded_radial_rule,
                    jacobi_half_rule, ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
-                   boundary_mesh, canonical, mesh_angles, volume, _per_shape,
-                   _require_count, _require_real, _MIN_RESOLUTION)
+                   boundary_mesh, canonical, mesh_angles, volume, _blocks,
+                   _per_shape, _require_count, _require_real, _MIN_RESOLUTION)
 
 __all__ = [
     "EnergyBreakdown", "frac_perimeter", "riesz_energy", "energy",
@@ -407,13 +404,14 @@ def _curve_batch(star, thetas, nq, *fields):
     V, R_alpha) makes one contraction per exponent and block. Each field's
     integrands are summed before the next field builds its own.
 
-    The targets run in blocks of about _BLOCK_NODES = 2^13 nodes, so the
-    (rows, 2 nq) arrays of a block take 64 KB each and stay in a core's L2
-    cache, and memory is bounded in the target count. On the first seed-101
-    descent shape a sweep (both exponents) took 2.6-3.4 / 2.2-2.5 / 1.9-2.1
-    / 1.7-2.0 / 2.4-2.8 / 2.4-2.8 ms at 256/48 and 23 / 17-18 / 15-16 /
-    14-15 / 14-15 / 20-21 ms at 1024/96 with blocks of 2^11 / 2^12 / ... /
-    2^16 nodes (timeit, medians of nine interleaved rounds, two runs), and
+    The targets run in the blocks of sets._blocks at a budget of
+    _BLOCK_NODES = 2^13 nodes, so the (rows, 2 nq) arrays of a block take
+    about 64 KB each and stay in a core's L2 cache, and memory is bounded in
+    the target count. On the first seed-101 descent shape a sweep (both
+    exponents) took 2.6-3.4 / 2.2-2.5 / 1.9-2.1 / 1.7-2.0 / 2.4-2.8 /
+    2.4-2.8 ms at 256/48 and 23 / 17-18 / 15-16 / 14-15 / 14-15 / 20-21 ms
+    at 1024/96 with blocks of 2^11 / 2^12 / ... / 2^16 nodes (timeit,
+    medians of nine interleaved rounds, two runs), and
     its traced peak at 1024/96 read 0.3 / 0.5 / 0.9 / 1.6 / 3.0 / 5.8 MB:
     2^13 is within about 12% of the fastest at a third of 2^15's peak.
     """
@@ -424,9 +422,7 @@ def _curve_batch(star, thetas, nq, *fields):
     # the tables (and the refusal of a bad nq) come before the first block
     runs = [(_u_tables(beta, nq, K), list(run)) for beta, run in
             groupby(zip(fields, sums), key=lambda pair: pair[0].beta)]
-    step = max(1, _BLOCK_NODES // (2 * nq))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    for rows in _blocks(n, 2 * nq, _BLOCK_NODES):
         A, B = _mode_sums(star, thetas[rows], kk)
         ab = np.concatenate([A, B], axis=1)
         r = star.r0 + A.sum(axis=1, keepdims=True)
@@ -554,19 +550,18 @@ def _ladder_sums(star, frame, depth, field):
     nothing else reads them; every float op keeps its operands and their
     order, so the sums keep their bits.
 
-    The targets run in blocks of about _BLOCK_NODES = 2^13 nodes, the block
-    size of _curve_batch too: the ten or so (rows, 2n) arrays live in a
-    block then take 64 KB each and stay in a core's 2 MB L2 cache, which
-    512 KB arrays (2^16) spill. On the Au1 integral of the seed-101 audit
+    The targets run in the blocks of sets._blocks at a budget of
+    _BLOCK_NODES = 2^13 nodes, as in _curve_batch: the ten or so (rows, 2n)
+    arrays live in a block then take about 64 KB each and stay in a core's
+    2 MB L2 cache, which 512 KB arrays (2^16) spill. On the Au1 integral of
+    the seed-101 audit
     (4096 targets at resolution 256) timeit read 47 / 41 / 47 / 57 / 70 ms
     at 2^12 / 2^13 / 2^14 / 2^15 / 2^16 nodes (medians of five rounds);
     smaller blocks pay more per-block overhead."""
     T, cu, su, WW = _ladder_tables(int(depth), star.kmax)
     n = frame.ab.shape[0]
     out = np.empty((field.ncomp, n))
-    step = max(1, _BLOCK_NODES // WW.size)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    for rows in _blocks(n, WW.size, _BLOCK_NODES):
         rp = _rows_times(frame.ab[rows], T)
         rp += star.r0
         drp = _rows_times(frame.dab[rows], T)
@@ -700,16 +695,6 @@ def _grad_tau_field(alpha) -> _Field:
         ye /= np.sqrt(g.r * g.r + g.dr * g.dr)
         return (ye,)
     return _Field(-alpha, h, 1, lambda sums, thetas: -sums)
-
-
-def _with_error(value_at, nq, with_error):
-    """value_at(nq), or with with_error the refined value_at(2 nq) and its
-    change under the doubling."""
-    v = value_at(nq)
-    if not with_error:
-        return v
-    v2 = value_at(2 * nq)
-    return v2, abs(v2 - v)
 
 
 # ---------------------------------------------------------------------------
@@ -993,19 +978,19 @@ def _as_star(S, nq=None) -> StarShape2D:
 
 
 def frac_perimeter(S, s: float, resolution: int = DEFAULT_RESOLUTION,
-                   nq: int = DEFAULT_NQ, with_error: bool = False):
+                   nq: int = DEFAULT_NQ) -> float:
     """Fractional perimeter P_s(E)."""
     k = _kernel(S, nq=nq)
-    _require_real("s", s, "(0, 1)")
-    return _with_error(lambda q: k.perimeter(s, resolution, q), nq, with_error)
+    s = _require_real("s", s, "(0, 1)")
+    return k.perimeter(s, resolution, nq)
 
 
 def riesz_energy(S, alpha: float, resolution: int = DEFAULT_RESOLUTION,
-                 nq: int = DEFAULT_NQ, with_error: bool = False):
+                 nq: int = DEFAULT_NQ) -> float:
     """Riesz repulsion int_E int_E |x - y|^(-alpha)."""
     k = _kernel(S, nq=nq)
-    _require_real("alpha", alpha, f"(0, {k.S.n})")
-    return _with_error(lambda q: k.riesz(alpha, resolution, q), nq, with_error)
+    alpha = _require_real("alpha", alpha, f"(0, {k.S.n})")
+    return k.riesz(alpha, resolution, nq)
 
 
 def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
@@ -1021,7 +1006,7 @@ def energy(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
 def potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> float:
     """Riesz potential V_E(x) = int_E |x - y|^(-alpha) dy, any x."""
     k = _kernel(S, nq=nq)
-    _require_real("alpha", alpha, f"(0, {k.S.n})")
+    alpha = _require_real("alpha", alpha, f"(0, {k.S.n})")
     return k.potential(x, alpha, nq)
 
 
@@ -1031,7 +1016,7 @@ def grad_potential(S, x, alpha: float, *, nq: int = DEFAULT_NQ) -> np.ndarray:
     which requires alpha in (0, n - 1); outside that range the call is
     refused rather than regularized."""
     k = _kernel(S, nq=nq)
-    _require_real("alpha", alpha, f"(0, {k.S.n})")
+    alpha = _require_real("alpha", alpha, f"(0, {k.S.n})")
     return k.grad_potential(x, alpha, nq)
 
 
@@ -1039,7 +1024,8 @@ def tangential_grad_potential(S, x, alpha: float, *,
                               nq: int = DEFAULT_NQ) -> float:
     """grad V . tau at a boundary point of a planar shape."""
     star = _as_star(S, nq)
-    _require_real("alpha", alpha, f"(0, {star.n - 1})", why=_BOUNDARY_GRADIENT)
+    alpha = _require_real("alpha", alpha, f"(0, {star.n - 1})",
+                          why=_BOUNDARY_GRADIENT)
     x, on_curve, focus = _planar_target(star, x)
     if not on_curve:
         raise GeometryError(f"x = {x.tolist()} is not on the boundary")
@@ -1052,7 +1038,7 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
     Sign convention: positive on boundaries of convex sets.
     """
     k = _kernel(S, nq=nq)
-    _require_real("s", s, "(0, 1)")
+    s = _require_real("s", s, "(0, 1)")
     return k.curvature(x, s, nq)
 
 
@@ -1123,10 +1109,10 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     mesh ray's terms. An integrand with angular detail far finer than the
     shape's modes can pass the test on too few rays.
 
-    f_batch runs on blocks of whole rays, about _BLOCK_NODES nodes
-    each, so memory stays bounded in the resolution; every block's terms
-    feed one math.fsum, whose correctly rounded sum does not depend on the
-    blocks.
+    f_batch runs on the blocks of whole rays of sets._blocks at a budget
+    of _BLOCK_NODES nodes, so memory stays bounded in the resolution; every
+    block's terms feed one math.fsum, whose correctly rounded sum does not
+    depend on the blocks.
     """
     star = _as_star(star)
     th = mesh_angles(resolution)
@@ -1134,13 +1120,12 @@ def set_integral_2d(star, f_batch, resolution: int = DEFAULT_RESOLUTION):
     q_radial = max(12, m // 16)
     t, wt = graded_radial_rule(q_radial)
     cs, sn, r, _ = star._grid(m)
-    step = max(1, _BLOCK_NODES // q_radial)
 
     def blocks(rays):
         # nodes x = center + (t * r) e(theta), weights (2 pi / m) r^2 t dt
         # dtheta, on the mesh rays `rays`: one row of terms a ray
-        for lo in range(0, rays.size, step):
-            ray = rays[lo:lo + step]
+        for cut in _blocks(rays.size, q_radial, _BLOCK_NODES):
+            ray = rays[cut]
             rad = np.multiply.outer(r[ray], t)
             pts = np.stack([star.center[0] + rad * cs[ray, None],
                             star.center[1] + rad * sn[ray, None]], axis=-1)
@@ -1174,7 +1159,7 @@ def potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ):
     alpha in (0, 2). nq is refused as every entry's, though the ladder
     reads none."""
     star = _as_star(star, nq)
-    _require_real("alpha", alpha, f"(0, {star.n})")
+    alpha = _require_real("alpha", alpha, f"(0, {star.n})")
     pts, foci = _finite_batch(pts, foci)
     return _ladder_batch(star, pts, foci, _potential_field(alpha))
 
@@ -1183,6 +1168,6 @@ def grad_potential_at_points(star, pts, foci, alpha: float, nq: int = DEFAULT_NQ
     """grad V at off-boundary points, batched, for alpha in (0, 2) (nq as
     in potential_at_points)."""
     star = _as_star(star, nq)
-    _require_real("alpha", alpha, f"(0, {star.n})")
+    alpha = _require_real("alpha", alpha, f"(0, {star.n})")
     pts, foci = _finite_batch(pts, foci)
     return _ladder_batch(star, pts, foci, _grad_field(alpha))

@@ -119,7 +119,7 @@ def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
     at a boundary point x of the interval union S: the kappa of
     _endpoint_pass at the index of the endpoint that x stands for. A gap or
     interval whose length^(-s) overflows raises GeometryError."""
-    _require_real("s", s, "(0, 1)")
+    s = _require_real("s", s, "(0, 1)")
     j = _endpoint_index(S, x)
     if j is None:
         raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")

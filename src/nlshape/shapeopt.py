@@ -117,8 +117,9 @@ class OptimizerState:
     k_max: int = DEFAULT_K_MAX
 
 
-def fourier_shape(coeffs, center=(0.0, 0.0)) -> StarShape2D:
-    """Build a star shape from a mapping like {"r0": 1.0, "a3": 0.05}.
+def fourier_shape(coeffs) -> StarShape2D:
+    """Build a star shape about the origin from a mapping like
+    {"r0": 1.0, "a3": 0.05}; sets.translated places it elsewhere.
 
     Keys: r0, a<k>, b<k> for k >= 1, each mode named once; the shape's kmax
     is the highest mode named. A value that is not a finite real number (a
@@ -147,7 +148,7 @@ def fourier_shape(coeffs, center=(0.0, 0.0)) -> StarShape2D:
     b = np.zeros(kk)
     for (mode, k), v in amp.items():
         (a if mode == "a" else b)[k - 1] = v
-    return StarShape2D(center, r0, a, b)
+    return StarShape2D((0.0, 0.0), r0, a, b)
 
 
 def volume_project(S) -> StarShape2D:

@@ -683,11 +683,15 @@ def test_calibrate_reads_radii_from_a_config(tmp_path):
 
 @pytest.mark.parametrize("radii", ["", " , ", "1,-1", "0", "1,nan", "inf"])
 def test_calibrate_empty_or_non_positive_radii_exit_2(tmp_path, capsys, radii):
-    # configuration, not a runtime failure: no traceback, no Ball error
+    # configuration, not a runtime failure: no traceback, no Ball error. An
+    # empty list fails the parse; a radius outside (0, inf) is refused by
+    # the library's check, with its message
     assert main(["calibrate", "--n", "1", "--s", "0.5", "--config",
                  str(_write(tmp_path, "c.conf", f"radii = {radii}\n")),
                  "--out", str(tmp_path)]) == 2
-    assert "invalid radii" in capsys.readouterr().err
+    bad = [r for r in radii.split(",") if r.strip() and not 0 < float(r) < math.inf]
+    assert (f"radius must lie in (0, inf), got {float(bad[0])!r}" if bad
+            else "invalid radii") in capsys.readouterr().err
 
 
 # ------------------------------------------------------- precedence and output

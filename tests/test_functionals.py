@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
-                     StarShape2D, boundary_fields, energy,
+                     StarShape2D, boundary_fields, diagnose, energy,
                      frac_curvature, frac_perimeter, grad_potential,
                      grad_potential_at_points, potential, potential_at_points,
                      riesz_energy, set_integral_2d, tangential_grad_potential,
@@ -508,17 +508,30 @@ def test_energy_riesz_term_reported_at_eps_zero(unit_disk):
     assert br.total == br.perimeter_term
 
 
-def test_with_error_interval_is_exact(two_intervals):
-    v, err = frac_perimeter(two_intervals, 0.5, with_error=True)
-    assert err == 0.0
-    assert v == frac_perimeter(two_intervals, 0.5)
-
-
-def test_with_error_2d_bounds_truth(unit_disk):
-    v, err = frac_perimeter(unit_disk, 0.5, 128, 24, with_error=True)
+def test_with_error_2d_bounds_truth(unit_disk, params_2d):
+    # diagnose's nq-doubling estimate bounds the error of the 2 nq value
+    err = diagnose(unit_disk, params_2d, 128, 24).error_estimates["perimeter"]
     assert err >= 0.0
     ref = disk_perimeter_oracle(1.0, 0.5)
+    v = frac_perimeter(unit_disk, 0.5, 128, 48)
     assert abs(v - ref) <= max(10.0 * err, 1e-9 * abs(ref))
+
+
+def test_doubling_estimate_is_two_calls(mode3_star, params_2d):
+    # the estimate has one owner, diagnose; it is, bit for bit, the change
+    # of frac_perimeter and riesz_energy from nq to 2 nq
+    errors = diagnose(mode3_star, params_2d, 64, 12).error_estimates
+    for term, key in ((frac_perimeter, "perimeter"), (riesz_energy, "riesz")):
+        assert errors[key] == abs(term(mode3_star, 0.5, 64, 24)
+                                  - term(mode3_star, 0.5, 64, 12))
+
+
+@pytest.mark.parametrize("term", [frac_perimeter, riesz_energy])
+def test_energy_terms_take_no_error_flag(mode3_star, term):
+    from nlshape import functionals
+    with pytest.raises(TypeError):
+        term(mode3_star, 0.5, 64, 12, with_error=True)
+    assert not hasattr(functionals, "_with_error")
 
 
 def test_zeta_combination(unit_disk, params_2d):
@@ -681,11 +694,13 @@ def test_batched_gradient_matches_scalar(mode3_star):
         assert_allclose(row, grad_potential(mode3_star, p, 0.5), rtol=1e-11)
 
 
-def _ladder_targets_per_block(depth):
+def _ladder_blocks(depth, count):
     from nlshape.functionals import _BLOCK_NODES
     from nlshape.quad import ladder_half_rule
+    from nlshape.sets import _blocks
     # each target sums over the ladder of its depth on both sides of its focus
-    return _BLOCK_NODES // (2 * ladder_half_rule(int(depth))[0].size)
+    return _blocks(count, 2 * ladder_half_rule(int(depth))[0].size,
+                   _BLOCK_NODES)
 
 
 def _largest_depth_group(star, pts, foci):
@@ -699,7 +714,7 @@ def _largest_depth_group(star, pts, foci):
 def test_batched_points_over_blocks_equal_single_targets(mode3_star):
     # 100 points in a box around the shape spread over nine depths; 40 more
     # in a band of the interior share one depth, whose group then runs in
-    # two blocks, the last one partial
+    # two blocks
     rng = np.random.default_rng(7)
     box = rng.uniform(-1.1, 1.1, size=(100, 2))
     rays = rng.uniform(-math.pi, math.pi, size=40)
@@ -708,8 +723,7 @@ def test_batched_points_over_blocks_equal_single_targets(mode3_star):
     pts = np.concatenate([box, band])
     foci = np.arctan2(pts[:, 1], pts[:, 0])
     depth, count = _largest_depth_group(mode3_star, pts, foci)
-    per_block = _ladder_targets_per_block(depth)
-    assert per_block < count < 2 * per_block
+    assert len(_ladder_blocks(depth, count)) == 2
     vals = potential_at_points(mode3_star, pts, foci, 0.5)
     grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
     for i in range(pts.shape[0]):
@@ -723,15 +737,14 @@ def test_batched_points_over_blocks_equal_single_targets(mode3_star):
 def test_repeated_foci_over_blocks_equal_single_targets(mode3_star):
     # whole rays share a focus, as in the interior rule, shuffled so that
     # repeats fall out of order within a depth group, and that group runs
-    # in two blocks, the last one partial
+    # in two blocks
     rng = np.random.default_rng(11)
     rays = rng.uniform(-math.pi, math.pi, size=12)
     foci = rng.permutation(np.repeat(rays, 6))
     t = rng.uniform(0.3, 0.6, size=foci.size)
     pts = t[:, None] * np.stack([np.cos(foci), np.sin(foci)], axis=1)
     depth, count = _largest_depth_group(mode3_star, pts, foci)
-    per_block = _ladder_targets_per_block(depth)
-    assert per_block < count < 2 * per_block
+    assert len(_ladder_blocks(depth, count)) == 2
     vals = potential_at_points(mode3_star, pts, foci, 0.5)
     grads = grad_potential_at_points(mode3_star, pts, foci, 0.5)
     for i in range(foci.size):
@@ -819,22 +832,22 @@ def test_set_integral_never_calls_the_frame(monkeypatch, mode3_star):
 
 
 def test_mesh_sweep_over_blocks_equals_single_targets(mode3_star, params_2d):
-    # 1500 mesh nodes run in blocks of _BLOCK_NODES // (2 nq) targets, the
-    # last one partial; the first and last target of the first two blocks
-    # and of the last one each equal a batch of one
+    # 1500 mesh nodes run in the blocks of _blocks at 2 nq nodes a target;
+    # the first and last target of the first two blocks and of the last one
+    # each equal a batch of one
     from nlshape.functionals import (_BLOCK_NODES, _curve_batch, _grad_field,
                                      _grad_tau_field, _kappa_field,
                                      _potential_field)
+    from nlshape.sets import _blocks
     m = 1500
     for nq in (48, 96):
-        per_block = _BLOCK_NODES // (2 * nq)
-        last = m - m % per_block
-        assert 2 * per_block < last < m
+        cuts = _blocks(m, 2 * nq, _BLOCK_NODES)
+        assert len(cuts) > 3
         bf = boundary_fields(mode3_star, params_2d, m, nq)
         mesh = bf.mesh
         gt = _curve_batch(mode3_star, mesh.thetas, nq, _grad_tau_field(0.5))[0]
-        for i in (0, per_block - 1, per_block, 2 * per_block - 1, last - 1,
-                  last, m - 1):
+        for i in sorted({i for cut in cuts[:2] + cuts[-1:]
+                         for i in (cut.start, cut.stop - 1)}):
             one = slice(i, i + 1)
             th = mesh.thetas[one]
             assert bf.kappa[i] == _curve_batch(mode3_star, th, nq,
@@ -872,9 +885,10 @@ def test_sweep_makes_one_contraction_per_exponent_and_block(monkeypatch,
                                                             mode3_star,
                                                             params_2d):
     # kappa and P_s share a block's nodes at beta = -s, V and R_alpha those
-    # at beta = 2 - alpha: 256 targets at nq 48 run in 4 blocks (3 of
-    # _BLOCK_NODES // 96 = 85 targets and 1 of 1), two contractions each
+    # at beta = 2 - alpha: 256 targets at nq 48 run in the 3 blocks of
+    # _blocks (85, 85 and 86 targets), two contractions each
     from nlshape import functionals
+    from nlshape.sets import _blocks
     rows = []
     rows_times = functionals._rows_times
 
@@ -883,7 +897,9 @@ def test_sweep_makes_one_contraction_per_exponent_and_block(monkeypatch,
         return rows_times(a, T)
     monkeypatch.setattr(functionals, "_rows_times", counted)
     boundary_fields(mode3_star, params_2d, 256, 48)
-    assert rows == [85, 85, 85, 85, 85, 85, 1, 1]
+    assert rows == [85, 85, 85, 85, 86, 86]
+    assert rows == [cut.stop - cut.start for cut in
+                    _blocks(256, 96, functionals._BLOCK_NODES) for _ in "ab"]
 
 
 def test_sweep_memory_is_cache_sized(mode3_star, params_2d):

@@ -104,10 +104,13 @@ def _private_parameters(nodes):
 
 
 # module.function.parameter of every bool-default public parameter
-PUBLIC_FLAGS = {"shapeopt.find_critical_2d.full_output",
-                "diagnostics.diagnose.with_identities",
-                "functionals.frac_perimeter.with_error",
-                "functionals.riesz_energy.with_error"}
+PUBLIC_FLAGS = {
+    # the benchmark's descent reads the state the solve returns with it
+    "shapeopt.find_critical_2d.full_output",
+    # two callers need different values: the descent's final diagnose skips
+    # the identities, the CLI's and a user's run them
+    "diagnostics.diagnose.with_identities",
+}
 
 
 def _public_flags(nodes):
@@ -122,6 +125,17 @@ def _public_flags(nodes):
     return (sorted(found - PUBLIC_FLAGS)
             + [f"missing {flag}" for flag in sorted(PUBLIC_FLAGS - found)
                if flag.split(".")[0] in read])
+
+
+def _block_budgets(nodes):
+    """The reads of _BLOCK_NODES and _PAIR_BLOCK that are not an argument of
+    a call of _blocks."""
+    nodes = list(nodes)
+    args = {id(arg) for _, n in nodes if _calls(n, "_blocks") for arg in n.args}
+    return _scan(lambda mod, n: isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)
+                 and n.id in {"_BLOCK_NODES", "_PAIR_BLOCK"}
+                 and id(n) not in args)(nodes)
 
 
 def _has_flag(fn):
@@ -249,10 +263,9 @@ RULES = {
     # a public bool knob is a second entry point for every caller to learn
     # and every test to cover: the descent's with_identities only passed a
     # flag on to diagnose, which a caller runs on the solved shape at no
-    # sweep. So the bool-default parameters of the package's public
-    # functions are exactly find_critical_2d's full_output (the benchmark
-    # reads the state), diagnose's with_identities and the with_error of
-    # frac_perimeter and riesz_energy
+    # sweep, and the with_error of frac_perimeter and riesz_energy was a
+    # second owner of diagnose's nq-doubling estimate. So the bool-default
+    # parameters of the package's public functions are exactly PUBLIC_FLAGS
     "public-flags": Rule(_public_flags, fault=(
         "fault", "__all__ = ['solve']\ndef solve(p, verbose=False): pass")),
     # each 2D quantity (kappa, V, grad V, grad V . tau, P_s, R_alpha) is one
@@ -265,6 +278,14 @@ RULES = {
         lambda mod, n: isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         and n.name.startswith("_") and _has_flag(n)),
         fault=("functionals", "def _batch(nodes, flag=False): pass")),
+    # how many rows a batched loop takes at once is decided by one function,
+    # sets._blocks, from the loop's measured budget (_BLOCK_NODES on and off
+    # the curve and in the interior rule, _PAIR_BLOCK in the pair scan): a
+    # loop that divides the budget itself cuts its own blocks, as the four
+    # did that ended a 256/48 sweep on a block of one target. So the package
+    # reads the two budgets only as an argument of _blocks
+    "block-policy": Rule(_block_budgets, fault=(
+        "functionals", "def _loop(n): step = _BLOCK_NODES // 96")),
 }
 
 

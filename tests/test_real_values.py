@@ -21,8 +21,8 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      epsilon_sweep, eta, f_closed_form, find_critical_2d,
                      fourier_shape, frac_curvature, frac_perimeter,
                      grad_potential, grad_potential_at_points, identity_check,
-                     kernel_primitive, potential,
-                     potential_at_points, riesz_energy, solve_critical_d,
+                     kernel_primitive, potential, potential_at_points,
+                     pv_pair_integral, riesz_energy, solve_critical_d,
                      tangential_grad_potential, zeta)
 from nlshape.quad import graded_radial_rule, jacobi_half_rule, ladder_half_rule
 from nlshape.sets import geometry_to_dict, scaled, translated
@@ -142,12 +142,12 @@ def test_reproductions_are_refused_with_their_types():
                  lambda: IntervalSet([(0, "1")]),
                  lambda: StarShape2D((0, 0), 1.0, ["0.1"]),
                  lambda: StarShape2D((0, 0), 2.0, [True]),
-                 lambda: scaled(Ball((0, 0), 1.0), True),
-                 lambda: calibrate_variation_constant(0.5, 2, 64, 16,
-                                                      radii=(True, 2.0))):
+                 lambda: scaled(Ball((0, 0), 1.0), True)):
         with pytest.raises(GeometryError):
             call()
     for call in (lambda: fourier_shape({"r0": True, "a2": "0.05"}),
+                 lambda: calibrate_variation_constant(0.5, 2, 64, 16,
+                                                      radii=(True, 2.0)),
                  lambda: epsilon_sweep(P1, [1e-3, 1e-4, 1e-5, True]),
                  lambda: epsilon_sweep(P1, [1e-3, 1e-4, 1e-5, "1e-6"]),
                  lambda: TwoIntervalConfig(d=True, params=P1),
@@ -220,6 +220,44 @@ ACCEPT_SITES = [
 @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64, int])
 def test_takes_numpy_and_integer_values_as_floats(call, value, kind):
     typed = kind(value)
+    assert _key(call(typed)) == _key(call(float(typed)))
+
+
+# (id, call(exponent)) of each public function that takes s or alpha, on
+# a star shape and on an interval set: each computes with, and answers in,
+# the Python float of the exponent
+_FOCI = np.array([0.4, 2.0])
+_POINTS = np.array([[0.2, 0.1], [-0.3, 0.5]])
+EXPONENT_SITES = [
+    ("frac_perimeter", lambda v: frac_perimeter(STAR, v, 64, 8)),
+    ("frac_perimeter-1d", lambda v: frac_perimeter(PAIR, v)),
+    ("riesz_energy", lambda v: riesz_energy(STAR, v, 64, 8)),
+    ("riesz_energy-1d", lambda v: riesz_energy(PAIR, v)),
+    ("potential", lambda v: potential(STAR, (1.1, 0.0), v, nq=8)),
+    ("potential-off-curve", lambda v: potential(STAR, (0.2, 0.1), v)),
+    ("potential-1d", lambda v: potential(PAIR, 1.0, v)),
+    ("grad_potential", lambda v: grad_potential(STAR, (1.1, 0.0), v, nq=8)),
+    ("grad_potential-off-curve",
+     lambda v: grad_potential(STAR, (0.2, 0.1), v)),
+    ("tangential_grad_potential",
+     lambda v: tangential_grad_potential(STAR, (1.1, 0.0), v, nq=8)),
+    ("frac_curvature", lambda v: frac_curvature(STAR, (1.1, 0.0), v, nq=8)),
+    ("frac_curvature-1d", lambda v: frac_curvature(PAIR, 0.5, v)),
+    ("potential_at_points",
+     lambda v: potential_at_points(STAR, _POINTS, _FOCI, v)),
+    ("grad_potential_at_points",
+     lambda v: grad_potential_at_points(STAR, _POINTS, _FOCI, v)),
+    ("pv_pair_integral", lambda v: pv_pair_integral(PAIR, 2.0, v)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in EXPONENT_SITES])
+@pytest.mark.parametrize("kind", [np.float64, np.float32])
+def test_exponent_sites_compute_with_the_python_float(call, kind):
+    # a float32 exponent was computed with as float32, and frac_perimeter on
+    # the star returned numpy.float32 81.67282 for 81.67281382539983
+    typed = kind(0.3)
     assert _key(call(typed)) == _key(call(float(typed)))
 
 

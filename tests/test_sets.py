@@ -327,12 +327,12 @@ def test_star_diameter_blocks_equal_all_pairs():
 
 
 def test_star_diameter_finds_a_pair_ending_in_the_last_block():
-    # kmax 70 gives 560 samples and a last row block that is partial. The
-    # shape is stretched along the angle of sample 555, in that block, and
+    # kmax 70 gives 560 samples in the row blocks of _blocks. The shape is
+    # stretched along the angle of sample 555, in the last block, and
     # shifted off its pole by a mode 1, so its farthest pair joins sample
     # 555 to one in an earlier block; the upper-triangle scan finds it in
     # the earlier block's row, at a column of the last block
-    from nlshape.sets import _PAIR_BLOCK
+    from nlshape.sets import _PAIR_BLOCK, _blocks
     m, t0 = 560, 2.0 * np.pi * 555 / 560
     k = np.arange(1, 71)
     a = 1e-4 * np.cos(3.0 * k)
@@ -340,13 +340,43 @@ def test_star_diameter_finds_a_pair_ending_in_the_last_block():
     a[0], b[0] = 0.1, -0.05
     a[1], b[1] = 0.3 * np.cos(2.0 * t0), 0.3 * np.sin(2.0 * t0)
     star = StarShape2D((0.4, -0.7), 1.0, a, b)
-    rows = _PAIR_BLOCK // m
-    last = (m - 1) // rows * rows
-    assert 0 < m - last < rows
+    last = _blocks(m, m, _PAIR_BLOCK)[-1].start
+    assert last <= 555
     dist = _all_pairs_distances(star, m)
     i, j = np.unravel_index(dist.argmax(), dist.shape)
     assert min(i, j) < last <= max(i, j)
     assert diameter(star) == float(dist.max())
+
+
+@pytest.mark.parametrize("n", [0, 1, 65, 256, 1500])
+@pytest.mark.parametrize("nq", [48, 96])
+def test_blocks_cut_in_order_into_near_equal_slices(n, nq):
+    # the cutter of every batched loop, here at the on-curve sweep's 2 nq
+    # nodes a target: the slices cover range(n) once and in order, their
+    # sizes differ by at most one, and there are ceil(n 2 nq / budget)
+    from nlshape.functionals import _BLOCK_NODES
+    from nlshape.sets import _blocks
+    cuts = _blocks(n, 2 * nq, _BLOCK_NODES)
+    assert [i for cut in cuts for i in range(n)[cut]] == list(range(n))
+    assert all(cut.step is None and cut.stop > cut.start for cut in cuts)
+    sizes = {cut.stop - cut.start for cut in cuts}
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert max(sizes, default=0) <= _BLOCK_NODES // (2 * nq) + 1
+    assert len(cuts) == math.ceil(n * 2 * nq / _BLOCK_NODES)
+
+
+def test_blocks_run_no_more_blocks_than_whole_budgets():
+    # the 256/48 sweep runs in 3 blocks (85 + 85 + 85 + 1 targets took 4),
+    # 256/96 in 6 (7), and the 65-target coarse sweeps and the 512-sample
+    # diameter keep their counts
+    from nlshape.functionals import _BLOCK_NODES
+    from nlshape.sets import _PAIR_BLOCK, _blocks
+    assert [len(_blocks(256, 2 * nq, _BLOCK_NODES)) for nq in (48, 96)] == [3, 6]
+    assert [len(_blocks(65, 2 * nq, _BLOCK_NODES)) for nq in (48, 96)] == [1, 2]
+    assert len(_blocks(512, 512, _PAIR_BLOCK)) == 16
+    # a row above the budget takes a block of its own
+    assert _blocks(3, 2 * _PAIR_BLOCK, _PAIR_BLOCK) == [
+        slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_star_diameter_memory_is_bounded():

@@ -15,7 +15,7 @@ from nlshape.errors import (GeometryError, ParamError, QuadratureError,
 from nlshape.functionals import (boundary_fields, energy, frac_perimeter,
                                  riesz_energy, zeta)
 from nlshape.sets import (Ball, IntervalSet, Params, StarShape2D,
-                          uniform_angles, volume)
+                          translated, uniform_angles, volume)
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
                               find_critical_2d, fourier_shape, initial_state,
                               volume_project)
@@ -40,9 +40,17 @@ def test_fourier_shape_coefficients():
 
 
 def test_fourier_shape_center():
-    S = fourier_shape({"r0": 1.0}, center=(2.0, -1.0))
-    assert S.center == (2.0, -1.0)
-    assert S.kmax == 0
+    # a shape is placed by translated, which gives the floats that
+    # fourier_shape's removed center keyword built
+    coeffs = {"r0": 1.0, "a3": 0.05, "b2": -0.02}
+    S = fourier_shape(coeffs)
+    assert S.center == (0.0, 0.0)
+    T = translated(S, (2.0, -1.0))
+    built = StarShape2D((2.0, -1.0), S.r0, S.a, S.b)
+    assert ((T.center, T.r0, T.a.tobytes(), T.b.tobytes())
+            == (built.center, built.r0, built.a.tobytes(), built.b.tobytes()))
+    with pytest.raises(TypeError):
+        fourier_shape(coeffs, center=(2.0, -1.0))
 
 
 @pytest.mark.parametrize("bad", ["c3", "a", "ax", "a0", "b0", "r1"])
@@ -87,7 +95,8 @@ def test_volume_project_skips_the_positivity_check(monkeypatch):
     # a positive rescale keeps the radius positive, so the projection does
     # not run __init__'s check again; the result is the shape __init__ would
     # build from the scaled coefficients, bit for bit, and as immutable
-    S = fourier_shape({"r0": 1.0, "a3": 0.05, "b2": 0.02}, center=(0.3, -0.1))
+    S = translated(fourier_shape({"r0": 1.0, "a3": 0.05, "b2": 0.02}),
+                   (0.3, -0.1))
     c = 1.0 / math.sqrt(volume(S))
     built = StarShape2D(S.center, c * S.r0, c * S.a, c * S.b)
     init = StarShape2D.__init__
@@ -149,15 +158,16 @@ def test_initial_state_fields():
 def test_descent_signatures_hold_what_is_read():
     # every iteration's first trial is the full Newton step, the final
     # diagnose runs without identities (a diagnose of the returned shape
-    # gives them), and a mode cap of fourier_shape is the caller's S.kmax
-    # test: no step, with_identities or k_max knob is left to set
+    # gives them), a mode cap of fourier_shape is the caller's S.kmax test
+    # and its shape is placed by sets.translated: no step, with_identities,
+    # k_max or center knob is left to set
     def names(fn):
         return list(inspect.signature(fn).parameters)
     assert names(find_critical_2d) == [
         "init", "p", "tol", "max_iter", "resolution", "nq", "k_max",
         "full_output"]
     assert names(initial_state) == ["shape", "resolution", "k_max"]
-    assert names(fourier_shape) == ["coeffs", "center"]
+    assert names(fourier_shape) == ["coeffs"]
     assert not hasattr(shapeopt, "DEFAULT_STEP")
 
 
