@@ -13,7 +13,7 @@ from .errors import (BracketError, ConfigError, ConfigNotFoundError,
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    diameter, geometry_from_dict, geometry_to_dict,
                    isodiametric_ratio, load_geometry, save_geometry, volume)
-from .quad import kernel_primitive, pv_pair_integral
+from .quad import pv_pair_integral
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, BoundaryFields,
                           EnergyBreakdown, boundary_fields, energy,
                           frac_curvature, frac_perimeter, grad_potential,
@@ -40,7 +40,7 @@ __all__ = [
     "volume", "diameter", "isodiametric_ratio",
     "geometry_to_dict", "geometry_from_dict", "load_geometry", "save_geometry",
     # quadrature
-    "kernel_primitive", "pv_pair_integral",
+    "pv_pair_integral",
     # functionals
     "frac_perimeter", "riesz_energy", "energy", "EnergyBreakdown",
     "potential", "grad_potential", "tangential_grad_potential",

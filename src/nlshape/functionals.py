@@ -33,11 +33,13 @@ kernel's geometry) and calls the kernel. The kernel holds the shape's
 canonical form (sets.canonical, which refuses anything else with
 GeometryError: a 1D ball as its interval set, a planar ball as a
 constant-radius star shape) in the one kernel class of that geometry
-(_IntervalKernel, _StarKernel, _BallKernel for n >= 3), whose methods are
-those of _Kernel. What a kernel has no algorithm for, and the planar-only
-functions on a non-planar shape, are refused with GeometryError. Each 2D
-value is one Gauss-Jacobi (on the curve) or graded-ladder (off the curve)
-sum per target.
+(_IntervalKernel, _StarKernel), whose methods are those of _Kernel. A ball
+in n >= 3 takes the base _Kernel, which refuses every method: the energies
+and fields cover n in {1, 2}, and a ball in any n keeps only its
+closed-form measures (sets). What a kernel has no algorithm for, and the
+planar-only functions on a non-planar shape, are refused with
+GeometryError. Each 2D value is one Gauss-Jacobi (on the curve) or
+graded-ladder (off the curve) sum per target.
 
 Each of the six 2D quantities, kappa, V, grad V, grad V . tau, P_s and
 R_alpha, is one _Field (_kappa_field, _potential_field, _grad_field,
@@ -99,8 +101,8 @@ The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
 planar point query resolves x once (_planar_target): on the curve or not,
 and its focus, the polar angle about the center. Non-finite planar points
-and foci, and NaN points on the line or in a ball, are refused with
-GeometryError; at +-inf the 1D and ball potential is its limit 0.
+and foci, and NaN points on the line, are refused with GeometryError; at
++-inf the 1D potential is its limit 0.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ import numpy as np
 
 from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, _endpoint_fields, _first_diff,
-                   _gauss_legendre, _pair_second_diff, graded_radial_rule,
-                   jacobi_half_rule, ladder_half_rule, pv_pair_integral)
+                   _pair_second_diff, graded_radial_rule, jacobi_half_rule,
+                   ladder_half_rule, pv_pair_integral)
 from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, volume, _blocks,
                    _per_shape, _require_count, _require_real, _MIN_RESOLUTION)
@@ -889,62 +891,11 @@ class _StarKernel(_Kernel):
         return float(potential_at_points(star, pts, foci, alpha, nq).max()), vb0
 
 
-class _BallKernel(_Kernel):
-    """A ball in n >= 3 (canonical keeps no other ball): the potential by
-    radial slicing with closed-form cap fractions, and grad V at the center,
-    0 by symmetry."""
-
-    def potential(self, x, alpha, nq) -> float:
-        from scipy.special import betainc
-        B = self.S
-        n = B.n
-        x = np.asarray(x, dtype=float).reshape(n)
-        if np.isnan(x).any():
-            raise GeometryError(f"point must not be NaN, got {x.tolist()}")
-        dist = float(np.linalg.norm(x - np.asarray(B.center)))
-        if math.isinf(dist):
-            return 0.0  # the point at infinity: V decays like dist^(-alpha)
-        R = B.radius
-        omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|
-        if dist <= 1e-14 * R:
-            return omega * R ** (n - alpha) / (n - alpha)
-
-        def cap_fraction(rho):
-            # fraction of the sphere of radius rho about x lying inside B
-            c = (dist * dist + rho * rho - R * R) / (2.0 * rho * dist)
-            c = np.clip(c, -1.0, 1.0)
-            phi = np.arccos(c)
-            z = np.sin(phi) ** 2
-            half = 0.5 * betainc((n - 1) / 2.0, 0.5, z)
-            return np.where(phi <= 0.5 * math.pi, half, 1.0 - half)
-
-        lo = abs(R - dist)
-        hi = R + dist
-        inner = 0.0
-        if dist < R:
-            inner = omega * lo ** (n - alpha) / (n - alpha)
-        # integrand is continuous on [lo, hi]; composite Gauss-Legendre
-        t, w = _gauss_legendre(64)
-        total = 0.0
-        panels = np.linspace(lo, hi, 9)
-        for p0, p1 in zip(panels, panels[1:]):
-            mid, half_w = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-            rho = mid + half_w * t
-            total += half_w * float(w @ (rho ** (n - 1.0 - alpha) * cap_fraction(rho)))
-        return inner + omega * total
-
-    def grad_potential(self, x, alpha, nq) -> np.ndarray:
-        B = self.S
-        x = np.asarray(x, dtype=float).reshape(B.n)
-        if np.allclose(x, B.center, rtol=0.0, atol=1e-14):
-            return np.zeros(B.n)  # exact by symmetry
-        raise GeometryError("gradient for balls with n >= 3 is only provided at the center")
-
-
 # the kernel class of each canonical geometry: the one place that decides
-# which algorithms serve which geometry
+# which algorithms serve which geometry. canonical keeps a ball only in
+# n >= 3, which takes the base kernel: it refuses every method
 _KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel,
-            Ball: _BallKernel}
+            Ball: _Kernel}
 
 
 def _kernel(S, p: Optional[Params] = None, nq=None) -> _Kernel:

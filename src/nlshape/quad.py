@@ -28,46 +28,17 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GeometryError, ParamError
-from .sets import IntervalSet, _require_count, _require_real
+from .errors import GeometryError
+from .sets import IntervalSet, canonical, _require_count, _require_real
 
 __all__ = [
-    "kernel_primitive", "pv_pair_integral", "jacobi_half_rule",
-    "ladder_half_rule", "graded_radial_rule",
+    "pv_pair_integral", "jacobi_half_rule", "ladder_half_rule",
+    "graded_radial_rule",
 ]
 
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-def kernel_primitive(a: float, b: float, x: float, p: float) -> float:
-    """int_a^b |x - y|^(-p) dy for x outside the open interval (a, b), the
-    first difference (_first_diff) over [a, b] at its distance from x.
-
-    An end or x that is not a real number (a bool or a string among them),
-    an interval with a > b or a NaN end, a non-finite x and an interior
-    singular point (which must go through the PV path) raise GeometryError.
-    p = 1 (the logarithmic case), a p that is NaN or not a real number and
-    an endpoint singularity (x == a or x == b) with p >= 1, where the
-    improper integral diverges, raise ParamError.
-    """
-    a = _require_real("a", a, "[-inf, inf]", GeometryError)
-    b = _require_real("b", b, "[-inf, inf]", GeometryError)
-    x = _require_real("x", x, error=GeometryError)
-    if not a <= b:
-        raise GeometryError(f"need a <= b, got a={a!r}, b={b!r}")
-    if a < x < b:
-        raise GeometryError("singular interior point: use PV path")
-    p = _require_real("p", p, "[-inf, inf]")
-    if p == 1.0:
-        raise ParamError(
-            f"kernel exponent p must be a number other than 1 (the log case), "
-            f"got {p!r}")
-    if x in (a, b) and p >= 1.0:
-        raise ParamError(
-            f"endpoint singularity diverges for p = {p} >= 1: use PV path")
-    return _first_diff(1.0 - p, a - x if x <= a else x - b, b - a)
 
 
 def _first_diff(q: float, g: float, h: float) -> float:
@@ -114,16 +85,21 @@ def _partition(intervals: tuple) -> list:
     return segs
 
 
-def pv_pair_integral(S: IntervalSet, x: float, s: float) -> float:
+def pv_pair_integral(S, x: float, s: float) -> float:
     """Principal value of int (chi_{complement} - chi_S)(y) |x - y|^(-1-s) dy
-    at a boundary point x of the interval union S: the kappa of
-    _endpoint_pass at the index of the endpoint that x stands for. A gap or
-    interval whose length^(-s) overflows raises GeometryError."""
+    at a boundary point x of the set S on the line (an IntervalSet or a 1D
+    ball, as its interval set): the kappa of _endpoint_pass at the index of
+    the endpoint that x stands for. Anything else, and a gap or interval
+    whose length^(-s) overflows, raises GeometryError."""
+    C = canonical(S)
+    if C.n != 1:
+        raise GeometryError("the principal value covers sets on the line, "
+                            f"got a {type(S).__name__} in dimension {C.n}")
     s = _require_real("s", s, "(0, 1)")
-    j = _endpoint_index(S, x)
+    j = _endpoint_index(C, x)
     if j is None:
         raise GeometryError(f"x = {x!r} is not a boundary point of the interval set")
-    segs = _partition(S.intervals)
+    segs = _partition(C.intervals)
     try:
         return _endpoint_pass(segs, j, s, None)[0]
     except OverflowError:

@@ -307,10 +307,14 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "f underflows to 0"),
     (["curvature", "--s", "0.97", "--alpha", "0.5", "--geometry", "GAP"], 1,
      "the gap (0.0, 5e-324) is too short for s = 0.97"),
+    # the fields cover n in {1, 2}: a 3D ball's potential wrote a CSV
+    (["potential", *_SA, "--geometry", "BALL3", "--point", "0.1,0,0"], 1,
+     "the boundary quadrature covers interval sets and planar shapes, "
+     "got a Ball in dimension 3"),
 ], ids=["no-eps", "short-grid", "one-distinct-eps", "onedim-n2",
         "optimize-n1", "nan-f-tol", "nan-tol", "negative-modes", "zero-modes",
         "negative-max-iter", "nan-step", "negative-step", "corrupt-geometry", "stall", "bracket",
-        "subnormal-gap"])
+        "subnormal-gap", "ball3-potential"])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     # a first trial step below the least step stalls the descent at once
     monkeypatch.setattr(shapeopt, "_MIN_STEP", 2.0)
@@ -318,6 +322,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
              "STAR": str(_star_geom(tmp_path)),
              "GAP": str(_write(tmp_path, "gap.json", json.dumps(
                  {"kind": "intervals", "intervals": [[-1, 0], [5e-324, 1]]}))),
+             "BALL3": str(_write(tmp_path, "ball3.json", json.dumps(
+                 {"kind": "ball", "center": [0, 0, 0], "radius": 1}))),
              "NANSTEP": str(_write(tmp_path, "nan.conf",
                                    "command = optimize2d\nstep = nan\n")),
              "NEGSTEP": str(_write(tmp_path, "neg.conf",
@@ -326,6 +332,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
     assert main([*argv, "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _refused_as_unknown(tmp_path, capsys, argv, flag, key):

@@ -18,8 +18,8 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      StarShape2D, boundary_fields, diagnose, energy,
                      frac_curvature, frac_perimeter, grad_potential,
                      grad_potential_at_points, potential, potential_at_points,
-                     riesz_energy, set_integral_2d, tangential_grad_potential,
-                     zeta)
+                     pv_pair_integral, riesz_energy, set_integral_2d,
+                     tangential_grad_potential, zeta)
 from nlshape.sets import scaled, translated
 
 from oracles import (CLOSED_FORM_SETS, QuadTolerance, brute_oracle,
@@ -258,24 +258,12 @@ def test_disk_potential_center_closed_form(unit_disk):
 
 
 def test_ball_3d_potential_center():
-    # V(0) = 4 pi R^(3-a) / (3-a)
+    # the fields cover n in {1, 2}: a ball in n >= 3 takes the base kernel,
+    # which refuses every method, at the center too
     B = Ball((0.0, 0.0, 0.0), 1.0)
-    got = potential(B, (0.0, 0.0, 0.0), 0.5)
-    assert_allclose(got, 4.0 * math.pi / 2.5, rtol=1e-10)
-    assert_allclose(grad_potential(B, (0.0, 0.0, 0.0), 0.5), np.zeros(3),
-                    atol=0.0)
-
-
-@pytest.mark.parametrize("r", [0.3, 0.9, 1.29, 1.3, 1.31, 2.0, 10.0])
-def test_ball_3d_potential_off_center_is_newtonian(r):
-    # alpha = 1 in R^3: V = 4 pi R^3 / (3 r) outside, 2 pi (R^2 - r^2 / 3)
-    # inside, at distance r from an off-origin center
-    R, c = 1.3, np.array([0.4, -1.1, 2.5])
-    direction = np.array([2.0, -1.0, 2.0]) / 3.0
-    got = potential(Ball(tuple(c), R), c + r * direction, 1.0)
-    exact = (4.0 * math.pi * R ** 3 / (3.0 * r) if r >= R
-             else 2.0 * math.pi * (R * R - r * r / 3.0))
-    assert_allclose(got, exact, rtol=1e-13)
+    for query in (potential, grad_potential):
+        with pytest.raises(GeometryError, match="got a Ball in dimension 3"):
+            query(B, (0.0, 0.0, 0.0), 0.5)
 
 
 def test_disk_tangential_gradient_vanishes(unit_disk):
@@ -373,8 +361,6 @@ NONPLANAR_QUERIES = {
     "zeta 1D": lambda x: zeta(IntervalSet([(0.0, 1.0), (2.0, 3.5)]), x,
                               Params(n=1, s=0.5, alpha=0.5, eps=1e-3)),
     "potential ball 1D": lambda x: potential(Ball((0.5,), 1.0), x, 0.5),
-    "potential ball 3D": lambda x: potential(Ball((0.0, 0.0, 0.0), 1.0),
-                                             (0.1, x, 0.0), 0.5),
 }
 
 
@@ -395,7 +381,6 @@ def test_nonplanar_queries_refuse_nan(name):
 def test_nonplanar_potential_at_infinity_is_zero(two_intervals, x):
     # the same limit as the gradient's: V decays like |x|^(-alpha)
     assert potential(two_intervals, x, 0.5) == 0.0
-    assert potential(Ball((0.0, 0.0, 0.0), 1.0), (0.1, x, 0.0), 0.5) == 0.0
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, 0.5, 1.5])
@@ -1016,7 +1001,8 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
     (lambda: grad_potential(_STAR, (0.3, 0.2), math.nan), ParamError,
      r"alpha must lie in \(0, 2\), got nan"),
     (lambda: grad_potential(_BALL3, (0.5, 0.0, 0.0), 0.5), GeometryError,
-     "only provided at the center"),
+     "the boundary quadrature covers interval sets and planar shapes, "
+     "got a Ball in dimension 3"),
     (lambda: frac_perimeter(_STAR, 1.5), ParamError,
      r"s must lie in \(0, 1\), got 1.5"),
     (lambda: frac_curvature(_STAR, (1.1, 0.0), 0.0), ParamError,
@@ -1031,6 +1017,18 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
      r"alpha must lie in \(0, 2\), got \(1\+0j\)"),
     (lambda: riesz_energy(_STAR, None), ParamError,
      r"alpha must lie in \(0, 2\), got None"),
+    # the principal value on the line refused every other input with a bare
+    # AttributeError (no .intervals) or TypeError (a planar x)
+    (lambda: pv_pair_integral(_STAR, (1.1, 0.0), 0.5), GeometryError,
+     "covers sets on the line, got a StarShape2D in dimension 2"),
+    (lambda: pv_pair_integral(Ball((0.0, 0.0), 1.0), (1.0, 0.0), 0.5),
+     GeometryError, "covers sets on the line, got a Ball in dimension 2"),
+    (lambda: pv_pair_integral(_BALL3, (1.0, 0.0, 0.0), 0.5), GeometryError,
+     "covers sets on the line, got a Ball in dimension 3"),
+    (lambda: pv_pair_integral([(0.0, 1.0)], 1.0, 0.5), GeometryError,
+     "unsupported geometry list"),
+    (lambda: pv_pair_integral(None, 1.0, 0.5), GeometryError,
+     "unsupported geometry NoneType"),
 ], ids=["riesz-alpha", "potential-alpha", "fields-ball3", "potential-ball3",
         "points-potential-alpha-2", "points-potential-alpha-2.5",
         "points-potential-alpha-nan", "points-grad-alpha-nan",
@@ -1038,7 +1036,8 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
         "grad-off-curve-alpha-nan",
         "grad-ball3-off-center", "perimeter-s", "curvature-s",
         "tangential-off-curve", "perimeter-s-str", "potential-alpha-complex",
-        "riesz-alpha-none"])
+        "riesz-alpha-none", "pv-star", "pv-disk", "pv-ball3", "pv-list",
+        "pv-none"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -1049,3 +1048,10 @@ def test_refusals(call, error, message):
 def test_zeta_at_eps_0_is_the_curvature_bitwise(S, x):
     p = Params(n=S.n, s=0.4, alpha=0.5, eps=0.0)
     assert zeta(S, x, p).hex() == frac_curvature(S, x, p.s).hex()
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5])
+def test_pv_pair_integral_of_a_1d_ball_is_the_curvature_bitwise(x):
+    # a 1D ball is its interval set, for the principal value as for kappa
+    B = Ball((0.5,), 1.0)
+    assert pv_pair_integral(B, x, 0.5).hex() == frac_curvature(B, x, 0.5).hex()

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -19,6 +20,7 @@ import nlshape
 from nlshape.diagnostics import IDENTITY_KINDS
 
 PACKAGE = pathlib.Path(nlshape.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 # {module name: tree} for every module of the package, parsed once
 TREES = {path.relative_to(PACKAGE).with_suffix("").as_posix():
          ast.parse(path.read_text(encoding="utf-8"))
@@ -71,6 +73,40 @@ def _loads_scipy_optimize(nodes):
         env=env, capture_output=True, text=True)
     return ([] if proc.stdout.strip() == "False" else
             [proc.stderr or "importing nlshape.cli loads scipy.optimize"])
+
+
+def _dependencies():
+    """The module names of [project].dependencies in PYPROJECT, read by a
+    regex (3.10 has no tomllib)."""
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]",
+                      PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)[1]
+    return {name.lower().replace("-", "_")
+            for name in re.findall(r"[\"']([A-Za-z0-9_.-]+)", block)}
+
+
+def _top_modules(node):
+    """The top-level modules that node imports, where it is an absolute
+    import."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def _runtime_imports(nodes):
+    """The imports that are neither the standard library, numpy nor
+    relative, and a mismatch between the third-party top-level modules
+    imported and the runtime dependencies."""
+    imports = [(mod, node, top) for mod, node in nodes for top in _top_modules(node)]
+    third = {top for _, _, top in imports} - sys.stdlib_module_names
+    hits = [f"{PACKAGE.name}/{mod}.py:{node.lineno}"
+            for mod, node, top in imports if top in third - {"numpy"}]
+    deps = _dependencies()
+    if deps != third:
+        hits.append(f"pyproject.toml: dependencies {sorted(deps)}, "
+                    f"imported {sorted(third)}")
+    return hits
 
 
 def _public_parameters(modules):
@@ -156,10 +192,16 @@ class Rule(NamedTuple):
 
 RULES = {
     # scipy.optimize costs about 23 MB RSS at import, paid by every run of
-    # every workload; the package loads no part of scipy at import
-    # (scipy.special only on first use, for balls in n >= 3). Other tests
-    # load scipy.optimize, so a fresh interpreter shows what loads
+    # every workload; the package loads no part of scipy at import. Other
+    # tests load scipy.optimize, so a fresh interpreter shows what loads
     "import-footprint": Rule(_loads_scipy_optimize),
+    # a third-party import is a runtime dependency for every user, and the
+    # package needs none beyond numpy (scipy serves the tests only). So every
+    # import of the package is the standard library, numpy or relative, and
+    # [project].dependencies of pyproject.toml names exactly the third-party
+    # modules imported
+    "runtime-imports": Rule(_runtime_imports, fault=(
+        "functionals", "from scipy.special import betainc")),
     # bad input is refused with the documented error type; an assert would
     # vanish under python -O
     "no-assert": Rule(_scan(lambda mod, n: isinstance(n, ast.Assert)),

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from nlshape import (GeometryError, IntervalSet, ParamError, Params,
                      QuadratureError, TwoIntervalConfig, boundary_fields,
-                     kernel_primitive, pv_pair_integral, zeta_endpoints)
+                     pv_pair_integral, zeta_endpoints)
 from nlshape.functionals import _potential_1d
 from nlshape.quad import (_endpoint_fields, _first_diff, _pair_second_diff,
                           jacobi_half_rule, ladder_half_rule)
@@ -19,76 +19,6 @@ from oracles import (OracleResult, PVSpec, QuadTolerance, box_oracle,
                      pv_pair_integral_reference)
 
 TIGHT = QuadTolerance(rel_tol=1e-12, abs_tol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# kernel_primitive
-
-def test_primitive_matches_known_value():
-    # int_1^2 (y - 0)^(-1.5) dy = 2 (1 - 1/sqrt 2)
-    got = kernel_primitive(1.0, 2.0, 0.0, 1.5)
-    assert_allclose(got, 2.0 * (1.0 - 1.0 / math.sqrt(2.0)), rtol=1e-15)
-
-
-def test_primitive_positive_power():
-    # int_0^1 (2 - y)^(0.5) dy = (2 sqrt 2 - 1) * 2/3... check via oracle
-    got = kernel_primitive(0.0, 1.0, 2.0, -0.5)
-    ref = brute_oracle(lambda y: np.sqrt(2.0 - y), (0.0, 1.0), TIGHT)
-    assert_allclose(got, ref, rtol=1e-11)
-
-
-@given(st.floats(-3.0, 3.0), st.floats(0.01, 2.0), st.floats(0.05, 3.0),
-       st.floats(-1.5, 2.5))
-def test_primitive_against_oracle(a, width, gap, p):
-    assume(abs(p - 1.0) > 0.05)
-    assume(p < 1.0 or p > 1.05)
-    b = a + width
-    x = b + gap  # singular point right of the interval
-    got = kernel_primitive(a, b, x, p)
-    ref = brute_oracle(lambda y: np.abs(x - y) ** (-p), (a, b),
-                       QuadTolerance(rel_tol=1e-10, abs_tol=1e-12))
-    assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
-
-
-def test_primitive_endpoint_singularity_integrable():
-    # x at the right endpoint, p < 1: finite one-sided integral
-    got = kernel_primitive(0.0, 1.0, 1.0, 0.5)
-    assert_allclose(got, 2.0, rtol=1e-14)
-
-
-def test_primitive_rejections():
-    with pytest.raises(ValueError):
-        kernel_primitive(0.0, 1.0, 0.5, 0.5)  # singular point inside
-    with pytest.raises(ValueError):
-        kernel_primitive(0.0, 1.0, 2.0, 1.0)  # logarithmic exponent
-    with pytest.raises(ValueError):
-        kernel_primitive(0.0, 1.0, 1.0, 1.5)  # divergent endpoint
-
-
-@pytest.mark.parametrize("a, b, x", [
-    (1.0, 0.0, 2.0),          # a > b
-    (math.nan, 1.0, 2.0),     # a NaN end
-    (0.0, math.nan, 2.0),
-    (0.0, 1.0, 0.5),          # singular point inside
-    (0.0, 1.0, math.nan),     # a non-finite x
-    (0.0, 1.0, math.inf),
-    (0.0, 1.0, -math.inf),
-])
-def test_primitive_refuses_a_bad_layout_as_geometry(a, b, x):
-    # a NaN or infinite x gave nan
-    with pytest.raises(GeometryError):
-        kernel_primitive(a, b, x, 0.5)
-
-
-@pytest.mark.parametrize("x, p", [
-    (2.0, 1.0),               # the logarithmic exponent
-    (2.0, math.nan),          # gave nan
-    (1.0, 1.5),               # divergent endpoint
-    (0.0, 1.0),
-])
-def test_primitive_refuses_a_bad_exponent_as_param(x, p):
-    with pytest.raises(ParamError):
-        kernel_primitive(0.0, 1.0, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +36,10 @@ def test_primitive_refuses_a_bad_exponent_as_param(x, p):
     (-0.5, 1e-6, 1.0), (0.5, 1.0, 1e6), (1.5, 2.0, 2e6),
     # a subnormal g, where h / g overflows
     (0.5, 4e-323, 1.0), (-0.5, 2e-323, 1.0),
+    # int_1^2 y^(-1.5) dy = 2 (1 - 1/sqrt 2) and int_1^2 y^(0.5) dy
+    (-0.5, 1.0, 1.0), (1.5, 1.0, 1.0),
+    # the integrable endpoint singularity int_0^1 y^(-0.5) dy = 2
+    (0.5, 0.0, 1.0),
 ])
 def test_first_diff_against_mp(q, g, h):
     with mp.workdps(60):
@@ -113,6 +47,21 @@ def test_first_diff_against_mp(q, g, h):
         far = 0 if math.isinf(h) else (gm + mp.mpf(h)) ** qm
         ref = float((far - gm ** qm) / qm)
     assert_allclose(_first_diff(q, g, h), ref, rtol=1e-15, atol=0.0)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(0.01, 2.0), st.floats(0.05, 3.0),
+       st.floats(-1.5, 2.5))
+def test_primitive_against_oracle(a, width, gap, p):
+    # int_a^b |x - y|^(-p) dy at x = b + gap is the first difference of
+    # 1 - p over the interval's width at distance gap
+    assume(abs(p - 1.0) > 0.05)
+    assume(p < 1.0 or p > 1.05)
+    b = a + width
+    x = b + gap  # singular point right of the interval
+    got = _first_diff(1.0 - p, gap, width)
+    ref = brute_oracle(lambda y: np.abs(x - y) ** (-p), (a, b),
+                       QuadTolerance(rel_tol=1e-10, abs_tol=1e-12))
+    assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

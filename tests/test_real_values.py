@@ -21,9 +21,9 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      epsilon_sweep, eta, f_closed_form, find_critical_2d,
                      fourier_shape, frac_curvature, frac_perimeter,
                      grad_potential, grad_potential_at_points, identity_check,
-                     kernel_primitive, potential, potential_at_points,
-                     pv_pair_integral, riesz_energy, solve_critical_d,
-                     tangential_grad_potential, zeta)
+                     potential, potential_at_points, pv_pair_integral,
+                     riesz_energy, solve_critical_d, tangential_grad_potential,
+                     zeta)
 from nlshape.quad import graded_radial_rule, jacobi_half_rule, ladder_half_rule
 from nlshape.sets import geometry_to_dict, scaled, translated
 
@@ -82,8 +82,6 @@ PARAM_SITES = [
      "(-inf, inf)", (math.inf,)),
     ("fourier_shape-a2", lambda v: fourier_shape({"r0": 1.0, "a2": v}),
      "(-inf, inf)", (-math.inf,)),
-    ("kernel_primitive-p", lambda v: kernel_primitive(0.0, 1.0, 2.0, v),
-     "[-inf, inf]", ()),
     ("jacobi_half_rule-beta", lambda v: jacobi_half_rule(v, 8), "(-1, inf)",
      (math.inf, -1.5)),
 ]
@@ -109,10 +107,6 @@ GEOMETRY_SITES = [
     ("translated", lambda v: translated(DISK, (v, 0.0)), "(-inf, inf)",
      (math.inf,)),
     ("scaled", lambda v: scaled(DISK, v), "(0, inf)", (math.inf, 0.0)),
-    ("kernel_primitive-a", lambda v: kernel_primitive(v, 1.0, 2.0, 0.5),
-     "[-inf, inf]", ()),
-    ("kernel_primitive-x", lambda v: kernel_primitive(0.0, 1.0, v, 0.5),
-     "(-inf, inf)", (math.inf,)),
 ]
 
 
@@ -210,7 +204,6 @@ ACCEPT_SITES = [
         (0.0, 0.0), [v] * 8)), 2),
     ("translated", lambda v: geometry_to_dict(translated(DISK, (v, v))), 1),
     ("scaled", lambda v: geometry_to_dict(scaled(DISK, v)), 2),
-    ("kernel_primitive", lambda v: kernel_primitive(0.0, v, 2 * v, 0.5), 1),
     ("jacobi_half_rule", lambda v: jacobi_half_rule(v, 8), 1),
 ]
 
@@ -343,13 +336,10 @@ def test_every_entry_refuses_a_bad_nq(call, nq):
      "q must be an integer of at least 1, got 0"),
     (lambda: graded_radial_rule(2.5), ParamError, "q must be"),
     (lambda: graded_radial_rule(True), ParamError, "q must be"),
-    # TypeError
-    (lambda: kernel_primitive("0", 1.0, 2.0, 0.5), GeometryError,
-     r"a must lie in \[-inf, inf\], got '0'"),
 ], ids=["jacobi-beta-below", "jacobi-beta-nan", "jacobi-beta-str",
         "jacobi-beta-bool", "ladder-depth-negative", "ladder-depth-float",
         "ladder-depth-bool", "ladder-q-0", "radial-q-0", "radial-q-float",
-        "radial-q-bool", "primitive-a-str"])
+        "radial-q-bool"])
 def test_quad_rules_refuse_with_the_package_types(call, error, message):
     with pytest.raises(error, match=message):
         call()
