@@ -28,7 +28,7 @@ from .diagnostics import (DiagnosticsReport, annulus_deficit_rho, au2_sides,
                           eta, identity_check, lambda_cross_estimate,
                           lambda_hat_and_residual, lipschitz_defect_delta)
 from .shapeopt import (OptimizerState, el_gradient_step, find_critical_2d,
-                       fourier_shape, initial_state, volume_project)
+                       fourier_shape, volume_project)
 
 __all__ = [
     "__version__",
@@ -58,6 +58,6 @@ __all__ = [
     "lambda_cross_estimate", "identity_check", "au2_sides", "ball_map_mu",
     "calibrate_variation_constant",
     # 2D descent
-    "OptimizerState", "fourier_shape", "volume_project", "initial_state",
-    "el_gradient_step", "find_critical_2d",
+    "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
+    "find_critical_2d",
 ]

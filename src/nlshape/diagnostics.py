@@ -11,7 +11,8 @@ function that owns it, which diagnose calls:
   constant delta / eps is reported alongside, since the interesting bound
   is eta <= C * diam^(2n+s+1) * eps with C not known explicitly;
 * rho: the annulus deficit inf_p (R - r) / diam over centers p with
-  B_r(p) inside E inside B_R(p), over 512 boundary samples. The center comes
+  B_r(p) inside E inside B_R(p), over the boundary samples at the shape's
+  dense grid (max(512, 8 kmax) angles, sets). The center comes
   from a Remez-type exchange on the linearized distances (_min_zone); its
   certificate is two samples at the largest and two at the smallest
   distance, interlaced in angle, and rho is the exact width there;
@@ -53,10 +54,10 @@ import numpy as np
 from .errors import ParamError, QuadratureError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _curve_batch, _grad_tau_field, _kernel, _sweep,
-                          _BOUNDARY_GRADIENT)
+                          _BOUNDARY_GRADIENT, boundary_fields)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
                    mesh_angles, volume, _pair_blocks, _require_count,
-                   _require_real)
+                   _require_real, _sequence)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -67,7 +68,6 @@ __all__ = [
 DEFAULT_MU_GATE = 0.5
 _PROBE_SEED = 173001
 _RESIDUAL_FLOOR = 1e-30
-_RHO_SAMPLES = 512
 _RHO_ROUNDS = 16      # re-linearizations of the annulus width
 _RHO_EXCHANGES = 64   # exchange steps per linearization
 _CALIBRATION_SPREAD_TOL = 1e-4
@@ -196,8 +196,9 @@ def _min_zone(bx, by, center, scale: float):
 def annulus_deficit_rho(S) -> float:
     """inf over centers of (circumradius - inradius) / diam.
 
-    Balls score 0 exactly. For star shapes the width is taken over 512
-    boundary samples, and the center is the minimum-zone center of those
+    Balls score 0 exactly. For star shapes the width is taken over the
+    boundary samples at the shape's dense grid (max(512, 8 kmax) angles,
+    the diameter's), and the center is the minimum-zone center of those
     samples found by exchange from S.center (_min_zone): two samples at the
     largest and two at the smallest distance, interlaced in angle. The
     value is the exact width at that center, never more than at S.center,
@@ -206,7 +207,7 @@ def annulus_deficit_rho(S) -> float:
     if isinstance(S, Ball) and S.n > 1:
         return 0.0
     star = _as_star(S)
-    c, s, r, _ = star._grid(_RHO_SAMPLES)
+    c, s, r, _ = star._grid(star._dense_size())
     width = _min_zone(*star._position(c, s, r).T, star.center, float(r.mean()))[1]
     return width / diameter(star)
 
@@ -355,21 +356,25 @@ def calibrate_variation_constant(s: float, n: int = 2,
     built-in correctness check. In 1D everything is closed-form and the value
     is exactly 1 under the conventions used here, which the Minkowski
     identity and lambda_cross_estimate take it to be: this measures what
-    they assume. Each ball's kappa and P_s come from the curvature sweep of
-    its kernel, in the plane one on-curve pass at beta = -s. A radius
-    outside (0, inf) raises ParamError before any ball is swept.
+    they assume. Each ball's kappa and P_s come from its full boundary
+    sweep (boundary_fields) at eps = 0, in the plane one on-curve pass. A
+    radii that is not a sequence, is empty or holds a radius outside
+    (0, inf) raises ParamError before any ball is swept.
     """
     s = _require_real("s", s, "(0, 1)")
     _require_count("n", n, 1)
     if n not in (1, 2):
         raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
+    radii = [_require_real("radius", R, "(0, inf)")
+             for R in _sequence("radii", radii, ParamError)]
     if not radii:
         raise ParamError("radii must name at least one ball radius, got none")
-    radii = [_require_real("radius", R, "(0, inf)") for R in radii]
+    # at eps = 0, kappa and P_s do not read alpha: any alpha in range serves
+    p = Params(n=n, s=s, alpha=0.5, eps=0.0)
     vals = []
     for R in radii:
-        k = _kernel(Ball((0.0,) * n, R), nq=nq)
-        pairing, rhs = _minkowski_sides(n, s, *k.curvature_sweep(s, resolution, nq))
+        bf = boundary_fields(Ball((0.0,) * n, R), p, resolution, nq)
+        pairing, rhs = _minkowski_sides(n, s, bf.mesh, bf.kappa, bf.perimeter)
         vals.append(rhs / pairing)
     spread = (max(vals) - min(vals)) / abs(float(np.mean(vals)))
     if spread > _CALIBRATION_SPREAD_TOL:

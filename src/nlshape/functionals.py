@@ -139,9 +139,6 @@ _ON_CURVE_RTOL = 1e-9
 # block's working arrays stay in a core's L2 cache (see _curve_batch and
 # _ladder_sums for the timings behind it)
 _BLOCK_NODES = 1 << 13
-# the uniform grid whose largest radius sizes the Lal probe cloud of a star
-# shape (the 512 samples of diagnostics.annulus_deficit_rho, one kept grid)
-_PROBE_GRID = 512
 # the interior rule's ray doubling starts at the first level of at least
 # _RAYS_PER_MODE (kmax + 1) rays and stops once two levels agree to
 # _RAY_RTOL. The audit workload's shapes (5% modes 2-5, 256/48, alpha 0.5,
@@ -735,11 +732,12 @@ class BoundaryFields:
 
 class _Kernel:
     """The algorithms that serve one canonical geometry S: sweep (mesh,
-    kappa, V, P_s, R_alpha), curvature_sweep (mesh, kappa, P_s), perimeter
-    and riesz (the energy per exponent), curvature, potential and
-    grad_potential (the point queries), au1_lhs (int_E x . grad V dx) and
-    lal_max (max V over the Lal probe cloud, and V_B(0) of the centered
-    ball B with |B| = |S|). planar marks the kernel of the planar shapes."""
+    kappa, V, P_s, R_alpha; the one sweep, which a caller that needs kappa
+    and P_s alone reads at eps = 0), perimeter and riesz (the energy per
+    exponent), curvature, potential and grad_potential (the point queries),
+    au1_lhs (int_E x . grad V dx) and lal_max (max V over the Lal probe
+    cloud, and V_B(0) of the centered ball B with |B| = |S|). planar marks
+    the kernel of the planar shapes."""
 
     planar = False
 
@@ -751,8 +749,8 @@ class _Kernel:
             "the boundary quadrature covers interval sets and planar shapes, "
             f"got a {type(self.S).__name__} in dimension {self.S.n}")
 
-    sweep = curvature_sweep = perimeter = riesz = curvature = potential = \
-        grad_potential = au1_lhs = lal_max = _refuse
+    sweep = perimeter = riesz = curvature = potential = grad_potential = \
+        au1_lhs = lal_max = _refuse
 
 
 class _IntervalKernel(_Kernel):
@@ -767,11 +765,6 @@ class _IntervalKernel(_Kernel):
         kap, pot = map(np.array, _endpoint_fields(S.intervals, p.s, 1.0 - p.alpha))
         return (mesh, kap, pot, self.perimeter(p.s, resolution, nq),
                 _riesz_1d(S, p.alpha))
-
-    def curvature_sweep(self, s, resolution, nq):
-        return (boundary_mesh(self.S, resolution),
-                np.array(_endpoint_fields(self.S.intervals, s, None)[0]),
-                self.perimeter(s, resolution, nq))
 
     def perimeter(self, s, resolution, nq) -> float:
         _require_count("resolution", resolution, _MIN_RESOLUTION)
@@ -831,12 +824,6 @@ class _StarKernel(_Kernel):
             _potential_field(p.alpha), _riesz_field(p.alpha))
         return mesh, kap, pot, per, rz
 
-    def curvature_sweep(self, s, resolution, nq):
-        mesh = boundary_mesh(self.S, resolution)
-        kap, per = _curve_batch(self.S, mesh.thetas, nq, _kappa_field(s),
-                                _perimeter_field(s))
-        return mesh, kap, per
-
     def perimeter(self, s, resolution, nq) -> float:
         return _curve_batch(self.S, mesh_angles(resolution), nq,
                             _perimeter_field(s))[0]
@@ -884,7 +871,7 @@ class _StarKernel(_Kernel):
         star = self.S
         R = (volume(star) / math.pi) ** 0.5
         vb0 = 2.0 * math.pi * R ** (2.0 - alpha) / (2.0 - alpha)
-        rmax = float(star._grid(_PROBE_GRID)[2].max())
+        rmax = float(star._grid(star._dense_size())[2].max())
         pts = np.asarray(star.center) + rng.uniform(-1.5 * rmax, 1.5 * rmax,
                                                     size=(count, 2))
         foci = np.arctan2(pts[:, 1] - star.center[1], pts[:, 0] - star.center[0])

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import BracketError, GeometryError, ParamError
 from .quad import _endpoint_fields, _sym_second_diff
-from .sets import IntervalSet, Params, _require_real
+from .sets import IntervalSet, Params, _require_real, _sequence
 
 __all__ = [
     "TwoIntervalConfig", "SweepRecord", "two_interval_set", "zeta_endpoints",
@@ -356,8 +356,9 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
     Each eps is solved on its own: one whose gap cannot be bracketed
     (BracketError) or placed on the line (GeometryError) is listed in
     fit["failed"] as {"eps", "error"} and the fit uses the others. The fit
-    needs 4 distinct abscissae log(eps): a grid with fewer raises
-    ParamError, and with fewer solved the first of those errors is raised;
+    needs 4 distinct abscissae log(eps): a grid with fewer, or one that is
+    not a sequence, raises ParamError, and with fewer solved the first of
+    those errors is raised;
     any other error propagates (ParamError for eps = 0).
 
     Returns (records, fit), one record per solved eps, where fit maps:
@@ -367,7 +368,8 @@ def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
       c_implied      - min over the solved eps of diam * eps^(1/(1+s-alpha))
       failed         - the eps values left out, with their errors
     """
-    grid = [_require_real("eps", e, "[0, inf)") for e in eps_grid]
+    grid = [_require_real("eps", e, "[0, inf)")
+            for e in _sequence("eps_grid", eps_grid, ParamError)]
     # adjacent floats can share a logarithm; eps = 0 is refused when solved
     distinct = len({math.log(e) for e in grid if e > 0.0})
     if distinct < 4:

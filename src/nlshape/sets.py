@@ -46,11 +46,12 @@ import numpy as np
 
 from .errors import GeometryError, ParamError
 
-# Oversampling factor used when checking positivity of a trigonometric radius
-# and when sampling for diameters. Positivity on this grid is a proxy for
-# positivity everywhere; 8x the highest retained mode is comfortably dense.
-_POSITIVITY_OVERSAMPLE = 8
-_MIN_POSITIVITY_SAMPLES = 512
+# The dense uniform grid of a star shape (StarShape2D._dense_size): 8x the
+# highest retained mode, and at least 512 angles. Positivity on it is a proxy
+# for positivity everywhere; the diameter, the annulus deficit rho and the
+# Lal probe radius are taken on it too.
+_DENSE_OVERSAMPLE = 8
+_MIN_DENSE_SAMPLES = 512
 # fewest nodes a planar boundary mesh may have
 _MIN_RESOLUTION = 8
 # point pairs per block of _pair_blocks (2^14 doubles, 128 KB an array), the
@@ -145,15 +146,16 @@ def _real_array(name: str, values) -> np.ndarray:
                      np.asarray(values, dtype=object).reshape(-1)], dtype=float)
 
 
-def _sequence(name: str, values) -> tuple:
-    """tuple(values), refused (GeometryError) where values is not a
-    sequence, such as a number or None: the structure check of a ball's or
-    a star shape's center, an interval set and an interval."""
+def _sequence(name: str, values, error=GeometryError) -> tuple:
+    """tuple(values), refused (error) where values is not a sequence, such
+    as a number or None: the structure check of a ball's or a star shape's
+    center, an interval set and an interval (GeometryError), and of a list
+    of parameter values, such as the eps of a sweep or the radii of a
+    calibration (ParamError)."""
     try:
         return tuple(values)
     except TypeError:
-        raise GeometryError(
-            f"{name} must be a sequence, got {values!r}") from None
+        raise error(f"{name} must be a sequence, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -349,7 +351,8 @@ class Ball:
         c, r = self.center[0], self.radius
         if self.n == 1:
             return IntervalSet([(c - r, c + r)])
-        return StarShape2D(self.center, r) if self.n == 2 else self
+        # a constant r > 0 is positive by construction: no check grid
+        return StarShape2D._positive(self.center, r) if self.n == 2 else self
 
     def _mesh(self, resolution):  # reached in n >= 3 only
         raise GeometryError(f"no boundary mesh for Ball in dimension {self.n}")
@@ -409,9 +412,8 @@ class StarShape2D:
     def __init__(self, center: Sequence[float], r0: float,
                  a: Sequence[float] = (), b: Sequence[float] = ()):
         self._assign(center, r0, a, b)
-        m = max(_MIN_POSITIVITY_SAMPLES,
-                _POSITIVITY_OVERSAMPLE * max(1, self.kmax))
-        rchk = self.radius(uniform_angles(m))
+        # not through the memo: a shape built to be checked keeps no grid
+        rchk = self.radius(uniform_angles(self._dense_size()))
         rmin = float(rchk.min())
         if not rmin > 0.0:
             raise GeometryError(
@@ -457,6 +459,12 @@ class StarShape2D:
     @property
     def kmax(self) -> int:
         return int(self.a.size)
+
+    def _dense_size(self) -> int:
+        """max(512, 8 max(1, kmax)): the size of the shape's dense uniform
+        grid, on which its radius is checked positive and its diameter,
+        annulus deficit and Lal probe radius are taken."""
+        return max(_MIN_DENSE_SAMPLES, _DENSE_OVERSAMPLE * max(1, self.kmax))
 
     def polar(self, theta):
         """(cos theta, sin theta, r(theta), r'(theta)) at the angles theta
@@ -553,8 +561,7 @@ class StarShape2D:
         return math.fsum(r * r) * math.pi / m
 
     def _diameter(self):
-        m = max(512, _POSITIVITY_OVERSAMPLE * max(1, self.kmax))
-        c, s, r, _ = self._grid(m)
+        c, s, r, _ = self._grid(self._dense_size())
         # sqrt is monotone and correctly rounded, so the root of the
         # largest square is the largest root
         return math.sqrt(max(float(sq.max())

@@ -59,9 +59,11 @@ residual_history is read on the mesh of its step. At m the first residual
 at the no-op floor ends the solve, with no idle iteration counted.
 
 The state (OptimizerState) is the trajectory alone: the shape, the
-iteration count, the residuals and the mesh resolution and mode cap it
-runs with. F_eps is not held on it, so a step under other Params compares
-its candidates with the F_eps of the shape under those Params; the area of
+iteration count and the residuals. The settings a step runs with (Params,
+mesh resolution, nq and mode cap) are arguments of el_gradient_step, so
+find_critical_2d's switch of mesh is a local variable, not a state field.
+F_eps is not held on the state, so a step under other Params compares its
+candidates with the F_eps of the shape under those Params; the area of
 the shape is sets.volume's, also kept on the shape. The iteration
 certifies criticality (small sup |zeta - lambda_hat|), not minimality; the
 identities of a solved shape come from diagnose on it, which reads the
@@ -71,7 +73,8 @@ sweeps the solve kept on the shape and makes none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +86,7 @@ from .sets import (Params, StarShape2D, _per_shape, _require_count,
 
 __all__ = [
     "OptimizerState", "fourier_shape", "volume_project", "el_gradient_step",
-    "find_critical_2d", "initial_state",
+    "find_critical_2d",
 ]
 
 DEFAULT_K_MAX = 12
@@ -101,20 +104,19 @@ _TARGETS_PER_MODE = 5
 @dataclass(frozen=True)
 class OptimizerState:
     """Immutable snapshot of one optimization trajectory: the shape it has
-    reached, the iterations taken and the residual each read, and the mesh
-    resolution and mode cap it runs with.
+    reached, the iterations taken and the residual each read.
+    OptimizerState(S) is the start of a descent from S.
 
-    It holds nothing its shape determines. F_eps and the residual are read
-    from the shape's residual map (_residual_map, kept on the shape) under
-    the Params and nq of the call that reads them, and the area from
-    sets.volume, also kept on the shape.
+    It holds no solver setting and nothing its shape determines. F_eps and
+    the residual are read from the shape's residual map (_residual_map,
+    kept on the shape) under the Params, resolution, nq and k_max of the
+    el_gradient_step that reads them, and the area from sets.volume, also
+    kept on the shape.
     """
 
     shape: StarShape2D
-    iteration: int
-    residual_history: tuple
-    mesh_resolution: int = DEFAULT_RESOLUTION
-    k_max: int = DEFAULT_K_MAX
+    iteration: int = 0
+    residual_history: tuple = ()
 
 
 def fourier_shape(coeffs) -> StarShape2D:
@@ -122,20 +124,23 @@ def fourier_shape(coeffs) -> StarShape2D:
     {"r0": 1.0, "a3": 0.05}; sets.translated places it elsewhere.
 
     Keys: r0, a<k>, b<k> for k >= 1, each mode named once; the shape's kmax
-    is the highest mode named. A value that is not a finite real number (a
-    bool or a string among them) raises ParamError.
+    is the highest mode named. A coeffs that is not a mapping, a key that
+    is not one of those strings and a value that is not a finite real
+    number (a bool or a string among them) raise ParamError.
     """
+    if not isinstance(coeffs, Mapping):
+        raise ParamError(f"coefficients must be a mapping, got {coeffs!r}")
     r0 = None
     amp = {}
-    for key, val in dict(coeffs).items():
+    for key, val in coeffs.items():
         v = _require_real(key, val)
         if key == "r0":
             r0 = v
             continue
-        mode = key[0]
-        if mode not in ("a", "b") or not key[1:].isdigit():
+        if not (isinstance(key, str) and key[:1] in ("a", "b")
+                and key[1:].isdecimal()):
             raise ParamError(f"unknown coefficient key {key!r} (want r0, a<k>, b<k>)")
-        k = int(key[1:])
+        mode, k = key[0], int(key[1:])
         if k < 1:
             raise ParamError(f"mode index must be >= 1 in {key!r}")
         if (mode, k) in amp:
@@ -162,22 +167,6 @@ def volume_project(S) -> StarShape2D:
     S = _as_star(S)
     c = 1.0 / math.sqrt(volume(S))
     return StarShape2D._positive(S.center, c * S.r0, c * S.a, c * S.b)
-
-
-def initial_state(shape, resolution: int = DEFAULT_RESOLUTION,
-                  k_max: int = DEFAULT_K_MAX) -> OptimizerState:
-    """The state at iteration 0 of a descent from shape (a star shape or a
-    planar ball, read as its star shape).
-
-    Raises ParamError for a resolution that mesh_angles refuses and for a
-    k_max that is a bool, not an integer, or below 1 (a descent keeps at
-    least mode 1); GeometryError for a geometry that is not planar.
-    """
-    mesh_angles(resolution)
-    _require_count("k_max", k_max, 1)
-    return OptimizerState(shape=_as_star(shape), iteration=0,
-                          residual_history=(), mesh_resolution=resolution,
-                          k_max=k_max)
 
 
 def _mode_gaps(q: float, k_max: int) -> np.ndarray:
@@ -245,32 +234,38 @@ def _at_floor(lam: float, residual: float) -> bool:
 
 
 def el_gradient_step(state: OptimizerState, p: Params,
-                     nq: int = DEFAULT_NQ) -> OptimizerState:
+                     resolution: int = DEFAULT_RESOLUTION,
+                     nq: int = DEFAULT_NQ,
+                     k_max: int = DEFAULT_K_MAX) -> OptimizerState:
     """One accepted descent step (or a certified no-op at the noise floor).
 
     lambda_hat, the residual, the velocity and the F_eps every candidate is
     compared with are read from the residual map of the state's shape under
-    p and nq, kept on the shape (the accepted candidate's of the previous
-    step). Each candidate is evaluated by its own residual map, one boundary
-    sweep, which is kept on it. The first trial is the full Newton step 1,
-    halved on each rejection. Raises StalledError (carrying the state) when
-    no energy-non-increasing candidate exists down to the minimal step
-    size.
+    p, resolution, nq and k_max, kept on the shape (the accepted
+    candidate's of the previous step). Each candidate keeps modes up to
+    k_max and is evaluated by its own residual map, one boundary sweep,
+    which is kept on it. The first trial is the full Newton step 1, halved
+    on each rejection. Raises StalledError (carrying the state) when no
+    energy-non-increasing candidate exists down to the minimal step size.
+
+    The state's shape is read as a star shape (a planar ball as its star;
+    any other geometry raises GeometryError). A k_max that is a bool, not
+    an integer, or below 1 (a descent keeps at least mode 1) raises
+    ParamError, as do the resolutions and nq the sweep refuses.
     """
-    shape = state.shape
-    res = state.mesh_resolution
-    bf, lam, residual, coef, f_eps = _residual_map(shape, p, res, nq,
-                                                   state.k_max)
+    _require_count("k_max", k_max, 1)
+    shape = _as_star(state.shape)
+    bf, lam, residual, coef, f_eps = _residual_map(shape, p, resolution, nq,
+                                                   k_max)
     history = state.residual_history + (residual,)
 
     if _at_floor(lam, residual):
-        return replace(state, iteration=state.iteration + 1,
-                       residual_history=history)
+        return OptimizerState(shape, state.iteration + 1, history)
 
     # the Newton step at the disk: mode k of zeta - lambda_hat divided by
     # mu_k, applied as the normal speed v * J / r at the mesh angles
     mesh = bf.mesh
-    mu = _disk_spectrum(p, state.k_max)
+    mu = _disk_spectrum(p, k_max)
     v = np.fft.irfft(coef / mu[:coef.size], bf.zeta.size)
     speed = mesh.weights * mesh.points.shape[0] / (2.0 * math.pi)
     r = shape._grid(mesh.thetas.size)[2]
@@ -279,7 +274,7 @@ def el_gradient_step(state: OptimizerState, p: Params,
     while step >= _MIN_STEP:
         try:
             cand = StarShape2D.from_samples(
-                shape.center, r - step * v * speed / r, state.k_max)
+                shape.center, r - step * v * speed / r, k_max)
         except GeometryError:
             # a radius that is not positive, at a mesh angle or between
             # them once the series is cut at k_max: a rejected trial like
@@ -287,14 +282,13 @@ def el_gradient_step(state: OptimizerState, p: Params,
             step *= 0.5
             continue
         cand = volume_project(cand)
-        if _residual_map(cand, p, res, nq, state.k_max)[4] <= f_eps:
-            return replace(state, shape=cand, iteration=state.iteration + 1,
-                           residual_history=history)
+        if _residual_map(cand, p, resolution, nq, k_max)[4] <= f_eps:
+            return OptimizerState(cand, state.iteration + 1, history)
         step *= 0.5
     raise StalledError(
         f"no energy-non-increasing step found above step={_MIN_STEP:g} "
         f"(residual {residual:g})",
-        state=replace(state, residual_history=history))
+        state=OptimizerState(shape, state.iteration, history))
 
 
 def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
@@ -314,8 +308,7 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     solve moves to the requested resolution when the residual on that mesh
     meets tol or the no-op floor (_NOOP_FLOOR max(1, |lambda_hat|)), or a
     step there raises StalledError, and steps on at resolution until the
-    residual there meets tol. The report and the returned or raised state
-    (its mesh_resolution is resolution) are read at resolution; each entry
+    residual there meets tol. The report is read at resolution; each entry
     of residual_history is read on the mesh of its step.
 
     Hitting max_iter, or a residual at the no-op floor at resolution,
@@ -328,32 +321,31 @@ def find_critical_2d(init: StarShape2D, p: Params, tol: float = 1e-3,
     """
     tol = _require_real("tol", tol, "[0, inf]")
     _require_count("max_iter", max_iter, 0)
-    state = initial_state(init, resolution=resolution, k_max=k_max)
-    init = state.shape
+    mesh_angles(resolution)
+    _require_count("k_max", k_max, 1)
+    init = _as_star(init)
     if abs(volume(init) - 1.0) > 1e-8:
         raise GeometryError(
             f"initial shape must have unit area (got {volume(init)!r}); "
             "apply volume_project first")
+    state = OptimizerState(init)
     # each shape's residual map is computed once per mesh: it is kept on it
-    state = replace(state, mesh_resolution=min(
-        resolution, _TARGETS_PER_MODE * (k_max + 1)))
+    mesh = min(resolution, _TARGETS_PER_MODE * (k_max + 1))
     while state.iteration < max_iter:
-        mesh = state.mesh_resolution
         _, lam, residual = _residual_map(state.shape, p, mesh, nq, k_max)[:3]
         if residual <= tol or _at_floor(lam, residual):
             if mesh < resolution:
-                state = replace(state, mesh_resolution=resolution)
+                mesh = resolution
                 continue
-            state = replace(
-                state, residual_history=state.residual_history + (residual,))
+            state = OptimizerState(state.shape, state.iteration,
+                                   state.residual_history + (residual,))
             break
         try:
-            state = el_gradient_step(state, p, nq)
+            state = el_gradient_step(state, p, mesh, nq, k_max)
         except StalledError:
             # a stall at the requested mesh has its residual above tol
             if mesh == resolution:
                 raise
-            state = replace(state, mesh_resolution=resolution)
-    state = replace(state, mesh_resolution=resolution)
+            mesh = resolution
     report = diagnose(state.shape, p, resolution, nq, with_identities=False)
     return (state.shape, report, state) if full_output else (state.shape, report)

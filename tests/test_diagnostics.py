@@ -14,7 +14,7 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
 from nlshape.diagnostics import IDENTITY_KINDS, au2_sides, eta
 from nlshape.functionals import boundary_fields, energy, riesz_energy, zeta
 from nlshape.sets import diameter, scaled
-from nlshape.shapeopt import el_gradient_step, find_critical_2d, initial_state
+from nlshape.shapeopt import OptimizerState, el_gradient_step, find_critical_2d
 
 from oracles import (CLOSED_FORM_SETS, disk_curvature_exact,
                      disk_potential_oracle)
@@ -164,10 +164,11 @@ def test_rho_exchange_certificate(star):
     # at the returned center two samples lie farthest and two nearest,
     # alternating in angle: the center is a minimum-zone center of the
     # samples, and the width is the exact one there
-    from nlshape.diagnostics import _RHO_SAMPLES, _min_zone
+    from nlshape.diagnostics import _min_zone
     from nlshape.sets import uniform_angles
-    bx, by = star.frame(uniform_angles(_RHO_SAMPLES))[0].T
-    scale = float(star.samples(_RHO_SAMPLES).mean())
+    m = star._dense_size()
+    bx, by = star.frame(uniform_angles(m))[0].T
+    scale = float(star.samples(m).mean())
     c, width = _min_zone(bx, by, star.center, scale)
     dist = np.hypot(bx - c[0], by - c[1])
     assert width == dist.max() - dist.min()
@@ -187,16 +188,16 @@ def test_rho_not_above_scipy_nelder_mead():
     # of scipy's Nelder-Mead searches over the same samples, started at the
     # center and at three points a fifth of the radius away
     from scipy.optimize import minimize
-    from nlshape.diagnostics import _RHO_SAMPLES
     from nlshape.sets import uniform_angles
     for star in _old_generator_stars():
-        bx, by = star.frame(uniform_angles(_RHO_SAMPLES))[0].T
+        m = star._dense_size()
+        bx, by = star.frame(uniform_angles(m))[0].T
 
         def width(pt):
             dist = np.hypot(bx - pt[0], by - pt[1])
             return float(dist.max() - dist.min())
 
-        scale = float(star.samples(_RHO_SAMPLES).mean())
+        scale = float(star.samples(m).mean())
         cx, cy = star.center
         best = min(
             minimize(width, np.array([cx + dx * scale, cy + dy * scale]),
@@ -415,7 +416,9 @@ def test_radius_dependent_calibration_is_a_quadrature_error(monkeypatch, n):
 
 
 def test_calibrate_2d_makes_one_pass_per_radius(monkeypatch):
-    # each disk's kappa and P_s are summed on the same nodes at beta = -s
+    # each disk's kappa and P_s come from its one full sweep at eps = 0:
+    # one pass over the fields kappa, P_s (beta = -s), V and R_alpha
+    # (beta = 2 - alpha)
     from nlshape import functionals
     calls = []
     batch = functionals._curve_batch
@@ -426,7 +429,7 @@ def test_calibrate_2d_makes_one_pass_per_radius(monkeypatch):
     monkeypatch.setattr(functionals, "_curve_batch", counted)
     c = calibrate_variation_constant(0.5, n=2, resolution=128, nq=32)
     monkeypatch.undo()
-    assert calls == [(r0, [-0.5, -0.5]) for r0 in (0.5, 1.0, 2.0)]
+    assert calls == [(r0, [-0.5, -0.5, 1.5, 1.5]) for r0 in (0.5, 1.0, 2.0)]
     assert_allclose(c, 1.0, rtol=1e-9)
 
 
@@ -715,7 +718,7 @@ MISMATCHED = {
 # the descent's entry points take planar shapes only
 MISMATCHED_PLANAR = {
     "el_gradient_step": lambda S, p: el_gradient_step(
-        initial_state(S, resolution=64), p, nq=16),
+        OptimizerState(S), p, 64, 16),
     "find_critical_2d": lambda S, p: find_critical_2d(S, p, resolution=64,
                                                       nq=16),
 }

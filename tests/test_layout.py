@@ -174,6 +174,24 @@ def _block_budgets(nodes):
                  and id(n) not in args)(nodes)
 
 
+def _descent_state(nodes):
+    """The class OptimizerState of shapeopt, as path:line with its fields,
+    where its annotated fields are not DESCENT_STATE, in order; a hit also
+    where shapeopt holds no such class."""
+    classes = [(mod, n) for mod, n in nodes if mod == "shapeopt"
+               and isinstance(n, ast.ClassDef) and n.name == "OptimizerState"]
+    hits = []
+    for mod, n in classes:
+        fields = [s.target.id for s in n.body if isinstance(s, ast.AnnAssign)]
+        if fields != list(DESCENT_STATE):
+            hits.append(f"{PACKAGE.name}/{mod}.py:{n.lineno}: fields {fields}")
+    return hits if classes else ["shapeopt.py holds no class OptimizerState"]
+
+
+# the fields of shapeopt.OptimizerState: the trajectory of a descent
+DESCENT_STATE = ("shape", "iteration", "residual_history")
+
+
 def _has_flag(fn):
     """Whether fn takes a parameter named on_curve or one with a bool
     default."""
@@ -248,6 +266,15 @@ RULES = {
         and _ident(n) in {"_sweep", "lambda_hat_and_residual", "rfft"}),
         owners=("shapeopt._residual_map",),
         fault=("shapeopt", "def el_gradient_step(zeta): return rfft(zeta)")),
+    # a descent's settings (Params, resolution, nq, k_max) are arguments of
+    # el_gradient_step, and the state is the trajectory alone. A setting
+    # kept on the state has a second owner beside the step's argument, and a
+    # state built directly skips the check its builder made (a mode cap of 0
+    # collapsed the shape to a disk). So OptimizerState's annotated fields
+    # are exactly DESCENT_STATE
+    "descent-state": Rule(_descent_state, fault=(
+        "shapeopt", "class OptimizerState:\n    shape: object\n"
+        "    mesh_resolution: int = 256")),
     # every integer knob (resolution, nq, k_max, max_iter, n) is refused by
     # one function, sets._require_count: a bool, a non-integer and a value
     # below the knob's least raise ParamError. int() of a knob would truncate

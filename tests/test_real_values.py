@@ -151,6 +151,32 @@ def test_reproductions_are_refused_with_their_types():
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: epsilon_sweep(P1, 1e-3), "eps_grid must be a sequence, got 0.001"),
+    (lambda: epsilon_sweep(P1, None), "eps_grid must be a sequence, got None"),
+    (lambda: calibrate_variation_constant(0.5, 1, 64, 8, radii=1.0),
+     "radii must be a sequence, got 1.0"),
+    (lambda: fourier_shape(5), "coefficients must be a mapping, got 5"),
+    (lambda: fourier_shape({"r0": 1.0, 2: 0.1}),
+     "unknown coefficient key 2 "),
+], ids=["epsilon_sweep-number", "epsilon_sweep-None", "calibrate-radius",
+        "fourier_shape-number", "fourier_shape-int-key"])
+def test_list_parameters_are_refused_with_param_error(call, message):
+    # each raised a raw TypeError: "... is not iterable" or "'int' object
+    # is not subscriptable"
+    with pytest.raises(ParamError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_calibration_takes_an_ndarray_of_radii(n):
+    # `if not radii` on an array raised numpy's "truth value of an array
+    # ... is ambiguous" ValueError
+    radii = np.array([0.5, 1.0])
+    assert calibrate_variation_constant(0.5, n, 64, 8, radii=radii) == \
+        calibrate_variation_constant(0.5, n, 64, 8, radii=(0.5, 1.0))
+
+
 def test_a_real_ndarray_is_checked_whole():
     # an integer or float array passes as a whole; its first non-finite
     # entry is named; a bool array is read entry by entry and refused

@@ -13,9 +13,9 @@ from numpy.testing import assert_allclose
 from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      StarShape2D, boundary_fields,
                      calibrate_variation_constant, diagnose, diameter, energy,
-                     find_critical_2d, frac_perimeter,
-                     geometry_from_dict, geometry_to_dict, identity_check,
-                     initial_state, isodiametric_ratio, load_geometry,
+                     OptimizerState, el_gradient_step, find_critical_2d,
+                     frac_perimeter, geometry_from_dict, geometry_to_dict,
+                     identity_check, isodiametric_ratio, load_geometry,
                      riesz_energy, save_geometry, set_integral_2d, volume,
                      volume_project)
 from nlshape.sets import (beta_exponent, boundary_mesh, canonical, scaled,
@@ -692,7 +692,8 @@ _RESOLUTION_ENTRIES = {
     "identity_check": lambda S, p, m: identity_check(S, p, "TangentialBall",
                                                      m, 8),
     "diagnose": lambda S, p, m: diagnose(S, p, m, 8),
-    "initial_state": lambda S, p, m: initial_state(S, resolution=m),
+    "el_gradient_step": lambda S, p, m: el_gradient_step(
+        OptimizerState(S), p, m, 8),
     "find_critical_2d": lambda S, p, m: find_critical_2d(
         volume_project(S), p, max_iter=0, resolution=m, nq=8),
 }

@@ -17,8 +17,7 @@ from nlshape.functionals import (boundary_fields, energy, frac_perimeter,
 from nlshape.sets import (Ball, IntervalSet, Params, StarShape2D,
                           translated, uniform_angles, volume)
 from nlshape.shapeopt import (OptimizerState, el_gradient_step,
-                              find_critical_2d, fourier_shape, initial_state,
-                              volume_project)
+                              find_critical_2d, fourier_shape, volume_project)
 
 P2 = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
 
@@ -53,7 +52,9 @@ def test_fourier_shape_center():
         fourier_shape(coeffs, center=(2.0, -1.0))
 
 
-@pytest.mark.parametrize("bad", ["c3", "a", "ax", "a0", "b0", "r1"])
+# "" raised IndexError and "a\u00b2" (a superscript digit) ValueError
+@pytest.mark.parametrize("bad", ["c3", "a", "ax", "a0", "b0", "r1", "",
+                                 "a\u00b2"])
 def test_fourier_shape_rejects_bad_keys(bad):
     with pytest.raises(ParamError):
         fourier_shape({"r0": 1.0, bad: 0.1})
@@ -144,15 +145,14 @@ def test_volume_project_refuses_a_non_planar_geometry(geometry):
         volume_project(geometry)
 
 
-# ---------------------------------------------------------------- initial_state
+# --------------------------------------------------------------- OptimizerState
 
-def test_initial_state_fields():
+def test_a_state_of_a_shape_starts_a_descent():
     S = _star()
-    st = initial_state(S, resolution=64, k_max=8)
+    st = OptimizerState(S)
     assert st.shape is S
     assert st.iteration == 0
     assert st.residual_history == ()
-    assert st.mesh_resolution == 64 and st.k_max == 8
 
 
 def test_descent_signatures_hold_what_is_read():
@@ -160,29 +160,50 @@ def test_descent_signatures_hold_what_is_read():
     # diagnose runs without identities (a diagnose of the returned shape
     # gives them), a mode cap of fourier_shape is the caller's S.kmax test
     # and its shape is placed by sets.translated: no step, with_identities,
-    # k_max or center knob is left to set
+    # k_max or center knob is left to set. A step's settings are its
+    # arguments, and the state is the trajectory alone
+    from dataclasses import fields
+
     def names(fn):
         return list(inspect.signature(fn).parameters)
     assert names(find_critical_2d) == [
         "init", "p", "tol", "max_iter", "resolution", "nq", "k_max",
         "full_output"]
-    assert names(initial_state) == ["shape", "resolution", "k_max"]
+    assert names(el_gradient_step) == ["state", "p", "resolution", "nq",
+                                       "k_max"]
+    assert [f.name for f in fields(OptimizerState)] == [
+        "shape", "iteration", "residual_history"]
     assert names(fourier_shape) == ["coeffs"]
     assert not hasattr(shapeopt, "DEFAULT_STEP")
+    assert not hasattr(shapeopt, "initial_state")
 
 
-def test_initial_state_accepts_ball():
-    st = initial_state(Ball((0.0, 0.0), 1.0))
-    assert isinstance(st.shape, StarShape2D)
+def test_a_step_reads_a_planar_ball_as_its_star():
+    # the unit-area disk is a fixed point: the step's state holds its star
+    disk = Ball((0.0, 0.0), 1.0 / math.sqrt(math.pi))
+    st = el_gradient_step(OptimizerState(disk), P2, 64, 16)
+    assert isinstance(st.shape, StarShape2D) and st.iteration == 1
 
 
-@pytest.mark.parametrize("k_max", [-2, 0, True, 2.0, None])
-def test_initial_state_refuses_a_mode_cap_below_1(k_max):
+@pytest.mark.parametrize("geometry", [
+    IntervalSet([(0.0, 1.0)]), Ball((0.0,), 1.0), Ball((0.0, 0.0, 0.0), 1.0)],
+    ids=["intervals", "ball-1d", "ball-3d"])
+def test_a_step_refuses_a_state_of_a_non_planar_geometry(geometry):
+    # an interval set raised AttributeError ('IntervalSet' object has no
+    # attribute '_grid') once its sweep was read
+    with pytest.raises(GeometryError, match="star shape or planar ball"):
+        el_gradient_step(OptimizerState(geometry), P2, 64, 16)
+
+
+@pytest.mark.parametrize("k_max", [0, -2, 2.5, True, 2.0, None])
+def test_a_step_refuses_a_mode_cap_below_1(k_max):
     # from_samples read a negative cap from the end of the spectrum: the
     # descent from a mode-2/3 star at k_max = -2 ended in a 15-mode shape,
-    # and k_max = 0 collapsed the start to a disk
-    with pytest.raises(ParamError, match="k_max must be an integer"):
-        initial_state(_star(), k_max=k_max)
+    # and k_max = 0 collapsed the start to a disk; a state built without the
+    # check stepped at k_max 0 to a disk, and 2.5 raised TypeError
+    with pytest.raises(ParamError,
+                       match="k_max must be an integer of at least 1"):
+        el_gradient_step(OptimizerState(_star()), P2, 64, 16, k_max)
 
 
 @pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": -1.0},
@@ -241,7 +262,7 @@ def test_residual_map_cuts_the_modes_at_the_fft_length():
     m = boundary_fields(S, P2, 16, 8).zeta.size
     modes = shapeopt._residual_map(S, P2, 16, 8, m)[3]
     assert modes.size == m // 2 + 1
-    st = el_gradient_step(initial_state(S, resolution=16, k_max=m), P2, nq=8)
+    st = el_gradient_step(OptimizerState(S), P2, 16, 8, m)
     assert st.iteration == 1
     assert energy(st.shape, P2, 16, 8).total < energy(S, P2, 16, 8).total
 
@@ -257,10 +278,10 @@ def test_step_velocity_is_mean_zero():
 
 
 def test_steps_never_increase_energy():
-    st = initial_state(_star(), resolution=64)
+    st = OptimizerState(_star())
     energies = []
     for _ in range(6):
-        st = el_gradient_step(st, P2, nq=16)
+        st = el_gradient_step(st, P2, 64, 16)
         energies.append(energy(st.shape, P2, 64, 16).total)
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     assert st.iteration == 6
@@ -270,9 +291,9 @@ def test_steps_never_increase_energy():
 
 
 def test_steps_hold_unit_volume():
-    st = initial_state(_star(), resolution=64)
+    st = OptimizerState(_star())
     for _ in range(4):
-        st = el_gradient_step(st, P2, nq=16)
+        st = el_gradient_step(st, P2, 64, 16)
         assert abs(volume(st.shape) - 1.0) <= 1e-10
 
 
@@ -283,16 +304,11 @@ def test_step_reads_the_energy_of_its_shape_under_its_params():
     # the call's Params, as for a fresh state on the same shape
     S = volume_project(fourier_shape({"r0": 1.0, "a2": 0.04, "b3": 0.03}))
     strong = P2.with_eps(5.0)
-    st = el_gradient_step(initial_state(S, resolution=64, k_max=8), P2, nq=16)
+    st = el_gradient_step(OptimizerState(S), P2, 64, 16, 8)
     start = energy(st.shape, strong, 64, 16).total
-    st = el_gradient_step(st, strong, nq=16)
+    st = el_gradient_step(st, strong, 64, 16, 8)
     assert st.iteration == 2
     assert energy(st.shape, strong, 64, 16).total < start
-    # the state holds the trajectory and its settings, nothing its shape
-    # determines
-    from dataclasses import fields
-    assert {f.name for f in fields(st)} == {
-        "shape", "iteration", "residual_history", "mesh_resolution", "k_max"}
 
 
 def test_find_critical_maps_each_shape_once(monkeypatch):
@@ -328,15 +344,14 @@ def test_find_critical_maps_each_shape_once(monkeypatch):
     shapes = [init, *candidates, sh]
     assert all(bf is functionals._sweep(S, P2, bf.zeta.size, 32)
                for bf, S in zip(calls, shapes))
-    assert st.mesh_resolution == 128
 
 
 def test_disk_is_a_fixed_point():
     # residual on an exact disk is quadrature noise, below the no-op floor:
     # the step must leave the shape object untouched
     disk = volume_project(StarShape2D((0.0, 0.0), 1.0))
-    st = initial_state(disk, resolution=128)
-    st2 = el_gradient_step(st, P2, nq=32)
+    st = OptimizerState(disk)
+    st2 = el_gradient_step(st, P2, 128, 32)
     assert st2.shape is disk
     assert st2.iteration == 1
     assert st2.residual_history[-1] < 1e-9
@@ -347,10 +362,10 @@ def test_stall_carries_state(monkeypatch):
     # start's, so every trial step is rejected
     bumpy = volume_project(fourier_shape({"r0": 1.0, "a7": 0.2}))
     monkeypatch.setattr(shapeopt, "volume_project", lambda S: bumpy)
-    st = initial_state(_star(), resolution=64)
+    st = OptimizerState(_star())
     assert energy(bumpy, P2, 64, 16).total > energy(st.shape, P2, 64, 16).total
     with pytest.raises(StalledError) as exc:
-        el_gradient_step(st, P2, nq=16)
+        el_gradient_step(st, P2, 64, 16)
     carried = exc.value.state
     assert isinstance(carried, OptimizerState)
     assert carried.iteration == 0
@@ -372,9 +387,9 @@ def test_non_positive_series_is_a_rejected_trial(monkeypatch):
         return build(cls, center, values, k_max)
 
     monkeypatch.setattr(StarShape2D, "from_samples", classmethod(refuse_first))
-    st = initial_state(_star(), resolution=64)
+    st = OptimizerState(_star())
     e0 = energy(st.shape, P2, 64, 16).total
-    st2 = el_gradient_step(st, P2, nq=16)
+    st2 = el_gradient_step(st, P2, 64, 16)
     assert len(trials) == 2
     r = st.shape.radius(uniform_angles(64))
     np.testing.assert_allclose(trials[1] - r, 0.5 * (trials[0] - r),
@@ -482,7 +497,7 @@ def test_descent_step_makes_no_point_query(monkeypatch):
     for name in ("frac_curvature", "potential"):
         monkeypatch.setattr(functionals, name, refuse)
     p = Params(n=2, s=0.45, alpha=0.55, eps=2e-3)
-    st = el_gradient_step(initial_state(_star(), resolution=32), p, nq=8)
+    st = el_gradient_step(OptimizerState(_star()), p, 32, 8)
     assert st.iteration == 1
 
 
@@ -501,10 +516,10 @@ def test_negative_eigenvalue_is_clamped(monkeypatch, negative):
     mu = shapeopt._disk_spectrum(P2, shapeopt.DEFAULT_K_MAX)
     assert flipped(P2, shapeopt.DEFAULT_K_MAX)[negative - 2] < 0.0
     assert (mu > 0.0).all()
-    st = initial_state(_star(), resolution=64)
+    st = OptimizerState(_star())
     energies = [energy(st.shape, P2, 64, 16).total]
     for _ in range(3):
-        st = el_gradient_step(st, P2, nq=16)
+        st = el_gradient_step(st, P2, 64, 16)
         energies.append(energy(st.shape, P2, 64, 16).total)
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     assert energies[-1] < energies[0]
@@ -517,7 +532,7 @@ def test_non_finite_eigenvalue_is_refused(monkeypatch, bad):
         lambda p, k_max: np.array([bad if k == 5 else 100.0 * k
                                    for k in range(2, k_max + 1)]))
     with pytest.raises(QuadratureError):
-        el_gradient_step(initial_state(_star(), resolution=32), P2, nq=8)
+        el_gradient_step(OptimizerState(_star()), P2, 32, 8)
 
 
 # ------------------------------------------------------------- find_critical_2d
@@ -595,14 +610,14 @@ def test_find_critical_max_iter_returns_normally():
 # ------------------------------------------------------------ the coarse mesh
 
 def _recorded_steps(monkeypatch):
-    """The list of every state el_gradient_step is called with, filled as
-    the solve runs."""
+    """The list of every (state, resolution) el_gradient_step is called
+    with, filled as the solve runs."""
     step = shapeopt.el_gradient_step
     calls = []
 
-    def recording(state, *args, **kwargs):
-        calls.append(state)
-        return step(state, *args, **kwargs)
+    def recording(state, p, resolution, *args):
+        calls.append((state, resolution))
+        return step(state, p, resolution, *args)
     monkeypatch.setattr(shapeopt, "el_gradient_step", recording)
     return calls
 
@@ -619,12 +634,12 @@ def test_coarse_residual_at_tol_continues_at_the_requested_mesh(monkeypatch):
     sh, rep, st = find_critical_2d(init, P2, tol=tol, resolution=128, nq=32,
                                    full_output=True)
     monkeypatch.undo()
-    meshes = [state.mesh_resolution for state in calls]
+    meshes = [mesh for _, mesh in calls]
     assert meshes == [65] * 7 + [128] * (len(meshes) - 7) and len(meshes) > 7
-    handed = calls[7].shape
+    handed = calls[7][0].shape
     assert shapeopt._residual_map(handed, P2, 65, 32, 12)[2] <= tol
     assert shapeopt._residual_map(handed, P2, 128, 32, 12)[2] > tol
-    assert st.mesh_resolution == 128 and st.iteration == len(calls)
+    assert st.iteration == len(calls)
     assert rep.el_residual == st.residual_history[-1] <= tol
     # each entry of the history is read on the mesh of its step
     assert st.residual_history[7] == \
@@ -640,8 +655,8 @@ def test_a_two_mode_descent_certifies_at_the_requested_mesh(monkeypatch):
     sh, rep, st = find_critical_2d(init, P2, tol=1e-8, resolution=128, nq=32,
                                    k_max=2, full_output=True)
     monkeypatch.undo()
-    assert {state.mesh_resolution for state in calls} == {15}
-    assert sh.kmax == 2 and st.mesh_resolution == 128
+    assert {mesh for _, mesh in calls} == {15}
+    assert sh.kmax == 2
     assert rep.el_residual == st.residual_history[-1] <= 1e-8
     assert rep.as_dict() == diagnostics.diagnose(
         _fresh(sh), P2, 128, 32, with_identities=False).as_dict()
@@ -670,19 +685,18 @@ def test_a_coarse_stall_hands_over_to_the_requested_mesh(monkeypatch):
     step = shapeopt.el_gradient_step
     calls = []
 
-    def stalls_coarse(state, *args, **kwargs):
-        calls.append(state)
-        if state.mesh_resolution < 128:
+    def stalls_coarse(state, p, resolution, *args):
+        calls.append((state, resolution))
+        if resolution < 128:
             raise StalledError("coarse stall", state=state)
-        return step(state, *args, **kwargs)
+        return step(state, p, resolution, *args)
     monkeypatch.setattr(shapeopt, "el_gradient_step", stalls_coarse)
     init = _star()
     sh, rep, st = find_critical_2d(init, P2, tol=1e-6, resolution=128, nq=32,
                                    full_output=True)
     monkeypatch.undo()
-    assert calls[0].mesh_resolution == 65 and calls[1].shape is init
-    assert [state.mesh_resolution for state in calls[1:]] == \
-        [128] * (len(calls) - 1)
+    assert calls[0][1] == 65 and calls[1][0].shape is init
+    assert [mesh for _, mesh in calls[1:]] == [128] * (len(calls) - 1)
     assert st.iteration == len(calls) - 1
     assert rep.el_residual == st.residual_history[-1] <= 1e-6
 
@@ -692,7 +706,7 @@ def test_max_iter_on_the_coarse_mesh_reports_at_the_requested_one():
     # are read at 128 all the same
     sh, rep, st = find_critical_2d(_star(), P2, tol=1e-12, max_iter=2,
                                    resolution=128, nq=32, full_output=True)
-    assert st.iteration == 2 and st.mesh_resolution == 128
+    assert st.iteration == 2
     assert len(st.residual_history) == 2
     assert rep.as_dict() == diagnostics.diagnose(
         _fresh(sh), P2, 128, 32, with_identities=False).as_dict()
@@ -721,7 +735,7 @@ def test_the_no_op_floor_ends_the_descent(monkeypatch):
     monkeypatch.undo()
     # every step moved the shape: none was a no-op
     assert st.iteration == len(calls) <= 10
-    assert len({id(S) for S in [*(state.shape for state in calls), sh]}) == \
+    assert len({id(S) for S in [*(state.shape for state, _ in calls), sh]}) == \
         len(calls) + 1
     _, lam, residual = shapeopt._residual_map(sh, p, 128, 32, 8)[:3]
     assert 1e-10 < residual <= shapeopt._NOOP_FLOOR * abs(lam)
@@ -824,9 +838,9 @@ def test_held_sweep_is_not_part_of_the_state(monkeypatch):
     # the accepted candidate's sweep rides along for the next iteration on
     # the candidate itself; the state is the trajectory alone
     from dataclasses import fields
-    st = el_gradient_step(initial_state(_star(), resolution=64), P2, nq=16)
+    st = el_gradient_step(OptimizerState(_star()), P2, 64, 16)
     assert [f.name for f in fields(st)] == [
-        "shape", "iteration", "residual_history", "mesh_resolution", "k_max"]
+        "shape", "iteration", "residual_history"]
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("the accepted candidate was swept again")
@@ -836,7 +850,8 @@ def test_held_sweep_is_not_part_of_the_state(monkeypatch):
     fresh = boundary_fields(st.shape, P2, 64, 16)
     assert np.array_equal(held.zeta, fresh.zeta)
     assert (held.perimeter, held.riesz) == (fresh.perimeter, fresh.riesz)
-    f_eps = shapeopt._residual_map(st.shape, P2, 64, 16, st.k_max)[4]
+    f_eps = shapeopt._residual_map(st.shape, P2, 64, 16,
+                                   shapeopt.DEFAULT_K_MAX)[4]
     assert f_eps == held.perimeter + P2.eps * held.riesz
 
 
