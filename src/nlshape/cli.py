@@ -9,8 +9,11 @@ live only in the sidecar, so reruns with the same config produce
 byte-identical CSV files regardless of machine or configured thread count.
 
 One table, _KEYS, declares every key: its caster, its help text and the
-commands that take it as a flag. load_config casts file values by it, and
-the parser builds every subcommand's flags from it.
+commands that take it as a flag, which are commands that read it.
+load_config casts file values by it, and the parser builds every
+subcommand's flags from it. Config-file keys are global, since one file may
+drive several commands: a file may set a key the command does not read,
+where the same flag is refused (exit 2).
 
 Exit codes: 0 success; 1 domain failure (bad geometry, no root found,
 stalled descent, quadrature breakdown); 2 configuration or usage errors,
@@ -49,10 +52,12 @@ from .shapeopt import find_critical_2d, volume_project
 
 __all__ = ["main", "load_config", "run_command", "RunConfig"]
 
-# the first four run on a geometry file
 COMMANDS = ("energy", "curvature", "potential", "diagnose", "onedim-root",
             "onedim-sweep", "optimize2d", "calibrate")
 _ONEDIM, _OPT = COMMANDS[4:6], ("optimize2d",)
+# the commands that read a geometry, build Params and mesh a boundary
+_GEOMETRY, _PARAMS = COMMANDS[:4] + _OPT, COMMANDS[:-1]
+_MESH = _GEOMETRY + ("calibrate",)
 
 # every key a config file or flag may set: name -> (caster, help, the
 # commands that take it as a flag), in each subcommand's flag order
@@ -63,14 +68,12 @@ _KEYS = {
                COMMANDS),
     "n": (int, "ambient dimension", COMMANDS),
     "s": (float, "perimeter order in (0, 1)", COMMANDS),
-    "alpha": (float, "repulsion exponent in (0, n)", COMMANDS),
-    "eps": (float, "coupling strength (nonnegative)", COMMANDS),
-    "mass": (float, "volume of the unscaled set (positive)", COMMANDS),
-    "c_coupling": (float, "boundary-condition coupling constant: it "
-                   "multiplies eps*V", COMMANDS),
-    "resolution": (int, "2D boundary mesh size", COMMANDS),
-    "nq": (int, "quadrature nodes per half-side", COMMANDS),
-    "geometry": (str, "geometry JSON file", COMMANDS[:4] + _OPT),
+    "alpha": (float, "repulsion exponent in (0, n)", _PARAMS),
+    "eps": (float, "coupling strength (nonnegative)", _PARAMS),
+    "mass": (float, "volume of the unscaled set (positive)", _PARAMS),
+    "resolution": (int, "2D boundary mesh size", _MESH),
+    "nq": (int, "quadrature nodes per half-side", _MESH),
+    "geometry": (str, "geometry JSON file", _GEOMETRY),
     "point": (str, "evaluate at one point: x[,y]", ("potential",)),
     "f_tol": (float, "residual bound certified at the root", _ONEDIM),
     "eps_grid": (str, "comma-separated eps values", ("onedim-sweep",)),
@@ -107,8 +110,7 @@ class RunConfig:
     def params(self, default_n: int) -> Params:
         self.require("s")
         self.require("alpha")
-        kw = {key: self.values[key] for key in
-              ("s", "alpha", "eps", "mass", "c_coupling")
+        kw = {key: self.values[key] for key in ("s", "alpha", "eps", "mass")
               if key in self.values}
         return Params(n=self.get("n", default_n), **kw)
 

@@ -5,7 +5,7 @@ function that owns it, which diagnose calls:
 
 * delta: the Lipschitz defect of the curvature over boundary node pairs,
   sup |kappa(x) - kappa(y)| / |x - y|. On critical sets the boundary
-  condition turns this into c*eps*sup |V(x)-V(y)|/|x-y|, so both routes are
+  condition turns this into 2*eps*sup |V(x)-V(y)|/|x-y|, so both routes are
   offered and agree there;
 * eta: the scale-weighted version diam^(2n+s+1) * delta; the implied
   constant delta / eps is reported alongside, since the interesting bound
@@ -114,9 +114,9 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
                            nq: int = DEFAULT_NQ, route: str = "kappa") -> float:
     """sup over boundary node pairs of |kappa(x) - kappa(y)| / |x - y|.
 
-    route="potential" instead computes c * eps * sup |V(x) - V(y)| / |x - y|,
+    route="potential" instead computes 2 * eps * sup |V(x) - V(y)| / |x - y|,
     which equals the kappa route on sets satisfying the boundary condition
-    (zeta constant makes the kappa differences -c*eps times the V
+    (zeta constant makes the kappa differences -2*eps times the V
     differences). Comparing the two routes is itself a criticality check.
     """
     if route not in ("kappa", "potential"):
@@ -124,7 +124,7 @@ def lipschitz_defect_delta(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     bf = _sweep(S, p, resolution, nq)
     if route == "kappa":
         return _pairwise_defect(bf.mesh.points, bf.kappa)
-    return p.c_coupling * p.eps * _pairwise_defect(bf.mesh.points, bf.pot)
+    return 2.0 * p.eps * _pairwise_defect(bf.mesh.points, bf.pot)
 
 
 def eta(S, p: Params, delta: float) -> float:
@@ -226,16 +226,17 @@ def lambda_cross_estimate(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     Pairing the boundary condition with x.nu and applying the Minkowski and
     Au2 identities gives
 
-        lambda * n * |E| = (n-s) * P_s + c*eps*(n - alpha/2) * R_alpha
+        lambda * n * |E| = (n-s) * P_s + eps * (2n - alpha) * R_alpha,
 
-    (int_E V equals the Riesz double integral; the first-variation
-    normalization is 1, as calibrate_variation_constant measures). Exact on
-    critical sets, a consistency cross-check on candidates. P_s and R_alpha
-    are those of the kept boundary sweep, which diagnose reads too.
+    the dilation derivative d/dt F_eps(tE) at t = 1 (int_E V equals the
+    Riesz double integral; the first-variation constants are the measured
+    1 and 2 of Params). Exact on critical sets, a consistency cross-check
+    on candidates. P_s and R_alpha are those of the kept boundary sweep,
+    which diagnose reads too.
     """
     bf = _sweep(S, p, resolution, nq)
     num = (p.n - p.s) * bf.perimeter \
-        + p.c_coupling * p.eps * (p.n - 0.5 * p.alpha) * bf.riesz
+        + 2.0 * p.eps * (p.n - 0.5 * p.alpha) * bf.riesz
     return num / (p.n * volume(S))
 
 
@@ -320,7 +321,9 @@ def _check_tangential_ball(k, p: Params, resolution, nq) -> float:
     if mu_full == 0.0:
         return 0.0
     R = math.sqrt(volume(S) / math.pi)
-    half = StarShape2D(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a, 0.5 * S.b)
+    # the radius (R + r(theta)) / 2 is positive wherever r is
+    half = StarShape2D._positive(S.center, R + 0.5 * (S.r0 - R), 0.5 * S.a,
+                                 0.5 * S.b)
     ratio_mu = mu_full / ball_map_mu(half)
     g_full, g_half = (float(np.abs(_curve_batch(
         T, th, nq, _grad_tau_field(p.alpha))[0]).max()) for T in (S, half))

@@ -11,7 +11,9 @@ gradient, the fractional curvature
 
     kappa(x) = PV int (chi_{E^c} - chi_E)(y) |x-y|^(-n-s) dy,
 
-and the boundary condition combination zeta = kappa + c * eps * V.
+and the boundary condition combination zeta = kappa + 2 eps V, the first
+variation of F_eps (2 V is the first variation of R_alpha, whose double
+integral is symmetric).
 
 1D values are closed forms in the first and second differences of powers
 of quad: kappa and V at the endpoints are quad's endpoint fields, and P_s
@@ -981,12 +983,12 @@ def frac_curvature(S, x, s: float, *, nq: int = DEFAULT_NQ) -> float:
 
 
 def zeta(S, x, p: Params, *, nq: int = DEFAULT_NQ) -> float:
-    """Boundary combination kappa + c_coupling * eps * V at a boundary point."""
+    """Boundary combination kappa + 2 eps V at a boundary point."""
     _kernel(S, p)  # refuses Params of another dimension
     k = frac_curvature(S, x, p.s, nq=nq)
     if p.eps == 0.0:
         return k
-    return k + p.c_coupling * p.eps * potential(S, x, p.alpha, nq=nq)
+    return k + 2.0 * p.eps * potential(S, x, p.alpha, nq=nq)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +1005,7 @@ def boundary_fields(S, p: Params, resolution: int = DEFAULT_RESOLUTION,
     nq)."""
     mesh, kap, pot, per, rz = _kernel(S, p, nq).sweep(p, resolution, nq)
     return BoundaryFields(mesh=mesh, kappa=kap, pot=pot,
-                          zeta=kap + p.c_coupling * p.eps * pot,
+                          zeta=kap + 2.0 * p.eps * pot,
                           perimeter=per, riesz=rz)
 
 

@@ -8,7 +8,7 @@ E satisfies the critical-point condition exactly when the balance function
 
     f(d) = zeta(1/2) - zeta(0)
          = (2/s) [2 d^(-s) - (d - 1/2)^(-s) - (d + 1/2)^(-s)]
-         + (c eps / (1 - alpha)) [2 d^(1-alpha) - (d-1/2)^(1-alpha) - (d+1/2)^(1-alpha)]
+         + (2 eps / (1 - alpha)) [2 d^(1-alpha) - (d-1/2)^(1-alpha) - (d+1/2)^(1-alpha)]
 
 vanishes. Each bracket is a symmetric second difference
 2 g(d) - g(d - 1/2) - g(d + 1/2); for large d these cancel to O(d^(b-2)) and
@@ -19,9 +19,9 @@ floats, so an evaluation of f costs only its arithmetic.
 
 The large-d expansion gives f(d) = d^(-1-alpha) g(d) with
 
-    g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2 + lower order,
+    g(d) = alpha eps / 2 - (1+s) d^(-1-s+alpha) / 2 + lower order,
 
-on the scale d_eps = ((1+s)/(c alpha eps))^(1/(1+s-alpha)); g itself
+on the scale d_eps = ((1+s)/(2 alpha eps))^(1/(1+s-alpha)); g itself
 vanishes at d_g = 2^(1/(1+s-alpha)) d_eps. With the next (x^4) terms of
 both brackets the root moves to d_1 = d_g (1 + O(d_g^-2)), which the seeded
 roots match to a few ulps. The root finder evaluates f at d_1, takes one
@@ -94,10 +94,9 @@ def zeta_endpoints(cfg: TwoIntervalConfig) -> np.ndarray:
     so the symmetry equalities are genuine output properties. The layout of
     two_interval_set, with its refusal, goes to them with no IntervalSet."""
     p = cfg.params
-    (k0, k1, k2, k3), (v0, v1, v2, v3) = _endpoint_fields(
-        _two_intervals(cfg.d), p.s, 1.0 - p.alpha)
-    ce = p.c_coupling * p.eps
-    return np.array([k0 + ce * v0, k1 + ce * v1, k2 + ce * v2, k3 + ce * v3])
+    kap, pot = _endpoint_fields(_two_intervals(cfg.d), p.s, 1.0 - p.alpha)
+    ce = 2.0 * p.eps
+    return np.array([k + ce * v for k, v in zip(kap, pot)])
 
 
 def f_closed_form(d: float, p: Params) -> float:
@@ -111,7 +110,7 @@ def f_closed_form(d: float, p: Params) -> float:
     val = (2.0 / s) * (-(d ** -s) * _sym_second_diff(-s, x))
     if p.eps != 0.0:
         b = 1.0 - alpha
-        val += (p.c_coupling * p.eps / b) * (-(d ** b) * _sym_second_diff(b, x))
+        val += (2.0 * p.eps / b) * (-(d ** b) * _sym_second_diff(b, x))
     return val
 
 
@@ -122,9 +121,9 @@ def _d_eps(p: Params) -> float:
     _require_real("eps", p.eps, "(0, inf)")
     s, alpha = p.s, p.alpha
     try:
-        d_eps = ((1.0 + s) / (p.c_coupling * p.eps * alpha)) ** (
+        d_eps = ((1.0 + s) / (2.0 * p.eps * alpha)) ** (
             1.0 / (1.0 + s - alpha))
-    except (OverflowError, ZeroDivisionError):  # c eps alpha underflowed
+    except (OverflowError, ZeroDivisionError):  # 2 eps alpha underflowed
         d_eps = math.inf
     # a quotient past the float range is inf without an OverflowError
     if d_eps < math.inf:
@@ -138,15 +137,15 @@ def g_and_d_eps(p: Params):
     """The reduced function g with f(d) = d^(-1-alpha) g(d) + higher order,
     and the crossover scale d_eps.
 
-    g(d) = c alpha eps / 4 - (1+s) d^(-1-s+alpha) / 2;
-    d_eps = ((1+s) / (c alpha eps))^(1 / (1+s-alpha)), where g < 0; g
+    g(d) = alpha eps / 2 - (1+s) d^(-1-s+alpha) / 2;
+    d_eps = ((1+s) / (2 alpha eps))^(1 / (1+s-alpha)), where g < 0; g
     vanishes at d_g = 2^(1 / (1+s-alpha)) d_eps. Requires eps > 0.
     A d_eps beyond the float range (1 + s - alpha or eps small) raises
     GeometryError: no gap of that size can be placed on the line.
     """
     d_eps = _d_eps(p)
     s, alpha = p.s, p.alpha
-    ce = p.c_coupling * p.eps
+    ce = 2.0 * p.eps
 
     def g(d):
         d = np.asarray(d, dtype=float)
@@ -159,7 +158,7 @@ def _second_order_root(p: Params, d_eps: float) -> float:
     """d_1, the root of f to second order, or inf where d_g overflows.
 
     With the x^4 terms of both brackets (x = 1/(2d)),
-    f(d) = d^(-1-alpha) [c alpha eps (1 + A / (48 d^2)) / 4
+    f(d) = d^(-1-alpha) [alpha eps (1 + A / (48 d^2)) / 2
                          - (1+s) d^(-gamma) (1 + B / (48 d^2)) / 2]
     with gamma = 1 + s - alpha, A = (1+alpha)(2+alpha), B = (s+2)(s+3);
     it vanishes at d_1 = d_g (1 + (B - A) / (48 gamma d_g^2)) up to
@@ -176,12 +175,12 @@ def _second_order_root(p: Params, d_eps: float) -> float:
 
 def _newton_step(p: Params, d: float, f_d: float) -> float:
     """d after one Newton step on the leading slope of f at its root,
-    f'(d) ~ c eps alpha gamma d^(-2-alpha) / 4: the relative move is
-    f(d) d^(1+alpha) / (c eps alpha gamma / 4). d itself where that
+    f'(d) ~ eps alpha gamma d^(-2-alpha) / 2: the relative move is
+    f(d) d^(1+alpha) / (eps alpha gamma / 2). d itself where that
     overflows or the move is at most 2 ulps."""
     try:
         rel = f_d * d ** (1.0 + p.alpha) / (
-            0.25 * p.c_coupling * p.eps * p.alpha * (1.0 + p.s - p.alpha))
+            0.5 * p.eps * p.alpha * (1.0 + p.s - p.alpha))
     except OverflowError:
         return d
     move = d * rel

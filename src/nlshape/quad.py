@@ -106,12 +106,12 @@ def pv_pair_integral(S, x: float, s: float) -> float:
         raise _too_short(segs, s) from None
 
 
-def _endpoint_fields(intervals: tuple, s: float, q: Optional[float]):
+def _endpoint_fields(intervals: tuple, s: float, q: float):
     """(kappa, V) over the endpoints a_1, b_1, a_2, ... of an IntervalSet's
-    intervals for q = 1 - alpha, V all None for q = None: one partition of
-    the line, then one _endpoint_pass per endpoint, so symmetric endpoints
-    agree only if their values do. Bit for bit, kappa is pv_pair_integral
-    and V the 1D potential at the endpoint."""
+    intervals, for q = 1 - alpha: one partition of the line, then one
+    _endpoint_pass per endpoint, so symmetric endpoints agree only if their
+    values do. Bit for bit, kappa is pv_pair_integral and V the 1D
+    potential at the endpoint."""
     segs = _partition(intervals)  # segment j ends at endpoint j
     kap, pot = [], []
     try:

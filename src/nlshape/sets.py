@@ -167,19 +167,18 @@ class Params:
     from the other. eps = 0 is the pure-perimeter problem and leaves mass
     unset.
 
-    c_coupling is the constant multiplying eps*V in the boundary condition
-    zeta = kappa + c_coupling * eps * V. The symmetric double-integral form of
-    the repulsion term has first variation 2*V, so 2.0 is the default; it is
-    configurable, never asserted.
+    The boundary condition of a critical point is zeta = kappa + 2 eps V,
+    the first variation of F_eps = P_s + eps R_alpha. Both of its constants
+    are measured, so neither is a parameter: the perimeter's 1 with the
+    kappa and P_s of this package (diagnostics.calibrate_variation_constant),
+    and the repulsion's 2, which the symmetric double integral gives (by the
+    Au2 identity, diagnostics.au2_sides, the pairing of V with x.nu is
+    (n - alpha/2) R_alpha, half the dilation derivative of R_alpha).
 
-    The first-variation normalization relating the curvature pairing to
-    the perimeter is 1 with the kappa and P_s of this package (measured by
-    diagnostics.calibrate_variation_constant), so it is no parameter.
-
-    s lies in (0, 1), alpha in (0, n), eps in [0, inf) and mass and
-    c_coupling in (0, inf), each checked by _require_real and stored as the
-    float it tested; anything else (a bool, a string, NaN, a value whose
-    float rounds onto a bound) raises ParamError.
+    s lies in (0, 1), alpha in (0, n), eps in [0, inf) and mass in
+    (0, inf), each checked by _require_real and stored as the float it
+    tested; anything else (a bool, a string, NaN, a value whose float
+    rounds onto a bound) raises ParamError.
     """
 
     n: int
@@ -187,7 +186,6 @@ class Params:
     alpha: float
     eps: Optional[float] = None
     mass: Optional[float] = None
-    c_coupling: float = 2.0
 
     def __post_init__(self):
         _require_count("n", self.n, 1)
@@ -196,8 +194,6 @@ class Params:
         object.__setattr__(self, "s", _require_real("s", self.s, "(0, 1)"))
         object.__setattr__(self, "alpha", _require_real(
             "alpha", self.alpha, f"(0, {self.n})"))
-        object.__setattr__(self, "c_coupling", _require_real(
-            "c_coupling", self.c_coupling, "(0, inf)"))
         self._fill_eps_mass(self.eps, self.mass)
 
     def _fill_eps_mass(self, eps, mass):

@@ -189,11 +189,11 @@ def _linearized_zeta(p: Params, k_max: int) -> np.ndarray:
     """mu_2..mu_k_max: the change of zeta per unit of h, in mode k, when the
     unit-area disk's radius R becomes R + h cos(k theta), from the second
     variation at the ball: the linearized kappa, 2 R^(-1-s) (I(2+s, 1) -
-    I(2+s, k)), plus c_coupling eps times the linearized V,
+    I(2+s, k)), plus 2 eps times the linearized V,
     R^(1-alpha) (I(alpha, k) - I(alpha, 1)). mu_1 = 0 (a translation)."""
     R = 1.0 / math.sqrt(math.pi)
     return (-2.0 * R ** (-1.0 - p.s) * _mode_gaps(2.0 + p.s, k_max)
-            + p.c_coupling * p.eps * R ** (1.0 - p.alpha)
+            + 2.0 * p.eps * R ** (1.0 - p.alpha)
             * _mode_gaps(p.alpha, k_max))
 
 

@@ -214,7 +214,7 @@ def test_onedim_rejects_planar_dimension(capsys):
     assert "n = 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--eps", "--c-coupling"])
+@pytest.mark.parametrize("flag", ["--eps"])
 def test_nonfinite_param_exits_2(tmp_path, capsys, flag):
     assert main(["energy", "--geometry", str(_interval_geom(tmp_path)),
                  "--s", "0.5", "--alpha", "0.5", flag, "nan",
@@ -337,14 +337,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, code, message):
 
 def _refused_as_unknown(tmp_path, capsys, argv, flag, key):
     # argv with flag 1, and a config file of argv's command with key = 1,
-    # each exit 2 as unknown
+    # each exit 2 as unknown and write no CSV
     with pytest.raises(SystemExit) as exc:
         main([*argv, flag, "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-    conf = _write(tmp_path, "run.conf", f"command = {argv[0]}\n{key} = 1\n")
+    conf = _write(tmp_path, "run.conf",
+                  f"command = {argv[0]}\n{key} = 1\nout = {tmp_path}\n")
     assert main(["--config", str(conf)]) == 2
     assert f"run.conf:2: unknown key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_step_is_no_key(tmp_path, capsys):
@@ -361,6 +363,38 @@ def test_c_var_is_no_key(tmp_path, capsys):
                         "c_var")
 
 
+def test_c_coupling_is_no_key(tmp_path, capsys):
+    # zeta = kappa + 2 eps V is the first variation of F_eps, and any other
+    # constant c is the problem at eps' = c eps / 2, so no flag or config key
+    # sets it
+    _refused_as_unknown(tmp_path, capsys,
+                        ["onedim-root", "--s", "0.5", "--alpha", "0.5",
+                         "--eps", "1e-3"], "--c-coupling", "c_coupling")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["onedim-root", "--s", "0.5", "--alpha", "0.5", "--eps", "1e-3"],
+     ["--nq", "0"]),
+    (["onedim-sweep", "--s", "0.5", "--alpha", "0.5"], ["--resolution", "64"]),
+    (["calibrate", "--n", "1", "--s", "0.5"], ["--alpha", "7"]),
+], ids=["onedim-root-nq", "onedim-sweep-resolution", "calibrate-alpha"])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv,
+                                                   flag):
+    # a command takes as flags only the keys it reads: a flag it would leave
+    # unread would also go unchecked, so it is refused; a config file, which
+    # may drive several commands, still sets the key
+    out = tmp_path / "flag"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+    key = flag[0][2:].replace("-", "_")
+    conf = _write(tmp_path, "run.conf", f"{key} = {flag[1]}\n")
+    assert main(["--config", str(conf), *argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"{argv[0]}.csv").exists()
+
+
 def test_radius_dependent_calibration_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(diagnostics, "_CALIBRATION_SPREAD_TOL", -1.0)
     assert main(["calibrate", "--n", "1", "--s", "0.5",
@@ -369,22 +403,24 @@ def test_radius_dependent_calibration_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "calibrate.csv").exists()
 
 
-_COMMON_FLAGS = [
+_BASE_FLAGS = [
     (("--config",), "config", None), (("--out",), "out", None),
     (("--prefix",), "prefix", None), (("--n",), "n", int),
-    (("--s",), "s", float), (("--alpha",), "alpha", float),
-    (("--eps",), "eps", float), (("--mass",), "mass", float),
-    (("--c-coupling",), "c_coupling", float),
-    (("--resolution",), "resolution", int), (("--nq",), "nq", int)]
+    (("--s",), "s", float)]
+_PARAMS_FLAGS = [(("--alpha",), "alpha", float), (("--eps",), "eps", float),
+                 (("--mass",), "mass", float)]
+_MESH_FLAGS = [(("--resolution",), "resolution", int), (("--nq",), "nq", int)]
 _GEOMETRY_FLAG = [(("--geometry",), "geometry", None)]
 _F_TOL_FLAG = [(("--f-tol",), "f_tol", float)]
+_SHAPE_FLAGS = _BASE_FLAGS + _PARAMS_FLAGS + _MESH_FLAGS + _GEOMETRY_FLAG
 
 
 def test_subcommand_flags_keep_their_names_dests_and_types():
-    # scripts and config files written against an earlier release keep
-    # working, but for optimize2d's --step (the first trial step is always
-    # the full Newton step) and --c-var (the first-variation normalization
-    # is 1): each subcommand's (option strings, dest, type), in order
+    # each subcommand takes as flags only the keys it reads, under the names
+    # of earlier releases: the onedim commands read no mesh, calibrate no
+    # alpha, eps or mass, and no command a coupling constant, optimize2d's
+    # --step or --c-var. Each subcommand's (option strings, dest, type), in
+    # order
     import argparse
     from nlshape import cli
     sub, = [a for a in cli._build_parser()._actions
@@ -393,19 +429,19 @@ def test_subcommand_flags_keep_their_names_dests_and_types():
                   for a in sp._actions if a.dest != "help"]
            for name, sp in sub.choices.items()}
     assert got == {
-        "energy": _COMMON_FLAGS + _GEOMETRY_FLAG,
-        "curvature": _COMMON_FLAGS + _GEOMETRY_FLAG,
-        "diagnose": _COMMON_FLAGS + _GEOMETRY_FLAG,
-        "potential": _COMMON_FLAGS + _GEOMETRY_FLAG
-        + [(("--point",), "point", None)],
-        "onedim-root": _COMMON_FLAGS + _F_TOL_FLAG,
-        "onedim-sweep": _COMMON_FLAGS + _F_TOL_FLAG
+        "energy": _SHAPE_FLAGS,
+        "curvature": _SHAPE_FLAGS,
+        "diagnose": _SHAPE_FLAGS,
+        "potential": _SHAPE_FLAGS + [(("--point",), "point", None)],
+        "onedim-root": _BASE_FLAGS + _PARAMS_FLAGS + _F_TOL_FLAG,
+        "onedim-sweep": _BASE_FLAGS + _PARAMS_FLAGS + _F_TOL_FLAG
         + [(("--eps-grid",), "eps_grid", None)],
-        "optimize2d": _COMMON_FLAGS + [
+        "optimize2d": _BASE_FLAGS + _PARAMS_FLAGS + _MESH_FLAGS + [
             (("--init",), "geometry", None), (("--modes",), "k_max", int),
             (("--tol",), "tol", float), (("--max-iter",), "max_iter", int)],
-        "calibrate": _COMMON_FLAGS,
+        "calibrate": _BASE_FLAGS + _MESH_FLAGS,
     }
+    assert sum(map(len, got.values())) == 85
     help_of = {a.dest: a.help for a in sub.choices["optimize2d"]._actions}
     assert "unit-area disk" in help_of["geometry"]
 

@@ -229,7 +229,7 @@ def test_ball_map_mu():
 def test_lambda_hat_disk_against_closed_forms(unit_disk):
     lam, res = lambda_hat_and_residual(unit_disk, P2, 128, 32)
     ref = disk_curvature_exact(1.0, 0.5) \
-        + P2.c_coupling * P2.eps * disk_potential_oracle(1.0, 1.0, 0.5)
+        + 2.0 * P2.eps * disk_potential_oracle(1.0, 1.0, 0.5)
     assert_allclose(lam, ref, rtol=1e-10)
     assert res < 1e-9
 

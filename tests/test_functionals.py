@@ -524,7 +524,7 @@ def test_zeta_combination(unit_disk, params_2d):
     z = zeta(unit_disk, x, params_2d, nq=32)
     k = frac_curvature(unit_disk, x, params_2d.s, nq=32)
     v = potential(unit_disk, x, params_2d.alpha, nq=32)
-    assert_allclose(z, k + params_2d.c_coupling * params_2d.eps * v, rtol=1e-14)
+    assert_allclose(z, k + 2.0 * params_2d.eps * v, rtol=1e-14)
 
 
 def test_boundary_fields_disk(unit_disk, params_2d):
@@ -535,8 +535,7 @@ def test_boundary_fields_disk(unit_disk, params_2d):
     # constant fields on a disk
     assert np.ptp(bf.kappa) < 1e-8 * abs(bf.kappa[0])
     assert np.ptp(bf.pot) < 1e-8 * abs(bf.pot[0])
-    assert_allclose(bf.zeta,
-                    bf.kappa + params_2d.c_coupling * params_2d.eps * bf.pot,
+    assert_allclose(bf.zeta, bf.kappa + 2.0 * params_2d.eps * bf.pot,
                     rtol=1e-14)
     from nlshape.functionals import _curve_batch, _grad_tau_field
     from nlshape.sets import canonical
@@ -569,8 +568,8 @@ def test_kept_sweep_still_refuses_a_bad_nq(mode3_star, params_2d, nq):
 
 
 def test_kept_sweep_is_per_params(monkeypatch, mode3_star, params_2d):
-    # a Params that differs only in c_coupling is its own sweep; an equal
-    # Params reads the kept one
+    # a Params that differs only in eps (and the mass derived from it) is its
+    # own sweep; an equal Params reads the kept one
     from dataclasses import replace
     from nlshape import functionals
     sweeps = []
@@ -579,7 +578,7 @@ def test_kept_sweep_is_per_params(monkeypatch, mode3_star, params_2d):
         sweeps.append(args[1])
         return boundary_fields(*args)
     monkeypatch.setattr(functionals, "boundary_fields", counted)
-    other = replace(params_2d, c_coupling=3.0)
+    other = params_2d.with_eps(1.5 * params_2d.eps)
     a = functionals._sweep(mode3_star, params_2d, 64, 16)
     b = functionals._sweep(mode3_star, other, 64, 16)
     assert functionals._sweep(mode3_star, replace(params_2d), 64, 16) is a
@@ -619,6 +618,60 @@ def test_boundary_fields_1d_carries_the_closed_form_energies(intervals):
     bf = boundary_fields(S, p)
     assert bf.perimeter == frac_perimeter(S, p.s)
     assert bf.riesz == riesz_energy(S, p.alpha)
+
+
+# ---------------------------------------------------------------------------
+# zeta = kappa + 2 eps V is the first variation of F_eps = P_s + eps R_alpha:
+# the Au2 and Minkowski identities test dilations only, so these pin the
+# factor of each term against central differences of energy
+
+_VARIATION_STEP = 1e-5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_zeta_is_the_first_variation_of_the_energy_2d(k):
+    # r -> r + h cos(k theta) moves the boundary normally by h cos(k theta)
+    # per unit of r dtheta, so dF/dh = int zeta cos(k theta) r dtheta
+    from nlshape.shapeopt import fourier_shape, volume_project
+    S = volume_project(fourier_shape(
+        {"r0": 1.0, "a2": 0.04, "b3": -0.03, "a5": 0.02}))
+    p = Params(n=2, s=0.5, alpha=0.5, eps=1.0)
+    h = _VARIATION_STEP
+
+    def moved(step):
+        a = np.pad(S.a, (0, max(0, k - S.a.size)))
+        a[k - 1] += step
+        return energy(StarShape2D(S.center, S.r0, a, S.b), p, 256, 48)
+    plus, minus = moved(h), moved(-h)
+    d_per = (plus.perimeter_term - minus.perimeter_term) / (2.0 * h)
+    d_rz = (plus.riesz_term - minus.riesz_term) / (2.0 * h)
+    bf = boundary_fields(S, p, 256, 48)
+    th = bf.mesh.thetas
+    w = (2.0 * math.pi / th.size) * np.cos(k * th) * np.hypot(
+        *bf.mesh.points.T)
+    assert_allclose(np.sum(w * bf.kappa), d_per, rtol=1e-7)
+    assert abs(d_rz / np.sum(w * bf.pot) - 2.0) < 1e-6
+    assert_allclose(bf.zeta, bf.kappa + 2.0 * p.eps * bf.pot, rtol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.1, 2.0])
+def test_zeta_is_the_first_variation_of_the_energy_1d(eps):
+    # moving the right end b_i out by h adds (b_i, b_i + h) to the set, and
+    # moving a left end a_i out removes it: dF/db_i = zeta(b_i) and
+    # dF/da_i = -zeta(a_i)
+    ends = [(-1.0, 0.25), (0.5, 2.0), (3.7, 9.1)]
+    p = Params(n=1, s=0.5, alpha=0.5, eps=eps)
+    h = _VARIATION_STEP
+
+    def total(i, j, step):
+        moved = [list(iv) for iv in ends]
+        moved[i][j] += step
+        return energy(IntervalSet([tuple(iv) for iv in moved]), p).total
+    for i, iv in enumerate(ends):
+        for j, sign in ((0, -1.0), (1, 1.0)):
+            d_total = (total(i, j, h) - total(i, j, -h)) / (2.0 * h)
+            assert_allclose(d_total, sign * zeta(IntervalSet(ends), iv[j], p),
+                            rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -174,22 +174,28 @@ def _block_budgets(nodes):
                  and id(n) not in args)(nodes)
 
 
-def _descent_state(nodes):
-    """The class OptimizerState of shapeopt, as path:line with its fields,
-    where its annotated fields are not DESCENT_STATE, in order; a hit also
-    where shapeopt holds no such class."""
-    classes = [(mod, n) for mod, n in nodes if mod == "shapeopt"
-               and isinstance(n, ast.ClassDef) and n.name == "OptimizerState"]
-    hits = []
-    for mod, n in classes:
-        fields = [s.target.id for s in n.body if isinstance(s, ast.AnnAssign)]
-        if fields != list(DESCENT_STATE):
-            hits.append(f"{PACKAGE.name}/{mod}.py:{n.lineno}: fields {fields}")
-    return hits if classes else ["shapeopt.py holds no class OptimizerState"]
+def _class_fields(module, name, expected):
+    """A finder listing the class name of module, as path:line with its
+    fields, where its annotated fields are not expected, in order; a hit
+    also where module holds no such class."""
+    def find(nodes):
+        classes = [(mod, n) for mod, n in nodes if mod == module
+                   and isinstance(n, ast.ClassDef) and n.name == name]
+        hits = []
+        for mod, n in classes:
+            fields = [s.target.id for s in n.body
+                      if isinstance(s, ast.AnnAssign)]
+            if fields != list(expected):
+                hits.append(f"{PACKAGE.name}/{mod}.py:{n.lineno}: "
+                            f"fields {fields}")
+        return hits if classes else [f"{module}.py holds no class {name}"]
+    return find
 
 
 # the fields of shapeopt.OptimizerState: the trajectory of a descent
 DESCENT_STATE = ("shape", "iteration", "residual_history")
+# the fields of sets.Params: the problem F_eps = P_s + eps R_alpha at a mass
+PARAMS_FIELDS = ("n", "s", "alpha", "eps", "mass")
 
 
 def _has_flag(fn):
@@ -272,9 +278,20 @@ RULES = {
     # state built directly skips the check its builder made (a mode cap of 0
     # collapsed the shape to a disk). So OptimizerState's annotated fields
     # are exactly DESCENT_STATE
-    "descent-state": Rule(_descent_state, fault=(
-        "shapeopt", "class OptimizerState:\n    shape: object\n"
-        "    mesh_resolution: int = 256")),
+    "descent-state": Rule(
+        _class_fields("shapeopt", "OptimizerState", DESCENT_STATE), fault=(
+            "shapeopt", "class OptimizerState:\n    shape: object\n"
+            "    mesh_resolution: int = 256")),
+    # the boundary condition zeta = kappa + 2 eps V is the first variation
+    # of F_eps, with both constants measured (calibrate_variation_constant
+    # the 1, the Au2 identity the 2). A constant on Params lets zeta be the
+    # variation of no energy the package computes (c = 3 moved the line's
+    # root to a gap where |dF_eps/dd| is a third of |dP_s/dd|), and any
+    # (c, eps) is the problem at eps' = c eps / 2. So Params' annotated
+    # fields are exactly PARAMS_FIELDS
+    "params-fields": Rule(_class_fields("sets", "Params", PARAMS_FIELDS),
+                          fault=("sets", "class Params:\n    n: int\n"
+                                 "    c_coupling: float = 2.0")),
     # every integer knob (resolution, nq, k_max, max_iter, n) is refused by
     # one function, sets._require_count: a bool, a non-integer and a value
     # below the knob's least raise ParamError. int() of a knob would truncate
@@ -307,11 +324,11 @@ RULES = {
         and any(_ident(s) in {"s", "alpha"} for s in _sides(n))),
         fault=("functionals", "def riesz_energy(S, alpha): return alpha > 0")),
     # every real value a caller hands the package (the exponents, Params'
-    # eps, mass and c_coupling, a tol, a gap, a scale factor, the numbers a
-    # geometry is built from) is refused by one function,
-    # sets._require_real, as the integer knobs are by theirs: a bool, a
-    # string, a complex number, NaN and a value whose float lies outside its
-    # range raise the documented error with one message. A real test
+    # eps and mass, a tol, a gap, a scale factor, the numbers a geometry is
+    # built from) is refused by one function, sets._require_real, as the
+    # integer knobs are by theirs: a bool, a string, a complex number, NaN
+    # and a value whose float lies outside its range raise the documented
+    # error with one message. A real test
     # elsewhere is a second copy whose message and range drift, so the
     # package calls _is_real only inside those two owners
     "real-values": Rule(_scan(lambda mod, n: _calls(n, "_is_real")),

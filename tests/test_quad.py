@@ -231,7 +231,7 @@ ENDPOINT_PARAMS = [Params(n=1, s=0.5, alpha=0.5, eps=1e-3),
                    Params(n=1, s=1e-9, alpha=1.0 - 1e-9, eps=1e-6),
                    Params(n=1, s=0.1, alpha=0.9, eps=0.0),
                    Params(n=1, s=0.97, alpha=0.03, eps=2.0),
-                   Params(n=1, s=0.3, alpha=0.6, eps=0.37, c_coupling=1.3)]
+                   Params(n=1, s=0.3, alpha=0.6, eps=0.2405)]
 
 
 def _hex(values):
@@ -241,11 +241,10 @@ def _hex(values):
 @pytest.mark.parametrize("S", ENDPOINT_SETS)
 def test_pv_at_endpoint_is_the_reference_bitwise(S):
     # the principal value at each endpoint, by pv_pair_integral and by the
-    # kappa of the endpoint fields (kappa only)
+    # kappa of the endpoint fields
     ends = S.endpoints().tolist()
     for p in ENDPOINT_PARAMS:
-        kap, pot = _endpoint_fields(S.intervals, p.s, None)
-        assert pot == (None,) * len(ends)
+        kap = _endpoint_fields(S.intervals, p.s, 1.0 - p.alpha)[0]
         for x, k in zip(ends, kap):
             ref = pv_pair_integral_reference(S, x, p.s).hex()
             assert pv_pair_integral(S, x, p.s).hex() == ref, (x, p.s)
@@ -277,14 +276,14 @@ def test_boundary_fields_1d_is_the_per_endpoint_reference_bitwise(S):
         pot = np.array([_potential_1d(S, x, p.alpha) for x in xs])
         assert _hex(bf.kappa) == _hex(kap)
         assert _hex(bf.pot) == _hex(pot)
-        assert _hex(bf.zeta) == _hex(kap + p.c_coupling * p.eps * pot)
+        assert _hex(bf.zeta) == _hex(kap + 2.0 * p.eps * pot)
 
 
 @pytest.mark.parametrize("d", GAPS)
 def test_zeta_endpoints_are_the_per_endpoint_reference_bitwise(d):
     for p in ENDPOINT_PARAMS:
         S = IntervalSet([(0.0, 0.5), (d, d + 0.5)])
-        ref = [pv_pair_integral_reference(S, x, p.s) + p.c_coupling * p.eps
+        ref = [pv_pair_integral_reference(S, x, p.s) + 2.0 * p.eps
                * (_potential_1d(S, x, p.alpha) if p.eps != 0.0 else 0.0)
                for x in (0.0, 0.5, d, d + 0.5)]
         got = zeta_endpoints(TwoIntervalConfig(d=d, params=p))
@@ -300,7 +299,7 @@ _TINY_GAP = IntervalSet([(-1.0, 0.0), (5e-324, 1.0)])
 @pytest.mark.parametrize("call, message", [
     (lambda: boundary_fields(_TINY_GAP, Params(n=1, s=0.97, alpha=0.5, eps=0.1)),
      r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),
-    (lambda: _endpoint_fields(_TINY_GAP.intervals, 0.97, None),
+    (lambda: _endpoint_fields(_TINY_GAP.intervals, 0.97, 0.5),
      r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),
     (lambda: pv_pair_integral(_TINY_GAP, 0.0, 0.97),
      r"the gap \(0.0, 5e-324\) is too short for s = 0.97"),

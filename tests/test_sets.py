@@ -56,7 +56,7 @@ def test_params_rejects_inconsistent_pair():
     dict(alpha=1.0), dict(alpha=2.0),
     dict(eps=math.nan), dict(eps=math.inf),
     dict(eps=None, mass=math.nan), dict(eps=None, mass=math.inf),
-    dict(c_coupling=math.nan), dict(c_coupling=math.inf),
+    dict(eps=-1e-3), dict(eps=None, mass=0.0),
     # the float of each rounds onto the open bound (stored as 1.0 and 0.0
     # while the value was tested before its conversion)
     dict(alpha=Fraction(10**20 - 1, 10**20)), dict(s=Fraction(1, 10**400)),
@@ -66,6 +66,13 @@ def test_params_range_checks_1d(kw):
     base.update(kw)
     with pytest.raises(ParamError):
         Params(**base)
+
+
+def test_params_take_no_coupling_constant():
+    # zeta = kappa + 2 eps V is the first variation of F_eps; a constant c
+    # in its place made zeta the variation of no energy the package computes
+    with pytest.raises(TypeError):
+        Params(n=1, s=0.5, alpha=0.5, eps=1e-3, c_coupling=2.0)
 
 
 def test_params_alpha_range_scales_with_n():
@@ -602,8 +609,6 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      r"s must lie in \(0, 1\), got '0.5'"),
     (lambda: Params(n=2, s=0.5, alpha=True), ParamError,
      r"alpha must lie in \(0, 2\), got True"),
-    (lambda: Params(n=1, s=0.5, alpha=0.5, c_coupling=0.0), ParamError,
-     r"c_coupling must lie in \(0, inf\), got 0.0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, mass=0.0), ParamError,
      r"mass must lie in \(0, inf\), got 0.0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, eps=0.1, mass=-1.0), ParamError,
@@ -620,8 +625,6 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      r"eps must lie in \[0, inf\), got True"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, mass=True), ParamError,
      r"mass must lie in \(0, inf\), got True"),
-    (lambda: Params(n=1, s=0.5, alpha=0.5, c_coupling=True), ParamError,
-     r"c_coupling must lie in \(0, inf\), got True"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, eps="1e-3"), ParamError,
      r"eps must lie in \[0, inf\), got '1e-3'"),
     (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps(True), ParamError,
@@ -662,9 +665,9 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
     (lambda: geometry_from_dict({"kind": "star", "center": [0, 0],
                                  "samples": [1.0, 1.0, 1.0]}),
      GeometryError, "need at least 4 samples"),
-], ids=["n-0", "alpha-at-n", "s-str", "alpha-bool", "c-coupling-0", "mass-0",
+], ids=["n-0", "alpha-at-n", "s-str", "alpha-bool", "mass-0",
         "mass-negative-with-eps", "eps-negative", "eps-negative-with-mass",
-        "with-eps-inf", "eps-bool", "mass-bool", "c-coupling-bool", "eps-str",
+        "with-eps-inf", "eps-bool", "mass-bool", "eps-str",
         "with-eps-bool", "with-eps-str", "intervals-empty",
         "interval-infinite-end",
         "ball-no-center", "ball-radius-0", "star-center-3d",

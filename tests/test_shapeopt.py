@@ -417,7 +417,7 @@ def _point_query_mu(p, k, nq=48):
 @pytest.mark.parametrize("p", [
     P2, Params(n=2, s=0.3, alpha=0.9, eps=1e-2),
     Params(n=2, s=0.8, alpha=1.5, eps=0.1),
-    Params(n=2, s=0.5, alpha=0.999, eps=0.05, c_coupling=3.0),
+    Params(n=2, s=0.5, alpha=0.999, eps=0.075),
     Params(n=2, s=0.1, alpha=0.2, eps=1.0)])
 def test_disk_spectrum_matches_point_queries(p):
     # the closed form against the on-curve rule on perturbed disks: they
