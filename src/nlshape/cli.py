@@ -9,11 +9,12 @@ live only in the sidecar, so reruns with the same config produce
 byte-identical CSV files regardless of machine or configured thread count.
 
 One table, _KEYS, declares every key: its caster, its help text and the
-commands that take it as a flag, which are commands that read it.
-load_config casts file values by it, and the parser builds every
-subcommand's flags from it. Config-file keys are global, since one file may
-drive several commands: a file may set a key the command does not read,
-where the same flag is refused (exit 2).
+commands that read it, each of which takes it as a flag. load_config casts
+file values by it, and the parser builds every subcommand's flags from it.
+Config-file keys are global, since one file may drive several commands: a
+file may set a key the command does not read, where the same flag is
+refused (exit 2). The sidecar records the keys the command read under
+settings and names the others under unread_keys.
 
 Exit codes: 0 success; 1 domain failure (bad geometry, no root found,
 stalled descent, quadrature breakdown); 2 configuration or usage errors,
@@ -60,7 +61,8 @@ _GEOMETRY, _PARAMS = COMMANDS[:4] + _OPT, COMMANDS[:-1]
 _MESH = _GEOMETRY + ("calibrate",)
 
 # every key a config file or flag may set: name -> (caster, help, the
-# commands that take it as a flag), in each subcommand's flag order
+# commands that read it and take it as a flag), in each subcommand's flag
+# order
 _KEYS = {
     "command": (str, "command to run (overridden by the CLI subcommand)", ()),
     "out": (str, "output directory (default: current)", COMMANDS),
@@ -70,7 +72,6 @@ _KEYS = {
     "s": (float, "perimeter order in (0, 1)", COMMANDS),
     "alpha": (float, "repulsion exponent in (0, n)", _PARAMS),
     "eps": (float, "coupling strength (nonnegative)", _PARAMS),
-    "mass": (float, "volume of the unscaled set (positive)", _PARAMS),
     "resolution": (int, "2D boundary mesh size", _MESH),
     "nq": (int, "quadrature nodes per half-side", _MESH),
     "geometry": (str, "geometry JSON file", _GEOMETRY),
@@ -80,7 +81,7 @@ _KEYS = {
     "k_max": (int, "highest retained Fourier mode", _OPT),
     "tol": (float, "target residual", _OPT),
     "max_iter": (int, "iteration cap", _OPT),
-    "radii": (str, "comma-separated ball radii for calibration", ()),
+    "radii": (str, "comma-separated ball radii to measure at", ("calibrate",)),
 }
 
 # optimize2d's own flags for two keys: key -> (flag, help)
@@ -108,11 +109,8 @@ class RunConfig:
         return self.values[key]
 
     def params(self, default_n: int) -> Params:
-        self.require("s")
-        self.require("alpha")
-        kw = {key: self.values[key] for key in ("s", "alpha", "eps", "mass")
-              if key in self.values}
-        return Params(n=self.get("n", default_n), **kw)
+        return Params(n=self.get("n", default_n), s=self.require("s"),
+                      alpha=self.require("alpha"), eps=self.get("eps", 0.0))
 
 
 def load_config(path) -> RunConfig:
@@ -231,10 +229,13 @@ class _Emitter:
         _write_json(self.path(suffix), payload)
 
     def finish(self):
+        command, values = self.cfg.command, self.cfg.values
+        read = {k for k in values if command in _KEYS[k][2]}
         sidecar = {
-            "command": self.cfg.command,
+            "command": command,
             "version": __version__,
-            "settings": {k: self.cfg.values[k] for k in sorted(self.cfg.values)},
+            "settings": {k: values[k] for k in sorted(read)},
+            "unread_keys": sorted(values.keys() - read),
             "files": self.files,
             "started": self._started,
             "wall_seconds": time.monotonic() - self._t0,

@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError
 from .sets import IntervalSet, canonical, _require_count, _require_real
@@ -294,11 +293,20 @@ def jacobi_half_rule(beta: float, nq: int):
     return u, W
 
 
+def leggauss(q: int):
+    """numpy's q-point Gauss-Legendre rule on (-1, 1). numpy.polynomial is
+    imported on the first call: it costs about 7 ms and 0.7 MB, and a run
+    that builds no off-curve or interior rule (the descent, the line) never
+    loads it."""
+    from numpy.polynomial.legendre import leggauss as rule
+    return rule(q)
+
+
 @lru_cache(maxsize=16)
 def _gauss_legendre(q: int):
     """The q-point Gauss-Legendre rule on (-1, 1) as (nodes, weights),
     read-only: leggauss(q), which costs about 0.2 ms at q = 12, built once
-    per q for the ladder panels, the radial rules and the ball potential."""
+    per q for the ladder panels and the radial rules."""
     t, w = leggauss(q)
     t.flags.writeable = False
     w.flags.writeable = False

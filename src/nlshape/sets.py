@@ -160,75 +160,51 @@ def _sequence(name: str, values, error=GeometryError) -> tuple:
 
 @dataclass(frozen=True)
 class Params:
-    """Problem parameters for the perimeter/repulsion energy.
+    """Problem parameters for the energy F_eps = P_s + eps R_alpha.
 
-    eps and mass are mutually derivable through
-    eps = mass ** (1 - alpha/n + s/n); whichever one is omitted is filled in
-    from the other. eps = 0 is the pure-perimeter problem and leaves mass
-    unset.
+    eps is its one coupling. The paper's P_s + R_alpha on sets of volume m
+    is, rescaled to unit volume, m ** (1 - s/n) F_eps at
+    eps = m ** (1 - alpha/n + s/n), so a volume m is stated as that eps.
+    eps = 0 is the pure-perimeter problem.
 
     The boundary condition of a critical point is zeta = kappa + 2 eps V,
-    the first variation of F_eps = P_s + eps R_alpha. Both of its constants
-    are measured, so neither is a parameter: the perimeter's 1 with the
-    kappa and P_s of this package (diagnostics.calibrate_variation_constant),
-    and the repulsion's 2, which the symmetric double integral gives (by the
-    Au2 identity, diagnostics.au2_sides, the pairing of V with x.nu is
+    the first variation of F_eps. Both of its constants are measured, so
+    neither is a parameter: the perimeter's 1 with the kappa and P_s of
+    this package (diagnostics.calibrate_variation_constant), and the
+    repulsion's 2, which the symmetric double integral gives (by the Au2
+    identity, diagnostics.au2_sides, the pairing of V with x.nu is
     (n - alpha/2) R_alpha, half the dilation derivative of R_alpha).
 
-    s lies in (0, 1), alpha in (0, n), eps in [0, inf) and mass in
-    (0, inf), each checked by _require_real and stored as the float it
-    tested; anything else (a bool, a string, NaN, a value whose float
-    rounds onto a bound) raises ParamError.
+    s lies in (0, 1), alpha in (0, n) and eps in [0, inf), each checked by
+    _require_real and stored as the float it tested; anything else (a
+    bool, a string, NaN, a value whose float rounds onto a bound) raises
+    ParamError.
     """
 
     n: int
     s: float
     alpha: float
-    eps: Optional[float] = None
-    mass: Optional[float] = None
+    eps: float = 0.0
 
     def __post_init__(self):
         _require_count("n", self.n, 1)
-        # a numpy integer n would make the derived mass or eps numpy scalars
+        # a numpy integer n is stored as the int it equals, so that
+        # arithmetic on n stays Python's
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "s", _require_real("s", self.s, "(0, 1)"))
         object.__setattr__(self, "alpha", _require_real(
             "alpha", self.alpha, f"(0, {self.n})"))
-        self._fill_eps_mass(self.eps, self.mass)
-
-    def _fill_eps_mass(self, eps, mass):
-        # store eps in [0, inf) and mass in (0, inf) as floats; the one
-        # given as None is derived from the other (eps = 0 leaves mass None)
-        if eps is not None:
-            eps = _require_real("eps", eps, "[0, inf)")
-        if mass is not None:
-            mass = _require_real("mass", mass, "(0, inf)")
-        e = self.mass_to_eps_exponent()
-        if eps is None:
-            eps = 0.0 if mass is None else mass ** e
-        elif mass is None:
-            mass = eps ** (1.0 / e) if eps > 0.0 else None
-        else:
-            expect = mass ** e
-            if abs(eps - expect) > 1e-9 * max(1.0, abs(expect)):
-                raise ParamError(
-                    "eps and mass are inconsistent: "
-                    f"eps={eps!r} but mass**(1-alpha/n+s/n)={expect!r}"
-                )
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "mass", mass)
-
-    def mass_to_eps_exponent(self) -> float:
-        return 1.0 - self.alpha / self.n + self.s / self.n
+        object.__setattr__(self, "eps", _require_real("eps", self.eps,
+                                                      "[0, inf)"))
 
     def with_eps(self, eps: float) -> "Params":
-        """Copy with a new eps; mass is rederived.
+        """Copy with a new eps.
 
-        Only eps is checked, with the errors of __post_init__: the other
+        Only eps is checked, with the error of __post_init__: the other
         fields are those of self, which passed it already."""
         new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new._fill_eps_mass(eps, None)
+        new.__dict__.update(self.__dict__,
+                            eps=_require_real("eps", eps, "[0, inf)"))
         return new
 
 
@@ -668,11 +644,6 @@ def diameter(S) -> float:
 def isodiametric_ratio(S) -> float:
     """|S|^(1/n) / diam(S); scale invariant, maximal for balls."""
     return volume(S) ** (1.0 / S.n) / diameter(S)
-
-
-def beta_exponent(p: Params) -> float:
-    """(n + s - alpha) / ((2n + s + 1) * n)."""
-    return (p.n + p.s - p.alpha) / ((2.0 * p.n + p.s + 1.0) * p.n)
 
 
 def scaled(S, lam: float):

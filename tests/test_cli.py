@@ -372,6 +372,15 @@ def test_c_coupling_is_no_key(tmp_path, capsys):
                          "--eps", "1e-3"], "--c-coupling", "c_coupling")
 
 
+@pytest.mark.parametrize("command", ["energy", "curvature", "potential",
+                                     "diagnose", "onedim-root",
+                                     "onedim-sweep", "optimize2d"])
+def test_mass_is_no_key(tmp_path, capsys, command):
+    # eps is the one coupling: a volume m is stated as
+    # eps = m ** (1 - alpha/n + s/n), so no flag or config key sets a mass
+    _refused_as_unknown(tmp_path, capsys, [command], "--mass", "mass")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["onedim-root", "--s", "0.5", "--alpha", "0.5", "--eps", "1e-3"],
      ["--nq", "0"]),
@@ -407,8 +416,7 @@ _BASE_FLAGS = [
     (("--config",), "config", None), (("--out",), "out", None),
     (("--prefix",), "prefix", None), (("--n",), "n", int),
     (("--s",), "s", float)]
-_PARAMS_FLAGS = [(("--alpha",), "alpha", float), (("--eps",), "eps", float),
-                 (("--mass",), "mass", float)]
+_PARAMS_FLAGS = [(("--alpha",), "alpha", float), (("--eps",), "eps", float)]
 _MESH_FLAGS = [(("--resolution",), "resolution", int), (("--nq",), "nq", int)]
 _GEOMETRY_FLAG = [(("--geometry",), "geometry", None)]
 _F_TOL_FLAG = [(("--f-tol",), "f_tol", float)]
@@ -418,7 +426,7 @@ _SHAPE_FLAGS = _BASE_FLAGS + _PARAMS_FLAGS + _MESH_FLAGS + _GEOMETRY_FLAG
 def test_subcommand_flags_keep_their_names_dests_and_types():
     # each subcommand takes as flags only the keys it reads, under the names
     # of earlier releases: the onedim commands read no mesh, calibrate no
-    # alpha, eps or mass, and no command a coupling constant, optimize2d's
+    # alpha or eps, and no command a mass, a coupling constant, optimize2d's
     # --step or --c-var. Each subcommand's (option strings, dest, type), in
     # order
     import argparse
@@ -439,9 +447,10 @@ def test_subcommand_flags_keep_their_names_dests_and_types():
         "optimize2d": _BASE_FLAGS + _PARAMS_FLAGS + _MESH_FLAGS + [
             (("--init",), "geometry", None), (("--modes",), "k_max", int),
             (("--tol",), "tol", float), (("--max-iter",), "max_iter", int)],
-        "calibrate": _BASE_FLAGS + _MESH_FLAGS,
+        "calibrate": _BASE_FLAGS + _MESH_FLAGS
+        + [(("--radii",), "radii", None)],
     }
-    assert sum(map(len, got.values())) == 85
+    assert sum(map(len, got.values())) == 79
     help_of = {a.dest: a.help for a in sub.choices["optimize2d"]._actions}
     assert "unit-area disk" in help_of["geometry"]
 
@@ -724,6 +733,20 @@ def test_calibrate_reads_radii_from_a_config(tmp_path):
         0.5, 2, 64, 16, radii=(0.5, 2.0))
 
 
+def test_calibrate_reads_radii_from_a_flag_as_from_a_config(tmp_path):
+    argv = ["calibrate", "--n", "2", "--s", "0.5", "--resolution", "64",
+            "--nq", "16"]
+    conf = _write(tmp_path, "c.conf", "radii = 0.5,2\n")
+    assert main([*argv, "--config", str(conf), "--prefix", "file",
+                 "--out", str(tmp_path)]) == 0
+    assert main([*argv, "--radii", "0.5,2", "--prefix", "flag",
+                 "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "flag.csv").read_bytes()
+            == (tmp_path / "file.csv").read_bytes())
+    meta = json.loads((tmp_path / "flag.meta.json").read_text())
+    assert meta["settings"]["radii"] == "0.5,2"
+
+
 @pytest.mark.parametrize("radii", ["", " , ", "1,-1", "0", "1,nan", "inf"])
 def test_calibrate_empty_or_non_positive_radii_exit_2(tmp_path, capsys, radii):
     # configuration, not a runtime failure: no traceback, no Ball error. An
@@ -788,6 +811,20 @@ def test_flag_overrides_file(tmp_path):
                  "--prefix", "over"]) == 0
     _, rows = _rows(tmp_path / "over.csv")
     assert float(rows[0][1]) == 0.5
+
+
+def test_sidecar_settings_are_the_keys_the_command_read(tmp_path):
+    # one file may drive several commands, so keys the command does not
+    # read stay legal there; the sidecar names them apart from its settings
+    # (onedim-root recorded nq 0, resolution 3 and radii -1 as settings)
+    conf = _write(tmp_path, "run.conf",
+                  "command = onedim-root\ns = 0.5\nalpha = 0.5\neps = 1e-3\n"
+                  f"nq = 0\nresolution = 3\nradii = -1\nout = {tmp_path}\n")
+    assert main(["--config", str(conf)]) == 0
+    meta = json.loads((tmp_path / "onedim-root.meta.json").read_text())
+    assert meta["settings"] == {"s": 0.5, "alpha": 0.5, "eps": 1e-3,
+                                "out": str(tmp_path)}
+    assert meta["unread_keys"] == ["nq", "radii", "resolution"]
 
 
 def test_csv_bodies_are_deterministic(tmp_path):

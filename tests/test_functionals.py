@@ -568,8 +568,8 @@ def test_kept_sweep_still_refuses_a_bad_nq(mode3_star, params_2d, nq):
 
 
 def test_kept_sweep_is_per_params(monkeypatch, mode3_star, params_2d):
-    # a Params that differs only in eps (and the mass derived from it) is its
-    # own sweep; an equal Params reads the kept one
+    # a Params that differs only in eps is its own sweep; an equal Params
+    # reads the kept one
     from dataclasses import replace
     from nlshape import functionals
     sweeps = []

@@ -64,15 +64,20 @@ def _sides(node):
     return (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
 
 
-def _loads_scipy_optimize(nodes):
+# modules that importing nlshape.cli must leave unloaded (import-footprint)
+UNLOADED = ("scipy.optimize", "numpy.polynomial")
+
+
+def _loads_unneeded_modules(nodes):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, nlshape.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, nlshape.cli; print(*sorted("
+         f"set({UNLOADED!r}) & set(sys.modules)))"],
         env=env, capture_output=True, text=True)
-    return ([] if proc.stdout.strip() == "False" else
-            [proc.stderr or "importing nlshape.cli loads scipy.optimize"])
+    loaded = proc.stdout.split()
+    return ([proc.stderr] if proc.returncode else
+            [f"importing nlshape.cli loads {name}" for name in loaded])
 
 
 def _dependencies():
@@ -194,8 +199,8 @@ def _class_fields(module, name, expected):
 
 # the fields of shapeopt.OptimizerState: the trajectory of a descent
 DESCENT_STATE = ("shape", "iteration", "residual_history")
-# the fields of sets.Params: the problem F_eps = P_s + eps R_alpha at a mass
-PARAMS_FIELDS = ("n", "s", "alpha", "eps", "mass")
+# the fields of sets.Params: the problem F_eps = P_s + eps R_alpha
+PARAMS_FIELDS = ("n", "s", "alpha", "eps")
 
 
 def _has_flag(fn):
@@ -216,9 +221,12 @@ class Rule(NamedTuple):
 
 RULES = {
     # scipy.optimize costs about 23 MB RSS at import, paid by every run of
-    # every workload; the package loads no part of scipy at import. Other
-    # tests load scipy.optimize, so a fresh interpreter shows what loads
-    "import-footprint": Rule(_loads_scipy_optimize),
+    # every workload; the package loads no part of scipy at import. And
+    # numpy.polynomial (about 7 ms and 0.7 MB) serves only the Gauss-Legendre
+    # rules of quad.leggauss, which the descent and the line never build, so
+    # it is imported there, on first use. Other tests load both, so a fresh
+    # interpreter shows what loads
+    "import-footprint": Rule(_loads_unneeded_modules),
     # a third-party import is a runtime dependency for every user, and the
     # package needs none beyond numpy (scipy serves the tests only). So every
     # import of the package is the standard library, numpy or relative, and
@@ -287,8 +295,10 @@ RULES = {
     # the 1, the Au2 identity the 2). A constant on Params lets zeta be the
     # variation of no energy the package computes (c = 3 moved the line's
     # root to a gap where |dF_eps/dd| is a third of |dP_s/dd|), and any
-    # (c, eps) is the problem at eps' = c eps / 2. So Params' annotated
-    # fields are exactly PARAMS_FIELDS
+    # (c, eps) is the problem at eps' = c eps / 2. Likewise a volume m is the
+    # problem at eps = m ** (1 - alpha/n + s/n), so a mass beside eps is a
+    # second name for it. So Params' annotated fields are exactly
+    # PARAMS_FIELDS
     "params-fields": Rule(_class_fields("sets", "Params", PARAMS_FIELDS),
                           fault=("sets", "class Params:\n    n: int\n"
                                  "    c_coupling: float = 2.0")),
@@ -324,7 +334,7 @@ RULES = {
         and any(_ident(s) in {"s", "alpha"} for s in _sides(n))),
         fault=("functionals", "def riesz_energy(S, alpha): return alpha > 0")),
     # every real value a caller hands the package (the exponents, Params'
-    # eps and mass, a tol, a gap, a scale factor, the numbers a geometry is
+    # eps, a tol, a gap, a scale factor, the numbers a geometry is
     # built from) is refused by one function, sets._require_real, as the
     # integer knobs are by theirs: a bool, a string, a complex number, NaN
     # and a value whose float lies outside its range raise the documented

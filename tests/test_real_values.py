@@ -59,8 +59,6 @@ PARAM_SITES = [
      (math.inf, _TINY, _LONG_BELOW_1)),
     ("Params-eps", lambda v: Params(n=1, s=0.5, alpha=0.5, eps=v), "[0, inf)",
      (math.inf, -1.0)),
-    ("Params-mass", lambda v: Params(n=1, s=0.5, alpha=0.5, mass=v),
-     "(0, inf)", (math.inf, 0.0)),
     ("with_eps", lambda v: P1.with_eps(v), "[0, inf)", (math.inf, -1.0)),
     ("find_critical_2d-tol",
      lambda v: find_critical_2d(DISK, P2, tol=v, resolution=16, nq=4),
@@ -203,7 +201,6 @@ def _key(out):
 # (id, call(value) returning plain data, an integer value in range)
 ACCEPT_SITES = [
     ("Params-eps", lambda v: vars(Params(n=1, s=0.5, alpha=0.5, eps=v)), 1),
-    ("Params-mass", lambda v: vars(Params(n=1, s=0.5, alpha=0.5, mass=v)), 2),
     ("Params-alpha", lambda v: vars(Params(n=2, s=0.5, alpha=v, eps=1e-3)), 1),
     ("with_eps", lambda v: vars(P1.with_eps(v)), 2),
     ("find_critical_2d-tol",

@@ -18,49 +18,22 @@ from nlshape import (Ball, GeometryError, IntervalSet, ParamError, Params,
                      identity_check, isodiametric_ratio, load_geometry,
                      riesz_energy, save_geometry, set_integral_2d, volume,
                      volume_project)
-from nlshape.sets import (beta_exponent, boundary_mesh, canonical, scaled,
-                          translated)
+from nlshape.sets import boundary_mesh, canonical, scaled, translated
 
 
 # ---------------------------------------------------------------------------
 # Params
 
-def test_params_eps_from_mass():
-    p = Params(n=1, s=0.5, alpha=0.5, mass=0.01)
-    # exponent 1 - alpha/n + s/n = 1 at these values
-    assert_allclose(p.eps, 0.01, rtol=1e-14)
-
-
-def test_params_mass_from_eps():
-    p = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
-    assert_allclose(p.mass ** p.mass_to_eps_exponent(), 1e-3, rtol=1e-12)
-
-
-@given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
-       st.floats(1e-8, 1e2), st.integers(1, 3))
-def test_params_eps_mass_roundtrip(s, alpha, mass, n):
-    if not alpha < n:
-        mass = mass  # alpha < 1 <= n always holds here
-    p = Params(n=n, s=s, alpha=alpha, mass=mass)
-    q = p.with_eps(p.eps)
-    assert_allclose(q.mass, mass, rtol=1e-9)
-
-
-def test_params_rejects_inconsistent_pair():
-    with pytest.raises(ParamError):
-        Params(n=1, s=0.5, alpha=0.5, eps=0.5, mass=0.01)
-
-
+# each case keeps the id it had by position before rows were deleted, so
+# that deleting a row renames no other case
 @pytest.mark.parametrize("kw", [
     dict(s=0.0), dict(s=1.0), dict(s=-0.2), dict(alpha=0.0),
     dict(alpha=1.0), dict(alpha=2.0),
-    dict(eps=math.nan), dict(eps=math.inf),
-    dict(eps=None, mass=math.nan), dict(eps=None, mass=math.inf),
-    dict(eps=-1e-3), dict(eps=None, mass=0.0),
+    dict(eps=math.nan), dict(eps=math.inf), dict(eps=-1e-3),
     # the float of each rounds onto the open bound (stored as 1.0 and 0.0
     # while the value was tested before its conversion)
     dict(alpha=Fraction(10**20 - 1, 10**20)), dict(s=Fraction(1, 10**400)),
-])
+], ids=[f"kw{i}" for i in (0, 1, 2, 3, 4, 5, 6, 7, 10, 12, 13)])
 def test_params_range_checks_1d(kw):
     base = dict(n=1, s=0.5, alpha=0.5, eps=1e-3)
     base.update(kw)
@@ -75,16 +48,25 @@ def test_params_take_no_coupling_constant():
         Params(n=1, s=0.5, alpha=0.5, eps=1e-3, c_coupling=2.0)
 
 
+def test_params_take_no_mass():
+    # eps is the one coupling: a volume m is stated as
+    # eps = m ** (1 - alpha/n + s/n), so no second name for it is taken
+    with pytest.raises(TypeError):
+        Params(n=1, s=0.5, alpha=0.5, mass=0.01)
+
+
+def test_params_default_to_the_pure_perimeter_problem():
+    # the four fields are all Params holds: eps defaults to 0
+    p = Params(n=2, s=0.5, alpha=0.5)
+    q = Params(n=2, s=0.5, alpha=0.5, eps=0.0)
+    assert p == q and hash(p) == hash(q)
+    assert vars(p) == {"n": 2, "s": 0.5, "alpha": 0.5, "eps": 0.0}
+
+
 def test_params_alpha_range_scales_with_n():
     # alpha up to n is allowed in higher dimension
     p = Params(n=2, s=0.5, alpha=1.5, eps=1e-3)
     assert p.alpha == 1.5
-
-
-def test_beta_exponent_value():
-    p = Params(n=1, s=0.5, alpha=0.5, eps=1e-3)
-    # (n + s - alpha) / ((2n + s + 1)n) = 1 / 3.5
-    assert_allclose(beta_exponent(p), 1.0 / 3.5, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -609,22 +591,17 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
      r"s must lie in \(0, 1\), got '0.5'"),
     (lambda: Params(n=2, s=0.5, alpha=True), ParamError,
      r"alpha must lie in \(0, 2\), got True"),
-    (lambda: Params(n=1, s=0.5, alpha=0.5, mass=0.0), ParamError,
-     r"mass must lie in \(0, inf\), got 0.0"),
-    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=0.1, mass=-1.0), ParamError,
-     r"mass must lie in \(0, inf\), got -1.0"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, eps=-1.0), ParamError,
      r"eps must lie in \[0, inf\), got -1.0"),
-    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=-1.0, mass=1.0), ParamError,
-     r"eps must lie in \[0, inf\), got -1.0"),
+    # None once meant an eps derived from a mass
+    (lambda: Params(n=1, s=0.5, alpha=0.5, eps=None), ParamError,
+     r"eps must lie in \[0, inf\), got None"),
     (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps(math.inf), ParamError,
      r"eps must lie in \[0, inf\), got inf"),
     # True built the parameters with the value 1, and a string or complex
     # value failed in the range comparison with TypeError
     (lambda: Params(n=1, s=0.5, alpha=0.5, eps=True), ParamError,
      r"eps must lie in \[0, inf\), got True"),
-    (lambda: Params(n=1, s=0.5, alpha=0.5, mass=True), ParamError,
-     r"mass must lie in \(0, inf\), got True"),
     (lambda: Params(n=1, s=0.5, alpha=0.5, eps="1e-3"), ParamError,
      r"eps must lie in \[0, inf\), got '1e-3'"),
     (lambda: Params(n=1, s=0.5, alpha=0.5).with_eps(True), ParamError,
@@ -665,9 +642,8 @@ def test_geometry_file_roundtrip(tmp_path, mode3_star):
     (lambda: geometry_from_dict({"kind": "star", "center": [0, 0],
                                  "samples": [1.0, 1.0, 1.0]}),
      GeometryError, "need at least 4 samples"),
-], ids=["n-0", "alpha-at-n", "s-str", "alpha-bool", "mass-0",
-        "mass-negative-with-eps", "eps-negative", "eps-negative-with-mass",
-        "with-eps-inf", "eps-bool", "mass-bool", "eps-str",
+], ids=["n-0", "alpha-at-n", "s-str", "alpha-bool", "eps-negative",
+        "eps-none", "with-eps-inf", "eps-bool", "eps-str",
         "with-eps-bool", "with-eps-str", "intervals-empty",
         "interval-infinite-end",
         "ball-no-center", "ball-radius-0", "star-center-3d",
@@ -732,10 +708,10 @@ def test_dimension_is_refused_as_an_integer_knob():
 
 
 def test_a_numpy_dimension_is_kept_as_an_int():
-    # n is stored as an int, so what Params derives from it is a float
+    # n is stored as an int, and eps as the float it tested
     p = Params(n=np.int64(2), s=0.5, alpha=0.5, eps=1e-3)
     q = Params(n=2, s=0.5, alpha=0.5, eps=1e-3)
-    assert type(p.n) is int and type(p.mass) is float
+    assert type(p.n) is int and type(p.eps) is float
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
 
 
