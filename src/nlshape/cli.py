@@ -46,7 +46,7 @@ from .diagnostics import IDENTITY_KINDS, calibrate_variation_constant, diagnose
 from .errors import ConfigError, ConfigNotFoundError, NlshapeError, ParamError
 from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _kernel,
                           boundary_fields, energy, potential)
-from .onedim import _sweep_record, epsilon_sweep
+from .onedim import F_TOL, _sweep_record, epsilon_sweep
 from .sets import (Params, StarShape2D, _require_count, canonical,
                    geometry_to_dict, load_geometry, mesh_angles, volume)
 from .shapeopt import find_critical_2d, volume_project
@@ -68,7 +68,7 @@ _KEYS = {
     "out": (str, "output directory (default: current)", COMMANDS),
     "prefix": (str, "basename for emitted files (default: command name)",
                COMMANDS),
-    "n": (int, "ambient dimension", COMMANDS),
+    "n": (int, "ambient dimension, 1 or 2", COMMANDS),
     "s": (float, "perimeter order in (0, 1)", COMMANDS),
     "alpha": (float, "repulsion exponent in (0, n)", _PARAMS),
     "eps": (float, "coupling strength (nonnegative)", _PARAMS),
@@ -358,7 +358,7 @@ def _onedim_row(r):
 
 def _run_onedim_root(cfg, emit):
     p = cfg.params(default_n=1)
-    record = _sweep_record(p, cfg.get("f_tol", 1e-10))
+    record = _sweep_record(p, cfg.get("f_tol", F_TOL))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(record)])
     emit.meta["params"] = asdict(p)
 
@@ -370,7 +370,7 @@ def _run_onedim_sweep(cfg, emit):
         grid = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"invalid eps_grid: {raw!r}")
-    records, fit = epsilon_sweep(p, grid, f_tol=cfg.get("f_tol", 1e-10))
+    records, fit = epsilon_sweep(p, grid, f_tol=cfg.get("f_tol", F_TOL))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(r) for r in records])
     emit.json(".summary.json", fit)
     emit.meta["params"] = asdict(p)

@@ -56,8 +56,8 @@ from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _as_star,
                           _curve_batch, _grad_tau_field, _kernel, _sweep,
                           _BOUNDARY_GRADIENT, boundary_fields)
 from .sets import (Ball, Params, StarShape2D, diameter, isodiametric_ratio,
-                   mesh_angles, volume, _pair_blocks, _require_count,
-                   _require_real, _sequence)
+                   mesh_angles, volume, _pair_blocks, _require_real,
+                   _sequence)
 
 __all__ = [
     "DiagnosticsReport", "lipschitz_defect_delta", "eta", "annulus_deficit_rho",
@@ -204,7 +204,7 @@ def annulus_deficit_rho(S) -> float:
     value is the exact width at that center, never more than at S.center,
     so it bounds the infimum from above.
     """
-    if isinstance(S, Ball) and S.n > 1:
+    if isinstance(S, Ball) and S.n == 2:
         return 0.0
     star = _as_star(S)
     c, s, r, _ = star._grid(star._dense_size())
@@ -360,20 +360,18 @@ def calibrate_variation_constant(s: float, n: int = 2,
     is exactly 1 under the conventions used here, which the Minkowski
     identity and lambda_cross_estimate take it to be: this measures what
     they assume. Each ball's kappa and P_s come from its full boundary
-    sweep (boundary_fields) at eps = 0, in the plane one on-curve pass. A
-    radii that is not a sequence, is empty or holds a radius outside
-    (0, inf) raises ParamError before any ball is swept.
+    sweep (boundary_fields) at eps = 0, in the plane one on-curve pass. An
+    n that Params refuses (any but 1 and 2), or a radii that is not a
+    sequence, is empty or holds a radius outside (0, inf), raises
+    ParamError before any ball is swept.
     """
     s = _require_real("s", s, "(0, 1)")
-    _require_count("n", n, 1)
-    if n not in (1, 2):
-        raise ParamError(f"calibration supports n in {{1, 2}}, got {n}")
+    # at eps = 0, kappa and P_s do not read alpha: any alpha in range serves
+    p = Params(n=n, s=s, alpha=0.5, eps=0.0)
     radii = [_require_real("radius", R, "(0, inf)")
              for R in _sequence("radii", radii, ParamError)]
     if not radii:
         raise ParamError("radii must name at least one ball radius, got none")
-    # at eps = 0, kappa and P_s do not read alpha: any alpha in range serves
-    p = Params(n=n, s=s, alpha=0.5, eps=0.0)
     vals = []
     for R in radii:
         bf = boundary_fields(Ball((0.0,) * n, R), p, resolution, nq)

@@ -35,13 +35,12 @@ kernel's geometry) and calls the kernel. The kernel holds the shape's
 canonical form (sets.canonical, which refuses anything else with
 GeometryError: a 1D ball as its interval set, a planar ball as a
 constant-radius star shape) in the one kernel class of that geometry
-(_IntervalKernel, _StarKernel), whose methods are those of _Kernel. A ball
-in n >= 3 takes the base _Kernel, which refuses every method: the energies
-and fields cover n in {1, 2}, and a ball in any n keeps only its
-closed-form measures (sets). What a kernel has no algorithm for, and the
-planar-only functions on a non-planar shape, are refused with
-GeometryError. Each 2D value is one Gauss-Jacobi (on the curve) or
-graded-ladder (off the curve) sum per target.
+(_IntervalKernel, _StarKernel), whose methods are those of _Kernel. The
+package computes in n in {1, 2} (sets._require_dimension refuses any other
+Params or ball), so every geometry has its kernel. What a kernel has no
+algorithm for, and the planar-only functions on a non-planar shape, are
+refused with GeometryError. Each 2D value is one Gauss-Jacobi (on the
+curve) or graded-ladder (off the curve) sum per target.
 
 Each of the six 2D quantities, kappa, V, grad V, grad V . tau, P_s and
 R_alpha, is one _Field (_kappa_field, _potential_field, _grad_field,
@@ -102,9 +101,11 @@ block it falls in. A sweep's four fields share each block's mode sums, r and r'
 The whole-boundary functionals, sweeps and set integrals take the mesh
 resolution; the point queries use no mesh and take only the keyword nq. A
 planar point query resolves x once (_planar_target): on the curve or not,
-and its focus, the polar angle about the center. Non-finite planar points
-and foci, and NaN points on the line, are refused with GeometryError; at
-+-inf the 1D potential is its limit 0.
+and its focus, the polar angle about the center. Points of another
+dimension than the shape's (and batches whose foci do not match their
+points one to one), non-finite planar points and foci, and NaN points on
+the line are refused with GeometryError; at +-inf the 1D potential is its
+limit 0.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ from .errors import GeometryError, ParamError
 from .quad import (_boundary_point, _endpoint_fields, _first_diff,
                    _pair_second_diff, graded_radial_rule, jacobi_half_rule,
                    ladder_half_rule, pv_pair_integral)
-from .sets import (Ball, BoundaryMesh, IntervalSet, Params, StarShape2D,
+from .sets import (BoundaryMesh, IntervalSet, Params, StarShape2D,
                    boundary_mesh, canonical, mesh_angles, volume, _blocks,
                    _per_shape, _require_count, _require_real, _MIN_RESOLUTION)
 
@@ -186,10 +187,20 @@ def _riesz_1d(S: IntervalSet, alpha: float) -> float:
     return _pair_sum_1d(S, 2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
 
 
+def _coordinates(x, n: int) -> np.ndarray:
+    """A point query's x as a flat float array, refused (GeometryError)
+    unless it has the n coordinates of its shape's dimension."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != n:
+        raise GeometryError(f"the point {x.tolist()} does not lie in dimension {n}")
+    return x
+
+
 def _point_1d(x) -> float:
-    """A 1D point query's x as a float. NaN is refused; +-inf stands for the
+    """A 1D point query's x, a number or one coordinate, as a float. Any
+    other number of coordinates and NaN are refused; +-inf stands for the
     point at infinity, where V and its gradient have the limit 0."""
-    x = float(np.asarray(x).reshape(-1)[0])
+    x = float(_coordinates(x, 1)[0])
     if math.isnan(x):
         raise GeometryError(f"point must not be NaN, got {x!r}")
     return x
@@ -233,9 +244,9 @@ def _grad_pair_moment(g: float, L1: float, L2: float, alpha: float) -> float:
 def _planar_target(star: StarShape2D, x):
     """(x as a 2-vector, whether x lies on the curve, its focus angle as a
     1-array) for a point query. The focus is the polar angle of x about the
-    center, which on the curve is x's parameter angle. A non-finite x is
-    refused."""
-    x = np.asarray(x, dtype=float).reshape(2)
+    center, which on the curve is x's parameter angle. An x of another
+    number of coordinates, or not finite, is refused."""
+    x = _coordinates(x, 2)
     if not np.isfinite(x).all():
         raise GeometryError(f"point must be finite, got {x.tolist()}")
     dx = x[0] - star.center[0]
@@ -247,10 +258,13 @@ def _planar_target(star: StarShape2D, x):
 
 
 def _finite_batch(pts, foci):
-    """pts and foci as float arrays; non-finite entries are refused."""
+    """pts and foci as float arrays, refused unless pts is (m, 2), foci (m,)
+    and every entry finite."""
     pts, foci = np.asarray(pts, dtype=float), np.asarray(foci, dtype=float)
-    if not (np.isfinite(pts).all() and np.isfinite(foci).all()):
-        raise GeometryError("points and foci must be finite")
+    if not (pts.ndim == 2 and pts.shape == foci.shape + (2,)
+            and np.isfinite(pts).all() and np.isfinite(foci).all()):
+        raise GeometryError("points and foci must be finite, (m, 2) and (m,), "
+                            f"got shapes {pts.shape} and {foci.shape}")
     return pts, foci
 
 
@@ -733,7 +747,8 @@ class BoundaryFields:
 
 
 class _Kernel:
-    """The algorithms that serve one canonical geometry S: sweep (mesh,
+    """The base of the kernel classes, each of which defines the
+    algorithms that serve one canonical geometry S: sweep (mesh,
     kappa, V, P_s, R_alpha; the one sweep, which a caller that needs kappa
     and P_s alone reads at eps = 0), perimeter and riesz (the energy per
     exponent), curvature, potential and grad_potential (the point queries),
@@ -745,14 +760,6 @@ class _Kernel:
 
     def __init__(self, S):
         self.S = S
-
-    def _refuse(self, *args):
-        raise GeometryError(
-            "the boundary quadrature covers interval sets and planar shapes, "
-            f"got a {type(self.S).__name__} in dimension {self.S.n}")
-
-    sweep = perimeter = riesz = curvature = potential = grad_potential = \
-        au1_lhs = lal_max = _refuse
 
 
 class _IntervalKernel(_Kernel):
@@ -881,10 +888,9 @@ class _StarKernel(_Kernel):
 
 
 # the kernel class of each canonical geometry: the one place that decides
-# which algorithms serve which geometry. canonical keeps a ball only in
-# n >= 3, which takes the base kernel: it refuses every method
-_KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel,
-            Ball: _Kernel}
+# which algorithms serve which geometry. canonical makes every ball one of
+# these two
+_KERNELS = {IntervalSet: _IntervalKernel, StarShape2D: _StarKernel}
 
 
 def _kernel(S, p: Optional[Params] = None, nq=None) -> _Kernel:
@@ -895,12 +901,10 @@ def _kernel(S, p: Optional[Params] = None, nq=None) -> _Kernel:
     if nq is not None:
         _require_count("nq", nq, 1)
     C = canonical(S)
-    # the most derived geometry class of C that has a kernel
-    kernel = next(_KERNELS[c] for c in type(C).__mro__ if c in _KERNELS)
     if p is not None and p.n != C.n:
         raise ParamError(f"params have n = {p.n}, but the {type(S).__name__} "
                          f"lies in dimension {C.n}")
-    return kernel(C)
+    return _KERNELS[type(C)](C)
 
 
 def _as_star(S, nq=None) -> StarShape2D:

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _PROBE_BUDGET = 64
+# the default bound on |f| at a certified root, of the solve, the sweep and
+# the onedim commands
+F_TOL = 1e-10
 _ZERO_RUN = 8  # steps up from a start with f = 0 that all find f = 0: underflow
 
 
@@ -68,11 +71,17 @@ class TwoIntervalConfig:
         object.__setattr__(self, "d", _check_gap(self.d, self.params))
 
 
+def _check_line(p: Params):
+    """Refuse (ParamError) Params of another dimension than the line's: the
+    one n = 1 test of the two-interval analysis."""
+    if p.n != 1:
+        raise ParamError(f"two-interval analysis needs n = 1, got n = {p.n}")
+
+
 def _check_gap(d: float, p: Params) -> float:
     """d as a float, refused (ParamError) unless it lies in (1/2, inf) and
     p has n = 1."""
-    if p.n != 1:
-        raise ParamError(f"two-interval analysis needs n = 1, got n = {p.n}")
+    _check_line(p)
     return _require_real("gap parameter d", d, "(0.5, inf)")
 
 
@@ -116,8 +125,7 @@ def f_closed_form(d: float, p: Params) -> float:
 
 def _d_eps(p: Params) -> float:
     """The crossover scale d_eps of g_and_d_eps, with its checks and errors."""
-    if p.n != 1:
-        raise ParamError(f"1D analysis needs n = 1, got n = {p.n}")
+    _check_line(p)
     _require_real("eps", p.eps, "(0, inf)")
     s, alpha = p.s, p.alpha
     try:
@@ -243,7 +251,7 @@ def _bracket(p: Params, lo: float, f_lo: float, d_eps: float):
                        "doublings from d_eps or below the float range")
 
 
-def solve_critical_d(p: Params, f_tol: float = 1e-10) -> float:
+def solve_critical_d(p: Params, f_tol: float = F_TOL) -> float:
     """Root of f: bracket a sign change at the root of f's second-order
     asymptote, then close the bracket by safeguarded Illinois regula falsi
     down to machine-adjacent floats (about 5 evaluations of f per root).
@@ -349,7 +357,7 @@ def _ls_slope(x: list, y: list) -> float:
             / math.fsum(u * u for u in dx))
 
 
-def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = 1e-10):
+def epsilon_sweep(p: Params, eps_grid: Sequence[float], f_tol: float = F_TOL):
     """Solve the critical gap for each eps and fit the log-log growth law.
 
     Each eps is solved on its own: one whose gap cannot be bracketed

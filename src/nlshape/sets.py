@@ -1,8 +1,8 @@
 """Set geometries and the problem parameter block.
 
 Three concrete geometries are supported: finite unions of disjoint open
-intervals on the line, balls in R^n, and star-shaped planar domains given by
-a trigonometric radius function
+intervals on the line, balls on the line and in the plane, and star-shaped
+planar domains given by a trigonometric radius function
 
     r(theta) = r0 + sum_k a_k cos(k theta) + b_k sin(k theta)
 
@@ -23,11 +23,14 @@ can still be shared across threads. A ball keeps no memo: its measures are
 closed forms.
 
 Each geometry class owns its closed forms (_volume, _diameter, _scaled,
-_translated, _canonical, _mesh, _to_dict); the module function of that name
-is one type check (_geometry refuses all else with GeometryError) and one
-call. canonical() is the one place a ball changes representation: the
-quadrature code sees a 1D ball as its IntervalSet and a planar ball as a
-constant-radius StarShape2D, while volume and diameter stay exact.
+_translated, _canonical, _to_dict, and on the canonical forms _mesh); the
+module function of that name is one type check (_geometry refuses all else
+with GeometryError) and one call. canonical() is the one place a ball
+changes representation: the quadrature code sees a 1D ball as its
+IntervalSet and a planar ball as a constant-radius StarShape2D, while
+volume and diameter stay exact. The package computes in n in {1, 2}, the
+paper's line and plane cases: _require_dimension is the one check of that
+set, where n enters (Params and Ball).
 
 Volumes and diameters accumulate with compensated summation (math.fsum) so
 results do not depend on summation order.
@@ -85,6 +88,15 @@ def _require_count(name: str, value, least: int):
             and value >= least):
         raise ParamError(
             f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _require_dimension(name: str, value, error=ParamError) -> int:
+    """value as an int, refused unless it is an integer (_require_count,
+    ParamError) in {1, 2} (_require_real, error): the one check of the
+    dimensions the package computes in, the line and the plane, for the n
+    of Params (ParamError) and of a ball (GeometryError)."""
+    _require_count(name, value, 1)
+    return int(_require_real(name, value, "[1, 2]", error))
 
 
 def _is_real(value) -> bool:
@@ -175,10 +187,10 @@ class Params:
     identity, diagnostics.au2_sides, the pairing of V with x.nu is
     (n - alpha/2) R_alpha, half the dilation derivative of R_alpha).
 
-    s lies in (0, 1), alpha in (0, n) and eps in [0, inf), each checked by
-    _require_real and stored as the float it tested; anything else (a
-    bool, a string, NaN, a value whose float rounds onto a bound) raises
-    ParamError.
+    n is 1 or 2 (_require_dimension), stored as an int. s lies in (0, 1),
+    alpha in (0, n) and eps in [0, inf), each checked by _require_real and
+    stored as the float it tested; anything else (a bool, a string, NaN, a
+    value whose float rounds onto a bound) raises ParamError.
     """
 
     n: int
@@ -187,10 +199,9 @@ class Params:
     eps: float = 0.0
 
     def __post_init__(self):
-        _require_count("n", self.n, 1)
         # a numpy integer n is stored as the int it equals, so that
         # arithmetic on n stays Python's
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _require_dimension("n", self.n))
         object.__setattr__(self, "s", _require_real("s", self.s, "(0, 1)"))
         object.__setattr__(self, "alpha", _require_real(
             "alpha", self.alpha, f"(0, {self.n})"))
@@ -287,7 +298,8 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball in R^n."""
+    """Euclidean ball in R^n, n in {1, 2}: the center's length is its
+    dimension, and any other length raises GeometryError."""
 
     center: tuple
     radius: float
@@ -297,6 +309,7 @@ class Ball:
                   for v in _sequence("ball center", center))
         if len(c) < 1:
             raise GeometryError("ball center needs at least one coordinate")
+        _require_dimension("ball dimension", len(c), GeometryError)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", _require_real(
             "ball radius", radius, "(0, inf)", GeometryError))
@@ -324,10 +337,7 @@ class Ball:
         if self.n == 1:
             return IntervalSet([(c - r, c + r)])
         # a constant r > 0 is positive by construction: no check grid
-        return StarShape2D._positive(self.center, r) if self.n == 2 else self
-
-    def _mesh(self, resolution):  # reached in n >= 3 only
-        raise GeometryError(f"no boundary mesh for Ball in dimension {self.n}")
+        return StarShape2D._positive(self.center, r)
 
     def _to_dict(self):
         return {"kind": "ball", "center": list(self.center), "radius": self.radius}
@@ -675,10 +685,11 @@ def canonical(S):
 
 
 def boundary_mesh(S, resolution: int) -> BoundaryMesh:
-    """Boundary discretization used by every 2D quadrature consumer.
+    """Boundary discretization used by every 2D quadrature consumer: the
+    mesh of canonical(S), so a ball is meshed as its interval set or star
+    shape.
 
-    resolution is ignored for 1D sets (the boundary is finite). Balls are
-    meshed only in dimensions 1 and 2.
+    resolution is ignored for 1D sets (the boundary is finite).
     """
     return canonical(S)._mesh(resolution)
 

@@ -307,10 +307,10 @@ _OPT = ["optimize2d", *_SA, "--eps", "1e-3", "--resolution", "32", "--nq", "8"]
      "f underflows to 0"),
     (["curvature", "--s", "0.97", "--alpha", "0.5", "--geometry", "GAP"], 1,
      "the gap (0.0, 5e-324) is too short for s = 0.97"),
-    # the fields cover n in {1, 2}: a 3D ball's potential wrote a CSV
+    # the package computes in n in {1, 2}: a 3D ball's potential wrote a
+    # CSV, and a 3D ball file is now refused where the ball is built
     (["potential", *_SA, "--geometry", "BALL3", "--point", "0.1,0,0"], 1,
-     "the boundary quadrature covers interval sets and planar shapes, "
-     "got a Ball in dimension 3"),
+     "ball dimension must lie in [1, 2], got 3"),
 ], ids=["no-eps", "short-grid", "one-distinct-eps", "onedim-n2",
         "optimize-n1", "nan-f-tol", "nan-tol", "negative-modes", "zero-modes",
         "negative-max-iter", "nan-step", "negative-step", "corrupt-geometry", "stall", "bracket",

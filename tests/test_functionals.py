@@ -258,12 +258,11 @@ def test_disk_potential_center_closed_form(unit_disk):
 
 
 def test_ball_3d_potential_center():
-    # the fields cover n in {1, 2}: a ball in n >= 3 takes the base kernel,
-    # which refuses every method, at the center too
-    B = Ball((0.0, 0.0, 0.0), 1.0)
+    # the package computes in n in {1, 2}: a ball in n = 3 is refused where
+    # it is built, so no potential reads it, at the center neither
     for query in (potential, grad_potential):
-        with pytest.raises(GeometryError, match="got a Ball in dimension 3"):
-            query(B, (0.0, 0.0, 0.0), 0.5)
+        with pytest.raises(GeometryError, match=_BALL3_REFUSED):
+            query(Ball((0.0, 0.0, 0.0), 1.0), (0.0, 0.0, 0.0), 0.5)
 
 
 def test_disk_tangential_gradient_vanishes(unit_disk):
@@ -381,6 +380,36 @@ def test_nonplanar_queries_refuse_nan(name):
 def test_nonplanar_potential_at_infinity_is_zero(two_intervals, x):
     # the same limit as the gradient's: V decays like |x|^(-alpha)
     assert potential(two_intervals, x, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("x", [(1.5, 0.0, 2.0), (1.0,), ()])
+@pytest.mark.parametrize("name", sorted(POINT_QUERIES))
+def test_planar_queries_refuse_a_point_of_another_dimension(name, x):
+    # a 3-vector raised numpy's ValueError (cannot reshape)
+    S = StarShape2D((0, 0), 1, (0, 0.1), ())
+    with pytest.raises(GeometryError, match="does not lie in dimension 2"):
+        POINT_QUERIES[name](S, x)
+
+
+@pytest.mark.parametrize("x", [(0.5, 2.5), (), [[1.0], [2.0]]])
+@pytest.mark.parametrize("name", sorted(NONPLANAR_QUERIES))
+def test_nonplanar_queries_refuse_a_point_of_another_dimension(name, x):
+    # V at (0.5, 2.5) read 3.5412150421313915, its value at 0.5 alone
+    with pytest.raises(GeometryError, match="does not lie in dimension 1"):
+        NONPLANAR_QUERIES[name](x)
+
+
+@pytest.mark.parametrize("pts, foci", [
+    ([[0.1, 0.2, 0.3]], [0.0]), ([[0.1, 0.2]], [0.0, 1.0]),
+    ([0.1, 0.2], [0.5]), ([[0.1, 0.2]], [[0.5]])],
+    ids=["three-columns", "two-foci", "flat-point", "column-foci"])
+@pytest.mark.parametrize("name", sorted(BATCH_QUERIES))
+def test_batch_queries_refuse_points_of_another_shape(name, pts, foci):
+    # three columns were read as their first two, and a focus too many
+    # raised IndexError in the ladder
+    S = StarShape2D((0, 0), 1, (0, 0.1), ())
+    with pytest.raises(GeometryError, match=r"\(m, 2\) and \(m,\)"):
+        BATCH_QUERIES[name](S, pts, foci, 0.5)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, 0.5, 1.5])
@@ -1021,8 +1050,8 @@ def test_grad_set_integral_memory_is_cache_sized(mode3_star):
 # refusals that no other test reaches: the error type and its message
 
 _STAR = StarShape2D((0.0, 0.0), 1.0, (0.0, 0.0, 0.1), ())
-_BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
 _GAPPED = IntervalSet([(0.0, 0.5), (0.8, 2.0)])
+_BALL3_REFUSED = r"ball dimension must lie in \[1, 2\], got 3"
 # an interior point of _STAR with its focus, the polar angle about the center
 _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
 
@@ -1032,10 +1061,13 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
      r"alpha must lie in \(0, 2\), got 2.5"),
     (lambda: potential(_STAR, (2.0, 0.0), 2.0), ParamError,
      r"alpha must lie in \(0, 2\), got 2.0"),
-    (lambda: boundary_fields(_BALL3, Params(n=3, s=0.5, alpha=0.5, eps=0.1)),
-     GeometryError, "got a Ball in dimension 3"),
-    (lambda: potential(_BALL3, (0.5, 0.0, 0.0), 3.5), ParamError,
-     r"alpha must lie in \(0, 3\), got 3.5"),
+    # the package computes in n in {1, 2}: a ball in n = 3 is refused where
+    # it is built, before any field reads it
+    (lambda: boundary_fields(Ball((0.0, 0.0, 0.0), 1.0),
+                             Params(n=2, s=0.5, alpha=0.5, eps=0.1)),
+     GeometryError, _BALL3_REFUSED),
+    (lambda: potential(Ball((0.0, 0.0, 0.0), 1.0), (0.5, 0.0, 0.0), 3.5),
+     GeometryError, _BALL3_REFUSED),
     # V diverges in the set at alpha >= n: the batch divided by zero at 2.0
     # and read -12.77 at 2.5; a NaN alpha read NaN
     (lambda: potential_at_points(_STAR, _INNER, _INNER_FOCUS, 2.0), ParamError,
@@ -1053,9 +1085,8 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
      r"alpha must lie in \(0, 1\), got nan"),
     (lambda: grad_potential(_STAR, (0.3, 0.2), math.nan), ParamError,
      r"alpha must lie in \(0, 2\), got nan"),
-    (lambda: grad_potential(_BALL3, (0.5, 0.0, 0.0), 0.5), GeometryError,
-     "the boundary quadrature covers interval sets and planar shapes, "
-     "got a Ball in dimension 3"),
+    (lambda: grad_potential(Ball((0.0, 0.0, 0.0), 1.0), (0.5, 0.0, 0.0), 0.5),
+     GeometryError, _BALL3_REFUSED),
     (lambda: frac_perimeter(_STAR, 1.5), ParamError,
      r"s must lie in \(0, 1\), got 1.5"),
     (lambda: frac_curvature(_STAR, (1.1, 0.0), 0.0), ParamError,
@@ -1076,8 +1107,8 @@ _INNER, _INNER_FOCUS = np.array([[0.2, 0.1]]), np.array([math.atan2(0.1, 0.2)])
      "covers sets on the line, got a StarShape2D in dimension 2"),
     (lambda: pv_pair_integral(Ball((0.0, 0.0), 1.0), (1.0, 0.0), 0.5),
      GeometryError, "covers sets on the line, got a Ball in dimension 2"),
-    (lambda: pv_pair_integral(_BALL3, (1.0, 0.0, 0.0), 0.5), GeometryError,
-     "covers sets on the line, got a Ball in dimension 3"),
+    (lambda: pv_pair_integral(Ball((0.0, 0.0, 0.0), 1.0), (1.0, 0.0, 0.0),
+                              0.5), GeometryError, _BALL3_REFUSED),
     (lambda: pv_pair_integral([(0.0, 1.0)], 1.0, 0.5), GeometryError,
      "unsupported geometry list"),
     (lambda: pv_pair_integral(None, 1.0, 0.5), GeometryError,

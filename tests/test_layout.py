@@ -356,6 +356,23 @@ RULES = {
             "sets", "def _require_exponent(name, value, upper):\n"
             "    if not 0.0 < value < upper:\n"
             "        raise ParamError(f'{name} must lie in (0, {upper:g})')")),
+    # the package computes in n in {1, 2}, the paper's line and plane, and
+    # one function, sets._require_dimension, refuses every other n where it
+    # enters (Params, a ball's center). A bound on n elsewhere is a second
+    # owner of that set, as calibrate's own n not in (1, 2) was beside the
+    # base kernel that refused a ball in n >= 3 at its first field. So no
+    # comparison orders a name or attribute n against a constant, and none
+    # tests n for membership (== and != name the one dimension an
+    # algorithm serves)
+    "dimension-set": Rule(_scan(
+        lambda mod, n: isinstance(n, ast.Compare)
+        and any(_ident(s) == "n" for s in _sides(n))
+        and (any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)
+             or any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                    for op in n.ops)
+             and any(isinstance(s, ast.Constant) for s in _sides(n)))),
+        fault=("diagnostics", "def calibrate(n):\n    if n not in (1, 2):\n"
+               "        raise ValueError(n)")),
     # a public bool knob is a second entry point for every caller to learn
     # and every test to cover: the descent's with_identities only passed a
     # flag on to diagnose, which a caller runs on the solved shape at no

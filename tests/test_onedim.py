@@ -5,6 +5,7 @@ The frozen roots below were computed independently with mpmath at 40 digits
 correctly rounded values.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -157,6 +158,26 @@ def test_g_and_d_eps_requires_positive_eps():
         g_and_d_eps(_p(eps=0.0))
     with pytest.raises(ParamError):
         g_and_d_eps(Params(n=2, s=0.5, alpha=0.5, eps=1e-3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: TwoIntervalConfig(d=2.0, params=p),
+    lambda p: f_closed_form(2.0, p), g_and_d_eps, solve_critical_d,
+    lambda p: epsilon_sweep(p, [1e-3, 1e-4, 1e-5, 1e-6])],
+    ids=["config", "f", "g_and_d_eps", "solve", "sweep"])
+def test_the_line_refuses_planar_params_with_one_message(call):
+    # the gap check and d_eps each tested n = 1, with two messages
+    with pytest.raises(ParamError,
+                       match=r"^two-interval analysis needs n = 1, got n = 2$"):
+        call(Params(n=2, s=0.5, alpha=0.5, eps=1e-3))
+
+
+def test_the_root_tolerance_has_one_owner():
+    # the solve, the sweep and both onedim commands wrote 1e-10 each
+    from nlshape import cli
+    for fn in (solve_critical_d, epsilon_sweep):
+        assert inspect.signature(fn).parameters["f_tol"].default is onedim.F_TOL
+    assert cli.F_TOL is onedim.F_TOL and onedim.F_TOL == 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,6 @@ NQ_ENTRIES = [
     ("identity_check", lambda nq: identity_check(PAIR, P1, "Lal", 64, nq)),
     ("calibrate_variation_constant",
      lambda nq: calibrate_variation_constant(0.5, 1, 64, nq)),
-    ("potential-ball-3d",
-     lambda nq: potential(Ball((0, 0, 0), 1), (0.1, 0, 0), 0.5, nq=nq)),
     ("potential-off-curve", lambda nq: potential(STAR, (0.2, 0.1), 0.5, nq=nq)),
     ("grad_potential-off-curve",
      lambda nq: grad_potential(STAR, (0.2, 0.1), 0.5, nq=nq)),

@@ -107,7 +107,6 @@ def test_interval_mesh_is_endpoints(unit_interval, params_1d):
 def test_ball_volumes():
     assert_allclose(volume(Ball((0.0,), 2.0)), 4.0)
     assert_allclose(volume(Ball((0.0, 0.0), 1.5)), np.pi * 2.25)
-    assert_allclose(volume(Ball((0.0, 0.0, 0.0), 1.0)), 4.0 * np.pi / 3.0)
     assert_allclose(diameter(Ball((3.0, 4.0), 1.25)), 2.5)
 
 
@@ -510,22 +509,36 @@ def test_save_geometry_refuses_a_non_geometry_and_writes_nothing(tmp_path):
 
 
 def test_boundary_mesh_refuses_a_ball_in_three_dimensions():
+    # refused where the ball is built: no mesh can be asked of it
     with pytest.raises(GeometryError,
-                       match="no boundary mesh for Ball in dimension 3"):
+                       match=r"ball dimension must lie in \[1, 2\], got 3"):
         boundary_mesh(Ball((0.0, 0.0, 0.0), 1.0), 64)
 
 
+def test_the_dimension_is_one_or_two():
+    # one check (sets._require_dimension) where n enters: Params and
+    # calibrate (ParamError) and a ball's center (GeometryError). Params and
+    # a ball in n = 3 were built, and failed only at their first field
+    for n in (3, 4):
+        with pytest.raises(ParamError, match=rf"^n must lie in \[1, 2\], got {n}$"):
+            Params(n=n, s=0.5, alpha=2.5)
+        with pytest.raises(ParamError, match=rf"^n must lie in \[1, 2\], got {n}$"):
+            calibrate_variation_constant(0.5, n=n)
+        with pytest.raises(GeometryError,
+                           match=rf"^ball dimension must lie in \[1, 2\], got {n}$"):
+            Ball((0.0,) * n, 1.0)
+    for n in (1, 2):
+        assert Params(n=n, s=0.5, alpha=0.5).n == Ball((0.0,) * n, 1.0).n == n
+
+
 def test_canonical_form_of_a_ball():
-    # in n <= 2 the quadrature form, built anew at each call; in n >= 3 the
-    # ball itself
+    # the quadrature form, built anew at each call
     for n, kind in ((1, IntervalSet), (2, StarShape2D)):
         ball = Ball((0.5,) * n, 2.0)
         form = canonical(ball)
         assert type(form) is kind
         assert geometry_to_dict(form) == geometry_to_dict(canonical(ball))
         assert volume(form) == pytest.approx(volume(ball), rel=1e-14)
-    big = Ball((0.0, 0.0, 0.0), 1.0)
-    assert canonical(big) is big
 
 
 def test_iso_ratio_scale_invariant(mode3_star):

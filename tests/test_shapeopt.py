@@ -137,12 +137,19 @@ def test_volume_project_reads_a_planar_ball_as_its_star():
     assert volume(got) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("geometry", [
-    IntervalSet([(0.0, 1.0)]), Ball((0.0,), 1.0), Ball((0.0, 0.0, 0.0), 1.0)],
+# (geometry, message): a ball in n = 3 is refused where it is built
+NON_PLANAR = pytest.mark.parametrize("geometry, message", [
+    (lambda: IntervalSet([(0.0, 1.0)]), "star shape or planar ball"),
+    (lambda: Ball((0.0,), 1.0), "star shape or planar ball"),
+    (lambda: Ball((0.0, 0.0, 0.0), 1.0),
+     r"ball dimension must lie in \[1, 2\], got 3")],
     ids=["intervals", "ball-1d", "ball-3d"])
-def test_volume_project_refuses_a_non_planar_geometry(geometry):
-    with pytest.raises(GeometryError, match="star shape or planar ball"):
-        volume_project(geometry)
+
+
+@NON_PLANAR
+def test_volume_project_refuses_a_non_planar_geometry(geometry, message):
+    with pytest.raises(GeometryError, match=message):
+        volume_project(geometry())
 
 
 # --------------------------------------------------------------- OptimizerState
@@ -185,14 +192,12 @@ def test_a_step_reads_a_planar_ball_as_its_star():
     assert isinstance(st.shape, StarShape2D) and st.iteration == 1
 
 
-@pytest.mark.parametrize("geometry", [
-    IntervalSet([(0.0, 1.0)]), Ball((0.0,), 1.0), Ball((0.0, 0.0, 0.0), 1.0)],
-    ids=["intervals", "ball-1d", "ball-3d"])
-def test_a_step_refuses_a_state_of_a_non_planar_geometry(geometry):
+@NON_PLANAR
+def test_a_step_refuses_a_state_of_a_non_planar_geometry(geometry, message):
     # an interval set raised AttributeError ('IntervalSet' object has no
     # attribute '_grid') once its sweep was read
-    with pytest.raises(GeometryError, match="star shape or planar ball"):
-        el_gradient_step(OptimizerState(geometry), P2, 64, 16)
+    with pytest.raises(GeometryError, match=message):
+        el_gradient_step(OptimizerState(geometry()), P2, 64, 16)
 
 
 @pytest.mark.parametrize("k_max", [0, -2, 2.5, True, 2.0, None])
