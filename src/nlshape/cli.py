@@ -41,15 +41,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from .diagnostics import IDENTITY_KINDS, calibrate_variation_constant, diagnose
+# the computing modules are read at run time, so a command executes only
+# those it reaches (an onedim command none of the 2D code)
+from . import __version__, diagnostics, functionals, onedim, shapeopt
 from .errors import ConfigError, ConfigNotFoundError, NlshapeError, ParamError
-from .functionals import (DEFAULT_NQ, DEFAULT_RESOLUTION, _kernel,
-                          boundary_fields, energy, potential)
-from .onedim import F_TOL, _sweep_record, epsilon_sweep
 from .sets import (Params, StarShape2D, _require_count, canonical,
                    geometry_to_dict, load_geometry, mesh_angles, volume)
-from .shapeopt import find_critical_2d, volume_project
 
 __all__ = ["main", "load_config", "run_command", "RunConfig"]
 
@@ -260,7 +257,7 @@ def _geometry_run(cfg: RunConfig):
     one check of Params against a geometry (functionals._kernel)."""
     S = _load_geometry_for(cfg)
     p = cfg.params(default_n=S.n)
-    _kernel(S, p)
+    functionals._kernel(S, p)
     return (S, p, *_mesh_knobs(cfg))
 
 
@@ -278,8 +275,8 @@ def _mesh_knobs(cfg: RunConfig):
     """(resolution, nq), refused up front by the library's own checks, so a
     run that reads neither (potential --point) refuses them too, on every
     geometry."""
-    res = cfg.get("resolution", DEFAULT_RESOLUTION)
-    nq = cfg.get("nq", DEFAULT_NQ)
+    res = cfg.get("resolution", functionals.DEFAULT_RESOLUTION)
+    nq = cfg.get("nq", functionals.DEFAULT_NQ)
     _require_count("nq", nq, 1)
     mesh_angles(res)
     return res, nq
@@ -302,7 +299,7 @@ def _mesh_field_csv(emit, S, mesh, name, values):
 
 def _run_energy(cfg, emit):
     S, p, res, nq = _geometry_run(cfg)
-    br = energy(S, p, res, nq)
+    br = functionals.energy(S, p, res, nq)
     emit.csv(".csv", ["perimeter_term", "riesz_term", "eps", "total"],
              [(br.perimeter_term, br.riesz_term, br.eps, br.total)])
     emit.meta["params"] = asdict(p)
@@ -310,7 +307,7 @@ def _run_energy(cfg, emit):
 
 def _run_curvature(cfg, emit):
     S, p, res, nq = _geometry_run(cfg)
-    bf = boundary_fields(S, p, res, nq)
+    bf = functionals.boundary_fields(S, p, res, nq)
     _mesh_field_csv(emit, S, bf.mesh, "kappa", bf.kappa)
     emit.meta["params"] = asdict(p)
 
@@ -319,10 +316,10 @@ def _run_potential(cfg, emit):
     S, p, res, nq = _geometry_run(cfg)
     if "point" in cfg.values:
         x = _parse_point(cfg.values["point"], S.n)
-        v = potential(S, x, p.alpha, nq=nq)
+        v = functionals.potential(S, x, p.alpha, nq=nq)
         emit.csv(".csv", [*_coord_header(S), "potential"], [(*x, v)])
     else:
-        bf = boundary_fields(S, p, res, nq)
+        bf = functionals.boundary_fields(S, p, res, nq)
         _mesh_field_csv(emit, S, bf.mesh, "potential", bf.pot)
     emit.meta["params"] = asdict(p)
 
@@ -333,17 +330,19 @@ _REPORT_COLS = ["delta_s", "eta_s", "rho", "iso_ratio", "lambda_hat",
 
 def _report_row(report):
     row = [getattr(report, c) for c in _REPORT_COLS]
-    row += [report.identity_residuals.get(k) for k in IDENTITY_KINDS]
+    row += [report.identity_residuals.get(k)
+            for k in diagnostics.IDENTITY_KINDS]
     return row
 
 
 def _report_header():
-    return _REPORT_COLS + [f"res_{k.lower()}" for k in IDENTITY_KINDS]
+    return _REPORT_COLS + [f"res_{k.lower()}"
+                           for k in diagnostics.IDENTITY_KINDS]
 
 
 def _run_diagnose(cfg, emit):
     S, p, res, nq = _geometry_run(cfg)
-    report = diagnose(S, p, res, nq)
+    report = diagnostics.diagnose(S, p, res, nq)
     emit.json(".report.json", report.as_dict())
     emit.csv(".csv", _report_header(), [_report_row(report)])
     emit.meta["params"] = asdict(p)
@@ -358,7 +357,7 @@ def _onedim_row(r):
 
 def _run_onedim_root(cfg, emit):
     p = cfg.params(default_n=1)
-    record = _sweep_record(p, cfg.get("f_tol", F_TOL))
+    record = onedim._sweep_record(p, cfg.get("f_tol", onedim.F_TOL))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(record)])
     emit.meta["params"] = asdict(p)
 
@@ -370,7 +369,8 @@ def _run_onedim_sweep(cfg, emit):
         grid = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"invalid eps_grid: {raw!r}")
-    records, fit = epsilon_sweep(p, grid, f_tol=cfg.get("f_tol", F_TOL))
+    records, fit = onedim.epsilon_sweep(
+        p, grid, f_tol=cfg.get("f_tol", onedim.F_TOL))
     emit.csv(".csv", _ONEDIM_COLUMNS, [_onedim_row(r) for r in records])
     emit.json(".summary.json", fit)
     emit.meta["params"] = asdict(p)
@@ -389,9 +389,9 @@ def _run_optimize2d(cfg, emit):
     # defaults apply to the rest
     knobs = {k: cfg.values[k] for k in ("tol", "max_iter", "k_max")
              if k in cfg.values}
-    shape, report, state = find_critical_2d(
-        volume_project(init), p, resolution=res, nq=nq, full_output=True,
-        **knobs)
+    shape, report, state = shapeopt.find_critical_2d(
+        shapeopt.volume_project(init), p, resolution=res, nq=nq,
+        full_output=True, **knobs)
     emit.json(".shape.json", geometry_to_dict(shape))
     emit.csv(".history.csv", ["iteration", "residual"],
              list(enumerate(state.residual_history)))
@@ -416,7 +416,7 @@ def _run_calibrate(cfg, emit):
         if not radii:
             raise ConfigError(f"invalid radii: {text!r}")
         kwargs["radii"] = radii
-    c = calibrate_variation_constant(s, n, res, nq, **kwargs)
+    c = diagnostics.calibrate_variation_constant(s, n, res, nq, **kwargs)
     emit.csv(".csv", ["n", "s", "c_var"], [(n, s, c)])
 
 

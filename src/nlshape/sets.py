@@ -19,8 +19,10 @@ grid (_grid, read-only) and the descent's residual map
 positivity check keeps nothing), after _positive and after pickle, copy or
 deepcopy, which rebuild the shape through __init__. Threads that race on
 an entry compute the same bits and dict.setdefault keeps one, so instances
-can still be shared across threads. A ball keeps no memo: its measures are
-closed forms.
+can still be shared across threads, once each module they reach has been
+read (before Python 3.13 a lazily registered module takes no lock at its
+first read; see the package docstring). A ball keeps no memo: its
+measures are closed forms.
 
 Each geometry class owns its closed forms (_volume, _diameter, _scaled,
 _translated, _canonical, _to_dict, and on the canonical forms _mesh); the

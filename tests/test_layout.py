@@ -6,11 +6,14 @@ row lists its hits as path:line."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import types
 from typing import Callable, NamedTuple, Optional
 
@@ -64,20 +67,66 @@ def _sides(node):
     return (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
 
 
-# modules that importing nlshape.cli must leave unloaded (import-footprint)
+# modules that importing nlshape.cli and a line run leave unloaded
+# (import-footprint)
 UNLOADED = ("scipy.optimize", "numpy.polynomial")
+# what each entry does in a fresh interpreter (import-footprint): the
+# package modules it executes, exactly, and the modules it leaves unloaded.
+# A module that LazyLoader registered is executed once its type is the plain
+# module type, since reading any of its attributes executes it
+ONEDIM_RUN = ("import nlshape.cli\n"
+              "if nlshape.cli.main(['onedim-sweep', '--s', '0.5', "
+              "'--alpha', '0.5']):\n"
+              "    raise SystemExit(1)")
+FOOTPRINT = {
+    "import nlshape": ({"nlshape", "nlshape.errors"}, ("numpy",)),
+    "import nlshape.cli": (
+        {"nlshape", "nlshape.cli", "nlshape.errors", "nlshape.sets"},
+        UNLOADED),
+    ONEDIM_RUN: ({"nlshape", "nlshape.cli", "nlshape.errors", "nlshape.onedim",
+                  "nlshape.quad", "nlshape.sets"}, UNLOADED),
+}
+_PROBE = """import json, sys, types
+{entry}
+print(json.dumps([sorted(name for name, m in sys.modules.items()
+                         if name.partition(".")[0] == "nlshape"
+                         and type(m) is types.ModuleType),
+                  sorted(set({unloaded!r}) & set(sys.modules))]))
+"""
 
 
-def _loads_unneeded_modules(nodes):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nlshape.cli; print(*sorted("
-         f"set({UNLOADED!r}) & set(sys.modules)))"],
-        env=env, capture_output=True, text=True)
-    loaded = proc.stdout.split()
-    return ([proc.stderr] if proc.returncode else
-            [f"importing nlshape.cli loads {name}" for name in loaded])
+def _footprint(nodes):
+    """Where an entry of FOOTPRINT, run in a fresh interpreter on the package
+    as nodes give it (a module whose tree is not the one of TREES is written
+    out from its tree, in a copy of the package), executes other package
+    modules than its row names or loads one the row leaves unloaded."""
+    changed = {mod: node for mod, node in nodes
+               if isinstance(node, ast.Module) and node is not TREES.get(mod)}
+    hits = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = PACKAGE.parent
+        if changed:
+            root = pathlib.Path(tmp, "src")
+            shutil.copytree(PACKAGE, root / PACKAGE.name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            for mod, tree in changed.items():
+                (root / PACKAGE.name / f"{mod}.py").write_text(
+                    ast.unparse(tree), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root), os.environ.get("PYTHONPATH")])))
+        for entry, (executed, unloaded) in FOOTPRINT.items():
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 _PROBE.format(entry=entry, unloaded=unloaded)],
+                env=env, cwd=tmp, capture_output=True, text=True)
+            if proc.returncode:
+                hits.append(f"{entry!r}: {proc.stderr}")
+                continue
+            ran, loaded = json.loads(proc.stdout)
+            if set(ran) != executed:
+                hits.append(f"{entry!r} executes {ran}, not {sorted(executed)}")
+            hits += [f"{entry!r} loads {name}" for name in loaded]
+    return hits
 
 
 def _dependencies():
@@ -220,13 +269,21 @@ class Rule(NamedTuple):
 
 
 RULES = {
-    # scipy.optimize costs about 23 MB RSS at import, paid by every run of
-    # every workload; the package loads no part of scipy at import. And
-    # numpy.polynomial (about 7 ms and 0.7 MB) serves only the Gauss-Legendre
-    # rules of quad.leggauss, which the descent and the line never build, so
-    # it is imported there, on first use. Other tests load both, so a fresh
-    # interpreter shows what loads
-    "import-footprint": Rule(_loads_unneeded_modules),
+    # a process compiles every module it executes from source where no
+    # bytecode is written, so a line run that executed the whole package
+    # built about 1900 lines of 2D code it never called. So importing the
+    # package executes errors alone (the rest are registered lazily and
+    # execute when first read), cli reads the computing modules at run time
+    # and importing it executes sets alone, and an onedim command executes
+    # none of the 2D modules. scipy.optimize costs about 23 MB RSS at import,
+    # paid by every run of every workload; the package loads no part of
+    # scipy at import. And numpy.polynomial (about 7 ms and 0.7 MB) serves
+    # only the Gauss-Legendre rules of quad.leggauss, which the descent and
+    # the line never build, so it is imported there, on first use. Other
+    # tests load all of these, so a fresh interpreter shows what runs
+    "import-footprint": Rule(_footprint, fault=(
+        "cli", (PACKAGE / "cli.py").read_text(encoding="utf-8")
+        + "from .functionals import energy\n")),
     # a third-party import is a runtime dependency for every user, and the
     # package needs none beyond numpy (scipy serves the tests only). So every
     # import of the package is the standard library, numpy or relative, and
@@ -410,12 +467,48 @@ def test_layout_rule(name):
         f"{name}: {len(hits)} hits, at most {rule.allowed}\n" + "\n".join(hits))
 
 
-# the import-footprint row reads no module source, so it takes no fault
 @pytest.mark.parametrize("name", [name for name in RULES if RULES[name].fault])
 def test_no_row_is_blind(name, monkeypatch):
     rule = RULES[name]
     mod, source = rule.fault
     module = types.ModuleType(f"{PACKAGE.name}.{mod}")
-    exec(source, module.__dict__)
+    # registered as a module of the package before it runs, as an import
+    # does, so its relative imports and dataclasses resolve
+    module.__package__ = PACKAGE.name
     monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(source, module.__dict__)
     assert len(rule.find(_nodes({mod: ast.parse(source)}, rule.owners))) > rule.allowed
+
+
+# the package namespace: each public name is read off its owner module
+
+def test_each_public_name_is_its_owners_object():
+    names = [name for names in nlshape._EXPORTS.values() for name in names]
+    assert nlshape.__all__ == ["__version__", *names]
+    assert len(set(names)) == len(names)
+    for mod, owned in nlshape._EXPORTS.items():
+        owner = importlib.import_module(f"{PACKAGE.name}.{mod}")
+        for name in owned:
+            obj = getattr(nlshape, name)
+            assert obj is getattr(owner, name), name
+            # the table names the module that defines it
+            assert getattr(obj, "__module__", owner.__name__) == owner.__name__
+    assert set(nlshape.__all__) <= set(dir(nlshape))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nlshape.no_such_name
+    assert not hasattr(nlshape, "no_such_name")
+
+
+def test_a_patch_on_the_owner_is_what_the_package_returns(monkeypatch):
+    from nlshape import onedim
+    original = onedim.solve_critical_d
+
+    def patched(p, f_tol=onedim.F_TOL):
+        return 0.0
+    monkeypatch.setattr(onedim, "solve_critical_d", patched)
+    assert nlshape.solve_critical_d is patched
+    monkeypatch.undo()
+    assert nlshape.solve_critical_d is original

@@ -172,12 +172,19 @@ def test_the_line_refuses_planar_params_with_one_message(call):
         call(Params(n=2, s=0.5, alpha=0.5, eps=1e-3))
 
 
-def test_the_root_tolerance_has_one_owner():
-    # the solve, the sweep and both onedim commands wrote 1e-10 each
+def test_the_root_tolerance_has_one_owner(tmp_path):
+    # the solve, the sweep and both onedim commands wrote 1e-10 each; the
+    # commands read onedim.F_TOL at run time and keep no copy
     from nlshape import cli
     for fn in (solve_critical_d, epsilon_sweep):
         assert inspect.signature(fn).parameters["f_tol"].default is onedim.F_TOL
-    assert cli.F_TOL is onedim.F_TOL and onedim.F_TOL == 1e-10
+    assert not hasattr(cli, "F_TOL") and onedim.F_TOL == 1e-10
+    for prefix, flags in (("default", []), ("given", ["--f-tol", "1e-10"])):
+        assert cli.main(["onedim-root", "--s", "0.5", "--alpha", "0.5",
+                         "--eps", "1e-3", "--out", str(tmp_path),
+                         "--prefix", prefix, *flags]) == 0
+    assert (tmp_path / "default.csv").read_bytes() \
+        == (tmp_path / "given.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
